@@ -1,11 +1,9 @@
-"""Benchmark the hot intensity-summation kernel: numba JIT vs pure numpy.
+"""Benchmark the hot intensity-summation kernel.
 
 The workload mirrors time-averaged field sampling: a painted waveform
 discretized into 256 phases (512 beam records) evaluated on a 3D grid.
 
 Usage: python benchmarks/bench_kernels.py [--dims N] [--phases N]
-Setting CODTSIM_DISABLE_JIT=1 makes the package-level dispatch use the numpy
-path; this script times both implementations directly regardless.
 """
 
 import argparse
@@ -13,8 +11,7 @@ import time
 
 import numpy as np
 
-from codtsim import kernels_numpy
-from codtsim.accel import JIT_ENABLED
+from codtsim import kernels
 from codtsim.constants import PhysicalConstants
 from codtsim.optics import InputBeam, OpticalLayout
 from codtsim.painting import synthesize_waveform
@@ -35,12 +32,11 @@ def build_workload(dims: int, phases: int):
 
 def bench(func, pts, records, repeats=3):
     best = np.inf
-    result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = func(pts, records)
+        func(pts, records)
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def main():
@@ -53,21 +49,8 @@ def main():
     n_eval = pts.shape[0] * records.shape[0]
     print(f"{pts.shape[0]} points x {records.shape[0]} beam records = {n_eval / 1e6:.0f} M evaluations")
 
-    t_np, ref = bench(kernels_numpy.intensity_sum, pts, records)
-    print(f"numpy:  {t_np:8.3f} s   ({n_eval / t_np / 1e6:7.1f} M eval/s)")
-
-    if JIT_ENABLED:
-        from codtsim import kernels_numba
-
-        kernels_numba.intensity_sum(pts[:128], records)  # compile
-        t_nb, out = bench(kernels_numba.intensity_sum, pts, records)
-        print(f"numba:  {t_nb:8.3f} s   ({n_eval / t_nb / 1e6:7.1f} M eval/s)")
-        print(f"speedup: {t_np / t_nb:.1f}x")
-        err = np.max(np.abs(out - ref) / np.abs(ref).max())
-        print(f"max relative disagreement: {err:.2e}")
-        assert err < 1e-12, "numba and numpy kernels disagree"
-    else:
-        print("numba path disabled (CODTSIM_DISABLE_JIT set or numba missing)")
+    t = bench(kernels.intensity_sum, pts, records)
+    print(f"kernel: {t:8.3f} s   ({n_eval / t / 1e6:7.1f} M eval/s)")
 
 
 if __name__ == "__main__":

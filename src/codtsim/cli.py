@@ -156,7 +156,7 @@ def cmd_trap_misalign(cfg, out: Path) -> list[str]:
 def _grid_from_config(cfg) -> GridSpec:
     p = cfg["paint"]
     return GridSpec(
-        counts=tuple(int(c) for c in p["grid_counts"]),
+        counts=tuple(p["grid_counts"]),
         spacing=tuple(s * 1e-6 for s in p["grid_spacing_um"]),
         center=tuple(c * 1e-6 for c in p["grid_center_um"]),
     )

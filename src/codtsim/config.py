@@ -20,14 +20,11 @@ DEFAULT_CONFIG: dict = {
     "seed": 13,
     "layout": {
         "focal_length_mm": 60.0,
-        "lens_diameter_mm": 75.0,
-        "numerical_aperture": 0.62,
         "beam_separation_mm": 30.0,
         "crossing_full_angle_deg": 30.0,
         "window_thickness_mm": 10.0,
         "window_index": 1.45,
         "window_tilt_deg": None,  # null -> half the crossing angle
-        "aod_center_freq_mhz": 75.0,
         "aod_freq_range_mhz": 15.0,
         "aod_full_deflection_deg": 1.4,
         "aod_aperture_mm": [7.5, 7.5],
@@ -50,11 +47,9 @@ DEFAULT_CONFIG: dict = {
         "depth_convention": "escape-saddle",
         "fd_step_um": None,  # null -> waist / 50
         "field_dims": [96, 96, 96],
-        "n_phases": 256,
         "save_field": False,
     },
     "paint": {
-        "line_amplitude_um": 370.0,
         "grid_counts": [1, 3, 3],
         "grid_spacing_um": [0.0, 480.0, 480.0],
         "grid_center_um": [0.0, 0.0, 0.0],
@@ -112,6 +107,10 @@ DEFAULT_CONFIG: dict = {
 _NUMBER = (int, float)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 def _check(value, spec, path):
     kind = spec[0]
     if value is None:
@@ -119,8 +118,10 @@ def _check(value, spec, path):
             return
         raise ConfigError(f"{path}: must not be null")
     if kind == "number":
-        if not isinstance(value, _NUMBER) or isinstance(value, bool):
+        if not _is_number(value):
             raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite")
         if "positive" in spec and value <= 0:
             raise ConfigError(f"{path}: must be > 0")
         if "nonnegative" in spec and value < 0:
@@ -139,10 +140,15 @@ def _check(value, spec, path):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
     elif kind == "numarray":
-        if not isinstance(value, list) or not all(
-            isinstance(v, _NUMBER) and not isinstance(v, bool) for v in value
-        ):
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
             raise ConfigError(f"{path}: expected an array of numbers")
+        if not all(math.isfinite(v) for v in value):
+            raise ConfigError(f"{path}: entries must be finite")
+    elif kind == "counts":
+        if not isinstance(value, list) or len(value) != spec[1] or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
+        ):
+            raise ConfigError(f"{path}: expected {spec[1]} positive integers")
     else:  # pragma: no cover - schema bug
         raise ConfigError(f"{path}: unknown schema kind {kind}")
 
@@ -151,14 +157,11 @@ SCHEMA: dict = {
     "seed": ("integer",),
     "layout": {
         "focal_length_mm": ("number", "positive"),
-        "lens_diameter_mm": ("number", "positive"),
-        "numerical_aperture": ("number", "positive"),
         "beam_separation_mm": ("number", "positive"),
         "crossing_full_angle_deg": ("number", "positive"),
         "window_thickness_mm": ("number", "nonnegative"),
         "window_index": ("number", "positive"),
         "window_tilt_deg": ("number", "nullable", "nonnegative"),
-        "aod_center_freq_mhz": ("number", "positive"),
         "aod_freq_range_mhz": ("number", "nonnegative"),
         "aod_full_deflection_deg": ("number", "nonnegative"),
         "aod_aperture_mm": ("numarray",),
@@ -186,12 +189,10 @@ SCHEMA: dict = {
         "depth_convention": ("string",),
         "fd_step_um": ("number", "nullable", "positive"),
         "field_dims": ("numarray",),
-        "n_phases": ("integer", "positive"),
         "save_field": ("boolean",),
     },
     "paint": {
-        "line_amplitude_um": ("number", "nonnegative"),
-        "grid_counts": ("numarray",),
+        "grid_counts": ("counts", 3),
         "grid_spacing_um": ("numarray",),
         "grid_center_um": ("numarray",),
         "objective": ("string",),
@@ -323,14 +324,11 @@ def layout_from_config(cfg: dict) -> OpticalLayout:
     tilt = lay["window_tilt_deg"]
     return OpticalLayout(
         focal_length=lay["focal_length_mm"] * 1e-3,
-        lens_diameter=lay["lens_diameter_mm"] * 1e-3,
-        numerical_aperture=lay["numerical_aperture"],
         beam_separation=lay["beam_separation_mm"] * 1e-3,
         crossing_full_angle=math.radians(lay["crossing_full_angle_deg"]),
         window_thickness=lay["window_thickness_mm"] * 1e-3,
         window_index=lay["window_index"],
         window_tilt=None if tilt is None else math.radians(tilt),
-        aod_center_freq_mhz=lay["aod_center_freq_mhz"],
         aod_freq_range_mhz=lay["aod_freq_range_mhz"],
         aod_full_deflection=math.radians(lay["aod_full_deflection_deg"]),
         aod_aperture=tuple(v * 1e-3 for v in lay["aod_aperture_mm"]),

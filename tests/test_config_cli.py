@@ -11,7 +11,8 @@ from codtsim.config import (
     layout_from_config,
     load_config,
 )
-from codtsim.errors import ConfigError
+from codtsim.constants import PhysicalConstants
+from codtsim.errors import ConfigError, DomainError
 
 
 class TestConfig:
@@ -32,15 +33,29 @@ class TestConfig:
 
     def test_type_error_reports_field_path(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"beams": {"power_w": "ten"}}))
-        with pytest.raises(ConfigError, match="beams.power_w"):
-            load_config(path)
+        for bad, field in (
+            ({"beams": {"power_w": "ten"}}, "beams.power_w"),
+            ({"beams": {"power_w": float("nan")}}, "beams.power_w"),
+            ({"beams": {"power_w": float("inf")}}, "beams.power_w"),
+            ({"tof": {"times_ms": [0.0, float("-inf")]}}, "tof.times_ms"),
+            ({"paint": {"grid_counts": [1.5, 3, 3]}}, "paint.grid_counts"),
+            ({"paint": {"grid_counts": [3, 3]}}, "paint.grid_counts"),
+        ):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError, match=field):
+                load_config(path)
 
     def test_nonpositive_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"layout": {"focal_length_mm": -1}}))
-        with pytest.raises(ConfigError, match="layout.focal_length_mm"):
-            load_config(path)
+        for bad, field in (
+            ({"layout": {"focal_length_mm": -1}}, "layout.focal_length_mm"),
+            ({"paint": {"grid_counts": [1, 0, 3]}}, "paint.grid_counts"),
+        ):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError, match=field):
+                load_config(path)
+        with pytest.raises(DomainError):
+            PhysicalConstants(atom_mass=0.0)
 
     def test_set_override_dotted_path(self):
         cfg = load_config(overrides=["beams.power_w=5.5", "seed=99"])
@@ -93,8 +108,22 @@ class TestCli:
 
     def test_config_error_exit_code_2(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"nope": 1}))
-        assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        # the last two keys were removed: nothing read them
+        for content in (
+            {"nope": 1},
+            {"layout": {"lens_diameter_mm": 75.0}},
+            {"trap": {"n_phases": 256}},
+        ):
+            bad.write_text(json.dumps(content))
+            assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        for override in (
+            "beams.power_w=NaN",
+            "beams.power_w=Infinity",
+            "beams.power_w=-Infinity",
+            "paint.grid_counts=[1.5,3,3]",
+            "paint.line_amplitude_um=370",
+        ):
+            assert main(["paint", "grid", "--out", str(tmp_path / "o"), "--set", override]) == 2
 
     def test_domain_error_exit_code_3(self, tmp_path):
         # grid spacing beyond the reachable range surfaces as a domain error

@@ -1,34 +1,30 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from codtsim import kernels, kernels_numpy
-from codtsim.optics import build_beamlines
+from codtsim import kernels
+from codtsim.optics import beam_intensity, build_beamlines
 from codtsim.potential import beams_to_records
 
 
 @pytest.fixture(scope="module")
-def records(layout_records):
-    return layout_records
-
-
-@pytest.fixture(scope="module")
-def layout_records():
+def beams():
     from codtsim.optics import InputBeam, OpticalLayout
 
     layout = OpticalLayout()
-    beams = build_beamlines(layout, (InputBeam(), InputBeam()), (40e-6, -20e-6, 10e-6, 30e-6))
+    return build_beamlines(layout, (InputBeam(), InputBeam()), (40e-6, -20e-6, 10e-6, 30e-6))
+
+
+@pytest.fixture(scope="module")
+def records(beams):
     return beams_to_records(beams)
 
 
-def test_dispatched_matches_numpy_reference(records):
+def test_matches_per_beam_intensity(beams, records):
+    # beam_intensity evaluates one beam from its fields, independently of the record layout
     rng = np.random.default_rng(12)
     pts = rng.normal(scale=50e-6, size=(500, 3))
     a = kernels.intensity_sum(pts, records)
-    b = kernels_numpy.intensity_sum(pts, records)
+    b = sum(beam_intensity(beam, pts) for beam in beams)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -39,22 +35,12 @@ def test_record_shape_validated(records):
 
 def test_chunked_numpy_path(records):
     # exceed one chunk to exercise the blocked evaluation
-    old = kernels_numpy._CHUNK
-    kernels_numpy._CHUNK = 64
+    old = kernels._CHUNK
+    kernels._CHUNK = 64
     try:
         pts = np.random.default_rng(1).normal(scale=30e-6, size=(200, 3))
-        a = kernels_numpy.intensity_sum(pts, records)
+        a = kernels.intensity_sum(pts, records)
     finally:
-        kernels_numpy._CHUNK = old
-    b = kernels_numpy.intensity_sum(pts, records)
+        kernels._CHUNK = old
+    b = kernels.intensity_sum(pts, records)
     np.testing.assert_allclose(a, b, rtol=0, atol=0)
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = (
-        "import codtsim.accel as a, codtsim.kernels as k, codtsim.kernels_numpy as kn;"
-        "assert not a.JIT_ENABLED;"
-        "assert k._impl is kn"
-    )
-    env = dict(os.environ, CODTSIM_DISABLE_JIT="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

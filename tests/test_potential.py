@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from codtsim.constants import PhysicalConstants
-from codtsim.errors import DomainError
-from codtsim.optics import build_beamlines
+from codtsim.errors import DomainError, ModelValidityError
+from codtsim.optics import CHANNELS, OpticalLayout, build_beamlines, deflection_to_displacement
 from codtsim.potential import (
     ModulationWaveform,
     ScalarField3D,
+    beams_to_records,
     dipole_potential_at,
     static_potential,
     time_averaged_field,
@@ -144,6 +145,49 @@ class TestTimeAveragedPotential:
         u_256 = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=256)(pts)
         u_512 = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=512)(pts)
         assert np.max(np.abs(u_512 / u_256 - 1)) < 1e-3
+
+    def test_records_match_per_phase_beamlines(self, no_gravity, input_pair):
+        from codtsim.painting import GridSpec, synthesize_waveform
+
+        def per_phase_records(layout, wf, n_phases):
+            freqs, wts = wf.sample(n_phases)
+            rows = []
+            for f, w in zip(freqs, wts):
+                offs = [
+                    deflection_to_displacement(layout, ch, float(f[i]))
+                    for i, ch in enumerate(CHANNELS)
+                ]
+                rec = beams_to_records(build_beamlines(layout, input_pair, offs))
+                rec[:, 18] *= [float(w[0] * w[1]) / n_phases, float(w[2] * w[3]) / n_phases]
+                rows.append(rec)
+            return np.vstack(rows)
+
+        grid = GridSpec((1, 3, 3), (0.0, 480e-6, 480e-6))
+        for mode in ("calibrated", "geometric"):
+            layout = OpticalLayout(deflection_mode=mode)
+            line = {"amplitude_um": 370.0, "vertical_amplitude_um": 40.0}
+            dwell = {"grid": grid, "site_weights": np.linspace(0.6, 1.2, 9)}
+            waveforms = (
+                synthesize_waveform(layout, "line-paint", line),
+                synthesize_waveform(layout, "grid", dwell),
+            )
+            for wf in waveforms:
+                for n_phases in (1, 7, 64):
+                    pot = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases)
+                    got = pot.records
+                    ref = per_phase_records(layout, wf, n_phases)
+                    if mode == "calibrated":
+                        np.testing.assert_array_equal(got, ref)
+                    else:  # tan() of an array may round differently from tan() of a scalar
+                        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_extreme_off_axis_slope_rejected(self, no_gravity, input_pair):
+        from codtsim.painting import synthesize_waveform
+
+        layout = OpticalLayout(off_axis_size_slope=1e4)  # beam 2 waist <= 0 beyond 100 um
+        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 370.0})
+        with pytest.raises(ModelValidityError):
+            time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=32)
 
 
 class TestScalarField:
