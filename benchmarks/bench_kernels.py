@@ -1,7 +1,8 @@
 """Benchmark the hot intensity-summation kernel.
 
 The workload mirrors time-averaged field sampling: a painted waveform
-discretized into 256 phases (512 beam records) evaluated on a 3D grid.
+discretized into 256 phases evaluated on a 3D grid. The 512 phase records
+merge to the distinct geometries of the sweep (322 for this line paint).
 
 Usage: python benchmarks/bench_kernels.py [--dims N] [--phases N]
 """

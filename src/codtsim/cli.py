@@ -320,10 +320,21 @@ def cmd_tof_expand(cfg, out: Path) -> list[str]:
     return ["expansion.csv"]
 
 
+def _read_table(path, name: str, columns: int) -> np.ndarray:
+    """Numeric CSV rows below a header line; ConfigError naming ``name`` if unreadable."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{name}: cannot read {path}: {exc}") from exc
+    if data.shape[1] < columns:
+        raise ConfigError(f"{name}: {path} needs at least {columns} numeric columns")
+    return data
+
+
 def cmd_tof_fit(cfg, out: Path) -> list[str]:
     t = cfg["tof"]
     if t["profile_csv"] is not None:
-        data = np.loadtxt(t["profile_csv"], delimiter=",", skiprows=1)
+        data = _read_table(t["profile_csv"], "tof.profile_csv", 2)
         positions = data[:, 0] * 1e-6
         counts = data[:, 1]
         sigma = None
@@ -444,7 +455,7 @@ def cmd_flight_synth(cfg, out: Path) -> list[str]:
 
 
 def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = _read_table(path, "--centroids", 5)
     return SpotTrackSeries(
         timestamps=data[:, 0],
         spots_um=data[:, 1:5].reshape(-1, 2, 2),

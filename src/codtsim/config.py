@@ -144,6 +144,8 @@ def _check(value, spec, path):
             raise ConfigError(f"{path}: expected an array of numbers")
         if not all(math.isfinite(v) for v in value):
             raise ConfigError(f"{path}: entries must be finite")
+        if len(spec) > 1 and isinstance(spec[1], int) and len(value) != spec[1]:
+            raise ConfigError(f"{path}: expected {spec[1]} numbers, got {len(value)}")
     elif kind == "counts":
         if not isinstance(value, list) or len(value) != spec[1] or not all(
             isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
@@ -164,7 +166,7 @@ SCHEMA: dict = {
         "window_tilt_deg": ("number", "nullable", "nonnegative"),
         "aod_freq_range_mhz": ("number", "nonnegative"),
         "aod_full_deflection_deg": ("number", "nonnegative"),
-        "aod_aperture_mm": ("numarray",),
+        "aod_aperture_mm": ("numarray", 2),
         "power_throughput": ("number", "unit"),
         "calibration_um_per_mhz": {
             "h1": ("number", "positive"),
@@ -188,13 +190,13 @@ SCHEMA: dict = {
     "trap": {
         "depth_convention": ("string",),
         "fd_step_um": ("number", "nullable", "positive"),
-        "field_dims": ("numarray",),
+        "field_dims": ("counts", 3),
         "save_field": ("boolean",),
     },
     "paint": {
         "grid_counts": ("counts", 3),
-        "grid_spacing_um": ("numarray",),
-        "grid_center_um": ("numarray",),
+        "grid_spacing_um": ("numarray", 3),
+        "grid_center_um": ("numarray", 3),
         "objective": ("string",),
         "transport_start_um": ("numarray", "nested"),
         "transport_end_um": ("numarray", "nested"),
@@ -224,8 +226,8 @@ SCHEMA: dict = {
         "timeline_phases": ("integer", "positive"),
     },
     "tof": {
-        "frequencies_hz": ("numarray",),
-        "tf_radii_um": ("numarray",),
+        "frequencies_hz": ("numarray", 3),
+        "tf_radii_um": ("numarray", 3),
         "temperature_uK": ("number", "nonnegative"),
         "times_ms": ("numarray",),
         "profile_csv": ("string", "nullable"),
@@ -233,7 +235,7 @@ SCHEMA: dict = {
     "flight": {
         "n_frames": ("integer", "positive"),
         "fps": ("number", "positive"),
-        "frame_shape": ("numarray",),
+        "frame_shape": ("counts", 2),
         "pixel_pitch_um": ("number", "positive"),
         "spot_separation_um": ("number", "positive"),
         "spot_sigma_um": ("number", "positive"),
@@ -270,8 +272,8 @@ def _validate(data, schema, path=""):
         elif spec[0] == "numarray" and "nested" in spec:
             if not isinstance(value, list):
                 raise ConfigError(f"{here}: expected an array")
-            for i, row in enumerate(value):
-                _check(row, ("numarray",), f"{here}[{i}]")
+            for i, row in enumerate(value):  # rows are positions
+                _check(row, ("numarray", 3), f"{here}[{i}]")
         else:
             _check(value, spec, here)
 

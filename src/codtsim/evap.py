@@ -178,51 +178,69 @@ def timeline(
     n_samples: int = 25,
     n_phases: int = 128,
 ) -> list[dict]:
-    """Trap depth and frequencies along the schedule (one row per sampled time)."""
+    """Trap depth and frequencies along the schedule (one row per sampled time).
+
+    Samples with the same power and amplitudes (a hold, a settled ramp) are
+    characterized once.
+    """
     rows = []
+    traps: dict[tuple[float, float, float], dict] = {}
     times = np.linspace(0.0, schedule.total_duration, n_samples)
     for t in times:
         power = schedule.power_at(float(t))
         amp_h, amp_v = schedule.amplitude_at(float(t))
-        inputs_t = tuple(
-            InputBeam(power=power, wavelength=b.wavelength, collimated_radius=b.collimated_radius)
-            for b in inputs
-        )
-        params = {"amplitude_um": amp_h * 1e6, "vertical_amplitude_um": amp_v * 1e6}
-        wf = synthesize_waveform(layout, "line-paint" if (amp_h or amp_v) else "static-offset", params)
-        pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=n_phases)
-        half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
-        row = {
-            "t_s": float(t),
-            "power_w": power,
-            "amplitude_h_um": amp_h * 1e6,
-            "amplitude_v_um": amp_v * 1e6,
-        }
-        try:
-            report = characterize(
-                pot,
-                np.zeros(3),
-                constants=constants,
-                step=0.2e-6,
-                domain=(np.zeros(3), half),
-                beam_axes=[layout.beam_direction(1), layout.beam_direction(2)],
-            )
-        except DomainError as exc:
-            row.update({"valid": 0, "reason": str(exc)})
-            rows.append(row)
-            continue
-        row.update(
+        key = (power, amp_h, amp_v)
+        if key not in traps:
+            traps[key] = _painted_trap(constants, layout, inputs, power, amp_h, amp_v, n_phases)
+        rows.append(
             {
-                "valid": int(report.valid),
-                "depth_uK": report.depth_uk(),
-                "f1_hz": report.frequencies[0],
-                "f2_hz": report.frequencies[1],
-                "f3_hz": report.frequencies[2],
-                "mean_frequency_hz": report.mean_frequency,
+                "t_s": float(t),
+                "power_w": power,
+                "amplitude_h_um": amp_h * 1e6,
+                "amplitude_v_um": amp_v * 1e6,
+                **traps[key],
             }
         )
-        rows.append(row)
     return rows
+
+
+def _painted_trap(
+    constants: PhysicalConstants,
+    layout: OpticalLayout,
+    inputs: tuple[InputBeam, InputBeam],
+    power: float,
+    amp_h: float,
+    amp_v: float,
+    n_phases: int,
+) -> dict:
+    """Timeline columns of the line-painted trap at one power and amplitude pair."""
+    inputs_t = tuple(
+        InputBeam(power=power, wavelength=b.wavelength, collimated_radius=b.collimated_radius)
+        for b in inputs
+    )
+    params = {"amplitude_um": amp_h * 1e6, "vertical_amplitude_um": amp_v * 1e6}
+    wf = synthesize_waveform(layout, "line-paint" if (amp_h or amp_v) else "static-offset", params)
+    pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=n_phases)
+    half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
+    try:
+        report = characterize(
+            pot,
+            np.zeros(3),
+            constants=constants,
+            step=0.2e-6,
+            domain=(np.zeros(3), half),
+            beam_axes=[layout.beam_direction(1), layout.beam_direction(2)],
+        )
+    except DomainError as exc:
+        return {"valid": 0, "reason": str(exc)}
+    return {
+        "valid": int(report.valid),
+        "depth_uK": report.depth_uk(),
+        "f1_hz": report.frequencies[0],
+        "f2_hz": report.frequencies[1],
+        "f3_hz": report.frequencies[2],
+        "mean_frequency_hz": report.mean_frequency,
+    }
 
 
 def evaporation_efficiency(initial: ThermoMetrics, final: ThermoMetrics) -> dict:

@@ -285,9 +285,13 @@ def write_pgm(frame: Frame, path) -> None:
 
 
 def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:
-    raw = Path(path).read_bytes()
+    """Read a binary PGM frame; a missing, malformed or truncated file is a DomainError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read frame ({exc.strerror})") from exc
     if not raw.startswith(b"P5"):
-        raise DomainError("only binary (P5) PGM frames are supported")
+        raise DomainError(f"{path}: only binary (P5) PGM frames are supported")
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
@@ -300,11 +304,17 @@ def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if not raw[start:pos].isdigit():
+            raise DomainError(f"{path}: malformed PGM header")
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 1 or height < 1 or not 0 < maxval < 65536:
+        raise DomainError(f"{path}: PGM header {width}x{height}, maxval {maxval} is out of range")
     bit_depth = 16 if maxval > 255 else 8
     dtype = ">u2" if bit_depth == 16 else "u1"
+    if len(raw) - pos < width * height * bit_depth // 8:
+        raise DomainError(f"{path}: truncated PGM frame")
     values = np.frombuffer(raw[pos:], dtype=dtype, count=width * height).reshape(height, width)
     return Frame(
         values=values.astype(np.uint16 if bit_depth == 16 else np.uint8),

@@ -207,8 +207,21 @@ def time_averaged_potential(
 
     Discretizes the period at ``n_phases`` equidistant phases; per-phase beam
     positions come from the deflection map and per-phase powers from the
-    channel amplitude weights.  Records run beam 1, beam 2 per phase.
+    channel amplitude weights.  The average is a plain sum over phases, so
+    records with identical geometry (a dwell, a hold, mirror points of a
+    triangle sweep) are merged into one record carrying their summed power.
     """
+    records = _phase_records(layout, inputs, waveform, n_phases)
+    return DipolePotential(constants, _merge_records(records))
+
+
+def _phase_records(
+    layout: OpticalLayout,
+    inputs: tuple[InputBeam, InputBeam],
+    waveform: ModulationWaveform,
+    n_phases: int,
+) -> np.ndarray:
+    """Unmerged records of all phases, beam 1 then beam 2 per phase."""
     offsets, wts = _sampled_offsets(layout, waveform, n_phases)
     origins, scales, m2 = place_beams(layout, offsets)
     # the aligned pair fixes directions, axes, foci and powers; placement
@@ -219,7 +232,20 @@ def time_averaged_potential(
     records[..., 12:14] *= scales[..., None]
     records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
     records[..., 18] *= wts[:, 0::2] * wts[:, 1::2] / n_phases  # (h1 v1, h2 v2) weights
-    return DipolePotential(constants, records.reshape(-1, BEAM_RECORD_SIZE))
+    return records.reshape(-1, BEAM_RECORD_SIZE)
+
+
+def _merge_records(records: np.ndarray) -> np.ndarray:
+    """One record per distinct geometry (columns 0:18) carrying the summed power.
+
+    Records keep the order of their first occurrence, so records that are
+    all distinct come back unchanged.
+    """
+    _, first, inverse = np.unique(records[:, :18], axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    merged = records[first[order]]
+    merged[:, 18] = np.bincount(inverse.reshape(-1), weights=records[:, 18])[order]
+    return merged
 
 
 @dataclass

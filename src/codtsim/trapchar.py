@@ -228,29 +228,35 @@ def _seed_grid(domain, n=7) -> np.ndarray:
     return center + grid
 
 
-def _ray_barrier(f, x0, u0, direction, domain, step):
-    """Max potential along a ray until escape below the minimum or the domain edge.
+def _ray_barrier(f, x0, u0, directions, domain, step) -> np.ndarray:
+    """Max potential along each ray until escape below the minimum or the domain edge.
 
-    The escape test carries a small tolerance so that the flat bottom of a
-    painted trap (where the located minimum may sit a fraction of a percent
-    above the deepest plateau point) does not read as an escape channel.
+    All rays are sampled at multiples of ``step`` and evaluated in one call.
+    A ray's barrier is the running maximum (from ``u0``) up to and including
+    its first value below the escape level, or over the whole ray when no
+    value escapes.  The escape test carries a small tolerance so that the
+    flat bottom of a painted trap (where the located minimum may sit a
+    fraction of a percent above the deepest plateau point) does not read as
+    an escape channel.
     """
     center, half = domain
-    d = direction / np.linalg.norm(direction)
+    d = np.asarray(directions, dtype=float)
+    d = d / np.linalg.norm(d, axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
         t_exit = np.min(
-            np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf)
+            np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf), axis=1
         )
-    t_exit = max(t_exit, step)
-    ts = np.arange(step, t_exit + step, step)
-    vals = f(x0[None, :] + ts[:, None] * d[None, :])
-    escape_level = u0 - 1e-2 * abs(u0)
-    barrier = u0
-    for v in vals:
-        barrier = max(barrier, float(v))
-        if v < escape_level:  # fell below the trap bottom: escaped over `barrier`
-            break
-    return barrier
+    ts = [np.arange(step, t + step, step) for t in np.maximum(t_exit, step)]
+    counts = [len(t) for t in ts]
+    starts = np.cumsum([0] + counts[:-1])
+    pts = np.repeat(d, counts, axis=0)
+    pts *= np.concatenate(ts)[:, None]
+    pts += x0
+    vals = f(pts)
+    escapes = vals < u0 - 1e-2 * abs(u0)  # fell below the trap bottom: escaped over the barrier
+    before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
+    vals[before != np.repeat(before[starts], counts)] = -np.inf  # after an escape on the same ray
+    return np.fmax(u0, np.fmax.reduceat(vals, starts))
 
 
 def characterize(
@@ -327,12 +333,12 @@ def characterize(
             directions.extend([np.asarray(ax, dtype=float), -np.asarray(ax, dtype=float)])
     if saddle_step is None:
         saddle_step = max(10 * step, 2e-6)
-    barriers = [_ray_barrier(f, x, u_min, d, domain, saddle_step) for d in directions]
-    depth_escape = max(0.0, min(barriers) - u_min)
+    barriers = _ray_barrier(f, x, u_min, directions, domain, saddle_step)
+    depth_escape = max(0.0, float(barriers.min()) - u_min)
     if isinstance(potential, DipolePotential):
         depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
     else:
-        depth_peak = max(0.0, max(barriers) - u_min)
+        depth_peak = max(0.0, float(barriers.max()) - u_min)
 
     depth = depth_escape if depth_convention == "escape-saddle" else depth_peak
     return TrapReport(

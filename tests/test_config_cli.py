@@ -40,6 +40,11 @@ class TestConfig:
             ({"tof": {"times_ms": [0.0, float("-inf")]}}, "tof.times_ms"),
             ({"paint": {"grid_counts": [1.5, 3, 3]}}, "paint.grid_counts"),
             ({"paint": {"grid_counts": [3, 3]}}, "paint.grid_counts"),
+            ({"paint": {"grid_spacing_um": [0.0, 480.0]}}, "paint.grid_spacing_um"),
+            ({"paint": {"transport_end_um": [[330.0, 0.0]]}}, r"paint.transport_end_um\[0\]"),
+            ({"layout": {"aod_aperture_mm": [7.5, 7.5, 7.5]}}, "layout.aod_aperture_mm"),
+            ({"trap": {"field_dims": [96.0, 96, 96]}}, "trap.field_dims"),
+            ({"flight": {"frame_shape": [96]}}, "flight.frame_shape"),
         ):
             path.write_text(json.dumps(bad))
             with pytest.raises(ConfigError, match=field):
@@ -124,6 +129,43 @@ class TestCli:
             "paint.line_amplitude_um=370",
         ):
             assert main(["paint", "grid", "--out", str(tmp_path / "o"), "--set", override]) == 2
+
+    def test_wrong_array_length_exit_code_2(self, tmp_path, capsys):
+        for command, override, field in (
+            ("paint grid", "paint.grid_spacing_um=[0,480]", "paint.grid_spacing_um"),
+            ("paint grid", "paint.grid_center_um=[0,0,0,0]", "paint.grid_center_um"),
+            ("tof expand", "tof.frequencies_hz=[100,200]", "tof.frequencies_hz"),
+            ("tof expand", "tof.tf_radii_um=[4]", "tof.tf_radii_um"),
+            ("trap report", "trap.field_dims=[8.7,8,8]", "trap.field_dims"),
+            ("trap volume", "layout.aod_aperture_mm=[7.5]", "layout.aod_aperture_mm"),
+            ("flight synth", "flight.frame_shape=[96,96.5]", "flight.frame_shape"),
+        ):
+            argv = command.split() + ["--out", str(tmp_path / "o"), "--set", override]
+            assert main(argv) == 2, override
+            assert field in capsys.readouterr().err
+
+    def test_unreadable_profile_csv_exit_code_2(self, tmp_path, capsys):
+        garbled = tmp_path / "garbled.csv"
+        garbled.write_text("position_um,counts\n1.0,many\n")
+        for path in (tmp_path / "missing.csv", garbled):
+            argv = ["tof", "fit", "--out", str(tmp_path / "o"), "--set", f"tof.profile_csv={path}"]
+            assert main(argv) == 2
+            assert "tof.profile_csv" in capsys.readouterr().err
+
+    def test_truncated_frame_exit_code_3(self, tmp_path, capsys):
+        out = tmp_path / "flight"
+        (out / "frames").mkdir(parents=True)
+        meta = {
+            "pixel_pitch_um": 5.0,
+            "fps": 24.0,
+            "threshold_fraction": 0.2,
+            "phase_boundaries_s": {"pre": [0.0, 1.0]},
+            "n_frames": 1,
+        }
+        (out / "flight_meta.json").write_text(json.dumps(meta))
+        (out / "frames" / "frame_00000.pgm").write_bytes(b"P5\n96 96\n65535\n" + bytes(100))
+        assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_domain_error_exit_code_3(self, tmp_path):
         # grid spacing beyond the reachable range surfaces as a domain error

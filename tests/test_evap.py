@@ -97,6 +97,25 @@ class TestTimeline:
         for r in rows:
             assert r["power_w"] == pytest.approx(schedule.power_at(r["t_s"]), rel=1e-12)
 
+    def test_repeated_samples_characterized_once(self, layout, input_pair, monkeypatch):
+        import codtsim.evap as evap
+
+        calls = []
+        real = evap.characterize
+        monkeypatch.setattr(evap, "characterize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        schedule = build_schedule()
+        rows = timeline(RB, layout, input_pair, schedule, n_samples=9, n_phases=16)
+        keys = [(r["power_w"], r["amplitude_h_um"], r["amplitude_v_um"]) for r in rows]
+        assert len(calls) == len(set(keys)) == len(rows) - 1  # t = 1.3125 and 1.5 s repeat
+        # the repeated row carries exactly what a fresh characterization gives
+        t = rows[-1]["t_s"]
+        fresh = evap._painted_trap(
+            RB, layout, input_pair, schedule.power_at(t), *schedule.amplitude_at(t), 16
+        )
+        schedule_columns = ("t_s", "power_w", "amplitude_h_um", "amplitude_v_um")
+        assert {k: v for k, v in rows[-1].items() if k not in schedule_columns} == fresh
+        assert rows[-2] | {"t_s": t} == rows[-1]
+
 
 class TestEvaporationEfficiency:
     def _metrics(self, n, psd):

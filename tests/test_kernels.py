@@ -44,3 +44,32 @@ def test_chunked_numpy_path(records):
         kernels._CHUNK = old
     b = kernels.intensity_sum(pts, records)
     np.testing.assert_allclose(a, b, rtol=0, atol=0)
+
+
+def test_blocks_bounded_by_points_times_records(monkeypatch):
+    from codtsim.constants import PhysicalConstants
+    from codtsim.optics import InputBeam, OpticalLayout
+    from codtsim.painting import synthesize_waveform
+    from codtsim.potential import time_averaged_potential
+
+    layout = OpticalLayout()
+    line = {"amplitude_um": 230.0, "vertical_amplitude_um": 40.0}
+    wf = synthesize_waveform(layout, "line-paint", line)
+    records = time_averaged_potential(
+        PhysicalConstants(gravity=0.0), layout, (InputBeam(), InputBeam()), wf, 64
+    ).records
+    pts = np.random.default_rng(3).normal(scale=(150e-6, 40e-6, 20e-6), size=(500, 3))
+    whole = kernels.intensity_sum(pts, records)
+    blocks = []
+    real_chunk = kernels._intensity_chunk
+
+    def spy(p, r):
+        blocks.append(p.shape[0] * r.shape[0])
+        return real_chunk(p, r)
+
+    monkeypatch.setattr(kernels, "_intensity_chunk", spy)
+    monkeypatch.setattr(kernels, "_CHUNK", 20 * records.shape[0] + 7)
+    blocked = kernels.intensity_sum(pts, records)
+    assert len(blocks) == 25 and max(blocks) <= kernels._CHUNK
+    assert np.min(whole) > 0
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0)

@@ -250,3 +250,22 @@ class TestPgmIO:
         loaded = read_pgm(path, PITCH)
         assert loaded.bit_depth == 8
         np.testing.assert_array_equal(loaded.values, frame.values)
+
+    def test_malformed_or_truncated_frame_is_domain_error(self, tmp_path):
+        frame = two_spot_frame(noise=5.0, seed=9)
+        path = tmp_path / "frame.pgm"
+        write_pgm(frame, path)
+        good = path.read_bytes()
+        for raw in (
+            good[:-1],  # one byte short of the payload
+            good[:20],  # payload missing
+            b"P5\n96 96",  # header cut before maxval
+            b"P5\n96 x6\n65535\n" + bytes(2 * 96 * 96),  # non-numeric field
+            b"P5\n0 96\n65535\n",  # empty frame
+            b"P5\n96 96\n70000\n" + bytes(2 * 96 * 96),  # maxval beyond 16 bit
+        ):
+            path.write_bytes(raw)
+            with pytest.raises(DomainError):
+                read_pgm(path, PITCH)
+        with pytest.raises(DomainError):
+            read_pgm(tmp_path / "missing.pgm", PITCH)

@@ -5,8 +5,10 @@ from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError, ModelValidityError
 from codtsim.optics import CHANNELS, OpticalLayout, build_beamlines, deflection_to_displacement
 from codtsim.potential import (
+    DipolePotential,
     ModulationWaveform,
     ScalarField3D,
+    _phase_records,
     beams_to_records,
     dipole_potential_at,
     static_potential,
@@ -173,13 +175,45 @@ class TestTimeAveragedPotential:
             )
             for wf in waveforms:
                 for n_phases in (1, 7, 64):
-                    pot = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases)
-                    got = pot.records
+                    got = _phase_records(layout, input_pair, wf, n_phases)
                     ref = per_phase_records(layout, wf, n_phases)
                     if mode == "calibrated":
                         np.testing.assert_array_equal(got, ref)
                     else:  # tan() of an array may round differently from tan() of a scalar
                         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_merged_records_equal_unmerged_sum(self, no_gravity, layout, input_pair):
+        from codtsim.painting import GridSpec, synthesize_waveform
+
+        grid = GridSpec((1, 3, 3), (0.0, 480e-6, 480e-6))
+        cases = (
+            ("line-paint", {"amplitude_um": 230.0, "vertical_amplitude_um": 40.0}),
+            ("grid", {"grid": grid, "site_weights": np.linspace(0.6, 1.2, 9)}),
+            ("static-offset", {"displacements_um": (40.0, -20.0, 10.0, 30.0)}),
+        )
+        rng = np.random.default_rng(5)
+        for kind, params in cases:
+            wf = synthesize_waveform(layout, kind, params)
+            raw = _phase_records(layout, input_pair, wf, 128)
+            pot = time_averaged_potential(no_gravity, layout, input_pair, wf, 128)
+            # merged records are pairwise distinct, fewer than the phase records, same total power
+            n_merged = pot.records.shape[0]
+            assert len(np.unique(pot.records[:, :18], axis=0)) == n_merged < raw.shape[0]
+            assert pot.records[:, 18].sum() == pytest.approx(raw[:, 18].sum(), rel=1e-14)
+            # random points within a few waists of random phase positions
+            centers = raw[rng.integers(raw.shape[0], size=400), 0:3]
+            pts = centers + rng.normal(scale=10e-6, size=(400, 3))
+            ref = DipolePotential(no_gravity, raw)(pts)
+            assert np.min(np.abs(ref)) > 0
+            np.testing.assert_allclose(pot(pts), ref, rtol=1e-12, atol=0)
+
+    def test_all_distinct_records_pass_unchanged(self, no_gravity, layout, input_pair):
+        from codtsim.painting import synthesize_waveform
+
+        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        raw = _phase_records(layout, input_pair, wf, 1)
+        pot = time_averaged_potential(no_gravity, layout, input_pair, wf, 1)
+        np.testing.assert_array_equal(pot.records, raw)
 
     def test_extreme_off_axis_slope_rejected(self, no_gravity, input_pair):
         from codtsim.painting import synthesize_waveform

@@ -8,6 +8,8 @@ from codtsim.errors import DomainError
 from codtsim.optics import AstigmaticBeam
 from codtsim.potential import static_potential
 from codtsim.trapchar import (
+    DEFAULT_HALF_EXTENTS,
+    _ray_barrier,
     characterize,
     characterize_crossed_trap,
     fd_hessian,
@@ -201,3 +203,51 @@ class TestMisalignment:
         upper = ratios[2:]
         assert np.all(np.diff(upper) < 0)
         assert ratios[2] == pytest.approx(1.0, abs=1e-9)
+
+
+def _ray_barrier_reference(f, x0, u0, direction, domain, step):
+    """One ray at a time with a Python running maximum; also says whether the ray escaped."""
+    center, half = domain
+    d = direction / np.linalg.norm(direction)
+    with np.errstate(divide="ignore"):
+        t_exit = np.min(np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf))
+    t_exit = max(t_exit, step)
+    ts = np.arange(step, t_exit + step, step)
+    vals = f(x0[None, :] + ts[:, None] * d[None, :])
+    escape_level = u0 - 1e-2 * abs(u0)
+    barrier = u0
+    for v in vals:
+        barrier = max(barrier, float(v))
+        if v < escape_level:
+            return barrier, True
+    return barrier, False
+
+
+class TestRayBarrier:
+    def _check(self, pot, layout, x0, domain, step):
+        directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
+        directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
+        u0 = pot.at(x0)
+        got = _ray_barrier(pot, x0, u0, directions, domain, step)
+        ref = [_ray_barrier_reference(pot, x0, u0, d, domain, step) for d in directions]
+        np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)
+        return [escaped for _, escaped in ref]
+
+    def test_painted_trap_matches_scalar_scan(self, layout, input_pair):
+        from codtsim.painting import synthesize_waveform
+        from codtsim.potential import time_averaged_potential
+
+        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
+        domain = (np.zeros(3), np.array([4e-3, 690e-6, 1e-3]))
+        self._check(pot, layout, np.zeros(3), domain, 2e-6)
+
+    def test_escape_under_gravity_matches_scalar_scan(self, layout):
+        from codtsim.optics import InputBeam, build_beamlines
+
+        lab = PhysicalConstants(gravity=9.81)
+        pot = static_potential(lab, build_beamlines(layout, (InputBeam(power=0.05),) * 2))
+        # 3 um below the minimum: +z escapes at its first sample, -z over the tilted barrier
+        domain = (np.zeros(3), np.array(DEFAULT_HALF_EXTENTS))
+        escaped = self._check(pot, layout, np.array([0.0, 0.0, -3e-6]), domain, 2e-6)
+        assert any(escaped) and not all(escaped)
