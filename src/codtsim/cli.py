@@ -108,11 +108,12 @@ def _context(cfg):
 
 def cmd_trap_report(cfg, out: Path) -> list[str]:
     constants, layout, inputs = _context(cfg)
-    kwargs = {"depth_convention": cfg["trap"]["depth_convention"]}
+    kwargs = {}
     if cfg["trap"]["fd_step_um"] is not None:
         kwargs["step"] = cfg["trap"]["fd_step_um"] * 1e-6
     report = characterize_crossed_trap(constants, layout, inputs, **kwargs)
-    payload = report.to_dict()
+    # the one place a depth convention is chosen: depth_uK and its label
+    payload = report.to_dict(cfg["trap"]["depth_convention"])
     payload["deflection_scales_um_per_mhz"] = {
         ch: deflection_to_displacement(layout, ch, 1.0) * 1e6 for ch in CHANNELS
     }
@@ -464,11 +465,25 @@ def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
     )
 
 
+def _read_flight_meta(path: Path, keys) -> dict:
+    """Parsed ``flight_meta.json``; ConfigError naming the file if it is unreadable or lacks a key."""
+    if not path.exists():
+        raise ConfigError(f"flight metadata not found at {path}")
+    try:
+        meta = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read flight metadata: {exc}") from exc
+    missing = [k for k in keys if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ConfigError(f"{path}: flight metadata lacks {', '.join(missing)}")
+    return meta
+
+
 def cmd_flight_analyze(cfg, out: Path, frames_dir: Path | None = None, centroids: Path | None = None) -> list[str]:
-    meta_path = (frames_dir or out) / "flight_meta.json"
-    if not meta_path.exists():
-        raise ConfigError(f"flight metadata not found at {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    keys = ["phase_boundaries_s"]
+    if centroids is None:
+        keys += ["n_frames", "pixel_pitch_um", "fps", "threshold_fraction"]
+    meta = _read_flight_meta((frames_dir or out) / "flight_meta.json", keys)
     boundaries = {k: tuple(v) for k, v in meta["phase_boundaries_s"].items()}
     if centroids is not None:
         series = _series_from_centroid_csv(centroids, boundaries)

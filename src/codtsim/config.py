@@ -14,7 +14,9 @@ from pathlib import Path
 
 from .constants import ATOMIC_POLARIZABILITY_SI, RB87_MASS_KG, RB87_POLARIZABILITY_AU, PhysicalConstants
 from .errors import ConfigError
-from .optics import DEFAULT_CALIBRATION_UM_PER_MHZ, InputBeam, OpticalLayout
+from .optics import DEFAULT_CALIBRATION_UM_PER_MHZ, DEFLECTION_MODES, InputBeam, OpticalLayout
+from .painting import OBJECTIVES, TRANSPORT_PROFILES
+from .trapchar import DEPTH_CONVENTIONS
 
 DEFAULT_CONFIG: dict = {
     "seed": 13,
@@ -136,6 +138,8 @@ def _check(value, spec, path):
     elif kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
+        if len(spec) > 1 and isinstance(spec[1], tuple) and value not in spec[1]:
+            raise ConfigError(f"{path}: expected one of {', '.join(spec[1])}, got {value!r}")
     elif kind == "boolean":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
@@ -175,7 +179,7 @@ SCHEMA: dict = {
             "v2": ("number", "positive"),
         },
         "off_axis_size_slope_per_mm": ("number", "nonnegative"),
-        "deflection_mode": ("string",),
+        "deflection_mode": ("string", DEFLECTION_MODES),
     },
     "constants": {
         "atom_mass_kg": ("number", "positive"),
@@ -188,7 +192,7 @@ SCHEMA: dict = {
         "collimated_radius_mm": ("number", "positive"),
     },
     "trap": {
-        "depth_convention": ("string",),
+        "depth_convention": ("string", DEPTH_CONVENTIONS),
         "fd_step_um": ("number", "nullable", "positive"),
         "field_dims": ("counts", 3),
         "save_field": ("boolean",),
@@ -197,12 +201,12 @@ SCHEMA: dict = {
         "grid_counts": ("counts", 3),
         "grid_spacing_um": ("numarray", 3),
         "grid_center_um": ("numarray", 3),
-        "objective": ("string",),
+        "objective": ("string", OBJECTIVES),
         "transport_start_um": ("numarray", "nested"),
         "transport_end_um": ("numarray", "nested"),
         "transport_duration_s": ("number", "positive"),
         "transport_steps": ("integer", "positive"),
-        "transport_profile": ("string",),
+        "transport_profile": ("string", TRANSPORT_PROFILES),
     },
     "misalign": {"max_offset_um": ("number", "positive"), "n_steps": ("integer", "positive")},
     "volume": {

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import scipy.constants as sc
 
@@ -50,6 +50,3 @@ class PhysicalConstants:
     def dipole_coefficient(self) -> float:
         """Intensity-to-energy conversion alpha/(2 eps0 c), in J per (W/m^2)."""
         return self.polarizability / (2 * self.vacuum_permittivity * self.speed_of_light)
-
-    def with_gravity(self, g: float) -> "PhysicalConstants":
-        return replace(self, gravity=g)

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DomainError, ModelValidityError
 
 CHANNELS = ("h1", "v1", "h2", "v2")
+DEFLECTION_MODES = ("calibrated", "geometric")
 
 DEFAULT_CALIBRATION_UM_PER_MHZ = {"h1": 92.0, "v1": 86.0, "h2": 92.0, "v2": 86.0}
 
@@ -74,12 +75,12 @@ class OpticalLayout:
         default_factory=lambda: dict(DEFAULT_CALIBRATION_UM_PER_MHZ)
     )
     off_axis_size_slope: float = DEFAULT_OFF_AXIS_SIZE_SLOPE
-    deflection_mode: str = "calibrated"  # or "geometric"
+    deflection_mode: str = "calibrated"  # one of DEFLECTION_MODES
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.power_throughput <= 1.0:
             raise DomainError("power_throughput must lie in [0, 1]")
-        if self.deflection_mode not in ("calibrated", "geometric"):
+        if self.deflection_mode not in DEFLECTION_MODES:
             raise DomainError(f"unknown deflection_mode {self.deflection_mode!r}")
         missing = [ch for ch in CHANNELS if ch not in self.calibration_um_per_mhz]
         if missing:
@@ -296,15 +297,13 @@ def deflection_to_displacement(
     return disp
 
 
-def displacement_scale(layout: OpticalLayout, channel: str, **kwargs) -> float:
+def displacement_scale(layout: OpticalLayout, channel: str) -> float:
     """Displacement per MHz (m/MHz) for a channel under the current model."""
-    return deflection_to_displacement(layout, channel, 1.0, **kwargs)
+    return deflection_to_displacement(layout, channel, 1.0)
 
 
-def max_displacement(layout: OpticalLayout, channel: str, **kwargs) -> float:
-    return abs(
-        deflection_to_displacement(layout, channel, layout.aod_freq_range_mhz, **kwargs)
-    )
+def max_displacement(layout: OpticalLayout, channel: str) -> float:
+    return abs(deflection_to_displacement(layout, channel, layout.aod_freq_range_mhz))
 
 
 def crossing_from_offsets(layout: OpticalLayout, h1, h2, v) -> np.ndarray:

@@ -33,6 +33,12 @@ from .trapchar import TrapReport, characterize, characterize_beams  # noqa: F401
 
 DEFAULT_PERIOD = 1e-3
 TRANSITION_FRACTION = 0.05
+TRANSPORT_PROFILES = ("minimum-jerk", "linear")
+OBJECTIVES = ("equal-depth", "equal-mean-frequency")
+# compensate_powers: iterations, objective-spread target, rebalance candidates per site
+COMPENSATION_MAX_ITER = 40
+COMPENSATION_TOL = 1e-3
+BALANCE_STEPS = 13
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,6 @@ class GridSpec:
             if c > 1 and s <= 0:
                 raise DomainError("spacing must be positive on axes with more than one site")
 
-    @property
-    def n_sites(self) -> int:
-        return int(np.prod(self.counts))
-
     def site_indices(self) -> list[tuple[int, int, int]]:
         nx, ny, nz = self.counts
         return [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)]
@@ -63,9 +65,6 @@ class GridSpec:
         for ax in range(3):
             pos[ax] += (index[ax] - 0.5 * (self.counts[ax] - 1)) * self.spacing[ax]
         return pos
-
-    def site_positions(self) -> np.ndarray:
-        return np.array([self.site_position(ix) for ix in self.site_indices()])
 
 
 @dataclass
@@ -81,19 +80,6 @@ class SiteRow:
     @property
     def power_weight(self) -> float:
         return 0.5 * (self.weight_beam1 + self.weight_beam2)
-
-    def to_dict(self) -> dict:
-        d = {
-            "index": list(self.index),
-            "position_um": (self.position * 1e6).tolist(),
-            "radius_beam1_um": self.radius_beam1 * 1e6,
-            "radius_beam2_um": self.radius_beam2 * 1e6,
-            "power_weight": self.power_weight,
-            "weight_beam1": self.weight_beam1,
-            "weight_beam2": self.weight_beam2,
-        }
-        d.update(self.report.to_dict())
-        return d
 
 
 @dataclass
@@ -370,6 +356,14 @@ def _site_beams(layout, inputs, position, w1: float, w2: float):
     return [replace(b, power=b.power * w) for b, w in ((b1, w1), (b2, w2))]
 
 
+def _site_report(constants: PhysicalConstants, beams, position) -> TrapReport:
+    """Single-seed report of one site's beam pair; an invalid report on DomainError."""
+    try:
+        return characterize_beams(constants, beams, position, multi_seed=False)
+    except DomainError as exc:
+        return TrapReport.invalid(position, str(exc), constants)
+
+
 def _as_weight_pairs(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.ones((n, 2))
@@ -390,7 +384,6 @@ def characterize_sites(
     spec: GridSpec,
     waveform: ModulationWaveform | None = None,
     weights=None,
-    depth_convention: str = "escape-saddle",
 ) -> SiteTable:
     """Per-site beam radii and trap reports for a grid.
 
@@ -411,17 +404,11 @@ def characterize_sites(
         for b in beams:
             zeta = float((pos - b.origin) @ b.direction)
             radii.append(math.sqrt(float(b.width_h(zeta)) * float(b.width_v(zeta))))
-        try:
-            report = characterize_beams(
-                constants, beams, pos, depth_convention=depth_convention, multi_seed=False
-            )
-        except DomainError as exc:
-            report = TrapReport.invalid(pos, depth_convention, str(exc), constants)
         rows.append(
             SiteRow(
                 index=idx,
                 position=pos,
-                report=report,
+                report=_site_report(constants, beams, pos),
                 radius_beam1=radii[0],
                 radius_beam2=radii[1],
                 weight_beam1=float(w1),
@@ -446,12 +433,8 @@ def compensate_powers(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     spec: GridSpec,
-    table: SiteTable | None = None,
+    table: SiteTable,
     objective: str = "equal-depth",
-    max_iter: int = 40,
-    tol: float = 1e-3,
-    depth_convention: str = "escape-saddle",
-    n_balance: int = 13,
 ) -> SiteTable:
     """Optimize per-site, per-beam power weights to homogenize the grid.
 
@@ -459,15 +442,12 @@ def compensate_powers(
     rescale of both beams pinning the objective to the central site (depth
     scales linearly with power, frequency with its square root), and an
     intensity rebalance between the two beams that minimizes the residual
-    frequency deviation at fixed objective.  Stops once the relative spread
-    of the objective is below ``tol`` and the rebalance no longer improves.
+    frequency deviation at fixed objective.  ``table`` is the uncompensated
+    grid.  Stops once the relative spread of the objective is below
+    ``COMPENSATION_TOL`` or the rebalance no longer improves.
     """
-    if objective not in ("equal-depth", "equal-mean-frequency"):
+    if objective not in OBJECTIVES:
         raise DomainError(f"unknown compensation objective {objective!r}")
-    if table is None:
-        table = characterize_sites(
-            constants, layout, inputs, spec, depth_convention=depth_convention
-        )
     indices = spec.site_indices()
     pairs = np.array([[r.weight_beam1, r.weight_beam2] for r in table.rows])
     central = table.central_row()
@@ -510,8 +490,8 @@ def compensate_powers(
     current = table
     pairs = pairs.copy()
     best_spread = objective_spread(current)
-    for _ in range(max_iter):
-        if best_spread < tol:
+    for _ in range(COMPENSATION_MAX_ITER):
+        if best_spread < COMPENSATION_TOL:
             break
         new_pairs = pairs.copy()
         for n, idx in enumerate(indices):
@@ -520,18 +500,12 @@ def compensate_powers(
             pos = spec.site_position(idx)
             base = 0.5 * (pairs[n, 0] + pairs[n, 1])
             best = None
-            for delta in np.linspace(-0.35, 0.35, n_balance):
+            for delta in np.linspace(-0.35, 0.35, BALANCE_STEPS):
                 w1 = base * (1 + delta)
                 w2 = base * (1 - delta)
                 if w1 <= 0 or w2 <= 0:
                     continue
-                beams = _site_beams(layout, inputs, pos, w1, w2)
-                try:
-                    rep = characterize_beams(
-                        constants, beams, pos, depth_convention=depth_convention, multi_seed=False
-                    )
-                except DomainError:
-                    continue
+                rep = _site_report(constants, _site_beams(layout, inputs, pos, w1, w2), pos)
                 if not rep.valid or rep.depth <= 0:
                     continue
                 scale = pin_scale(rep)
@@ -540,9 +514,7 @@ def compensate_powers(
                     best = (res, w1 * scale, w2 * scale)
             if best is not None:
                 new_pairs[n] = [best[1], best[2]]
-        trial = characterize_sites(
-            constants, layout, inputs, spec, weights=new_pairs, depth_convention=depth_convention
-        )
+        trial = characterize_sites(constants, layout, inputs, spec, weights=new_pairs)
         trial_spread = objective_spread(trial)
         if trial_spread >= best_spread:
             break  # accepted iterates must not increase the objective spread
@@ -552,10 +524,8 @@ def compensate_powers(
     mean_w = np.array([[r.weight_beam1, r.weight_beam2] for r in current.rows]).mean()
     if mean_w > 1.0:
         pairs = pairs / mean_w
-        current = characterize_sites(
-            constants, layout, inputs, spec, weights=pairs, depth_convention=depth_convention
-        )
-    current.converged = best_spread < tol
+        current = characterize_sites(constants, layout, inputs, spec, weights=pairs)
+    current.converged = best_spread < COMPENSATION_TOL
     return current
 
 

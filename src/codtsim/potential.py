@@ -33,6 +33,8 @@ from .optics import (
 
 DEFAULT_N_PHASES = 256
 DEFAULT_FIELD_DIMS = (96, 96, 96)
+AUTO_REGION_PHASES = 32  # phases sampled to bound the modulated crossings
+AUTO_REGION_WAIST_MARGIN = 4.0  # waists of margin around them
 
 
 @dataclass(frozen=True)
@@ -279,25 +281,6 @@ class ScalarField3D:
         ).reshape(-1, 3)
         return self.origin + idx @ self.axes
 
-    def interpolator(self):
-        """Cubic interpolating callable over the grid (orthogonal axes only)."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        gram = self.axes @ self.axes.T
-        if np.max(np.abs(gram - np.diag(np.diag(gram)))) > 1e-18:
-            raise DomainError("interpolation requires orthogonal field axes")
-        coords = [np.arange(d) * math.sqrt(gram[i, i]) for i, d in enumerate(self.dims)]
-        rgi = RegularGridInterpolator(
-            coords, self.values, method="cubic", bounds_error=True
-        )
-        basis = self.axes / np.sqrt(np.diag(gram))[:, None]
-
-        def evaluate(points):
-            rel = np.atleast_2d(np.asarray(points, dtype=float)) - self.origin
-            return rgi(rel @ basis.T)
-
-        return evaluate
-
     def save(self, path) -> None:
         """Write <path>.json header plus <path>.bin float64 little-endian payload."""
         path = Path(path)
@@ -331,11 +314,9 @@ def auto_region(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     waveform: ModulationWaveform,
-    n_phases: int = 32,
-    waist_margin: float = 4.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(center, half_extents) covering the modulated crossings plus beam waists."""
-    offsets, _ = _sampled_offsets(layout, waveform, n_phases)
+    offsets, _ = _sampled_offsets(layout, waveform, AUTO_REGION_PHASES)
     h1, v1, h2, v2 = offsets.T
     # per-phase crossing of the two displaced axes (common vertical part)
     crossings = crossing_from_offsets(layout, h1, h2, 0.5 * (v1 + v2))
@@ -347,7 +328,7 @@ def auto_region(
     lo = crossings.min(axis=0)
     hi = crossings.max(axis=0)
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) + waist_margin * w_max
+    half = 0.5 * (hi - lo) + AUTO_REGION_WAIST_MARGIN * w_max
     return center, half
 
 

@@ -18,65 +18,67 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .optics import InputBeam, OpticalLayout, build_beamlines, max_displacement
-from .potential import DipolePotential, ScalarField3D, static_potential
+from .potential import DipolePotential, static_potential
 
-DEFAULT_STEP = 0.21e-6  # ~ waist / 50 for the default focal spot
 DEFAULT_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
+MAX_DESCENT_ITER = 400
 
 DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 
 
 @dataclass
 class TrapReport:
-    """Result of characterizing one potential minimum."""
+    """Result of characterizing one potential minimum.
+
+    Both depths are always computed; :attr:`depth` is the escape-saddle one,
+    and the report-time methods take the convention to print.
+    """
 
     minimum_position: np.ndarray  # m
-    depth: float  # J, under depth_convention
     depth_escape: float  # J
     depth_peak: float  # J
     frequencies: np.ndarray  # Hz, ascending with principal_axes rows
     principal_axes: np.ndarray  # row i is the axis of frequencies[i]
     mean_frequency: float  # Hz, geometric mean
-    depth_convention: str
     valid: bool
+    constants: PhysicalConstants = field(repr=False)
     reason: str = ""
-    constants: PhysicalConstants | None = field(default=None, repr=False)
 
     @classmethod
-    def invalid(cls, position, depth_convention: str, reason: str, constants) -> "TrapReport":
+    def invalid(cls, position, reason: str, constants) -> "TrapReport":
         """Report for a trap that could not be characterized."""
         return cls(
             minimum_position=position,
-            depth=0.0,
             depth_escape=0.0,
             depth_peak=0.0,
             frequencies=np.zeros(3),
             principal_axes=np.eye(3),
             mean_frequency=0.0,
-            depth_convention=depth_convention,
             valid=False,
             reason=reason,
             constants=constants,
         )
 
-    def depth_uk(self, convention: str | None = None) -> float:
-        kb = (self.constants or PhysicalConstants()).boltzmann
-        d = {
-            None: self.depth,
-            "escape-saddle": self.depth_escape,
-            "peak-to-min": self.depth_peak,
-        }[convention]
-        return d / kb * 1e6
+    @property
+    def depth(self) -> float:
+        """Escape-saddle depth, J."""
+        return self.depth_escape
 
-    def to_dict(self) -> dict:
+    def depth_uk(self, convention: str = "escape-saddle") -> float:
+        if convention not in DEPTH_CONVENTIONS:
+            raise DomainError(f"unknown depth convention {convention!r}")
+        d = self.depth_escape if convention == "escape-saddle" else self.depth_peak
+        return d / self.constants.boltzmann * 1e6
+
+    def to_dict(self, convention: str = "escape-saddle") -> dict:
         return {
             "valid": bool(self.valid),
             "reason": self.reason,
             "minimum_position_um": (self.minimum_position * 1e6).tolist(),
-            "depth_uK": self.depth_uk(),
+            "depth_uK": self.depth_uk(convention),
             "depth_escape_saddle_uK": self.depth_uk("escape-saddle"),
             "depth_peak_to_min_uK": self.depth_uk("peak-to-min"),
-            "depth_convention": self.depth_convention,
+            "depth_convention": convention,
             "frequencies_hz": self.frequencies.tolist(),
             "principal_axes": self.principal_axes.tolist(),
             "mean_frequency_hz": self.mean_frequency,
@@ -97,23 +99,6 @@ class ThermoMetrics:
             "psd": self.psd,
             "truncation_parameter": self.truncation_parameter,
         }
-
-
-def _as_callable(potential, domain):
-    if isinstance(potential, ScalarField3D):
-        interp = potential.interpolator()
-        if domain is None:
-            nodes = potential.node_coordinates()
-            lo, hi = nodes.min(axis=0), nodes.max(axis=0)
-            domain = (0.5 * (lo + hi), 0.5 * (hi - lo))
-
-        def f(points):
-            return np.asarray(interp(points), dtype=float)
-
-        return f, domain
-    if domain is None:
-        domain = (np.zeros(3), np.array(DEFAULT_HALF_EXTENTS))
-    return potential, domain
 
 
 def fd_gradient(f, x, h: float) -> np.ndarray:
@@ -158,25 +143,25 @@ def _inside(x, domain) -> bool:
     return bool(np.all(np.abs(x - center) <= half))
 
 
-def _descend(f, seed, h, domain, max_iter=400):
+def _descend(f, seed, h, domain):
     """Multi-scale gradient descent with backtracking, then Newton polish."""
     x = np.asarray(seed, dtype=float).copy()
     ok = True
     # coarse passes resolve plateau-scale slopes before the fine pass
     for scale in (25.0, 5.0, 1.0):
-        x, ok = _descend_single(f, x, scale * h, domain, max_iter)
+        x, ok = _descend_single(f, x, scale * h, domain)
         if not ok:
             return x, False
     return x, ok
 
 
-def _descend_single(f, seed, h, domain, max_iter=400):
+def _descend_single(f, seed, h, domain):
     x = np.asarray(seed, dtype=float).copy()
     if not _inside(x, domain):
         return x, False
     fx = float(f(x[None, :])[0])
     alpha = None
-    for _ in range(max_iter):
+    for _ in range(MAX_DESCENT_ITER):
         g = fd_gradient(f, x, h)
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
@@ -263,26 +248,20 @@ def characterize(
     potential,
     seed_point,
     *,
-    constants: PhysicalConstants | None = None,
-    step: float = DEFAULT_STEP,
-    domain: tuple | None = None,
+    constants: PhysicalConstants,
+    step: float,
+    domain: tuple,
     beam_axes=None,
-    depth_convention: str = "escape-saddle",
-    saddle_step: float | None = None,
     multi_seed: bool = True,
 ) -> TrapReport:
     """Characterize the trap minimum reached from ``seed_point``.
 
-    ``potential`` is a callable mapping (N, 3) points to energies (J) or a
-    :class:`ScalarField3D`.  ``domain`` is an axis-aligned (center,
-    half_extents) search box.  ``beam_axes`` adds escape-search directions
-    along the beam arms.
+    ``potential`` is a callable mapping (N, 3) points to energies (J);
+    ``step`` is the finite-difference step (m).  ``domain`` is an
+    axis-aligned (center, half_extents) search box.  ``beam_axes`` adds
+    escape-search directions along the beam arms.
     """
-    if depth_convention not in DEPTH_CONVENTIONS:
-        raise DomainError(f"unknown depth convention {depth_convention!r}")
-    if constants is None:
-        constants = getattr(potential, "constants", None) or PhysicalConstants()
-    f, domain = _as_callable(potential, domain)
+    f = potential
     seed = np.asarray(seed_point, dtype=float)
 
     def converged_minimum(start):
@@ -308,7 +287,7 @@ def characterize(
             if ok:
                 break
     if not ok:
-        return TrapReport.invalid(x, depth_convention, "no minimum found in domain", constants)
+        return TrapReport.invalid(x, "no minimum found in domain", constants)
 
     hess = fd_hessian(f, x, step)
     asym = np.max(np.abs(hess - hess.T)) / (np.max(np.abs(hess)) + 1e-300)
@@ -331,25 +310,20 @@ def characterize(
     if beam_axes is not None:
         for ax in beam_axes:
             directions.extend([np.asarray(ax, dtype=float), -np.asarray(ax, dtype=float)])
-    if saddle_step is None:
-        saddle_step = max(10 * step, 2e-6)
-    barriers = _ray_barrier(f, x, u_min, directions, domain, saddle_step)
+    barriers = _ray_barrier(f, x, u_min, directions, domain, max(10 * step, 2e-6))
     depth_escape = max(0.0, float(barriers.min()) - u_min)
     if isinstance(potential, DipolePotential):
         depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
     else:
         depth_peak = max(0.0, float(barriers.max()) - u_min)
 
-    depth = depth_escape if depth_convention == "escape-saddle" else depth_peak
     return TrapReport(
         minimum_position=x,
-        depth=depth,
         depth_escape=depth_escape,
         depth_peak=depth_peak,
         frequencies=freqs,
         principal_axes=axes,
         mean_frequency=mean_freq,
-        depth_convention=depth_convention,
         valid=True,
         constants=constants,
     )
@@ -378,11 +352,10 @@ def characterize_crossed_trap(
     constants: PhysicalConstants,
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
-    offsets=(0.0, 0.0, 0.0, 0.0),
     **kwargs,
 ) -> TrapReport:
-    """Characterize the unmodulated crossed trap at the given AOD offsets."""
-    return characterize_beams(constants, build_beamlines(layout, inputs, offsets), **kwargs)
+    """Characterize the unmodulated, aligned crossed trap."""
+    return characterize_beams(constants, build_beamlines(layout, inputs), **kwargs)
 
 
 def reachable_volume(
@@ -457,10 +430,7 @@ def thermo_metrics(
     if temperature <= 0:
         raise DomainError("temperature must be positive")
     constants = constants or report.constants or PhysicalConstants()
-    omega_bar = 2 * math.pi * report.mean_frequency
-    psd = atom_number * (
-        constants.reduced_planck * omega_bar / (constants.boltzmann * temperature)
-    ) ** 3
+    psd = phase_space_density(atom_number, temperature, report.mean_frequency, constants)
     eta = report.depth / (constants.boltzmann * temperature)
     return ThermoMetrics(
         atom_number=atom_number, temperature=temperature, psd=psd, truncation_parameter=eta
@@ -486,23 +456,9 @@ def misalignment_sensitivity(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     relative_offset: float,
-    depth_convention: str = "escape-saddle",
-    reference_depth: float | None = None,
 ) -> float:
     """Depth ratio vs. aligned when beam 2 is displaced vertically by ``relative_offset``."""
-    if reference_depth is None:
-        ref = characterize_crossed_trap(
-            constants, layout, inputs, depth_convention=depth_convention
-        )
-        if not ref.valid or ref.depth <= 0:
-            raise DomainError("reference trap is not valid")
-        reference_depth = ref.depth
-    b1, b2 = build_beamlines(layout, inputs)
-    b2_off = shifted_beam(b2, np.array([0.0, 0.0, relative_offset]))
-    report = characterize_beams(constants, (b1, b2_off), depth_convention=depth_convention)
-    if not report.valid:
-        return 0.0
-    return report.depth / reference_depth
+    return misalignment_sweep(constants, layout, inputs, [relative_offset])[0]["depth_ratio"]
 
 
 def misalignment_sweep(
@@ -510,21 +466,16 @@ def misalignment_sweep(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     offsets,
-    depth_convention: str = "escape-saddle",
 ) -> list[dict]:
-    ref = characterize_crossed_trap(constants, layout, inputs, depth_convention=depth_convention)
+    """Depth ratio vs. the aligned trap for each vertical offset of beam 2 (0 if no trap)."""
+    ref = characterize_crossed_trap(constants, layout, inputs)
     if not ref.valid or ref.depth <= 0:
         raise DomainError("reference trap is not valid")
+    b1, b2 = build_beamlines(layout, inputs)
     rows = []
     for off in np.asarray(offsets, dtype=float):
-        ratio = misalignment_sensitivity(
-            constants,
-            layout,
-            inputs,
-            float(off),
-            depth_convention=depth_convention,
-            reference_depth=ref.depth,
-        )
+        report = characterize_beams(constants, (b1, shifted_beam(b2, np.array([0.0, 0.0, off]))))
+        ratio = report.depth / ref.depth if report.valid else 0.0
         rows.append({"offset_um": off * 1e6, "depth_ratio": ratio})
     return rows
 

@@ -45,6 +45,10 @@ class TestConfig:
             ({"layout": {"aod_aperture_mm": [7.5, 7.5, 7.5]}}, "layout.aod_aperture_mm"),
             ({"trap": {"field_dims": [96.0, 96, 96]}}, "trap.field_dims"),
             ({"flight": {"frame_shape": [96]}}, "flight.frame_shape"),
+            ({"trap": {"depth_convention": "bogus"}}, "trap.depth_convention"),
+            ({"paint": {"objective": "bogus"}}, "paint.objective"),
+            ({"paint": {"transport_profile": "bogus"}}, "paint.transport_profile"),
+            ({"layout": {"deflection_mode": "bogus"}}, "layout.deflection_mode"),
         ):
             path.write_text(json.dumps(bad))
             with pytest.raises(ConfigError, match=field):
@@ -88,9 +92,20 @@ class TestCli:
         # depth lands at the 11.9 mK scale, both conventions present
         assert 5e3 < report["depth_peak_to_min_uK"] < 2e4
         assert report["depth_escape_saddle_uK"] <= report["depth_peak_to_min_uK"]
+        assert report["depth_convention"] == "escape-saddle"
+        assert report["depth_uK"] == report["depth_escape_saddle_uK"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "trap report"
         assert "config_sha256" in manifest and "versions" in manifest
+
+    def test_trap_report_depth_convention_chosen_at_report_time(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["trap", "report", "--out", str(out), "--set", "trap.depth_convention=peak-to-min"]
+        assert main(argv) == 0
+        report = json.loads((out / "trap_report.json").read_text())
+        assert report["depth_convention"] == "peak-to-min"
+        assert report["depth_uK"] == report["depth_peak_to_min_uK"]
+        assert report["depth_uK"] > report["depth_escape_saddle_uK"]
 
     def test_trap_volume_artifact(self, tmp_path):
         out = tmp_path / "vol"
@@ -111,7 +126,7 @@ class TestCli:
         assert vol["vertical_span_mm"] == pytest.approx(2.64)
         assert vol["planar_area_mm2"] == pytest.approx(15.2, rel=0.01)
 
-    def test_config_error_exit_code_2(self, tmp_path):
+    def test_config_error_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         # the last two keys were removed: nothing read them
         for content in (
@@ -129,6 +144,16 @@ class TestCli:
             "paint.line_amplitude_um=370",
         ):
             assert main(["paint", "grid", "--out", str(tmp_path / "o"), "--set", override]) == 2
+        # enumerated strings are checked at load time, not when a command reads them
+        for command, field in (
+            ("trap report", "trap.depth_convention"),
+            ("paint compensate", "paint.objective"),
+            ("paint transport", "paint.transport_profile"),
+            ("trap volume", "layout.deflection_mode"),
+        ):
+            argv = command.split() + ["--out", str(tmp_path / "o"), "--set", f"{field}=bogus"]
+            assert main(argv) == 2, field
+            assert field in capsys.readouterr().err
 
     def test_wrong_array_length_exit_code_2(self, tmp_path, capsys):
         for command, override, field in (
@@ -166,6 +191,23 @@ class TestCli:
         (out / "frames" / "frame_00000.pgm").write_bytes(b"P5\n96 96\n65535\n" + bytes(100))
         assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"pixel_pitch_um": 5.0, "fps"', "cannot read"),  # cut short
+            (json.dumps({"pixel_pitch_um": 5.0, "fps": 24.0, "n_frames": 1}), "phase_boundaries_s"),
+        ],
+        ids=["truncated", "missing-key"],
+    )
+    def test_broken_flight_meta_exit_code_2(self, tmp_path, capsys, content, message):
+        out = tmp_path / "flight"
+        out.mkdir()
+        meta_path = out / "flight_meta.json"
+        meta_path.write_text(content)
+        assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and message in err
 
     def test_domain_error_exit_code_3(self, tmp_path):
         # grid spacing beyond the reachable range surfaces as a domain error

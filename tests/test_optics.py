@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
 
 from codtsim.errors import DomainError, ModelValidityError
 from codtsim.optics import (
@@ -112,14 +111,15 @@ class TestBeamIntensity:
 
     def test_power_conserved_by_quadrature(self, layout, input_beam):
         # transverse integral at z = 2 zR equals the beam power within 0.1%
+        # (trapezoid rule on a 1201^2 grid: spectrally accurate for a Gaussian)
         beam = focus_input_beam(layout, input_beam)
         z = 2 * beam.rayleigh_h
-
-        def integrand(y, zz):
-            return beam_intensity(beam, np.array([z, y, zz]))
-
         lim = 30 * float(beam.width_h(z))
-        total, _ = dblquad(integrand, -lim, lim, -lim, lim, epsrel=1e-9)
+        s = np.linspace(-lim, lim, 1201)
+        yy, zz = np.meshgrid(s, s, indexing="ij")
+        pts = np.column_stack([np.full(yy.size, z), yy.ravel(), zz.ravel()])
+        inten = beam_intensity(beam, pts).reshape(yy.shape)
+        total = np.trapezoid(np.trapezoid(inten, s, axis=1), s)
         assert total == pytest.approx(beam.power, rel=1e-3)
 
 

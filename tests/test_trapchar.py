@@ -57,7 +57,6 @@ class TestCharacterize:
             constants=RB,
             step=1e-6,
             domain=(np.zeros(3), np.array([rim, rim, rim])),
-            saddle_step=2e-6,
         )
         assert report.valid
         np.testing.assert_allclose(report.frequencies, 500.0, rtol=1e-6)
@@ -111,12 +110,19 @@ class TestCharacterize:
         strong = (InputBeam(power=8.0), InputBeam(power=8.0))
         r_weak = characterize_crossed_trap(RB, layout, weak)
         r_strong = characterize_crossed_trap(RB, layout, strong)
-        assert r_strong.depth == pytest.approx(4 * r_weak.depth, rel=5e-3)
+        assert r_strong.depth == pytest.approx(4 * r_weak.depth, rel=5e-3, abs=0)
         np.testing.assert_allclose(r_strong.frequencies, 2 * r_weak.frequencies, rtol=5e-3)
 
     def test_depth_conventions_ordering(self, layout, input_pair):
         report = characterize_crossed_trap(RB, layout, input_pair)
         assert report.depth_peak >= report.depth_escape > 0
+        # the convention is a report-time choice; depth is the escape-saddle one
+        assert report.depth == report.depth_escape
+        assert report.to_dict("peak-to-min")["depth_uK"] == report.depth_uk("peak-to-min")
+        with pytest.raises(DomainError):
+            report.depth_uk("bogus")
+        with pytest.raises(DomainError):
+            report.to_dict("bogus")
 
     def test_gravity_opens_weak_trap(self, layout):
         from codtsim.optics import InputBeam
