@@ -248,11 +248,10 @@ def _schedule_from_config(cfg):
 
 def cmd_evap_schedule(cfg, out: Path) -> list[str]:
     schedule = _schedule_from_config(cfg)
-    seg = schedule.power_ramp[0]
     write_json(
         out / "schedule.json",
         {
-            "power_tau_s": seg.tau,
+            "power_tau_s": schedule.power.tau,
             "total_duration_s": schedule.total_duration,
             "ramp_duration_s": schedule.ramp_duration,
             "evap": cfg["evap"],
@@ -466,23 +465,39 @@ def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
 
 
 def _read_flight_meta(path: Path, keys) -> dict:
-    """Parsed ``flight_meta.json``; ConfigError naming the file if it is unreadable or lacks a key."""
+    """Checked ``keys`` of ``flight_meta.json``; ConfigError naming the file and key if one is bad.
+
+    A ``flight`` config key of the same name gives the check; ``gate_pitch_factor``
+    and ``inner_fraction`` fall back to its default.
+    """
     if not path.exists():
         raise ConfigError(f"flight metadata not found at {path}")
     try:
         meta = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot read flight metadata: {exc}") from exc
-    missing = [k for k in keys if not isinstance(meta, dict) or k not in meta]
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: flight metadata must be an object")
+    defaults = cfgmod.DEFAULT_CONFIG["flight"]
+    meta = {"gate_pitch_factor": defaults["gate_pitch_factor"], "inner_fraction": defaults["inner_fraction"], **meta}
+    missing = [k for k in keys if k not in meta]
     if missing:
         raise ConfigError(f"{path}: flight metadata lacks {', '.join(missing)}")
+    for key in keys:
+        if key == "phase_boundaries_s":
+            if not isinstance(meta[key], dict):
+                raise ConfigError(f"{path}: {key}: expected an object")
+            for phase, span in meta[key].items():
+                cfgmod.check_value(span, (None, "numarray", 2), f"{path}: {key}.{phase}")
+        else:
+            cfgmod.check_value(meta[key], cfgmod.SPEC["flight"][key], f"{path}: {key}")
     return meta
 
 
 def cmd_flight_analyze(cfg, out: Path, frames_dir: Path | None = None, centroids: Path | None = None) -> list[str]:
-    keys = ["phase_boundaries_s"]
+    keys = ["phase_boundaries_s", "inner_fraction"]
     if centroids is None:
-        keys += ["n_frames", "pixel_pitch_um", "fps", "threshold_fraction"]
+        keys += ["n_frames", "pixel_pitch_um", "fps", "threshold_fraction", "gate_pitch_factor"]
     meta = _read_flight_meta((frames_dir or out) / "flight_meta.json", keys)
     boundaries = {k: tuple(v) for k, v in meta["phase_boundaries_s"].items()}
     if centroids is not None:
@@ -499,9 +514,9 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path | None = None, centroids
             frames,
             threshold_fraction=meta["threshold_fraction"],
             phase_boundaries=boundaries,
-            gate_factor=meta.get("gate_pitch_factor", 10.0),
+            gate_factor=meta["gate_pitch_factor"],
         )
-    report = track_stats(series, inner_fraction=meta.get("inner_fraction", 0.75))
+    report = track_stats(series, inner_fraction=meta["inner_fraction"])
     series_rows = report.pop("series")
     write_json(out / "flight_report.json", report)
     rows = [

@@ -1,8 +1,10 @@
-"""Run configuration: schema-validated JSON with unit-suffixed keys.
+"""Run configuration: JSON with unit-suffixed keys, declared once in ``SPEC``.
 
-User files are deep-merged over the documented defaults; dotted-path
-overrides (``--set section.key=value``) apply last.  Validation errors carry
-the full field path.
+Each ``SPEC`` leaf is ``(default, kind, *flags)``; ``DEFAULT_CONFIG`` is read
+off it.  A user file and each dotted-path override (``--set section.key=value``,
+which stands for ``{"section": {"key": value}}``) are layers: every layer is
+checked against ``SPEC`` and deep-merged over the defaults, overrides last.
+Validation errors carry the full field path.
 """
 
 from __future__ import annotations
@@ -18,93 +20,112 @@ from .optics import DEFAULT_CALIBRATION_UM_PER_MHZ, DEFLECTION_MODES, InputBeam,
 from .painting import OBJECTIVES, TRANSPORT_PROFILES
 from .trapchar import DEPTH_CONVENTIONS
 
-DEFAULT_CONFIG: dict = {
-    "seed": 13,
+SPEC: dict = {
+    "seed": (13, "integer"),
     "layout": {
-        "focal_length_mm": 60.0,
-        "beam_separation_mm": 30.0,
-        "crossing_full_angle_deg": 30.0,
-        "window_thickness_mm": 10.0,
-        "window_index": 1.45,
-        "window_tilt_deg": None,  # null -> half the crossing angle
-        "aod_freq_range_mhz": 15.0,
-        "aod_full_deflection_deg": 1.4,
-        "aod_aperture_mm": [7.5, 7.5],
-        "power_throughput": 0.75,
-        "calibration_um_per_mhz": dict(DEFAULT_CALIBRATION_UM_PER_MHZ),
-        "off_axis_size_slope_per_mm": 0.165,
-        "deflection_mode": "calibrated",
+        "focal_length_mm": (60.0, "number", "positive"),
+        "beam_separation_mm": (30.0, "number", "positive"),
+        "crossing_full_angle_deg": (30.0, "number", "positive"),
+        "window_thickness_mm": (10.0, "number", "nonnegative"),
+        "window_index": (1.45, "number", "positive"),
+        "window_tilt_deg": (None, "number", "nullable", "nonnegative"),  # null -> half the crossing angle
+        "aod_freq_range_mhz": (15.0, "number", "nonnegative"),
+        "aod_full_deflection_deg": (1.4, "number", "nonnegative"),
+        "aod_aperture_mm": ([7.5, 7.5], "numarray", 2),
+        "power_throughput": (0.75, "number", "unit"),
+        "calibration_um_per_mhz": {
+            ch: (scale, "number", "positive") for ch, scale in DEFAULT_CALIBRATION_UM_PER_MHZ.items()
+        },
+        "off_axis_size_slope_per_mm": (0.165, "number", "nonnegative"),
+        "deflection_mode": ("calibrated", "string", DEFLECTION_MODES),
     },
     "constants": {
-        "atom_mass_kg": RB87_MASS_KG,
-        "polarizability_au": RB87_POLARIZABILITY_AU,
-        "gravity_m_s2": 0.0,
+        "atom_mass_kg": (RB87_MASS_KG, "number", "positive"),
+        "polarizability_au": (RB87_POLARIZABILITY_AU, "number", "positive"),
+        "gravity_m_s2": (0.0, "number", "nonnegative"),
     },
     "beams": {
-        "power_w": 10.0,
-        "wavelength_um": 1.064,
-        "collimated_radius_mm": 1.95,
+        "power_w": (10.0, "number", "nonnegative"),
+        "wavelength_um": (1.064, "number", "positive"),
+        "collimated_radius_mm": (1.95, "number", "positive"),
     },
     "trap": {
-        "depth_convention": "escape-saddle",
-        "fd_step_um": None,  # null -> waist / 50
-        "field_dims": [96, 96, 96],
-        "save_field": False,
+        "depth_convention": ("escape-saddle", "string", DEPTH_CONVENTIONS),
+        "fd_step_um": (None, "number", "nullable", "positive"),  # null -> waist / 50
+        "field_dims": ([96, 96, 96], "counts", 3),
+        "save_field": (False, "boolean"),
     },
     "paint": {
-        "grid_counts": [1, 3, 3],
-        "grid_spacing_um": [0.0, 480.0, 480.0],
-        "grid_center_um": [0.0, 0.0, 0.0],
-        "objective": "equal-depth",
-        "transport_start_um": [[0.0, 0.0, 0.0]],
-        "transport_end_um": [[330.0, 0.0, 0.0]],
-        "transport_duration_s": 0.1,
-        "transport_steps": 21,
-        "transport_profile": "minimum-jerk",
+        "grid_counts": ([1, 3, 3], "counts", 3),
+        "grid_spacing_um": ([0.0, 480.0, 480.0], "numarray", 3),
+        "grid_center_um": ([0.0, 0.0, 0.0], "numarray", 3),
+        "objective": ("equal-depth", "string", OBJECTIVES),
+        "transport_start_um": ([[0.0, 0.0, 0.0]], "positions"),
+        "transport_end_um": ([[330.0, 0.0, 0.0]], "positions"),
+        "transport_duration_s": (0.1, "number", "positive"),
+        "transport_steps": (21, "integer", "positive"),
+        "transport_profile": ("minimum-jerk", "string", TRANSPORT_PROFILES),
     },
-    "misalign": {"max_offset_um": 10.0, "n_steps": 11},
-    "volume": {"h_half_range_mm": None, "v_half_range_mm": None, "n_grid": 61},
+    "misalign": {"max_offset_um": (10.0, "number", "positive"), "n_steps": (11, "integer", "positive")},
+    "volume": {
+        "h_half_range_mm": (None, "number", "nullable", "nonnegative"),
+        "v_half_range_mm": (None, "number", "nullable", "nonnegative"),
+        "n_grid": (61, "integer", "positive"),
+    },
     "evap": {
-        "power_start_w": 10.0,
-        "power_end_w": 0.04,
-        "power_duration_s": 1.0,
-        "amplitude_start_um": 230.0,
-        "amplitude_end_um": 0.0,
-        "amplitude_duration_s": 1.0,
-        "amplitude_tau_s": 0.2,
-        "hold_s": 0.3,
-        "reopen_amplitude_um": 70.0,
-        "reopen_power_w": 5.0,
-        "reopen_duration_s": 0.2,
-        "timeline_samples": 25,
-        "timeline_phases": 128,
+        "power_start_w": (10.0, "number", "positive"),
+        "power_end_w": (0.04, "number", "positive"),
+        "power_duration_s": (1.0, "number", "positive"),
+        "amplitude_start_um": (230.0, "number", "nonnegative"),
+        "amplitude_end_um": (0.0, "number", "nonnegative"),
+        "amplitude_duration_s": (1.0, "number", "positive"),
+        "amplitude_tau_s": (0.2, "number", "positive"),
+        "hold_s": (0.3, "number", "nonnegative"),
+        "reopen_amplitude_um": (70.0, "number", "nonnegative"),
+        "reopen_power_w": (5.0, "number", "positive"),
+        "reopen_duration_s": (0.2, "number", "nonnegative"),
+        "timeline_samples": (25, "integer", "positive"),
+        "timeline_phases": (128, "integer", "positive"),
     },
     "tof": {
-        "frequencies_hz": [120.0, 35.0, 350.0],
-        "tf_radii_um": [4.0, 14.0, 1.4],
-        "temperature_uK": 0.05,
-        "times_ms": [0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0],
-        "profile_csv": None,
+        "frequencies_hz": ([120.0, 35.0, 350.0], "numarray", 3),
+        "tf_radii_um": ([4.0, 14.0, 1.4], "numarray", 3),
+        "temperature_uK": (0.05, "number", "nonnegative"),
+        "times_ms": ([0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0], "numarray"),
+        "profile_csv": (None, "string", "nullable"),
     },
     "flight": {
-        "n_frames": 240,
-        "fps": 24.0,
-        "frame_shape": [96, 96],
-        "pixel_pitch_um": 5.0,
-        "spot_separation_um": 60.0,
-        "spot_sigma_um": 12.0,
-        "spot_amplitude": 3000.0,
-        "background": 40.0,
-        "noise": 6.0,
-        "threshold_fraction": 0.2,
-        "launch_displacement_um": 75.0,
-        "microgravity_offset_um": 12.0,
-        "interspot_jitter_um": 1.2,
-        "gate_pitch_factor": 10.0,
-        "phase_durations_s": {"pre": 2.0, "launch": 1.0, "microgravity": 4.0, "landing": 1.0, "post": 2.0},
-        "inner_fraction": 0.75,
+        "n_frames": (240, "integer", "positive"),
+        "fps": (24.0, "number", "positive"),
+        "frame_shape": ([96, 96], "counts", 2),
+        "pixel_pitch_um": (5.0, "number", "positive"),
+        "spot_separation_um": (60.0, "number", "positive"),
+        "spot_sigma_um": (12.0, "number", "positive"),
+        "spot_amplitude": (3000.0, "number", "positive"),
+        "background": (40.0, "number", "nonnegative"),
+        "noise": (6.0, "number", "nonnegative"),
+        "threshold_fraction": (0.2, "number", "unit"),
+        "launch_displacement_um": (75.0, "number", "nonnegative"),
+        "microgravity_offset_um": (12.0, "number", "nonnegative"),
+        "interspot_jitter_um": (1.2, "number", "nonnegative"),
+        "gate_pitch_factor": (10.0, "number", "positive"),
+        "phase_durations_s": {
+            "pre": (2.0, "number", "positive"),
+            "launch": (1.0, "number", "positive"),
+            "microgravity": (4.0, "number", "positive"),
+            "landing": (1.0, "number", "positive"),
+            "post": (2.0, "number", "positive"),
+        },
+        "inner_fraction": (0.75, "number", "unit"),
     },
 }
+
+
+def _defaults(spec: dict) -> dict:
+    return {k: _defaults(v) if isinstance(v, dict) else copy.deepcopy(v[0]) for k, v in spec.items()}
+
+
+DEFAULT_CONFIG: dict = _defaults(SPEC)
 
 _NUMBER = (int, float)
 
@@ -113,173 +134,76 @@ def _is_number(value) -> bool:
     return isinstance(value, _NUMBER) and not isinstance(value, bool)
 
 
-def _check(value, spec, path):
-    kind = spec[0]
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def check_value(value, leaf: tuple, path: str) -> None:
+    """Raise ConfigError naming ``path`` unless ``value`` fits ``leaf`` (a ``SPEC`` leaf)."""
+    _, kind, *flags = leaf
     if value is None:
-        if "nullable" in spec:
+        if "nullable" in flags:
             return
         raise ConfigError(f"{path}: must not be null")
     if kind == "number":
         if not _is_number(value):
             raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ConfigError(f"{path}: must be finite")
-        if "positive" in spec and value <= 0:
+        if "positive" in flags and value <= 0:
             raise ConfigError(f"{path}: must be > 0")
-        if "nonnegative" in spec and value < 0:
+        if "nonnegative" in flags and value < 0:
             raise ConfigError(f"{path}: must be >= 0")
-        if "unit" in spec and not 0.0 <= value <= 1.0:
+        if "unit" in flags and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{path}: must lie in [0, 1]")
     elif kind == "integer":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected an integer")
-        if "positive" in spec and value <= 0:
+        if "positive" in flags and value <= 0:
             raise ConfigError(f"{path}: must be > 0")
     elif kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
-        if len(spec) > 1 and isinstance(spec[1], tuple) and value not in spec[1]:
-            raise ConfigError(f"{path}: expected one of {', '.join(spec[1])}, got {value!r}")
+        if flags and isinstance(flags[0], tuple) and value not in flags[0]:
+            raise ConfigError(f"{path}: expected one of {', '.join(flags[0])}, got {value!r}")
     elif kind == "boolean":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
     elif kind == "numarray":
         if not isinstance(value, list) or not all(_is_number(v) for v in value):
             raise ConfigError(f"{path}: expected an array of numbers")
-        if not all(math.isfinite(v) for v in value):
+        if not all(_is_finite(v) for v in value):
             raise ConfigError(f"{path}: entries must be finite")
-        if len(spec) > 1 and isinstance(spec[1], int) and len(value) != spec[1]:
-            raise ConfigError(f"{path}: expected {spec[1]} numbers, got {len(value)}")
+        if flags and len(value) != flags[0]:
+            raise ConfigError(f"{path}: expected {flags[0]} numbers, got {len(value)}")
     elif kind == "counts":
-        if not isinstance(value, list) or len(value) != spec[1] or not all(
+        if not isinstance(value, list) or len(value) != flags[0] or not all(
             isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
         ):
-            raise ConfigError(f"{path}: expected {spec[1]} positive integers")
-    else:  # pragma: no cover - schema bug
-        raise ConfigError(f"{path}: unknown schema kind {kind}")
+            raise ConfigError(f"{path}: expected {flags[0]} positive integers")
+    elif kind == "positions":
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected an array")
+        for i, row in enumerate(value):
+            check_value(row, (None, "numarray", 3), f"{path}[{i}]")
+    else:  # pragma: no cover - spec bug
+        raise ConfigError(f"{path}: unknown spec kind {kind}")
 
 
-SCHEMA: dict = {
-    "seed": ("integer",),
-    "layout": {
-        "focal_length_mm": ("number", "positive"),
-        "beam_separation_mm": ("number", "positive"),
-        "crossing_full_angle_deg": ("number", "positive"),
-        "window_thickness_mm": ("number", "nonnegative"),
-        "window_index": ("number", "positive"),
-        "window_tilt_deg": ("number", "nullable", "nonnegative"),
-        "aod_freq_range_mhz": ("number", "nonnegative"),
-        "aod_full_deflection_deg": ("number", "nonnegative"),
-        "aod_aperture_mm": ("numarray", 2),
-        "power_throughput": ("number", "unit"),
-        "calibration_um_per_mhz": {
-            "h1": ("number", "positive"),
-            "v1": ("number", "positive"),
-            "h2": ("number", "positive"),
-            "v2": ("number", "positive"),
-        },
-        "off_axis_size_slope_per_mm": ("number", "nonnegative"),
-        "deflection_mode": ("string", DEFLECTION_MODES),
-    },
-    "constants": {
-        "atom_mass_kg": ("number", "positive"),
-        "polarizability_au": ("number", "positive"),
-        "gravity_m_s2": ("number", "nonnegative"),
-    },
-    "beams": {
-        "power_w": ("number", "nonnegative"),
-        "wavelength_um": ("number", "positive"),
-        "collimated_radius_mm": ("number", "positive"),
-    },
-    "trap": {
-        "depth_convention": ("string", DEPTH_CONVENTIONS),
-        "fd_step_um": ("number", "nullable", "positive"),
-        "field_dims": ("counts", 3),
-        "save_field": ("boolean",),
-    },
-    "paint": {
-        "grid_counts": ("counts", 3),
-        "grid_spacing_um": ("numarray", 3),
-        "grid_center_um": ("numarray", 3),
-        "objective": ("string", OBJECTIVES),
-        "transport_start_um": ("numarray", "nested"),
-        "transport_end_um": ("numarray", "nested"),
-        "transport_duration_s": ("number", "positive"),
-        "transport_steps": ("integer", "positive"),
-        "transport_profile": ("string", TRANSPORT_PROFILES),
-    },
-    "misalign": {"max_offset_um": ("number", "positive"), "n_steps": ("integer", "positive")},
-    "volume": {
-        "h_half_range_mm": ("number", "nullable", "nonnegative"),
-        "v_half_range_mm": ("number", "nullable", "nonnegative"),
-        "n_grid": ("integer", "positive"),
-    },
-    "evap": {
-        "power_start_w": ("number", "positive"),
-        "power_end_w": ("number", "positive"),
-        "power_duration_s": ("number", "positive"),
-        "amplitude_start_um": ("number", "nonnegative"),
-        "amplitude_end_um": ("number", "nonnegative"),
-        "amplitude_duration_s": ("number", "positive"),
-        "amplitude_tau_s": ("number", "positive"),
-        "hold_s": ("number", "nonnegative"),
-        "reopen_amplitude_um": ("number", "nonnegative"),
-        "reopen_power_w": ("number", "positive"),
-        "reopen_duration_s": ("number", "nonnegative"),
-        "timeline_samples": ("integer", "positive"),
-        "timeline_phases": ("integer", "positive"),
-    },
-    "tof": {
-        "frequencies_hz": ("numarray", 3),
-        "tf_radii_um": ("numarray", 3),
-        "temperature_uK": ("number", "nonnegative"),
-        "times_ms": ("numarray",),
-        "profile_csv": ("string", "nullable"),
-    },
-    "flight": {
-        "n_frames": ("integer", "positive"),
-        "fps": ("number", "positive"),
-        "frame_shape": ("counts", 2),
-        "pixel_pitch_um": ("number", "positive"),
-        "spot_separation_um": ("number", "positive"),
-        "spot_sigma_um": ("number", "positive"),
-        "spot_amplitude": ("number", "positive"),
-        "background": ("number", "nonnegative"),
-        "noise": ("number", "nonnegative"),
-        "threshold_fraction": ("number", "unit"),
-        "launch_displacement_um": ("number", "nonnegative"),
-        "microgravity_offset_um": ("number", "nonnegative"),
-        "interspot_jitter_um": ("number", "nonnegative"),
-        "gate_pitch_factor": ("number", "positive"),
-        "phase_durations_s": {
-            "pre": ("number", "positive"),
-            "launch": ("number", "positive"),
-            "microgravity": ("number", "positive"),
-            "landing": ("number", "positive"),
-            "post": ("number", "positive"),
-        },
-        "inner_fraction": ("number", "unit"),
-    },
-}
-
-
-def _validate(data, schema, path=""):
+def _validate(data, spec: dict, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
-        if key not in schema:
+        if key not in spec:
             raise ConfigError(f"{here}: unknown configuration key")
-        spec = schema[key]
-        if isinstance(spec, dict):
-            _validate(value, spec, here)
-        elif spec[0] == "numarray" and "nested" in spec:
-            if not isinstance(value, list):
-                raise ConfigError(f"{here}: expected an array")
-            for i, row in enumerate(value):  # rows are positions
-                _check(row, ("numarray", 3), f"{here}[{i}]")
+        if isinstance(spec[key], dict):
+            _validate(value, spec[key], here)
         else:
-            _check(value, spec, here)
+            check_value(value, spec[key], here)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -292,36 +216,40 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _file_layer(path) -> dict:
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, an over-long integer
+        raise ConfigError(f"config file does not parse as JSON: {exc}") from exc
+
+
+def _override_layer(dotted: str) -> dict:
+    """``a.b=value`` as the layer ``{"a": {"b": value}}``; a value that is not JSON is a string."""
+    if "=" not in dotted:
+        raise ConfigError(f"--set expects dotted.path=value, got {dotted!r}")
+    key_path, raw = dotted.split("=", 1)
+    try:
+        layer = json.loads(raw)
+    except ValueError:
+        layer = raw
+    for key in reversed(key_path.split(".")):
+        layer = {key: layer}
+    return layer
+
+
 def load_config(path=None, overrides=None) -> dict:
-    """Defaults, merged with an optional JSON file and dotted-path overrides."""
+    """Defaults, merged with an optional JSON file and then each dotted-path override."""
+    layers = [] if path is None else [_file_layer(path)]
+    layers += [_override_layer(dotted) for dotted in overrides or []]
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file does not parse as JSON: {exc}") from exc
-        _validate(user, SCHEMA)
-        cfg = _deep_merge(cfg, user)
-    for dotted in overrides or []:
-        if "=" not in dotted:
-            raise ConfigError(f"--set expects dotted.path=value, got {dotted!r}")
-        key_path, raw = dotted.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = cfg
-        parts = key_path.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"{key_path}: unknown configuration path")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"{key_path}: unknown configuration key")
-        node[parts[-1]] = value
-    _validate(cfg, SCHEMA)
+    for layer in layers:
+        _validate(layer, SPEC)
+        cfg = _deep_merge(cfg, layer)
+    _validate(cfg, SPEC)
     return cfg
 
 

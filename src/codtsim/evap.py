@@ -88,57 +88,34 @@ class AmplitudeSegment:
 
 
 @dataclass(frozen=True)
-class ReopenStep:
-    """Final amplitude step (two dimensions) with an intensity step."""
-
-    amplitude: float = 70e-6
-    power: float = 5.0
-    duration: float = 0.2
-    channels: tuple[str, ...] = ("h", "v")
-
-
-@dataclass(frozen=True)
 class RampSchedule:
-    power_ramp: tuple[PowerSegment, ...]
-    modulation_ramp: tuple[AmplitudeSegment, ...]
-    hold: float = 0.3
-    reopen: ReopenStep | None = None
+    """Power and amplitude ramps, a hold, then the reopen step on both dimensions."""
+
+    power: PowerSegment
+    amplitude: AmplitudeSegment
+    hold: float
+    reopen_amplitude: float
+    reopen_power: float
+    reopen_duration: float
 
     @property
     def ramp_duration(self) -> float:
-        return max(
-            sum(s.duration for s in self.power_ramp),
-            sum(s.duration for s in self.modulation_ramp),
-        )
+        return max(self.power.duration, self.amplitude.duration)
 
     @property
     def total_duration(self) -> float:
-        total = self.ramp_duration + self.hold
-        if self.reopen is not None:
-            total += self.reopen.duration
-        return total
-
-    def _piecewise(self, segments, t: float, final: float) -> float:
-        for seg in segments:
-            if t <= seg.duration:
-                return seg.value(t)
-            t -= seg.duration
-        return final
+        return self.ramp_duration + self.hold + self.reopen_duration
 
     def power_at(self, t: float) -> float:
-        if self.reopen is not None and t > self.ramp_duration + self.hold:
-            return self.reopen.power
-        return self._piecewise(self.power_ramp, t, self.power_ramp[-1].p_end)
+        if t > self.ramp_duration + self.hold:
+            return self.reopen_power
+        return self.power.value(t) if t <= self.power.duration else self.power.p_end
 
     def amplitude_at(self, t: float) -> tuple[float, float]:
         """(horizontal, vertical) painting amplitude at time t."""
-        if self.reopen is not None and t > self.ramp_duration + self.hold:
-            amp = self.reopen.amplitude
-            return (
-                amp if "h" in self.reopen.channels else 0.0,
-                amp if "v" in self.reopen.channels else 0.0,
-            )
-        a = self._piecewise(self.modulation_ramp, t, self.modulation_ramp[-1].a_end)
+        if t > self.ramp_duration + self.hold:
+            return self.reopen_amplitude, self.reopen_amplitude
+        a = self.amplitude.value(t) if t <= self.amplitude.duration else self.amplitude.a_end
         return a, 0.0
 
 
@@ -163,10 +140,12 @@ def build_schedule(
     intensity step that raises the depth while lowering the frequencies.
     """
     return RampSchedule(
-        power_ramp=(PowerSegment(p_start, p_end, power_duration),),
-        modulation_ramp=(AmplitudeSegment(a_start, a_end, amplitude_duration, amplitude_tau),),
+        power=PowerSegment(p_start, p_end, power_duration),
+        amplitude=AmplitudeSegment(a_start, a_end, amplitude_duration, amplitude_tau),
         hold=hold,
-        reopen=ReopenStep(amplitude=reopen_amplitude, power=reopen_power, duration=reopen_duration),
+        reopen_amplitude=reopen_amplitude,
+        reopen_power=reopen_power,
+        reopen_duration=reopen_duration,
     )
 
 

@@ -101,6 +101,8 @@ class SiteTable:
     def deviations(self) -> dict:
         """Fractional deviations of sizes, depth and frequencies vs. the central site."""
         c = self.central_row()
+        if c.report.depth <= 0 or np.any(c.report.frequencies <= 0):
+            raise DomainError("central site has no positive depth to compare the grid against")
         rows = self.valid_rows()
         rel = lambda v, ref: (v - ref) / ref  # noqa: E731
         return {
@@ -186,9 +188,12 @@ def _dwell_waveform(
 
 
 def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> bool:
+    spacings = [s for c, s in zip(spec.counts, spec.spacing) if c > 1]
+    if not spacings:  # a single site has nothing to merge with
+        return False
     b1, _ = build_beamlines(layout, inputs)
     local_waist = max(b1.width_h(0.0), b1.width_v(0.0))
-    min_spacing = min(s for c, s in zip(spec.counts, spec.spacing) if c > 1)
+    min_spacing = min(spacings)
     if min_spacing < 2 * local_waist:
         warnings.warn(
             f"grid spacing {min_spacing * 1e6:.1f} um below two local waists "

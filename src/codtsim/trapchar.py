@@ -373,6 +373,8 @@ def reachable_volume(
     """
     from scipy.spatial import ConvexHull
 
+    if n_grid < 2:
+        raise DomainError(f"n_grid must be at least 2 to span the range, got {n_grid}")
     if h_half_range is None:
         h_half_range = 0.5 * (max_displacement(layout, "h1") + max_displacement(layout, "h2"))
     if v_half_range is None:

@@ -6,6 +6,8 @@ import pytest
 from codtsim.cli import main
 from codtsim.config import (
     DEFAULT_CONFIG,
+    SPEC,
+    _validate,
     beams_from_config,
     constants_from_config,
     layout_from_config,
@@ -75,12 +77,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown configuration"):
             load_config(overrides=["beams.powerw=5.5"])
 
+    def test_defaults_validate_against_spec(self):
+        _validate(DEFAULT_CONFIG, SPEC)
+
+    def test_set_object_merged_like_a_file(self):
+        cfg = load_config(overrides=['evap={"hold_s":0.1}'])
+        assert cfg["evap"] == {**DEFAULT_CONFIG["evap"], "hold_s": 0.1}
+        cfg = load_config(overrides=['layout.calibration_um_per_mhz={"h1":90}'])
+        assert cfg["layout"]["calibration_um_per_mhz"] == {"h1": 90, "v1": 86.0, "h2": 92.0, "v2": 86.0}
+
+    def test_set_path_through_a_leaf_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(overrides=["seed.x=1"])
+
     def test_user_file_merged_over_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"constants": {"gravity_m_s2": 9.81}}))
         cfg = load_config(path)
         assert cfg["constants"]["gravity_m_s2"] == 9.81
         assert cfg["layout"]["focal_length_mm"] == DEFAULT_CONFIG["layout"]["focal_length_mm"]
+
+
+# a flight_meta.json that flight analyze accepts; cases below spoil one key
+_FLIGHT_META = {
+    "pixel_pitch_um": 5.0,
+    "fps": 24.0,
+    "threshold_fraction": 0.2,
+    "phase_boundaries_s": {"pre": [0.0, 1.0]},
+    "n_frames": 1,
+}
 
 
 class TestCli:
@@ -136,12 +161,21 @@ class TestCli:
         ):
             bad.write_text(json.dumps(content))
             assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        # a file that is not UTF-8, one with an integer past the int-string limit, and a directory
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        bad.write_text('{"seed": ' + "1" * 5000 + "}")
+        assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert main(["trap", "volume", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         for override in (
             "beams.power_w=NaN",
             "beams.power_w=Infinity",
             "beams.power_w=-Infinity",
             "paint.grid_counts=[1.5,3,3]",
             "paint.line_amplitude_um=370",
+            "beams.power_w=1" + "0" * 400,  # an int beyond the float range
+            "beams.power_w=1" + "0" * 5000,  # past the int-string limit: read as a string
+            "paint=[]",
         ):
             assert main(["paint", "grid", "--out", str(tmp_path / "o"), "--set", override]) == 2
         # enumerated strings are checked at load time, not when a command reads them
@@ -197,8 +231,29 @@ class TestCli:
         [
             ('{"pixel_pitch_um": 5.0, "fps"', "cannot read"),  # cut short
             (json.dumps({"pixel_pitch_um": 5.0, "fps": 24.0, "n_frames": 1}), "phase_boundaries_s"),
+            (json.dumps([1, 2]), "must be an object"),
+            (json.dumps(_FLIGHT_META | {"fps": 0}), "fps"),
+            (json.dumps(_FLIGHT_META | {"n_frames": "3"}), "n_frames"),
+            (json.dumps(_FLIGHT_META | {"pixel_pitch_um": "5"}), "pixel_pitch_um"),
+            (json.dumps(_FLIGHT_META | {"threshold_fraction": 1.5}), "threshold_fraction"),
+            (json.dumps(_FLIGHT_META | {"gate_pitch_factor": -1.0}), "gate_pitch_factor"),
+            (json.dumps(_FLIGHT_META | {"inner_fraction": None}), "inner_fraction"),
+            (json.dumps(_FLIGHT_META | {"phase_boundaries_s": [[0.0, 1.0]]}), "phase_boundaries_s"),
+            (json.dumps(_FLIGHT_META | {"phase_boundaries_s": {"pre": [0.0]}}), "phase_boundaries_s.pre"),
         ],
-        ids=["truncated", "missing-key"],
+        ids=[
+            "truncated",
+            "missing-key",
+            "not-an-object",
+            "zero-fps",
+            "string-n_frames",
+            "string-pixel_pitch",
+            "threshold-above-1",
+            "negative-gate",
+            "null-inner_fraction",
+            "boundaries-list",
+            "boundary-one-number",
+        ],
     )
     def test_broken_flight_meta_exit_code_2(self, tmp_path, capsys, content, message):
         out = tmp_path / "flight"
@@ -209,19 +264,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(meta_path) in err and message in err
 
-    def test_domain_error_exit_code_3(self, tmp_path):
-        # grid spacing beyond the reachable range surfaces as a domain error
-        code = main(
-            [
-                "paint",
-                "transport",
-                "--out",
-                str(tmp_path / "o"),
-                "--set",
-                "paint.transport_end_um=[[0.0, 0.0, 5000.0]]",
-            ]
-        )
-        assert code == 3
+    def test_domain_error_exit_code_3(self, tmp_path, capsys):
+        for command, override, message in (
+            # a waypoint beyond the reachable range surfaces as a domain error
+            ("paint transport", "paint.transport_end_um=[[0.0, 0.0, 5000.0]]", "unreachable"),
+            ("paint grid", "beams.power_w=0", "central site"),
+            ("trap volume", "volume.n_grid=1", "n_grid"),
+        ):
+            argv = command.split() + ["--out", str(tmp_path / "o"), "--set", override]
+            assert main(argv) == 3, override
+            assert message in capsys.readouterr().err
+
+    def test_partial_overrides_and_single_site_exit_code_0(self, tmp_path):
+        argv = ["evap", "schedule", "--out", str(tmp_path / "sched"), "--set", 'evap={"hold_s":0.1}']
+        assert main(argv) == 0
+        argv = ["trap", "volume", "--out", str(tmp_path / "vol"), "--set", 'layout.calibration_um_per_mhz={"h1":90}']
+        assert main(argv) == 0
+        out = tmp_path / "grid"
+        assert main(["paint", "grid", "--out", str(out), "--set", "paint.grid_counts=[1,1,1]"]) == 0
+        summary = json.loads((out / "grid_summary.json").read_text())
+        assert summary["frequency_spread"] == 0.0 and summary["depth_spread"] == 0.0
 
     def test_model_validity_error_exit_code_4(self, tmp_path):
         # an extreme off-axis slope drives a waist non-positive at the grid edge

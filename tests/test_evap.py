@@ -62,6 +62,16 @@ class TestSchedule:
         assert amp_v == pytest.approx(70e-6)
         assert schedule.power_at(t_reopen) == pytest.approx(5.0)
 
+    def test_segment_end_held_exactly_until_reopen(self):
+        schedule = build_schedule(power_duration=1.0, a_end=10e-6, amplitude_duration=0.5)
+        # t == duration is still inside a segment; after it the exact endpoint holds
+        assert schedule.power_at(1.0) == schedule.power.value(1.0)
+        assert schedule.power_at(1.0 + 1e-9) == 0.04
+        assert schedule.amplitude_at(0.5 + 1e-9) == (10e-6, 0.0)
+        assert schedule.amplitude_at(1.2) == (10e-6, 0.0)
+        assert schedule.total_duration == pytest.approx(1.0 + 0.3 + 0.2)
+        assert schedule.amplitude_at(schedule.total_duration) == (70e-6, 70e-6)
+
     def test_schedule_continuity(self):
         schedule = build_schedule()
         ts = np.linspace(0, schedule.ramp_duration, 500)
