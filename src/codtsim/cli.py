@@ -168,18 +168,18 @@ def cmd_paint_grid(cfg, out: Path) -> list[str]:
     spec = _grid_from_config(cfg)
     wf = synthesize_waveform(layout, "grid", {"grid": spec}, inputs)
     table = characterize_sites(constants, layout, inputs, spec, waveform=wf)
+    # the summary raises for a grid with nothing to compare against, so it is
+    # computed before any file is written
+    dev = table.deviations()
+    summary = {
+        "frequency_spread": table.frequency_spread(),
+        "depth_spread": table.depth_spread(),
+        "max_radius_deviation_beam1": max(abs(v) for v in dev["radius_beam1"]),
+        "max_radius_deviation_beam2": max(abs(v) for v in dev["radius_beam2"]),
+    }
     write_csv(out / "sites.csv", site_table_csv_rows(table))
     write_json(out / "grid_waveform.json", waveform_export(wf))
-    dev = table.deviations()
-    write_json(
-        out / "grid_summary.json",
-        {
-            "frequency_spread": table.frequency_spread(),
-            "depth_spread": table.depth_spread(),
-            "max_radius_deviation_beam1": max(abs(v) for v in dev["radius_beam1"]),
-            "max_radius_deviation_beam2": max(abs(v) for v in dev["radius_beam2"]),
-        },
-    )
+    write_json(out / "grid_summary.json", summary)
     return ["sites.csv", "grid_waveform.json", "grid_summary.json"]
 
 

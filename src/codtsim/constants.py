@@ -4,15 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import scipy.constants as sc
-
 from .errors import DomainError
+
+# CODATA 2022 values as scipy.constants 1.17 gives them (pinned in
+# tests/test_cold_start.py); literals keep scipy off the import path.
+ATOMIC_MASS_KG = 1.66053906892e-27
+VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
+SPEED_OF_LIGHT = 299792458.0  # m/s
+BOLTZMANN = 1.380649e-23  # J/K
+REDUCED_PLANCK = 1.0545718176461565e-34  # J s
 
 ATOMIC_POLARIZABILITY_SI = 1.648777274e-41  # C m^2/V per atomic unit
 
 # Rb-87 ground-state scalar polarizability at 1064 nm, atomic units.
 RB87_POLARIZABILITY_AU = 687.3
-RB87_MASS_KG = 86.909180527 * sc.atomic_mass
+RB87_MASS_KG = 86.909180527 * ATOMIC_MASS_KG
 
 
 @dataclass(frozen=True)
@@ -26,10 +32,10 @@ class PhysicalConstants:
 
     atom_mass: float = RB87_MASS_KG
     polarizability: float = RB87_POLARIZABILITY_AU * ATOMIC_POLARIZABILITY_SI
-    vacuum_permittivity: float = sc.epsilon_0
-    speed_of_light: float = sc.c
-    boltzmann: float = sc.k
-    reduced_planck: float = sc.hbar
+    vacuum_permittivity: float = VACUUM_PERMITTIVITY
+    speed_of_light: float = SPEED_OF_LIGHT
+    boltzmann: float = BOLTZMANN
+    reduced_planck: float = REDUCED_PLANCK
     gravity: float = 9.81
 
     def __post_init__(self) -> None:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import least_squares
 
 from .constants import PhysicalConstants
 from .errors import DomainError
@@ -264,6 +262,8 @@ def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
     Integrates lambda_i'' = omega_i^2 / (lambda_i * lambda_1 lambda_2 lambda_3)
     from lambda(0) = 1, lambda'(0) = 0.
     """
+    from scipy.integrate import solve_ivp
+
     omegas = np.asarray(omegas, dtype=float)
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -294,6 +294,8 @@ def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
 
 def isotropic_scaling_2d(omega: float, times, rtol: float = 1e-10) -> np.ndarray:
     """Integrator check case lambda'' = omega^2/lambda^3 (analytic sqrt(1+w^2 t^2))."""
+    from scipy.integrate import solve_ivp
+
     times = np.asarray(times, dtype=float)
 
     def rhs(t, y):
@@ -391,6 +393,8 @@ def fit_bimodal(positions, counts, sigma=None) -> BimodalFit:
     sqrt(max(counts, 1)) are used when omitted.  A pure-thermal sub-fit is
     reported for model comparison.
     """
+    from scipy.optimize import least_squares
+
     x = np.asarray(positions, dtype=float)
     y = np.asarray(counts, dtype=float)
     if x.size < 20:

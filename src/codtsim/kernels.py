@@ -32,22 +32,49 @@ def intensity_sum(points: np.ndarray, records: np.ndarray) -> np.ndarray:
     records = np.ascontiguousarray(np.atleast_2d(records), dtype=np.float64)
     if records.shape[1] != BEAM_RECORD_SIZE:
         raise ValueError(f"beam records must have {BEAM_RECORD_SIZE} columns")
-    n = points.shape[0]
-    block = max(1, _CHUNK // max(records.shape[0], 1))
+    n, m = points.shape[0], records.shape[0]
+    block = max(1, _CHUNK // max(m, 1))
     out = np.empty(n, dtype=np.float64)
+    # every block reuses one set of temporaries: allocated and freed per block
+    # (~0.5 MB at a full chunk), they let malloc trim the heap after each block
+    # and fault the same pages back in for the next
+    rows = min(block, n)
+    work = (np.empty((rows, 3 * m)), np.empty((3, rows, m)))
     for start in range(0, n, block):
         sl = slice(start, min(start + block, n))
-        out[sl] = _intensity_chunk(points[sl], records)
+        _intensity_chunk(points[sl], records, out[sl], work)
     return out
 
 
-def _intensity_chunk(pts: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    m = rec.shape[0]
+def _intensity_chunk(pts: np.ndarray, rec: np.ndarray, out: np.ndarray, work) -> None:
+    """Write the intensity sum at ``pts`` into ``out``, computing in the ``work`` buffers."""
+    k, m = pts.shape[0], rec.shape[0]
     axes = rec[:, 3:12].reshape(m, 3, 3).transpose(1, 0, 2)  # (direction, h, v) x m x 3
     # coordinates along each axis from the record origin: pts @ axis.T - origin . axis
-    proj = pts @ axes.reshape(3 * m, 3).T - np.einsum("jmk,mk->jm", axes, rec[:, 0:3]).reshape(-1)
-    zeta, xi, nu = proj.reshape(-1, 3, m).transpose(1, 0, 2)
-    wh = rec[:, 12] * np.sqrt(1.0 + ((zeta - rec[:, 14]) / rec[:, 16]) ** 2)
-    wv = rec[:, 13] * np.sqrt(1.0 + ((zeta - rec[:, 15]) / rec[:, 17]) ** 2)
-    amp = 2.0 * rec[:, 18] / (np.pi * wh * wv)
-    return np.sum(amp * np.exp(-2.0 * (xi / wh) ** 2 - 2.0 * (nu / wv) ** 2), axis=1)
+    proj = np.matmul(pts, axes.reshape(3 * m, 3).T, out=work[0][:k])
+    proj -= np.einsum("jmk,mk->jm", axes, rec[:, 0:3]).reshape(-1)
+    zeta, xi, nu = proj.reshape(k, 3, m).transpose(1, 0, 2)
+    wh, wv, amp = work[1][:, :k]
+    # w = waist * sqrt(1 + ((zeta - focus) / zR)^2)
+    for w, waist, focus, z_r in ((wh, 12, 14, 16), (wv, 13, 15, 17)):
+        np.subtract(zeta, rec[:, focus], out=w)
+        w /= rec[:, z_r]
+        np.square(w, out=w)
+        w += 1.0
+        np.sqrt(w, out=w)
+        w *= rec[:, waist]
+    # amp = 2P / (pi wh wv)
+    np.multiply(wh, np.pi, out=amp)
+    amp *= wv
+    np.divide(2.0 * rec[:, 18], amp, out=amp)
+    # exponent -2 (xi/wh)^2 - 2 (nu/wv)^2, accumulated in wh
+    np.divide(xi, wh, out=wh)
+    np.square(wh, out=wh)
+    wh *= -2.0
+    np.divide(nu, wv, out=wv)
+    np.square(wv, out=wv)
+    wv *= 2.0
+    wh -= wv
+    np.exp(wh, out=wh)
+    wh *= amp
+    np.sum(wh, axis=1, out=out)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError
 
@@ -99,6 +98,8 @@ def detect_spots(
     Returns (detections, truncated) where ``truncated`` flags that more than
     ``max_spots`` components were found and only the brightest were kept.
     """
+    from scipy import ndimage
+
     if not 0.0 < threshold_fraction < 1.0:
         raise DomainError("threshold fraction must lie in (0, 1)")
     values = frame.values.astype(float)

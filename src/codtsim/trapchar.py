@@ -294,6 +294,8 @@ def characterize(
     if asym > 1e-6:
         raise DomainError(f"finite-difference Hessian asymmetric ({asym:.1e})")
     eigvals, eigvecs = np.linalg.eigh(hess)
+    if eigvals[-1] <= 0:
+        return TrapReport.invalid(x, "flat potential: no positive curvature at the minimum", constants)
     neg_tol = 1e-4 * np.max(np.abs(eigvals))
     if eigvals[0] < -neg_tol:
         raise DomainError("negative Hessian eigenvalue at converged point (saddle)")

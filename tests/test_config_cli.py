@@ -123,6 +123,14 @@ class TestCli:
         assert manifest["command"] == "trap report"
         assert "config_sha256" in manifest and "versions" in manifest
 
+    def test_flat_potential_reported_invalid(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["trap", "report", "--out", str(out), "--set", "beams.power_w=0"]) == 0
+        report = json.loads((out / "trap_report.json").read_text())
+        assert report["valid"] is False
+        assert "curvature" in report["reason"]
+        assert report["frequencies_hz"] == [0.0, 0.0, 0.0]
+
     def test_trap_report_depth_convention_chosen_at_report_time(self, tmp_path):
         out = tmp_path / "run"
         argv = ["trap", "report", "--out", str(out), "--set", "trap.depth_convention=peak-to-min"]
@@ -271,9 +279,12 @@ class TestCli:
             ("paint grid", "beams.power_w=0", "central site"),
             ("trap volume", "volume.n_grid=1", "n_grid"),
         ):
-            argv = command.split() + ["--out", str(tmp_path / "o"), "--set", override]
+            out = tmp_path / command.replace(" ", "-")
+            argv = command.split() + ["--out", str(out), "--set", override]
             assert main(argv) == 3, override
             assert message in capsys.readouterr().err
+            # the failure leaves no partial artifact (paint grid once left sites.csv)
+            assert list(out.iterdir()) == [], override
 
     def test_partial_overrides_and_single_site_exit_code_0(self, tmp_path):
         argv = ["evap", "schedule", "--out", str(tmp_path / "sched"), "--set", 'evap={"hold_s":0.1}']

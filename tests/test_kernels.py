@@ -63,9 +63,9 @@ def test_blocks_bounded_by_points_times_records(monkeypatch):
     blocks = []
     real_chunk = kernels._intensity_chunk
 
-    def spy(p, r):
+    def spy(p, r, *buffers):
         blocks.append(p.shape[0] * r.shape[0])
-        return real_chunk(p, r)
+        return real_chunk(p, r, *buffers)
 
     monkeypatch.setattr(kernels, "_intensity_chunk", spy)
     monkeypatch.setattr(kernels, "_CHUNK", 20 * records.shape[0] + 7)

@@ -132,6 +132,22 @@ class TestCharacterize:
         report = characterize_crossed_trap(constants, layout, feeble)
         assert not report.valid
 
+    def test_flat_potential_invalid_trough_valid(self):
+        omega = 2 * math.pi * 500.0
+        kwargs = dict(constants=RB, step=1e-6, domain=(np.zeros(3), np.full(3, 200e-6)), multi_seed=False)
+        flat = characterize(lambda p: np.zeros(len(p)), np.zeros(3), **kwargs)
+        assert not flat.valid and "curvature" in flat.reason
+
+        # one flat direction, like the long axis of a line-painted trap, stays a trap
+        def trough(points):
+            p = np.atleast_2d(points)
+            return 0.5 * RB.atom_mass * omega**2 * (p[:, 0] ** 2 + p[:, 1] ** 2)
+
+        report = characterize(trough, np.zeros(3), **kwargs)
+        assert report.valid
+        assert report.frequencies[0] == 0.0
+        np.testing.assert_allclose(report.frequencies[1:], 500.0, rtol=1e-6)
+
     def test_saddle_point_detected(self):
         def u(points):
             p = np.atleast_2d(points)
