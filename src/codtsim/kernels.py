@@ -12,7 +12,10 @@ flat float64 row:
          summed over the phases a merged record stands for)
 
 ``intensity_sum`` returns, per point, the sum over records of the astigmatic
-Gaussian intensity 2P/(pi wh(z) wv(z)) exp(-2 xi^2/wh^2 - 2 nu^2/wv^2).
+Gaussian intensity 2P/(pi wh(z) wv(z)) exp(-2 xi^2/wh^2 - 2 nu^2/wv^2), for
+field sampling and ray scans.  ``intensity_derivatives`` returns that sum with
+its closed-form gradient and Hessian at a few points, for minimum search and
+trap frequencies.
 """
 
 from __future__ import annotations
@@ -78,3 +81,46 @@ def _intensity_chunk(pts: np.ndarray, rec: np.ndarray, out: np.ndarray, work) ->
     np.exp(wh, out=wh)
     wh *= amp
     np.sum(wh, axis=1, out=out)
+
+
+def intensity_derivatives(points: np.ndarray, records: np.ndarray):
+    """Summed intensity, gradient and Hessian of all beam records at each point.
+
+    Returns arrays of shape (n,), (n, 3) and (n, 3, 3).  In a record's frame
+    (zeta, xi, nu) the log-intensity L is quadratic in xi and nu and depends
+    on zeta through W = w(zeta)^2 = waist^2 (1 + s^2), s = (zeta - focus)/zR,
+    so grad I = I grad L and hess I = I (hess L + grad L grad L^T); the
+    record's (direction, h, v) rows rotate both to lab coordinates.  Meant
+    for a few points: it holds (n, records, 3, 3) temporaries.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    records = np.atleast_2d(np.asarray(records, dtype=np.float64))
+    if records.shape[1] != BEAM_RECORD_SIZE:
+        raise ValueError(f"beam records must have {BEAM_RECORD_SIZE} columns")
+    m = records.shape[0]
+    axes = records[:, 3:12].reshape(m, 3, 3)  # rows: direction, h, v
+    coords = np.einsum("kmj,maj->kma", points[:, None, :] - records[:, 0:3], axes)
+    zeta, x = coords[..., :1], coords[..., 1:]  # x: (xi, nu), paired with the (h, v) widths
+    s = (zeta - records[:, 14:16]) / records[:, 16:18]
+    grow = 1.0 + s * s
+    inv_w2 = 1.0 / (records[:, 12:14] ** 2 * grow)
+    q = 2.0 * s / (records[:, 16:18] * grow)  # W'/W
+    r = 2.0 / (records[:, 16:18] ** 2 * grow)  # W''/W
+    x2w = x * x * inv_w2
+    intensity = (
+        (2.0 / np.pi) * records[:, 18] * np.sqrt(np.prod(inv_w2, axis=-1))
+        * np.exp(-2.0 * np.sum(x2w, axis=-1))
+    )
+    grad_l = np.empty(coords.shape)
+    grad_l[..., 0] = np.sum(q * (2.0 * x2w - 0.5), axis=-1)
+    grad_l[..., 1:] = -4.0 * x * inv_w2
+    hess_l = np.zeros(coords.shape + (3,))
+    hess_l[..., 0, 0] = np.sum(0.5 * (q * q - r) + 2.0 * x2w * (r - 2.0 * q * q), axis=-1)
+    hess_l[..., 0, 1:] = hess_l[..., 1:, 0] = 4.0 * x * q * inv_w2
+    hess_l[..., 1, 1] = -4.0 * inv_w2[..., 0]
+    hess_l[..., 2, 2] = -4.0 * inv_w2[..., 1]
+    hess_l += grad_l[..., :, None] * grad_l[..., None, :]
+    hess_l *= intensity[..., None, None]
+    grad = np.einsum("km,kma,maj->kj", intensity, grad_l, axes)
+    hess = np.einsum("mai,kmaj->kij", axes, hess_l @ axes)
+    return intensity.sum(axis=1), grad, hess

@@ -449,8 +449,15 @@ def compensate_powers(
     intensity rebalance between the two beams that minimizes the residual
     frequency deviation at fixed objective.  ``table`` is the uncompensated
     grid.  Stops once the relative spread of the objective is below
-    ``COMPENSATION_TOL`` or the rebalance no longer improves.
+    ``COMPENSATION_TOL`` or the rebalance no longer improves.  The rescale
+    is exact only without gravity, so a nonzero ``constants.gravity`` is
+    refused before any site is characterized.
     """
+    if constants.gravity:
+        raise DomainError(
+            f"compensate_powers needs zero gravity (got {constants.gravity} m/s^2): "
+            "depth and frequencies scale with power only without the gravity tilt"
+        )
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown compensation objective {objective!r}")
     indices = spec.site_indices()

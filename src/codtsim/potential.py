@@ -170,6 +170,18 @@ class DipolePotential:
             u = u + self.constants.atom_mass * self.constants.gravity * pts[:, 2]
         return u
 
+    def derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U (J), its gradient (J/m) and Hessian (J/m^2) at each point, in closed form."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        intensity, grad, hess = kernels.intensity_derivatives(pts, self.records)
+        c = -self.constants.dipole_coefficient
+        u, grad, hess = c * intensity, c * grad, c * hess
+        if self.constants.gravity:
+            mg = self.constants.atom_mass * self.constants.gravity
+            u = u + mg * pts[:, 2]
+            grad[:, 2] += mg
+        return u, grad, hess
+
     def at(self, point) -> float:
         return float(self(np.asarray(point, dtype=float).reshape(1, 3))[0])
 

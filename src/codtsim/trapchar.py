@@ -1,11 +1,15 @@
 """Trap characterization: minimum, depth, frequencies, volume, thermodynamics.
 
-The minimum is located by gradient descent with backtracking plus a Newton
-polish; curvatures come from a central finite-difference Hessian whose
-eigen-decomposition yields the trap frequencies omega_i = sqrt(lambda_i / m).
-Two depth conventions are computed: "escape-saddle" (lowest barrier along
-the principal axes and the beam arms) and "peak-to-min" (optical depth of
-the minimum, gravity excluded).
+One damped Newton loop locates the minimum.  A DipolePotential supplies U,
+grad U and hess U in closed form; any other callable gets central
+differences at the given step.  Hessian eigenvalues are floored in magnitude,
+so indefinite or flat directions (a painted plateau) take gradient steps,
+and every step is line-searched inside the search box.  The trap
+frequencies omega_i = sqrt(lambda_i / m) come from the Hessian at the
+minimum.  Two depth conventions are computed: "escape-saddle" (lowest
+barrier along the principal axes and the beam arms) and "peak-to-min"
+(optical depth of the minimum, gravity excluded); an escape scan that
+finds a deeper basin moves the search there.
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ from .optics import InputBeam, OpticalLayout, build_beamlines, max_displacement
 from .potential import DipolePotential, static_potential
 
 DEFAULT_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
-MAX_DESCENT_ITER = 400
+# Newton minimum search: step cap, eigenvalue floor as a share of the largest
+# |eigenvalue|, and convergence once a step is below NEWTON_XTOL x ``step``
+MAX_NEWTON_ITER = 100
+CURVATURE_FLOOR = 1e-6
+NEWTON_XTOL = 1e-9
+MAX_BASIN_HOPS = 4  # restarts in deeper basins the escape scan finds
 
 DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 
@@ -43,11 +52,17 @@ class TrapReport:
     valid: bool
     constants: PhysicalConstants = field(repr=False)
     reason: str = ""
+    # how the minimum was found: Newton steps from the seed that reached it,
+    # seeds tried (the given one, grid nodes, deeper basins) and |grad U|, J/m
+    newton_iterations: int = 0
+    seeds_tried: int = 0
+    gradient_norm: float = 0.0
 
     @classmethod
-    def invalid(cls, position, reason: str, constants) -> "TrapReport":
+    def invalid(cls, position, reason: str, constants, **diagnostics) -> "TrapReport":
         """Report for a trap that could not be characterized."""
         return cls(
+            **diagnostics,
             minimum_position=position,
             depth_escape=0.0,
             depth_peak=0.0,
@@ -82,6 +97,9 @@ class TrapReport:
             "frequencies_hz": self.frequencies.tolist(),
             "principal_axes": self.principal_axes.tolist(),
             "mean_frequency_hz": self.mean_frequency,
+            "newton_iterations": self.newton_iterations,
+            "seeds_tried": self.seeds_tried,
+            "gradient_norm_uK_per_um": self.gradient_norm / self.constants.boltzmann,
         }
 
 
@@ -111,99 +129,70 @@ def fd_gradient(f, x, h: float) -> np.ndarray:
 
 
 def fd_hessian(f, x, h: float) -> np.ndarray:
-    """Central-difference Hessian, symmetrized (symmetric to rounding already)."""
-    pts = [x]
-    for i in range(3):
-        for s in (+1.0, -1.0):
-            p = x.copy()
-            p[i] += s * h
-            pts.append(p)
+    """Central-difference Hessian: x +/- h e_i on the diagonal, x +/- h e_i +/- h e_j off it."""
+    e = h * np.eye(3)
     pairs = [(0, 1), (0, 2), (1, 2)]
-    for i, j in pairs:
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            p = x.copy()
-            p[i] += si * h
-            p[j] += sj * h
-            pts.append(p)
+    pts = [x] + [x + s * e[i] for i in range(3) for s in (1.0, -1.0)]
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    pts += [x + si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs]
     vals = f(np.array(pts))
-    f0 = vals[0]
-    hess = np.empty((3, 3))
-    for i in range(3):
-        hess[i, i] = (vals[1 + 2 * i] - 2 * f0 + vals[2 + 2 * i]) / h**2
+    hess = np.diag((vals[1:7:2] - 2 * vals[0] + vals[2:7:2]) / h**2)
     for n, (i, j) in enumerate(pairs):
-        base = 7 + 4 * n
-        hess[i, j] = hess[j, i] = (vals[base] - vals[base + 1] - vals[base + 2] + vals[base + 3]) / (
-            4 * h**2
-        )
-    return 0.5 * (hess + hess.T)
+        a, b, c, d = vals[7 + 4 * n : 11 + 4 * n]
+        hess[i, j] = hess[j, i] = (a - b - c + d) / (4 * h**2)
+    return hess
 
 
-def _inside(x, domain) -> bool:
+def _derivative_provider(potential, step):
+    """x -> (U, grad U, hess U): closed form for a DipolePotential, else central differences."""
+    f = potential
+    if isinstance(f, DipolePotential):
+        return lambda x: tuple(a[0] for a in f.derivatives(x[None, :]))
+    return lambda x: (f(x[None, :])[0], fd_gradient(f, x, step), fd_hessian(f, x, step))
+
+
+def _newton(derivatives, seed, domain, step):
+    """Damped Newton descent from ``seed`` (clipped into the search box).
+
+    Hessian eigenvalues are replaced by their magnitude, floored at
+    ``CURVATURE_FLOOR`` of the largest, so indefinite or flat directions (the
+    bottom of a painted trap) take gradient steps.  A step is cut to the box,
+    then halved until U decreases (Armijo); a Newton step shorter than
+    ``step`` on a positive-definite Hessian skips that test, its decrease
+    being at rounding level.  Converged once a step is below ``NEWTON_XTOL *
+    step``, or when the line search stalls at a gradient that is small on the
+    scale of U over one ``step``.  Returns (x, U, grad, hess, steps, converged).
+    """
     center, half = domain
-    return bool(np.all(np.abs(x - center) <= half))
-
-
-def _descend(f, seed, h, domain):
-    """Multi-scale gradient descent with backtracking, then Newton polish."""
-    x = np.asarray(seed, dtype=float).copy()
-    ok = True
-    # coarse passes resolve plateau-scale slopes before the fine pass
-    for scale in (25.0, 5.0, 1.0):
-        x, ok = _descend_single(f, x, scale * h, domain)
-        if not ok:
-            return x, False
-    return x, ok
-
-
-def _descend_single(f, seed, h, domain):
-    x = np.asarray(seed, dtype=float).copy()
-    if not _inside(x, domain):
-        return x, False
-    fx = float(f(x[None, :])[0])
-    alpha = None
-    for _ in range(MAX_DESCENT_ITER):
-        g = fd_gradient(f, x, h)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        if alpha is None:
-            alpha = 10 * h / gn
-        else:
-            alpha *= 2.0
-        moved = False
-        while alpha * gn > 1e-3 * h:
-            trial = x - alpha * g
-            if _inside(trial, domain):
-                ft = float(f(trial[None, :])[0])
-                if ft < fx - 1e-4 * alpha * gn * gn:
-                    x, fx, moved = trial, ft, True
-                    break
-            alpha *= 0.5
-        if not moved:
-            break
-        if alpha * gn < 1e-2 * h:
-            break
-    # Newton polish for sub-step accuracy near the quadratic bottom
-    for _ in range(12):
-        g = fd_gradient(f, x, h)
-        hess = fd_hessian(f, x, h)
-        eigvals = np.linalg.eigvalsh(hess)
-        if eigvals[0] <= 0:
-            break
-        dx = np.linalg.solve(hess, -g)
+    lo, hi = center - half, center + half
+    x = np.clip(seed, lo, hi)
+    u, grad, hess = derivatives(x)
+    xtol, diagonal = NEWTON_XTOL * step, float(np.linalg.norm(2 * half))
+    for steps in range(MAX_NEWTON_ITER):
+        if not grad.any():
+            return x, u, grad, hess, steps, True
+        lam, vec = np.linalg.eigh(hess)
+        # the floor also keeps every step within the box diagonal
+        floor = max(CURVATURE_FLOOR * np.abs(lam).max(), np.linalg.norm(grad) / diagonal)
+        dx = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
         norm = float(np.linalg.norm(dx))
-        if norm > 50 * h:
-            dx *= 50 * h / norm
-        trial = x + dx
-        if not _inside(trial, domain):
-            break
-        ft = float(f(trial[None, :])[0])
-        if ft > fx + abs(fx) * 1e-12:
-            break
-        x, fx = trial, ft
-        if norm < 1e-7 * h:
-            break
-    return x, True
+        if norm <= xtol:
+            return x, u, grad, hess, steps, True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(dx > 0, (hi - x) / dx, np.where(dx < 0, (lo - x) / dx, np.inf))
+        t = min(1.0, float(room.min()))
+        local = t == 1.0 and norm <= step and lam[0] > floor
+        while t * norm > xtol:
+            trial = np.clip(x + t * dx, lo, hi)
+            u_t, grad_t, hess_t = derivatives(trial)
+            if local or u_t <= u + 1e-4 * t * float(grad @ dx):
+                x, u, grad, hess = trial, u_t, grad_t, hess_t
+                break
+            t *= 0.5
+        else:
+            stalled_at_minimum = float(np.linalg.norm(grad)) * step < 1e-3 * abs(u) + 1e-32
+            return x, u, grad, hess, steps, stalled_at_minimum
+    return x, u, grad, hess, MAX_NEWTON_ITER, False
 
 
 def _seed_grid(domain, n=7) -> np.ndarray:
@@ -213,16 +202,19 @@ def _seed_grid(domain, n=7) -> np.ndarray:
     return center + grid
 
 
-def _ray_barrier(f, x0, u0, directions, domain, step) -> np.ndarray:
+def _ray_barrier(f, x0, u0, directions, domain, step):
     """Max potential along each ray until escape below the minimum or the domain edge.
 
-    All rays are sampled at multiples of ``step`` and evaluated in one call.
-    A ray's barrier is the running maximum (from ``u0``) up to and including
-    its first value below the escape level, or over the whole ray when no
-    value escapes.  The escape test carries a small tolerance so that the
-    flat bottom of a painted trap (where the located minimum may sit a
-    fraction of a percent above the deepest plateau point) does not read as
-    an escape channel.
+    All rays are sampled at multiples of ``step``, the last sample clipped to
+    the domain edge, and evaluated in one call.  A ray's barrier is the
+    running maximum (from ``u0``) up to and including its first value below
+    the escape level, or over the whole ray when no value escapes.  The
+    escape test carries a small tolerance so that the flat bottom of a
+    painted trap (where the located minimum may sit a fraction of a percent
+    above the deepest plateau point) does not read as an escape channel.
+
+    Returns the barriers and the lowest sample when it lies below the escape
+    level (a deeper basin the trap spills into), else None.
     """
     center, half = domain
     d = np.asarray(directions, dtype=float)
@@ -231,7 +223,7 @@ def _ray_barrier(f, x0, u0, directions, domain, step) -> np.ndarray:
         t_exit = np.min(
             np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf), axis=1
         )
-    ts = [np.arange(step, t + step, step) for t in np.maximum(t_exit, step)]
+    ts = [np.minimum(np.arange(step, t + step, step), t) for t in np.maximum(t_exit, step)]
     counts = [len(t) for t in ts]
     starts = np.cumsum([0] + counts[:-1])
     pts = np.repeat(d, counts, axis=0)
@@ -239,9 +231,11 @@ def _ray_barrier(f, x0, u0, directions, domain, step) -> np.ndarray:
     pts += x0
     vals = f(pts)
     escapes = vals < u0 - 1e-2 * abs(u0)  # fell below the trap bottom: escaped over the barrier
+    lowest = int(np.argmin(vals))
+    deeper = pts[lowest] if escapes[lowest] else None
     before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
     vals[before != np.repeat(before[starts], counts)] = -np.inf  # after an escape on the same ray
-    return np.fmax(u0, np.fmax.reduceat(vals, starts))
+    return np.fmax(u0, np.fmax.reduceat(vals, starts)), deeper
 
 
 def characterize(
@@ -256,78 +250,81 @@ def characterize(
 ) -> TrapReport:
     """Characterize the trap minimum reached from ``seed_point``.
 
-    ``potential`` is a callable mapping (N, 3) points to energies (J);
-    ``step`` is the finite-difference step (m).  ``domain`` is an
-    axis-aligned (center, half_extents) search box.  ``beam_axes`` adds
-    escape-search directions along the beam arms.
+    ``potential`` is a callable mapping (N, 3) points to energies (J); a
+    :class:`DipolePotential` supplies its gradient and Hessian in closed
+    form, any other callable gets central differences at ``step`` (m).
+    ``step`` also spaces the escape scan and sets the margin by which a
+    minimum must clear the search box, the axis-aligned (center,
+    half_extents) ``domain``.  ``beam_axes`` adds escape-search directions
+    along the beam arms.  When the escape scan finds a deeper basin (the
+    coarse phase ripple of a painted trap), the search moves there.
     """
     f = potential
-    seed = np.asarray(seed_point, dtype=float)
+    derivatives = _derivative_provider(potential, step)
+    center, half = domain
+    arms = np.reshape(np.asarray([] if beam_axes is None else beam_axes, dtype=float), (-1, 3))
+    scan_step = max(10 * step, 2e-6)
 
-    def converged_minimum(start):
-        x, ok = _descend(f, start, step, domain)
-        if not ok:
-            return x, False
-        # descent that stalls on the search-box boundary means the potential
+    def minimum(start):
+        x, u, grad, hess, iterations, ok = _newton(derivatives, start, domain, step)
+        # a descent that ends on the search-box boundary means the potential
         # is open in that direction (e.g. gravity tilting the trap open)
-        center, half = domain
-        if np.any(np.abs(x - center) > half - 2 * step):
-            return x, False
-        g = fd_gradient(f, x, step)
-        scale = abs(float(f(x[None, :])[0])) + 1e-30
-        return x, float(np.linalg.norm(g)) * step < 1e-3 * scale + 1e-32
+        ok = ok and not np.any(np.abs(x - center) > half - 2 * step)
+        return x, u, grad, hess, iterations, ok
 
-    x, ok = converged_minimum(seed)
-    if not ok and multi_seed:
-        seeds = _seed_grid(domain)
-        vals = f(seeds)
-        order = np.argsort(vals)
-        for idx in order[:5]:
-            x, ok = converged_minimum(seeds[idx])
-            if ok:
-                break
-    if not ok:
-        return TrapReport.invalid(x, "no minimum found in domain", constants)
+    def starts():
+        yield np.asarray(seed_point, dtype=float)
+        if multi_seed:  # the five lowest nodes of a grid over the box
+            seeds = _seed_grid(domain)
+            yield from seeds[np.argsort(f(seeds))[:5]]
 
-    hess = fd_hessian(f, x, step)
-    asym = np.max(np.abs(hess - hess.T)) / (np.max(np.abs(hess)) + 1e-300)
-    if asym > 1e-6:
-        raise DomainError(f"finite-difference Hessian asymmetric ({asym:.1e})")
+    for seeds_tried, start in enumerate(starts(), 1):
+        x, u_min, grad, hess, iterations, ok = minimum(start)
+        if ok:
+            break
     eigvals, eigvecs = np.linalg.eigh(hess)
+    hops = 0
+    while ok and eigvals[-1] > 0:
+        if eigvals[0] < -1e-4 * np.max(np.abs(eigvals)):
+            raise DomainError("negative Hessian eigenvalue at converged point (saddle)")
+        axes = eigvecs.T  # ascending eigenvalues: rows follow the frequencies
+        rays = np.concatenate([axes, arms])
+        barriers, deeper = _ray_barrier(f, x, u_min, [*rays, *-rays], domain, scan_step)
+        # a ray that escaped below the minimum found a deeper basin: restart there
+        if deeper is None or hops == MAX_BASIN_HOPS:
+            break
+        x_hop, u_hop, grad_hop, hess_hop, iterations_hop, ok_hop = minimum(deeper)
+        if not ok_hop or u_hop >= u_min:
+            break
+        hops += 1
+        x, u_min, grad, hess, iterations = x_hop, u_hop, grad_hop, hess_hop, iterations_hop
+        eigvals, eigvecs = np.linalg.eigh(hess)
+    diagnostics = {
+        "newton_iterations": iterations,
+        "seeds_tried": seeds_tried + hops,
+        "gradient_norm": float(np.linalg.norm(grad)),
+    }
+    if not ok:
+        return TrapReport.invalid(x, "no minimum found in domain", constants, **diagnostics)
     if eigvals[-1] <= 0:
-        return TrapReport.invalid(x, "flat potential: no positive curvature at the minimum", constants)
-    neg_tol = 1e-4 * np.max(np.abs(eigvals))
-    if eigvals[0] < -neg_tol:
-        raise DomainError("negative Hessian eigenvalue at converged point (saddle)")
-    eigvals = np.clip(eigvals, 0.0, None)
-    omegas = np.sqrt(eigvals / constants.atom_mass)
-    freqs = omegas / (2 * math.pi)
-    order = np.argsort(freqs)
-    freqs = freqs[order]
-    axes = eigvecs[:, order].T
-    mean_freq = float(np.prod(freqs)) ** (1.0 / 3.0) if np.all(freqs > 0) else 0.0
-
-    u_min = float(f(x[None, :])[0])
-    directions = [axes[i] for i in range(3)] + [-axes[i] for i in range(3)]
-    if beam_axes is not None:
-        for ax in beam_axes:
-            directions.extend([np.asarray(ax, dtype=float), -np.asarray(ax, dtype=float)])
-    barriers = _ray_barrier(f, x, u_min, directions, domain, max(10 * step, 2e-6))
+        reason = "flat potential: no positive curvature at the minimum"
+        return TrapReport.invalid(x, reason, constants, **diagnostics)
+    freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
     depth_escape = max(0.0, float(barriers.min()) - u_min)
     if isinstance(potential, DipolePotential):
         depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
     else:
         depth_peak = max(0.0, float(barriers.max()) - u_min)
-
     return TrapReport(
         minimum_position=x,
         depth_escape=depth_escape,
         depth_peak=depth_peak,
         frequencies=freqs,
         principal_axes=axes,
-        mean_frequency=mean_freq,
+        mean_frequency=float(np.prod(freqs)) ** (1.0 / 3.0) if np.all(freqs > 0) else 0.0,
         valid=True,
         constants=constants,
+        **diagnostics,
     )
 
 
@@ -337,7 +334,7 @@ def characterize_beams(
     """Characterize the static trap of a beam pair.
 
     The seed defaults to the midpoint of the beam origins.  Unless given,
-    the finite-difference step is the smallest waist / 50, the escape search
+    the step (escape-scan spacing and box margin) is the smallest waist / 50, the escape search
     adds both beam arms, and the search box is ``DEFAULT_HALF_EXTENTS``
     around the seed.
     """

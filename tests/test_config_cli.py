@@ -119,6 +119,9 @@ class TestCli:
         assert report["depth_escape_saddle_uK"] <= report["depth_peak_to_min_uK"]
         assert report["depth_convention"] == "escape-saddle"
         assert report["depth_uK"] == report["depth_escape_saddle_uK"]
+        # how the minimum was found
+        assert report["newton_iterations"] >= 1 and report["seeds_tried"] == 1
+        assert 0 <= report["gradient_norm_uK_per_um"] < 1e-6
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "trap report"
         assert "config_sha256" in manifest and "versions" in manifest
@@ -278,6 +281,8 @@ class TestCli:
             ("paint transport", "paint.transport_end_um=[[0.0, 0.0, 5000.0]]", "unreachable"),
             ("paint grid", "beams.power_w=0", "central site"),
             ("trap volume", "volume.n_grid=1", "n_grid"),
+            # the linear power rescale of compensation holds only at zero gravity
+            ("paint compensate", "constants.gravity_m_s2=9.81", "zero gravity"),
         ):
             out = tmp_path / command.replace(" ", "-")
             argv = command.split() + ["--out", str(out), "--set", override]
@@ -321,8 +326,9 @@ class TestCli:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert main(["tof", "fit", "--out", str(out), "--seed", "77"]) == 0
-        assert (out1 / "tof_fit.json").read_bytes() == (out2 / "tof_fit.json").read_bytes()
-        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+            assert main(["trap", "report", "--out", str(out / "trap"), "--seed", "77"]) == 0
+        for name in ("tof_fit.json", "manifest.json", "trap/trap_report.json", "trap/manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_tof_expand_artifact(self, tmp_path):
         out = tmp_path / "tof"

@@ -189,6 +189,18 @@ class TestSites:
             assert row.weight_beam1 == pytest.approx(1.0, abs=1e-6)
             assert row.weight_beam2 == pytest.approx(1.0, abs=1e-6)
 
+    def test_compensation_refuses_gravity_before_characterizing(self, layout, input_pair, monkeypatch):
+        # depth and frequencies scale with power only at zero gravity
+        import codtsim.painting
+
+        def no_characterization(*args, **kwargs):
+            raise AssertionError("characterized a site before refusing gravity")
+
+        monkeypatch.setattr(codtsim.painting, "characterize_beams", no_characterization)
+        spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
+        with pytest.raises(DomainError, match="zero gravity"):
+            compensate_powers(PhysicalConstants(gravity=9.81), layout, input_pair, spec, table=None)
+
     def test_compensation_reduces_frequency_spread(self, layout, input_pair, grid_table):
         spec, table = grid_table
         after = compensate_powers(RB, layout, input_pair, spec, table=table)

@@ -18,6 +18,31 @@ from codtsim.potential import (
 
 
 class TestDipolePotential:
+    @pytest.mark.parametrize("case", ["static", "line-painted", "static-gravity"])
+    def test_closed_form_derivatives_match_central_differences(self, case, layout, input_pair):
+        # central differences approach the closed form at O(h^2): the error
+        # falls 4x per step halving, with no floor left by a missing term
+        from codtsim.painting import synthesize_waveform
+        from codtsim.trapchar import fd_gradient, fd_hessian
+
+        constants = PhysicalConstants(gravity=9.81 if case == "static-gravity" else 0.0)
+        x = np.array([3e-6, -4e-6, 2e-6])  # off every symmetry plane of the trap
+        if case == "line-painted":
+            wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+            pot = time_averaged_potential(constants, layout, input_pair, wf, 128)
+            assert pot.records.shape[0] >= 100
+            x[1] = 150e-6  # on the painted plateau
+        else:
+            pot = static_potential(constants, build_beamlines(layout, input_pair))
+        u, grad, hess = (a[0] for a in pot.derivatives(x[None, :]))
+        assert u == pytest.approx(pot.at(x), rel=1e-14, abs=0)
+        steps = 0.4e-6 / 2.0 ** np.arange(4)
+        grad_err = [np.max(np.abs(fd_gradient(pot, x, h) - grad)) / np.max(np.abs(grad)) for h in steps]
+        hess_err = [np.max(np.abs(fd_hessian(pot, x, h) - hess)) / np.max(np.abs(hess)) for h in steps]
+        assert grad_err[0] < 1e-2 and hess_err[0] < 1e-2
+        for err in (grad_err, hess_err):
+            np.testing.assert_allclose(np.divide(err[:-1], err[1:]), 4.0, rtol=0.05)
+
     def test_far_field_vanishes(self, no_gravity, layout, input_pair):
         beams = build_beamlines(layout, input_pair)
         u = dipole_potential_at(no_gravity, beams, np.array([0.05, 0.02, 0.02]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestCharacterize:
         np.testing.assert_allclose(report.frequencies, 500.0, rtol=1e-6)
         assert np.linalg.norm(report.minimum_position) < 1e-9
         # depth under the escape convention equals the rim value
-        assert report.depth_escape == pytest.approx(rim_energy, rel=0.02)
+        assert report.depth_escape == pytest.approx(rim_energy, rel=0.02, abs=0)
 
     def test_single_beam_gaussian_trap_formulas(self):
         # radial omega = sqrt(4 U0/(m w^2)), axial omega = sqrt(2 U0/(m zR^2))
@@ -85,6 +86,74 @@ class TestCharacterize:
         assert report.frequencies[0] == pytest.approx(f_axial, rel=0.01)
         assert report.frequencies[1] == pytest.approx(f_radial, rel=0.01)
         assert report.frequencies[2] == pytest.approx(f_radial, rel=0.01)
+
+    def test_crossed_gaussian_closed_form_oracle(self):
+        # two stigmatic beams crossing at 90 deg at their common focus, no window
+        # or off-axis terms: per beam, curvature 4 U/w^2 across it and 2 U/zR^2
+        # along it, summed per axis (Grimm, Weidemueller & Ovchinnikov,
+        # Adv. At. Mol. Opt. Phys. 42, 95, 2000); peak depth U1 + U2
+        b1 = stigmatic_beam(power=1.0, waist=10.5e-6)
+        b2 = replace(stigmatic_beam(power=1.5, waist=14e-6), direction=np.array([0.0, 1.0, 0.0]))
+        u1, u2 = (RB.dipole_coefficient * 2 * b.power / (math.pi * b.waist_h**2) for b in (b1, b2))
+        curvature = np.array(
+            [
+                2 * u1 / b1.rayleigh_h**2 + 4 * u2 / b2.waist_h**2,
+                4 * u1 / b1.waist_h**2 + 2 * u2 / b2.rayleigh_h**2,
+                4 * u1 / b1.waist_h**2 + 4 * u2 / b2.waist_h**2,
+            ]
+        )
+        expected = np.sort(np.sqrt(curvature / RB.atom_mass) / (2 * math.pi))
+        report = characterize(
+            static_potential(RB, [b1, b2]),
+            np.array([1e-6, -2e-6, 0.5e-6]),
+            constants=RB,
+            step=10.5e-6 / 50,
+            domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
+            beam_axes=[b1.direction, b2.direction],
+        )
+        assert report.valid
+        assert report.frequencies == pytest.approx(expected, rel=1e-9, abs=0)
+        assert report.depth_peak == pytest.approx(u1 + u2, rel=1e-9, abs=0)
+        axes = np.eye(3)[np.argsort(curvature)]
+        np.testing.assert_allclose(np.abs(report.principal_axes), axes, atol=1e-12)
+
+    def test_restarts_in_deeper_basin_the_escape_scan_finds(self, layout, input_pair):
+        # a 230 um line paint sampled at 64 phases is a ripple of wells; the one
+        # at the seed spills over a ~14 uK barrier into a well 1.3% deeper
+        from codtsim.painting import synthesize_waveform
+        from codtsim.potential import time_averaged_potential
+
+        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
+        report = characterize(
+            pot,
+            np.zeros(3),
+            constants=RB,
+            step=0.2e-6,
+            domain=(np.zeros(3), np.array([4e-3, 690e-6, 1e-3])),
+            beam_axes=[layout.beam_direction(1), layout.beam_direction(2)],
+        )
+        assert report.valid and report.seeds_tried == 2
+        assert pot.at(report.minimum_position) < 1.01 * pot.at(np.zeros(3))
+        assert report.depth_escape > 0.9 * report.depth_peak
+
+    def test_static_characterization_kernel_call_budget(self, layout, input_pair, monkeypatch):
+        # Newton on closed-form derivatives: a few derivative calls, then one
+        # escape scan and one peak-depth call; a finite-difference descent took ~90
+        from codtsim import kernels
+
+        calls = []
+        for name in ("intensity_sum", "intensity_derivatives"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        report = characterize_crossed_trap(RB, layout, input_pair)
+        assert report.valid
+        assert calls.count("intensity_sum") == 2
+        assert len(calls) <= 12, calls
+        # one derivative call at the seed and one per Newton step: no step backtracked
+        assert calls.count("intensity_derivatives") == report.newton_iterations + 1
+        assert report.seeds_tried == 1
+        assert report.gradient_norm * 10.5e-6 < 1e-12 * report.depth_peak  # |grad U| at rounding level
 
     def test_hessian_symmetry(self):
         rng = np.random.default_rng(3)
@@ -228,21 +297,24 @@ class TestMisalignment:
 
 
 def _ray_barrier_reference(f, x0, u0, direction, domain, step):
-    """One ray at a time with a Python running maximum; also says whether the ray escaped."""
+    """One ray at a time with a Python running maximum.
+
+    Returns the barrier, whether the ray escaped, and the ray's lowest sample value.
+    """
     center, half = domain
     d = direction / np.linalg.norm(direction)
     with np.errstate(divide="ignore"):
         t_exit = np.min(np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf))
     t_exit = max(t_exit, step)
-    ts = np.arange(step, t_exit + step, step)
+    ts = np.minimum(np.arange(step, t_exit + step, step), t_exit)  # the box edge ends the ray
     vals = f(x0[None, :] + ts[:, None] * d[None, :])
     escape_level = u0 - 1e-2 * abs(u0)
     barrier = u0
     for v in vals:
         barrier = max(barrier, float(v))
         if v < escape_level:
-            return barrier, True
-    return barrier, False
+            return barrier, True, float(vals.min())
+    return barrier, False, float(vals.min())
 
 
 class TestRayBarrier:
@@ -250,10 +322,16 @@ class TestRayBarrier:
         directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
         directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
         u0 = pot.at(x0)
-        got = _ray_barrier(pot, x0, u0, directions, domain, step)
+        got, deeper = _ray_barrier(pot, x0, u0, directions, domain, step)
         ref = [_ray_barrier_reference(pot, x0, u0, d, domain, step) for d in directions]
-        np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)
-        return [escaped for _, escaped in ref]
+        np.testing.assert_allclose(got, [b for b, _, _ in ref], rtol=1e-12, atol=0)
+        # the deeper basin is the lowest sample of all rays, reported only below the escape level
+        lowest = min(low for _, _, low in ref)
+        if lowest < u0 - 1e-2 * abs(u0):
+            assert pot.at(deeper) == pytest.approx(lowest, rel=1e-12, abs=0)
+        else:
+            assert deeper is None
+        return [escaped for _, escaped, _ in ref]
 
     def test_painted_trap_matches_scalar_scan(self, layout, input_pair):
         from codtsim.painting import synthesize_waveform
