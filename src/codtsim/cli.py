@@ -108,10 +108,7 @@ def _context(cfg):
 
 def cmd_trap_report(cfg, out: Path) -> list[str]:
     constants, layout, inputs = _context(cfg)
-    kwargs = {}
-    if cfg["trap"]["fd_step_um"] is not None:
-        kwargs["step"] = cfg["trap"]["fd_step_um"] * 1e-6
-    report = characterize_crossed_trap(constants, layout, inputs, **kwargs)
+    report = characterize_crossed_trap(constants, layout, inputs)
     # the one place a depth convention is chosen: depth_uK and its label
     payload = report.to_dict(cfg["trap"]["depth_convention"])
     payload["deflection_scales_um_per_mhz"] = {
@@ -167,7 +164,7 @@ def cmd_paint_grid(cfg, out: Path) -> list[str]:
     constants, layout, inputs = _context(cfg)
     spec = _grid_from_config(cfg)
     wf = synthesize_waveform(layout, "grid", {"grid": spec}, inputs)
-    table = characterize_sites(constants, layout, inputs, spec, waveform=wf)
+    table = characterize_sites(constants, layout, inputs, spec)
     # the summary raises for a grid with nothing to compare against, so it is
     # computed before any file is written
     dev = table.deviations()

@@ -42,7 +42,7 @@ SPEC: dict = {
     "constants": {
         "atom_mass_kg": (RB87_MASS_KG, "number", "positive"),
         "polarizability_au": (RB87_POLARIZABILITY_AU, "number", "positive"),
-        "gravity_m_s2": (0.0, "number", "nonnegative"),
+        "gravity_m_s2": (PhysicalConstants.gravity, "number", "nonnegative"),
     },
     "beams": {
         "power_w": (10.0, "number", "nonnegative"),
@@ -51,7 +51,6 @@ SPEC: dict = {
     },
     "trap": {
         "depth_convention": ("escape-saddle", "string", DEPTH_CONVENTIONS),
-        "fd_step_um": (None, "number", "nullable", "positive"),  # null -> waist / 50
         "field_dims": ([96, 96, 96], "counts", 3),
         "save_field": (False, "boolean"),
     },

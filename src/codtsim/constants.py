@@ -36,7 +36,7 @@ class PhysicalConstants:
     speed_of_light: float = SPEED_OF_LIGHT
     boltzmann: float = BOLTZMANN
     reduced_planck: float = REDUCED_PLANCK
-    gravity: float = 9.81
+    gravity: float = 0.0  # microgravity; 9.81 for lab conditions
 
     def __post_init__(self) -> None:
         positives = (

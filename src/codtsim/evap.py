@@ -200,14 +200,7 @@ def _painted_trap(
     pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=n_phases)
     half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
     try:
-        report = characterize(
-            pot,
-            np.zeros(3),
-            constants=constants,
-            step=0.2e-6,
-            domain=(np.zeros(3), half),
-            beam_axes=[layout.beam_direction(1), layout.beam_direction(2)],
-        )
+        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), half))
     except DomainError as exc:
         return {"valid": 0, "reason": str(exc)}
     return {

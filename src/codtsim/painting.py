@@ -387,7 +387,6 @@ def characterize_sites(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     spec: GridSpec,
-    waveform: ModulationWaveform | None = None,
     weights=None,
 ) -> SiteTable:
     """Per-site beam radii and trap reports for a grid.
@@ -397,8 +396,6 @@ def characterize_sites(
     are negligible for spacings well above the local waists).  ``weights``
     may give one power weight per site or one per site and beam.
     """
-    if waveform is not None:
-        waveform.validate_against(layout)
     indices = spec.site_indices()
     pairs = _as_weight_pairs(weights, len(indices))
     rows = []
@@ -421,16 +418,6 @@ def characterize_sites(
             )
         )
     return SiteTable(rows=rows)
-
-
-def depth_equalize_weights(depths, target: float | None = None) -> np.ndarray:
-    """First compensation iterate under the linear-depth model: w ~ target/depth."""
-    depths = np.asarray(depths, dtype=float)
-    if np.any(depths <= 0):
-        raise DomainError("depths must be positive to equalize")
-    if target is None:
-        target = float(depths.max())
-    return target / depths
 
 
 def compensate_powers(

@@ -1,8 +1,7 @@
 """Trap characterization: minimum, depth, frequencies, volume, thermodynamics.
 
-One damped Newton loop locates the minimum.  A DipolePotential supplies U,
-grad U and hess U in closed form; any other callable gets central
-differences at the given step.  Hessian eigenvalues are floored in magnitude,
+One damped Newton loop locates the minimum on the closed-form U, grad U and
+hess U of a DipolePotential.  Hessian eigenvalues are floored in magnitude,
 so indefinite or flat directions (a painted plateau) take gradient steps,
 and every step is line-searched inside the search box.  The trap
 frequencies omega_i = sqrt(lambda_i / m) come from the Hessian at the
@@ -119,6 +118,7 @@ class ThermoMetrics:
         }
 
 
+# central differences: the reference the closed-form derivatives are tested against
 def fd_gradient(f, x, h: float) -> np.ndarray:
     pts = np.repeat(x[None, :], 6, axis=0)
     for i in range(3):
@@ -143,15 +143,7 @@ def fd_hessian(f, x, h: float) -> np.ndarray:
     return hess
 
 
-def _derivative_provider(potential, step):
-    """x -> (U, grad U, hess U): closed form for a DipolePotential, else central differences."""
-    f = potential
-    if isinstance(f, DipolePotential):
-        return lambda x: tuple(a[0] for a in f.derivatives(x[None, :]))
-    return lambda x: (f(x[None, :])[0], fd_gradient(f, x, step), fd_hessian(f, x, step))
-
-
-def _newton(derivatives, seed, domain, step):
+def _newton(potential: DipolePotential, seed, domain, step):
     """Damped Newton descent from ``seed`` (clipped into the search box).
 
     Hessian eigenvalues are replaced by their magnitude, floored at
@@ -163,6 +155,9 @@ def _newton(derivatives, seed, domain, step):
     step``, or when the line search stalls at a gradient that is small on the
     scale of U over one ``step``.  Returns (x, U, grad, hess, steps, converged).
     """
+    def derivatives(x):
+        return tuple(a[0] for a in potential.derivatives(x[None, :]))
+
     center, half = domain
     lo, hi = center - half, center + half
     x = np.clip(seed, lo, hi)
@@ -239,34 +234,28 @@ def _ray_barrier(f, x0, u0, directions, domain, step):
 
 
 def characterize(
-    potential,
-    seed_point,
-    *,
-    constants: PhysicalConstants,
-    step: float,
-    domain: tuple,
-    beam_axes=None,
-    multi_seed: bool = True,
+    potential: DipolePotential, seed_point, *, domain: tuple, multi_seed: bool = True
 ) -> TrapReport:
-    """Characterize the trap minimum reached from ``seed_point``.
+    """Characterize the trap minimum of ``potential`` reached from ``seed_point``.
 
-    ``potential`` is a callable mapping (N, 3) points to energies (J); a
-    :class:`DipolePotential` supplies its gradient and Hessian in closed
-    form, any other callable gets central differences at ``step`` (m).
-    ``step`` also spaces the escape scan and sets the margin by which a
-    minimum must clear the search box, the axis-aligned (center,
-    half_extents) ``domain``.  ``beam_axes`` adds escape-search directions
-    along the beam arms.  When the escape scan finds a deeper basin (the
-    coarse phase ripple of a painted trap), the search moves there.
+    Everything but the search box, the axis-aligned (center, half_extents)
+    ``domain``, is read off the potential: its constants, its length scale
+    (the smallest record waist / 50, which spaces the escape scan and sets
+    the margin by which a minimum must clear the box) and its escape arms
+    (the record directions, searched next to the principal axes).  When
+    the escape scan finds a deeper basin (the coarse phase ripple of a
+    painted trap), the search moves there.  ``multi_seed`` retries from
+    the lowest nodes of a grid over the box when the seed finds no minimum.
     """
-    f = potential
-    derivatives = _derivative_provider(potential, step)
+    constants = potential.constants
+    step = float(potential.records[:, 12:14].min()) / 50
+    directions = potential.records[:, 3:6]
+    arms = directions[np.sort(np.unique(directions, axis=0, return_index=True)[1])]
     center, half = domain
-    arms = np.reshape(np.asarray([] if beam_axes is None else beam_axes, dtype=float), (-1, 3))
     scan_step = max(10 * step, 2e-6)
 
     def minimum(start):
-        x, u, grad, hess, iterations, ok = _newton(derivatives, start, domain, step)
+        x, u, grad, hess, iterations, ok = _newton(potential, start, domain, step)
         # a descent that ends on the search-box boundary means the potential
         # is open in that direction (e.g. gravity tilting the trap open)
         ok = ok and not np.any(np.abs(x - center) > half - 2 * step)
@@ -276,7 +265,7 @@ def characterize(
         yield np.asarray(seed_point, dtype=float)
         if multi_seed:  # the five lowest nodes of a grid over the box
             seeds = _seed_grid(domain)
-            yield from seeds[np.argsort(f(seeds))[:5]]
+            yield from seeds[np.argsort(potential(seeds))[:5]]
 
     for seeds_tried, start in enumerate(starts(), 1):
         x, u_min, grad, hess, iterations, ok = minimum(start)
@@ -289,7 +278,7 @@ def characterize(
             raise DomainError("negative Hessian eigenvalue at converged point (saddle)")
         axes = eigvecs.T  # ascending eigenvalues: rows follow the frequencies
         rays = np.concatenate([axes, arms])
-        barriers, deeper = _ray_barrier(f, x, u_min, [*rays, *-rays], domain, scan_step)
+        barriers, deeper = _ray_barrier(potential, x, u_min, [*rays, *-rays], domain, scan_step)
         # a ray that escaped below the minimum found a deeper basin: restart there
         if deeper is None or hops == MAX_BASIN_HOPS:
             break
@@ -311,10 +300,7 @@ def characterize(
         return TrapReport.invalid(x, reason, constants, **diagnostics)
     freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
     depth_escape = max(0.0, float(barriers.min()) - u_min)
-    if isinstance(potential, DipolePotential):
-        depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
-    else:
-        depth_peak = max(0.0, float(barriers.max()) - u_min)
+    depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
     return TrapReport(
         minimum_position=x,
         depth_escape=depth_escape,
@@ -333,18 +319,13 @@ def characterize_beams(
 ) -> TrapReport:
     """Characterize the static trap of a beam pair.
 
-    The seed defaults to the midpoint of the beam origins.  Unless given,
-    the step (escape-scan spacing and box margin) is the smallest waist / 50, the escape search
-    adds both beam arms, and the search box is ``DEFAULT_HALF_EXTENTS``
-    around the seed.
+    The seed defaults to the midpoint of the beam origins and, unless
+    given, the search box is ``DEFAULT_HALF_EXTENTS`` around the seed.
     """
     if seed_point is None:
         seed_point = 0.5 * (beams[0].origin + beams[1].origin)
-    kwargs.setdefault("step", min(min(b.waist_h, b.waist_v) for b in beams) / 50)
-    kwargs.setdefault("beam_axes", [b.direction for b in beams])
     kwargs.setdefault("domain", (seed_point, np.array(DEFAULT_HALF_EXTENTS)))
-    pot = static_potential(constants, beams)
-    return characterize(pot, seed_point, constants=constants, **kwargs)
+    return characterize(static_potential(constants, beams), seed_point, **kwargs)
 
 
 def characterize_crossed_trap(
@@ -430,7 +411,7 @@ def thermo_metrics(
         raise DomainError("cannot compute thermodynamic metrics for an invalid trap report")
     if temperature <= 0:
         raise DomainError("temperature must be positive")
-    constants = constants or report.constants or PhysicalConstants()
+    constants = constants or report.constants
     psd = phase_space_density(atom_number, temperature, report.mean_frequency, constants)
     eta = report.depth / (constants.boltzmann * temperature)
     return ThermoMetrics(

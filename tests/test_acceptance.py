@@ -117,14 +117,7 @@ def test_criterion_04_painted_trap_depth():
         # so the triangle sweep amplitude is 370 um
         wf = synthesize_waveform(LAYOUT, "line-paint", {"amplitude_um": 370.0})
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=256)
-        report = characterize(
-            pot,
-            np.zeros(3),
-            constants=RB,
-            step=0.2e-6,
-            domain=(np.zeros(3), np.array([4e-3, 1.5e-3, 1e-3])),
-            beam_axes=[LAYOUT.beam_direction(1), LAYOUT.beam_direction(2)],
-        )
+        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 1.5e-3, 1e-3])))
         assert report.valid
         depth = report.depth_uk("peak-to-min")
         print(f"    painted depth {depth:.1f} uK (target 240 +/- 25%)")
@@ -200,14 +193,7 @@ def test_criterion_07_thermodynamic_endpoints():
         # indicative, not gated at the 5% level)
         wf = synthesize_waveform(LAYOUT, "line-paint", {"amplitude_um": 230.0})
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=128)
-        report = characterize(
-            pot,
-            np.zeros(3),
-            constants=RB,
-            step=0.2e-6,
-            domain=(np.zeros(3), np.array([4e-3, 1e-3, 1e-3])),
-            beam_axes=[LAYOUT.beam_direction(1), LAYOUT.beam_direction(2)],
-        )
+        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 1e-3, 1e-3])))
         eta = report.depth / (RB.boltzmann * 20e-6)
         freqs = ", ".join(f"{f:.0f}" for f in report.frequencies)
         print(

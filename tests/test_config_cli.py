@@ -25,6 +25,8 @@ class TestConfig:
         beams = beams_from_config(cfg)
         assert layout.focal_length == pytest.approx(60e-3)
         assert constants.gravity == 0.0
+        # the library and the config share one set of defaults, gravity included
+        assert constants == PhysicalConstants()
         assert beams[0].power == 10.0
 
     def test_unknown_key_reports_field_path(self, tmp_path):
@@ -164,11 +166,12 @@ class TestCli:
 
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        # the last two keys were removed: nothing read them
+        # the last three keys were removed: nothing reads them
         for content in (
             {"nope": 1},
             {"layout": {"lens_diameter_mm": 75.0}},
             {"trap": {"n_phases": 256}},
+            {"trap": {"fd_step_um": 0.2}},
         ):
             bad.write_text(json.dumps(content))
             assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -184,6 +187,7 @@ class TestCli:
             "beams.power_w=-Infinity",
             "paint.grid_counts=[1.5,3,3]",
             "paint.line_amplitude_um=370",
+            "trap.fd_step_um=0.2",
             "beams.power_w=1" + "0" * 400,  # an int beyond the float range
             "beams.power_w=1" + "0" * 5000,  # past the int-string limit: read as a string
             "paint=[]",

@@ -8,7 +8,6 @@ from codtsim.painting import (
     GridSpec,
     characterize_sites,
     compensate_powers,
-    depth_equalize_weights,
     minimum_jerk,
     split_ramp,
     synthesize_waveform,
@@ -175,11 +174,6 @@ class TestSites:
             mirror = by_index[(i, 2 - j, k)]
             assert row.report.depth == pytest.approx(mirror.report.depth, rel=0.01, abs=0)
             assert row.radius_beam1 == pytest.approx(mirror.radius_beam2, rel=0.01)
-
-    def test_depth_equalize_first_iterate(self):
-        # synthetic two-site depths (U, U/2) -> weights (1, 2)
-        w = depth_equalize_weights([1.0, 0.5])
-        np.testing.assert_allclose(w, [1.0, 2.0])
 
     def test_compensation_fixed_point_on_uniform_grid(self, layout, input_pair):
         spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))

@@ -7,7 +7,7 @@ import pytest
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError
 from codtsim.optics import AstigmaticBeam
-from codtsim.potential import static_potential
+from codtsim.potential import DipolePotential, beams_to_records, static_potential
 from codtsim.trapchar import (
     DEFAULT_HALF_EXTENTS,
     _ray_barrier,
@@ -24,16 +24,6 @@ from codtsim.trapchar import (
 RB = PhysicalConstants(gravity=0.0)
 
 
-def harmonic_bowl(omega, rim_radius):
-    m = RB.atom_mass
-
-    def u(points):
-        r2 = np.sum(np.atleast_2d(points) ** 2, axis=1)
-        return 0.5 * m * omega**2 * r2
-
-    return u, 0.5 * m * omega**2 * rim_radius**2
-
-
 def stigmatic_beam(power=1.0, waist=10.5e-6):
     return AstigmaticBeam(
         power=power,
@@ -47,24 +37,19 @@ def stigmatic_beam(power=1.0, waist=10.5e-6):
     )
 
 
-class TestCharacterize:
-    def test_harmonic_bowl_identity(self):
-        omega = 2 * math.pi * 500.0
-        rim = 200e-6
-        u, rim_energy = harmonic_bowl(omega, rim)
-        report = characterize(
-            u,
-            np.array([30e-6, -20e-6, 10e-6]),
-            constants=RB,
-            step=1e-6,
-            domain=(np.zeros(3), np.array([rim, rim, rim])),
-        )
-        assert report.valid
-        np.testing.assert_allclose(report.frequencies, 500.0, rtol=1e-6)
-        assert np.linalg.norm(report.minimum_position) < 1e-9
-        # depth under the escape convention equals the rim value
-        assert report.depth_escape == pytest.approx(rim_energy, rel=0.02, abs=0)
+def stigmatic_potential(beams, points):
+    """Closed-form U of stigmatic beams focused at their origins, J."""
+    u = np.zeros(len(points))
+    for b in beams:
+        rel = points - b.origin
+        zeta = rel @ b.direction
+        r2 = np.sum(rel**2, axis=1) - zeta**2
+        w2 = b.waist_h**2 * (1 + (zeta / b.rayleigh_h) ** 2)
+        u -= RB.dipole_coefficient * 2 * b.power / (math.pi * w2) * np.exp(-2 * r2 / w2)
+    return u
 
+
+class TestCharacterize:
     def test_single_beam_gaussian_trap_formulas(self):
         # radial omega = sqrt(4 U0/(m w^2)), axial omega = sqrt(2 U0/(m zR^2))
         beam = stigmatic_beam(power=1.0)
@@ -74,12 +59,7 @@ class TestCharacterize:
         w = beam.waist_h
         zr = beam.rayleigh_h
         report = characterize(
-            pot,
-            np.array([2e-6, 1e-6, -1e-6]),
-            constants=RB,
-            step=w / 50,
-            domain=(np.zeros(3), np.array([2e-3, 2e-4, 2e-4])),
-            beam_axes=[beam.direction],
+            pot, np.array([2e-6, 1e-6, -1e-6]), domain=(np.zeros(3), np.array([2e-3, 2e-4, 2e-4]))
         )
         f_radial = math.sqrt(4 * u0 / (m * w**2)) / (2 * math.pi)
         f_axial = math.sqrt(2 * u0 / (m * zr**2)) / (2 * math.pi)
@@ -103,19 +83,21 @@ class TestCharacterize:
             ]
         )
         expected = np.sort(np.sqrt(curvature / RB.atom_mass) / (2 * math.pi))
+        half = np.array(DEFAULT_HALF_EXTENTS)
         report = characterize(
-            static_potential(RB, [b1, b2]),
-            np.array([1e-6, -2e-6, 0.5e-6]),
-            constants=RB,
-            step=10.5e-6 / 50,
-            domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
-            beam_axes=[b1.direction, b2.direction],
+            static_potential(RB, [b1, b2]), np.array([1e-6, -2e-6, 0.5e-6]), domain=(np.zeros(3), half)
         )
         assert report.valid
+        assert np.linalg.norm(report.minimum_position) < 1e-12
         assert report.frequencies == pytest.approx(expected, rel=1e-9, abs=0)
         assert report.depth_peak == pytest.approx(u1 + u2, rel=1e-9, abs=0)
         axes = np.eye(3)[np.argsort(curvature)]
         np.testing.assert_allclose(np.abs(report.principal_axes), axes, atol=1e-12)
+        # U rises monotonically along every axis, so each escape ray peaks at
+        # the box edge: the escape depth is the lowest edge point over U(0)
+        edges = np.concatenate([np.diag(half), -np.diag(half)])
+        rim = stigmatic_potential([b1, b2], edges).min() + u1 + u2
+        assert report.depth_escape == pytest.approx(rim, rel=1e-9, abs=0)
 
     def test_restarts_in_deeper_basin_the_escape_scan_finds(self, layout, input_pair):
         # a 230 um line paint sampled at 64 phases is a ripple of wells; the one
@@ -125,14 +107,7 @@ class TestCharacterize:
 
         wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
         pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
-        report = characterize(
-            pot,
-            np.zeros(3),
-            constants=RB,
-            step=0.2e-6,
-            domain=(np.zeros(3), np.array([4e-3, 690e-6, 1e-3])),
-            beam_axes=[layout.beam_direction(1), layout.beam_direction(2)],
-        )
+        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 690e-6, 1e-3])))
         assert report.valid and report.seeds_tried == 2
         assert pot.at(report.minimum_position) < 1.01 * pot.at(np.zeros(3))
         assert report.depth_escape > 0.9 * report.depth_peak
@@ -167,10 +142,19 @@ class TestCharacterize:
         h = fd_hessian(u, np.array([0.3, -0.2, 0.5]), 1e-4)
         assert np.max(np.abs(h - h.T)) <= 1e-6 * np.max(np.abs(h))
 
-    def test_step_halving_changes_frequencies_below_half_percent(self, layout, input_pair):
-        r1 = characterize_crossed_trap(RB, layout, input_pair, step=10.5e-6 / 50)
-        r2 = characterize_crossed_trap(RB, layout, input_pair, step=10.5e-6 / 100)
-        np.testing.assert_allclose(r1.frequencies, r2.frequencies, rtol=5e-3)
+    def test_static_trap_independent_of_seed_and_box(self, layout, input_pair):
+        # the escape depth is left out: it still reads U at the box edge, so
+        # it moves by 0.3% when the box doubles
+        ref = characterize_crossed_trap(RB, layout, input_pair)
+        half = np.array(DEFAULT_HALF_EXTENTS)
+        seed = np.array([3e-6, -2e-6, 4e-6])
+        for kwargs in ({"seed_point": seed}, {"domain": (np.zeros(3), 2 * half)}):
+            report = characterize_crossed_trap(RB, layout, input_pair, **kwargs)
+            assert report.valid
+            assert report.frequencies == pytest.approx(ref.frequencies, rel=1e-9, abs=0)
+            assert report.depth_peak == pytest.approx(ref.depth_peak, rel=1e-9, abs=0)
+            shift = np.linalg.norm(report.minimum_position - ref.minimum_position)
+            assert shift <= 1e-9 * np.linalg.norm(ref.minimum_position)
 
     def test_power_scaling_of_depth_and_frequencies(self, layout):
         from codtsim.optics import InputBeam
@@ -202,33 +186,31 @@ class TestCharacterize:
         assert not report.valid
 
     def test_flat_potential_invalid_trough_valid(self):
-        omega = 2 * math.pi * 500.0
-        kwargs = dict(constants=RB, step=1e-6, domain=(np.zeros(3), np.full(3, 200e-6)), multi_seed=False)
-        flat = characterize(lambda p: np.zeros(len(p)), np.zeros(3), **kwargs)
+        kwargs = dict(domain=(np.zeros(3), np.full(3, 200e-6)), multi_seed=False)
+        flat = characterize(static_potential(RB, [stigmatic_beam(power=0.0)]), np.zeros(3), **kwargs)
         assert not flat.valid and "curvature" in flat.reason
 
-        # one flat direction, like the long axis of a line-painted trap, stays a trap
-        def trough(points):
-            p = np.atleast_2d(points)
-            return 0.5 * RB.atom_mass * omega**2 * (p[:, 0] ** 2 + p[:, 1] ** 2)
-
-        report = characterize(trough, np.zeros(3), **kwargs)
+        # one flat direction, like the long axis of a line-painted trap, stays
+        # a trap: a beam with an infinite Rayleigh range is a uniform cylinder
+        beam = stigmatic_beam()
+        records = beams_to_records([beam])
+        records[:, 16:18] = np.inf
+        pot = DipolePotential(RB, records)
+        report = characterize(pot, np.zeros(3), **kwargs)
         assert report.valid
         assert report.frequencies[0] == 0.0
-        np.testing.assert_allclose(report.frequencies[1:], 500.0, rtol=1e-6)
+        u0 = -pot.at(np.zeros(3))
+        f_radial = math.sqrt(4 * u0 / (RB.atom_mass * beam.waist_h**2)) / (2 * math.pi)
+        np.testing.assert_allclose(report.frequencies[1:], f_radial, rtol=1e-6)
 
     def test_saddle_point_detected(self):
-        def u(points):
-            p = np.atleast_2d(points)
-            return p[:, 0] ** 2 + p[:, 1] ** 2 - 0.5 * p[:, 2] ** 2
-
+        # two parallel beams 16 um apart: across them the origin is a maximum
+        beams = [replace(stigmatic_beam(), origin=np.array([0.0, y, 0.0])) for y in (8e-6, -8e-6)]
         with pytest.raises(DomainError):
             characterize(
-                u,
+                static_potential(RB, beams),
                 np.zeros(3),
-                constants=RB,
-                step=1e-3,
-                domain=(np.zeros(3), np.ones(3)),
+                domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
                 multi_seed=False,
             )
 
