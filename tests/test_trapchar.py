@@ -50,6 +50,30 @@ def stigmatic_potential(beams, points):
 
 
 class TestCharacterize:
+    def test_harmonic_bowl_identity(self):
+        # three identical beams along x, y and z focused at the origin make an
+        # isotropic bowl: per axis two beams curve across it (4 U/w^2 each) and
+        # one along it (2 U/zR^2)
+        base = stigmatic_beam(power=5.0, waist=100e-6)
+        beams = [replace(base, direction=d) for d in np.eye(3)]
+        u0 = RB.dipole_coefficient * 2 * base.power / (math.pi * base.waist_h**2)
+        curvature = 8 * u0 / base.waist_h**2 + 2 * u0 / base.rayleigh_h**2
+        f_bowl = math.sqrt(curvature / RB.atom_mass) / (2 * math.pi)
+        rim = 200e-6
+        report = characterize(
+            static_potential(RB, beams),
+            np.array([30e-6, -20e-6, 10e-6]),
+            domain=(np.zeros(3), np.array([rim, rim, rim])),
+        )
+        assert report.valid
+        assert report.frequencies == pytest.approx([f_bowl] * 3, rel=1e-9, abs=0)
+        assert np.linalg.norm(report.minimum_position) < 1e-12
+        assert report.depth_peak == pytest.approx(3 * u0, rel=1e-9, abs=0)
+        # U rises monotonically out to the rim along every axis, and the six
+        # rim points are equal by symmetry: the escape depth is the rim value
+        rim_energy = stigmatic_potential(beams, np.array([[rim, 0.0, 0.0]]))[0] + 3 * u0
+        assert report.depth_escape == pytest.approx(rim_energy, rel=1e-9, abs=0)
+
     def test_single_beam_gaussian_trap_formulas(self):
         # radial omega = sqrt(4 U0/(m w^2)), axial omega = sqrt(2 U0/(m zR^2))
         beam = stigmatic_beam(power=1.0)
