@@ -30,7 +30,6 @@ from .trapchar import (
     ThermoMetrics,
     TrapReport,
     characterize,
-    misalignment_sensitivity,
     reachable_volume,
     thermo_metrics,
 )
@@ -54,6 +53,5 @@ __all__ = [
     "characterize",
     "reachable_volume",
     "thermo_metrics",
-    "misalignment_sensitivity",
     "__version__",
 ]

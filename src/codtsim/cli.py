@@ -137,7 +137,7 @@ def cmd_trap_volume(cfg, out: Path) -> list[str]:
     vol = cfg["volume"]
     h = None if vol["h_half_range_mm"] is None else vol["h_half_range_mm"] * 1e-3
     v = None if vol["v_half_range_mm"] is None else vol["v_half_range_mm"] * 1e-3
-    result = reachable_volume(layout, h, v, n_grid=vol["n_grid"])
+    result = reachable_volume(layout, h, v)
     write_json(out / "volume.json", result)
     return ["volume.json"]
 

@@ -69,7 +69,6 @@ SPEC: dict = {
     "volume": {
         "h_half_range_mm": (None, "number", "nullable", "nonnegative"),
         "v_half_range_mm": (None, "number", "nullable", "nonnegative"),
-        "n_grid": (61, "integer", "positive"),
     },
     "evap": {
         "power_start_w": (10.0, "number", "positive"),

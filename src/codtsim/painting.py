@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +26,14 @@ from .optics import (
     max_displacement,
     offsets_from_crossing,
 )
-from .potential import ModulationWaveform
-# characterize is bound here only because perfbench's tracer test checks
-# that the tracer patches it through this module's from-import
-from .trapchar import TrapReport, characterize, characterize_beams  # noqa: F401
+from .potential import DipolePotential, ModulationWaveform, beam_records
+from .trapchar import DEFAULT_HALF_EXTENTS, TrapReport, characterize
 
 DEFAULT_PERIOD = 1e-3
 TRANSITION_FRACTION = 0.05
 TRANSPORT_PROFILES = ("minimum-jerk", "linear")
 OBJECTIVES = ("equal-depth", "equal-mean-frequency")
-# compensate_powers: iterations, objective-spread target, rebalance candidates per site
-COMPENSATION_MAX_ITER = 40
+# compensate_powers: objective-spread target, rebalance candidates per site
 COMPENSATION_TOL = 1e-3
 BALANCE_STEPS = 13
 
@@ -134,6 +131,12 @@ def _channel_amp_mhz(layout: OpticalLayout, channel: str, displacement: float) -
             f"{channel}, outside the +/-{layout.aod_freq_range_mhz} MHz AOD range"
         )
     return amp
+
+
+def _site_offsets(layout: OpticalLayout, position) -> tuple[float, float, float, float]:
+    """AOD displacements (h1, v1, h2, v2) that cross the beams at ``position``."""
+    h1, h2, v = offsets_from_crossing(layout, position)
+    return (h1, v, h2, v)
 
 
 def _dwell_waveform(
@@ -256,8 +259,7 @@ def synthesize_waveform(
         segments = []
         seg_weights = []
         for n_idx, idx in enumerate(spec.site_indices()):
-            h1, h2, v = offsets_from_crossing(layout, spec.site_position(idx))
-            segments.append((h1, v, h2, v))
+            segments.append(_site_offsets(layout, spec.site_position(idx)))
             w = 1.0 if weights is None else float(weights[n_idx])
             seg_weights.append((w, 1.0, w, 1.0))
         return _dwell_waveform(layout, segments, seg_weights, period=period)
@@ -344,39 +346,40 @@ def transport_ramp(
         positions = start + s * (end - start)
         segments = []
         for pos in positions:
-            h1, h2, v = offsets_from_crossing(layout, pos)
-            for ch, off in zip(CHANNELS, (h1, v, h2, v)):
+            offsets = _site_offsets(layout, pos)
+            for ch, off in zip(CHANNELS, offsets):
                 if abs(off) > max_displacement(layout, ch) * (1 + 1e-9):
                     raise DomainError(
                         f"transport waypoint {pos * 1e6} um unreachable on channel {ch}"
                     )
-            segments.append((h1, v, h2, v))
+            segments.append(offsets)
         out.append(_dwell_waveform(layout, segments, period=period))
     return out
 
 
-def _site_beams(layout, inputs, position, w1: float, w2: float):
-    h1, h2, v = offsets_from_crossing(layout, position)
-    b1, b2 = build_beamlines(layout, inputs, (h1, v, h2, v))
-    return [replace(b, power=b.power * w) for b, w in ((b1, w1), (b2, w2))]
-
-
-def _site_report(constants: PhysicalConstants, beams, position) -> TrapReport:
-    """Single-seed report of one site's beam pair; an invalid report on DomainError."""
+def _site_report(constants: PhysicalConstants, records, position) -> TrapReport:
+    """Single-seed report of one site's (2, 19) records; an invalid report on DomainError."""
+    potential = DipolePotential(constants, records)
+    domain = (position, np.array(DEFAULT_HALF_EXTENTS))
     try:
-        return characterize_beams(constants, beams, position, multi_seed=False)
+        return characterize(potential, position, domain=domain, multi_seed=False)
     except DomainError as exc:
         return TrapReport.invalid(position, str(exc), constants)
+
+
+def _local_radius(record, position) -> float:
+    """Geometric-mean 1/e^2 radius of one beam record at the axial position of ``position``."""
+    zeta = (position - record[0:3]) @ record[3:6]
+    w_h, w_v = record[12:14] * np.sqrt(1.0 + ((zeta - record[14:16]) / record[16:18]) ** 2)
+    return math.sqrt(w_h * w_v)
 
 
 def _as_weight_pairs(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.ones((n, 2))
     arr = np.asarray(weights, dtype=float)
-    if arr.ndim == 1:
-        arr = np.repeat(arr[:, None], 2, axis=1)
     if arr.shape != (n, 2):
-        raise DomainError("weights must have one value or one (beam1, beam2) pair per site")
+        raise DomainError("weights must have one (beam1, beam2) pair per site")
     if np.any(arr <= 0):
         raise DomainError("power weights must be positive")
     return arr
@@ -394,30 +397,26 @@ def characterize_sites(
     Each site is characterized in its own basin from the instantaneous trap
     formed while the multiplexed drive dwells there (neighbor contributions
     are negligible for spacings well above the local waists).  ``weights``
-    may give one power weight per site or one per site and beam.
+    gives one (beam1, beam2) power weight pair per site.
     """
     indices = spec.site_indices()
     pairs = _as_weight_pairs(weights, len(indices))
-    rows = []
-    for idx, (w1, w2) in zip(indices, pairs):
-        pos = spec.site_position(idx)
-        beams = _site_beams(layout, inputs, pos, float(w1), float(w2))
-        radii = []
-        for b in beams:
-            zeta = float((pos - b.origin) @ b.direction)
-            radii.append(math.sqrt(float(b.width_h(zeta)) * float(b.width_v(zeta))))
-        rows.append(
+    positions = [spec.site_position(idx) for idx in indices]
+    records = beam_records(layout, inputs, [_site_offsets(layout, p) for p in positions], pairs)
+    return SiteTable(
+        rows=[
             SiteRow(
                 index=idx,
                 position=pos,
-                report=_site_report(constants, beams, pos),
-                radius_beam1=radii[0],
-                radius_beam2=radii[1],
+                report=_site_report(constants, recs, pos),
+                radius_beam1=_local_radius(recs[0], pos),
+                radius_beam2=_local_radius(recs[1], pos),
                 weight_beam1=float(w1),
                 weight_beam2=float(w2),
             )
-        )
-    return SiteTable(rows=rows)
+            for idx, pos, recs, (w1, w2) in zip(indices, positions, records, pairs)
+        ]
+    )
 
 
 def compensate_powers(
@@ -430,15 +429,20 @@ def compensate_powers(
 ) -> SiteTable:
     """Optimize per-site, per-beam power weights to homogenize the grid.
 
-    Two nested moves per site, re-characterized each iteration: a common
-    rescale of both beams pinning the objective to the central site (depth
-    scales linearly with power, frequency with its square root), and an
-    intensity rebalance between the two beams that minimizes the residual
-    frequency deviation at fixed objective.  ``table`` is the uncompensated
-    grid.  Stops once the relative spread of the objective is below
-    ``COMPENSATION_TOL`` or the rebalance no longer improves.  The rescale
-    is exact only without gravity, so a nonzero ``constants.gravity`` is
-    refused before any site is characterized.
+    One balance scan per site: ``BALANCE_STEPS`` splits base (1 +/- delta)
+    of the site's mean weight between its two beams, each followed by the
+    common rescale of both beams that pins the objective to the central
+    site (depth scales linearly with power, frequency with its square
+    root).  The split with the smallest residual (frequency deviation at
+    equal depth, depth deviation at equal mean frequency) is kept.  The
+    rescale is exact only without gravity, so a nonzero
+    ``constants.gravity`` is refused before any site is characterized; with
+    it exact, a second scan would test the same ratios again.  ``table`` is
+    the uncompensated grid.  The chosen weights are scaled to a mean of at
+    most 1 (the power budget) and the grid is characterized once with them;
+    when that does not lower the objective spread, ``table``'s rows come
+    back.  ``table`` itself is left unchanged.
+    ``converged`` tells whether the spread is below ``COMPENSATION_TOL``.
     """
     if constants.gravity:
         raise DomainError(
@@ -485,47 +489,38 @@ def compensate_powers(
             vals = np.array([r.report.mean_frequency for r in t.rows])
         return float((vals.max() - vals.min()) / vals.mean())
 
+    spread = objective_spread(table)
+    if spread < COMPENSATION_TOL:
+        return SiteTable(table.rows, converged=True)
     central_n = table.central_index()
-    current = table
-    pairs = pairs.copy()
-    best_spread = objective_spread(current)
-    for _ in range(COMPENSATION_MAX_ITER):
-        if best_spread < COMPENSATION_TOL:
-            break
-        new_pairs = pairs.copy()
-        for n, idx in enumerate(indices):
-            if n == central_n:
+    deltas = np.linspace(-0.35, 0.35, BALANCE_STEPS)
+    new_pairs = pairs.copy()
+    for n, idx in enumerate(indices):
+        if n == central_n:
+            continue
+        pos = spec.site_position(idx)
+        base = 0.5 * (pairs[n, 0] + pairs[n, 1])
+        candidates = base * np.column_stack([1 + deltas, 1 - deltas])
+        offsets = [_site_offsets(layout, pos)] * BALANCE_STEPS
+        records = beam_records(layout, inputs, offsets, candidates)
+        best = None
+        for (w1, w2), recs in zip(candidates, records):
+            rep = _site_report(constants, recs, pos)
+            if not rep.valid or rep.depth <= 0:
                 continue
-            pos = spec.site_position(idx)
-            base = 0.5 * (pairs[n, 0] + pairs[n, 1])
-            best = None
-            for delta in np.linspace(-0.35, 0.35, BALANCE_STEPS):
-                w1 = base * (1 + delta)
-                w2 = base * (1 - delta)
-                if w1 <= 0 or w2 <= 0:
-                    continue
-                rep = _site_report(constants, _site_beams(layout, inputs, pos, w1, w2), pos)
-                if not rep.valid or rep.depth <= 0:
-                    continue
-                scale = pin_scale(rep)
-                res = residual(rep, scale)
-                if best is None or res < best[0]:
-                    best = (res, w1 * scale, w2 * scale)
-            if best is not None:
-                new_pairs[n] = [best[1], best[2]]
-        trial = characterize_sites(constants, layout, inputs, spec, weights=new_pairs)
-        trial_spread = objective_spread(trial)
-        if trial_spread >= best_spread:
-            break  # accepted iterates must not increase the objective spread
-        pairs, current, best_spread = new_pairs, trial, trial_spread
-
-    # power budget: mean weight <= 1 (a common rescale leaves all spreads intact)
-    mean_w = np.array([[r.weight_beam1, r.weight_beam2] for r in current.rows]).mean()
-    if mean_w > 1.0:
-        pairs = pairs / mean_w
-        current = characterize_sites(constants, layout, inputs, spec, weights=pairs)
-    current.converged = best_spread < COMPENSATION_TOL
-    return current
+            scale = pin_scale(rep)
+            res = residual(rep, scale)
+            if best is None or res < best[0]:
+                best = (res, w1 * scale, w2 * scale)
+        if best is not None:
+            new_pairs[n] = best[1:]
+    new_pairs /= max(1.0, new_pairs.mean())  # power budget: mean weight <= 1
+    trial = characterize_sites(constants, layout, inputs, spec, weights=new_pairs)
+    trial_spread = objective_spread(trial)
+    if trial_spread >= spread:  # the scan must lower the objective spread
+        return SiteTable(table.rows, converged=False)
+    trial.converged = trial_spread < COMPENSATION_TOL
+    return trial
 
 
 def site_table_csv_rows(table: SiteTable) -> list[dict]:

@@ -186,6 +186,31 @@ class DipolePotential:
         return float(self(np.asarray(point, dtype=float).reshape(1, 3))[0])
 
 
+def beam_records(
+    layout: OpticalLayout,
+    inputs: tuple[InputBeam, InputBeam],
+    offsets,
+    weights=1.0,
+) -> np.ndarray:
+    """Kernel records (n, 2, 19) of both beams for rows (h1, v1, h2, v2) of AOD offsets.
+
+    ``offsets`` holds one or more rows of displacements in m (see
+    :func:`~codtsim.optics.place_beams`); ``weights`` multiplies each beam's
+    power and broadcasts against (n, 2).  The aligned pair fixes directions,
+    axes, foci and powers; placement moves the origins and scales the waists
+    at fixed Rayleigh range.  Equal to packing ``build_beamlines`` row by row.
+    """
+    origins, scales, m2 = place_beams(layout, offsets)
+    aligned = beams_to_records(build_beamlines(layout, inputs))
+    records = np.repeat(aligned[None], len(origins), axis=0)
+    wavelengths = np.array([b.wavelength for b in inputs])
+    records[..., 0:3] = origins
+    records[..., 12:14] *= scales[..., None]
+    records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
+    records[..., 18] *= weights
+    return records
+
+
 def static_potential(constants: PhysicalConstants, beams) -> DipolePotential:
     return DipolePotential(constants, beams_to_records(beams))
 
@@ -237,15 +262,8 @@ def _phase_records(
 ) -> np.ndarray:
     """Unmerged records of all phases, beam 1 then beam 2 per phase."""
     offsets, wts = _sampled_offsets(layout, waveform, n_phases)
-    origins, scales, m2 = place_beams(layout, offsets)
-    # the aligned pair fixes directions, axes, foci and powers; placement
-    # moves the origins and scales waists at fixed Rayleigh range
-    records = np.repeat(beams_to_records(build_beamlines(layout, inputs))[None], n_phases, axis=0)
-    wavelengths = np.array([b.wavelength for b in inputs])
-    records[..., 0:3] = origins
-    records[..., 12:14] *= scales[..., None]
-    records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
-    records[..., 18] *= wts[:, 0::2] * wts[:, 1::2] / n_phases  # (h1 v1, h2 v2) weights
+    # (h1 v1, h2 v2) channel weights, spread over the phases of one period
+    records = beam_records(layout, inputs, offsets, wts[:, 0::2] * wts[:, 1::2] / n_phases)
     return records.reshape(-1, BEAM_RECORD_SIZE)
 
 

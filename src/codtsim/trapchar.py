@@ -20,8 +20,8 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .optics import InputBeam, OpticalLayout, build_beamlines, max_displacement
-from .potential import DipolePotential, static_potential
+from .optics import InputBeam, OpticalLayout, max_displacement
+from .potential import DipolePotential, beam_records
 
 DEFAULT_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
 # Newton minimum search: step cap, eigenvalue floor as a share of the largest
@@ -314,18 +314,18 @@ def characterize(
     )
 
 
-def characterize_beams(
-    constants: PhysicalConstants, beams, seed_point=None, **kwargs
+def _characterize_pair(
+    constants: PhysicalConstants, records, seed_point=None, **kwargs
 ) -> TrapReport:
-    """Characterize the static trap of a beam pair.
+    """Characterize the static trap of one beam pair's (2, 19) records.
 
-    The seed defaults to the midpoint of the beam origins and, unless
+    The seed defaults to the midpoint of the two record origins and, unless
     given, the search box is ``DEFAULT_HALF_EXTENTS`` around the seed.
     """
     if seed_point is None:
-        seed_point = 0.5 * (beams[0].origin + beams[1].origin)
+        seed_point = 0.5 * (records[0, 0:3] + records[1, 0:3])
     kwargs.setdefault("domain", (seed_point, np.array(DEFAULT_HALF_EXTENTS)))
-    return characterize(static_potential(constants, beams), seed_point, **kwargs)
+    return characterize(DipolePotential(constants, records), seed_point, **kwargs)
 
 
 def characterize_crossed_trap(
@@ -335,64 +335,40 @@ def characterize_crossed_trap(
     **kwargs,
 ) -> TrapReport:
     """Characterize the unmodulated, aligned crossed trap."""
-    return characterize_beams(constants, build_beamlines(layout, inputs), **kwargs)
+    return _characterize_pair(constants, beam_records(layout, inputs, np.zeros(4))[0], **kwargs)
 
 
 def reachable_volume(
     layout: OpticalLayout,
     h_half_range: float | None = None,
     v_half_range: float | None = None,
-    n_grid: int = 41,
 ) -> dict:
     """Reachable crossing positions over the four-channel AOD range.
 
-    Enumerates axis-intersection solutions on a dense grid of per-beam
-    in-plane offsets; reports the in-plane hull area, the vertical span, the
-    prism volume (area x span) and the true 3D hull volume, which coincide
-    because vertical steering decouples from the in-plane map.
+    The crossing is a linear map of the per-beam in-plane offsets
+    (:func:`~codtsim.optics.crossing_from_offsets`), so the square
+    |h1|, |h2| <= a maps onto the parallelogram with corners (-/+a/sin, 0)
+    and (0, -/+a/cos) and area 2 a^2 / (sin cos).  Vertical steering
+    decouples from the in-plane map, so the hull volume is the prism volume
+    (area x vertical span).
     """
-    from scipy.spatial import ConvexHull
-
-    if n_grid < 2:
-        raise DomainError(f"n_grid must be at least 2 to span the range, got {n_grid}")
     if h_half_range is None:
         h_half_range = 0.5 * (max_displacement(layout, "h1") + max_displacement(layout, "h2"))
     if v_half_range is None:
         v_half_range = 0.5 * (max_displacement(layout, "v1") + max_displacement(layout, "v2"))
+    a = h_half_range
     s = math.sin(layout.half_angle)
     c = math.cos(layout.half_angle)
-    if h_half_range == 0.0:
-        return {
-            "planar_area_mm2": 0.0,
-            "vertical_span_mm": 2 * v_half_range * 1e3,
-            "prism_volume_mm3": 0.0,
-            "hull_volume_mm3": 0.0,
-            "hull_points_mm": [],
-        }
-    a = np.linspace(-h_half_range, h_half_range, n_grid)
-    aa, bb = np.meshgrid(a, a, indexing="ij")
-    xy = np.stack([(bb - aa) / (2 * s), (aa + bb) / (2 * c)], axis=-1).reshape(-1, 2)
-    hull2d = ConvexHull(xy)
-    area_m2 = hull2d.volume  # 2D hull "volume" is the area
+    area_m2 = 2 * a * a / (s * c)
     span = 2 * v_half_range
-    prism = area_m2 * span
-    if v_half_range > 0:
-        pts3 = np.concatenate(
-            [
-                np.column_stack([xy, np.full(len(xy), -v_half_range)]),
-                np.column_stack([xy, np.full(len(xy), +v_half_range)]),
-            ]
-        )
-        hull3d_volume = ConvexHull(pts3).volume
-    else:
-        hull3d_volume = 0.0
-    boundary = xy[hull2d.vertices]
+    volume_mm3 = area_m2 * span * 1e9
+    corners = [[-a / s, 0.0], [0.0, -a / c], [a / s, 0.0], [0.0, a / c]] if a else []
     return {
         "planar_area_mm2": area_m2 * 1e6,
         "vertical_span_mm": span * 1e3,
-        "prism_volume_mm3": prism * 1e9,
-        "hull_volume_mm3": hull3d_volume * 1e9,
-        "hull_points_mm": (boundary * 1e3).tolist(),
+        "prism_volume_mm3": volume_mm3,
+        "hull_volume_mm3": volume_mm3,
+        "hull_points_mm": (np.array(corners) * 1e3).tolist(),
     }
 
 
@@ -433,37 +409,28 @@ def phase_space_density(
     ) ** 3
 
 
-def misalignment_sensitivity(
-    constants: PhysicalConstants,
-    layout: OpticalLayout,
-    inputs: tuple[InputBeam, InputBeam],
-    relative_offset: float,
-) -> float:
-    """Depth ratio vs. aligned when beam 2 is displaced vertically by ``relative_offset``."""
-    return misalignment_sweep(constants, layout, inputs, [relative_offset])[0]["depth_ratio"]
-
-
 def misalignment_sweep(
     constants: PhysicalConstants,
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     offsets,
 ) -> list[dict]:
-    """Depth ratio vs. the aligned trap for each vertical offset of beam 2 (0 if no trap)."""
-    ref = characterize_crossed_trap(constants, layout, inputs)
+    """Depth ratio vs. the aligned trap for each vertical offset of beam 2 (0 if no trap).
+
+    The offset moves beam 2's axis without an AOD, so no range check applies.
+    """
+    aligned = beam_records(layout, inputs, np.zeros(4))[0]
+    ref = _characterize_pair(constants, aligned)
     if not ref.valid or ref.depth <= 0:
         raise DomainError("reference trap is not valid")
-    b1, b2 = build_beamlines(layout, inputs)
     rows = []
     for off in np.asarray(offsets, dtype=float):
-        report = characterize_beams(constants, (b1, shifted_beam(b2, np.array([0.0, 0.0, off]))))
-        ratio = report.depth / ref.depth if report.valid else 0.0
+        records = aligned.copy()
+        records[1, 2] += off
+        try:
+            report = _characterize_pair(constants, records)
+            ratio = report.depth / ref.depth if report.valid else 0.0
+        except DomainError:  # the beams have parted: the midpoint seed sits on a saddle
+            ratio = 0.0
         rows.append({"offset_um": off * 1e6, "depth_ratio": ratio})
     return rows
-
-
-def shifted_beam(beam, shift: np.ndarray):
-    """Copy of a beam with its axis translated by ``shift``."""
-    from dataclasses import replace
-
-    return replace(beam, origin=beam.origin + shift)

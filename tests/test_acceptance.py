@@ -320,7 +320,7 @@ def test_criterion_11_misalignment_sweep(tmp_path):
 
 def test_criterion_12_reachable_volume():
     with criterion(12, "reachable volume"):
-        result = reachable_volume(LAYOUT, 1.38e-3, 1.32e-3, n_grid=81)
+        result = reachable_volume(LAYOUT, 1.38e-3, 1.32e-3)
         assert result["vertical_span_mm"] == pytest.approx(2.64, abs=1e-12)
         # intersection-oracle values, reported alongside the published
         # 27.2 mm^2 / 71.8 mm^3 whose area convention is not reproduced

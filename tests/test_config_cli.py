@@ -188,6 +188,7 @@ class TestCli:
             "paint.grid_counts=[1.5,3,3]",
             "paint.line_amplitude_um=370",
             "trap.fd_step_um=0.2",
+            "volume.n_grid=1",
             "beams.power_w=1" + "0" * 400,  # an int beyond the float range
             "beams.power_w=1" + "0" * 5000,  # past the int-string limit: read as a string
             "paint=[]",
@@ -284,7 +285,6 @@ class TestCli:
             # a waypoint beyond the reachable range surfaces as a domain error
             ("paint transport", "paint.transport_end_um=[[0.0, 0.0, 5000.0]]", "unreachable"),
             ("paint grid", "beams.power_w=0", "central site"),
-            ("trap volume", "volume.n_grid=1", "n_grid"),
             # the linear power rescale of compensation holds only at zero gravity
             ("paint compensate", "constants.gravity_m_s2=9.81", "zero gravity"),
         ):
@@ -304,6 +304,15 @@ class TestCli:
         assert main(["paint", "grid", "--out", str(out), "--set", "paint.grid_counts=[1,1,1]"]) == 0
         summary = json.loads((out / "grid_summary.json").read_text())
         assert summary["frequency_spread"] == 0.0 and summary["depth_spread"] == 0.0
+
+    def test_misalign_sweep_past_the_crossing_reads_zero(self, tmp_path):
+        # from ~1.15 waists of offset the beams no longer cross: no trap, ratio 0
+        out = tmp_path / "misalign"
+        assert main(["trap", "misalign-sweep", "--out", str(out), "--set", "misalign.max_offset_um=20"]) == 0
+        rows = np.loadtxt(out / "misalign_sweep.csv", delimiter=",", skiprows=1)
+        far = np.abs(rows[:, 0]) >= 12
+        np.testing.assert_array_equal(rows[:, 0], np.linspace(-20, 20, 11))
+        assert np.all(rows[far, 1] == 0) and np.all(rows[~far, 1] > 0)
 
     def test_model_validity_error_exit_code_4(self, tmp_path):
         # an extreme off-axis slope drives a waist non-positive at the grid edge

@@ -190,10 +190,22 @@ class TestSites:
         def no_characterization(*args, **kwargs):
             raise AssertionError("characterized a site before refusing gravity")
 
-        monkeypatch.setattr(codtsim.painting, "characterize_beams", no_characterization)
+        monkeypatch.setattr(codtsim.painting, "characterize", no_characterization)
         spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
         with pytest.raises(DomainError, match="zero gravity"):
             compensate_powers(PhysicalConstants(gravity=9.81), layout, input_pair, spec, table=None)
+
+    def test_compensation_is_one_balance_scan(self, layout, input_pair, grid_table, monkeypatch):
+        # BALANCE_STEPS candidates per non-central site, then the grid once
+        import codtsim.painting
+
+        spec, table = grid_table
+        calls = []
+        real = codtsim.painting.characterize
+        monkeypatch.setattr(codtsim.painting, "characterize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        compensate_powers(RB, layout, input_pair, spec, table=table)
+        n_sites = len(table.rows)
+        assert len(calls) == (n_sites - 1) * codtsim.painting.BALANCE_STEPS + n_sites == 113
 
     def test_compensation_reduces_frequency_spread(self, layout, input_pair, grid_table):
         spec, table = grid_table

@@ -9,6 +9,7 @@ from codtsim.potential import (
     ModulationWaveform,
     ScalarField3D,
     _phase_records,
+    beam_records,
     beams_to_records,
     dipole_potential_at,
     static_potential,
@@ -206,6 +207,25 @@ class TestTimeAveragedPotential:
                         np.testing.assert_array_equal(got, ref)
                     else:  # tan() of an array may round differently from tan() of a scalar
                         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_beam_records_match_packed_beamlines(self):
+        # the object model is the reference: each row packs build_beamlines
+        # for its offsets, powers times the row's weights
+        from codtsim.optics import InputBeam
+
+        inputs = (InputBeam(power=8.0), InputBeam(power=12.0, wavelength=1.07e-6, collimated_radius=1.8e-3))
+        offsets = np.array(
+            [[0.0, 0.0, 0.0, 0.0], [40e-6, -20e-6, 10e-6, 30e-6], [-300e-6, 120e-6, 250e-6, -80e-6]]
+        )
+        weights = np.array([[1.0, 1.0], [0.7, 1.3], [0.25, 0.9]])
+        for mode in ("calibrated", "geometric"):
+            layout = OpticalLayout(deflection_mode=mode)
+            got = beam_records(layout, inputs, offsets, weights)
+            assert got.shape == (3, 2, 19)
+            for row, offs, w in zip(got, offsets, weights):
+                ref = beams_to_records(build_beamlines(layout, inputs, offs))
+                ref[:, 18] *= w
+                np.testing.assert_array_equal(row, ref)
 
     def test_merged_records_equal_unmerged_sum(self, no_gravity, layout, input_pair):
         from codtsim.painting import GridSpec, synthesize_waveform

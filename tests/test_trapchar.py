@@ -14,7 +14,6 @@ from codtsim.trapchar import (
     characterize,
     characterize_crossed_trap,
     fd_hessian,
-    misalignment_sensitivity,
     misalignment_sweep,
     phase_space_density,
     reachable_volume,
@@ -245,10 +244,21 @@ class TestReachableVolume:
         assert result["vertical_span_mm"] == pytest.approx(2.64, abs=1e-12)
 
     def test_diamond_area_from_intersection_oracle(self, layout):
-        # brute-force oracle: vertices at (+/-2A/(2 sin a), 0), (0, +/-2A/(2 cos a))
-        result = reachable_volume(layout, 1.38e-3, 1.32e-3, n_grid=81)
+        # brute-force oracle: the convex hull of crossings enumerated over a
+        # grid of per-beam offsets, vertices at (+/-A/sin a, 0), (0, +/-A/cos a)
+        from scipy.spatial import ConvexHull
+
+        from codtsim.optics import crossing_from_offsets
+
+        result = reachable_volume(layout, 1.38e-3, 1.32e-3)
         a = 1.38e-3
         s, c = math.sin(layout.half_angle), math.cos(layout.half_angle)
+        offsets = np.linspace(-a, a, 41)
+        h1, h2 = (g.ravel() for g in np.meshgrid(offsets, offsets, indexing="ij"))
+        crossings = crossing_from_offsets(layout, h1, h2, 0.0 * h1)[:, :2]
+        hull = ConvexHull(crossings)
+        assert result["planar_area_mm2"] == pytest.approx(hull.volume * 1e6, rel=1e-12, abs=0)
+        np.testing.assert_allclose(result["hull_points_mm"], crossings[hull.vertices] * 1e3, rtol=1e-12)
         expected_mm2 = 2 * (a / s) * (a / c) * 1e6
         assert result["planar_area_mm2"] == pytest.approx(expected_mm2, rel=1e-3)
         assert result["planar_area_mm2"] == pytest.approx(15.2, rel=0.01)
@@ -290,7 +300,8 @@ class TestThermoMetrics:
 
 class TestMisalignment:
     def test_zero_offset_ratio_is_one(self, layout, input_pair):
-        assert misalignment_sensitivity(RB, layout, input_pair, 0.0) == pytest.approx(1.0, abs=1e-9)
+        [row] = misalignment_sweep(RB, layout, input_pair, [0.0])
+        assert row["depth_ratio"] == pytest.approx(1.0, abs=1e-9)
 
     def test_even_and_non_increasing(self, layout, input_pair):
         offsets = np.array([-8e-6, -4e-6, 0.0, 4e-6, 8e-6])
