@@ -35,6 +35,7 @@ from .painting import (
 )
 from .pointing import (
     SpotTrackSeries,
+    check_spots_in_frame,
     read_pgm,
     synth_frame,
     track_spots,
@@ -407,9 +408,12 @@ def flight_truth_trajectory(cfg) -> dict:
 def cmd_flight_synth(cfg, out: Path) -> list[str]:
     f = cfg["flight"]
     truth = flight_truth_trajectory(cfg)
+    shape = tuple(int(v) for v in f["frame_shape"])
+    # a spot leaving the frame fails the run before any frame is written
+    spots_um = truth["positions"].reshape(-1, 2)
+    check_spots_in_frame(spots_um[:, 0].tolist(), spots_um[:, 1].tolist(), shape, f["pixel_pitch_um"] * 1e-6)
     frames_dir = out / "frames"
     frames_dir.mkdir(exist_ok=True)
-    shape = tuple(int(v) for v in f["frame_shape"])
     artifacts = []
     for i, t in enumerate(truth["times"]):
         spots = [
@@ -500,13 +504,11 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path | None = None, centroids
     if centroids is not None:
         series = _series_from_centroid_csv(centroids, boundaries)
     else:
-        base = frames_dir or out
-        frames = []
-        for i in range(meta["n_frames"]):
-            path = base / "frames" / f"frame_{i:05d}.pgm"
-            frames.append(
-                read_pgm(path, meta["pixel_pitch_um"] * 1e-6, timestamp=i / meta["fps"])
-            )
+        frames_path = (frames_dir or out) / "frames"
+        frames = (  # read as track_spots consumes them, never held whole
+            read_pgm(frames_path / f"frame_{i:05d}.pgm", meta["pixel_pitch_um"] * 1e-6, timestamp=i / meta["fps"])
+            for i in range(meta["n_frames"])
+        )
         series = track_spots(
             frames,
             threshold_fraction=meta["threshold_fraction"],

@@ -2,14 +2,16 @@
 
 Frames carry raw camera counts; detection applies a threshold mask at a
 fraction of the per-frame maximum, labels 8-connected components and takes
-intensity-weighted sub-pixel centroids.  Spot identity across frames uses
-nearest-neighbor matching with a gating radius.  Phase boundaries (pre /
-launch / microgravity / landing / post) are supplied in the input metadata,
-not inferred.
+intensity-weighted sub-pixel centroids.  Detection works on blocks of
+``BLOCK_FRAMES`` frames at a time, so a flight is streamed rather than held
+in memory.  Spot identity across frames uses nearest-neighbor matching with a
+gating radius.  Phase boundaries (pre / launch / microgravity / landing /
+post) are supplied in the input metadata, not inferred.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +23,7 @@ PHASES = ("pre", "launch", "microgravity", "landing", "post")
 
 DEFAULT_THRESHOLD = 0.2
 GATE_PITCH_FACTOR = 10.0
+BLOCK_FRAMES = 32  # frames labeled per numpy pass
 
 
 @dataclass
@@ -50,6 +53,14 @@ class Frame:
         return self.values.shape[0]
 
 
+def check_spots_in_frame(x_um, y_um, shape, pixel_pitch: float) -> None:
+    """DomainError naming the first spot whose center lies outside a frame of ``shape``."""
+    h, w = shape
+    for x, y in zip(x_um, y_um):
+        if not (0 <= x * 1e-6 / pixel_pitch < w and 0 <= y * 1e-6 / pixel_pitch < h):
+            raise DomainError(f"spot at ({x}, {y}) um lies outside the frame")
+
+
 def synth_frame(
     spots,
     shape=(128, 128),
@@ -63,22 +74,23 @@ def synth_frame(
     """Render Gaussian spots plus uniform background and seeded Gaussian noise.
 
     ``spots`` is an iterable of dicts with x_um, y_um (camera plane),
-    sigma_um and amplitude (counts).  Deterministic for a fixed seed.
+    sigma_um and amplitude (counts).  Deterministic for a fixed seed.  Each
+    spot is the outer product of its 1-D profiles along y and x.
     """
     h, w = shape
-    yy, xx = np.mgrid[0:h, 0:w]
     img = np.full((h, w), float(background))
     for spot in spots:
+        check_spots_in_frame([spot["x_um"]], [spot["y_um"]], shape, pixel_pitch)
         cx = spot["x_um"] * 1e-6 / pixel_pitch
         cy = spot["y_um"] * 1e-6 / pixel_pitch
-        if not (0 <= cx < w and 0 <= cy < h):
-            raise DomainError(f"spot at ({spot['x_um']}, {spot['y_um']}) um lies outside the frame")
-        sig = spot["sigma_um"] * 1e-6 / pixel_pitch
-        img += spot["amplitude"] * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig**2))
+        two_sig2 = 2 * (spot["sigma_um"] * 1e-6 / pixel_pitch) ** 2
+        gx = np.exp(-((np.arange(w) - cx) ** 2) / two_sig2)
+        gy = spot["amplitude"] * np.exp(-((np.arange(h) - cy) ** 2) / two_sig2)
+        img += gy[:, None] * gx
     if noise > 0:
-        rng = np.random.default_rng(seed)
-        img = img + rng.normal(0.0, noise, size=img.shape)
-    img = np.clip(np.rint(img), 0, 2**bit_depth - 1)
+        # Generator.normal(0, noise) returns 0 + noise * z for these same draws z
+        img += noise * np.random.default_rng(seed).standard_normal(img.shape)
+    np.clip(np.rint(img, out=img), 0, 2**bit_depth - 1, out=img)
     dtype = np.uint8 if bit_depth == 8 else np.uint16
     return Frame(values=img.astype(dtype), pixel_pitch=pixel_pitch, bit_depth=bit_depth, timestamp=timestamp)
 
@@ -90,6 +102,91 @@ class Detection:
     total_intensity: float
 
 
+def label_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected components of each mask in a (frames, height, width) block.
+
+    Returns (labels, counts): ``labels[k]`` equals
+    ``scipy.ndimage.label(masks[k], structure=np.ones((3, 3)))[0]`` (0 off the
+    mask, 1..counts[k] in raster order of each component's first pixel).
+
+    The masks are stacked with one blank row after each frame and a blank
+    column on each side, so the row runs found by one ``np.diff`` over the
+    flattened block never cross a frame or a row edge.  Runs in adjacent rows
+    that touch (diagonals included) are joined by label propagation; each
+    component keeps its lowest run index, which orders components by their
+    first pixel.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    n_frames, h, w = masks.shape
+    stride = w + 2
+    padded = np.zeros((n_frames, h + 1, stride), dtype=np.int8)
+    padded[:, :h, 1:-1] = masks
+    step = np.diff(padded.ravel())
+    starts = np.flatnonzero(step == 1) + 1  # flat index of a run's first pixel
+    ends = np.flatnonzero(step == -1) + 1  # flat index just past its last pixel
+    # runs of the row above touching run b: end >= start_b - stride and start <= end_b - stride
+    lo = np.searchsorted(ends, starts - stride, side="left")
+    hi = np.searchsorted(starts, ends - stride, side="right")
+    n_touch = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(starts.size), n_touch)
+    above = lo[below] + np.arange(below.size) - np.repeat(np.cumsum(n_touch) - n_touch, n_touch)
+    root = np.arange(starts.size)
+    while True:
+        low = np.minimum(root[above], root[below])
+        joined = root.copy()
+        np.minimum.at(joined, root[above], low)
+        np.minimum.at(joined, root[below], low)
+        while not np.array_equal(joined[joined], joined):
+            joined = joined[joined]
+        if np.array_equal(joined, root):
+            break
+        root = joined
+    first_runs, component = np.unique(root, return_inverse=True)
+    frame_of_run = starts // ((h + 1) * stride)
+    counts = np.bincount(frame_of_run[first_runs], minlength=n_frames)
+    first_label = np.cumsum(counts) - counts
+    labels = np.zeros(masks.shape, dtype=np.int32)
+    labels[masks] = np.repeat(component - first_label[frame_of_run] + 1, ends - starts)
+    return labels, counts
+
+
+def detect_block(
+    values: np.ndarray, pixel_pitches, threshold_fraction: float, max_spots: int
+) -> list[tuple[list[Detection], bool]]:
+    """``detect_spots`` for each frame of a (frames, height, width) block of counts, one pitch per frame."""
+    if not 0.0 < threshold_fraction < 1.0:
+        raise DomainError("threshold fraction must lie in (0, 1)")
+    values = np.asarray(values)
+    n_frames = values.shape[0]
+    peak = values.max(axis=(1, 2)).astype(float)
+    mask = values >= (threshold_fraction * peak)[:, None, None]
+    labels, counts = label_components(mask)
+    first = np.cumsum(counts) - counts
+    pixel = np.flatnonzero(mask)
+    frame, ys, xs = np.unravel_index(pixel, values.shape)
+    component = labels.ravel()[pixel] - 1 + first[frame]
+    weights = values.ravel()[pixel].astype(float)
+    n = int(counts.sum())
+    total = np.bincount(component, weights=weights, minlength=n)
+    sum_x = np.bincount(component, weights=xs * weights, minlength=n)
+    sum_y = np.bincount(component, weights=ys * weights, minlength=n)
+    area = np.bincount(component, minlength=n)
+    # brightest first within each frame; ties keep raster order
+    order = np.lexsort((-total, np.repeat(np.arange(n_frames), counts)))
+    results = []
+    for k, pitch in enumerate(pixel_pitches):
+        detections = [
+            Detection(
+                centroid_um=(float(sum_x[c] / total[c]) * pitch * 1e6, float(sum_y[c] / total[c]) * pitch * 1e6),
+                area_px=int(area[c]),
+                total_intensity=float(total[c]),
+            )
+            for c in order[first[k] : first[k] + min(int(counts[k]), max_spots)]
+        ]
+        results.append((detections, int(counts[k]) > max_spots))
+    return results
+
+
 def detect_spots(
     frame: Frame, threshold_fraction: float = DEFAULT_THRESHOLD, max_spots: int = 2
 ) -> tuple[list[Detection], bool]:
@@ -98,31 +195,7 @@ def detect_spots(
     Returns (detections, truncated) where ``truncated`` flags that more than
     ``max_spots`` components were found and only the brightest were kept.
     """
-    from scipy import ndimage
-
-    if not 0.0 < threshold_fraction < 1.0:
-        raise DomainError("threshold fraction must lie in (0, 1)")
-    values = frame.values.astype(float)
-    mask = values >= threshold_fraction * values.max()
-    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-    detections = []
-    for lab in range(1, n + 1):
-        sel = labels == lab
-        total = float(values[sel].sum())
-        ys, xs = np.nonzero(sel)
-        weights = values[sel]
-        cx = float(np.sum(xs * weights) / total)
-        cy = float(np.sum(ys * weights) / total)
-        detections.append(
-            Detection(
-                centroid_um=(cx * frame.pixel_pitch * 1e6, cy * frame.pixel_pitch * 1e6),
-                area_px=int(sel.sum()),
-                total_intensity=total,
-            )
-        )
-    detections.sort(key=lambda d: d.total_intensity, reverse=True)
-    truncated = len(detections) > max_spots
-    return detections[:max_spots], truncated
+    return detect_block(frame.values[None], [frame.pixel_pitch], threshold_fraction, max_spots)[0]
 
 
 @dataclass
@@ -144,17 +217,34 @@ class SpotTrackSeries:
             raise DomainError("spots array must have shape (n_frames, 2, 2)")
 
 
+def _detections(frames, threshold_fraction: float):
+    """(frame, up to two brightest detections) for each frame, detected a block at a time."""
+    block: list[Frame] = []
+    for frame in itertools.chain(frames, [None]):  # None flushes the last block
+        if block and (frame is None or len(block) == BLOCK_FRAMES or frame.values.shape != block[0].values.shape):
+            found = detect_block(
+                np.stack([f.values for f in block]), [f.pixel_pitch for f in block], threshold_fraction, max_spots=2
+            )
+            yield from ((f, dets) for f, (dets, _) in zip(block, found))
+            block = []
+        if frame is not None:
+            block.append(frame)
+
+
 def track_spots(
     frames,
     threshold_fraction: float = DEFAULT_THRESHOLD,
     phase_boundaries: dict | None = None,
     gate_factor: float = GATE_PITCH_FACTOR,
 ) -> SpotTrackSeries:
-    """Detect two spots per frame and maintain identity by nearest-neighbor gating."""
+    """Detect two spots per frame and maintain identity by nearest-neighbor gating.
+
+    ``frames`` is any iterable of frames; it is consumed in blocks of
+    ``BLOCK_FRAMES`` frames of one shape, so a generator is never held whole.
+    """
     times, positions, flags = [], [], []
     previous = None
-    for frame in frames:
-        dets, _ = detect_spots(frame, threshold_fraction, max_spots=2)
+    for frame, dets in _detections(frames, threshold_fraction):
         gate_um = gate_factor * frame.pixel_pitch * 1e6
         pos = np.full((2, 2), np.nan)
         ok = np.zeros(2, dtype=bool)
@@ -231,8 +321,8 @@ def track_stats(series: SpotTrackSeries, inner_fraction: float = 0.75) -> dict:
     dc = interspot - float(np.nanmean(interspot[pre]))
     ac = np.full((series.timestamps.size, 2), np.nan)
     valid_idx = np.flatnonzero(valid_frames)
-    for a, b in zip(valid_idx[:-1], valid_idx[1:]):
-        ac[b] = np.linalg.norm(series.spots_um[b] - series.spots_um[a], axis=1)
+    steps = series.spots_um[valid_idx[1:]] - series.spots_um[valid_idx[:-1]]
+    ac[valid_idx[1:]] = np.linalg.norm(steps, axis=2)
 
     report: dict = {"skipped_frames": skipped, "phases": {}}
     for phase in PHASES:
@@ -281,8 +371,10 @@ def write_pgm(frame: Frame, path) -> None:
     path = Path(path)
     maxval = 2**frame.bit_depth - 1
     header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode()
-    data = frame.values.astype(">u2" if frame.bit_depth == 16 else "u1").tobytes()
-    path.write_bytes(header + data)
+    data = np.ascontiguousarray(frame.values, dtype=">u2" if frame.bit_depth == 16 else "u1")
+    with path.open("wb") as fh:
+        fh.write(header)
+        fh.write(data)
 
 
 def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:
@@ -316,7 +408,7 @@ def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:
     dtype = ">u2" if bit_depth == 16 else "u1"
     if len(raw) - pos < width * height * bit_depth // 8:
         raise DomainError(f"{path}: truncated PGM frame")
-    values = np.frombuffer(raw[pos:], dtype=dtype, count=width * height).reshape(height, width)
+    values = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos).reshape(height, width)
     return Frame(
         values=values.astype(np.uint16 if bit_depth == 16 else np.uint8),
         pixel_pitch=pixel_pitch,

@@ -36,6 +36,24 @@ def test_cli_import_loads_no_scipy_subpackage():
     assert proc.stdout.split() == []
 
 
+def test_flight_analyze_loads_no_scipy_subpackage(tmp_path):
+    from codtsim.cli import main
+
+    out = tmp_path / "flight"
+    assert main(["flight", "synth", "--out", str(out), "--set", "flight.n_frames=48"]) == 0
+    argv = ["flight", "analyze", "--out", str(out), "--frames", str(out), "--set", "flight.n_frames=48"]
+    code = (
+        "import sys; from codtsim.cli import main; "
+        f"rc = main({argv!r}); "
+        f"print(rc, *(m for m in {LAZY_SUBPACKAGES!r} if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["0"]
+
+
 def test_constants_equal_scipy_codata():
     import scipy.constants as sc
 

@@ -242,6 +242,23 @@ class TestCli:
         assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
         assert "truncated" in capsys.readouterr().err
 
+    def test_late_truncated_frame_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "flight"
+        assert main(["flight", "synth", "--out", str(out)]) == 0
+        frame = out / "frames" / "frame_00150.pgm"
+        frame.write_bytes(frame.read_bytes()[:-1])
+        assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
+        assert "frame_00150.pgm: truncated" in capsys.readouterr().err
+        assert not (out / "flight_report.json").exists()
+        assert not (out / "flight_series.csv").exists()
+
+    def test_spot_leaving_the_frame_writes_no_frame(self, tmp_path, capsys):
+        # the launch excursion carries the spots out of the frame from frame 51 on
+        out = tmp_path / "flight"
+        assert main(["flight", "synth", "--out", str(out), "--set", "flight.launch_displacement_um=1000"]) == 3
+        assert "outside the frame" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "content, message",
         [

@@ -3,9 +3,11 @@ import pytest
 
 from codtsim.errors import DomainError
 from codtsim.pointing import (
+    BLOCK_FRAMES,
     Frame,
     SpotTrackSeries,
     detect_spots,
+    label_components,
     read_pgm,
     synth_frame,
     track_spots,
@@ -46,6 +48,25 @@ class TestSynthFrame:
         assert a.values.tobytes() == b.values.tobytes()
         c = two_spot_frame(noise=5.0, seed=43)
         assert a.values.tobytes() != c.values.tobytes()
+
+    def test_matches_two_dimensional_exponential_byte_for_byte(self):
+        # the reference renders each spot as one 2-D exponential over the pixel grid
+        rng = np.random.default_rng(7)
+        yy, xx = np.mgrid[0:96, 0:96]
+        for seed in range(40):
+            spots = [
+                {"x_um": rng.uniform(20, 460), "y_um": rng.uniform(20, 460), "sigma_um": rng.uniform(5, 20), "amplitude": 3000.0}
+                for _ in range(2)
+            ]
+            img = np.full((96, 96), 40.0)
+            for spot in spots:
+                cx, cy = spot["x_um"] * 1e-6 / PITCH, spot["y_um"] * 1e-6 / PITCH
+                sig = spot["sigma_um"] * 1e-6 / PITCH
+                img += spot["amplitude"] * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig**2))
+            img = img + np.random.default_rng(seed).normal(0.0, 6.0, size=img.shape)
+            reference = np.clip(np.rint(img), 0, 65535).astype(np.uint16)
+            frame = synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, noise=6.0, seed=seed)
+            assert frame.values.tobytes() == reference.tobytes()
 
     def test_spot_outside_frame_rejected(self):
         with pytest.raises(DomainError):
@@ -120,6 +141,69 @@ class TestDetectSpots:
         frame = two_spot_frame()
         with pytest.raises(DomainError):
             detect_spots(frame, 1.5)
+
+
+def ndimage_labels(mask):
+    from scipy import ndimage
+
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+
+
+class TestLabelComponents:
+    def assert_matches_ndimage(self, masks):
+        labels, counts = label_components(masks)
+        assert labels.shape == masks.shape
+        for k, mask in enumerate(masks):
+            expected, n = ndimage_labels(mask)
+            assert counts[k] == n
+            np.testing.assert_array_equal(labels[k], expected)
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 24)), int(rng.integers(1, 24)))
+            self.assert_matches_ndimage(rng.random(shape) < rng.uniform(0.05, 0.9))
+
+    def test_diagonal_contact_joins(self):
+        mask = np.zeros((1, 6, 6), dtype=bool)
+        mask[0, 0, 0] = mask[0, 1, 1] = mask[0, 2, 2] = True  # a diagonal chain
+        mask[0, 0, 5] = mask[0, 1, 4] = True  # an anti-diagonal pair
+        mask[0, 4, 0] = mask[0, 5, 2] = True  # a knight's step apart: separate
+        self.assert_matches_ndimage(mask)
+        assert label_components(mask)[1][0] == 4
+
+    def test_u_shape_merges_late(self):
+        # two arms seen first as separate runs, joined only by the bottom row
+        mask = np.zeros((1, 8, 9), dtype=bool)
+        mask[0, 0:7, 1] = mask[0, 0:7, 7] = True
+        mask[0, 7, 1:8] = True
+        mask[0, 2, 4] = True  # an island between the arms
+        self.assert_matches_ndimage(mask)
+        labels, counts = label_components(mask)
+        assert counts[0] == 2 and labels[0, 0, 7] == 1 and labels[0, 2, 4] == 2
+
+    def test_components_on_all_four_edges(self):
+        mask = np.zeros((1, 7, 7), dtype=bool)
+        mask[0, 0, 2:5] = True  # top
+        mask[0, 6, 1:3] = True  # bottom
+        mask[0, 2:5, 0] = True  # left
+        mask[0, 3:6, 6] = True  # right
+        mask[0, 0, 6] = True  # top-right corner, diagonal to nothing
+        self.assert_matches_ndimage(mask)
+        # a row end must not wrap onto the start of the next row
+        wrap = np.zeros((1, 3, 4), dtype=bool)
+        wrap[0, 0, 3] = wrap[0, 1, 0] = True
+        self.assert_matches_ndimage(wrap)
+        assert label_components(wrap)[1][0] == 2
+
+    def test_frames_of_one_block_do_not_merge(self):
+        masks = np.zeros((3, 5, 6), dtype=bool)
+        masks[0, 4, 1:4] = True  # last row of frame 0 ...
+        masks[1, 0, 2:5] = True  # ... over the first row of frame 1
+        masks[1, 4, :] = True
+        masks[2, 0, :] = True
+        self.assert_matches_ndimage(masks)
+        np.testing.assert_array_equal(label_components(masks)[1], [1, 2, 1])
 
 
 def constant_series(n=40, dt=1.0 / 24):
@@ -227,6 +311,41 @@ class TestTracking:
         assert np.all(series.detected)
         x1 = series.spots_um[:, 0, 0]
         assert np.all(np.diff(x1) > 0)  # spot 1 moves right monotonically
+
+    def test_generator_and_list_give_identical_series(self):
+        n = 2 * BLOCK_FRAMES + 5  # the last block is partial
+
+        def frames():
+            for i in range(n):
+                frame = two_spot_frame(x1=200.0 + 0.1 * i, x2=262.0 + 0.2 * i, noise=4.0, seed=i)
+                frame.timestamp = i / 24
+                yield frame
+
+        from_list = track_spots(list(frames()))
+        from_generator = track_spots(frames())
+        assert from_list.spots_um.shape == (n, 2, 2) and np.all(from_list.detected)
+        for name in ("timestamps", "spots_um", "detected"):
+            assert getattr(from_list, name).tobytes() == getattr(from_generator, name).tobytes()
+        # each frame is detected as it would be alone
+        for i, frame in enumerate(frames()):
+            dets, _ = detect_spots(frame)
+            assert sorted(d.centroid_um for d in dets) == sorted(map(tuple, from_list.spots_um[i]))
+
+    def test_frame_shape_may_change_mid_stream(self):
+        small = synth_frame(
+            [{"x_um": 100.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 3000.0},
+             {"x_um": 150.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 3000.0}],
+            shape=(48, 48),
+            pixel_pitch=PITCH,
+        )
+        frames = [two_spot_frame(), small, two_spot_frame()]
+        for i, f in enumerate(frames):
+            f.timestamp = float(i)
+        series = track_spots(frames, gate_factor=1000.0)
+        assert np.all(series.detected)
+        for i, frame in enumerate(frames):
+            dets, _ = detect_spots(frame)
+            assert sorted(d.centroid_um for d in dets) == sorted(map(tuple, series.spots_um[i]))
 
 
 class TestPgmIO:
