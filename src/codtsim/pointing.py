@@ -12,6 +12,7 @@ post) are supplied in the input metadata, not inferred.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ PHASES = ("pre", "launch", "microgravity", "landing", "post")
 DEFAULT_THRESHOLD = 0.2
 GATE_PITCH_FACTOR = 10.0
 BLOCK_FRAMES = 32  # frames labeled per numpy pass
+_NO_SPOT = (math.nan, math.nan)  # centroid of a spot not found in a frame
 
 
 @dataclass
@@ -243,33 +245,27 @@ def track_spots(
     ``BLOCK_FRAMES`` frames of one shape, so a generator is never held whole.
     """
     times, positions, flags = [], [], []
-    previous = None
+    previous = [None, None]  # last centroid of each spot; a spot never found stays None
     for frame, dets in _detections(frames, threshold_fraction):
         gate_um = gate_factor * frame.pixel_pitch * 1e6
-        pos = np.full((2, 2), np.nan)
-        ok = np.zeros(2, dtype=bool)
-        if previous is None:
-            # first frame: order spots by x for a reproducible identity
-            dets = sorted(dets, key=lambda d: d.centroid_um[0])
-            for i, d in enumerate(dets[:2]):
-                pos[i] = d.centroid_um
-                ok[i] = True
+        found = [None, None]
+        if previous == [None, None]:
+            # first frame with spots: order them by x for a reproducible identity
+            for i, d in enumerate(sorted(dets, key=lambda d: d.centroid_um[0])[:2]):
+                found[i] = d.centroid_um
         else:
-            remaining = list(dets)
-            for i in range(2):
-                if not np.isfinite(previous[i]).all() or not remaining:
+            remaining = [d.centroid_um for d in dets]
+            for i, last in enumerate(previous):
+                if last is None or not remaining:
                     continue
-                dists = [np.hypot(d.centroid_um[0] - previous[i][0], d.centroid_um[1] - previous[i][1]) for d in remaining]
-                j = int(np.argmin(dists))
+                dists = [math.hypot(x - last[0], y - last[1]) for x, y in remaining]
+                j = min(range(len(dists)), key=dists.__getitem__)  # the first nearest
                 if dists[j] <= gate_um:
-                    pos[i] = remaining[j].centroid_um
-                    ok[i] = True
-                    remaining.pop(j)
-        if ok.any():
-            previous = np.where(ok[:, None], pos, previous if previous is not None else pos)
+                    found[i] = remaining.pop(j)
+        previous = [p if f is None else f for f, p in zip(found, previous)]
         times.append(frame.timestamp)
-        positions.append(pos)
-        flags.append(ok)
+        positions.append([_NO_SPOT if f is None else f for f in found])
+        flags.append([f is not None for f in found])
     return SpotTrackSeries(
         timestamps=np.array(times),
         spots_um=np.array(positions),

@@ -30,6 +30,12 @@ MAX_NEWTON_ITER = 100
 CURVATURE_FLOOR = 1e-6
 NEWTON_XTOL = 1e-9
 MAX_BASIN_HOPS = 4  # restarts in deeper basins the escape scan finds
+# escape scan: scan steps out to this many waists past the farthest record
+# origin, then steps growing by this ratio out to this many Rayleigh ranges
+# past the farthest focus, where the optical part is 1e-4 of its peak
+NEAR_FIELD_WAISTS = 4.0
+FAR_FIELD_RATIO = 1.05
+FAR_FIELD_RAYLEIGH_RANGES = 100.0
 
 DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 
@@ -198,39 +204,69 @@ def _seed_grid(domain, n=7) -> np.ndarray:
 
 
 def _ray_barrier(f, x0, u0, directions, domain, step):
-    """Max potential along each ray until escape below the minimum or the domain edge.
+    """Max potential along each ray until it escapes below the minimum or meets its asymptote.
 
-    All rays are sampled at multiples of ``step``, the last sample clipped to
-    the domain edge, and evaluated in one call.  A ray's barrier is the
-    running maximum (from ``u0``) up to and including its first value below
-    the escape level, or over the whole ray when no value escapes.  The
+    Every ray is sampled at multiples of ``step`` out to ``NEAR_FIELD_WAISTS``
+    of the widest waist past the farthest record origin, then at steps
+    growing by ``FAR_FIELD_RATIO`` out to ``FAR_FIELD_RAYLEIGH_RANGES`` of
+    the longest Rayleigh range past the farthest focus, where no record can
+    move U any more; a falling ray goes on until gravity alone takes it
+    below the escape level.  All samples are evaluated in one call.  A
+    ray's barrier is the running maximum (from ``u0``) up to and including
+    its first value below the escape level.  A ray that never escapes is
+    bounded by its asymptote as well: m g z0 on a level ray, +inf on a
+    rising one.  When a record never decays (an infinite Rayleigh range),
+    rays end at the edge of the search ``domain`` with no asymptote.  The
     escape test carries a small tolerance so that the flat bottom of a
     painted trap (where the located minimum may sit a fraction of a percent
     above the deepest plateau point) does not read as an escape channel.
 
-    Returns the barriers and the lowest sample when it lies below the escape
-    level (a deeper basin the trap spills into), else None.
+    Returns the barriers and the lowest sample inside the domain when it
+    lies below the escape level (a deeper basin the trap spills into), else
+    None.
     """
+    records, constants = f.records, f.constants
     center, half = domain
     d = np.asarray(directions, dtype=float)
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        t_exit = np.min(
-            np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf), axis=1
-        )
-    ts = [np.minimum(np.arange(step, t + step, step), t) for t in np.maximum(t_exit, step)]
+    escape_level = u0 - 1e-2 * abs(u0)
+    mg = constants.atom_mass * constants.gravity
+    slope = mg * d[:, 2]
+    near = np.linalg.norm(records[:, 0:3] - x0, axis=1).max()
+    near += NEAR_FIELD_WAISTS * records[:, 12:14].max()
+    foci = records[:, None, 0:3] + records[:, 14:16, None] * records[:, None, 3:6]
+    reach = np.linalg.norm(foci - x0, axis=2).max()
+    reach += FAR_FIELD_RAYLEIGH_RANGES * records[:, 16:18].max()
+    if np.isfinite(reach):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fall = 2 * (escape_level - mg * x0[2]) / slope  # gravity alone is below escape_level
+        t_end = np.where(slope < 0, np.fmax(reach, fall), reach)
+        limit = np.where(slope > 0, np.inf, np.where(slope < 0, -np.inf, mg * x0[2]))
+    else:
+        with np.errstate(divide="ignore"):
+            t_exit = np.min(
+                np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf), axis=1
+            )
+        t_end, limit = np.maximum(t_exit, step), np.full(len(d), -np.inf)
+    t_near = np.arange(step, near + step, step)
+    n_far = max(0, math.ceil(math.log(t_end.max() / t_near[-1], FAR_FIELD_RATIO)))
+    samples = np.concatenate([t_near, t_near[-1] * FAR_FIELD_RATIO ** np.arange(1, n_far + 1)])
+    ts = [np.minimum(samples[: np.searchsorted(samples, t) + 1], t) for t in t_end]
     counts = [len(t) for t in ts]
     starts = np.cumsum([0] + counts[:-1])
     pts = np.repeat(d, counts, axis=0)
     pts *= np.concatenate(ts)[:, None]
     pts += x0
     vals = f(pts)
-    escapes = vals < u0 - 1e-2 * abs(u0)  # fell below the trap bottom: escaped over the barrier
-    lowest = int(np.argmin(vals))
-    deeper = pts[lowest] if escapes[lowest] else None
+    escapes = vals < escape_level  # fell below the trap bottom: escaped over the barrier
+    inside = np.all(np.abs(pts - center) <= half, axis=1)
+    lowest = int(np.argmin(np.where(inside, vals, np.inf)))
+    deeper = pts[lowest] if escapes[lowest] and inside[lowest] else None
     before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
     vals[before != np.repeat(before[starts], counts)] = -np.inf  # after an escape on the same ray
-    return np.fmax(u0, np.fmax.reduceat(vals, starts)), deeper
+    barriers = np.fmax(u0, np.fmax.reduceat(vals, starts))
+    escaped = np.logical_or.reduceat(escapes, starts)
+    return np.where(escaped, barriers, np.fmax(barriers, limit)), deeper
 
 
 def characterize(
@@ -299,8 +335,12 @@ def characterize(
         reason = "flat potential: no positive curvature at the minimum"
         return TrapReport.invalid(x, reason, constants, **diagnostics)
     freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
-    depth_escape = max(0.0, float(barriers.min()) - u_min)
     depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
+    # when the lowest barrier is the asymptote m g z of a level ray that never
+    # escapes, it lies exactly the optical depth above the minimum
+    barrier = float(barriers.min())
+    level = constants.atom_mass * constants.gravity * x[2]
+    depth_escape = depth_peak if barrier == level else max(0.0, barrier - u_min)
     return TrapReport(
         minimum_position=x,
         depth_escape=depth_escape,

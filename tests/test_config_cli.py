@@ -137,13 +137,19 @@ class TestCli:
         assert report["frequencies_hz"] == [0.0, 0.0, 0.0]
 
     def test_trap_report_depth_convention_chosen_at_report_time(self, tmp_path):
-        out = tmp_path / "run"
-        argv = ["trap", "report", "--out", str(out), "--set", "trap.depth_convention=peak-to-min"]
-        assert main(argv) == 0
-        report = json.loads((out / "trap_report.json").read_text())
-        assert report["depth_convention"] == "peak-to-min"
-        assert report["depth_uK"] == report["depth_peak_to_min_uK"]
-        assert report["depth_uK"] > report["depth_escape_saddle_uK"]
+        # under gravity a falling ray escapes below the peak-to-min depth; at
+        # zero gravity no ray escapes and the two conventions agree exactly
+        for gravity in ("9.81", "0"):
+            out = tmp_path / f"run-{gravity}"
+            argv = ["trap", "report", "--out", str(out), "--set", "trap.depth_convention=peak-to-min"]
+            assert main([*argv, "--set", f"constants.gravity_m_s2={gravity}"]) == 0
+            report = json.loads((out / "trap_report.json").read_text())
+            assert report["depth_convention"] == "peak-to-min"
+            assert report["depth_uK"] == report["depth_peak_to_min_uK"]
+            if gravity == "0":
+                assert report["depth_uK"] == report["depth_escape_saddle_uK"]
+            else:
+                assert report["depth_uK"] > report["depth_escape_saddle_uK"]
 
     def test_trap_volume_artifact(self, tmp_path):
         out = tmp_path / "vol"

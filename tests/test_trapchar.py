@@ -10,6 +10,9 @@ from codtsim.optics import AstigmaticBeam
 from codtsim.potential import DipolePotential, beams_to_records, static_potential
 from codtsim.trapchar import (
     DEFAULT_HALF_EXTENTS,
+    FAR_FIELD_RATIO,
+    FAR_FIELD_RAYLEIGH_RANGES,
+    NEAR_FIELD_WAISTS,
     _ray_barrier,
     characterize,
     characterize_crossed_trap,
@@ -68,10 +71,9 @@ class TestCharacterize:
         assert report.frequencies == pytest.approx([f_bowl] * 3, rel=1e-9, abs=0)
         assert np.linalg.norm(report.minimum_position) < 1e-12
         assert report.depth_peak == pytest.approx(3 * u0, rel=1e-9, abs=0)
-        # U rises monotonically out to the rim along every axis, and the six
-        # rim points are equal by symmetry: the escape depth is the rim value
-        rim_energy = stigmatic_potential(beams, np.array([[rim, 0.0, 0.0]]))[0] + 3 * u0
-        assert report.depth_escape == pytest.approx(rim_energy, rel=1e-9, abs=0)
+        # U rises monotonically along every axis to its asymptote 0 far past
+        # the rim: no ray escapes, so the escape depth is the whole bowl
+        assert report.depth_escape == pytest.approx(3 * u0, rel=1e-9, abs=0)
 
     def test_single_beam_gaussian_trap_formulas(self):
         # radial omega = sqrt(4 U0/(m w^2)), axial omega = sqrt(2 U0/(m zR^2))
@@ -116,11 +118,9 @@ class TestCharacterize:
         assert report.depth_peak == pytest.approx(u1 + u2, rel=1e-9, abs=0)
         axes = np.eye(3)[np.argsort(curvature)]
         np.testing.assert_allclose(np.abs(report.principal_axes), axes, atol=1e-12)
-        # U rises monotonically along every axis, so each escape ray peaks at
-        # the box edge: the escape depth is the lowest edge point over U(0)
-        edges = np.concatenate([np.diag(half), -np.diag(half)])
-        rim = stigmatic_potential([b1, b2], edges).min() + u1 + u2
-        assert report.depth_escape == pytest.approx(rim, rel=1e-9, abs=0)
+        # U rises monotonically along every axis to its asymptote 0 far past
+        # the box edge: no ray escapes, so the escape depth is U1 + U2 too
+        assert report.depth_escape == pytest.approx(u1 + u2, rel=1e-9, abs=0)
 
     def test_restarts_in_deeper_basin_the_escape_scan_finds(self, layout, input_pair):
         # a 230 um line paint sampled at 64 phases is a ripple of wells; the one
@@ -139,19 +139,41 @@ class TestCharacterize:
         # Newton on closed-form derivatives: a few derivative calls, then one
         # escape scan and one peak-depth call; a finite-difference descent took ~90
         from codtsim import kernels
+        from codtsim.painting import synthesize_waveform
+        from codtsim.potential import time_averaged_potential
 
-        calls = []
+        calls, points = [], []
         for name in ("intensity_sum", "intensity_derivatives"):
             real = getattr(kernels, name)
-            monkeypatch.setattr(kernels, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+
+            def counted(p, r, _f=real, _n=name):
+                calls.append(_n)
+                points.append(len(p))
+                return _f(p, r)
+
+            monkeypatch.setattr(kernels, name, counted)
         report = characterize_crossed_trap(RB, layout, input_pair)
         assert report.valid
         assert calls.count("intensity_sum") == 2
+        # the escape scan ends each ray at its asymptote, not at the box edge
+        # (15,629 points when every ray ran out to the box at the scan step)
+        scans = [n for n, call in zip(points, calls) if call == "intensity_sum"]
+        assert scans[0] <= 4000, scans
         assert len(calls) <= 12, calls
         # one derivative call at the seed and one per Newton step: no step backtracked
         assert calls.count("intensity_derivatives") == report.newton_iterations + 1
         assert report.seeds_tried == 1
         assert report.gradient_norm * 10.5e-6 < 1e-12 * report.depth_peak  # |grad U| at rounding level
+
+        # a 128-phase line paint carries ~150 records; its scan ran to 16,246 points
+        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        painted = time_averaged_potential(RB, layout, input_pair, wf, 128)
+        calls.clear()
+        points.clear()
+        report = characterize(painted, np.zeros(3), domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)))
+        assert report.valid
+        scans = [n for n, call in zip(points, calls) if call == "intensity_sum"]
+        assert len(scans) == 2 and scans[0] <= 4000, scans
 
     def test_hessian_symmetry(self):
         rng = np.random.default_rng(3)
@@ -166,18 +188,22 @@ class TestCharacterize:
         assert np.max(np.abs(h - h.T)) <= 1e-6 * np.max(np.abs(h))
 
     def test_static_trap_independent_of_seed_and_box(self, layout, input_pair):
-        # the escape depth is left out: it still reads U at the box edge, so
-        # it moves by 0.3% when the box doubles
-        ref = characterize_crossed_trap(RB, layout, input_pair)
         half = np.array(DEFAULT_HALF_EXTENTS)
         seed = np.array([3e-6, -2e-6, 4e-6])
-        for kwargs in ({"seed_point": seed}, {"domain": (np.zeros(3), 2 * half)}):
-            report = characterize_crossed_trap(RB, layout, input_pair, **kwargs)
-            assert report.valid
-            assert report.frequencies == pytest.approx(ref.frequencies, rel=1e-9, abs=0)
-            assert report.depth_peak == pytest.approx(ref.depth_peak, rel=1e-9, abs=0)
-            shift = np.linalg.norm(report.minimum_position - ref.minimum_position)
-            assert shift <= 1e-9 * np.linalg.norm(ref.minimum_position)
+        for constants in (RB, PhysicalConstants(gravity=9.81)):
+            ref = characterize_crossed_trap(constants, layout, input_pair)
+            if constants.gravity:  # a falling ray escapes a little below the level asymptote
+                assert ref.depth_escape < ref.depth_peak
+            else:  # no ray escapes: the level rays end at their asymptote
+                assert ref.depth_escape == ref.depth_peak
+            for kwargs in ({"seed_point": seed}, {"domain": (np.zeros(3), 2 * half)}):
+                report = characterize_crossed_trap(constants, layout, input_pair, **kwargs)
+                assert report.valid
+                assert report.frequencies == pytest.approx(ref.frequencies, rel=1e-9, abs=0)
+                assert report.depth_peak == pytest.approx(ref.depth_peak, rel=1e-9, abs=0)
+                assert report.depth_escape == pytest.approx(ref.depth_escape, rel=1e-9, abs=0)
+                shift = np.linalg.norm(report.minimum_position - ref.minimum_position)
+                assert shift <= 1e-9 * np.linalg.norm(ref.minimum_position)
 
     def test_power_scaling_of_depth_and_frequencies(self, layout):
         from codtsim.optics import InputBeam
@@ -316,22 +342,38 @@ class TestMisalignment:
 def _ray_barrier_reference(f, x0, u0, direction, domain, step):
     """One ray at a time with a Python running maximum.
 
-    Returns the barrier, whether the ray escaped, and the ray's lowest sample value.
+    The ray takes ``step`` steps out to the near field (the farthest record
+    origin plus a few waists), then geometric steps out to many Rayleigh
+    ranges past the farthest focus, or, when it falls, on to where gravity
+    alone lies below the escape level.  Returns the barrier, whether the
+    ray escaped, and the ray's lowest sample value inside the domain.
     """
+    rec = f.records
     center, half = domain
     d = direction / np.linalg.norm(direction)
-    with np.errstate(divide="ignore"):
-        t_exit = np.min(np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf))
-    t_exit = max(t_exit, step)
-    ts = np.minimum(np.arange(step, t_exit + step, step), t_exit)  # the box edge ends the ray
-    vals = f(x0[None, :] + ts[:, None] * d[None, :])
     escape_level = u0 - 1e-2 * abs(u0)
+    mg = f.constants.atom_mass * f.constants.gravity
+    near = max(np.linalg.norm(r[0:3] - x0) for r in rec) + NEAR_FIELD_WAISTS * rec[:, 12:14].max()
+    foci = [r[0:3] + focus * r[3:6] for r in rec for focus in r[14:16]]
+    end = max(np.linalg.norm(p - x0) for p in foci) + FAR_FIELD_RAYLEIGH_RANGES * rec[:, 16:18].max()
+    if mg * d[2] < 0:  # gravity alone is at the escape level half way to the end
+        end = max(end, 2 * (escape_level - mg * x0[2]) / (mg * d[2]))
+    ts = list(np.arange(step, near + step, step))
+    while ts[-1] < end:
+        ts.append(ts[-1] * FAR_FIELD_RATIO)
+    ts[-1] = min(ts[-1], end)
+    pts = x0[None, :] + np.array(ts)[:, None] * d[None, :]
+    vals = f(pts)
+    inside = np.all(np.abs(pts - center) <= half, axis=1)
+    lowest = float(vals[inside].min()) if inside.any() else np.inf
     barrier = u0
     for v in vals:
         barrier = max(barrier, float(v))
         if v < escape_level:
-            return barrier, True, float(vals.min())
-    return barrier, False, float(vals.min())
+            return barrier, True, lowest
+    # U far out along a ray that never escaped: m g z0 when level, +inf when rising
+    asymptote = {1.0: np.inf, 0.0: mg * x0[2], -1.0: -np.inf}[float(np.sign(mg * d[2]))]
+    return max(barrier, asymptote), False, lowest
 
 
 class TestRayBarrier:
@@ -368,3 +410,33 @@ class TestRayBarrier:
         domain = (np.zeros(3), np.array(DEFAULT_HALF_EXTENTS))
         escaped = self._check(pot, layout, np.array([0.0, 0.0, -3e-6]), domain, 2e-6)
         assert any(escaped) and not all(escaped)
+
+    def test_level_rays_end_at_their_asymptote(self, layout, input_pair):
+        # at zero gravity U < 0 everywhere and tends to 0 far from the beams:
+        # no ray escapes, and every barrier is the asymptote 0 for any box
+        from codtsim.potential import beam_records
+
+        pot = DipolePotential(RB, beam_records(layout, input_pair, np.zeros(4))[0])
+        x0 = np.array([1e-6, 0.0, 0.0])
+        for half in (np.array(DEFAULT_HALF_EXTENTS), np.full(3, 50e-6)):
+            escaped = self._check(pot, layout, x0, (np.zeros(3), half), 2e-6)
+            assert not any(escaped)
+            barriers, deeper = _ray_barrier(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
+            assert deeper is None and np.all(barriers == 0.0)
+
+    def test_falling_ray_runs_on_until_gravity_alone_escapes(self, layout, input_pair):
+        # in the 10 mK trap gravity alone needs ~10 cm to fall below the escape
+        # level; along a beam arm tilted 1e-5 below level the fading beam
+        # still lifts U past the 3 cm far-field end, so the scan runs on
+        from codtsim.potential import beam_records
+
+        lab = PhysicalConstants(gravity=9.81)
+        pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
+        x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
+        u0 = pot.at(x0)
+        domain = (np.zeros(3), np.array(DEFAULT_HALF_EXTENTS))
+        directions = [layout.beam_direction(1) - [0.0, 0.0, 1e-5], -np.eye(3)[2]]
+        got, deeper = _ray_barrier(pot, x0, u0, directions, domain, 2e-6)
+        ref = [_ray_barrier_reference(pot, x0, u0, d, domain, 2e-6) for d in directions]
+        assert all(escaped for _, escaped, _ in ref) and deeper is None
+        np.testing.assert_allclose(got, [b for b, _, _ in ref], rtol=1e-12, atol=0)
