@@ -19,13 +19,7 @@ from .optics import (
     deflection_to_displacement,
     focus_input_beam,
 )
-from .potential import (
-    ModulationWaveform,
-    ScalarField3D,
-    dipole_potential_at,
-    time_averaged_field,
-    time_averaged_potential,
-)
+from .potential import ModulationWaveform, ScalarField3D, time_averaged_potential
 from .trapchar import (
     ThermoMetrics,
     TrapReport,
@@ -45,9 +39,7 @@ __all__ = [
     "build_beamlines",
     "ModulationWaveform",
     "ScalarField3D",
-    "dipole_potential_at",
     "time_averaged_potential",
-    "time_averaged_field",
     "TrapReport",
     "ThermoMetrics",
     "characterize",

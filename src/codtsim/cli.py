@@ -24,13 +24,13 @@ import scipy
 from . import __version__, config as cfgmod
 from .errors import CodtsimError, ConfigError
 from .evap import ExpansionState, build_schedule, expand, fit_bimodal, thermal_sigma0, timeline
-from .optics import CHANNELS, deflection_to_displacement
+from .optics import CHANNELS, deflection_to_displacement, focus_input_beam
 from .painting import (
     GridSpec,
     characterize_sites,
     compensate_powers,
+    grid_waveform,
     site_table_csv_rows,
-    synthesize_waveform,
     transport_ramp,
 )
 from .pointing import (
@@ -42,8 +42,11 @@ from .pointing import (
     track_stats,
     write_pgm,
 )
-from .potential import time_averaged_field
+from .potential import WAVEFORM_PERIOD, DipolePotential, ScalarField3D, beam_records
 from .trapchar import characterize_crossed_trap, misalignment_sweep, reachable_volume
+
+
+FIELD_WAIST_MARGIN = 4.0  # trap field half-extent, in waists
 
 
 def _fmt(value) -> str:
@@ -69,14 +72,16 @@ def write_json(path: Path, payload) -> None:
 
 
 def waveform_export(wf) -> dict:
+    """Per-channel knots of a waveform; a one-knot drive is labelled "hold"."""
     channels = {}
     for i, ch in enumerate(CHANNELS):
         channels[ch] = {
-            "t_s": wf.times[i].tolist(),
-            "freq_offset_mhz": wf.freq_offsets_mhz[i].tolist(),
-            "weight": wf.weights[i].tolist(),
+            "t_s": wf.times.tolist(),
+            "freq_offset_mhz": wf.freq_offsets_mhz[:, i].tolist(),
+            "weight": wf.weights[:, i].tolist(),
         }
-    return {"period_s": wf.period, "interpolation": wf.interpolation, "channels": channels}
+    interpolation = "hold" if wf.times.size == 1 else "linear"
+    return {"period_s": WAVEFORM_PERIOD, "interpolation": interpolation, "channels": channels}
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) -> None:
@@ -118,16 +123,13 @@ def cmd_trap_report(cfg, out: Path) -> list[str]:
     write_json(out / "trap_report.json", payload)
     artifacts = ["trap_report.json"]
     if cfg["trap"]["save_field"]:
-        from .potential import ModulationWaveform
-
-        field = time_averaged_field(
-            constants,
-            layout,
-            inputs,
-            ModulationWaveform.constant(),
-            dims=tuple(int(d) for d in cfg["trap"]["field_dims"]),
-            n_phases=1,
-        )
+        # the crossed trap on a grid centred on the crossing, FIELD_WAIST_MARGIN
+        # of the widest line-focus radius of beam 1 on every side
+        beam = focus_input_beam(layout, inputs[0])
+        split = abs(beam.focus_h - beam.focus_v)
+        half = FIELD_WAIST_MARGIN * max(beam.width_h(0.0), beam.width_h(split), beam.width_v(split))
+        potential = DipolePotential(constants, beam_records(layout, inputs, np.zeros(4))[0])
+        field = ScalarField3D.sample(potential, np.zeros(3), half, cfg["trap"]["field_dims"])
         field.save(out / "trap_field")
         artifacts += ["trap_field.json", "trap_field.bin"]
     return artifacts
@@ -164,7 +166,7 @@ def _grid_from_config(cfg) -> GridSpec:
 def cmd_paint_grid(cfg, out: Path) -> list[str]:
     constants, layout, inputs = _context(cfg)
     spec = _grid_from_config(cfg)
-    wf = synthesize_waveform(layout, "grid", {"grid": spec}, inputs)
+    wf = grid_waveform(layout, spec, inputs)
     table = characterize_sites(constants, layout, inputs, spec)
     # the summary raises for a grid with nothing to compare against, so it is
     # computed before any file is written

@@ -17,9 +17,9 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .optics import InputBeam, OpticalLayout
-from .painting import synthesize_waveform
-from .potential import time_averaged_potential
-from .trapchar import ThermoMetrics, characterize
+from .painting import line_paint
+from .potential import ModulationWaveform, time_averaged_potential
+from .trapchar import ThermoMetrics, TrapReport, characterize
 
 TAIL_FRACTION = 0.05
 FLOOR_RATIO = 0.02
@@ -195,14 +195,13 @@ def _painted_trap(
         InputBeam(power=power, wavelength=b.wavelength, collimated_radius=b.collimated_radius)
         for b in inputs
     )
-    params = {"amplitude_um": amp_h * 1e6, "vertical_amplitude_um": amp_v * 1e6}
-    wf = synthesize_waveform(layout, "line-paint" if (amp_h or amp_v) else "static-offset", params)
+    wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
     pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=n_phases)
     half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
     try:
         report = characterize(pot, np.zeros(3), domain=(np.zeros(3), half))
-    except DomainError as exc:
-        return {"valid": 0, "reason": str(exc)}
+    except DomainError as exc:  # e.g. a saddle at the seed: the row keeps every column
+        report = TrapReport.invalid(np.zeros(3), str(exc), constants)
     return {
         "valid": int(report.valid),
         "depth_uK": report.depth_uk(),
@@ -283,29 +282,6 @@ def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
     if not sol.success:
         raise DomainError(f"scaling-equation integration failed: {sol.message}")
     return sol.y[:3].T
-
-
-def isotropic_scaling_2d(omega: float, times, rtol: float = 1e-10) -> np.ndarray:
-    """Integrator check case lambda'' = omega^2/lambda^3 (analytic sqrt(1+w^2 t^2))."""
-    from scipy.integrate import solve_ivp
-
-    times = np.asarray(times, dtype=float)
-
-    def rhs(t, y):
-        return [y[1], omega**2 / y[0] ** 3]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(times.max())),
-        [1.0, 0.0],
-        t_eval=times,
-        rtol=rtol,
-        atol=1e-14,
-        max_step=0.05 / omega,
-    )
-    if not sol.success:
-        raise DomainError(f"scaling-equation integration failed: {sol.message}")
-    return sol.y[0]
 
 
 def expand(

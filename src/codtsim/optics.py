@@ -194,9 +194,6 @@ class AstigmaticBeam:
     def width_v(self, zeta) -> np.ndarray:
         return self.waist_v * np.sqrt(1.0 + ((np.asarray(zeta) - self.focus_v) / self.rayleigh_v) ** 2)
 
-    def is_stigmatic(self, tol: float = 1e-12) -> bool:
-        return abs(self.focus_h - self.focus_v) <= tol and abs(self.waist_h - self.waist_v) <= tol
-
 
 def focus_input_beam(layout: OpticalLayout, input_beam: InputBeam) -> AstigmaticBeam:
     """Focus a collimated input beam through the lens and tilted window.
@@ -247,24 +244,18 @@ def beam_intensity(beam: AstigmaticBeam, point) -> np.ndarray | float:
     return inten
 
 
-def deflection_to_displacement(
-    layout: OpticalLayout,
-    channel: str,
-    delta_freq_mhz,
-    mode: str | None = None,
-    include_window: bool = True,
-    include_off_axis: bool = True,
-) -> np.ndarray | float:
+def deflection_to_displacement(layout: OpticalLayout, channel: str, delta_freq_mhz) -> np.ndarray | float:
     """Focal-region displacement (m) of one beam for an AOD frequency offset.
 
     Displacements are measured perpendicular to the beam axis: along the
     in-plane transverse direction for h channels, along vertical for v
-    channels.  The geometric model maps the deflection angle through the lens
-    (f tan theta) and applies two corrections: the projection of the
-    focal-plane displacement onto the tilted beam axis (h channels) and the
-    tilted-window focus pullback (tangential for h, sagittal for v).
-    In calibrated mode the model scale is replaced by the per-channel
-    measured constant and the map is exactly linear.
+    channels.  The layout's ``deflection_mode`` picks the map.  The geometric
+    model maps the deflection angle through the lens (f tan theta) and
+    applies two corrections: the projection of the focal-plane displacement
+    onto the tilted beam axis (h channels) and the tilted-window focus
+    pullback (tangential for h, sagittal for v).  In calibrated mode the
+    model scale is replaced by the per-channel measured constant and the map
+    is exactly linear.
     """
     if channel not in CHANNELS:
         raise DomainError(f"unknown AOD channel {channel!r}")
@@ -273,25 +264,18 @@ def deflection_to_displacement(
         raise DomainError(
             f"frequency offset outside AOD range +/-{layout.aod_freq_range_mhz} MHz"
         )
-    mode = layout.deflection_mode if mode is None else mode
-    if mode == "calibrated":
+    if layout.deflection_mode == "calibrated":
         disp = df * layout.calibration_um_per_mhz[channel] * 1e-6
-    elif mode == "geometric":
+    else:
         theta = df * layout.aod_full_deflection / layout.aod_freq_range_mhz
         disp = layout.focal_length * np.tan(theta)
         _, sagittal, tangential = plate_shifts(
             layout.effective_window_tilt, layout.window_index, layout.window_thickness
         )
         if channel.startswith("h"):
-            if include_off_axis:
-                disp = disp * math.cos(layout.half_angle)
-            if include_window:
-                disp = disp * (1.0 - tangential / layout.focal_length)
+            disp = disp * math.cos(layout.half_angle) * (1.0 - tangential / layout.focal_length)
         else:
-            if include_window:
-                disp = disp * (1.0 - sagittal / layout.focal_length)
-    else:
-        raise DomainError(f"unknown deflection mode {mode!r}")
+            disp = disp * (1.0 - sagittal / layout.focal_length)
     if np.ndim(delta_freq_mhz) == 0:
         return float(disp)
     return disp
@@ -392,22 +376,3 @@ def build_beamlines(
             )
         )
     return beams[0], beams[1]
-
-
-def closest_approach(beam_a: AstigmaticBeam, beam_b: AstigmaticBeam) -> tuple[float, np.ndarray]:
-    """Minimum distance between two beam axes and the midpoint of the connecting segment."""
-    d1, d2 = beam_a.direction, beam_b.direction
-    w0 = beam_a.origin - beam_b.origin
-    a = d1 @ d1
-    b = d1 @ d2
-    c = d2 @ d2
-    d = d1 @ w0
-    e = d2 @ w0
-    denom = a * c - b * b
-    if abs(denom) < 1e-18:
-        raise DomainError("beam axes are parallel")
-    t1 = (b * e - c * d) / denom
-    t2 = (a * e - b * d) / denom
-    p1 = beam_a.origin + t1 * d1
-    p2 = beam_b.origin + t2 * d2
-    return float(np.linalg.norm(p1 - p2)), 0.5 * (p1 + p2)

@@ -26,11 +26,12 @@ from .optics import (
     max_displacement,
     offsets_from_crossing,
 )
-from .potential import DipolePotential, ModulationWaveform, beam_records
+from .potential import WAVEFORM_PERIOD, DipolePotential, ModulationWaveform, beam_records
 from .trapchar import DEFAULT_HALF_EXTENTS, TrapReport, characterize
 
-DEFAULT_PERIOD = 1e-3
-TRANSITION_FRACTION = 0.05
+TRANSITION_FRACTION = 0.05  # share of a dwell segment spent moving to the next
+TRANSITION_KNOTS = 6  # raised-cosine steps of one transition
+LINE_PAINT_KNOTS = 64
 TRANSPORT_PROFILES = ("minimum-jerk", "linear")
 OBJECTIVES = ("equal-depth", "equal-mean-frequency")
 # compensate_powers: objective-spread target, rebalance candidates per site
@@ -143,10 +144,13 @@ def _dwell_waveform(
     layout: OpticalLayout,
     per_segment_offsets: list[tuple[float, float, float, float]],
     per_segment_weights: list[tuple[float, float, float, float]] | None = None,
-    period: float = DEFAULT_PERIOD,
-    transition_fraction: float = TRANSITION_FRACTION,
 ) -> ModulationWaveform:
-    """Hop through displacement segments with raised-cosine transitions."""
+    """Hop through displacement segments with raised-cosine transitions.
+
+    Each segment holds for all but ``TRANSITION_FRACTION`` of its share of
+    the period, then ramps to the next segment over ``TRANSITION_KNOTS``
+    steps.
+    """
     n = len(per_segment_offsets)
     if per_segment_weights is None:
         per_segment_weights = [(1.0, 1.0, 1.0, 1.0)] * n
@@ -155,39 +159,22 @@ def _dwell_waveform(
         for off in per_segment_offsets
     ]
     if n == 1:
-        return ModulationWaveform.constant(
-            freq_segments[0], per_segment_weights[0], period=period
-        )
-    seg_dt = period / n
-    trans_dt = transition_fraction * seg_dt
-    n_trans = 6
-    times, freqs, wts = [], [], []
-    for ch in range(4):
-        t_list, f_list, w_list = [], [], []
-        for k in range(n):
-            t0 = k * seg_dt
-            f_here = freq_segments[k][ch]
-            w_here = per_segment_weights[k][ch]
-            f_next = freq_segments[(k + 1) % n][ch]
-            w_next = per_segment_weights[(k + 1) % n][ch]
-            t_list += [t0, t0 + seg_dt - trans_dt]
-            f_list += [f_here, f_here]
-            w_list += [w_here, w_here]
-            for m in range(1, n_trans):
-                frac = 0.5 * (1 - math.cos(math.pi * m / n_trans))
-                t_list.append(t0 + seg_dt - trans_dt + trans_dt * m / n_trans)
-                f_list.append(f_here + (f_next - f_here) * frac)
-                w_list.append(w_here + (w_next - w_here) * frac)
-        times.append(np.array(t_list))
-        freqs.append(np.array(f_list))
-        wts.append(np.array(w_list))
-    return ModulationWaveform(
-        times=tuple(times),
-        freq_offsets_mhz=tuple(freqs),
-        weights=tuple(wts),
-        period=period,
-        interpolation="linear",
-    )
+        return ModulationWaveform.constant(freq_segments[0], per_segment_weights[0])
+    seg_dt = WAVEFORM_PERIOD / n
+    trans_dt = TRANSITION_FRACTION * seg_dt
+    steps = range(1, TRANSITION_KNOTS)
+    fracs = np.array([0.5 * (1 - math.cos(math.pi * m / TRANSITION_KNOTS)) for m in steps])
+    starts = np.arange(n) * seg_dt
+    hold_end = starts + seg_dt - trans_dt
+    ramp_times = hold_end[:, None] + np.array([trans_dt * m / TRANSITION_KNOTS for m in steps])
+    times = np.column_stack([starts, hold_end, ramp_times])
+
+    def knots(values):
+        here = np.array(values, dtype=float)
+        ramp = here[:, None] + (np.roll(here, -1, axis=0) - here)[:, None] * fracs[None, :, None]
+        return np.concatenate([here[:, None], here[:, None], ramp], axis=1).reshape(-1, 4)
+
+    return ModulationWaveform(times.reshape(-1), knots(freq_segments), knots(per_segment_weights))
 
 
 def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> bool:
@@ -207,84 +194,43 @@ def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> boo
     return False
 
 
-def synthesize_waveform(
-    layout: OpticalLayout,
-    mode: str,
-    params: dict,
-    inputs: tuple[InputBeam, InputBeam] | None = None,
-) -> ModulationWaveform:
-    """Build the AOD drive for one painting mode.
+def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: float = 0.0) -> ModulationWaveform:
+    """Symmetric triangle sweep of ``amplitude`` (m) on the horizontal channels.
 
-    Modes: "static-offset" (constant channel frequencies for
-    ``displacements_um``), "line-paint" (symmetric triangle sweep of
-    ``amplitude_um`` on the horizontal channels; optional
-    ``vertical_amplitude_um`` adds the same sweep on the vertical channels),
-    "vertical-tones" (equal-weight interleaved tones at ``positions_um``),
-    "grid" (dwell waveform visiting every GridSpec site).
+    ``vertical_amplitude`` (m) adds the same sweep on the vertical channels.
+    The sweep starts at -amplitude, turns at +amplitude at half the period
+    and is sampled at ``LINE_PAINT_KNOTS`` knots.
     """
-    period = params.get("period_s", DEFAULT_PERIOD)
-    if mode == "static-offset":
-        disp = [d * 1e-6 for d in params.get("displacements_um", (0.0, 0.0, 0.0, 0.0))]
-        freqs = [_channel_amp_mhz(layout, ch, disp[i]) for i, ch in enumerate(CHANNELS)]
-        return ModulationWaveform.constant(freqs, period=period)
-    if mode == "line-paint":
-        amp = params["amplitude_um"] * 1e-6
-        v_amp = params.get("vertical_amplitude_um", 0.0) * 1e-6
-        n = int(params.get("n_samples", 64))
-        t = np.arange(n) * (period / n)
-        tri = 1.0 - 4.0 * np.abs(t / period - 0.5)  # -1 at t=0, +1 at T/2, -1 at T
-        times, freqs, wts = [], [], []
-        for i, ch in enumerate(CHANNELS):
-            a = amp if ch.startswith("h") else v_amp
-            f_amp = _channel_amp_mhz(layout, ch, a)
-            times.append(t.copy())
-            freqs.append(f_amp * tri)
-            wts.append(np.ones(n))
-        return ModulationWaveform(
-            times=tuple(times),
-            freq_offsets_mhz=tuple(freqs),
-            weights=tuple(wts),
-            period=period,
-            interpolation="linear",
-        )
-    if mode == "vertical-tones":
-        positions = [p * 1e-6 for p in params["positions_um"]]
-        segments = [(0.0, z, 0.0, z) for z in positions]
-        return _dwell_waveform(layout, segments, period=period)
-    if mode == "grid":
-        spec: GridSpec = params["grid"]
-        weights = params.get("site_weights")
-        if inputs is not None:
-            _check_site_collisions(layout, inputs, spec)
-        segments = []
-        seg_weights = []
-        for n_idx, idx in enumerate(spec.site_indices()):
-            segments.append(_site_offsets(layout, spec.site_position(idx)))
-            w = 1.0 if weights is None else float(weights[n_idx])
-            seg_weights.append((w, 1.0, w, 1.0))
-        return _dwell_waveform(layout, segments, seg_weights, period=period)
-    raise DomainError(f"unknown waveform mode {mode!r}")
+    t = np.arange(LINE_PAINT_KNOTS) * (WAVEFORM_PERIOD / LINE_PAINT_KNOTS)
+    tri = 1.0 - 4.0 * np.abs(t / WAVEFORM_PERIOD - 0.5)
+    amps = [
+        _channel_amp_mhz(layout, ch, amplitude if ch.startswith("h") else vertical_amplitude)
+        for ch in CHANNELS
+    ]
+    return ModulationWaveform(t, np.outer(tri, amps), np.ones((LINE_PAINT_KNOTS, 4)))
 
 
-def waveforms_equal(a: ModulationWaveform, b: ModulationWaveform) -> bool:
-    if a.period != b.period or a.interpolation != b.interpolation:
-        return False
-    for ta, tb, fa, fb, wa, wb in zip(
-        a.times, b.times, a.freq_offsets_mhz, b.freq_offsets_mhz, a.weights, b.weights
-    ):
-        if ta.shape != tb.shape:
-            return False
-        if not (np.array_equal(ta, tb) and np.array_equal(fa, fb) and np.array_equal(wa, wb)):
-            return False
-    return True
+def vertical_tones(layout: OpticalLayout, positions) -> ModulationWaveform:
+    """Equal-dwell interleaved tones crossing the beams at each height in ``positions`` (m)."""
+    return _dwell_waveform(layout, [(0.0, z, 0.0, z) for z in positions])
 
 
-def _same_structure(a: ModulationWaveform, b: ModulationWaveform) -> bool:
-    return (
-        a.period == b.period
-        and a.interpolation == b.interpolation
-        and all(ta.shape == tb.shape and np.allclose(ta, tb) for ta, tb in zip(a.times, b.times))
-    )
+def grid_waveform(
+    layout: OpticalLayout, spec: GridSpec, inputs: tuple[InputBeam, InputBeam], weights=None
+) -> ModulationWaveform:
+    """Dwell waveform visiting every site of ``spec`` once per period.
+
+    ``weights`` gives one horizontal-channel amplitude weight per site.  A
+    spacing below two local waists warns that sites will merge.
+    """
+    _check_site_collisions(layout, inputs, spec)
+    segments = []
+    seg_weights = []
+    for n_idx, idx in enumerate(spec.site_indices()):
+        segments.append(_site_offsets(layout, spec.site_position(idx)))
+        w = 1.0 if weights is None else float(weights[n_idx])
+        seg_weights.append((w, 1.0, w, 1.0))
+    return _dwell_waveform(layout, segments, seg_weights)
 
 
 def split_ramp(
@@ -295,22 +241,16 @@ def split_ramp(
         raise DomainError("a ramp needs at least two steps")
     if duration <= 0:
         raise DomainError("ramp duration must be positive")
-    if not _same_structure(initial, final):
-        raise DomainError("initial and final waveforms have mismatched channel structure")
+    if not np.array_equal(initial.times, final.times):
+        raise DomainError("initial and final waveforms have different knot times")
     out = []
     for j in range(steps):
         s = j / (steps - 1)
-        freqs = tuple(
-            (1 - s) * fi + s * ff for fi, ff in zip(initial.freq_offsets_mhz, final.freq_offsets_mhz)
-        )
-        wts = tuple((1 - s) * wi + s * wf for wi, wf in zip(initial.weights, final.weights))
         out.append(
             ModulationWaveform(
-                times=initial.times,
-                freq_offsets_mhz=freqs,
-                weights=wts,
-                period=initial.period,
-                interpolation=initial.interpolation,
+                initial.times,
+                (1 - s) * initial.freq_offsets_mhz + s * final.freq_offsets_mhz,
+                (1 - s) * initial.weights + s * final.weights,
             )
         )
     return out
@@ -328,7 +268,6 @@ def transport_ramp(
     duration: float,
     steps: int = 21,
     profile: str = "minimum-jerk",
-    period: float = DEFAULT_PERIOD,
 ) -> list[ModulationWaveform]:
     """Waveform sequence transporting every site along a Cartesian path."""
     start = np.atleast_2d(np.asarray(start_positions, dtype=float))
@@ -353,7 +292,7 @@ def transport_ramp(
                         f"transport waypoint {pos * 1e6} um unreachable on channel {ch}"
                     )
             segments.append(offsets)
-        out.append(_dwell_waveform(layout, segments, period=period))
+        out.append(_dwell_waveform(layout, segments))
     return out
 
 

@@ -25,82 +25,58 @@ from .optics import (
     InputBeam,
     OpticalLayout,
     build_beamlines,
-    crossing_from_offsets,
     deflection_to_displacement,
-    focus_input_beam,
     place_beams,
 )
 
 DEFAULT_N_PHASES = 256
-DEFAULT_FIELD_DIMS = (96, 96, 96)
-AUTO_REGION_PHASES = 32  # phases sampled to bound the modulated crossings
-AUTO_REGION_WAIST_MARGIN = 4.0  # waists of margin around them
+WAVEFORM_PERIOD = 1e-3  # s, one AOD modulation period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulationWaveform:
-    """Periodic four-channel AOD drive (h1, v1, h2, v2).
+    """Periodic four-channel AOD drive (h1, v1, h2, v2) on one shared time grid.
 
-    Each channel holds time-sorted samples of frequency offset (MHz) and a
-    non-negative amplitude weight.  ``interpolation`` selects how values are
-    read between samples: "hold" (tones, dwell segments) or "linear" (sweeps).
-    A beam's per-phase power multiplier is the product of the weights of its
-    two channels.
+    ``times`` (m,) are the sorted knot times in [0, WAVEFORM_PERIOD); row k of
+    ``freq_offsets_mhz`` and ``weights`` (m, 4) holds every channel's
+    frequency offset (MHz) and non-negative amplitude weight at ``times[k]``.
+    Between knots the drive is read by periodic linear interpolation; a
+    one-knot drive is held over the whole period.  A beam's per-phase power
+    multiplier is the product of the weights of its two channels.
     """
 
-    times: tuple[np.ndarray, ...]  # per channel, seconds in [0, period)
-    freq_offsets_mhz: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
-    period: float = 1e-3
-    interpolation: str = "linear"
+    times: np.ndarray
+    freq_offsets_mhz: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise DomainError("waveform period must be positive")
-        if self.interpolation not in ("hold", "linear"):
-            raise DomainError(f"unknown interpolation {self.interpolation!r}")
-        if not (len(self.times) == len(self.freq_offsets_mhz) == len(self.weights) == 4):
+        times = np.asarray(self.times, dtype=float)
+        freqs = np.asarray(self.freq_offsets_mhz, dtype=float)
+        wts = np.asarray(self.weights, dtype=float)
+        if freqs.ndim != 2 or freqs.shape[1:] != (4,) or wts.shape[1:] != (4,):
             raise DomainError("waveform must carry exactly four channels")
-        times = tuple(np.asarray(t, dtype=float) for t in self.times)
-        freqs = tuple(np.asarray(f, dtype=float) for f in self.freq_offsets_mhz)
-        wts = tuple(np.asarray(w, dtype=float) for w in self.weights)
-        for ch, (t, f, w) in enumerate(zip(times, freqs, wts)):
-            if not (t.shape == f.shape == w.shape) or t.ndim != 1 or t.size == 0:
-                raise DomainError(f"channel {CHANNELS[ch]}: inconsistent sample arrays")
-            if np.any(np.diff(t) < 0):
-                raise DomainError(f"channel {CHANNELS[ch]}: samples must be time-sorted")
-            if t[0] < 0 or t[-1] >= self.period:
-                raise DomainError(f"channel {CHANNELS[ch]}: sample times must lie in [0, period)")
-            if np.any(w < 0):
-                raise DomainError(f"channel {CHANNELS[ch]}: amplitude weights must be >= 0")
-            if np.mean(w) > 1.0 + 1e-9:
-                raise DomainError(
-                    f"channel {CHANNELS[ch]}: mean amplitude weight exceeds 1 "
-                    "(cannot exceed available power)"
-                )
+        if times.ndim != 1 or times.size == 0 or not (freqs.shape == wts.shape == (times.size, 4)):
+            raise DomainError("inconsistent sample arrays")
+        if np.any(np.diff(times) < 0):
+            raise DomainError("samples must be time-sorted")
+        if times[0] < 0 or times[-1] >= WAVEFORM_PERIOD:
+            raise DomainError("sample times must lie in [0, period)")
+        negative = np.flatnonzero(np.any(wts < 0, axis=0))
+        if negative.size:
+            raise DomainError(f"channel {CHANNELS[negative[0]]}: amplitude weights must be >= 0")
+        over = np.flatnonzero(np.mean(wts, axis=0) > 1.0 + 1e-9)
+        if over.size:
+            raise DomainError(
+                f"channel {CHANNELS[over[0]]}: mean amplitude weight exceeds 1 "
+                "(cannot exceed available power)"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "freq_offsets_mhz", freqs)
         object.__setattr__(self, "weights", wts)
 
     @classmethod
-    def constant(cls, freq_offsets_mhz=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 1.0, 1.0, 1.0), period: float = 1e-3) -> "ModulationWaveform":
-        return cls(
-            times=tuple(np.array([0.0]) for _ in range(4)),
-            freq_offsets_mhz=tuple(np.array([float(f)]) for f in freq_offsets_mhz),
-            weights=tuple(np.array([float(w)]) for w in weights),
-            period=period,
-            interpolation="hold",
-        )
-
-    def max_offset_mhz(self) -> float:
-        return max(float(np.max(np.abs(f))) if f.size else 0.0 for f in self.freq_offsets_mhz)
-
-    def validate_against(self, layout: OpticalLayout) -> None:
-        if self.max_offset_mhz() > layout.aod_freq_range_mhz * (1 + 1e-12):
-            raise DomainError(
-                "waveform frequency offsets exceed AOD range "
-                f"+/-{layout.aod_freq_range_mhz} MHz"
-            )
+    def constant(cls, freq_offsets_mhz=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 1.0, 1.0, 1.0)) -> "ModulationWaveform":
+        return cls(np.zeros(1), [freq_offsets_mhz], [weights])
 
     def sample(self, n_phases: int) -> tuple[np.ndarray, np.ndarray]:
         """Channel frequency offsets and weights at n equidistant phases.
@@ -109,27 +85,16 @@ class ModulationWaveform:
         """
         if n_phases < 1:
             raise DomainError("need at least one phase")
-        t_eval = np.arange(n_phases) * (self.period / n_phases)
-        freqs = np.empty((n_phases, 4))
-        wts = np.empty((n_phases, 4))
-        for ch in range(4):
-            t, f, w = self.times[ch], self.freq_offsets_mhz[ch], self.weights[ch]
-            if t.size == 1:
-                freqs[:, ch] = f[0]
-                wts[:, ch] = w[0]
-            elif self.interpolation == "hold":
-                idx = np.searchsorted(t, t_eval, side="right") - 1
-                idx[idx < 0] = t.size - 1  # before first sample: wrap to last
-                freqs[:, ch] = f[idx]
-                wts[:, ch] = w[idx]
-            else:
-                # periodic linear interpolation
-                tp = np.concatenate([t, [t[0] + self.period]])
-                fp = np.concatenate([f, [f[0]]])
-                wp = np.concatenate([w, [w[0]]])
-                freqs[:, ch] = np.interp(t_eval, tp, fp, period=self.period)
-                wts[:, ch] = np.interp(t_eval, tp, wp, period=self.period)
-        return freqs, wts
+        if self.times.size == 1:
+            return np.repeat(self.freq_offsets_mhz, n_phases, axis=0), np.repeat(self.weights, n_phases, axis=0)
+        t_eval = np.arange(n_phases) * (WAVEFORM_PERIOD / n_phases)
+        tp = np.append(self.times, self.times[0] + WAVEFORM_PERIOD)
+
+        def periodic(values):
+            vp = np.vstack([values, values[:1]])
+            return np.column_stack([np.interp(t_eval, tp, vp[:, ch], period=WAVEFORM_PERIOD) for ch in range(4)])
+
+        return periodic(self.freq_offsets_mhz), periodic(self.weights)
 
 
 def beams_to_records(beams) -> np.ndarray:
@@ -215,19 +180,10 @@ def static_potential(constants: PhysicalConstants, beams) -> DipolePotential:
     return DipolePotential(constants, beams_to_records(beams))
 
 
-def dipole_potential_at(constants: PhysicalConstants, beams, point) -> np.ndarray | float:
-    """Dipole + gravity potential (J) of the given beams at a point or points."""
-    pot = static_potential(constants, beams)
-    if np.ndim(point) == 1:
-        return pot.at(point)
-    return pot(point)
-
-
 def _sampled_offsets(
     layout: OpticalLayout, waveform: ModulationWaveform, n_phases: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beam displacements (h1, v1, h2, v2) in m and channel weights, both (n_phases, 4)."""
-    waveform.validate_against(layout)
     freqs, wts = waveform.sample(n_phases)
     offsets = np.column_stack(
         [deflection_to_displacement(layout, ch, freqs[:, i]) for i, ch in enumerate(CHANNELS)]
@@ -304,6 +260,21 @@ class ScalarField3D:
         if abs(np.linalg.det(self.axes)) < 1e-30:
             raise DomainError("field axes must be linearly independent")
 
+    @classmethod
+    def sample(cls, potential: DipolePotential, center, half_extents, dims) -> "ScalarField3D":
+        """``potential`` on a ``dims`` grid spanning center +/- half_extents on each axis.
+
+        An axis with a single node holds it at the center.
+        """
+        center = np.asarray(center, dtype=float)
+        half = np.broadcast_to(np.asarray(half_extents, dtype=float), (3,))
+        dims = tuple(int(d) for d in dims)
+        steps = np.array([2 * half[i] / (dims[i] - 1) if dims[i] > 1 else 1.0 for i in range(3)])
+        origin = center - np.where(np.array(dims) > 1, half, 0.0)
+        fld = cls(origin=origin, axes=np.diag(steps), dims=dims, values=np.zeros(dims))
+        fld.values = potential(fld.node_coordinates()).reshape(dims)
+        return fld
+
     def node_coordinates(self) -> np.ndarray:
         """All node positions, shape (N, 3) in C order."""
         idx = np.stack(
@@ -325,70 +296,3 @@ class ScalarField3D:
         }
         path.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True))
         self.values.astype("<f8").tofile(path.with_suffix(".bin"))
-
-    @classmethod
-    def load(cls, path) -> "ScalarField3D":
-        path = Path(path)
-        header = json.loads(path.with_suffix(".json").read_text())
-        data = np.fromfile(path.parent / header["data_file"], dtype=header["dtype"])
-        return cls(
-            origin=np.array(header["origin_m"]),
-            axes=np.array(header["axes_m"]),
-            dims=tuple(header["dims"]),
-            values=data,
-            units=header.get("units", {}),
-        )
-
-
-def auto_region(
-    layout: OpticalLayout,
-    inputs: tuple[InputBeam, InputBeam],
-    waveform: ModulationWaveform,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(center, half_extents) covering the modulated crossings plus beam waists."""
-    offsets, _ = _sampled_offsets(layout, waveform, AUTO_REGION_PHASES)
-    h1, v1, h2, v2 = offsets.T
-    # per-phase crossing of the two displaced axes (common vertical part)
-    crossings = crossing_from_offsets(layout, h1, h2, 0.5 * (v1 + v2))
-    max_h = float(np.max(np.abs(offsets[:, 0::2])))
-    beam = focus_input_beam(layout, inputs[0])
-    split = abs(beam.focus_h - beam.focus_v)
-    w_ref = max(beam.width_h(0.0), beam.width_h(split), beam.width_v(split))
-    w_max = w_ref * (1.0 + layout.off_axis_size_slope * max_h)
-    lo = crossings.min(axis=0)
-    hi = crossings.max(axis=0)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) + AUTO_REGION_WAIST_MARGIN * w_max
-    return center, half
-
-
-def time_averaged_field(
-    constants: PhysicalConstants,
-    layout: OpticalLayout,
-    inputs: tuple[InputBeam, InputBeam],
-    waveform: ModulationWaveform,
-    region: tuple | None = None,
-    dims: tuple[int, int, int] = DEFAULT_FIELD_DIMS,
-    n_phases: int = DEFAULT_N_PHASES,
-) -> ScalarField3D:
-    """Sample the time-averaged potential on a regular grid.
-
-    ``region`` is (center, half_extents); when omitted it is fitted to the
-    waveform (4 waists plus the modulation span).
-    """
-    if region is None:
-        center, half = auto_region(layout, inputs, waveform)
-    else:
-        center = np.asarray(region[0], dtype=float)
-        half = np.asarray(region[1], dtype=float)
-    dims = tuple(int(d) for d in dims)
-    steps = np.array(
-        [2 * half[i] / (dims[i] - 1) if dims[i] > 1 else 1.0 for i in range(3)]
-    )
-    origin = center - np.where(np.array(dims) > 1, half, 0.0)
-    axes = np.diag(steps)
-    pot = time_averaged_potential(constants, layout, inputs, waveform, n_phases)
-    fld = ScalarField3D(origin=origin, axes=axes, dims=dims, values=np.zeros(dims))
-    pts = fld.node_coordinates()
-    fld.values = pot(pts).reshape(dims)
-    return fld

@@ -125,30 +125,6 @@ class ThermoMetrics:
 
 
 # central differences: the reference the closed-form derivatives are tested against
-def fd_gradient(f, x, h: float) -> np.ndarray:
-    pts = np.repeat(x[None, :], 6, axis=0)
-    for i in range(3):
-        pts[2 * i, i] += h
-        pts[2 * i + 1, i] -= h
-    vals = f(pts)
-    return (vals[0::2] - vals[1::2]) / (2 * h)
-
-
-def fd_hessian(f, x, h: float) -> np.ndarray:
-    """Central-difference Hessian: x +/- h e_i on the diagonal, x +/- h e_i +/- h e_j off it."""
-    e = h * np.eye(3)
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    pts = [x] + [x + s * e[i] for i in range(3) for s in (1.0, -1.0)]
-    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    pts += [x + si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs]
-    vals = f(np.array(pts))
-    hess = np.diag((vals[1:7:2] - 2 * vals[0] + vals[2:7:2]) / h**2)
-    for n, (i, j) in enumerate(pairs):
-        a, b, c, d = vals[7 + 4 * n : 11 + 4 * n]
-        hess[i, j] = hess[j, i] = (a - b - c + d) / (4 * h**2)
-    return hess
-
-
 def _newton(potential: DipolePotential, seed, domain, step):
     """Damped Newton descent from ``seed`` (clipped into the search box).
 

@@ -7,6 +7,7 @@ lines alongside the pytest verdicts.
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from codtsim.evap import (
     castin_dum_lambdas,
     evaporation_efficiency,
     fit_bimodal,
-    isotropic_scaling_2d,
     thermal_sigma0,
     timeline,
 )
@@ -31,7 +31,7 @@ from codtsim.optics import (
     deflection_to_displacement,
     focus_input_beam,
 )
-from codtsim.painting import GridSpec, characterize_sites, compensate_powers, synthesize_waveform
+from codtsim.painting import GridSpec, characterize_sites, compensate_powers, line_paint
 from codtsim.pointing import detect_spots, synth_frame
 from codtsim.potential import time_averaged_potential
 from codtsim.trapchar import (
@@ -74,8 +74,9 @@ def test_criterion_01_focal_optics():
 
 def test_criterion_02_deflection_mapping():
     with criterion(2, "deflection mapping"):
+        geometric = replace(LAYOUT, deflection_mode="geometric")
         for ch in CHANNELS:
-            geo = deflection_to_displacement(LAYOUT, ch, 1.0, mode="geometric") * 1e6
+            geo = deflection_to_displacement(geometric, ch, 1.0) * 1e6
             assert 80.0 <= geo <= 100.0
         # calibrated channels return the measured constants exactly
         assert deflection_to_displacement(LAYOUT, "v1", 1.0) == pytest.approx(86e-6)
@@ -84,10 +85,10 @@ def test_criterion_02_deflection_mapping():
         assert deflection_to_displacement(LAYOUT, "h2", 1.0) == pytest.approx(92e-6)
         # per-channel geometric means inside the simulated bands (corrections on)
         v_mean = np.mean(
-            [deflection_to_displacement(LAYOUT, ch, 1.0, mode="geometric") for ch in ("v1", "v2")]
+            [deflection_to_displacement(geometric, ch, 1.0) for ch in ("v1", "v2")]
         )
         h_mean = np.mean(
-            [deflection_to_displacement(LAYOUT, ch, 1.0, mode="geometric") for ch in ("h1", "h2")]
+            [deflection_to_displacement(geometric, ch, 1.0) for ch in ("h1", "h2")]
         )
         assert 83e-6 <= v_mean <= 93e-6  # 88 +/- 5 um/MHz
         assert 88e-6 <= h_mean <= 96e-6  # 92 +/- 4 um/MHz
@@ -115,7 +116,7 @@ def test_criterion_04_painted_trap_depth():
     with criterion(4, "painted trap depth"):
         # the quoted +/-740 um modulation is read as the full painted span,
         # so the triangle sweep amplitude is 370 um
-        wf = synthesize_waveform(LAYOUT, "line-paint", {"amplitude_um": 370.0})
+        wf = line_paint(LAYOUT, 370.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=256)
         report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 1.5e-3, 1e-3])))
         assert report.valid
@@ -191,7 +192,7 @@ def test_criterion_07_thermodynamic_endpoints():
         # cross-check disclosure: mean frequency of the characterized initial
         # painted trap (flat-bottomed line paint, so the harmonic figure is
         # indicative, not gated at the 5% level)
-        wf = synthesize_waveform(LAYOUT, "line-paint", {"amplitude_um": 230.0})
+        wf = line_paint(LAYOUT, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=128)
         report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 1e-3, 1e-3])))
         eta = report.depth / (RB.boltzmann * 20e-6)
@@ -213,11 +214,12 @@ def test_criterion_07_thermodynamic_endpoints():
 
 def test_criterion_08_expansion_inversion():
     with criterion(8, "expansion inversion"):
-        # integrator vs the isotropic analytic solution sqrt(1 + w^2 t^2)
+        # integrator vs the analytic release from (w, w, 0): lambda = sqrt(1 + w^2 t^2)
         omega = 2 * math.pi * 180.0
         ts = np.linspace(1e-4, 0.03, 50)
-        lam = isotropic_scaling_2d(omega, ts)
-        np.testing.assert_allclose(lam, np.sqrt(1 + (omega * ts) ** 2), rtol=1e-6)
+        lam = castin_dum_lambdas(np.array([omega, omega, 0.0]), ts)
+        for radial in lam[:, :2].T:
+            np.testing.assert_allclose(radial, np.sqrt(1 + (omega * ts) ** 2), rtol=1e-6)
         # isotropic release keeps the aspect ratio at unity
         lam3 = castin_dum_lambdas(2 * math.pi * np.array([150.0, 150.0, 150.0]), ts)
         np.testing.assert_allclose(lam3[:, 2] / lam3[:, 0], 1.0, atol=1e-6)

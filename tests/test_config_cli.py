@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown configuration"):
             load_config(overrides=["beams.powerw=5.5"])
 
-    def test_defaults_validate_against_spec(self):
+    def test_defaults_pass_spec_validation(self):
         _validate(DEFAULT_CONFIG, SPEC)
 
     def test_set_object_merged_like_a_file(self):
@@ -466,3 +468,102 @@ class TestCli:
         assert code == 0
         report = json.loads((out / "flight_report.json").read_text())
         assert report["phases"]["microgravity"]["dc_interspot_um"]["max_abs"] == 0.0
+
+    def test_evap_timeline_saddle_row_keeps_every_column(self, tmp_path):
+        # at 2 phases the 10 um reopen paint puts a saddle at the seed: that
+        # row is reported invalid with the same columns as the valid rows
+        out = tmp_path / "timeline"
+        argv = ["evap", "timeline", "--out", str(out)]
+        for override in ("evap.timeline_phases=2", "evap.timeline_samples=3", "evap.reopen_amplitude_um=10"):
+            argv += ["--set", override]
+        assert main(argv) == 0
+        with (out / "timeline.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+        assert "depth_uK" in header and "reason" not in header
+        reopened = dict(zip(header, rows[-1]))
+        assert reopened["valid"] == "0" and reopened["depth_uK"] == "0"
+
+    def test_paint_grid_waveform_artifact(self, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["paint", "grid", "--out", str(out)]) == 0
+        wf = json.loads((out / "grid_waveform.json").read_text())
+        assert wf["period_s"] == 0.001 and wf["interpolation"] == "linear"
+        channels = wf["channels"]
+        assert all(channels[ch]["t_s"] == channels["h1"]["t_s"] for ch in ("v1", "h2", "v2"))
+        # each site's dwell opens its segment of 7 knots (hold start and end, 5 ramp steps)
+        sites = [(j, k) for j in range(3) for k in range(3)]
+        assert len(channels["h1"]["t_s"]) == 7 * len(sites)
+        cos15 = math.cos(math.radians(15.0))
+        for n, (j, k) in enumerate(sites):
+            y, z = (j - 1) * 480.0, (k - 1) * 480.0
+            for knot in (7 * n, 7 * n + 1):
+                assert channels["h1"]["freq_offset_mhz"][knot] == pytest.approx(y * cos15 / 92.0, rel=1e-12)
+                assert channels["v1"]["freq_offset_mhz"][knot] == pytest.approx(z / 86.0, rel=1e-12)
+
+    def test_paint_transport_waveform_artifact(self, tmp_path):
+        from codtsim.painting import minimum_jerk
+
+        out = tmp_path / "transport"
+        assert main(["paint", "transport", "--out", str(out)]) == 0
+        steps = json.loads((out / "transport_waveforms.json").read_text())["steps"]
+        assert len(steps) == 21 and all(s["interpolation"] == "hold" for s in steps)
+        fractions = minimum_jerk(np.linspace(0.0, 1.0, 21))
+        sin15 = math.sin(math.radians(15.0))
+        for step, s in zip(steps, fractions):
+            (h1,) = step["channels"]["h1"]["freq_offset_mhz"]
+            (h2,) = step["channels"]["h2"]["freq_offset_mhz"]
+            assert h1 == pytest.approx(-330.0 * sin15 / 92.0 * s, rel=1e-12, abs=1e-15)
+            assert h2 == pytest.approx(-h1, rel=1e-12, abs=1e-15)
+
+    def test_trap_report_field_artifact(self, tmp_path):
+        out = tmp_path / "field"
+        argv = ["trap", "report", "--out", str(out), "--set", "trap.save_field=true"]
+        assert main(argv + ["--set", "trap.field_dims=[21,21,21]"]) == 0
+        header = json.loads((out / "trap_field.json").read_text())
+        axes = np.array(header["axes_m"])
+        np.testing.assert_array_equal(axes, np.diag(np.diag(axes)))
+        # centred on the crossing, at least 4 focal waists (10.4 um) on every side
+        half = 0.5 * (np.array(header["dims"]) - 1) * np.diag(axes)
+        np.testing.assert_allclose(header["origin_m"], -half, rtol=1e-12)
+        assert np.all(half >= 4 * 10.4e-6)
+        values = np.fromfile(out / header["data_file"], dtype=header["dtype"]).reshape(header["dims"])
+        deepest = np.array(header["origin_m"]) + np.array(np.unravel_index(np.argmin(values), values.shape)) @ axes
+        minimum = np.array(json.loads((out / "trap_report.json").read_text())["minimum_position_um"]) * 1e-6
+        assert np.linalg.norm(deepest - minimum) <= np.max(np.diag(axes))
+
+
+# one small run per subcommand; flight analyze reads the frames of a flight synth run
+SMALL_RUNS = {
+    "trap report": [],
+    "trap volume": [],
+    "trap misalign-sweep": ["misalign.n_steps=3"],
+    "paint grid": [],
+    "paint compensate": ["paint.grid_counts=[1,1,3]", "paint.grid_spacing_um=[0,0,300]"],
+    "paint transport": ["paint.transport_steps=3"],
+    "evap schedule": [],
+    "evap timeline": ["evap.timeline_samples=3", "evap.timeline_phases=16"],
+    "tof expand": [],
+    "tof fit": [],
+    "flight synth": ["flight.n_frames=24"],
+    "flight analyze": ["flight.n_frames=24"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_subcommand_writes_exactly_its_artifacts(command, tmp_path):
+    from codtsim.cli import COMMANDS
+
+    assert len(SMALL_RUNS) == len(COMMANDS)
+    settings = [arg for override in SMALL_RUNS[command] for arg in ("--set", override)]
+    extra = []
+    if command == "flight analyze":
+        frames = tmp_path / "frames"
+        assert main(["flight", "synth", "--out", str(frames), *settings]) == 0
+        extra = ["--frames", str(frames)]
+    out = tmp_path / "out"
+    assert main([*command.split(), "--out", str(out), *settings, *extra]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == sorted(manifest["artifacts"] + ["manifest.json"])

@@ -15,7 +15,6 @@ from codtsim.evap import (
     evaporation_efficiency,
     expand,
     fit_bimodal,
-    isotropic_scaling_2d,
     thermal_sigma0,
     timeline,
 )
@@ -160,9 +159,12 @@ class TestExpansion:
     def test_integrator_matches_isotropic_analytic_solution(self):
         omega = 2 * math.pi * 180.0
         ts = np.linspace(1e-4, 0.03, 40)
-        lam = isotropic_scaling_2d(omega, ts)
+        # a release from (w, w, 0) expands radially as sqrt(1 + w^2 t^2)
+        lam = castin_dum_lambdas(np.array([omega, omega, 0.0]), ts)
         exact = np.sqrt(1 + (omega * ts) ** 2)
-        np.testing.assert_allclose(lam, exact, rtol=1e-6)
+        np.testing.assert_allclose(lam[:, 0], exact, rtol=1e-6)
+        np.testing.assert_allclose(lam[:, 1], exact, rtol=1e-6)
+        np.testing.assert_array_equal(lam[:, 2], 1.0)
 
     def test_isotropic_release_keeps_unit_aspect(self):
         ts = np.linspace(0, 0.02, 11)

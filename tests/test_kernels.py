@@ -49,12 +49,11 @@ def test_chunked_numpy_path(records):
 def test_blocks_bounded_by_points_times_records(monkeypatch):
     from codtsim.constants import PhysicalConstants
     from codtsim.optics import InputBeam, OpticalLayout
-    from codtsim.painting import synthesize_waveform
+    from codtsim.painting import line_paint
     from codtsim.potential import time_averaged_potential
 
     layout = OpticalLayout()
-    line = {"amplitude_um": 230.0, "vertical_amplitude_um": 40.0}
-    wf = synthesize_waveform(layout, "line-paint", line)
+    wf = line_paint(layout, 230.0 * 1e-6, 40.0 * 1e-6)
     records = time_averaged_potential(
         PhysicalConstants(gravity=0.0), layout, (InputBeam(), InputBeam()), wf, 64
     ).records

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from codtsim.optics import (
     OpticalLayout,
     beam_intensity,
     build_beamlines,
-    closest_approach,
     crossing_from_offsets,
     deflection_to_displacement,
     focus_input_beam,
@@ -67,7 +67,8 @@ class TestWindowAstigmatism:
     def test_zero_tilt_is_stigmatic(self, input_beam):
         layout = OpticalLayout(window_tilt=0.0)
         beam = focus_input_beam(layout, input_beam)
-        assert beam.is_stigmatic(tol=1e-15)
+        assert abs(beam.focus_h - beam.focus_v) <= 1e-15
+        assert abs(beam.waist_h - beam.waist_v) <= 1e-15
 
     def test_tilted_window_splits_foci(self, layout, input_beam):
         beam = focus_input_beam(layout, input_beam)
@@ -125,14 +126,19 @@ class TestBeamIntensity:
 
 class TestDeflection:
     def test_ideal_thin_lens_scale(self, layout):
-        disp = deflection_to_displacement(
-            layout, "h1", 1.0, mode="geometric", include_window=False, include_off_axis=False
-        )
-        assert disp * 1e6 == pytest.approx(97.74, abs=0.1)
+        # without the window the geometric map is f tan(theta) projected
+        # onto the beam axis tilted by half the crossing angle
+        bare = replace(layout, deflection_mode="geometric", window_thickness=0.0)
+        disp = deflection_to_displacement(bare, "h1", 1.0)
+        theta = layout.aod_full_deflection / layout.aod_freq_range_mhz
+        expected = layout.focal_length * math.tan(theta) * math.cos(math.radians(15.0))
+        assert disp == pytest.approx(expected, rel=1e-12)
+        assert disp * 1e6 == pytest.approx(94.41, abs=0.1)
 
     def test_geometric_scales_within_simulated_bands(self, layout):
-        h = deflection_to_displacement(layout, "h1", 1.0, mode="geometric") * 1e6
-        v = deflection_to_displacement(layout, "v1", 1.0, mode="geometric") * 1e6
+        geometric = replace(layout, deflection_mode="geometric")
+        h = deflection_to_displacement(geometric, "h1", 1.0) * 1e6
+        v = deflection_to_displacement(geometric, "v1", 1.0) * 1e6
         assert 80 <= h <= 100 and 80 <= v <= 100
         assert 83 <= v <= 93  # vertical band 88 +/- 5 um/MHz
         assert 88 <= h <= 96  # horizontal band 92 +/- 4 um/MHz
@@ -150,6 +156,19 @@ class TestDeflection:
     def test_out_of_range_rejected(self, layout):
         with pytest.raises(DomainError):
             deflection_to_displacement(layout, "h1", 15.5)
+
+
+def closest_approach(beam_a: AstigmaticBeam, beam_b: AstigmaticBeam) -> tuple[float, np.ndarray]:
+    """Minimum distance between two beam axes and the midpoint of the connecting segment."""
+    d1, d2 = beam_a.direction, beam_b.direction
+    w0 = beam_a.origin - beam_b.origin
+    a, b, c = d1 @ d1, d1 @ d2, d2 @ d2
+    d, e = d1 @ w0, d2 @ w0
+    denom = a * c - b * b
+    assert abs(denom) > 1e-18, "beam axes are parallel"
+    p1 = beam_a.origin + (b * e - c * d) / denom * d1
+    p2 = beam_b.origin + (a * e - b * d) / denom * d2
+    return float(np.linalg.norm(p1 - p2)), 0.5 * (p1 + p2)
 
 
 class TestBeamlines:

@@ -3,33 +3,41 @@ import pytest
 
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError
-from codtsim.optics import OpticalLayout
+from codtsim.optics import OpticalLayout, deflection_to_displacement
 from codtsim.painting import (
     GridSpec,
     characterize_sites,
     compensate_powers,
+    grid_waveform,
+    line_paint,
     minimum_jerk,
     split_ramp,
-    synthesize_waveform,
     transport_ramp,
-    waveforms_equal,
+    vertical_tones,
 )
-from codtsim.potential import time_averaged_potential
+from codtsim.potential import ModulationWaveform, time_averaged_potential
 
 RB = PhysicalConstants(gravity=0.0)
 
 
+def assert_waveforms_equal(a: ModulationWaveform, b: ModulationWaveform) -> None:
+    for name in ("times", "freq_offsets_mhz", "weights"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestSynthesizeWaveform:
+    """The waveform constructors: line paint, vertical tones, grid dwell, constant."""
+
     def test_vertical_tone_separation_at_calibration(self, layout):
         # 190 um two-site spacing at 86 um/MHz -> tones separated by ~2.21 MHz
-        wf = synthesize_waveform(layout, "vertical-tones", {"positions_um": [-95.0, 95.0]})
-        v1 = wf.freq_offsets_mhz[1]
+        wf = vertical_tones(layout, [-95.0 * 1e-6, 95.0 * 1e-6])
+        v1 = wf.freq_offsets_mhz[:, 1]
         sep = v1.max() - v1.min()
         assert sep == pytest.approx(190.0 / 86.0, rel=1e-6)
         assert sep == pytest.approx(2.21, abs=0.01)
 
     def test_static_zero_offsets_equal_unmodulated(self, layout, input_pair):
-        wf = synthesize_waveform(layout, "static-offset", {})
+        wf = ModulationWaveform.constant()
         pot = time_averaged_potential(RB, layout, input_pair, wf, n_phases=4)
         from codtsim.optics import build_beamlines
         from codtsim.potential import static_potential
@@ -43,55 +51,94 @@ class TestSynthesizeWaveform:
         layout = OpticalLayout(
             calibration_um_per_mhz={"h1": 86.0, "v1": 86.0, "h2": 86.0, "v2": 86.0}
         )
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 460.0})
-        h1 = wf.freq_offsets_mhz[0]
+        wf = line_paint(layout, 460.0 * 1e-6)
+        h1 = wf.freq_offsets_mhz[:, 0]
         assert h1.max() == pytest.approx(460.0 / 86.0, rel=1e-9)
         assert h1.max() == pytest.approx(5.35, abs=0.01)
         assert h1.min() == pytest.approx(-5.35, abs=0.01)
         # vertical channels stay put for a pure horizontal paint
-        assert np.all(wf.freq_offsets_mhz[1] == 0)
+        assert np.all(wf.freq_offsets_mhz[:, 1::2] == 0)
 
     def test_out_of_range_displacement_rejected(self, layout):
         with pytest.raises(DomainError):
-            synthesize_waveform(layout, "line-paint", {"amplitude_um": 1500.0})
+            line_paint(layout, 1500.0 * 1e-6)
+
+    def test_grid_dwell_knots_equal_loop_reference(self, layout, input_pair):
+        spec = GridSpec(counts=(1, 3, 3), spacing=(0.0, 480e-6, 480e-6), center=(30e-6, 0.0, 0.0))
+        site_weights = np.linspace(0.6, 1.2, 9)
+        wf = grid_waveform(layout, spec, input_pair, site_weights)
+        times, freqs, wts = dwell_knots_loop(layout, spec, site_weights)
+        np.testing.assert_array_equal(wf.times, times)
+        np.testing.assert_array_equal(wf.freq_offsets_mhz, freqs)
+        np.testing.assert_array_equal(wf.weights, wts)
 
     def test_site_collision_warns(self, layout, input_pair):
         spec = GridSpec(counts=(1, 2, 1), spacing=(0.0, 15e-6, 0.0))
         with pytest.warns(UserWarning):
-            synthesize_waveform(layout, "grid", {"grid": spec}, input_pair)
+            grid_waveform(layout, spec, input_pair)
+
+
+def dwell_knots_loop(layout, spec, site_weights):
+    """Per-channel loop over segments and transition steps: the reference for the dwell grid."""
+    import math
+
+    from codtsim.optics import CHANNELS, offsets_from_crossing
+
+    freqs, wts = [], []
+    for n_idx, idx in enumerate(spec.site_indices()):
+        h1, h2, v = offsets_from_crossing(layout, spec.site_position(idx))
+        freqs.append([off / deflection_to_displacement(layout, ch, 1.0) for ch, off in zip(CHANNELS, (h1, v, h2, v))])
+        w = float(site_weights[n_idx])
+        wts.append((w, 1.0, w, 1.0))
+    n = len(freqs)
+    seg_dt = 1e-3 / n
+    trans_dt = 0.05 * seg_dt
+    times, f_knots, w_knots = [], [], []
+    for k in range(n):
+        t0 = k * seg_dt
+        times += [t0, t0 + seg_dt - trans_dt]
+        f_row, w_row = [freqs[k], freqs[k]], [wts[k], wts[k]]
+        for m in range(1, 6):
+            frac = 0.5 * (1 - math.cos(math.pi * m / 6))
+            times.append(t0 + seg_dt - trans_dt + trans_dt * m / 6)
+            nxt = (k + 1) % n
+            f_row.append([f + (g - f) * frac for f, g in zip(freqs[k], freqs[nxt])])
+            w_row.append([w + (x - w) * frac for w, x in zip(wts[k], wts[nxt])])
+        f_knots += f_row
+        w_knots += w_row
+    return np.array(times), np.array(f_knots), np.array(w_knots)
 
 
 class TestSplitRamp:
-    def _tones(self, layout, positions):
-        return synthesize_waveform(layout, "vertical-tones", {"positions_um": positions})
+    def _tones(self, layout, positions_um):
+        return vertical_tones(layout, [p * 1e-6 for p in positions_um])
 
     def test_two_steps_are_exactly_endpoints(self, layout):
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
         seq = split_ramp(initial, final, duration=0.1, steps=2)
         assert len(seq) == 2
-        assert waveforms_equal(seq[0], initial)
-        assert waveforms_equal(seq[-1], final)
+        assert_waveforms_equal(seq[0], initial)
+        assert_waveforms_equal(seq[-1], final)
 
     def test_midpoint_is_arithmetic_mean(self, layout):
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
         seq = split_ramp(initial, final, duration=0.1, steps=3)
-        for ch in range(4):
-            np.testing.assert_allclose(
-                seq[1].freq_offsets_mhz[ch],
-                0.5 * (initial.freq_offsets_mhz[ch] + final.freq_offsets_mhz[ch]),
-                atol=1e-15,
-            )
+        np.testing.assert_allclose(
+            seq[1].freq_offsets_mhz,
+            0.5 * (initial.freq_offsets_mhz + final.freq_offsets_mhz),
+            atol=1e-15,
+        )
 
     def test_power_budget_conserved(self, layout):
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
         for wf in split_ramp(initial, final, duration=0.1, steps=5):
             for ch in range(4):
-                assert np.mean(wf.weights[ch]) <= 1.0 + 1e-12
-                assert np.mean(wf.weights[ch]) == pytest.approx(
-                    np.mean(initial.weights[ch]), rel=1e-12
+                assert np.mean(wf.weights[:, ch]) <= 1.0 + 1e-12
+                assert np.mean(wf.weights[:, ch]) == pytest.approx(
+                    np.mean(initial.weights[:, ch]), rel=1e-12
                 )
 
     def test_minima_census_during_split(self, layout, input_pair):
@@ -117,21 +164,21 @@ class TestTransportRamp:
     def test_zero_displacement_constant(self, layout):
         seq = transport_ramp(layout, [[0, 0, 0]], [[0, 0, 0]], duration=0.1, steps=5)
         for wf in seq[1:]:
-            assert waveforms_equal(wf, seq[0])
+            assert_waveforms_equal(wf, seq[0])
 
     def test_out_of_plane_and_back_endpoints_identical(self, layout):
         fwd = transport_ramp(layout, [[0, 0, 0]], [[330e-6, 0, 0]], duration=0.1, steps=9)
         back = transport_ramp(layout, [[330e-6, 0, 0]], [[0, 0, 0]], duration=0.1, steps=9)
-        assert waveforms_equal(fwd[-1], back[0])
-        assert waveforms_equal(back[-1], fwd[0])
+        assert_waveforms_equal(fwd[-1], back[0])
+        assert_waveforms_equal(back[-1], fwd[0])
 
     def test_grid_expansion_frequency_change(self, layout):
         # 190 -> 480 um vertical move: channel change = 290 um / calibration
         start = [[0, 0, 95e-6]]
         end = [[0, 0, 240e-6]]
         seq = transport_ramp(layout, start, end, duration=0.1, steps=3)
-        v_start = seq[0].freq_offsets_mhz[1].max()
-        v_end = seq[-1].freq_offsets_mhz[1].max()
+        v_start = seq[0].freq_offsets_mhz[:, 1].max()
+        v_end = seq[-1].freq_offsets_mhz[:, 1].max()
         assert (v_end - v_start) == pytest.approx((240 - 95) / 86.0, rel=1e-9)
 
     def test_minimum_jerk_profile_endpoints(self):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,54 @@ from codtsim.potential import (
     _phase_records,
     beam_records,
     beams_to_records,
-    dipole_potential_at,
     static_potential,
-    time_averaged_field,
     time_averaged_potential,
 )
+from codtsim.painting import GridSpec, grid_waveform, line_paint
+
+
+def fd_gradient(f, x, h: float) -> np.ndarray:
+    """Central-difference gradient: x +/- h e_i."""
+    pts = np.repeat(x[None, :], 6, axis=0)
+    for i in range(3):
+        pts[2 * i, i] += h
+        pts[2 * i + 1, i] -= h
+    vals = f(pts)
+    return (vals[0::2] - vals[1::2]) / (2 * h)
+
+
+def fd_hessian(f, x, h: float) -> np.ndarray:
+    """Central-difference Hessian: x +/- h e_i on the diagonal, x +/- h e_i +/- h e_j off it."""
+    e = h * np.eye(3)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    pts = [x] + [x + s * e[i] for i in range(3) for s in (1.0, -1.0)]
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    pts += [x + si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs]
+    vals = f(np.array(pts))
+    hess = np.diag((vals[1:7:2] - 2 * vals[0] + vals[2:7:2]) / h**2)
+    for n, (i, j) in enumerate(pairs):
+        a, b, c, d = vals[7 + 4 * n : 11 + 4 * n]
+        hess[i, j] = hess[j, i] = (a - b - c + d) / (4 * h**2)
+    return hess
+
+
+def potential_at(constants, beams, point):
+    """Dipole + gravity potential (J) of the given beams at one point."""
+    return static_potential(constants, beams).at(point)
+
+
+def load_field(path) -> ScalarField3D:
+    """Read back a field written by ``ScalarField3D.save``."""
+    path = Path(path)
+    header = json.loads(path.with_suffix(".json").read_text())
+    data = np.fromfile(path.parent / header["data_file"], dtype=header["dtype"])
+    return ScalarField3D(
+        origin=np.array(header["origin_m"]),
+        axes=np.array(header["axes_m"]),
+        dims=tuple(header["dims"]),
+        values=data,
+        units=header["units"],
+    )
 
 
 class TestDipolePotential:
@@ -23,13 +69,10 @@ class TestDipolePotential:
     def test_closed_form_derivatives_match_central_differences(self, case, layout, input_pair):
         # central differences approach the closed form at O(h^2): the error
         # falls 4x per step halving, with no floor left by a missing term
-        from codtsim.painting import synthesize_waveform
-        from codtsim.trapchar import fd_gradient, fd_hessian
-
         constants = PhysicalConstants(gravity=9.81 if case == "static-gravity" else 0.0)
         x = np.array([3e-6, -4e-6, 2e-6])  # off every symmetry plane of the trap
         if case == "line-painted":
-            wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+            wf = line_paint(layout, 230.0 * 1e-6)
             pot = time_averaged_potential(constants, layout, input_pair, wf, 128)
             assert pot.records.shape[0] >= 100
             x[1] = 150e-6  # on the painted plateau
@@ -46,8 +89,8 @@ class TestDipolePotential:
 
     def test_far_field_vanishes(self, no_gravity, layout, input_pair):
         beams = build_beamlines(layout, input_pair)
-        u = dipole_potential_at(no_gravity, beams, np.array([0.05, 0.02, 0.02]))
-        u0 = dipole_potential_at(no_gravity, beams, np.zeros(3))
+        u = potential_at(no_gravity, beams, np.array([0.05, 0.02, 0.02]))
+        u0 = potential_at(no_gravity, beams, np.zeros(3))
         assert abs(u) < 1e-6 * abs(u0)
 
     def test_single_beam_peak_depth_8_to_9_mk(self, no_gravity, layout):
@@ -64,16 +107,16 @@ class TestDipolePotential:
             origin=np.zeros(3),
             direction=np.array([1.0, 0.0, 0.0]),
         )
-        u = dipole_potential_at(no_gravity, [beam], np.zeros(3))
+        u = potential_at(no_gravity, [beam], np.zeros(3))
         depth_mk = -u / no_gravity.boltzmann * 1e3
         assert 8.0 <= depth_mk <= 9.0
 
     def test_crossed_center_is_sum_of_singles(self, no_gravity, layout, input_pair):
         b1, b2 = build_beamlines(layout, input_pair)
         point = np.zeros(3)
-        u_both = dipole_potential_at(no_gravity, [b1, b2], point)
-        u_1 = dipole_potential_at(no_gravity, [b1], point)
-        u_2 = dipole_potential_at(no_gravity, [b2], point)
+        u_both = potential_at(no_gravity, [b1, b2], point)
+        u_1 = potential_at(no_gravity, [b1], point)
+        u_2 = potential_at(no_gravity, [b2], point)
         assert u_both == pytest.approx(u_1 + u_2, rel=0.005)
 
     def test_power_linearity_of_optical_part(self, no_gravity, layout, input_pair):
@@ -104,32 +147,35 @@ class TestDipolePotential:
 
 class TestModulationWaveform:
     def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            ModulationWaveform(
-                times=tuple(np.array([0.0, 0.5e-3]) for _ in range(4)),
-                freq_offsets_mhz=tuple(np.array([0.0, 1.0]) for _ in range(4)),
-                weights=tuple(np.array([1.5, 1.5]) for _ in range(4)),  # mean > 1
-            )
-        with pytest.raises(DomainError):
-            ModulationWaveform(
-                times=tuple(np.array([0.5e-3, 0.0]) for _ in range(4)),  # unsorted
-                freq_offsets_mhz=tuple(np.array([0.0, 1.0]) for _ in range(4)),
-                weights=tuple(np.array([1.0, 1.0]) for _ in range(4)),
-            )
+        times = np.array([0.0, 0.5e-3])
+        freqs = np.array([[0.0] * 4, [1.0] * 4])
+        with pytest.raises(DomainError, match="channel h1: mean amplitude weight exceeds 1"):
+            ModulationWaveform(times, freqs, np.full((2, 4), 1.5))
+        with pytest.raises(DomainError, match="time-sorted"):
+            ModulationWaveform(times[::-1], freqs, np.ones((2, 4)))
+        with pytest.raises(DomainError, match="channel v2: amplitude weights must be >= 0"):
+            ModulationWaveform(times, freqs, np.array([[1.0, 1.0, 1.0, -0.5], [1.0] * 4]))
+        with pytest.raises(DomainError, match="four channels"):
+            ModulationWaveform(times, freqs[:, :3], np.ones((2, 3)))
+        with pytest.raises(DomainError, match="inconsistent"):
+            ModulationWaveform(times, freqs, np.ones((3, 4)))
+        with pytest.raises(DomainError, match=r"\[0, period\)"):
+            ModulationWaveform(np.array([0.0, 1e-3]), freqs, np.ones((2, 4)))
 
-    def test_range_validation_against_layout(self, layout):
+    def test_range_validation_against_layout(self, no_gravity, layout, input_pair):
+        # the deflection map checks every sampled offset against the AOD range
         wf = ModulationWaveform.constant((20.0, 0.0, 0.0, 0.0))
         with pytest.raises(DomainError):
-            wf.validate_against(layout)
+            time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=4)
 
     def test_sampling_hold_and_linear(self):
-        times = tuple(np.array([0.0, 0.5e-3]) for _ in range(4))
-        freqs = tuple(np.array([0.0, 2.0]) for _ in range(4))
-        wts = tuple(np.array([1.0, 1.0]) for _ in range(4))
-        hold = ModulationWaveform(times, freqs, wts, interpolation="hold")
-        f, _ = hold.sample(4)
-        np.testing.assert_allclose(f[:, 0], [0.0, 0.0, 2.0, 2.0])
-        lin = ModulationWaveform(times, freqs, wts, interpolation="linear")
+        # a one-knot drive is held over the period; more knots are read linearly
+        hold = ModulationWaveform.constant((2.0, 0.0, -1.0, 0.5), (0.5, 1.0, 1.0, 0.25))
+        f, w = hold.sample(4)
+        np.testing.assert_array_equal(f, np.tile([2.0, 0.0, -1.0, 0.5], (4, 1)))
+        np.testing.assert_array_equal(w, np.tile([0.5, 1.0, 1.0, 0.25], (4, 1)))
+        times = np.array([0.0, 0.5e-3])
+        lin = ModulationWaveform(times, np.array([[0.0] * 4, [2.0] * 4]), np.ones((2, 4)))
         f, _ = lin.sample(4)
         np.testing.assert_allclose(f[:, 0], [0.0, 1.0, 2.0, 1.0])
 
@@ -148,16 +194,11 @@ class TestTimeAveragedPotential:
         # single-crossing average; the field is symmetric under tone exchange
         z_sep = 95e-6
         dfv = z_sep / 86e-6  # MHz at the calibrated vertical scale
-        times = tuple(np.array([0.0, 0.5e-3]) for _ in range(4))
-        freqs = (
-            np.array([0.0, 0.0]),
-            np.array([dfv, -dfv]),
-            np.array([0.0, 0.0]),
-            np.array([dfv, -dfv]),
-        )
-        wts = tuple(np.array([1.0, 1.0]) for _ in range(4))
-        wf = ModulationWaveform(times, freqs, wts, interpolation="hold")
-        pot = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=8)
+        times = np.array([0.0, 0.5e-3])
+        freqs = np.array([[0.0, dfv, 0.0, dfv], [0.0, -dfv, 0.0, -dfv]])
+        wf = ModulationWaveform(times, freqs, np.ones((2, 4)))
+        # two phases land on the two knots: each tone for half the period
+        pot = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=2)
         static = static_potential(no_gravity, build_beamlines(layout, input_pair))
         u_site = pot.at(np.array([0.0, 0.0, z_sep]))
         u_single = static.at(np.zeros(3))
@@ -166,17 +207,13 @@ class TestTimeAveragedPotential:
         assert u_site == pytest.approx(u_mirror, rel=1e-12)
 
     def test_phase_count_convergence(self, no_gravity, layout, input_pair):
-        from codtsim.painting import synthesize_waveform
-
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 100.0})
+        wf = line_paint(layout, 100.0 * 1e-6)
         pts = np.array([[0, 0, 0], [0, 50e-6, 0], [0, 0, 8e-6]], dtype=float)
         u_256 = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=256)(pts)
         u_512 = time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=512)(pts)
         assert np.max(np.abs(u_512 / u_256 - 1)) < 1e-3
 
     def test_records_match_per_phase_beamlines(self, no_gravity, input_pair):
-        from codtsim.painting import GridSpec, synthesize_waveform
-
         def per_phase_records(layout, wf, n_phases):
             freqs, wts = wf.sample(n_phases)
             rows = []
@@ -193,11 +230,9 @@ class TestTimeAveragedPotential:
         grid = GridSpec((1, 3, 3), (0.0, 480e-6, 480e-6))
         for mode in ("calibrated", "geometric"):
             layout = OpticalLayout(deflection_mode=mode)
-            line = {"amplitude_um": 370.0, "vertical_amplitude_um": 40.0}
-            dwell = {"grid": grid, "site_weights": np.linspace(0.6, 1.2, 9)}
             waveforms = (
-                synthesize_waveform(layout, "line-paint", line),
-                synthesize_waveform(layout, "grid", dwell),
+                line_paint(layout, 370.0 * 1e-6, 40.0 * 1e-6),
+                grid_waveform(layout, grid, input_pair, np.linspace(0.6, 1.2, 9)),
             )
             for wf in waveforms:
                 for n_phases in (1, 7, 64):
@@ -228,17 +263,18 @@ class TestTimeAveragedPotential:
                 np.testing.assert_array_equal(row, ref)
 
     def test_merged_records_equal_unmerged_sum(self, no_gravity, layout, input_pair):
-        from codtsim.painting import GridSpec, synthesize_waveform
-
         grid = GridSpec((1, 3, 3), (0.0, 480e-6, 480e-6))
-        cases = (
-            ("line-paint", {"amplitude_um": 230.0, "vertical_amplitude_um": 40.0}),
-            ("grid", {"grid": grid, "site_weights": np.linspace(0.6, 1.2, 9)}),
-            ("static-offset", {"displacements_um": (40.0, -20.0, 10.0, 30.0)}),
+        static_mhz = [
+            d * 1e-6 / deflection_to_displacement(layout, ch, 1.0)
+            for ch, d in zip(CHANNELS, (40.0, -20.0, 10.0, 30.0))
+        ]
+        waveforms = (
+            line_paint(layout, 230.0 * 1e-6, 40.0 * 1e-6),
+            grid_waveform(layout, grid, input_pair, np.linspace(0.6, 1.2, 9)),
+            ModulationWaveform.constant(static_mhz),
         )
         rng = np.random.default_rng(5)
-        for kind, params in cases:
-            wf = synthesize_waveform(layout, kind, params)
+        for wf in waveforms:
             raw = _phase_records(layout, input_pair, wf, 128)
             pot = time_averaged_potential(no_gravity, layout, input_pair, wf, 128)
             # merged records are pairwise distinct, fewer than the phase records, same total power
@@ -253,51 +289,31 @@ class TestTimeAveragedPotential:
             np.testing.assert_allclose(pot(pts), ref, rtol=1e-12, atol=0)
 
     def test_all_distinct_records_pass_unchanged(self, no_gravity, layout, input_pair):
-        from codtsim.painting import synthesize_waveform
-
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        wf = line_paint(layout, 230.0 * 1e-6)
         raw = _phase_records(layout, input_pair, wf, 1)
         pot = time_averaged_potential(no_gravity, layout, input_pair, wf, 1)
         np.testing.assert_array_equal(pot.records, raw)
 
     def test_extreme_off_axis_slope_rejected(self, no_gravity, input_pair):
-        from codtsim.painting import synthesize_waveform
-
         layout = OpticalLayout(off_axis_size_slope=1e4)  # beam 2 waist <= 0 beyond 100 um
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 370.0})
+        wf = line_paint(layout, 370.0 * 1e-6)
         with pytest.raises(ModelValidityError):
             time_averaged_potential(no_gravity, layout, input_pair, wf, n_phases=32)
 
 
 class TestScalarField:
     def test_round_trip_serialization(self, tmp_path, no_gravity, layout, input_pair):
-        wf = ModulationWaveform.constant()
-        field = time_averaged_field(
-            no_gravity,
-            layout,
-            input_pair,
-            wf,
-            region=(np.zeros(3), np.array([50e-6, 30e-6, 30e-6])),
-            dims=(9, 7, 7),
-            n_phases=1,
-        )
+        pot = static_potential(no_gravity, build_beamlines(layout, input_pair))
+        field = ScalarField3D.sample(pot, np.zeros(3), np.array([50e-6, 30e-6, 30e-6]), (9, 7, 7))
         field.save(tmp_path / "field")
-        loaded = ScalarField3D.load(tmp_path / "field")
+        loaded = load_field(tmp_path / "field")
         np.testing.assert_array_equal(loaded.values, field.values)
         np.testing.assert_allclose(loaded.origin, field.origin)
         np.testing.assert_allclose(loaded.axes, field.axes)
 
     def test_node_coordinates_shape_and_minimum(self, no_gravity, layout, input_pair):
-        wf = ModulationWaveform.constant()
-        field = time_averaged_field(
-            no_gravity,
-            layout,
-            input_pair,
-            wf,
-            region=(np.zeros(3), np.array([40e-6, 40e-6, 40e-6])),
-            dims=(11, 11, 11),
-            n_phases=1,
-        )
+        pot = static_potential(no_gravity, build_beamlines(layout, input_pair))
+        field = ScalarField3D.sample(pot, np.zeros(3), 40e-6, (11, 11, 11))
         nodes = field.node_coordinates()
         assert nodes.shape == (11**3, 3)
         # the deepest node sits near the crossing

@@ -16,7 +16,6 @@ from codtsim.trapchar import (
     _ray_barrier,
     characterize,
     characterize_crossed_trap,
-    fd_hessian,
     misalignment_sweep,
     phase_space_density,
     reachable_volume,
@@ -125,10 +124,10 @@ class TestCharacterize:
     def test_restarts_in_deeper_basin_the_escape_scan_finds(self, layout, input_pair):
         # a 230 um line paint sampled at 64 phases is a ripple of wells; the one
         # at the seed spills over a ~14 uK barrier into a well 1.3% deeper
-        from codtsim.painting import synthesize_waveform
+        from codtsim.painting import line_paint
         from codtsim.potential import time_averaged_potential
 
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        wf = line_paint(layout, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
         report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 690e-6, 1e-3])))
         assert report.valid and report.seeds_tried == 2
@@ -139,7 +138,7 @@ class TestCharacterize:
         # Newton on closed-form derivatives: a few derivative calls, then one
         # escape scan and one peak-depth call; a finite-difference descent took ~90
         from codtsim import kernels
-        from codtsim.painting import synthesize_waveform
+        from codtsim.painting import line_paint
         from codtsim.potential import time_averaged_potential
 
         calls, points = [], []
@@ -166,7 +165,7 @@ class TestCharacterize:
         assert report.gradient_norm * 10.5e-6 < 1e-12 * report.depth_peak  # |grad U| at rounding level
 
         # a 128-phase line paint carries ~150 records; its scan ran to 16,246 points
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        wf = line_paint(layout, 230.0 * 1e-6)
         painted = time_averaged_potential(RB, layout, input_pair, wf, 128)
         calls.clear()
         points.clear()
@@ -175,17 +174,16 @@ class TestCharacterize:
         scans = [n for n, call in zip(points, calls) if call == "intensity_sum"]
         assert len(scans) == 2 and scans[0] <= 4000, scans
 
-    def test_hessian_symmetry(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 3))
-        sym = a @ a.T + 3 * np.eye(3)
+    def test_hessian_symmetry(self, layout, input_pair):
+        # the closed-form Hessian that characterize diagonalizes, on skew
+        # displaced beams and at points off every symmetry plane
+        from codtsim.optics import build_beamlines
 
-        def u(points):
-            p = np.atleast_2d(points)
-            return 0.5 * np.einsum("ni,ij,nj->n", p, sym, p) + 0.1 * p[:, 0] * p[:, 1] * p[:, 2]
-
-        h = fd_hessian(u, np.array([0.3, -0.2, 0.5]), 1e-4)
-        assert np.max(np.abs(h - h.T)) <= 1e-6 * np.max(np.abs(h))
+        beams = build_beamlines(layout, input_pair, (40e-6, -20e-6, 10e-6, 30e-6))
+        pot = static_potential(PhysicalConstants(gravity=9.81), beams)
+        pts = np.random.default_rng(3).normal(scale=8e-6, size=(5, 3))
+        for h in pot.derivatives(pts)[2]:
+            assert np.max(np.abs(h - h.T)) <= 1e-6 * np.max(np.abs(h))
 
     def test_static_trap_independent_of_seed_and_box(self, layout, input_pair):
         half = np.array(DEFAULT_HALF_EXTENTS)
@@ -393,10 +391,10 @@ class TestRayBarrier:
         return [escaped for _, escaped, _ in ref]
 
     def test_painted_trap_matches_scalar_scan(self, layout, input_pair):
-        from codtsim.painting import synthesize_waveform
+        from codtsim.painting import line_paint
         from codtsim.potential import time_averaged_potential
 
-        wf = synthesize_waveform(layout, "line-paint", {"amplitude_um": 230.0})
+        wf = line_paint(layout, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
         domain = (np.zeros(3), np.array([4e-3, 690e-6, 1e-3]))
         self._check(pot, layout, np.zeros(3), domain, 2e-6)
