@@ -4,6 +4,8 @@ Every workflow is a subcommand driven by a JSON config file; artifacts are
 CSV/JSON (and PGM frames for flight synthesis) written to the output
 directory together with a manifest carrying the config hash, package
 versions and seed.  Identical config and seed produce identical artifacts.
+A run writes into a hidden stage inside the output directory and is moved
+into it only on success, manifest last; a failed run leaves it as found.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 model-validity error.
 """
@@ -15,14 +17,17 @@ import csv
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__, config as cfgmod
-from .errors import CodtsimError, ConfigError
+from .errors import CodtsimError, ConfigError, DomainError
 from .evap import ExpansionState, build_schedule, expand, fit_bimodal, thermal_sigma0, timeline
 from .optics import CHANNELS, deflection_to_displacement, focus_input_beam
 from .painting import (
@@ -35,7 +40,6 @@ from .painting import (
 )
 from .pointing import (
     SpotTrackSeries,
-    check_spots_in_frame,
     read_pgm,
     synth_frame,
     track_spots,
@@ -84,6 +88,16 @@ def waveform_export(wf) -> dict:
     return {"period_s": WAVEFORM_PERIOD, "interpolation": interpolation, "channels": channels}
 
 
+def _publish(stage: Path, out: Path) -> None:
+    """Move every entry of ``stage`` into ``out``, merging into a directory ``out`` already has."""
+    for entry in stage.iterdir():
+        target = out / entry.name
+        if entry.is_dir() and target.is_dir():
+            _publish(entry, target)
+        else:
+            os.replace(entry, target)
+
+
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
     write_json(
@@ -97,7 +111,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) ->
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "artifacts": sorted(artifacts),
+            "artifacts": artifacts,
         },
     )
 
@@ -112,16 +126,15 @@ def _context(cfg):
 # --- subcommand implementations --------------------------------------------
 
 
-def cmd_trap_report(cfg, out: Path) -> list[str]:
+def cmd_trap_report(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     report = characterize_crossed_trap(constants, layout, inputs)
     # the one place a depth convention is chosen: depth_uK and its label
     payload = report.to_dict(cfg["trap"]["depth_convention"])
     payload["deflection_scales_um_per_mhz"] = {
-        ch: deflection_to_displacement(layout, ch, 1.0) * 1e6 for ch in CHANNELS
+        ch: deflection_to_displacement(layout, ch, 1.0) / 1e-6 for ch in CHANNELS
     }
     write_json(out / "trap_report.json", payload)
-    artifacts = ["trap_report.json"]
     if cfg["trap"]["save_field"]:
         # the crossed trap on a grid centred on the crossing, FIELD_WAIST_MARGIN
         # of the widest line-focus radius of beam 1 on every side
@@ -129,29 +142,28 @@ def cmd_trap_report(cfg, out: Path) -> list[str]:
         split = abs(beam.focus_h - beam.focus_v)
         half = FIELD_WAIST_MARGIN * max(beam.width_h(0.0), beam.width_h(split), beam.width_v(split))
         potential = DipolePotential(constants, beam_records(layout, inputs, np.zeros(4))[0])
-        field = ScalarField3D.sample(potential, np.zeros(3), half, cfg["trap"]["field_dims"])
+        try:
+            field = ScalarField3D.sample(potential, np.zeros(3), half, cfg["trap"]["field_dims"])
+        except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
+            raise DomainError(f"trap.field_dims: the field grid cannot be allocated: {exc}") from exc
         field.save(out / "trap_field")
-        artifacts += ["trap_field.json", "trap_field.bin"]
-    return artifacts
 
 
-def cmd_trap_volume(cfg, out: Path) -> list[str]:
+def cmd_trap_volume(cfg, out: Path) -> None:
     _, layout, _ = _context(cfg)
     vol = cfg["volume"]
     h = None if vol["h_half_range_mm"] is None else vol["h_half_range_mm"] * 1e-3
     v = None if vol["v_half_range_mm"] is None else vol["v_half_range_mm"] * 1e-3
     result = reachable_volume(layout, h, v)
     write_json(out / "volume.json", result)
-    return ["volume.json"]
 
 
-def cmd_trap_misalign(cfg, out: Path) -> list[str]:
+def cmd_trap_misalign(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     mis = cfg["misalign"]
     offsets = np.linspace(-mis["max_offset_um"], mis["max_offset_um"], mis["n_steps"]) * 1e-6
     rows = misalignment_sweep(constants, layout, inputs, offsets)
     write_csv(out / "misalign_sweep.csv", rows)
-    return ["misalign_sweep.csv"]
 
 
 def _grid_from_config(cfg) -> GridSpec:
@@ -163,13 +175,11 @@ def _grid_from_config(cfg) -> GridSpec:
     )
 
 
-def cmd_paint_grid(cfg, out: Path) -> list[str]:
+def cmd_paint_grid(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     spec = _grid_from_config(cfg)
     wf = grid_waveform(layout, spec, inputs)
     table = characterize_sites(constants, layout, inputs, spec)
-    # the summary raises for a grid with nothing to compare against, so it is
-    # computed before any file is written
     dev = table.deviations()
     summary = {
         "frequency_spread": table.frequency_spread(),
@@ -180,10 +190,9 @@ def cmd_paint_grid(cfg, out: Path) -> list[str]:
     write_csv(out / "sites.csv", site_table_csv_rows(table))
     write_json(out / "grid_waveform.json", waveform_export(wf))
     write_json(out / "grid_summary.json", summary)
-    return ["sites.csv", "grid_waveform.json", "grid_summary.json"]
 
 
-def cmd_paint_compensate(cfg, out: Path) -> list[str]:
+def cmd_paint_compensate(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     spec = _grid_from_config(cfg)
     before = characterize_sites(constants, layout, inputs, spec)
@@ -204,10 +213,9 @@ def cmd_paint_compensate(cfg, out: Path) -> list[str]:
             "weights": [r.power_weight for r in after.rows],
         },
     )
-    return ["sites_before.csv", "sites_after.csv", "compensate.json"]
 
 
-def cmd_paint_transport(cfg, out: Path) -> list[str]:
+def cmd_paint_transport(cfg, out: Path) -> None:
     _, layout, _ = _context(cfg)
     p = cfg["paint"]
     ramps = transport_ramp(
@@ -226,7 +234,6 @@ def cmd_paint_transport(cfg, out: Path) -> list[str]:
             "steps": [waveform_export(wf) for wf in ramps],
         },
     )
-    return ["transport_waveforms.json"]
 
 
 def _schedule_from_config(cfg):
@@ -246,7 +253,7 @@ def _schedule_from_config(cfg):
     )
 
 
-def cmd_evap_schedule(cfg, out: Path) -> list[str]:
+def cmd_evap_schedule(cfg, out: Path) -> None:
     schedule = _schedule_from_config(cfg)
     write_json(
         out / "schedule.json",
@@ -270,10 +277,9 @@ def cmd_evap_schedule(cfg, out: Path) -> list[str]:
             }
         )
     write_csv(out / "schedule.csv", rows)
-    return ["schedule.json", "schedule.csv"]
 
 
-def cmd_evap_timeline(cfg, out: Path) -> list[str]:
+def cmd_evap_timeline(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     schedule = _schedule_from_config(cfg)
     rows = timeline(
@@ -285,10 +291,9 @@ def cmd_evap_timeline(cfg, out: Path) -> list[str]:
         n_phases=cfg["evap"]["timeline_phases"],
     )
     write_csv(out / "timeline.csv", rows)
-    return ["timeline.csv"]
 
 
-def cmd_tof_expand(cfg, out: Path) -> list[str]:
+def cmd_tof_expand(cfg, out: Path) -> None:
     constants, _, _ = _context(cfg)
     t = cfg["tof"]
     freqs = tuple(t["frequencies_hz"])
@@ -317,7 +322,6 @@ def cmd_tof_expand(cfg, out: Path) -> list[str]:
             }
         )
     write_csv(out / "expansion.csv", rows)
-    return ["expansion.csv"]
 
 
 def _read_table(path, name: str, columns: int) -> np.ndarray:
@@ -331,7 +335,7 @@ def _read_table(path, name: str, columns: int) -> np.ndarray:
     return data
 
 
-def cmd_tof_fit(cfg, out: Path) -> list[str]:
+def cmd_tof_fit(cfg, out: Path) -> None:
     t = cfg["tof"]
     if t["profile_csv"] is not None:
         data = _read_table(t["profile_csv"], "tof.profile_csv", 2)
@@ -351,7 +355,6 @@ def cmd_tof_fit(cfg, out: Path) -> list[str]:
         sigma = np.full(positions.size, noise_sigma)
     fit = fit_bimodal(positions, counts, sigma)
     write_json(out / "tof_fit.json", fit.to_dict())
-    return ["tof_fit.json"]
 
 
 def flight_truth_trajectory(cfg) -> dict:
@@ -407,16 +410,11 @@ def flight_truth_trajectory(cfg) -> dict:
     return {"times": times, "positions": positions, "boundaries": boundaries}
 
 
-def cmd_flight_synth(cfg, out: Path) -> list[str]:
+def cmd_flight_synth(cfg, out: Path) -> None:
     f = cfg["flight"]
     truth = flight_truth_trajectory(cfg)
     shape = tuple(int(v) for v in f["frame_shape"])
-    # a spot leaving the frame fails the run before any frame is written
-    spots_um = truth["positions"].reshape(-1, 2)
-    check_spots_in_frame(spots_um[:, 0].tolist(), spots_um[:, 1].tolist(), shape, f["pixel_pitch_um"] * 1e-6)
-    frames_dir = out / "frames"
-    frames_dir.mkdir(exist_ok=True)
-    artifacts = []
+    (out / "frames").mkdir()
     for i, t in enumerate(truth["times"]):
         spots = [
             {
@@ -436,9 +434,7 @@ def cmd_flight_synth(cfg, out: Path) -> list[str]:
             seed=cfg["seed"] + i,
             timestamp=float(t),
         )
-        name = f"frames/frame_{i:05d}.pgm"
-        write_pgm(frame, out / name)
-        artifacts.append(name)
+        write_pgm(frame, out / f"frames/frame_{i:05d}.pgm")
     meta = {
         "pixel_pitch_um": f["pixel_pitch_um"],
         "fps": f["fps"],
@@ -454,7 +450,6 @@ def cmd_flight_synth(cfg, out: Path) -> list[str]:
         },
     }
     write_json(out / "flight_meta.json", meta)
-    return artifacts + ["flight_meta.json"]
 
 
 def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
@@ -497,16 +492,16 @@ def _read_flight_meta(path: Path, keys) -> dict:
     return meta
 
 
-def cmd_flight_analyze(cfg, out: Path, frames_dir: Path | None = None, centroids: Path | None = None) -> list[str]:
+def cmd_flight_analyze(cfg, out: Path, frames_dir: Path, centroids: Path | None = None) -> None:
     keys = ["phase_boundaries_s", "inner_fraction"]
     if centroids is None:
         keys += ["n_frames", "pixel_pitch_um", "fps", "threshold_fraction", "gate_pitch_factor"]
-    meta = _read_flight_meta((frames_dir or out) / "flight_meta.json", keys)
+    meta = _read_flight_meta(frames_dir / "flight_meta.json", keys)
     boundaries = {k: tuple(v) for k, v in meta["phase_boundaries_s"].items()}
     if centroids is not None:
         series = _series_from_centroid_csv(centroids, boundaries)
     else:
-        frames_path = (frames_dir or out) / "frames"
+        frames_path = frames_dir / "frames"
         frames = (  # read as track_spots consumes them, never held whole
             read_pgm(frames_path / f"frame_{i:05d}.pgm", meta["pixel_pitch_um"] * 1e-6, timestamp=i / meta["fps"])
             for i in range(meta["n_frames"])
@@ -525,7 +520,6 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path | None = None, centroids
         for i in range(len(series_rows["t_s"]))
     ]
     write_csv(out / "flight_series.csv", rows)
-    return ["flight_report.json", "flight_series.csv"]
 
 
 COMMANDS = {
@@ -577,13 +571,23 @@ def main(argv=None) -> int:
             )
         cfg = cfgmod.load_config(args.config, args.overrides)
         if args.seed is not None:
+            cfgmod.check_value(args.seed, cfgmod.SPEC["seed"], "--seed")
             cfg["seed"] = args.seed
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        if key == ("flight", "analyze"):
-            artifacts = cmd_flight_analyze(cfg, out, frames_dir=args.frames, centroids=args.centroids)
-        else:
-            artifacts = COMMANDS[key](cfg, out)
+        # a hidden stage on the same filesystem: only a command that returns reaches --out
+        stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+        try:
+            if key == ("flight", "analyze"):
+                cmd_flight_analyze(cfg, stage, frames_dir=args.frames or out, centroids=args.centroids)
+            else:
+                COMMANDS[key](cfg, stage)
+            artifacts = sorted(
+                (Path(root) / name).relative_to(stage).as_posix() for root, _, files in os.walk(stage) for name in files
+            )
+            _publish(stage, out)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
         _write_manifest(out, f"{args.group} {args.command}", cfg, artifacts)
         return 0
     except CodtsimError as exc:

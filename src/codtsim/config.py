@@ -21,7 +21,7 @@ from .painting import OBJECTIVES, TRANSPORT_PROFILES
 from .trapchar import DEPTH_CONVENTIONS
 
 SPEC: dict = {
-    "seed": (13, "integer"),
+    "seed": (13, "integer", "nonnegative"),
     "layout": {
         "focal_length_mm": (60.0, "number", "positive"),
         "beam_separation_mm": (30.0, "number", "positive"),
@@ -146,7 +146,9 @@ def check_value(value, leaf: tuple, path: str) -> None:
         if "nullable" in flags:
             return
         raise ConfigError(f"{path}: must not be null")
-    if kind == "number":
+    if kind in ("number", "integer"):
+        if kind == "integer" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{path}: expected an integer")
         if not _is_number(value):
             raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
         if not _is_finite(value):
@@ -157,11 +159,6 @@ def check_value(value, leaf: tuple, path: str) -> None:
             raise ConfigError(f"{path}: must be >= 0")
         if "unit" in flags and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{path}: must lie in [0, 1]")
-    elif kind == "integer":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected an integer")
-        if "positive" in flags and value <= 0:
-            raise ConfigError(f"{path}: must be > 0")
     elif kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
@@ -183,8 +180,8 @@ def check_value(value, leaf: tuple, path: str) -> None:
         ):
             raise ConfigError(f"{path}: expected {flags[0]} positive integers")
     elif kind == "positions":
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected an array")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty array")
         for i, row in enumerate(value):
             check_value(row, (None, "numarray", 3), f"{path}[{i}]")
     else:  # pragma: no cover - spec bug

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .optics import InputBeam, OpticalLayout
 from .painting import line_paint
 from .potential import ModulationWaveform, time_averaged_potential
-from .trapchar import ThermoMetrics, TrapReport, characterize
+from .trapchar import ThermoMetrics, characterize
 
 TAIL_FRACTION = 0.05
 FLOOR_RATIO = 0.02
@@ -38,6 +38,8 @@ class PowerSegment:
             raise DomainError("powers and durations must be positive")
         if self.p_end >= self.p_start:
             raise DomainError("exponential power segment must decrease (P1 < P0)")
+        if not self.tau > 0:  # duration / ln(P0/P1) underflowed
+            raise DomainError("power ramp time constant is 0 at float precision")
 
     @property
     def tau(self) -> float:
@@ -198,10 +200,7 @@ def _painted_trap(
     wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
     pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=n_phases)
     half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
-    try:
-        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), half))
-    except DomainError as exc:  # e.g. a saddle at the seed: the row keeps every column
-        report = TrapReport.invalid(np.zeros(3), str(exc), constants)
+    report = characterize(pot, np.zeros(3), domain=(np.zeros(3), half))
     return {
         "valid": int(report.valid),
         "depth_uK": report.depth_uk(),
@@ -277,7 +276,6 @@ def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
         rtol=rtol,
         atol=1e-12,
         method="RK45",
-        max_step=0.05 / np.max(omegas),
     )
     if not sol.success:
         raise DomainError(f"scaling-equation integration failed: {sol.message}")

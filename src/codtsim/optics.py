@@ -85,9 +85,13 @@ class OpticalLayout:
         missing = [ch for ch in CHANNELS if ch not in self.calibration_um_per_mhz]
         if missing:
             raise DomainError(f"calibration constants missing for channels {missing}")
+        if self.window_index <= math.sin(self.effective_window_tilt):
+            raise DomainError("window_index must exceed sin(window tilt): no ray refracts into the plate")
         # The crossing angle must be consistent with the entry separation and
         # focal length.  The high-NA asphere obeys the sine condition, so the
         # ray angle for an entry height h is asin(h/f).
+        if not 0 < self.beam_separation <= 2.0 * self.focal_length:
+            raise DomainError("beam_separation must lie in (0, 2 focal lengths]: no ray angle obeys the sine condition")
         geometric = 2.0 * math.asin(0.5 * self.beam_separation / self.focal_length)
         if abs(geometric - self.crossing_full_angle) > 0.05 * self.crossing_full_angle:
             raise DomainError(
@@ -212,9 +216,9 @@ def focus_input_beam(layout: OpticalLayout, input_beam: InputBeam) -> Astigmatic
             f"{0.5 * min(layout.aod_aperture) * 1e3:.2f} mm)"
         )
     waist = layout.focal_length * input_beam.wavelength / (math.pi * input_beam.collimated_radius)
-    if waist < 0.5 * input_beam.wavelength:
+    if min(waist, input_beam.collimated_radius) < 0.5 * input_beam.wavelength:
         raise ModelValidityError(
-            f"focused waist {waist:.3e} m below lambda/2; paraxial model invalid"
+            f"focused waist {waist:.3e} m or input radius below lambda/2; paraxial model invalid"
         )
     split = layout.astigmatic_split()
     return AstigmaticBeam(

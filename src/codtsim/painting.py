@@ -297,13 +297,9 @@ def transport_ramp(
 
 
 def _site_report(constants: PhysicalConstants, records, position) -> TrapReport:
-    """Single-seed report of one site's (2, 19) records; an invalid report on DomainError."""
-    potential = DipolePotential(constants, records)
+    """Single-seed report of one site's (2, 19) records."""
     domain = (position, np.array(DEFAULT_HALF_EXTENTS))
-    try:
-        return characterize(potential, position, domain=domain, multi_seed=False)
-    except DomainError as exc:
-        return TrapReport.invalid(position, str(exc), constants)
+    return characterize(DipolePotential(constants, records), position, domain=domain, multi_seed=False)
 
 
 def _local_radius(record, position) -> float:

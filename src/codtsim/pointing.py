@@ -55,14 +55,6 @@ class Frame:
         return self.values.shape[0]
 
 
-def check_spots_in_frame(x_um, y_um, shape, pixel_pitch: float) -> None:
-    """DomainError naming the first spot whose center lies outside a frame of ``shape``."""
-    h, w = shape
-    for x, y in zip(x_um, y_um):
-        if not (0 <= x * 1e-6 / pixel_pitch < w and 0 <= y * 1e-6 / pixel_pitch < h):
-            raise DomainError(f"spot at ({x}, {y}) um lies outside the frame")
-
-
 def synth_frame(
     spots,
     shape=(128, 128),
@@ -77,14 +69,16 @@ def synth_frame(
 
     ``spots`` is an iterable of dicts with x_um, y_um (camera plane),
     sigma_um and amplitude (counts).  Deterministic for a fixed seed.  Each
-    spot is the outer product of its 1-D profiles along y and x.
+    spot is the outer product of its 1-D profiles along y and x.  A spot
+    centred outside the frame raises DomainError.
     """
     h, w = shape
     img = np.full((h, w), float(background))
     for spot in spots:
-        check_spots_in_frame([spot["x_um"]], [spot["y_um"]], shape, pixel_pitch)
         cx = spot["x_um"] * 1e-6 / pixel_pitch
         cy = spot["y_um"] * 1e-6 / pixel_pitch
+        if not (0 <= cx < w and 0 <= cy < h):
+            raise DomainError(f"spot at ({spot['x_um']}, {spot['y_um']}) um lies outside the frame")
         two_sig2 = 2 * (spot["sigma_um"] * 1e-6 / pixel_pitch) ** 2
         gx = np.exp(-((np.arange(w) - cx) ** 2) / two_sig2)
         gy = spot["amplitude"] * np.exp(-((np.arange(h) - cy) ** 2) / two_sig2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, ModelValidityError
 from .optics import InputBeam, OpticalLayout, max_displacement
 from .potential import DipolePotential, beam_records
 
@@ -138,7 +138,10 @@ def _newton(potential: DipolePotential, seed, domain, step):
     scale of U over one ``step``.  Returns (x, U, grad, hess, steps, converged).
     """
     def derivatives(x):
-        return tuple(a[0] for a in potential.derivatives(x[None, :]))
+        u, grad, hess = (a[0] for a in potential.derivatives(x[None, :]))
+        if not np.isfinite(hess).all():  # e.g. a focal waist so small the intensity overflows
+            raise ModelValidityError(f"potential derivatives are not finite at {x.tolist()} m")
+        return u, grad, hess
 
     center, half = domain
     lo, hi = center - half, center + half
@@ -224,7 +227,7 @@ def _ray_barrier(f, x0, u0, directions, domain, step):
                 np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf), axis=1
             )
         t_end, limit = np.maximum(t_exit, step), np.full(len(d), -np.inf)
-    t_near = np.arange(step, near + step, step)
+    t_near = np.arange(step, max(near, step) + step, step)
     n_far = max(0, math.ceil(math.log(t_end.max() / t_near[-1], FAR_FIELD_RATIO)))
     samples = np.concatenate([t_near, t_near[-1] * FAR_FIELD_RATIO ** np.arange(1, n_far + 1)])
     ts = [np.minimum(samples[: np.searchsorted(samples, t) + 1], t) for t in t_end]
@@ -258,6 +261,7 @@ def characterize(
     the escape scan finds a deeper basin (the coarse phase ripple of a
     painted trap), the search moves there.  ``multi_seed`` retries from
     the lowest nodes of a grid over the box when the seed finds no minimum.
+    No minimum, a flat potential and a saddle give an invalid report.
     """
     constants = potential.constants
     step = float(potential.records[:, 12:14].min()) / 50
@@ -284,10 +288,12 @@ def characterize(
         if ok:
             break
     eigvals, eigvecs = np.linalg.eigh(hess)
+
+    def saddle():
+        return eigvals[0] < -1e-4 * np.max(np.abs(eigvals))
+
     hops = 0
-    while ok and eigvals[-1] > 0:
-        if eigvals[0] < -1e-4 * np.max(np.abs(eigvals)):
-            raise DomainError("negative Hessian eigenvalue at converged point (saddle)")
+    while ok and eigvals[-1] > 0 and not saddle():
         axes = eigvecs.T  # ascending eigenvalues: rows follow the frequencies
         rays = np.concatenate([axes, arms])
         barriers, deeper = _ray_barrier(potential, x, u_min, [*rays, *-rays], domain, scan_step)
@@ -309,6 +315,9 @@ def characterize(
         return TrapReport.invalid(x, "no minimum found in domain", constants, **diagnostics)
     if eigvals[-1] <= 0:
         reason = "flat potential: no positive curvature at the minimum"
+        return TrapReport.invalid(x, reason, constants, **diagnostics)
+    if saddle():
+        reason = "negative Hessian eigenvalue at converged point (saddle)"
         return TrapReport.invalid(x, reason, constants, **diagnostics)
     freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
     depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
@@ -443,10 +452,7 @@ def misalignment_sweep(
     for off in np.asarray(offsets, dtype=float):
         records = aligned.copy()
         records[1, 2] += off
-        try:
-            report = _characterize_pair(constants, records)
-            ratio = report.depth / ref.depth if report.valid else 0.0
-        except DomainError:  # the beams have parted: the midpoint seed sits on a saddle
-            ratio = 0.0
-        rows.append({"offset_um": off * 1e6, "depth_ratio": ratio})
+        # past the crossing the midpoint seed sits on a saddle: an invalid report, ratio 0
+        report = _characterize_pair(constants, records)
+        rows.append({"offset_um": off * 1e6, "depth_ratio": report.depth / ref.depth if report.valid else 0.0})
     return rows

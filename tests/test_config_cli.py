@@ -320,6 +320,73 @@ class TestCli:
             # the failure leaves no partial artifact (paint grid once left sites.csv)
             assert list(out.iterdir()) == [], override
 
+    def test_failed_run_leaves_out_empty(self, tmp_path, capsys):
+        # each of these once exited 1 with a traceback, trap.field_dims after writing trap_report.json
+        for argv, code, field in (
+            (["paint", "transport", "--set", "paint.transport_start_um=[]", "--set", "paint.transport_end_um=[]"],
+             2, "paint.transport_start_um"),
+            (["trap", "report", "--set", "layout.window_index=0.2"], 3, "window_index"),
+            (["paint", "grid", "--set", "layout.window_index=0.2"], 3, "window_index"),
+            (["trap", "report", "--set", "layout.focal_length_mm=10"], 3, "beam_separation"),
+            (["trap", "report", "--set", "trap.save_field=true", "--set", "trap.field_dims=[2097152,2097152,2097152]"],
+             3, "trap.field_dims"),
+            (["tof", "fit", "--set", "seed=-3"], 2, "seed"),
+            (["flight", "synth", "--seed", "-3"], 2, "--seed"),
+            (["evap", "timeline", "--set", "evap.timeline_samples=1" + "0" * 400], 2, "evap.timeline_samples"),
+            # values whose SI form underflows or overflows the float range
+            (["evap", "schedule", "--set", "evap.power_end_w=5e-324"], 3, "time constant"),
+            (["paint", "transport", "--set", "layout.focal_length_mm=5e-324", "--set", "layout.beam_separation_mm=5e-324"],
+             3, "beam_separation"),
+            (["trap", "report", "--set", "beams.collimated_radius_mm=1e-300"], 4, "paraxial"),
+            (["trap", "report", "--set", "beams.wavelength_um=3e-114"], 4, "not finite"),
+        ):
+            out = tmp_path / "-".join(argv[:2])
+            out.mkdir(exist_ok=True)
+            assert main([*argv, "--out", str(out)]) == code, argv
+            assert field in capsys.readouterr().err
+            assert list(out.iterdir()) == [], argv
+
+    def test_failed_rerun_leaves_earlier_run_untouched(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["trap", "report", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        argv = ["trap", "report", "--out", str(out), "--set", "trap.save_field=true"]
+        assert main([*argv, "--set", "trap.field_dims=[2097152,2097152,2097152]"]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_unexpected_error_leaves_no_file(self, tmp_path, monkeypatch):
+        from codtsim import cli
+
+        def write_then_fail(cfg, out):
+            (out / "schedule.json").write_text("{}")
+            raise RuntimeError("late failure")
+
+        monkeypatch.setitem(cli.COMMANDS, ("evap", "schedule"), write_then_fail)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="late failure"):
+            main(["evap", "schedule", "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+    def test_rerun_replaces_frames_of_an_earlier_synth(self, tmp_path):
+        # the second run merges its frames into the existing frames directory
+        settings = ["--set", "flight.n_frames=24"]
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert main(["flight", "synth", "--out", str(fresh), "--seed", "2", *settings]) == 0
+        assert main(["flight", "synth", "--out", str(rerun), "--seed", "1", *settings]) == 0
+        assert main(["flight", "synth", "--out", str(rerun), "--seed", "2", *settings]) == 0
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(rerun) == files(fresh)
+        assert [p.name for p in rerun.iterdir() if p.name.startswith(".")] == []
+
+    def test_calibrated_deflection_scales_are_the_config_constants(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["trap", "report", "--out", str(out)]) == 0
+        report = json.loads((out / "trap_report.json").read_text())
+        assert report["deflection_scales_um_per_mhz"] == DEFAULT_CONFIG["layout"]["calibration_um_per_mhz"]
+
     def test_partial_overrides_and_single_site_exit_code_0(self, tmp_path):
         argv = ["evap", "schedule", "--out", str(tmp_path / "sched"), "--set", 'evap={"hold_s":0.1}']
         assert main(argv) == 0
@@ -567,3 +634,4 @@ def test_every_subcommand_writes_exactly_its_artifacts(command, tmp_path):
     assert manifest["command"] == command
     written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert written == sorted(manifest["artifacts"] + ["manifest.json"])
+    assert list(out.glob(".partial-*")) == []

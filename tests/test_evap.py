@@ -166,6 +166,17 @@ class TestExpansion:
         np.testing.assert_allclose(lam[:, 1], exact, rtol=1e-6)
         np.testing.assert_array_equal(lam[:, 2], 1.0)
 
+    def test_long_expansion_matches_analytic_solution_quickly(self):
+        # a 10 s microgravity expansion: the step size grows with the cloud,
+        # so the cost does not grow with the expansion time
+        omega = 2 * math.pi * 180.0
+        ts = np.array([0.0, 0.5, 2.0, 10.0])
+        lam = castin_dum_lambdas(np.array([omega, omega, 0.0]), ts)
+        exact = np.sqrt(1 + (omega * ts) ** 2)
+        np.testing.assert_allclose(lam[:, 0], exact, rtol=1e-6)
+        np.testing.assert_allclose(lam[:, 1], exact, rtol=1e-6)
+        np.testing.assert_array_equal(lam[:, 2], 1.0)
+
     def test_isotropic_release_keeps_unit_aspect(self):
         ts = np.linspace(0, 0.02, 11)
         lam = castin_dum_lambdas(2 * math.pi * np.array([150.0, 150.0, 150.0]), ts)

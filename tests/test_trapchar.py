@@ -252,14 +252,16 @@ class TestCharacterize:
 
     def test_saddle_point_detected(self):
         # two parallel beams 16 um apart: across them the origin is a maximum
+        # a saddle is reported invalid, like the other failed searches
         beams = [replace(stigmatic_beam(), origin=np.array([0.0, y, 0.0])) for y in (8e-6, -8e-6)]
-        with pytest.raises(DomainError):
-            characterize(
-                static_potential(RB, beams),
-                np.zeros(3),
-                domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
-                multi_seed=False,
-            )
+        report = characterize(
+            static_potential(RB, beams),
+            np.zeros(3),
+            domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
+            multi_seed=False,
+        )
+        assert report.valid is False
+        assert "saddle" in report.reason
 
 
 class TestReachableVolume:
