@@ -21,6 +21,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,14 +283,7 @@ def cmd_evap_schedule(cfg, out: Path) -> None:
 def cmd_evap_timeline(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     schedule = _schedule_from_config(cfg)
-    rows = timeline(
-        constants,
-        layout,
-        inputs,
-        schedule,
-        n_samples=cfg["evap"]["timeline_samples"],
-        n_phases=cfg["evap"]["timeline_phases"],
-    )
+    rows = timeline(constants, layout, inputs, schedule, n_samples=cfg["evap"]["timeline_samples"])
     write_csv(out / "timeline.csv", rows)
 
 
@@ -325,11 +319,15 @@ def cmd_tof_expand(cfg, out: Path) -> None:
 
 
 def _read_table(path, name: str, columns: int) -> np.ndarray:
-    """Numeric CSV rows below a header line; ConfigError naming ``name`` if unreadable."""
+    """Numeric CSV rows below a header line; ConfigError naming ``name`` if unreadable or empty."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{name}: cannot read {path}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise ConfigError(f"{name}: {path} has no data rows")
     if data.shape[1] < columns:
         raise ConfigError(f"{name}: {path} needs at least {columns} numeric columns")
     return data
@@ -574,9 +572,12 @@ def main(argv=None) -> int:
             cfgmod.check_value(args.seed, cfgmod.SPEC["seed"], "--seed")
             cfg["seed"] = args.seed
         out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        # a hidden stage on the same filesystem: only a command that returns reaches --out
-        stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            # a hidden stage on the same filesystem: only a command that returns reaches --out
+            stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+        except OSError as exc:  # e.g. --out names a file
+            raise ConfigError(f"--out: cannot create the output directory {out}: {exc}") from exc
         try:
             if key == ("flight", "analyze"):
                 cmd_flight_analyze(cfg, stage, frames_dir=args.frames or out, centroids=args.centroids)

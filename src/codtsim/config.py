@@ -83,7 +83,6 @@ SPEC: dict = {
         "reopen_power_w": (5.0, "number", "positive"),
         "reopen_duration_s": (0.2, "number", "nonnegative"),
         "timeline_samples": (25, "integer", "positive"),
-        "timeline_phases": (128, "integer", "positive"),
     },
     "tof": {
         "frequencies_hz": ([120.0, 35.0, 350.0], "numarray", 3),

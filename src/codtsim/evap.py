@@ -155,12 +155,12 @@ def timeline(
     inputs: tuple[InputBeam, InputBeam],
     schedule: RampSchedule,
     n_samples: int = 25,
-    n_phases: int = 128,
 ) -> list[dict]:
     """Trap depth and frequencies along the schedule (one row per sampled time).
 
-    Samples with the same power and amplitudes (a hold, a settled ramp) are
-    characterized once.
+    Each painted trap is the time average of its line paint at the paint's
+    own knots.  Samples with the same power and amplitudes (a hold, a
+    settled ramp) are characterized once.
     """
     rows = []
     traps: dict[tuple[float, float, float], dict] = {}
@@ -170,7 +170,7 @@ def timeline(
         amp_h, amp_v = schedule.amplitude_at(float(t))
         key = (power, amp_h, amp_v)
         if key not in traps:
-            traps[key] = _painted_trap(constants, layout, inputs, power, amp_h, amp_v, n_phases)
+            traps[key] = _painted_trap(constants, layout, inputs, power, amp_h, amp_v)
         rows.append(
             {
                 "t_s": float(t),
@@ -190,7 +190,6 @@ def _painted_trap(
     power: float,
     amp_h: float,
     amp_v: float,
-    n_phases: int,
 ) -> dict:
     """Timeline columns of the line-painted trap at one power and amplitude pair."""
     inputs_t = tuple(
@@ -198,7 +197,8 @@ def _painted_trap(
         for b in inputs
     )
     wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
-    pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=n_phases)
+    # one phase per knot: the records are the knots themselves, mirror knots merged
+    pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=wf.times.size)
     half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
     report = characterize(pot, np.zeros(3), domain=(np.zeros(3), half))
     return {

@@ -31,7 +31,7 @@ from .trapchar import DEFAULT_HALF_EXTENTS, TrapReport, characterize
 
 TRANSITION_FRACTION = 0.05  # share of a dwell segment spent moving to the next
 TRANSITION_KNOTS = 6  # raised-cosine steps of one transition
-LINE_PAINT_KNOTS = 64
+LINE_PAINT_KNOTS = 128  # a power of two, so mirror knots of the sweep are bit-equal
 TRANSPORT_PROFILES = ("minimum-jerk", "linear")
 OBJECTIVES = ("equal-depth", "equal-mean-frequency")
 # compensate_powers: objective-spread target, rebalance candidates per site
@@ -201,8 +201,9 @@ def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: floa
     The sweep starts at -amplitude, turns at +amplitude at half the period
     and is sampled at ``LINE_PAINT_KNOTS`` knots.
     """
+    phase = np.arange(LINE_PAINT_KNOTS) / LINE_PAINT_KNOTS
+    tri = 1.0 - 4.0 * np.abs(phase - 0.5)
     t = np.arange(LINE_PAINT_KNOTS) * (WAVEFORM_PERIOD / LINE_PAINT_KNOTS)
-    tri = 1.0 - 4.0 * np.abs(t / WAVEFORM_PERIOD - 0.5)
     amps = [
         _channel_amp_mhz(layout, ch, amplitude if ch.startswith("h") else vertical_amplitude)
         for ch in CHANNELS
@@ -297,9 +298,9 @@ def transport_ramp(
 
 
 def _site_report(constants: PhysicalConstants, records, position) -> TrapReport:
-    """Single-seed report of one site's (2, 19) records."""
+    """Report of one site's (2, 19) records, searched from the site position."""
     domain = (position, np.array(DEFAULT_HALF_EXTENTS))
-    return characterize(DipolePotential(constants, records), position, domain=domain, multi_seed=False)
+    return characterize(DipolePotential(constants, records), position, domain=domain)
 
 
 def _local_radius(record, position) -> float:

@@ -155,7 +155,9 @@ def detect_block(
     values = np.asarray(values)
     n_frames = values.shape[0]
     peak = values.max(axis=(1, 2)).astype(float)
-    mask = values >= (threshold_fraction * peak)[:, None, None]
+    # a blank frame (peak 0) has no components, not one of total 0
+    threshold = np.where(peak > 0, threshold_fraction * peak, np.inf)
+    mask = values >= threshold[:, None, None]
     labels, counts = label_components(mask)
     first = np.cumsum(counts) - counts
     pixel = np.flatnonzero(mask)

@@ -29,7 +29,6 @@ from .optics import (
     place_beams,
 )
 
-DEFAULT_N_PHASES = 256
 WAVEFORM_PERIOD = 1e-3  # s, one AOD modulation period
 
 
@@ -40,7 +39,7 @@ class ModulationWaveform:
     ``times`` (m,) are the sorted knot times in [0, WAVEFORM_PERIOD); row k of
     ``freq_offsets_mhz`` and ``weights`` (m, 4) holds every channel's
     frequency offset (MHz) and non-negative amplitude weight at ``times[k]``.
-    Between knots the drive is read by periodic linear interpolation; a
+    Between knots the drive is read by periodic linear interpolation, so a
     one-knot drive is held over the whole period.  A beam's per-phase power
     multiplier is the product of the weights of its two channels.
     """
@@ -85,8 +84,6 @@ class ModulationWaveform:
         """
         if n_phases < 1:
             raise DomainError("need at least one phase")
-        if self.times.size == 1:
-            return np.repeat(self.freq_offsets_mhz, n_phases, axis=0), np.repeat(self.weights, n_phases, axis=0)
         t_eval = np.arange(n_phases) * (WAVEFORM_PERIOD / n_phases)
         tp = np.append(self.times, self.times[0] + WAVEFORM_PERIOD)
 
@@ -196,7 +193,7 @@ def time_averaged_potential(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     waveform: ModulationWaveform,
-    n_phases: int = DEFAULT_N_PHASES,
+    n_phases: int,
 ) -> DipolePotential:
     """Continuous time-averaged potential over one waveform period.
 

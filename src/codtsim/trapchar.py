@@ -58,7 +58,7 @@ class TrapReport:
     constants: PhysicalConstants = field(repr=False)
     reason: str = ""
     # how the minimum was found: Newton steps from the seed that reached it,
-    # seeds tried (the given one, grid nodes, deeper basins) and |grad U|, J/m
+    # seeds tried (the given one, then each deeper basin) and |grad U|, J/m
     newton_iterations: int = 0
     seeds_tried: int = 0
     gradient_norm: float = 0.0
@@ -124,7 +124,6 @@ class ThermoMetrics:
         }
 
 
-# central differences: the reference the closed-form derivatives are tested against
 def _newton(potential: DipolePotential, seed, domain, step):
     """Damped Newton descent from ``seed`` (clipped into the search box).
 
@@ -173,13 +172,6 @@ def _newton(potential: DipolePotential, seed, domain, step):
             stalled_at_minimum = float(np.linalg.norm(grad)) * step < 1e-3 * abs(u) + 1e-32
             return x, u, grad, hess, steps, stalled_at_minimum
     return x, u, grad, hess, MAX_NEWTON_ITER, False
-
-
-def _seed_grid(domain, n=7) -> np.ndarray:
-    center, half = domain
-    axes = [np.linspace(-h, h, n) if h > 0 else np.array([0.0]) for h in half]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return center + grid
 
 
 def _ray_barrier(f, x0, u0, directions, domain, step):
@@ -248,9 +240,7 @@ def _ray_barrier(f, x0, u0, directions, domain, step):
     return np.where(escaped, barriers, np.fmax(barriers, limit)), deeper
 
 
-def characterize(
-    potential: DipolePotential, seed_point, *, domain: tuple, multi_seed: bool = True
-) -> TrapReport:
+def characterize(potential: DipolePotential, seed_point, *, domain: tuple) -> TrapReport:
     """Characterize the trap minimum of ``potential`` reached from ``seed_point``.
 
     Everything but the search box, the axis-aligned (center, half_extents)
@@ -259,9 +249,8 @@ def characterize(
     the margin by which a minimum must clear the box) and its escape arms
     (the record directions, searched next to the principal axes).  When
     the escape scan finds a deeper basin (the coarse phase ripple of a
-    painted trap), the search moves there.  ``multi_seed`` retries from
-    the lowest nodes of a grid over the box when the seed finds no minimum.
-    No minimum, a flat potential and a saddle give an invalid report.
+    painted trap), the search moves there.  No minimum from the seed, a
+    flat potential and a saddle give an invalid report.
     """
     constants = potential.constants
     step = float(potential.records[:, 12:14].min()) / 50
@@ -277,16 +266,7 @@ def characterize(
         ok = ok and not np.any(np.abs(x - center) > half - 2 * step)
         return x, u, grad, hess, iterations, ok
 
-    def starts():
-        yield np.asarray(seed_point, dtype=float)
-        if multi_seed:  # the five lowest nodes of a grid over the box
-            seeds = _seed_grid(domain)
-            yield from seeds[np.argsort(potential(seeds))[:5]]
-
-    for seeds_tried, start in enumerate(starts(), 1):
-        x, u_min, grad, hess, iterations, ok = minimum(start)
-        if ok:
-            break
+    x, u_min, grad, hess, iterations, ok = minimum(np.asarray(seed_point, dtype=float))
     eigvals, eigvecs = np.linalg.eigh(hess)
 
     def saddle():
@@ -308,7 +288,7 @@ def characterize(
         eigvals, eigvecs = np.linalg.eigh(hess)
     diagnostics = {
         "newton_iterations": iterations,
-        "seeds_tried": seeds_tried + hops,
+        "seeds_tried": 1 + hops,
         "gradient_norm": float(np.linalg.norm(grad)),
     }
     if not ok:

@@ -171,7 +171,7 @@ def test_criterion_05_grid_homogeneity(grid_480):
 def test_criterion_06_timeline_shape():
     with criterion(6, "evaporation timeline shape"):
         schedule = build_schedule()
-        rows = timeline(RB, LAYOUT, INPUTS, schedule, n_samples=14, n_phases=64)
+        rows = timeline(RB, LAYOUT, INPUTS, schedule, n_samples=14)
         evap_rows = [r for r in rows if r["valid"] and r["t_s"] <= 1.0]
         assert len(evap_rows) >= 6
         depths = [r["depth_uK"] for r in evap_rows]

@@ -174,12 +174,13 @@ class TestCli:
 
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        # the last three keys were removed: nothing reads them
+        # the last four keys were removed: nothing reads them
         for content in (
             {"nope": 1},
             {"layout": {"lens_diameter_mm": 75.0}},
             {"trap": {"n_phases": 256}},
             {"trap": {"fd_step_um": 0.2}},
+            {"evap": {"timeline_phases": 128}},
         ):
             bad.write_text(json.dumps(content))
             assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -354,6 +355,16 @@ class TestCli:
         assert main([*argv, "--set", "trap.field_dims=[2097152,2097152,2097152]"]) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        # it once exited 1 with a FileExistsError traceback
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        for out in (afile, afile / "sub"):
+            assert main(["trap", "volume", "--out", str(out)]) == 2
+            assert "--out" in capsys.readouterr().err
+        assert afile.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_unexpected_error_leaves_no_file(self, tmp_path, monkeypatch):
         from codtsim import cli
 
@@ -502,6 +513,30 @@ class TestCli:
             for stats in phase["displacement_um"].values():
                 assert stats["max_abs"] < 1e-6
 
+    def test_bad_flight_inputs_print_no_numpy_warning(self, tmp_path, capsys):
+        import warnings
+
+        from codtsim.pointing import Frame, write_pgm
+
+        frames = tmp_path / "frames"
+        assert main(["flight", "synth", "--out", str(frames), "--set", "flight.n_frames=24"]) == 0
+        blank = Frame(values=np.zeros((96, 96), dtype=np.uint16), pixel_pitch=5e-6)
+        for i in (0, 10):  # a blank first frame once lost spot 1 to a NaN centroid
+            write_pgm(blank, frames / f"frames/frame_{i:05d}.pgm")
+        centroids = tmp_path / "centroids.csv"
+        centroids.write_text("t_s,x1_um,y1_um,x2_um,y2_um\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flight", "analyze", "--out", str(tmp_path / "a"), "--frames", str(frames)]) == 0
+            report = json.loads((tmp_path / "a" / "flight_report.json").read_text())
+            assert report["skipped_frames"] == 2
+            argv = ["flight", "analyze", "--out", str(tmp_path / "b"), "--frames", str(frames)]
+            assert main([*argv, "--centroids", str(centroids)]) == 2
+            assert "--centroids" in capsys.readouterr().err
+            argv = ["tof", "fit", "--out", str(tmp_path / "c"), "--set", f'tof.profile_csv="{centroids}"']
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: tof.profile_csv: {centroids} has no data rows\n"
+
     def test_flight_analyze_centroid_bypass(self, tmp_path):
         out = tmp_path / "bypass"
         out.mkdir()
@@ -536,12 +571,12 @@ class TestCli:
         report = json.loads((out / "flight_report.json").read_text())
         assert report["phases"]["microgravity"]["dc_interspot_um"]["max_abs"] == 0.0
 
-    def test_evap_timeline_saddle_row_keeps_every_column(self, tmp_path):
-        # at 2 phases the 10 um reopen paint puts a saddle at the seed: that
-        # row is reported invalid with the same columns as the valid rows
+    def test_evap_timeline_open_row_keeps_every_column(self, tmp_path):
+        # gravity opens the 1 mW reopened trap: that row is reported invalid
+        # with the same columns as the valid rows
         out = tmp_path / "timeline"
         argv = ["evap", "timeline", "--out", str(out)]
-        for override in ("evap.timeline_phases=2", "evap.timeline_samples=3", "evap.reopen_amplitude_um=10"):
+        for override in ("constants.gravity_m_s2=9.81", "evap.timeline_samples=3", "evap.reopen_power_w=0.001"):
             argv += ["--set", override]
         assert main(argv) == 0
         with (out / "timeline.csv").open(newline="") as fh:
@@ -609,7 +644,7 @@ SMALL_RUNS = {
     "paint compensate": ["paint.grid_counts=[1,1,3]", "paint.grid_spacing_um=[0,0,300]"],
     "paint transport": ["paint.transport_steps=3"],
     "evap schedule": [],
-    "evap timeline": ["evap.timeline_samples=3", "evap.timeline_phases=16"],
+    "evap timeline": ["evap.timeline_samples=3"],
     "tof expand": [],
     "tof fit": [],
     "flight synth": ["flight.n_frames=24"],

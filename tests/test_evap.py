@@ -83,7 +83,7 @@ class TestSchedule:
 @pytest.fixture(scope="module")
 def rows(layout, input_pair):
     schedule = build_schedule()
-    return schedule, timeline(RB, layout, input_pair, schedule, n_samples=14, n_phases=64)
+    return schedule, timeline(RB, layout, input_pair, schedule, n_samples=14)
 
 
 class TestTimeline:
@@ -113,14 +113,12 @@ class TestTimeline:
         real = evap.characterize
         monkeypatch.setattr(evap, "characterize", lambda *a, **k: calls.append(1) or real(*a, **k))
         schedule = build_schedule()
-        rows = timeline(RB, layout, input_pair, schedule, n_samples=9, n_phases=16)
+        rows = timeline(RB, layout, input_pair, schedule, n_samples=9)
         keys = [(r["power_w"], r["amplitude_h_um"], r["amplitude_v_um"]) for r in rows]
         assert len(calls) == len(set(keys)) == len(rows) - 1  # t = 1.3125 and 1.5 s repeat
         # the repeated row carries exactly what a fresh characterization gives
         t = rows[-1]["t_s"]
-        fresh = evap._painted_trap(
-            RB, layout, input_pair, schedule.power_at(t), *schedule.amplitude_at(t), 16
-        )
+        fresh = evap._painted_trap(RB, layout, input_pair, schedule.power_at(t), *schedule.amplitude_at(t))
         schedule_columns = ("t_s", "power_w", "amplitude_h_um", "amplitude_v_um")
         assert {k: v for k, v in rows[-1].items() if k not in schedule_columns} == fresh
         assert rows[-2] | {"t_s": t} == rows[-1]

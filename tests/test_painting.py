@@ -59,6 +59,19 @@ class TestSynthesizeWaveform:
         # vertical channels stay put for a pure horizontal paint
         assert np.all(wf.freq_offsets_mhz[:, 1::2] == 0)
 
+    def test_line_paint_mirror_knots_merge_exactly(self, layout, input_pair):
+        # knots k and n - k sit at the same sweep position bit for bit, so the
+        # average at the knots keeps the two turning points and 63 mirror pairs
+        wf = line_paint(layout, 230.0 * 1e-6)
+        n = wf.times.size
+        assert n == 128
+        freqs = wf.freq_offsets_mhz
+        np.testing.assert_array_equal(freqs[1 : n // 2], freqs[: n // 2 : -1])
+        sampled, _ = wf.sample(n)
+        np.testing.assert_array_equal(sampled, freqs)
+        pot = time_averaged_potential(RB, layout, input_pair, wf, n_phases=n)
+        assert pot.records.shape == (2 * (2 + 63), 19)
+
     def test_out_of_range_displacement_rejected(self, layout):
         with pytest.raises(DomainError):
             line_paint(layout, 1500.0 * 1e-6)

@@ -117,6 +117,9 @@ class TestDetectSpots:
         dets2, _ = detect_spots(Frame(values=values2, pixel_pitch=PITCH), 0.5)
         # flat frame: everything is one component, centroid at the center
         assert len(dets2) == 1
+        # a blank frame has none (not one of total 0, whose centroid is 0/0)
+        blank = Frame(values=np.zeros((32, 32), dtype=np.uint16), pixel_pitch=PITCH)
+        assert detect_spots(blank, 0.5) == ([], False)
 
     def test_integer_shift_equivariance(self):
         frame = two_spot_frame(noise=6.0, seed=5)

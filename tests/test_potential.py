@@ -174,6 +174,13 @@ class TestModulationWaveform:
         f, w = hold.sample(4)
         np.testing.assert_array_equal(f, np.tile([2.0, 0.0, -1.0, 0.5], (4, 1)))
         np.testing.assert_array_equal(w, np.tile([0.5, 1.0, 1.0, 0.25], (4, 1)))
+        # held bit for bit whatever the value and the knot time
+        rng = np.random.default_rng(1)
+        for t0 in (0.0, 0.37e-3, 1e-3 * (1 - 2**-40)):
+            freqs, wts = rng.normal(size=4) * 10.0 ** rng.uniform(-8, 3, 4), rng.uniform(0, 1, 4)
+            f, w = ModulationWaveform(np.array([t0]), [freqs], [wts]).sample(7)
+            np.testing.assert_array_equal(f, np.tile(freqs, (7, 1)))
+            np.testing.assert_array_equal(w, np.tile(wts, (7, 1)))
         times = np.array([0.0, 0.5e-3])
         lin = ModulationWaveform(times, np.array([[0.0] * 4, [2.0] * 4]), np.ones((2, 4)))
         f, _ = lin.sample(4)

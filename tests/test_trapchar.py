@@ -233,7 +233,7 @@ class TestCharacterize:
         assert not report.valid
 
     def test_flat_potential_invalid_trough_valid(self):
-        kwargs = dict(domain=(np.zeros(3), np.full(3, 200e-6)), multi_seed=False)
+        kwargs = dict(domain=(np.zeros(3), np.full(3, 200e-6)))
         flat = characterize(static_potential(RB, [stigmatic_beam(power=0.0)]), np.zeros(3), **kwargs)
         assert not flat.valid and "curvature" in flat.reason
 
@@ -258,7 +258,6 @@ class TestCharacterize:
             static_potential(RB, beams),
             np.zeros(3),
             domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
-            multi_seed=False,
         )
         assert report.valid is False
         assert "saddle" in report.reason
