@@ -130,8 +130,7 @@ def _context(cfg):
 def cmd_trap_report(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     report = characterize_crossed_trap(constants, layout, inputs)
-    # the one place a depth convention is chosen: depth_uK and its label
-    payload = report.to_dict(cfg["trap"]["depth_convention"])
+    payload = report.to_dict()
     payload["deflection_scales_um_per_mhz"] = {
         ch: deflection_to_displacement(layout, ch, 1.0) / 1e-6 for ch in CHANNELS
     }
@@ -223,7 +222,6 @@ def cmd_paint_transport(cfg, out: Path) -> None:
         layout,
         np.asarray(p["transport_start_um"]) * 1e-6,
         np.asarray(p["transport_end_um"]) * 1e-6,
-        duration=p["transport_duration_s"],
         steps=p["transport_steps"],
         profile=p["transport_profile"],
     )

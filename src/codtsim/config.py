@@ -18,7 +18,6 @@ from .constants import ATOMIC_POLARIZABILITY_SI, RB87_MASS_KG, RB87_POLARIZABILI
 from .errors import ConfigError
 from .optics import DEFAULT_CALIBRATION_UM_PER_MHZ, DEFLECTION_MODES, InputBeam, OpticalLayout
 from .painting import OBJECTIVES, TRANSPORT_PROFILES
-from .trapchar import DEPTH_CONVENTIONS
 
 SPEC: dict = {
     "seed": (13, "integer", "nonnegative"),
@@ -50,7 +49,6 @@ SPEC: dict = {
         "collimated_radius_mm": (1.95, "number", "positive"),
     },
     "trap": {
-        "depth_convention": ("escape-saddle", "string", DEPTH_CONVENTIONS),
         "field_dims": ([96, 96, 96], "counts", 3),
         "save_field": (False, "boolean"),
     },

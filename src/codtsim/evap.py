@@ -199,8 +199,7 @@ def _painted_trap(
     wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
     # one phase per knot: the records are the knots themselves, mirror knots merged
     pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=wf.times.size)
-    half = np.array([4e-3, max(1e-3, 3 * amp_h), max(1e-3, 3 * amp_v)])
-    report = characterize(pot, np.zeros(3), domain=(np.zeros(3), half))
+    report = characterize(pot, np.zeros(3))
     return {
         "valid": int(report.valid),
         "depth_uK": report.depth_uk(),
@@ -285,14 +284,13 @@ def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
 def expand(
     release: ExpansionState,
     times,
-    constants: PhysicalConstants | None = None,
+    constants: PhysicalConstants,
 ) -> dict:
     """Thomas-Fermi and thermal radii during free expansion.
 
     TF radii follow the scaling solution; thermal widths follow
     sigma_i(t) = sqrt(sigma_i(0)^2 + (kB T/m) t^2).
     """
-    constants = constants or PhysicalConstants()
     times = np.atleast_1d(np.asarray(times, dtype=float))
     omegas = 2 * math.pi * np.asarray(release.frequencies_hz)
     lambdas = castin_dum_lambdas(omegas, times)
@@ -310,9 +308,8 @@ def expand(
     }
 
 
-def thermal_sigma0(frequencies_hz, temperature: float, constants: PhysicalConstants | None = None):
+def thermal_sigma0(frequencies_hz, temperature: float, constants: PhysicalConstants):
     """In-trap rms radii of a thermal cloud: sigma_i = sqrt(kB T/m)/omega_i."""
-    constants = constants or PhysicalConstants()
     omegas = 2 * math.pi * np.asarray(frequencies_hz, dtype=float)
     return np.sqrt(constants.boltzmann * temperature / constants.atom_mass) / omegas
 

@@ -27,7 +27,7 @@ from .optics import (
     offsets_from_crossing,
 )
 from .potential import WAVEFORM_PERIOD, DipolePotential, ModulationWaveform, beam_records
-from .trapchar import DEFAULT_HALF_EXTENTS, TrapReport, characterize
+from .trapchar import TrapReport, characterize
 
 TRANSITION_FRACTION = 0.05  # share of a dwell segment spent moving to the next
 TRANSITION_KNOTS = 6  # raised-cosine steps of one transition
@@ -234,14 +234,10 @@ def grid_waveform(
     return _dwell_waveform(layout, segments, seg_weights)
 
 
-def split_ramp(
-    initial: ModulationWaveform, final: ModulationWaveform, duration: float, steps: int
-) -> list[ModulationWaveform]:
+def split_ramp(initial: ModulationWaveform, final: ModulationWaveform, steps: int) -> list[ModulationWaveform]:
     """Linearly interpolated waveform sequence from ``initial`` to ``final``."""
     if steps < 2:
         raise DomainError("a ramp needs at least two steps")
-    if duration <= 0:
-        raise DomainError("ramp duration must be positive")
     if not np.array_equal(initial.times, final.times):
         raise DomainError("initial and final waveforms have different knot times")
     out = []
@@ -266,7 +262,6 @@ def transport_ramp(
     layout: OpticalLayout,
     start_positions,
     end_positions,
-    duration: float,
     steps: int = 21,
     profile: str = "minimum-jerk",
 ) -> list[ModulationWaveform]:
@@ -295,12 +290,6 @@ def transport_ramp(
             segments.append(offsets)
         out.append(_dwell_waveform(layout, segments))
     return out
-
-
-def _site_report(constants: PhysicalConstants, records, position) -> TrapReport:
-    """Report of one site's (2, 19) records, searched from the site position."""
-    domain = (position, np.array(DEFAULT_HALF_EXTENTS))
-    return characterize(DipolePotential(constants, records), position, domain=domain)
 
 
 def _local_radius(record, position) -> float:
@@ -344,7 +333,7 @@ def characterize_sites(
             SiteRow(
                 index=idx,
                 position=pos,
-                report=_site_report(constants, recs, pos),
+                report=characterize(DipolePotential(constants, recs), pos),
                 radius_beam1=_local_radius(recs[0], pos),
                 radius_beam2=_local_radius(recs[1], pos),
                 weight_beam1=float(w1),
@@ -441,7 +430,7 @@ def compensate_powers(
         records = beam_records(layout, inputs, offsets, candidates)
         best = None
         for (w1, w2), recs in zip(candidates, records):
-            rep = _site_report(constants, recs, pos)
+            rep = characterize(DipolePotential(constants, recs), pos)
             if not rep.valid or rep.depth <= 0:
                 continue
             scale = pin_scale(rep)

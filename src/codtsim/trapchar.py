@@ -23,7 +23,8 @@ from .errors import DomainError, ModelValidityError
 from .optics import InputBeam, OpticalLayout, max_displacement
 from .potential import DipolePotential, beam_records
 
-DEFAULT_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
+# the search box: Newton and the basin restart stay within seed +/- these, m
+SEARCH_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
 # Newton minimum search: step cap, eigenvalue floor as a share of the largest
 # |eigenvalue|, and convergence once a step is below NEWTON_XTOL x ``step``
 MAX_NEWTON_ITER = 100
@@ -44,8 +45,8 @@ DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 class TrapReport:
     """Result of characterizing one potential minimum.
 
-    Both depths are always computed; :attr:`depth` is the escape-saddle one,
-    and the report-time methods take the convention to print.
+    Both depths are always computed; :attr:`depth` and the ``depth_uK`` of
+    :meth:`to_dict` are the escape-saddle one.
     """
 
     minimum_position: np.ndarray  # m
@@ -90,15 +91,15 @@ class TrapReport:
         d = self.depth_escape if convention == "escape-saddle" else self.depth_peak
         return d / self.constants.boltzmann * 1e6
 
-    def to_dict(self, convention: str = "escape-saddle") -> dict:
+    def to_dict(self) -> dict:
         return {
             "valid": bool(self.valid),
             "reason": self.reason,
             "minimum_position_um": (self.minimum_position * 1e6).tolist(),
-            "depth_uK": self.depth_uk(convention),
+            "depth_uK": self.depth_uk("escape-saddle"),
             "depth_escape_saddle_uK": self.depth_uk("escape-saddle"),
             "depth_peak_to_min_uK": self.depth_uk("peak-to-min"),
-            "depth_convention": convention,
+            "depth_convention": "escape-saddle",
             "frequencies_hz": self.frequencies.tolist(),
             "principal_axes": self.principal_axes.tolist(),
             "mean_frequency_hz": self.mean_frequency,
@@ -137,7 +138,8 @@ def _newton(potential: DipolePotential, seed, domain, step):
     scale of U over one ``step``.  Returns (x, U, grad, hess, steps, converged).
     """
     def derivatives(x):
-        u, grad, hess = (a[0] for a in potential.derivatives(x[None, :]))
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+            u, grad, hess = (a[0] for a in potential.derivatives(x[None, :]))
         if not np.isfinite(hess).all():  # e.g. a focal waist so small the intensity overflows
             raise ModelValidityError(f"potential derivatives are not finite at {x.tolist()} m")
         return u, grad, hess
@@ -240,23 +242,26 @@ def _ray_barrier(f, x0, u0, directions, domain, step):
     return np.where(escaped, barriers, np.fmax(barriers, limit)), deeper
 
 
-def characterize(potential: DipolePotential, seed_point, *, domain: tuple) -> TrapReport:
+def characterize(potential: DipolePotential, seed_point) -> TrapReport:
     """Characterize the trap minimum of ``potential`` reached from ``seed_point``.
 
-    Everything but the search box, the axis-aligned (center, half_extents)
-    ``domain``, is read off the potential: its constants, its length scale
-    (the smallest record waist / 50, which spaces the escape scan and sets
-    the margin by which a minimum must clear the box) and its escape arms
-    (the record directions, searched next to the principal axes).  When
-    the escape scan finds a deeper basin (the coarse phase ripple of a
-    painted trap), the search moves there.  No minimum from the seed, a
-    flat potential and a saddle give an invalid report.
+    Newton and the basin restart search the box ``seed_point`` +/-
+    ``SEARCH_HALF_EXTENTS``.  Everything else is read off the potential: its
+    constants, its length scale (the smallest record waist / 50, which
+    spaces the escape scan and sets the margin by which a minimum must
+    clear the box) and its escape arms (the record directions, searched next
+    to the principal axes).  When the escape scan finds a deeper basin (the
+    coarse phase ripple of a painted trap), the search moves there.  No
+    minimum from the seed, a flat potential and a saddle give an invalid
+    report.
     """
     constants = potential.constants
     step = float(potential.records[:, 12:14].min()) / 50
     directions = potential.records[:, 3:6]
     arms = directions[np.sort(np.unique(directions, axis=0, return_index=True)[1])]
-    center, half = domain
+    center = np.asarray(seed_point, dtype=float)
+    half = np.array(SEARCH_HALF_EXTENTS)
+    domain = (center, half)
     scan_step = max(10 * step, 2e-6)
 
     def minimum(start):
@@ -266,7 +271,7 @@ def characterize(potential: DipolePotential, seed_point, *, domain: tuple) -> Tr
         ok = ok and not np.any(np.abs(x - center) > half - 2 * step)
         return x, u, grad, hess, iterations, ok
 
-    x, u_min, grad, hess, iterations, ok = minimum(np.asarray(seed_point, dtype=float))
+    x, u_min, grad, hess, iterations, ok = minimum(center)
     eigvals, eigvecs = np.linalg.eigh(hess)
 
     def saddle():
@@ -319,28 +324,14 @@ def characterize(potential: DipolePotential, seed_point, *, domain: tuple) -> Tr
     )
 
 
-def _characterize_pair(
-    constants: PhysicalConstants, records, seed_point=None, **kwargs
-) -> TrapReport:
-    """Characterize the static trap of one beam pair's (2, 19) records.
-
-    The seed defaults to the midpoint of the two record origins and, unless
-    given, the search box is ``DEFAULT_HALF_EXTENTS`` around the seed.
-    """
-    if seed_point is None:
-        seed_point = 0.5 * (records[0, 0:3] + records[1, 0:3])
-    kwargs.setdefault("domain", (seed_point, np.array(DEFAULT_HALF_EXTENTS)))
-    return characterize(DipolePotential(constants, records), seed_point, **kwargs)
-
-
 def characterize_crossed_trap(
     constants: PhysicalConstants,
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
-    **kwargs,
 ) -> TrapReport:
-    """Characterize the unmodulated, aligned crossed trap."""
-    return _characterize_pair(constants, beam_records(layout, inputs, np.zeros(4))[0], **kwargs)
+    """Characterize the unmodulated, aligned crossed trap from the midpoint of its beam origins."""
+    records = beam_records(layout, inputs, np.zeros(4))[0]
+    return characterize(DipolePotential(constants, records), 0.5 * (records[0, 0:3] + records[1, 0:3]))
 
 
 def reachable_volume(
@@ -381,18 +372,17 @@ def thermo_metrics(
     report: TrapReport,
     atom_number: float,
     temperature: float,
-    constants: PhysicalConstants | None = None,
 ) -> ThermoMetrics:
     """Phase-space density and truncation parameter for a characterized trap.
 
     psd = N (hbar omega_bar / kB T)^3 with omega_bar the geometric-mean
-    angular frequency; eta = depth / (kB T).
+    angular frequency; eta = depth / (kB T), with the report's constants.
     """
     if not report.valid:
         raise DomainError("cannot compute thermodynamic metrics for an invalid trap report")
     if temperature <= 0:
         raise DomainError("temperature must be positive")
-    constants = constants or report.constants
+    constants = report.constants
     psd = phase_space_density(atom_number, temperature, report.mean_frequency, constants)
     eta = report.depth / (constants.boltzmann * temperature)
     return ThermoMetrics(
@@ -404,10 +394,9 @@ def phase_space_density(
     atom_number: float,
     temperature: float,
     mean_frequency_hz: float,
-    constants: PhysicalConstants | None = None,
+    constants: PhysicalConstants,
 ) -> float:
     """psd = N (hbar omega_bar / kB T)^3 for a harmonic trap."""
-    constants = constants or PhysicalConstants()
     omega_bar = 2 * math.pi * mean_frequency_hz
     return atom_number * (
         constants.reduced_planck * omega_bar / (constants.boltzmann * temperature)
@@ -425,7 +414,7 @@ def misalignment_sweep(
     The offset moves beam 2's axis without an AOD, so no range check applies.
     """
     aligned = beam_records(layout, inputs, np.zeros(4))[0]
-    ref = _characterize_pair(constants, aligned)
+    ref = characterize_crossed_trap(constants, layout, inputs)
     if not ref.valid or ref.depth <= 0:
         raise DomainError("reference trap is not valid")
     rows = []
@@ -433,6 +422,6 @@ def misalignment_sweep(
         records = aligned.copy()
         records[1, 2] += off
         # past the crossing the midpoint seed sits on a saddle: an invalid report, ratio 0
-        report = _characterize_pair(constants, records)
+        report = characterize(DipolePotential(constants, records), 0.5 * (records[0, 0:3] + records[1, 0:3]))
         rows.append({"offset_um": off * 1e6, "depth_ratio": report.depth / ref.depth if report.valid else 0.0})
     return rows

@@ -118,7 +118,7 @@ def test_criterion_04_painted_trap_depth():
         # so the triangle sweep amplitude is 370 um
         wf = line_paint(LAYOUT, 370.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=256)
-        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 1.5e-3, 1e-3])))
+        report = characterize(pot, np.zeros(3))
         assert report.valid
         depth = report.depth_uk("peak-to-min")
         print(f"    painted depth {depth:.1f} uK (target 240 +/- 25%)")
@@ -194,7 +194,7 @@ def test_criterion_07_thermodynamic_endpoints():
         # indicative, not gated at the 5% level)
         wf = line_paint(LAYOUT, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=128)
-        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 1e-3, 1e-3])))
+        report = characterize(pot, np.zeros(3))
         eta = report.depth / (RB.boltzmann * 20e-6)
         freqs = ", ".join(f"{f:.0f}" for f in report.frequencies)
         print(

@@ -51,7 +51,6 @@ class TestConfig:
             ({"layout": {"aod_aperture_mm": [7.5, 7.5, 7.5]}}, "layout.aod_aperture_mm"),
             ({"trap": {"field_dims": [96.0, 96, 96]}}, "trap.field_dims"),
             ({"flight": {"frame_shape": [96]}}, "flight.frame_shape"),
-            ({"trap": {"depth_convention": "bogus"}}, "trap.depth_convention"),
             ({"paint": {"objective": "bogus"}}, "paint.objective"),
             ({"paint": {"transport_profile": "bogus"}}, "paint.transport_profile"),
             ({"layout": {"deflection_mode": "bogus"}}, "layout.deflection_mode"),
@@ -138,21 +137,6 @@ class TestCli:
         assert "curvature" in report["reason"]
         assert report["frequencies_hz"] == [0.0, 0.0, 0.0]
 
-    def test_trap_report_depth_convention_chosen_at_report_time(self, tmp_path):
-        # under gravity a falling ray escapes below the peak-to-min depth; at
-        # zero gravity no ray escapes and the two conventions agree exactly
-        for gravity in ("9.81", "0"):
-            out = tmp_path / f"run-{gravity}"
-            argv = ["trap", "report", "--out", str(out), "--set", "trap.depth_convention=peak-to-min"]
-            assert main([*argv, "--set", f"constants.gravity_m_s2={gravity}"]) == 0
-            report = json.loads((out / "trap_report.json").read_text())
-            assert report["depth_convention"] == "peak-to-min"
-            assert report["depth_uK"] == report["depth_peak_to_min_uK"]
-            if gravity == "0":
-                assert report["depth_uK"] == report["depth_escape_saddle_uK"]
-            else:
-                assert report["depth_uK"] > report["depth_escape_saddle_uK"]
-
     def test_trap_volume_artifact(self, tmp_path):
         out = tmp_path / "vol"
         code = main(
@@ -174,13 +158,14 @@ class TestCli:
 
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        # the last four keys were removed: nothing reads them
+        # the last five keys were removed: nothing reads them
         for content in (
             {"nope": 1},
             {"layout": {"lens_diameter_mm": 75.0}},
             {"trap": {"n_phases": 256}},
             {"trap": {"fd_step_um": 0.2}},
             {"evap": {"timeline_phases": 128}},
+            {"trap": {"depth_convention": "escape-saddle"}},
         ):
             bad.write_text(json.dumps(content))
             assert main(["trap", "volume", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -205,7 +190,6 @@ class TestCli:
             assert main(["paint", "grid", "--out", str(tmp_path / "o"), "--set", override]) == 2
         # enumerated strings are checked at load time, not when a command reads them
         for command, field in (
-            ("trap report", "trap.depth_convention"),
             ("paint compensate", "paint.objective"),
             ("paint transport", "paint.transport_profile"),
             ("trap volume", "layout.deflection_mode"),

@@ -129,7 +129,7 @@ class TestSplitRamp:
     def test_two_steps_are_exactly_endpoints(self, layout):
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
-        seq = split_ramp(initial, final, duration=0.1, steps=2)
+        seq = split_ramp(initial, final, steps=2)
         assert len(seq) == 2
         assert_waveforms_equal(seq[0], initial)
         assert_waveforms_equal(seq[-1], final)
@@ -137,7 +137,7 @@ class TestSplitRamp:
     def test_midpoint_is_arithmetic_mean(self, layout):
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
-        seq = split_ramp(initial, final, duration=0.1, steps=3)
+        seq = split_ramp(initial, final, steps=3)
         np.testing.assert_allclose(
             seq[1].freq_offsets_mhz,
             0.5 * (initial.freq_offsets_mhz + final.freq_offsets_mhz),
@@ -147,7 +147,7 @@ class TestSplitRamp:
     def test_power_budget_conserved(self, layout):
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
-        for wf in split_ramp(initial, final, duration=0.1, steps=5):
+        for wf in split_ramp(initial, final, steps=5):
             for ch in range(4):
                 assert np.mean(wf.weights[:, ch]) <= 1.0 + 1e-12
                 assert np.mean(wf.weights[:, ch]) == pytest.approx(
@@ -160,7 +160,7 @@ class TestSplitRamp:
         final = self._tones(layout, [-95.0, 95.0])
         z = np.linspace(-160e-6, 160e-6, 321)
         pts = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-        for wf in split_ramp(initial, final, duration=0.1, steps=5):
+        for wf in split_ramp(initial, final, steps=5):
             u = time_averaged_potential(RB, layout, input_pair, wf, n_phases=8)(pts)
             interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
             n_minima = int(np.sum(interior))
@@ -170,18 +170,18 @@ class TestSplitRamp:
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 0.0, 95.0])
         with pytest.raises(DomainError):
-            split_ramp(initial, final, duration=0.1, steps=3)
+            split_ramp(initial, final, steps=3)
 
 
 class TestTransportRamp:
     def test_zero_displacement_constant(self, layout):
-        seq = transport_ramp(layout, [[0, 0, 0]], [[0, 0, 0]], duration=0.1, steps=5)
+        seq = transport_ramp(layout, [[0, 0, 0]], [[0, 0, 0]], steps=5)
         for wf in seq[1:]:
             assert_waveforms_equal(wf, seq[0])
 
     def test_out_of_plane_and_back_endpoints_identical(self, layout):
-        fwd = transport_ramp(layout, [[0, 0, 0]], [[330e-6, 0, 0]], duration=0.1, steps=9)
-        back = transport_ramp(layout, [[330e-6, 0, 0]], [[0, 0, 0]], duration=0.1, steps=9)
+        fwd = transport_ramp(layout, [[0, 0, 0]], [[330e-6, 0, 0]], steps=9)
+        back = transport_ramp(layout, [[330e-6, 0, 0]], [[0, 0, 0]], steps=9)
         assert_waveforms_equal(fwd[-1], back[0])
         assert_waveforms_equal(back[-1], fwd[0])
 
@@ -189,7 +189,7 @@ class TestTransportRamp:
         # 190 -> 480 um vertical move: channel change = 290 um / calibration
         start = [[0, 0, 95e-6]]
         end = [[0, 0, 240e-6]]
-        seq = transport_ramp(layout, start, end, duration=0.1, steps=3)
+        seq = transport_ramp(layout, start, end, steps=3)
         v_start = seq[0].freq_offsets_mhz[:, 1].max()
         v_end = seq[-1].freq_offsets_mhz[:, 1].max()
         assert (v_end - v_start) == pytest.approx((240 - 95) / 86.0, rel=1e-9)
@@ -203,7 +203,7 @@ class TestTransportRamp:
 
     def test_unreachable_waypoint_rejected(self, layout):
         with pytest.raises(DomainError):
-            transport_ramp(layout, [[0, 0, 0]], [[0, 0, 2e-3]], duration=0.1, steps=3)
+            transport_ramp(layout, [[0, 0, 0]], [[0, 0, 2e-3]], steps=3)
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ import pytest
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError
 from codtsim.optics import AstigmaticBeam
-from codtsim.potential import DipolePotential, beams_to_records, static_potential
+from codtsim import trapchar
+from codtsim.potential import DipolePotential, beam_records, beams_to_records, static_potential
 from codtsim.trapchar import (
-    DEFAULT_HALF_EXTENTS,
     FAR_FIELD_RATIO,
     FAR_FIELD_RAYLEIGH_RANGES,
     NEAR_FIELD_WAISTS,
@@ -60,18 +60,13 @@ class TestCharacterize:
         u0 = RB.dipole_coefficient * 2 * base.power / (math.pi * base.waist_h**2)
         curvature = 8 * u0 / base.waist_h**2 + 2 * u0 / base.rayleigh_h**2
         f_bowl = math.sqrt(curvature / RB.atom_mass) / (2 * math.pi)
-        rim = 200e-6
-        report = characterize(
-            static_potential(RB, beams),
-            np.array([30e-6, -20e-6, 10e-6]),
-            domain=(np.zeros(3), np.array([rim, rim, rim])),
-        )
+        report = characterize(static_potential(RB, beams), np.array([30e-6, -20e-6, 10e-6]))
         assert report.valid
         assert report.frequencies == pytest.approx([f_bowl] * 3, rel=1e-9, abs=0)
         assert np.linalg.norm(report.minimum_position) < 1e-12
         assert report.depth_peak == pytest.approx(3 * u0, rel=1e-9, abs=0)
         # U rises monotonically along every axis to its asymptote 0 far past
-        # the rim: no ray escapes, so the escape depth is the whole bowl
+        # the search box: no ray escapes, so the escape depth is the whole bowl
         assert report.depth_escape == pytest.approx(3 * u0, rel=1e-9, abs=0)
 
     def test_single_beam_gaussian_trap_formulas(self):
@@ -82,9 +77,7 @@ class TestCharacterize:
         m = RB.atom_mass
         w = beam.waist_h
         zr = beam.rayleigh_h
-        report = characterize(
-            pot, np.array([2e-6, 1e-6, -1e-6]), domain=(np.zeros(3), np.array([2e-3, 2e-4, 2e-4]))
-        )
+        report = characterize(pot, np.array([2e-6, 1e-6, -1e-6]))
         f_radial = math.sqrt(4 * u0 / (m * w**2)) / (2 * math.pi)
         f_axial = math.sqrt(2 * u0 / (m * zr**2)) / (2 * math.pi)
         assert report.frequencies[0] == pytest.approx(f_axial, rel=0.01)
@@ -107,10 +100,7 @@ class TestCharacterize:
             ]
         )
         expected = np.sort(np.sqrt(curvature / RB.atom_mass) / (2 * math.pi))
-        half = np.array(DEFAULT_HALF_EXTENTS)
-        report = characterize(
-            static_potential(RB, [b1, b2]), np.array([1e-6, -2e-6, 0.5e-6]), domain=(np.zeros(3), half)
-        )
+        report = characterize(static_potential(RB, [b1, b2]), np.array([1e-6, -2e-6, 0.5e-6]))
         assert report.valid
         assert np.linalg.norm(report.minimum_position) < 1e-12
         assert report.frequencies == pytest.approx(expected, rel=1e-9, abs=0)
@@ -129,7 +119,7 @@ class TestCharacterize:
 
         wf = line_paint(layout, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
-        report = characterize(pot, np.zeros(3), domain=(np.zeros(3), np.array([4e-3, 690e-6, 1e-3])))
+        report = characterize(pot, np.zeros(3))
         assert report.valid and report.seeds_tried == 2
         assert pot.at(report.minimum_position) < 1.01 * pot.at(np.zeros(3))
         assert report.depth_escape > 0.9 * report.depth_peak
@@ -169,7 +159,7 @@ class TestCharacterize:
         painted = time_averaged_potential(RB, layout, input_pair, wf, 128)
         calls.clear()
         points.clear()
-        report = characterize(painted, np.zeros(3), domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)))
+        report = characterize(painted, np.zeros(3))
         assert report.valid
         scans = [n for n, call in zip(points, calls) if call == "intensity_sum"]
         assert len(scans) == 2 and scans[0] <= 4000, scans
@@ -185,17 +175,21 @@ class TestCharacterize:
         for h in pot.derivatives(pts)[2]:
             assert np.max(np.abs(h - h.T)) <= 1e-6 * np.max(np.abs(h))
 
-    def test_static_trap_independent_of_seed_and_box(self, layout, input_pair):
-        half = np.array(DEFAULT_HALF_EXTENTS)
+    def test_static_trap_independent_of_seed_and_box(self, layout, input_pair, monkeypatch):
+        records = beam_records(layout, input_pair, np.zeros(4))[0]
         seed = np.array([3e-6, -2e-6, 4e-6])
+        wide_box = tuple(2 * h for h in trapchar.SEARCH_HALF_EXTENTS)
         for constants in (RB, PhysicalConstants(gravity=9.81)):
             ref = characterize_crossed_trap(constants, layout, input_pair)
             if constants.gravity:  # a falling ray escapes a little below the level asymptote
                 assert ref.depth_escape < ref.depth_peak
             else:  # no ray escapes: the level rays end at their asymptote
                 assert ref.depth_escape == ref.depth_peak
-            for kwargs in ({"seed_point": seed}, {"domain": (np.zeros(3), 2 * half)}):
-                report = characterize_crossed_trap(constants, layout, input_pair, **kwargs)
+            from_seed = characterize(DipolePotential(constants, records), seed)
+            with monkeypatch.context() as m:
+                m.setattr(trapchar, "SEARCH_HALF_EXTENTS", wide_box)
+                in_wide_box = characterize_crossed_trap(constants, layout, input_pair)
+            for report in (from_seed, in_wide_box):
                 assert report.valid
                 assert report.frequencies == pytest.approx(ref.frequencies, rel=1e-9, abs=0)
                 assert report.depth_peak == pytest.approx(ref.depth_peak, rel=1e-9, abs=0)
@@ -216,13 +210,10 @@ class TestCharacterize:
     def test_depth_conventions_ordering(self, layout, input_pair):
         report = characterize_crossed_trap(RB, layout, input_pair)
         assert report.depth_peak >= report.depth_escape > 0
-        # the convention is a report-time choice; depth is the escape-saddle one
+        # depth is the escape-saddle one
         assert report.depth == report.depth_escape
-        assert report.to_dict("peak-to-min")["depth_uK"] == report.depth_uk("peak-to-min")
         with pytest.raises(DomainError):
             report.depth_uk("bogus")
-        with pytest.raises(DomainError):
-            report.to_dict("bogus")
 
     def test_gravity_opens_weak_trap(self, layout):
         from codtsim.optics import InputBeam
@@ -233,8 +224,7 @@ class TestCharacterize:
         assert not report.valid
 
     def test_flat_potential_invalid_trough_valid(self):
-        kwargs = dict(domain=(np.zeros(3), np.full(3, 200e-6)))
-        flat = characterize(static_potential(RB, [stigmatic_beam(power=0.0)]), np.zeros(3), **kwargs)
+        flat = characterize(static_potential(RB, [stigmatic_beam(power=0.0)]), np.zeros(3))
         assert not flat.valid and "curvature" in flat.reason
 
         # one flat direction, like the long axis of a line-painted trap, stays
@@ -243,7 +233,7 @@ class TestCharacterize:
         records = beams_to_records([beam])
         records[:, 16:18] = np.inf
         pot = DipolePotential(RB, records)
-        report = characterize(pot, np.zeros(3), **kwargs)
+        report = characterize(pot, np.zeros(3))
         assert report.valid
         assert report.frequencies[0] == 0.0
         u0 = -pot.at(np.zeros(3))
@@ -254,11 +244,7 @@ class TestCharacterize:
         # two parallel beams 16 um apart: across them the origin is a maximum
         # a saddle is reported invalid, like the other failed searches
         beams = [replace(stigmatic_beam(), origin=np.array([0.0, y, 0.0])) for y in (8e-6, -8e-6)]
-        report = characterize(
-            static_potential(RB, beams),
-            np.zeros(3),
-            domain=(np.zeros(3), np.array(DEFAULT_HALF_EXTENTS)),
-        )
+        report = characterize(static_potential(RB, beams), np.zeros(3))
         assert report.valid is False
         assert "saddle" in report.reason
 
@@ -304,7 +290,7 @@ class TestThermoMetrics:
 
     def test_truncation_parameter(self, layout, input_pair):
         report = characterize_crossed_trap(RB, layout, input_pair)
-        metrics = thermo_metrics(report, 2e6, 20e-6, RB)
+        metrics = thermo_metrics(report, 2e6, 20e-6)
         eta = report.depth / (RB.boltzmann * 20e-6)
         assert metrics.truncation_parameter == pytest.approx(eta)
         # 240 uK depth at 20 uK would give eta = 12
@@ -312,15 +298,15 @@ class TestThermoMetrics:
 
     def test_psd_linear_in_atom_number(self, layout, input_pair):
         report = characterize_crossed_trap(RB, layout, input_pair)
-        m1 = thermo_metrics(report, 1e6, 20e-6, RB)
-        m2 = thermo_metrics(report, 2e6, 20e-6, RB)
+        m1 = thermo_metrics(report, 1e6, 20e-6)
+        m2 = thermo_metrics(report, 2e6, 20e-6)
         assert m2.psd == pytest.approx(2 * m1.psd, rel=1e-12)
 
     def test_invalid_report_rejected(self, layout, input_pair):
         report = characterize_crossed_trap(RB, layout, input_pair)
         object.__setattr__ if False else setattr(report, "valid", False)
         with pytest.raises(DomainError):
-            thermo_metrics(report, 1e6, 20e-6, RB)
+            thermo_metrics(report, 1e6, 20e-6)
 
 
 class TestMisalignment:
@@ -406,7 +392,7 @@ class TestRayBarrier:
         lab = PhysicalConstants(gravity=9.81)
         pot = static_potential(lab, build_beamlines(layout, (InputBeam(power=0.05),) * 2))
         # 3 um below the minimum: +z escapes at its first sample, -z over the tilted barrier
-        domain = (np.zeros(3), np.array(DEFAULT_HALF_EXTENTS))
+        domain = (np.zeros(3), np.array(trapchar.SEARCH_HALF_EXTENTS))
         escaped = self._check(pot, layout, np.array([0.0, 0.0, -3e-6]), domain, 2e-6)
         assert any(escaped) and not all(escaped)
 
@@ -417,7 +403,7 @@ class TestRayBarrier:
 
         pot = DipolePotential(RB, beam_records(layout, input_pair, np.zeros(4))[0])
         x0 = np.array([1e-6, 0.0, 0.0])
-        for half in (np.array(DEFAULT_HALF_EXTENTS), np.full(3, 50e-6)):
+        for half in (np.array(trapchar.SEARCH_HALF_EXTENTS), np.full(3, 50e-6)):
             escaped = self._check(pot, layout, x0, (np.zeros(3), half), 2e-6)
             assert not any(escaped)
             barriers, deeper = _ray_barrier(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
@@ -433,7 +419,7 @@ class TestRayBarrier:
         pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
         x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
         u0 = pot.at(x0)
-        domain = (np.zeros(3), np.array(DEFAULT_HALF_EXTENTS))
+        domain = (np.zeros(3), np.array(trapchar.SEARCH_HALF_EXTENTS))
         directions = [layout.beam_direction(1) - [0.0, 0.0, 1e-5], -np.eye(3)[2]]
         got, deeper = _ray_barrier(pot, x0, u0, directions, domain, 2e-6)
         ref = [_ray_barrier_reference(pot, x0, u0, d, domain, 2e-6) for d in directions]
