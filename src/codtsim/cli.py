@@ -45,7 +45,7 @@ from .pointing import (
     synth_frame,
     track_spots,
     track_stats,
-    write_pgm,
+    write_pgm_frames,
 )
 from .potential import WAVEFORM_PERIOD, DipolePotential, ScalarField3D, beam_records
 from .trapchar import characterize_crossed_trap, misalignment_sweep, reachable_volume
@@ -410,27 +410,37 @@ def cmd_flight_synth(cfg, out: Path) -> None:
     f = cfg["flight"]
     truth = flight_truth_trajectory(cfg)
     shape = tuple(int(v) for v in f["frame_shape"])
+    pitch = f["pixel_pitch_um"] * 1e-6
+    # every spot of the flight is checked, as synth_frame checks it, before any frame is drawn
+    centres = truth["positions"] * 1e-6 / pitch  # (frames, spots, x y) in pixels
+    outside = ~((0 <= centres) & (centres < shape[::-1])).all(axis=-1)
+    if outside.any():
+        x_um, y_um = truth["positions"][outside][0]
+        raise DomainError(f"spot at ({x_um}, {y_um}) um lies outside the frame")
+
+    def frames():
+        for i in range(len(truth["times"])):
+            spots = [
+                {
+                    "x_um": truth["positions"][i, s, 0],
+                    "y_um": truth["positions"][i, s, 1],
+                    "sigma_um": f["spot_sigma_um"],
+                    "amplitude": f["spot_amplitude"],
+                }
+                for s in range(2)
+            ]
+            yield synth_frame(
+                spots,
+                shape=shape,
+                pixel_pitch=pitch,
+                background=f["background"],
+                noise=f["noise"],
+                seed=cfg["seed"] + i,
+            )
+
     (out / "frames").mkdir()
-    for i, t in enumerate(truth["times"]):
-        spots = [
-            {
-                "x_um": truth["positions"][i, s, 0],
-                "y_um": truth["positions"][i, s, 1],
-                "sigma_um": f["spot_sigma_um"],
-                "amplitude": f["spot_amplitude"],
-            }
-            for s in range(2)
-        ]
-        frame = synth_frame(
-            spots,
-            shape=shape,
-            pixel_pitch=f["pixel_pitch_um"] * 1e-6,
-            background=f["background"],
-            noise=f["noise"],
-            seed=cfg["seed"] + i,
-            timestamp=float(t),
-        )
-        write_pgm(frame, out / f"frames/frame_{i:05d}.pgm")
+    # frames are rendered here while one writer thread creates the files of earlier ones
+    write_pgm_frames(frames(), (out / f"frames/frame_{i:05d}.pgm" for i in range(len(truth["times"]))))
     meta = {
         "pixel_pitch_um": f["pixel_pitch_um"],
         "fps": f["fps"],
@@ -581,8 +591,11 @@ def main(argv=None) -> int:
                 cmd_flight_analyze(cfg, stage, frames_dir=args.frames or out, centroids=args.centroids)
             else:
                 COMMANDS[key](cfg, stage)
+            prefix = len(str(stage)) + 1  # os.walk roots are the stage path, then a separator
             artifacts = sorted(
-                (Path(root) / name).relative_to(stage).as_posix() for root, _, files in os.walk(stage) for name in files
+                os.path.join(root[prefix:], name).replace(os.sep, "/")
+                for root, _, files in os.walk(stage)
+                for name in files
             )
             _publish(stage, out)
         finally:

@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 PHASES = ("pre", "launch", "microgravity", "landing", "post")
 
 DEFAULT_THRESHOLD = 0.2
 GATE_PITCH_FACTOR = 10.0
 BLOCK_FRAMES = 32  # frames labeled per numpy pass
+WRITE_BATCH_FRAMES = 8  # rendered frames handed to the frame writer at a time
+WRITE_QUEUE_BATCHES = 4  # batches that may wait for the frame writer
 _NO_SPOT = (math.nan, math.nan)  # centroid of a spot not found in a frame
 
 
@@ -360,13 +363,57 @@ def track_stats(series: SpotTrackSeries, inner_fraction: float = 0.75) -> dict:
 
 def write_pgm(frame: Frame, path) -> None:
     """Binary P5 PGM; 16-bit frames use big-endian sample order per the format."""
-    path = Path(path)
+    _write_pgm_file(frame, path)
+
+
+def _write_pgm_file(frame: Frame, path) -> None:
+    """``write_pgm`` as one write of header plus samples; the frame writer thread calls it by this name."""
     maxval = 2**frame.bit_depth - 1
     header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode()
     data = np.ascontiguousarray(frame.values, dtype=">u2" if frame.bit_depth == 16 else "u1")
-    with path.open("wb") as fh:
-        fh.write(header)
-        fh.write(data)
+    with open(path, "wb") as fh:
+        fh.write(header + data.tobytes())
+
+
+def write_pgm_frames(frames, paths) -> None:
+    """Write each of ``frames`` (Frame objects) to the matching one of ``paths``, on one writer thread.
+
+    The frames are drawn from ``frames`` on the calling thread (so a lazy
+    renderer renders the next frame there) and handed to the writer thread
+    ``WRITE_BATCH_FRAMES`` at a time, at most ``WRITE_QUEUE_BATCHES`` batches
+    ahead of it; batching wakes the writer once per batch, not per frame.  A
+    frame that cannot be written raises ConfigError naming its file, after
+    the writer has stopped; no thread outlives the call.
+    """
+    import queue  # only flight synth writes frames; kept off the import of the CLI
+
+    pending: queue.Queue = queue.Queue(WRITE_QUEUE_BATCHES)
+    failure: list[tuple] = []  # (path, exception) of the frame that could not be written
+
+    def writer() -> None:
+        while (batch := pending.get()) is not None:
+            for frame, path in batch:
+                if failure:
+                    break  # keep draining, so the calling thread never waits on a full queue
+                try:
+                    _write_pgm_file(frame, path)
+                except BaseException as exc:  # re-raised on the calling thread
+                    failure.append((path, exc))
+
+    thread = threading.Thread(target=writer, name="pgm-writer")
+    thread.start()
+    try:
+        items = zip(frames, paths)
+        while not failure and (batch := list(itertools.islice(items, WRITE_BATCH_FRAMES))):
+            pending.put(batch)
+    finally:
+        pending.put(None)
+        thread.join()
+    if failure:
+        path, exc = failure[0]
+        if isinstance(exc, OSError):
+            raise ConfigError(f"{path}: cannot write frame ({exc.strerror or exc})") from exc
+        raise exc
 
 
 def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:

@@ -245,12 +245,18 @@ class TestCli:
         assert not (out / "flight_report.json").exists()
         assert not (out / "flight_series.csv").exists()
 
-    def test_spot_leaving_the_frame_writes_no_frame(self, tmp_path, capsys):
-        # the launch excursion carries the spots out of the frame from frame 51 on
+    def test_spot_leaving_the_frame_writes_no_frame(self, tmp_path, capsys, monkeypatch):
+        # the launch excursion carries the spots out of the frame from frame 51
+        # on; every spot is checked before the first frame is drawn
+        from codtsim import cli
+
+        drawn = []
+        monkeypatch.setattr(cli, "synth_frame", lambda *args, **kwargs: drawn.append(args))
         out = tmp_path / "flight"
         assert main(["flight", "synth", "--out", str(out), "--set", "flight.launch_displacement_um=1000"]) == 3
         assert "outside the frame" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+        assert drawn == []
 
     @pytest.mark.parametrize(
         "content, message",
@@ -338,6 +344,46 @@ class TestCli:
         argv = ["trap", "report", "--out", str(out), "--set", "trap.save_field=true"]
         assert main([*argv, "--set", "trap.field_dims=[2097152,2097152,2097152]"]) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_flight_synth_rerun_is_byte_identical(self, tmp_path):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["flight", "synth", "--out", str(out), "--seed", "5", "--set", "flight.n_frames=37"]) == 0
+        files = [{p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()} for out in runs]
+        assert len([name for name in files[0] if name.startswith("frames/")]) == 37
+        assert "manifest.json" in files[0]
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("failing", [0, 12, 36])
+    def test_failed_frame_write_exit_code_2(self, tmp_path, capsys, monkeypatch, failing):
+        import threading
+
+        from codtsim import pointing
+
+        out = tmp_path / "flight"
+        assert main(["flight", "synth", "--out", str(out), "--set", "flight.n_frames=24"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real = pointing._write_pgm_file
+
+        def write(frame, path):
+            if path.name == f"frame_{failing:05d}.pgm":
+                raise OSError(28, "No space left on device")
+            real(frame, path)
+
+        monkeypatch.setattr(pointing, "_write_pgm_file", write)
+        threads = threading.active_count()
+        codes = []
+        argv = ["flight", "synth", "--out", str(out), "--seed", "3", "--set", "flight.n_frames=37"]
+        caller = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "flight synth hung after a failed frame write"
+        assert threading.active_count() == threads
+        assert codes == [2]
+        err = capsys.readouterr().err
+        assert f"frame_{failing:05d}.pgm: cannot write frame (No space left on device)" in err
+        assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
         # it once exited 1 with a FileExistsError traceback

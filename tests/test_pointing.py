@@ -1,7 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from codtsim.errors import DomainError
+from codtsim import pointing
+from codtsim.errors import ConfigError, DomainError
 from codtsim.pointing import (
     BLOCK_FRAMES,
     Frame,
@@ -13,6 +18,7 @@ from codtsim.pointing import (
     track_spots,
     track_stats,
     write_pgm,
+    write_pgm_frames,
 )
 
 PITCH = 5e-6
@@ -372,6 +378,64 @@ class TestPgmIO:
         loaded = read_pgm(path, PITCH)
         assert loaded.bit_depth == 8
         np.testing.assert_array_equal(loaded.values, frame.values)
+
+    def test_writer_thread_writes_the_bytes_of_write_pgm(self, tmp_path):
+        frames = [two_spot_frame(x1=150.0 + i, noise=6.0, seed=3 + i) for i in range(37)]
+        frames[5] = Frame(values=np.minimum(frames[5].values, 255).astype(np.uint8), pixel_pitch=PITCH, bit_depth=8)
+        before = threading.active_count()
+        write_pgm_frames(frames, (tmp_path / f"t{i}.pgm" for i in range(37)))
+        assert threading.active_count() == before
+        for i, frame in enumerate(frames):
+            write_pgm(frame, tmp_path / f"f{i}.pgm")
+            assert (tmp_path / f"t{i}.pgm").read_bytes() == (tmp_path / f"f{i}.pgm").read_bytes(), i
+        assert (tmp_path / "t5.pgm").read_bytes().startswith(b"P5\n96 96\n255\n")
+
+    @pytest.mark.parametrize("failing", [0, 5, 39])
+    def test_failed_write_stops_the_writer_and_names_the_file(self, tmp_path, monkeypatch, failing):
+        # one-frame batches and a one-batch queue: after the writer fails the
+        # renderer must not wait on a full queue, and no thread may outlive the call
+        real = pointing._write_pgm_file
+
+        def write(frame, path):
+            if path.name == f"f{failing}.pgm":
+                time.sleep(0.2)  # the renderer fills the queue and waits on it meanwhile
+                raise OSError(28, "No space left on device")
+            real(frame, path)
+
+        monkeypatch.setattr(pointing, "_write_pgm_file", write)
+        monkeypatch.setattr(pointing, "WRITE_BATCH_FRAMES", 1)
+        monkeypatch.setattr(pointing, "WRITE_QUEUE_BATCHES", 1)
+        rendered = []
+
+        def frames():
+            for i in range(40):
+                rendered.append(i)
+                yield Frame(values=np.full((8, 8), i, dtype=np.uint16), pixel_pitch=PITCH)
+
+        before = threading.active_count()
+        errors = []
+
+        def run():
+            try:
+                write_pgm_frames(frames(), (tmp_path / f"f{i}.pgm" for i in range(40)))
+            except ConfigError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            caller = threading.Thread(target=run, daemon=True)
+            caller.start()
+            caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "the frame writer hung after a failed write"
+        assert threading.active_count() == before
+        assert len(errors) == 1
+        assert f"f{failing}.pgm: cannot write frame (No space left on device)" in str(errors[0])
+        written = sorted(int(p.stem[1:]) for p in tmp_path.iterdir())
+        assert written == list(range(failing))
+        assert len(rendered) <= min(40, failing + 4)  # rendering stops soon after the failure
 
     def test_malformed_or_truncated_frame_is_domain_error(self, tmp_path):
         frame = two_spot_frame(noise=5.0, seed=9)
