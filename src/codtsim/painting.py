@@ -360,20 +360,15 @@ def compensate_powers(
     site (depth scales linearly with power, frequency with its square
     root).  The split with the smallest residual (frequency deviation at
     equal depth, depth deviation at equal mean frequency) is kept.  The
-    rescale is exact only without gravity, so a nonzero
-    ``constants.gravity`` is refused before any site is characterized; with
-    it exact, a second scan would test the same ratios again.  ``table`` is
-    the uncompensated grid.  The chosen weights are scaled to a mean of at
+    rescale only picks the candidate weights: it is exact without gravity,
+    where a second scan would test the same ratios again, and close at
+    1 g, where the sag barely moves with power.  ``table`` is the
+    uncompensated grid.  The chosen weights are scaled to a mean of at
     most 1 (the power budget) and the grid is characterized once with them;
     when that does not lower the objective spread, ``table``'s rows come
     back.  ``table`` itself is left unchanged.
     ``converged`` tells whether the spread is below ``COMPENSATION_TOL``.
     """
-    if constants.gravity:
-        raise DomainError(
-            f"compensate_powers needs zero gravity (got {constants.gravity} m/s^2): "
-            "depth and frequencies scale with power only without the gravity tilt"
-        )
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown compensation objective {objective!r}")
     indices = spec.site_indices()
@@ -388,7 +383,8 @@ def compensate_powers(
     def rescaled(report: TrapReport, scale: float) -> tuple[float, np.ndarray, float]:
         """Depth and frequencies after multiplying both beam powers by ``scale``.
 
-        Exact for gravity-free site traps: the potential scales linearly.
+        Exact for gravity-free site traps, whose potential scales linearly;
+        with gravity an estimate, which the final characterization checks.
         """
         return (
             report.depth * scale,

@@ -168,7 +168,9 @@ def beam_records(
     wavelengths = np.array([b.wavelength for b in inputs])
     records[..., 0:3] = origins
     records[..., 12:14] *= scales[..., None]
-    records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
+    # a Rayleigh range past the float range is inf, a uniform cylinder; its escape scan ends at the search box
+    with np.errstate(over="ignore"):
+        records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
     records[..., 18] *= weights
     return records
 

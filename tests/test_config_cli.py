@@ -301,8 +301,6 @@ class TestCli:
             # a waypoint beyond the reachable range surfaces as a domain error
             ("paint transport", "paint.transport_end_um=[[0.0, 0.0, 5000.0]]", "unreachable"),
             ("paint grid", "beams.power_w=0", "central site"),
-            # the linear power rescale of compensation holds only at zero gravity
-            ("paint compensate", "constants.gravity_m_s2=9.81", "zero gravity"),
         ):
             out = tmp_path / command.replace(" ", "-")
             argv = command.split() + ["--out", str(out), "--set", override]
@@ -464,6 +462,22 @@ class TestCli:
             ]
         )
         assert code == 4
+
+    def test_rayleigh_range_past_the_float_range_is_a_cylinder(self, tmp_path):
+        # a subnormal wavelength keeps the 1 mm waists above lambda/2 while
+        # pi w^2 / lambda overflows: two crossed uniform cylinders, whose
+        # escape scan ends at the search box on the single-beam trough
+        out = tmp_path / "o"
+        settings = (
+            "beams.wavelength_um=1e-309",
+            "beams.collimated_radius_mm=1e-307",
+            "layout.focal_length_mm=314159.2653589793",
+            "layout.beam_separation_mm=162620.80214064088",
+        )
+        assert main(["trap", "report", "--out", str(out), *(a for s in settings for a in ("--set", s))]) == 0
+        report = json.loads((out / "trap_report.json").read_text())
+        assert report["valid"]
+        assert 0.499 < report["depth_escape_saddle_uK"] / report["depth_peak_to_min_uK"] < 0.5
 
     def test_unknown_command_rejected(self, tmp_path):
         assert main(["trap", "nonsense", "--out", str(tmp_path / "o")]) == 2
@@ -682,12 +696,9 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
-def test_every_subcommand_writes_exactly_its_artifacts(command, tmp_path):
-    from codtsim.cli import COMMANDS
-
-    assert len(SMALL_RUNS) == len(COMMANDS)
-    settings = [arg for override in SMALL_RUNS[command] for arg in ("--set", override)]
+def _run_subcommand(command, overrides, tmp_path):
+    """Run ``command`` with ``overrides`` into ``tmp_path / "out"``, which it returns."""
+    settings = [arg for override in overrides for arg in ("--set", override)]
     extra = []
     if command == "flight analyze":
         frames = tmp_path / "frames"
@@ -695,8 +706,24 @@ def test_every_subcommand_writes_exactly_its_artifacts(command, tmp_path):
         extra = ["--frames", str(frames)]
     out = tmp_path / "out"
     assert main([*command.split(), "--out", str(out), *settings, *extra]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_subcommand_writes_exactly_its_artifacts(command, tmp_path):
+    from codtsim.cli import COMMANDS
+
+    assert len(SMALL_RUNS) == len(COMMANDS)
+    out = _run_subcommand(command, SMALL_RUNS[command], tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
     written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert written == sorted(manifest["artifacts"] + ["manifest.json"])
     assert list(out.glob(".partial-*")) == []
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_subcommand_runs_at_1g(command, tmp_path):
+    # ground/flight parity: the bundled config at lab gravity, fewer frames only
+    out = _run_subcommand(command, ["constants.gravity_m_s2=9.81", "flight.n_frames=24"], tmp_path)
+    assert json.loads((out / "manifest.json").read_text())["command"] == command

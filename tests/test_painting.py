@@ -243,17 +243,19 @@ class TestSites:
             assert row.weight_beam1 == pytest.approx(1.0, abs=1e-6)
             assert row.weight_beam2 == pytest.approx(1.0, abs=1e-6)
 
-    def test_compensation_refuses_gravity_before_characterizing(self, layout, input_pair, monkeypatch):
-        # depth and frequencies scale with power only at zero gravity
-        import codtsim.painting
-
-        def no_characterization(*args, **kwargs):
-            raise AssertionError("characterized a site before refusing gravity")
-
-        monkeypatch.setattr(codtsim.painting, "characterize", no_characterization)
-        spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
-        with pytest.raises(DomainError, match="zero gravity"):
-            compensate_powers(PhysicalConstants(gravity=9.81), layout, input_pair, spec, table=None)
+    def test_compensation_converges_at_1g(self, layout, input_pair):
+        # the power rescale only picks candidate weights; the chosen ones are
+        # characterized exactly, so the sagged 1 g grid homogenizes as at 0 g
+        ground = PhysicalConstants(gravity=9.81)
+        spec = GridSpec(counts=(1, 3, 3), spacing=(0.0, 480e-6, 480e-6))
+        table = characterize_sites(ground, layout, input_pair, spec)
+        after = compensate_powers(ground, layout, input_pair, spec, table=table)
+        assert after.converged
+        assert after.depth_spread() < 1e-4 < table.depth_spread()
+        assert after.frequency_spread() < 0.1 * table.frequency_spread()
+        assert all(r.report.minimum_position[2] < r.position[2] for r in after.rows)  # every site sags
+        weights = [w for r in after.rows for w in (r.weight_beam1, r.weight_beam2)]
+        assert np.mean(weights) <= 1.0 + 1e-9
 
     def test_compensation_is_one_balance_scan(self, layout, input_pair, grid_table, monkeypatch):
         # BALANCE_STEPS candidates per non-central site, then the grid once
