@@ -35,6 +35,7 @@ from .trapchar import (
     ThermoMetrics,
     TrapReport,
     characterize,
+    characterize_batch,
     reachable_volume,
     thermo_metrics,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "TrapReport",
     "ThermoMetrics",
     "characterize",
+    "characterize_batch",
     "reachable_volume",
     "thermo_metrics",
     "__version__",

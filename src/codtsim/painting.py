@@ -27,7 +27,7 @@ from .optics import (
     offsets_from_crossing,
 )
 from .potential import WAVEFORM_PERIOD, DipolePotential, ModulationWaveform, beam_records
-from .trapchar import TrapReport, characterize
+from .trapchar import TrapReport, characterize_batch
 
 TRANSITION_FRACTION = 0.05  # share of a dwell segment spent moving to the next
 TRANSITION_KNOTS = 6  # raised-cosine steps of one transition
@@ -328,18 +328,19 @@ def characterize_sites(
     pairs = _as_weight_pairs(weights, len(indices))
     positions = [spec.site_position(idx) for idx in indices]
     records = beam_records(layout, inputs, [_site_offsets(layout, p) for p in positions], pairs)
+    reports = characterize_batch(DipolePotential(constants, records), positions)
     return SiteTable(
         rows=[
             SiteRow(
                 index=idx,
                 position=pos,
-                report=characterize(DipolePotential(constants, recs), pos),
+                report=report,
                 radius_beam1=_local_radius(recs[0], pos),
                 radius_beam2=_local_radius(recs[1], pos),
                 weight_beam1=float(w1),
                 weight_beam2=float(w2),
             )
-            for idx, pos, recs, (w1, w2) in zip(indices, positions, records, pairs)
+            for idx, pos, report, recs, (w1, w2) in zip(indices, positions, reports, records, pairs)
         ]
     )
 
@@ -416,17 +417,19 @@ def compensate_powers(
     central_n = table.central_index()
     deltas = np.linspace(-0.35, 0.35, BALANCE_STEPS)
     new_pairs = pairs.copy()
-    for n, idx in enumerate(indices):
-        if n == central_n:
-            continue
-        pos = spec.site_position(idx)
-        base = 0.5 * (pairs[n, 0] + pairs[n, 1])
-        candidates = base * np.column_stack([1 + deltas, 1 - deltas])
-        offsets = [_site_offsets(layout, pos)] * BALANCE_STEPS
-        records = beam_records(layout, inputs, offsets, candidates)
+    # every candidate of every non-central site in one batch, site by site
+    sites = [n for n in range(len(indices)) if n != central_n]
+    positions = [spec.site_position(indices[n]) for n in sites]
+    bases = 0.5 * (pairs[sites, 0] + pairs[sites, 1])
+    candidates = (bases[:, None, None] * np.column_stack([1 + deltas, 1 - deltas])).reshape(-1, 2)
+    offsets = [_site_offsets(layout, pos) for pos in positions for _ in deltas]
+    records = beam_records(layout, inputs, offsets, candidates)
+    seeds = np.repeat(positions, BALANCE_STEPS, axis=0)
+    reports = characterize_batch(DipolePotential(constants, records), seeds)
+    for s, n in enumerate(sites):
         best = None
-        for (w1, w2), recs in zip(candidates, records):
-            rep = characterize(DipolePotential(constants, recs), pos)
+        scan = slice(s * BALANCE_STEPS, (s + 1) * BALANCE_STEPS)
+        for (w1, w2), rep in zip(candidates[scan], reports[scan]):
             if not rep.valid or rep.depth <= 0:
                 continue
             scale = pin_scale(rep)

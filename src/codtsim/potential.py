@@ -113,7 +113,12 @@ def beams_to_records(beams) -> np.ndarray:
 
 
 class DipolePotential:
-    """Callable U(points) built from a fixed set of weighted beam records."""
+    """Callable U(points) built from a fixed set of weighted beam records.
+
+    Records (r, 19) give U at points (k, 3).  A batch of records
+    (n, r, 19) holds n potentials: points (n, k, 3) give U (n, k), item i
+    read off ``records[i]`` alone.
+    """
 
     def __init__(self, constants: PhysicalConstants, records: np.ndarray):
         self.constants = constants
@@ -129,7 +134,7 @@ class DipolePotential:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         u = self.optical(pts)
         if self.constants.gravity:
-            u = u + self.constants.atom_mass * self.constants.gravity * pts[:, 2]
+            u = u + self.constants.atom_mass * self.constants.gravity * pts[..., 2]
         return u
 
     def derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,8 +145,8 @@ class DipolePotential:
         u, grad, hess = c * intensity, c * grad, c * hess
         if self.constants.gravity:
             mg = self.constants.atom_mass * self.constants.gravity
-            u = u + mg * pts[:, 2]
-            grad[:, 2] += mg
+            u = u + mg * pts[..., 2]
+            grad[..., 2] += mg
         return u, grad, hess
 
     def at(self, point) -> float:

@@ -8,7 +8,8 @@ frequencies omega_i = sqrt(lambda_i / m) come from the Hessian at the
 minimum.  Two depth conventions are computed: "escape-saddle" (lowest
 barrier along the principal axes and the beam arms) and "peak-to-min"
 (optical depth of the minimum, gravity excluded); an escape scan that
-finds a deeper basin moves the search there.
+finds a deeper basin moves the search there.  Every step runs over a batch
+of traps at once, one trap being the batch of one.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .constants import PhysicalConstants
 from .errors import DomainError, ModelValidityError
 from .optics import InputBeam, OpticalLayout, max_displacement
@@ -37,6 +39,9 @@ MAX_BASIN_HOPS = 4  # restarts in deeper basins the escape scan finds
 NEAR_FIELD_WAISTS = 4.0
 FAR_FIELD_RATIO = 1.05
 FAR_FIELD_RAYLEIGH_RANGES = 100.0
+# a ray longer than this many samples is refused (ModelValidityError): its
+# points alone would take 1.5 MB, 16 MB for the ten rays of a crossed pair
+MAX_RAY_SAMPLES = 1 << 16
 
 DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 
@@ -125,194 +130,370 @@ class ThermoMetrics:
         }
 
 
-def _newton(potential: DipolePotential, seed, domain, step):
-    """Damped Newton descent from ``seed`` (clipped into the search box).
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, 3) arrays, each through BLAS dot as ``a[i] @ b[i]`` computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    Hessian eigenvalues are replaced by their magnitude, floored at
+
+def _derivatives(potential: DipolePotential, x: np.ndarray):
+    """U, grad U and hess U of each item at its point x (n, 3), and the items where they are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness mask reports it
+        u, grad, hess = (a[:, 0] for a in potential.derivatives(x[:, None, :]))
+    # e.g. a focal waist so small the intensity overflows
+    return u, grad, hess, ~np.isfinite(hess).all(axis=(1, 2))
+
+
+def _items(potential: DipolePotential, items) -> DipolePotential:
+    """The batch of ``items`` (ascending item indices) of a batched potential."""
+    if len(items) == len(potential.records):
+        return potential
+    return DipolePotential(potential.constants, potential.records[items])
+
+
+def _newton(potential: DipolePotential, starts, centers, steps):
+    """Damped Newton descent of each item from its start (clipped into its search box).
+
+    Item i of the batched ``potential`` searches ``centers[i]`` +/-
+    ``SEARCH_HALF_EXTENTS`` on the length scale ``steps[i]``.  Hessian
+    eigenvalues are replaced by their magnitude, floored at
     ``CURVATURE_FLOOR`` of the largest, so indefinite or flat directions (the
     bottom of a painted trap) take gradient steps.  A step is cut to the box,
     then halved until U decreases (Armijo); a Newton step shorter than
     ``step`` on a positive-definite Hessian skips that test, its decrease
     being at rounding level.  Converged once a step is below ``NEWTON_XTOL *
     step``, or when the line search stalls at a gradient that is small on the
-    scale of U over one ``step``.  Returns (x, U, grad, hess, steps, converged).
+    scale of U over one ``step``.  The items step in lockstep, each with its
+    own arithmetic: every round evaluates the trial points of all items
+    still searching in one call.  Returns per item (x, U, grad, hess, steps,
+    converged, failed); an item fails where its derivatives are not finite,
+    and its x is then that point.
     """
-    def derivatives(x):
-        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
-            u, grad, hess = (a[0] for a in potential.derivatives(x[None, :]))
-        if not np.isfinite(hess).all():  # e.g. a focal waist so small the intensity overflows
-            raise ModelValidityError(f"potential derivatives are not finite at {x.tolist()} m")
-        return u, grad, hess
+    half = np.array(SEARCH_HALF_EXTENTS)
+    lo, hi = centers - half, centers + half
+    x = np.clip(starts, lo, hi)
+    u, grad, hess, failed = _derivatives(potential, x)
+    xtol, diagonal = NEWTON_XTOL * steps, float(np.linalg.norm(2 * half))
+    iterations = np.full(len(x), MAX_NEWTON_ITER)
+    converged = np.zeros(len(x), dtype=bool)
+    active = ~failed
 
-    center, half = domain
-    lo, hi = center - half, center + half
-    x = np.clip(seed, lo, hi)
-    u, grad, hess = derivatives(x)
-    xtol, diagonal = NEWTON_XTOL * step, float(np.linalg.norm(2 * half))
-    for steps in range(MAX_NEWTON_ITER):
-        if not grad.any():
-            return x, u, grad, hess, steps, True
-        lam, vec = np.linalg.eigh(hess)
+    def finish(items, it, ok):
+        iterations[items], converged[items], active[items] = it, ok, False
+
+    for it in range(MAX_NEWTON_ITER):
+        flat = active & ~grad.any(axis=1)
+        if flat.any():
+            finish(np.flatnonzero(flat), it, True)
+        a = np.flatnonzero(active)
+        if not a.size:
+            break
+        lam, vec = np.linalg.eigh(hess[a])
         # the floor also keeps every step within the box diagonal
-        floor = max(CURVATURE_FLOOR * np.abs(lam).max(), np.linalg.norm(grad) / diagonal)
-        dx = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
-        norm = float(np.linalg.norm(dx))
-        if norm <= xtol:
-            return x, u, grad, hess, steps, True
+        floor = np.maximum(CURVATURE_FLOOR * np.abs(lam).max(axis=1), np.sqrt(_dot(grad[a], grad[a])) / diagonal)
+        dx = np.matmul(vec.transpose(0, 2, 1), grad[a, :, None])[..., 0] / np.maximum(np.abs(lam), floor[:, None])
+        dx = np.matmul(-vec, dx[..., None])[..., 0]
+        norm = np.sqrt(_dot(dx, dx))
+        small = norm <= xtol[a]
+        if small.any():
+            finish(a[small], it, True)
+            a, lam, floor, dx, norm = (v[~small] for v in (a, lam, floor, dx, norm))
         with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(dx > 0, (hi - x) / dx, np.where(dx < 0, (lo - x) / dx, np.inf))
-        t = min(1.0, float(room.min()))
-        local = t == 1.0 and norm <= step and lam[0] > floor
-        while t * norm > xtol:
-            trial = np.clip(x + t * dx, lo, hi)
-            u_t, grad_t, hess_t = derivatives(trial)
-            if local or u_t <= u + 1e-4 * t * float(grad @ dx):
-                x, u, grad, hess = trial, u_t, grad_t, hess_t
+            room = np.where(dx > 0, (hi[a] - x[a]) / dx, np.where(dx < 0, (lo[a] - x[a]) / dx, np.inf))
+        t = np.minimum(1.0, room.min(axis=1))
+        local = (t == 1.0) & (norm <= steps[a]) & (lam[:, 0] > floor)
+        slope = _dot(grad[a], dx)
+        while a.size:
+            stalled = t * norm <= xtol[a]
+            if stalled.any():
+                s = a[stalled]
+                at_minimum = np.sqrt(_dot(grad[s], grad[s])) * steps[s] < 1e-3 * np.abs(u[s]) + 1e-32
+                finish(s, it, at_minimum)
+                a, dx, norm, t, local, slope = (v[~stalled] for v in (a, dx, norm, t, local, slope))
+                if not a.size:
+                    break
+            trial = np.clip(x[a] + t[:, None] * dx, lo[a], hi[a])
+            u_t, grad_t, hess_t, bad = _derivatives(_items(potential, a), trial)
+            if bad.any():
+                failed[a[bad]], x[a[bad]], active[a[bad]] = True, trial[bad], False
+            accept = ~bad & (local | (u_t <= u[a] + 1e-4 * t * slope))
+            took = a[accept]
+            x[took], u[took], grad[took], hess[took] = trial[accept], u_t[accept], grad_t[accept], hess_t[accept]
+            retry = ~bad & ~accept
+            if not retry.any():
                 break
-            t *= 0.5
-        else:
-            stalled_at_minimum = float(np.linalg.norm(grad)) * step < 1e-3 * abs(u) + 1e-32
-            return x, u, grad, hess, steps, stalled_at_minimum
-    return x, u, grad, hess, MAX_NEWTON_ITER, False
+            a, dx, norm, local, slope = (v[retry] for v in (a, dx, norm, local, slope))
+            t = t[retry] * 0.5
+    return x, u, grad, hess, iterations, converged, failed
 
 
-def _ray_barrier(f, x0, u0, directions, domain, step):
+def _ray_barrier(f, x0, u0, directions, domain, steps):
     """Max potential along each ray until it escapes below the minimum or meets its asymptote.
 
-    Every ray is sampled at multiples of ``step`` out to ``NEAR_FIELD_WAISTS``
-    of the widest waist past the farthest record origin, then at steps
-    growing by ``FAR_FIELD_RATIO`` out to ``FAR_FIELD_RAYLEIGH_RANGES`` of
-    the longest Rayleigh range past the farthest focus, where no record can
-    move U any more; a falling ray goes on until gravity alone takes it
-    below the escape level.  All samples are evaluated in one call.  A
-    ray's barrier is the running maximum (from ``u0``) up to and including
-    its first value below the escape level.  A ray that never escapes is
+    Item i of the batched potential ``f`` scans the rays ``directions[i]``
+    from ``x0[i]``, where U is ``u0[i]``, with sample spacing ``steps[i]``.
+    Every ray is sampled at multiples of ``step`` out to
+    ``NEAR_FIELD_WAISTS`` of the widest waist past the farthest record
+    origin, then at steps growing by ``FAR_FIELD_RATIO`` out to
+    ``FAR_FIELD_RAYLEIGH_RANGES`` of the longest Rayleigh range past the
+    farthest focus, where no record can move U any more; a falling ray goes
+    on until gravity alone takes it below the escape level.  A ray's
+    barrier is the running maximum (from ``u0``) up to and including its
+    first value below the escape level.  A ray that never escapes is
     bounded by its asymptote as well: m g z0 on a level ray, +inf on a
     rising one.  When a record never decays (an infinite Rayleigh range),
-    rays end at the edge of the search ``domain`` with no asymptote.  The
-    escape test carries a small tolerance so that the flat bottom of a
-    painted trap (where the located minimum may sit a fraction of a percent
-    above the deepest plateau point) does not read as an escape channel.
+    rays end at the edge of the search ``domain`` (centres (n, 3), half
+    extents) with no asymptote.  The escape test carries a small tolerance
+    so that the flat bottom of a painted trap (where the located minimum may
+    sit a fraction of a percent above the deepest plateau point) does not
+    read as an escape channel.
 
-    Returns the barriers and the lowest sample inside the domain when it
-    lies below the escape level (a deeper basin the trap spills into), else
-    None.
+    Consecutive items are evaluated together, padded to the longest scan
+    among them, in one kernel call whose points x records stay within one
+    kernel block (``kernels._CHUNK``), so an item's samples go through the
+    kernel in one piece as in a call of its own; a longer scan is a call of
+    its own.
+
+    Returns per item the barriers (None when it failed), the lowest sample
+    inside the domain when it lies below the escape level (a deeper basin
+    the trap spills into), else None, and a message per failed item: a scan
+    longer than ``MAX_RAY_SAMPLES`` per ray.
     """
     records, constants = f.records, f.constants
-    center, half = domain
-    d = np.asarray(directions, dtype=float)
+    centers, half = domain
+    n, n_records = records.shape[0], records.shape[1]
+    rays_per_item = [len(d) for d in directions]
+    owner = np.repeat(np.arange(n), rays_per_item)
+    d = np.concatenate([np.asarray(v, dtype=float) for v in directions])
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    escape_level = u0 - 1e-2 * abs(u0)
+    escape_level = u0 - 1e-2 * np.abs(u0)
     mg = constants.atom_mass * constants.gravity
     slope = mg * d[:, 2]
-    near = np.linalg.norm(records[:, 0:3] - x0, axis=1).max()
-    near += NEAR_FIELD_WAISTS * records[:, 12:14].max()
-    foci = records[:, None, 0:3] + records[:, 14:16, None] * records[:, None, 3:6]
-    reach = np.linalg.norm(foci - x0, axis=2).max()
-    reach += FAR_FIELD_RAYLEIGH_RANGES * records[:, 16:18].max()
-    if np.isfinite(reach):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fall = 2 * (escape_level - mg * x0[2]) / slope  # gravity alone is below escape_level
-        t_end = np.where(slope < 0, np.fmax(reach, fall), reach)
-        limit = np.where(slope > 0, np.inf, np.where(slope < 0, -np.inf, mg * x0[2]))
-    else:
+    level = mg * x0[:, 2]
+    near = np.linalg.norm(records[:, :, 0:3] - x0[:, None], axis=2).max(axis=1)
+    near += NEAR_FIELD_WAISTS * records[:, :, 12:14].max(axis=(1, 2))
+    foci = records[:, :, None, 0:3] + records[:, :, 14:16, None] * records[:, :, None, 3:6]
+    reach = np.linalg.norm(foci - x0[:, None, None], axis=3).max(axis=(1, 2))
+    reach += FAR_FIELD_RAYLEIGH_RANGES * records[:, :, 16:18].max(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fall = 2 * (escape_level[owner] - level[owner]) / slope  # gravity alone is below escape_level
+    t_end = np.where(slope < 0, np.fmax(reach[owner], fall), reach[owner])
+    limit = np.where(slope > 0, np.inf, np.where(slope < 0, -np.inf, level[owner]))
+    cylinder = ~np.isfinite(reach[owner])
+    if cylinder.any():
+        c, dc = owner[cylinder], d[cylinder]
         with np.errstate(divide="ignore"):
             t_exit = np.min(
-                np.where(d != 0, (half - (x0 - center) * np.sign(d)) / np.abs(d), np.inf), axis=1
+                np.where(dc != 0, (half - (x0[c] - centers[c]) * np.sign(dc)) / np.abs(dc), np.inf), axis=1
             )
-        t_end, limit = np.maximum(t_exit, step), np.full(len(d), -np.inf)
-    t_near = np.arange(step, max(near, step) + step, step)
-    n_far = max(0, math.ceil(math.log(t_end.max() / t_near[-1], FAR_FIELD_RATIO)))
-    samples = np.concatenate([t_near, t_near[-1] * FAR_FIELD_RATIO ** np.arange(1, n_far + 1)])
-    ts = [np.minimum(samples[: np.searchsorted(samples, t) + 1], t) for t in t_end]
-    counts = [len(t) for t in ts]
-    starts = np.cumsum([0] + counts[:-1])
-    pts = np.repeat(d, counts, axis=0)
-    pts *= np.concatenate(ts)[:, None]
-    pts += x0
-    vals = f(pts)
-    escapes = vals < escape_level  # fell below the trap bottom: escaped over the barrier
-    inside = np.all(np.abs(pts - center) <= half, axis=1)
-    lowest = int(np.argmin(np.where(inside, vals, np.inf)))
-    deeper = pts[lowest] if escapes[lowest] and inside[lowest] else None
-    before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
-    vals[before != np.repeat(before[starts], counts)] = -np.inf  # after an escape on the same ray
-    barriers = np.fmax(u0, np.fmax.reduceat(vals, starts))
-    escaped = np.logical_or.reduceat(escapes, starts)
-    return np.where(escaped, barriers, np.fmax(barriers, limit)), deeper
+        t_end[cylinder], limit[cylinder] = np.maximum(t_exit, steps[c]), -np.inf
+
+    def grid(i):
+        """Item i's sample distances: steps of ``steps[i]`` through the near field, then growing."""
+        step = float(steps[i])
+        t_near = np.arange(step, max(near[i], step) + step, step)
+        n_far = max(0, math.ceil(math.log(t_end[rays[i]].max() / t_near[-1], FAR_FIELD_RATIO)))
+        return np.concatenate([t_near, t_near[-1] * FAR_FIELD_RATIO ** np.arange(1, n_far + 1)])
+
+    # how far along its item's grid each ray runs, checked before any grid is built
+    first_ray = np.cumsum([0] + rays_per_item)
+    rays = [slice(first_ray[i], first_ray[i + 1]) for i in range(n)]
+    failures = {}
+    counts = np.zeros(len(d), dtype=np.intp)
+    for i in range(n):
+        step = float(steps[i])
+        far = math.log(t_end[rays[i]].max() / max(near[i], step), FAR_FIELD_RATIO)
+        if not max(near[i], step) / step + far <= MAX_RAY_SAMPLES:
+            waists = records[i, :, 12:14]
+            failures[i] = (
+                f"escape scan would take over {MAX_RAY_SAMPLES} samples per ray between the "
+                f"narrowest waist {waists.min():.6g} m and the widest {waists.max():.6g} m"
+            )
+            continue
+        samples = grid(i)
+        counts[rays[i]] = np.minimum(np.searchsorted(samples, t_end[rays[i]]) + 1, samples.size)
+    totals = np.add.reduceat(counts, first_ray[:-1])
+
+    barriers, deeper = [None] * n, [None] * n
+    start = 0
+    while start < n:
+        # the next items whose padded scans fit one kernel block together
+        stop, longest = start + 1, totals[start]
+        while stop < n and (stop + 1 - start) * max(longest, totals[stop]) * n_records <= kernels._CHUNK:
+            longest = max(longest, totals[stop])
+            stop += 1
+        group = [i for i in range(start, stop) if i not in failures]
+        start = stop
+        if not group:
+            continue
+        # sample j of a ray is sample j of its item's grid, cut at the ray's end
+        grids = [grid(i) for i in group]
+        ray_ids = np.concatenate([np.arange(first_ray[i], first_ray[i + 1]) for i in group])
+        cnt, ray_owner = counts[ray_ids], owner[ray_ids]
+        begins = np.cumsum(cnt) - cnt
+        grid_starts = np.cumsum([0] + [g.size for g in grids[:-1]])
+        grid_starts = np.repeat(grid_starts, [rays_per_item[i] for i in group])
+        index = np.arange(cnt.sum()) + np.repeat(grid_starts - begins, cnt)
+        ts = np.minimum(np.concatenate(grids)[index], np.repeat(t_end[ray_ids], cnt))
+        pts = np.repeat(d[ray_ids], cnt, axis=0)
+        pts *= ts[:, None]
+        pts += np.repeat(x0[ray_owner], cnt, axis=0)
+        # one (items, points, 3) block, each item padded with its origin
+        size = totals[group]
+        ends = np.cumsum(size)
+        block = np.repeat(x0[group][:, None], size.max(), axis=1)
+        for row, k, end in zip(block, size, ends):
+            row[:k] = pts[end - k : end]
+        vals = _items(f, group)(block)
+        vals = np.concatenate([v[:k] for v, k in zip(vals, size)])
+        # fell below the trap bottom: escaped over the barrier
+        escapes = vals < np.repeat(escape_level[ray_owner], cnt)
+        # the lowest sample inside the domain, when it escapes, is a deeper basin
+        for i, end, k in zip(group, ends, size):
+            item = slice(end - k, end)
+            if escapes[item].any():
+                inside = np.all(np.abs(pts[item] - centers[i]) <= half, axis=1)
+                lowest = int(np.argmin(np.where(inside, vals[item], np.inf)))
+                if escapes[item][lowest] and inside[lowest]:
+                    deeper[i] = pts[item][lowest].copy()  # a view would keep the whole block alive
+        before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
+        vals[before != np.repeat(before[begins], cnt)] = -np.inf  # after an escape on the same ray
+        ray_max = np.fmax(u0[ray_owner], np.fmax.reduceat(vals, begins))
+        escaped = np.logical_or.reduceat(escapes, begins)
+        ray_barriers = np.where(escaped, ray_max, np.fmax(ray_max, limit[ray_ids]))
+        for i, b in zip(group, np.split(ray_barriers, np.cumsum([rays_per_item[i] for i in group])[:-1])):
+            barriers[i] = b
+    return barriers, deeper, failures
 
 
-def characterize(potential: DipolePotential, seed_point) -> TrapReport:
-    """Characterize the trap minimum of ``potential`` reached from ``seed_point``.
+def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
+    """Characterize the trap minimum of every item of a batched ``potential`` from its seed.
 
-    Newton and the basin restart search the box ``seed_point`` +/-
-    ``SEARCH_HALF_EXTENTS``.  Everything else is read off the potential: its
-    constants, its length scale (the smallest record waist / 50, which
-    spaces the escape scan and sets the margin by which a minimum must
-    clear the box) and its escape arms (the record directions, searched next
-    to the principal axes).  When the escape scan finds a deeper basin (the
-    coarse phase ripple of a painted trap), the search moves there.  No
-    minimum from the seed, a flat potential and a saddle give an invalid
-    report.
+    ``potential`` holds records (n, r, 19), one trap per item, and
+    ``seeds`` (n, 3) one seed per item.  Item i is read off ``records[i]``
+    alone: Newton and the basin restart search the box ``seeds[i]`` +/-
+    ``SEARCH_HALF_EXTENTS``, and everything else comes from the item's
+    records: its length scale (the smallest record waist / 50, which spaces
+    the escape scan and sets the margin by which a minimum must clear the
+    box) and its escape arms (the record directions, searched next to the
+    principal axes).  When the escape scan finds a deeper basin (the coarse
+    phase ripple of a painted trap), the search moves there.  No minimum
+    from the seed, a flat potential and a saddle give an invalid report.
+
+    Newton, the Hessian eigenvectors and the escape scans run over the whole
+    batch at once, and the items that move to a deeper basin go through
+    Newton again together; each report equals the one the item gets in a
+    batch of its own.  When items hit a model limit (derivatives that are
+    not finite, an escape scan too long), the ``ModelValidityError`` is the
+    one of the first such item, as a loop over the items would raise.
     """
-    constants = potential.constants
-    step = float(potential.records[:, 12:14].min()) / 50
-    directions = potential.records[:, 3:6]
-    arms = directions[np.sort(np.unique(directions, axis=0, return_index=True)[1])]
-    center = np.asarray(seed_point, dtype=float)
+    constants, records = potential.constants, potential.records
+    n = len(records)
+    if not n:
+        return []
+    centers = np.array(seeds, dtype=float).reshape(n, 3)
     half = np.array(SEARCH_HALF_EXTENTS)
-    domain = (center, half)
-    scan_step = max(10 * step, 2e-6)
+    steps = records[:, :, 12:14].min(axis=(1, 2)) / 50
+    scan_steps = np.maximum(10 * steps, 2e-6)
+    # escape arms: each item's distinct record directions, in order of first appearance
+    directions = records[:, :, 3:6].reshape(-1, 3)
+    by_item = np.column_stack([np.repeat(np.arange(n), records.shape[1]), directions])
+    first = np.sort(np.unique(by_item, axis=0, return_index=True)[1])
+    arms = np.split(directions[first], np.searchsorted(first, np.arange(1, n) * records.shape[1]))
 
-    def minimum(start):
-        x, u, grad, hess, iterations, ok = _newton(potential, start, domain, step)
+    errors: dict[int, str] = {}
+    alive = np.ones(n, dtype=bool)
+
+    def fail(item: int, message: str) -> None:
+        # items after the first failing one would not be reached one at a time
+        errors[item] = message
+        alive[item:] = False
+
+    def minimum(items, starts):
+        x, u, grad, hess, iterations, ok, failed = _newton(
+            _items(potential, items), starts, centers[items], steps[items]
+        )
+        for j in np.flatnonzero(failed):
+            fail(items[j], f"potential derivatives are not finite at {x[j].tolist()} m")
         # a descent that ends on the search-box boundary means the potential
         # is open in that direction (e.g. gravity tilting the trap open)
-        ok = ok and not np.any(np.abs(x - center) > half - 2 * step)
-        return x, u, grad, hess, iterations, ok
+        ok &= ~np.any(np.abs(x - centers[items]) > half - 2 * steps[items, None], axis=1)
+        return x, u, grad, hess, iterations, ok, ~failed
 
-    x, u_min, grad, hess, iterations, ok = minimum(center)
-    eigvals, eigvecs = np.linalg.eigh(hess)
+    def trapped(items):
+        lam = eigvals[items]
+        return items[(lam[:, -1] > 0) & ~(lam[:, 0] < -1e-4 * np.abs(lam).max(axis=1))]
 
-    def saddle():
-        return eigvals[0] < -1e-4 * np.max(np.abs(eigvals))
-
-    hops = 0
-    while ok and eigvals[-1] > 0 and not saddle():
-        axes = eigvecs.T  # ascending eigenvalues: rows follow the frequencies
-        rays = np.concatenate([axes, arms])
-        barriers, deeper = _ray_barrier(potential, x, u_min, [*rays, *-rays], domain, scan_step)
+    everyone = np.arange(n)
+    x, u_min, grad, hess, iterations, ok, found = minimum(everyone, centers)
+    eigvals, eigvecs = np.zeros((n, 3)), np.zeros((n, 3, 3))
+    eigvals[found], eigvecs[found] = np.linalg.eigh(hess[found])
+    hops = np.zeros(n, dtype=int)
+    barriers = [None] * n
+    pending = trapped(everyone[ok & found & alive])
+    while pending.size:
+        rays = [np.concatenate([eigvecs[i].T, arms[i]]) for i in pending]
+        scan, deeper, failures = _ray_barrier(
+            _items(potential, pending), x[pending], u_min[pending], [np.concatenate([r, -r]) for r in rays],
+            (centers[pending], half), scan_steps[pending],
+        )
+        for j, message in failures.items():
+            fail(pending[j], message)
+        for i, b in zip(pending, scan):
+            barriers[i] = b
         # a ray that escaped below the minimum found a deeper basin: restart there
-        if deeper is None or hops == MAX_BASIN_HOPS:
+        move = [j for j, i in enumerate(pending) if alive[i] and deeper[j] is not None and hops[i] < MAX_BASIN_HOPS]
+        if not move:
             break
-        x_hop, u_hop, grad_hop, hess_hop, iterations_hop, ok_hop = minimum(deeper)
-        if not ok_hop or u_hop >= u_min:
-            break
-        hops += 1
-        x, u_min, grad, hess, iterations = x_hop, u_hop, grad_hop, hess_hop, iterations_hop
-        eigvals, eigvecs = np.linalg.eigh(hess)
-    diagnostics = {
-        "newton_iterations": iterations,
-        "seeds_tried": 1 + hops,
-        "gradient_norm": float(np.linalg.norm(grad)),
-    }
-    if not ok:
-        return TrapReport.invalid(x, "no minimum found in domain", constants, **diagnostics)
-    if eigvals[-1] <= 0:
-        reason = "flat potential: no positive curvature at the minimum"
-        return TrapReport.invalid(x, reason, constants, **diagnostics)
-    if saddle():
-        reason = "negative Hessian eigenvalue at converged point (saddle)"
-        return TrapReport.invalid(x, reason, constants, **diagnostics)
+        hop = pending[move]
+        x_hop, u_hop, grad_hop, hess_hop, iter_hop, ok_hop, _ = minimum(hop, np.array([deeper[j] for j in move]))
+        better = ok_hop & ~(u_hop >= u_min[hop]) & alive[hop]
+        hop = hop[better]
+        hops[hop] += 1
+        x[hop], u_min[hop], grad[hop], hess[hop] = x_hop[better], u_hop[better], grad_hop[better], hess_hop[better]
+        iterations[hop] = iter_hop[better]
+        if hop.size:
+            eigvals[hop], eigvecs[hop] = np.linalg.eigh(hess[hop])
+        pending = trapped(hop)
+    if errors:
+        raise ModelValidityError(errors[min(errors)])
+
+    valid = trapped(everyone[ok])
+    depth_peak = np.zeros(n)
+    depth_peak[valid] = -_items(potential, valid).optical(x[valid, None, :])[:, 0]
+    reports = []
+    for i in range(n):
+        diagnostics = {
+            "newton_iterations": int(iterations[i]),
+            "seeds_tried": 1 + int(hops[i]),
+            "gradient_norm": float(np.linalg.norm(grad[i])),
+        }
+        lam = eigvals[i]
+        if not ok[i]:
+            reason = "no minimum found in domain"
+        elif lam[-1] <= 0:
+            reason = "flat potential: no positive curvature at the minimum"
+        elif lam[0] < -1e-4 * np.max(np.abs(lam)):
+            reason = "negative Hessian eigenvalue at converged point (saddle)"
+        else:
+            reports.append(
+                _valid_report(constants, x[i], u_min[i], lam, eigvecs[i].T, depth_peak[i], barriers[i], diagnostics)
+            )
+            continue
+        reports.append(TrapReport.invalid(x[i].copy(), reason, constants, **diagnostics))
+    return reports
+
+
+def _valid_report(constants, x, u_min, eigvals, axes, depth_peak, barriers, diagnostics) -> TrapReport:
+    """Report of a minimum with positive curvature: frequencies from ``eigvals``, depths from the scan."""
     freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
-    depth_peak = max(0.0, -float(potential.optical(x[None, :])[0]))
+    depth_peak = max(0.0, float(depth_peak))
     # when the lowest barrier is the asymptote m g z of a level ray that never
     # escapes, it lies exactly the optical depth above the minimum
     barrier = float(barriers.min())
     level = constants.atom_mass * constants.gravity * x[2]
     depth_escape = depth_peak if barrier == level else max(0.0, barrier - u_min)
     return TrapReport(
-        minimum_position=x,
+        minimum_position=x.copy(),
         depth_escape=depth_escape,
         depth_peak=depth_peak,
         frequencies=freqs,
@@ -322,6 +503,15 @@ def characterize(potential: DipolePotential, seed_point) -> TrapReport:
         constants=constants,
         **diagnostics,
     )
+
+
+def characterize(potential: DipolePotential, seed_point) -> TrapReport:
+    """Characterize the trap minimum of ``potential`` (records (r, 19)) reached from ``seed_point``.
+
+    The batch of one of :func:`characterize_batch`, which describes the search.
+    """
+    [report] = characterize_batch(DipolePotential(potential.constants, potential.records[None]), [seed_point])
+    return report
 
 
 def characterize_crossed_trap(
@@ -417,11 +607,13 @@ def misalignment_sweep(
     ref = characterize_crossed_trap(constants, layout, inputs)
     if not ref.valid or ref.depth <= 0:
         raise DomainError("reference trap is not valid")
-    rows = []
-    for off in np.asarray(offsets, dtype=float):
-        records = aligned.copy()
-        records[1, 2] += off
-        # past the crossing the midpoint seed sits on a saddle: an invalid report, ratio 0
-        report = characterize(DipolePotential(constants, records), 0.5 * (records[0, 0:3] + records[1, 0:3]))
-        rows.append({"offset_um": off * 1e6, "depth_ratio": report.depth / ref.depth if report.valid else 0.0})
-    return rows
+    offsets = np.asarray(offsets, dtype=float)
+    records = np.repeat(aligned[None], len(offsets), axis=0)
+    records[:, 1, 2] += offsets
+    # past the crossing the midpoint seed sits on a saddle: an invalid report, ratio 0
+    seeds = 0.5 * (records[:, 0, 0:3] + records[:, 1, 0:3])
+    reports = characterize_batch(DipolePotential(constants, records), seeds)
+    return [
+        {"offset_um": off * 1e6, "depth_ratio": report.depth / ref.depth if report.valid else 0.0}
+        for off, report in zip(offsets, reports)
+    ]

@@ -479,6 +479,26 @@ class TestCli:
         assert report["valid"]
         assert 0.499 < report["depth_escape_saddle_uK"] / report["depth_peak_to_min_uK"] < 0.5
 
+    def test_escape_scan_too_long_exit_code_4(self, tmp_path, capsys):
+        # the off-axis slope drives beam 1's waist to 2e13 m against beam 2's
+        # 1.1 mm: the near-field scan would take ~3.6e17 samples per ray
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        settings = (
+            "beams.wavelength_um=1e-277",
+            "beams.collimated_radius_mm=1e-280",
+            "layout.focal_length_mm=3.141592653589793e16",
+            "layout.beam_separation_mm=1.6262080214064088e16",
+            "layout.off_axis_size_slope_per_mm=2.0705523608201655",
+            "paint.grid_counts=[1,1,1]",
+            "paint.grid_center_um=[0,-500,0]",
+        )
+        assert main(["paint", "grid", "--out", str(out), *(a for s in settings for a in ("--set", s))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "narrowest waist" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
     def test_unknown_command_rejected(self, tmp_path):
         assert main(["trap", "nonsense", "--out", str(tmp_path / "o")]) == 2
 

@@ -63,7 +63,7 @@ def test_blocks_bounded_by_points_times_records(monkeypatch):
     real_chunk = kernels._intensity_chunk
 
     def spy(p, r, *buffers):
-        blocks.append(p.shape[0] * r.shape[0])
+        blocks.append(p.shape[0] * p.shape[1] * r.shape[1])  # (items, points, 3) against (items, records, 19)
         return real_chunk(p, r, *buffers)
 
     monkeypatch.setattr(kernels, "_intensity_chunk", spy)
@@ -72,3 +72,19 @@ def test_blocks_bounded_by_points_times_records(monkeypatch):
     assert len(blocks) == 25 and max(blocks) <= kernels._CHUNK
     assert np.min(whole) > 0
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0)
+
+
+def test_batch_items_equal_their_own_calls(records):
+    # points (n, k, 3) against records (n, r, 19): item i is its own 2-D call, bit for bit
+    rng = np.random.default_rng(4)
+    batch = np.repeat(records[None], 3, axis=0)
+    batch[1, :, 0:3] += [20e-6, -5e-6, 3e-6]
+    batch[2, :, 18] *= [0.5, 2.0]
+    pts = rng.normal(scale=30e-6, size=(3, 200, 3))
+    values = kernels.intensity_sum(pts, batch)
+    derivatives = kernels.intensity_derivatives(pts[:, :4], batch)
+    assert values.shape == (3, 200) and derivatives[2].shape == (3, 4, 3, 3)
+    for i in range(3):
+        assert np.array_equal(values[i], kernels.intensity_sum(pts[i], batch[i]))
+        for got, want in zip(derivatives, kernels.intensity_derivatives(pts[i, :4], batch[i])):
+            assert np.array_equal(got[i], want)

@@ -258,16 +258,48 @@ class TestSites:
         assert np.mean(weights) <= 1.0 + 1e-9
 
     def test_compensation_is_one_balance_scan(self, layout, input_pair, grid_table, monkeypatch):
-        # BALANCE_STEPS candidates per non-central site, then the grid once
+        # BALANCE_STEPS candidates per non-central site in one batch, then the grid once
         import codtsim.painting
 
         spec, table = grid_table
-        calls = []
-        real = codtsim.painting.characterize
-        monkeypatch.setattr(codtsim.painting, "characterize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        batches = []
+        real = codtsim.painting.characterize_batch
+        monkeypatch.setattr(
+            codtsim.painting, "characterize_batch", lambda pot, seeds: batches.append(len(seeds)) or real(pot, seeds)
+        )
         compensate_powers(RB, layout, input_pair, spec, table=table)
         n_sites = len(table.rows)
-        assert len(calls) == (n_sites - 1) * codtsim.painting.BALANCE_STEPS + n_sites == 113
+        assert batches == [(n_sites - 1) * codtsim.painting.BALANCE_STEPS, n_sites]
+        assert sum(batches) == 113
+
+    def test_compensation_kernel_calls_do_not_grow_per_site(self, layout, input_pair, monkeypatch):
+        # Newton steps every candidate of a stage in one batch, so its
+        # derivative calls do not grow with the grid; the escape scans go
+        # through the kernel in shared blocks of up to kernels._CHUNK
+        # point-records, where one call per scan held ~3,100
+        from codtsim import kernels
+
+        calls = {"intensity_sum": [], "intensity_derivatives": []}
+        for name, seen in calls.items():
+            real = getattr(kernels, name)
+
+            def counted(p, r, _f=real, _seen=seen):
+                _seen.append(np.asarray(p).size // 3 * np.shape(r)[-2])  # point-records
+                return _f(p, r)
+
+            monkeypatch.setattr(kernels, name, counted)
+        counts = {}
+        for grid in ((1, 3, 3), (1, 5, 5)):
+            spec = GridSpec(counts=grid, spacing=(0.0, 480e-6, 480e-6))
+            table = characterize_sites(RB, layout, input_pair, spec)
+            for seen in calls.values():
+                seen.clear()
+            compensate_powers(RB, layout, input_pair, spec, table=table)
+            counts[grid] = {name: list(seen) for name, seen in calls.items()}
+        small, large = counts[(1, 3, 3)], counts[(1, 5, 5)]
+        assert len(large["intensity_derivatives"]) <= 1.5 * len(small["intensity_derivatives"])
+        for scans in (small["intensity_sum"], large["intensity_sum"]):
+            assert sum(scans) / len(scans) >= kernels._CHUNK / 2
 
     def test_compensation_reduces_frequency_spread(self, layout, input_pair, grid_table):
         spec, table = grid_table

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from codtsim.constants import PhysicalConstants
-from codtsim.errors import DomainError
+from codtsim.errors import DomainError, ModelValidityError
 from codtsim.optics import AstigmaticBeam
 from codtsim import trapchar
 from codtsim.potential import DipolePotential, beam_records, beams_to_records, static_potential
@@ -15,6 +15,7 @@ from codtsim.trapchar import (
     NEAR_FIELD_WAISTS,
     _ray_barrier,
     characterize,
+    characterize_batch,
     characterize_crossed_trap,
     misalignment_sweep,
     phase_space_density,
@@ -137,7 +138,7 @@ class TestCharacterize:
 
             def counted(p, r, _f=real, _n=name):
                 calls.append(_n)
-                points.append(len(p))
+                points.append(np.asarray(p).size // 3)  # over all items of a batch
                 return _f(p, r)
 
             monkeypatch.setattr(kernels, name, counted)
@@ -247,6 +248,91 @@ class TestCharacterize:
         report = characterize(static_potential(RB, beams), np.zeros(3))
         assert report.valid is False
         assert "saddle" in report.reason
+
+
+def _padded(records, n_records):
+    """``records`` followed by zero-power copies of its last record, ``n_records`` in all."""
+    pad = np.repeat(records[-1:], n_records - len(records), axis=0)
+    pad[:, 18] = 0.0
+    return np.concatenate([records, pad])
+
+
+class TestBatch:
+    @pytest.fixture(scope="class")
+    def mixed(self, layout, input_pair):
+        """Records and seeds of six traps, padded to one record count, and the reason each gives per gravity."""
+        from codtsim.optics import InputBeam
+        from codtsim.painting import line_paint
+        from codtsim.potential import time_averaged_potential
+
+        crossed = beam_records(layout, input_pair, np.zeros(4))[0]
+        feeble = beam_records(layout, (InputBeam(power=1e-4),) * 2, np.zeros(4))[0]
+        parallel = [replace(stigmatic_beam(), origin=np.array([0.0, y, 0.0])) for y in (8e-6, -8e-6)]
+        parallel = beams_to_records(parallel)
+        flat = beams_to_records([stigmatic_beam(power=0.0)])
+        comb = time_averaged_potential(RB, layout, input_pair, line_paint(layout, 230.0 * 1e-6), 64).records
+        midpoint = 0.5 * (crossed[0, 0:3] + crossed[1, 0:3])
+        items = [
+            # records, seed, reason at 0 g, reason at 9.81 m/s^2
+            (crossed, midpoint, "", ""),
+            (parallel, np.zeros(3), "saddle", "saddle"),
+            (flat, np.zeros(3), "curvature", "no minimum"),
+            (feeble, midpoint, "", "no minimum"),  # gravity opens it to the box
+            (comb, np.zeros(3), "", ""),  # both comb seeds restart in a deeper basin
+            (comb, np.array([-100e-6, 0.0, 0.0]), "", ""),
+        ]
+        n_records = max(len(r) for r, *_ in items)
+        records = np.array([_padded(r, n_records) for r, *_ in items])
+        return records, np.array([seed for _, seed, *_ in items]), [(g0, g1) for *_, g0, g1 in items]
+
+    @staticmethod
+    def _assert_batch_equals_single(constants, records, seeds):
+        single = [characterize(DipolePotential(constants, r), seed) for r, seed in zip(records, seeds)]
+        order = np.random.default_rng(7).permutation(len(records))
+        for perm in (np.arange(len(records)), order):  # a permuted batch permutes the reports
+            batch = characterize_batch(DipolePotential(constants, records[perm]), seeds[perm])
+            for got, want in zip(batch, (single[i] for i in perm)):
+                for f in fields(want):
+                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        return single
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_batch_equals_one_at_a_time(self, mixed, gravity):
+        records, seeds, reasons = mixed
+        constants = PhysicalConstants(gravity=gravity)
+        single = self._assert_batch_equals_single(constants, records, seeds)
+        for report, expected in zip(single, reasons):
+            reason = expected[gravity != 0.0]
+            assert report.valid == (reason == "") and reason in report.reason
+        assert [r.seeds_tried for r in single[4:]] == [2, 2]
+        # unpadded pairs: consecutive escape scans share kernel calls
+        pairs = np.concatenate([records[[0, 1, 3], :2], np.repeat(records[:1, :2], 4, axis=0)])
+        pairs[3:, 1, 2] += np.array([2e-6, 4e-6, 6e-6, 8e-6])
+        single = self._assert_batch_equals_single(constants, pairs, seeds[[0, 1, 3, 0, 0, 0, 0]])
+        assert sum(r.valid for r in single) >= 5
+
+    def test_the_first_failing_item_raises(self, layout, input_pair):
+        # a waist so small that the intensity overflows fails in Newton; a
+        # 1 km waist next to a 10.5 um one fails the escape-scan length cap
+        crossed = beam_records(layout, input_pair, np.zeros(4))[0]
+        seed = 0.5 * (crossed[0, 0:3] + crossed[1, 0:3])
+        overflow = crossed.copy()
+        overflow[:, 12:14] = 1e-160
+        wide = beams_to_records([stigmatic_beam(), stigmatic_beam(waist=1e3)])
+        records = np.array([crossed, overflow, crossed, wide, overflow])
+        seeds = np.array([seed, seed + 1e-6, seed, np.zeros(3), seed + 2e-6])
+        cases = (([0, 1, 2, 3, 4], "not finite"), ([0, 3, 2, 1, 4], "samples per ray"), ([0, 4, 1], "not finite"))
+        for order, message in cases:
+            with pytest.raises(ModelValidityError, match=message) as batch_error:
+                characterize_batch(DipolePotential(RB, records[order]), seeds[order])
+            for i in order:  # one at a time, the first failing item raises
+                try:
+                    characterize(DipolePotential(RB, records[i]), seeds[i])
+                except ModelValidityError as exc:
+                    assert str(exc) == str(batch_error.value)
+                    break
+            else:
+                pytest.fail("no item fails on its own")
 
 
 class TestReachableVolume:
@@ -361,12 +447,23 @@ def _ray_barrier_reference(f, x0, u0, direction, domain, step):
     return max(barrier, asymptote), False, lowest
 
 
+def _scan(pot, x0, u0, directions, domain, step):
+    """The escape scan of one potential, as the batch of one of ``_ray_barrier``."""
+    center, half = domain
+    barriers, deeper, failures = _ray_barrier(
+        DipolePotential(pot.constants, pot.records[None]), np.asarray(x0, dtype=float)[None], np.array([u0]),
+        [np.asarray(directions, dtype=float)], (np.asarray(center)[None], half), np.array([step]),
+    )
+    assert failures == {}
+    return barriers[0], deeper[0]
+
+
 class TestRayBarrier:
     def _check(self, pot, layout, x0, domain, step):
         directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
         directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
         u0 = pot.at(x0)
-        got, deeper = _ray_barrier(pot, x0, u0, directions, domain, step)
+        got, deeper = _scan(pot, x0, u0, directions, domain, step)
         ref = [_ray_barrier_reference(pot, x0, u0, d, domain, step) for d in directions]
         np.testing.assert_allclose(got, [b for b, _, _ in ref], rtol=1e-12, atol=0)
         # the deeper basin is the lowest sample of all rays, reported only below the escape level
@@ -406,7 +503,7 @@ class TestRayBarrier:
         for half in (np.array(trapchar.SEARCH_HALF_EXTENTS), np.full(3, 50e-6)):
             escaped = self._check(pot, layout, x0, (np.zeros(3), half), 2e-6)
             assert not any(escaped)
-            barriers, deeper = _ray_barrier(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
+            barriers, deeper = _scan(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
             assert deeper is None and np.all(barriers == 0.0)
 
     def test_falling_ray_runs_on_until_gravity_alone_escapes(self, layout, input_pair):
@@ -421,7 +518,7 @@ class TestRayBarrier:
         u0 = pot.at(x0)
         domain = (np.zeros(3), np.array(trapchar.SEARCH_HALF_EXTENTS))
         directions = [layout.beam_direction(1) - [0.0, 0.0, 1e-5], -np.eye(3)[2]]
-        got, deeper = _ray_barrier(pot, x0, u0, directions, domain, 2e-6)
+        got, deeper = _scan(pot, x0, u0, directions, domain, 2e-6)
         ref = [_ray_barrier_reference(pot, x0, u0, d, domain, 2e-6) for d in directions]
         assert all(escaped for _, escaped, _ in ref) and deeper is None
         np.testing.assert_allclose(got, [b for b, _, _ in ref], rtol=1e-12, atol=0)
