@@ -158,9 +158,9 @@ def timeline(
 ) -> list[dict]:
     """Trap depth and frequencies along the schedule (one row per sampled time).
 
-    Each painted trap is the time average of its line paint at the paint's
-    own knots.  Samples with the same power and amplitudes (a hold, a
-    settled ramp) are characterized once.
+    Each painted trap is the time average of its line paint at the phase
+    count ``time_averaged_potential`` derives from it.  Samples with the
+    same power and amplitudes (a hold, a settled ramp) are characterized once.
     """
     rows = []
     traps: dict[tuple[float, float, float], dict] = {}
@@ -197,8 +197,7 @@ def _painted_trap(
         for b in inputs
     )
     wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
-    # one phase per knot: the records are the knots themselves, mirror knots merged
-    pot = time_averaged_potential(constants, layout, inputs_t, wf, n_phases=wf.times.size)
+    pot = time_averaged_potential(constants, layout, inputs_t, wf)
     report = characterize(pot, np.zeros(3))
     return {
         "valid": int(report.valid),

@@ -3,8 +3,9 @@
 The optical part is U = -alpha/(2 eps0 c) * (I1 + I2); gravity adds m g z.
 No interference term between the two beams (they come from separate lasers,
 mutual coherence averages out).  Time-averaged potentials discretize one
-modulation period into equidistant phases and average the instantaneous
-potential produced by the displaced beams.
+modulation period into equidistant phases, as many as the waveform's sweep
+needs, and average the instantaneous potential produced by the displaced
+beams.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .constants import PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, ModelValidityError
 from .kernels import BEAM_RECORD_SIZE
 from .optics import (
     CHANNELS,
@@ -30,6 +31,8 @@ from .optics import (
 )
 
 WAVEFORM_PERIOD = 1e-3  # s, one AOD modulation period
+RIPPLE_TOL = 2e-4  # relative ripple a sampled sweep may leave on its time average
+MAX_PHASES = 1 << 16  # phases past which a paint is refused rather than built
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,34 +187,54 @@ def static_potential(constants: PhysicalConstants, beams) -> DipolePotential:
     return DipolePotential(constants, beams_to_records(beams))
 
 
-def _sampled_offsets(
-    layout: OpticalLayout, waveform: ModulationWaveform, n_phases: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Beam displacements (h1, v1, h2, v2) in m and channel weights, both (n_phases, 4)."""
-    freqs, wts = waveform.sample(n_phases)
-    offsets = np.column_stack(
-        [deflection_to_displacement(layout, ch, freqs[:, i]) for i, ch in enumerate(CHANNELS)]
-    )
-    return offsets, wts
-
-
 def time_averaged_potential(
     constants: PhysicalConstants,
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     waveform: ModulationWaveform,
-    n_phases: int,
 ) -> DipolePotential:
     """Continuous time-averaged potential over one waveform period.
 
-    Discretizes the period at ``n_phases`` equidistant phases; per-phase beam
-    positions come from the deflection map and per-phase powers from the
-    channel amplitude weights.  The average is a plain sum over phases, so
-    records with identical geometry (a dwell, a hold, mirror points of a
-    triangle sweep) are merged into one record carrying their summed power.
+    Discretizes the period at n equidistant phases; per-phase beam positions
+    come from the deflection map and per-phase powers from the channel
+    amplitude weights.  n is the smallest power of two, not below the knot
+    count, at which no beam axis moves further than d_max between
+    neighbouring phases.  A Gaussian of waist w swept in steps d ripples by
+    2 exp(-pi^2 w^2 / (2 d^2)) relative to its continuous sweep, so
+    d_max = pi w_min / sqrt(2 ln(2 / RIPPLE_TOL)) at the smallest record
+    waist w_min keeps the ripple below ``RIPPLE_TOL``.  A drive that needs
+    more than ``MAX_PHASES`` phases raises ModelValidityError.  The average
+    is a plain sum over phases, so records with identical geometry (a dwell,
+    a hold, mirror points of a triangle sweep) are merged into one record
+    carrying their summed power.
     """
+    return DipolePotential(constants, _merge_records(_derived_phase_records(layout, inputs, waveform)))
+
+
+def _derived_phase_records(
+    layout: OpticalLayout, inputs: tuple[InputBeam, InputBeam], waveform: ModulationWaveform
+) -> np.ndarray:
+    """Unmerged records at the phase count ``time_averaged_potential`` derives."""
+    n_phases = 1 << (waveform.times.size - 1).bit_length()
     records = _phase_records(layout, inputs, waveform, n_phases)
-    return DipolePotential(constants, _merge_records(records))
+    while not _sweep_resolved(records):
+        n_phases *= 2
+        if n_phases > MAX_PHASES:
+            raise ModelValidityError(
+                f"painting needs more than {MAX_PHASES} phases to keep its ripple below {RIPPLE_TOL}"
+            )
+        records = _phase_records(layout, inputs, waveform, n_phases)
+    return records
+
+
+def _sweep_resolved(records: np.ndarray) -> bool:
+    """Whether no beam axis moves further than d_max between neighbouring phases, the last wrapping to the first."""
+    per_beam = records.reshape(-1, 2, BEAM_RECORD_SIZE)
+    step = np.roll(per_beam[..., 0:3], -1, axis=0) - per_beam[..., 0:3]
+    direction = per_beam[..., 3:6]
+    across = step - np.sum(step * direction, axis=-1, keepdims=True) * direction
+    d_max = math.pi * records[:, 12:14].min() / math.sqrt(2.0 * math.log(2.0 / RIPPLE_TOL))
+    return bool(np.sqrt(np.sum(across**2, axis=-1)).max() <= d_max)
 
 
 def _phase_records(
@@ -220,8 +243,11 @@ def _phase_records(
     waveform: ModulationWaveform,
     n_phases: int,
 ) -> np.ndarray:
-    """Unmerged records of all phases, beam 1 then beam 2 per phase."""
-    offsets, wts = _sampled_offsets(layout, waveform, n_phases)
+    """Unmerged records of ``n_phases`` equidistant phases, beam 1 then beam 2 per phase."""
+    freqs, wts = waveform.sample(n_phases)
+    offsets = np.column_stack(
+        [deflection_to_displacement(layout, ch, freqs[:, i]) for i, ch in enumerate(CHANNELS)]
+    )
     # (h1 v1, h2 v2) channel weights, spread over the phases of one period
     records = beam_records(layout, inputs, offsets, wts[:, 0::2] * wts[:, 1::2] / n_phases)
     return records.reshape(-1, BEAM_RECORD_SIZE)

@@ -117,7 +117,7 @@ def test_criterion_04_painted_trap_depth():
         # the quoted +/-740 um modulation is read as the full painted span,
         # so the triangle sweep amplitude is 370 um
         wf = line_paint(LAYOUT, 370.0 * 1e-6)
-        pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=256)
+        pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf)
         report = characterize(pot, np.zeros(3))
         assert report.valid
         depth = report.depth_uk("peak-to-min")
@@ -193,7 +193,7 @@ def test_criterion_07_thermodynamic_endpoints():
         # painted trap (flat-bottomed line paint, so the harmonic figure is
         # indicative, not gated at the 5% level)
         wf = line_paint(LAYOUT, 230.0 * 1e-6)
-        pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf, n_phases=128)
+        pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf)
         report = characterize(pot, np.zeros(3))
         eta = report.depth / (RB.boltzmann * 20e-6)
         freqs = ", ".join(f"{f:.0f}" for f in report.frequencies)

@@ -650,6 +650,19 @@ class TestCli:
         reopened = dict(zip(header, rows[-1]))
         assert reopened["valid"] == "0" and reopened["depth_uK"] == "0"
 
+    def test_evap_timeline_wide_paint_is_converged(self, tmp_path):
+        # a 740 um paint derives 512 phases; at the paint's 128 knots it was a
+        # comb of wells reading 192.94 uK.  121.666 uK is the depth at 2,048 phases.
+        out = tmp_path / "timeline"
+        argv = ["evap", "timeline", "--out", str(out)]
+        for override in ("evap.amplitude_start_um=740", "evap.timeline_samples=1"):
+            argv += ["--set", override]
+        assert main(argv) == 0
+        with (out / "timeline.csv").open(newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["t_s"] == "0" and row["amplitude_h_um"] == "740" and row["valid"] == "1"
+        assert float(row["depth_uK"]) == pytest.approx(121.666, rel=1e-4)
+
     def test_paint_grid_waveform_artifact(self, tmp_path):
         out = tmp_path / "grid"
         assert main(["paint", "grid", "--out", str(out)]) == 0

@@ -54,9 +54,7 @@ def test_blocks_bounded_by_points_times_records(monkeypatch):
 
     layout = OpticalLayout()
     wf = line_paint(layout, 230.0 * 1e-6, 40.0 * 1e-6)
-    records = time_averaged_potential(
-        PhysicalConstants(gravity=0.0), layout, (InputBeam(), InputBeam()), wf, 64
-    ).records
+    records = time_averaged_potential(PhysicalConstants(gravity=0.0), layout, (InputBeam(), InputBeam()), wf).records
     pts = np.random.default_rng(3).normal(scale=(150e-6, 40e-6, 20e-6), size=(500, 3))
     whole = kernels.intensity_sum(pts, records)
     blocks = []

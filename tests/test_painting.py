@@ -15,7 +15,13 @@ from codtsim.painting import (
     transport_ramp,
     vertical_tones,
 )
-from codtsim.potential import ModulationWaveform, time_averaged_potential
+from codtsim.potential import (
+    DipolePotential,
+    ModulationWaveform,
+    _merge_records,
+    _phase_records,
+    time_averaged_potential,
+)
 
 RB = PhysicalConstants(gravity=0.0)
 
@@ -38,7 +44,7 @@ class TestSynthesizeWaveform:
 
     def test_static_zero_offsets_equal_unmodulated(self, layout, input_pair):
         wf = ModulationWaveform.constant()
-        pot = time_averaged_potential(RB, layout, input_pair, wf, n_phases=4)
+        pot = time_averaged_potential(RB, layout, input_pair, wf)
         from codtsim.optics import build_beamlines
         from codtsim.potential import static_potential
 
@@ -69,7 +75,7 @@ class TestSynthesizeWaveform:
         np.testing.assert_array_equal(freqs[1 : n // 2], freqs[: n // 2 : -1])
         sampled, _ = wf.sample(n)
         np.testing.assert_array_equal(sampled, freqs)
-        pot = time_averaged_potential(RB, layout, input_pair, wf, n_phases=n)
+        pot = time_averaged_potential(RB, layout, input_pair, wf)  # derives one phase per knot
         assert pot.records.shape == (2 * (2 + 63), 19)
 
     def test_out_of_range_displacement_rejected(self, layout):
@@ -155,13 +161,14 @@ class TestSplitRamp:
                 )
 
     def test_minima_census_during_split(self, layout, input_pair):
-        # at any ramp stage the sampled field has one or two minima, never more
+        # at any ramp stage the field sampled at the dwell knots has one or two
+        # minima, never more (finer phases also resolve the transitions)
         initial = self._tones(layout, [0.0, 0.0])
         final = self._tones(layout, [-95.0, 95.0])
         z = np.linspace(-160e-6, 160e-6, 321)
         pts = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
         for wf in split_ramp(initial, final, steps=5):
-            u = time_averaged_potential(RB, layout, input_pair, wf, n_phases=8)(pts)
+            u = DipolePotential(RB, _merge_records(_phase_records(layout, input_pair, wf, 8)))(pts)
             interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
             n_minima = int(np.sum(interior))
             assert n_minima in (1, 2)

@@ -116,14 +116,28 @@ class TestCharacterize:
         # a 230 um line paint sampled at 64 phases is a ripple of wells; the one
         # at the seed spills over a ~14 uK barrier into a well 1.3% deeper
         from codtsim.painting import line_paint
-        from codtsim.potential import time_averaged_potential
+        from codtsim.potential import _merge_records, _phase_records
 
         wf = line_paint(layout, 230.0 * 1e-6)
-        pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
+        pot = DipolePotential(RB, _merge_records(_phase_records(layout, input_pair, wf, 64)))
         report = characterize(pot, np.zeros(3))
         assert report.valid and report.seeds_tried == 2
         assert pot.at(report.minimum_position) < 1.01 * pot.at(np.zeros(3))
         assert report.depth_escape > 0.9 * report.depth_peak
+
+    def test_wide_paint_restarts_off_its_central_ridge(self, layout, input_pair):
+        # a 1 mm paint at its derived phase count: Newton from the origin stops
+        # at the symmetric centre, a nearly flat ridge 2.6% above the sweep
+        # ends; without the restart the depth reads 0.  91.135 uK is the depth
+        # at 2,048 phases, twice the derived count.
+        from codtsim.painting import line_paint
+        from codtsim.potential import time_averaged_potential
+
+        pot = time_averaged_potential(RB, layout, input_pair, line_paint(layout, 1000.0 * 1e-6))
+        report = characterize(pot, np.zeros(3))
+        assert report.valid and report.seeds_tried == 2
+        assert report.depth_uk() == pytest.approx(91.135, rel=1e-4)
+        assert abs(report.minimum_position[1]) == pytest.approx(1008e-6, abs=5e-6)
 
     def test_static_characterization_kernel_call_budget(self, layout, input_pair, monkeypatch):
         # Newton on closed-form derivatives: a few derivative calls, then one
@@ -157,7 +171,7 @@ class TestCharacterize:
 
         # a 128-phase line paint carries ~150 records; its scan ran to 16,246 points
         wf = line_paint(layout, 230.0 * 1e-6)
-        painted = time_averaged_potential(RB, layout, input_pair, wf, 128)
+        painted = time_averaged_potential(RB, layout, input_pair, wf)
         calls.clear()
         points.clear()
         report = characterize(painted, np.zeros(3))
@@ -263,14 +277,14 @@ class TestBatch:
         """Records and seeds of six traps, padded to one record count, and the reason each gives per gravity."""
         from codtsim.optics import InputBeam
         from codtsim.painting import line_paint
-        from codtsim.potential import time_averaged_potential
+        from codtsim.potential import _merge_records, _phase_records
 
         crossed = beam_records(layout, input_pair, np.zeros(4))[0]
         feeble = beam_records(layout, (InputBeam(power=1e-4),) * 2, np.zeros(4))[0]
         parallel = [replace(stigmatic_beam(), origin=np.array([0.0, y, 0.0])) for y in (8e-6, -8e-6)]
         parallel = beams_to_records(parallel)
         flat = beams_to_records([stigmatic_beam(power=0.0)])
-        comb = time_averaged_potential(RB, layout, input_pair, line_paint(layout, 230.0 * 1e-6), 64).records
+        comb = _merge_records(_phase_records(layout, input_pair, line_paint(layout, 230.0 * 1e-6), 64))
         midpoint = 0.5 * (crossed[0, 0:3] + crossed[1, 0:3])
         items = [
             # records, seed, reason at 0 g, reason at 9.81 m/s^2
@@ -476,10 +490,10 @@ class TestRayBarrier:
 
     def test_painted_trap_matches_scalar_scan(self, layout, input_pair):
         from codtsim.painting import line_paint
-        from codtsim.potential import time_averaged_potential
+        from codtsim.potential import _merge_records, _phase_records
 
         wf = line_paint(layout, 230.0 * 1e-6)
-        pot = time_averaged_potential(RB, layout, input_pair, wf, 64)
+        pot = DipolePotential(RB, _merge_records(_phase_records(layout, input_pair, wf, 64)))
         domain = (np.zeros(3), np.array([4e-3, 690e-6, 1e-3]))
         self._check(pot, layout, np.zeros(3), domain, 2e-6)
 
