@@ -16,13 +16,14 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .optics import InputBeam, OpticalLayout
+from .optics import InputBeam, OpticalLayout, crossing_from_offsets
 from .painting import line_paint
 from .potential import ModulationWaveform, time_averaged_potential
 from .trapchar import ThermoMetrics, characterize
 
 TAIL_FRACTION = 0.05
-FLOOR_RATIO = 0.02
+# relative tolerance of the Castin-Dum scaling-equation integration
+CASTIN_DUM_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,27 +53,22 @@ class PowerSegment:
 
 @dataclass(frozen=True)
 class AmplitudeSegment:
-    """Exponential-with-floor amplitude ramp reaching ``a_end`` exactly.
+    """Exponential amplitude ramp with time constant ``tau`` toward ``a_end``.
 
-    ``tau`` defaults so the exponential reaches FLOOR_RATIO of the gap at the
-    start of the linear tail.
+    A linear tail over the last TAIL_FRACTION of the segment reaches
+    ``a_end`` exactly.
     """
 
     a_start: float
     a_end: float
     duration: float
-    tau: float | None = None
+    tau: float
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise DomainError("segment duration must be positive")
         if self.a_start < 0 or self.a_end < 0:
             raise DomainError("amplitudes must be >= 0")
-
-    def _tau(self) -> float:
-        if self.tau is not None:
-            return self.tau
-        return (1 - TAIL_FRACTION) * self.duration / math.log(1.0 / FLOOR_RATIO)
 
     def value(self, t: float) -> float:
         t = min(max(t, 0.0), self.duration)
@@ -81,8 +77,8 @@ class AmplitudeSegment:
         t_tail = (1 - TAIL_FRACTION) * self.duration
         gap = self.a_start - self.a_end
         if t <= t_tail:
-            return self.a_end + gap * math.exp(-t / self._tau())
-        a_tail = self.a_end + gap * math.exp(-t_tail / self._tau())
+            return self.a_end + gap * math.exp(-t / self.tau)
+        a_tail = self.a_end + gap * math.exp(-t_tail / self.tau)
         frac = (t - t_tail) / (self.duration - t_tail)
         return a_tail + (self.a_end - a_tail) * frac
 
@@ -199,6 +195,10 @@ def _painted_trap(
     wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
     pot = time_averaged_potential(constants, layout, inputs_t, wf)
     report = characterize(pot, np.zeros(3))
+    if report.valid and report.depth_escape == 0 and (amp_h or amp_v):
+        # the centre of a wide paint is a ridge the scan falls off at once:
+        # its wells lie toward the sweep ends, so seed at the sweep start
+        report = characterize(pot, crossing_from_offsets(layout, -amp_h, -amp_h, -amp_v))
     return {
         "valid": int(report.valid),
         "depth_uK": report.depth_uk(),
@@ -245,7 +245,7 @@ class ExpansionState:
             raise DomainError("release frequencies must be positive")
 
 
-def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
+def castin_dum_lambdas(omegas, times) -> np.ndarray:
     """Thomas-Fermi scaling factors lambda_i(t) for free expansion.
 
     Integrates lambda_i'' = omega_i^2 / (lambda_i * lambda_1 lambda_2 lambda_3)
@@ -271,7 +271,7 @@ def castin_dum_lambdas(omegas, times, rtol: float = 1e-8) -> np.ndarray:
         (0.0, t_max),
         np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
         t_eval=times,
-        rtol=rtol,
+        rtol=CASTIN_DUM_RTOL,
         atol=1e-12,
         method="RK45",
     )

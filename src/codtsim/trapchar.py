@@ -7,9 +7,10 @@ and every step is line-searched inside the search box.  The trap
 frequencies omega_i = sqrt(lambda_i / m) come from the Hessian at the
 minimum.  Two depth conventions are computed: "escape-saddle" (lowest
 barrier along the principal axes and the beam arms) and "peak-to-min"
-(optical depth of the minimum, gravity excluded); an escape scan that
-finds a deeper basin moves the search there.  Every step runs over a batch
-of traps at once, one trap being the batch of one.
+(optical depth of the minimum, gravity excluded).  A report describes the
+well at its seed: when that well spills into a deeper one, its escape depth
+is the barrier it spills over.  Every step runs over a batch of traps at
+once, one trap being the batch of one.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .errors import DomainError, ModelValidityError
 from .optics import InputBeam, OpticalLayout, max_displacement
 from .potential import DipolePotential, beam_records
 
-# the search box: Newton and the basin restart stay within seed +/- these, m
+# the search box, m: Newton stays within seed +/- these, and so does an
+# escape ray when a record never decays (an infinite Rayleigh range)
 SEARCH_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
 # Newton minimum search: step cap, eigenvalue floor as a share of the largest
 # |eigenvalue|, and convergence once a step is below NEWTON_XTOL x ``step``
 MAX_NEWTON_ITER = 100
 CURVATURE_FLOOR = 1e-6
 NEWTON_XTOL = 1e-9
-MAX_BASIN_HOPS = 4  # restarts in deeper basins the escape scan finds
 # escape scan: scan steps out to this many waists past the farthest record
 # origin, then steps growing by this ratio out to this many Rayleigh ranges
 # past the farthest focus, where the optical part is 1e-4 of its peak
@@ -63,10 +64,8 @@ class TrapReport:
     valid: bool
     constants: PhysicalConstants = field(repr=False)
     reason: str = ""
-    # how the minimum was found: Newton steps from the seed that reached it,
-    # seeds tried (the given one, then each deeper basin) and |grad U|, J/m
+    # how the minimum was found: Newton steps from the seed and |grad U|, J/m
     newton_iterations: int = 0
-    seeds_tried: int = 0
     gradient_norm: float = 0.0
 
     @classmethod
@@ -109,7 +108,6 @@ class TrapReport:
             "principal_axes": self.principal_axes.tolist(),
             "mean_frequency_hz": self.mean_frequency,
             "newton_iterations": self.newton_iterations,
-            "seeds_tried": self.seeds_tried,
             "gradient_norm_uK_per_um": self.gradient_norm / self.constants.boltzmann,
         }
 
@@ -150,11 +148,11 @@ def _items(potential: DipolePotential, items) -> DipolePotential:
     return DipolePotential(potential.constants, potential.records[items])
 
 
-def _newton(potential: DipolePotential, starts, centers, steps):
-    """Damped Newton descent of each item from its start (clipped into its search box).
+def _newton(potential: DipolePotential, centers, steps):
+    """Damped Newton descent of each item from the centre of its search box.
 
-    Item i of the batched ``potential`` searches ``centers[i]`` +/-
-    ``SEARCH_HALF_EXTENTS`` on the length scale ``steps[i]``.  Hessian
+    Item i of the batched ``potential`` starts at ``centers[i]`` and searches
+    ``centers[i]`` +/- ``SEARCH_HALF_EXTENTS`` on the length scale ``steps[i]``.  Hessian
     eigenvalues are replaced by their magnitude, floored at
     ``CURVATURE_FLOOR`` of the largest, so indefinite or flat directions (the
     bottom of a painted trap) take gradient steps.  A step is cut to the box,
@@ -170,7 +168,7 @@ def _newton(potential: DipolePotential, starts, centers, steps):
     """
     half = np.array(SEARCH_HALF_EXTENTS)
     lo, hi = centers - half, centers + half
-    x = np.clip(starts, lo, hi)
+    x = centers.copy()
     u, grad, hess, failed = _derivatives(potential, x)
     xtol, diagonal = NEWTON_XTOL * steps, float(np.linalg.norm(2 * half))
     iterations = np.full(len(x), MAX_NEWTON_ITER)
@@ -253,10 +251,8 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
     kernel in one piece as in a call of its own; a longer scan is a call of
     its own.
 
-    Returns per item the barriers (None when it failed), the lowest sample
-    inside the domain when it lies below the escape level (a deeper basin
-    the trap spills into), else None, and a message per failed item: a scan
-    longer than ``MAX_RAY_SAMPLES`` per ray.
+    Returns per item the barriers (None when it failed) and a message per
+    failed item: a scan longer than ``MAX_RAY_SAMPLES`` per ray.
     """
     records, constants = f.records, f.constants
     centers, half = domain
@@ -313,7 +309,7 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
         counts[rays[i]] = np.minimum(np.searchsorted(samples, t_end[rays[i]]) + 1, samples.size)
     totals = np.add.reduceat(counts, first_ray[:-1])
 
-    barriers, deeper = [None] * n, [None] * n
+    barriers = [None] * n
     start = 0
     while start < n:
         # the next items whose padded scans fit one kernel block together
@@ -347,14 +343,6 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
         vals = np.concatenate([v[:k] for v, k in zip(vals, size)])
         # fell below the trap bottom: escaped over the barrier
         escapes = vals < np.repeat(escape_level[ray_owner], cnt)
-        # the lowest sample inside the domain, when it escapes, is a deeper basin
-        for i, end, k in zip(group, ends, size):
-            item = slice(end - k, end)
-            if escapes[item].any():
-                inside = np.all(np.abs(pts[item] - centers[i]) <= half, axis=1)
-                lowest = int(np.argmin(np.where(inside, vals[item], np.inf)))
-                if escapes[item][lowest] and inside[lowest]:
-                    deeper[i] = pts[item][lowest].copy()  # a view would keep the whole block alive
         before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
         vals[before != np.repeat(before[begins], cnt)] = -np.inf  # after an escape on the same ray
         ray_max = np.fmax(u0[ray_owner], np.fmax.reduceat(vals, begins))
@@ -362,7 +350,7 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
         ray_barriers = np.where(escaped, ray_max, np.fmax(ray_max, limit[ray_ids]))
         for i, b in zip(group, np.split(ray_barriers, np.cumsum([rays_per_item[i] for i in group])[:-1])):
             barriers[i] = b
-    return barriers, deeper, failures
+    return barriers, failures
 
 
 def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
@@ -370,21 +358,21 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
 
     ``potential`` holds records (n, r, 19), one trap per item, and
     ``seeds`` (n, 3) one seed per item.  Item i is read off ``records[i]``
-    alone: Newton and the basin restart search the box ``seeds[i]`` +/-
-    ``SEARCH_HALF_EXTENTS``, and everything else comes from the item's
-    records: its length scale (the smallest record waist / 50, which spaces
-    the escape scan and sets the margin by which a minimum must clear the
-    box) and its escape arms (the record directions, searched next to the
-    principal axes).  When the escape scan finds a deeper basin (the coarse
-    phase ripple of a painted trap), the search moves there.  No minimum
-    from the seed, a flat potential and a saddle give an invalid report.
+    alone: Newton searches the box ``seeds[i]`` +/- ``SEARCH_HALF_EXTENTS``,
+    and everything else comes from the item's records: its length scale (the
+    smallest record waist / 50, which spaces the escape scan and sets the
+    margin by which a minimum must clear the box) and its escape arms (the
+    record directions, searched next to the principal axes).  The report
+    describes the well Newton reaches from the seed; when that well spills
+    into a deeper one, its escape depth is the barrier it spills over.  No
+    minimum from the seed, a flat potential and a saddle give an invalid
+    report.
 
-    Newton, the Hessian eigenvectors and the escape scans run over the whole
-    batch at once, and the items that move to a deeper basin go through
-    Newton again together; each report equals the one the item gets in a
-    batch of its own.  When items hit a model limit (derivatives that are
-    not finite, an escape scan too long), the ``ModelValidityError`` is the
-    one of the first such item, as a loop over the items would raise.
+    One Newton pass, one batched ``eigh`` and one escape scan run over the
+    whole batch; each report equals the one the item gets in a batch of its
+    own.  When items hit a model limit (derivatives that are not finite, an
+    escape scan too long), the ``ModelValidityError`` is the one of the
+    first such item, as a loop over the items would raise.
     """
     constants, records = potential.constants, potential.records
     n = len(records)
@@ -400,71 +388,35 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     first = np.sort(np.unique(by_item, axis=0, return_index=True)[1])
     arms = np.split(directions[first], np.searchsorted(first, np.arange(1, n) * records.shape[1]))
 
-    errors: dict[int, str] = {}
-    alive = np.ones(n, dtype=bool)
-
-    def fail(item: int, message: str) -> None:
-        # items after the first failing one would not be reached one at a time
-        errors[item] = message
-        alive[item:] = False
-
-    def minimum(items, starts):
-        x, u, grad, hess, iterations, ok, failed = _newton(
-            _items(potential, items), starts, centers[items], steps[items]
-        )
-        for j in np.flatnonzero(failed):
-            fail(items[j], f"potential derivatives are not finite at {x[j].tolist()} m")
-        # a descent that ends on the search-box boundary means the potential
-        # is open in that direction (e.g. gravity tilting the trap open)
-        ok &= ~np.any(np.abs(x - centers[items]) > half - 2 * steps[items, None], axis=1)
-        return x, u, grad, hess, iterations, ok, ~failed
-
-    def trapped(items):
-        lam = eigvals[items]
-        return items[(lam[:, -1] > 0) & ~(lam[:, 0] < -1e-4 * np.abs(lam).max(axis=1))]
-
-    everyone = np.arange(n)
-    x, u_min, grad, hess, iterations, ok, found = minimum(everyone, centers)
+    x, u_min, grad, hess, iterations, ok, failed = _newton(potential, centers, steps)
+    errors = {int(i): f"potential derivatives are not finite at {x[i].tolist()} m" for i in np.flatnonzero(failed)}
+    # a descent that ends on the search-box boundary means the potential
+    # is open in that direction (e.g. gravity tilting the trap open)
+    ok &= ~np.any(np.abs(x - centers) > half - 2 * steps[:, None], axis=1)
     eigvals, eigvecs = np.zeros((n, 3)), np.zeros((n, 3, 3))
-    eigvals[found], eigvecs[found] = np.linalg.eigh(hess[found])
-    hops = np.zeros(n, dtype=int)
+    eigvals[~failed], eigvecs[~failed] = np.linalg.eigh(hess[~failed])
+    valid = np.flatnonzero(ok & (eigvals[:, -1] > 0) & ~(eigvals[:, 0] < -1e-4 * np.abs(eigvals).max(axis=1)))
+    # items after the first failing one would not be reached one at a time
+    scanned = valid[valid < min(errors, default=n)]
     barriers = [None] * n
-    pending = trapped(everyone[ok & found & alive])
-    while pending.size:
-        rays = [np.concatenate([eigvecs[i].T, arms[i]]) for i in pending]
-        scan, deeper, failures = _ray_barrier(
-            _items(potential, pending), x[pending], u_min[pending], [np.concatenate([r, -r]) for r in rays],
-            (centers[pending], half), scan_steps[pending],
+    if scanned.size:
+        rays = [np.concatenate([eigvecs[i].T, arms[i]]) for i in scanned]
+        scan, failures = _ray_barrier(
+            _items(potential, scanned), x[scanned], u_min[scanned], [np.concatenate([r, -r]) for r in rays],
+            (centers[scanned], half), scan_steps[scanned],
         )
-        for j, message in failures.items():
-            fail(pending[j], message)
-        for i, b in zip(pending, scan):
+        errors.update((int(scanned[j]), message) for j, message in failures.items())
+        for i, b in zip(scanned, scan):
             barriers[i] = b
-        # a ray that escaped below the minimum found a deeper basin: restart there
-        move = [j for j, i in enumerate(pending) if alive[i] and deeper[j] is not None and hops[i] < MAX_BASIN_HOPS]
-        if not move:
-            break
-        hop = pending[move]
-        x_hop, u_hop, grad_hop, hess_hop, iter_hop, ok_hop, _ = minimum(hop, np.array([deeper[j] for j in move]))
-        better = ok_hop & ~(u_hop >= u_min[hop]) & alive[hop]
-        hop = hop[better]
-        hops[hop] += 1
-        x[hop], u_min[hop], grad[hop], hess[hop] = x_hop[better], u_hop[better], grad_hop[better], hess_hop[better]
-        iterations[hop] = iter_hop[better]
-        if hop.size:
-            eigvals[hop], eigvecs[hop] = np.linalg.eigh(hess[hop])
-        pending = trapped(hop)
     if errors:
         raise ModelValidityError(errors[min(errors)])
 
-    valid = trapped(everyone[ok])
     depth_peak = np.zeros(n)
     depth_peak[valid] = -_items(potential, valid).optical(x[valid, None, :])[:, 0]
     reports = []
     for i in range(n):
         diagnostics = {
             "newton_iterations": int(iterations[i]),
-            "seeds_tried": 1 + int(hops[i]),
             "gradient_norm": float(np.linalg.norm(grad[i])),
         }
         lam = eigvals[i]

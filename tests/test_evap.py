@@ -37,7 +37,7 @@ class TestSchedule:
             PowerSegment(0.04, 10.0, 1.0)
 
     def test_constant_amplitude_segment(self):
-        seg = AmplitudeSegment(100e-6, 100e-6, 0.5)
+        seg = AmplitudeSegment(100e-6, 100e-6, 0.5, tau=0.2)
         for t in (0.0, 0.2, 0.5):
             assert seg.value(t) == 100e-6
 
@@ -122,6 +122,26 @@ class TestTimeline:
         schedule_columns = ("t_s", "power_w", "amplitude_h_um", "amplitude_v_um")
         assert {k: v for k, v in rows[-1].items() if k not in schedule_columns} == fresh
         assert rows[-2] | {"t_s": t} == rows[-1]
+
+    @pytest.mark.parametrize("gravity, depth_uk", [(0.0, 91.135), (9.81, 88.92)])
+    def test_wide_paint_seeds_past_its_central_ridge(self, layout, input_pair, monkeypatch, gravity, depth_uk):
+        # from the origin, Newton stops at the symmetric centre of a 1 mm
+        # paint, a ridge 2.6% above the sweep ends: the escape scan falls
+        # below it without rising above it, so its escape depth is exactly 0.
+        # Seeded at the sweep start, the report finds the well there.  91.135
+        # uK is the 0 g depth at 2,048 phases, twice the derived count.
+        import codtsim.evap as evap
+
+        reports = []
+        real = evap.characterize
+        monkeypatch.setattr(evap, "characterize", lambda *a: reports.append(real(*a)) or reports[-1])
+        row = evap._painted_trap(PhysicalConstants(gravity=gravity), layout, input_pair, 10.0, 1000e-6, 0.0)
+        centre, sweep_end = reports
+        assert centre.valid and centre.depth_escape == 0.0
+        assert np.linalg.norm(centre.minimum_position) < 10e-6
+        assert abs(sweep_end.minimum_position[1]) == pytest.approx(1008e-6, abs=5e-6)
+        assert row["valid"] == 1
+        assert row["depth_uK"] == pytest.approx(depth_uk, rel=1e-4 if gravity == 0 else 1e-3)
 
 
 class TestEvaporationEfficiency:

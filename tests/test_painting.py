@@ -242,6 +242,24 @@ class TestSites:
             assert row.report.depth == pytest.approx(mirror.report.depth, rel=0.01, abs=0)
             assert row.radius_beam1 == pytest.approx(mirror.radius_beam2, rel=0.01)
 
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_3d_array_sites_report_their_own_well(self, layout, input_pair, gravity, monkeypatch):
+        # off the focal plane (x != 0) a site's well spills along its beams'
+        # arms toward deeper wells; each report stays at its own site, from
+        # one Newton pass and one escape scan
+        from codtsim import trapchar
+
+        calls = []
+        for name in ("_newton", "_ray_barrier"):
+            real = getattr(trapchar, name)
+            monkeypatch.setattr(trapchar, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        spec = GridSpec(counts=(3, 3, 3), spacing=(480e-6, 480e-6, 480e-6))
+        table = characterize_sites(PhysicalConstants(gravity=gravity), layout, input_pair, spec)
+        assert calls == ["_newton", "_ray_barrier"]
+        for row in table.rows:
+            shift = np.linalg.norm(row.report.minimum_position - row.position)
+            assert row.report.valid and shift < min(row.radius_beam1, row.radius_beam2), row.index
+
     def test_compensation_fixed_point_on_uniform_grid(self, layout, input_pair):
         spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
         table = characterize_sites(RB, layout, input_pair, spec)

@@ -112,32 +112,28 @@ class TestCharacterize:
         # the box edge: no ray escapes, so the escape depth is U1 + U2 too
         assert report.depth_escape == pytest.approx(u1 + u2, rel=1e-9, abs=0)
 
-    def test_restarts_in_deeper_basin_the_escape_scan_finds(self, layout, input_pair):
+    def test_seeded_ripple_well_keeps_its_report(self, layout, input_pair):
         # a 230 um line paint sampled at 64 phases is a ripple of wells; the one
-        # at the seed spills over a ~14 uK barrier into a well 1.3% deeper
+        # at the seed is reported, and its escape depth is the lowest barrier
+        # it spills over toward a deeper well, as the scalar scan finds it
         from codtsim.painting import line_paint
         from codtsim.potential import _merge_records, _phase_records
 
         wf = line_paint(layout, 230.0 * 1e-6)
         pot = DipolePotential(RB, _merge_records(_phase_records(layout, input_pair, wf, 64)))
         report = characterize(pot, np.zeros(3))
-        assert report.valid and report.seeds_tried == 2
-        assert pot.at(report.minimum_position) < 1.01 * pot.at(np.zeros(3))
-        assert report.depth_escape > 0.9 * report.depth_peak
-
-    def test_wide_paint_restarts_off_its_central_ridge(self, layout, input_pair):
-        # a 1 mm paint at its derived phase count: Newton from the origin stops
-        # at the symmetric centre, a nearly flat ridge 2.6% above the sweep
-        # ends; without the restart the depth reads 0.  91.135 uK is the depth
-        # at 2,048 phases, twice the derived count.
-        from codtsim.painting import line_paint
-        from codtsim.potential import time_averaged_potential
-
-        pot = time_averaged_potential(RB, layout, input_pair, line_paint(layout, 1000.0 * 1e-6))
-        report = characterize(pot, np.zeros(3))
-        assert report.valid and report.seeds_tried == 2
-        assert report.depth_uk() == pytest.approx(91.135, rel=1e-4)
-        assert abs(report.minimum_position[1]) == pytest.approx(1008e-6, abs=5e-6)
+        assert report.valid
+        assert np.linalg.norm(report.minimum_position) < 1e-6
+        x0 = report.minimum_position
+        u0 = pot.at(x0)
+        step = max(10 * pot.records[:, 12:14].min() / 50, 2e-6)
+        rays = np.concatenate([report.principal_axes, np.unique(pot.records[:, 3:6], axis=0)])
+        ref = [_ray_barrier_reference(pot, x0, u0, d, step) for d in np.concatenate([rays, -rays])]
+        assert any(escaped for _, escaped in ref)
+        barrier = min(b for b, _ in ref)
+        assert report.depth_escape == pytest.approx(barrier - u0, rel=1e-12, abs=0)
+        # 14.27 of the 397.3 uK peak-to-min depth, the minimum at x = 0.51 um
+        assert report.depth_uk() == pytest.approx(14.27, abs=0.01)
 
     def test_static_characterization_kernel_call_budget(self, layout, input_pair, monkeypatch):
         # Newton on closed-form derivatives: a few derivative calls, then one
@@ -166,7 +162,6 @@ class TestCharacterize:
         assert len(calls) <= 12, calls
         # one derivative call at the seed and one per Newton step: no step backtracked
         assert calls.count("intensity_derivatives") == report.newton_iterations + 1
-        assert report.seeds_tried == 1
         assert report.gradient_norm * 10.5e-6 < 1e-12 * report.depth_peak  # |grad U| at rounding level
 
         # a 128-phase line paint carries ~150 records; its scan ran to 16,246 points
@@ -292,7 +287,7 @@ class TestBatch:
             (parallel, np.zeros(3), "saddle", "saddle"),
             (flat, np.zeros(3), "curvature", "no minimum"),
             (feeble, midpoint, "", "no minimum"),  # gravity opens it to the box
-            (comb, np.zeros(3), "", ""),  # both comb seeds restart in a deeper basin
+            (comb, np.zeros(3), "", ""),  # both comb seeds spill into a deeper well
             (comb, np.array([-100e-6, 0.0, 0.0]), "", ""),
         ]
         n_records = max(len(r) for r, *_ in items)
@@ -318,12 +313,22 @@ class TestBatch:
         for report, expected in zip(single, reasons):
             reason = expected[gravity != 0.0]
             assert report.valid == (reason == "") and reason in report.reason
-        assert [r.seeds_tried for r in single[4:]] == [2, 2]
         # unpadded pairs: consecutive escape scans share kernel calls
         pairs = np.concatenate([records[[0, 1, 3], :2], np.repeat(records[:1, :2], 4, axis=0)])
         pairs[3:, 1, 2] += np.array([2e-6, 4e-6, 6e-6, 8e-6])
         single = self._assert_batch_equals_single(constants, pairs, seeds[[0, 1, 3, 0, 0, 0, 0]])
         assert sum(r.valid for r in single) >= 5
+
+    def test_one_newton_pass_and_one_escape_scan(self, mixed, monkeypatch):
+        records, seeds, _ = mixed
+        calls = []
+        for name in ("_newton", "_ray_barrier"):
+            real = getattr(trapchar, name)
+            monkeypatch.setattr(trapchar, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        for gravity in (0.0, 9.81):
+            calls.clear()
+            characterize_batch(DipolePotential(PhysicalConstants(gravity=gravity), records), seeds)
+            assert calls == ["_newton", "_ray_barrier"]
 
     def test_the_first_failing_item_raises(self, layout, input_pair):
         # a waist so small that the intensity overflows fails in Newton; a
@@ -424,17 +429,16 @@ class TestMisalignment:
         assert ratios[2] == pytest.approx(1.0, abs=1e-9)
 
 
-def _ray_barrier_reference(f, x0, u0, direction, domain, step):
+def _ray_barrier_reference(f, x0, u0, direction, step):
     """One ray at a time with a Python running maximum.
 
     The ray takes ``step`` steps out to the near field (the farthest record
     origin plus a few waists), then geometric steps out to many Rayleigh
     ranges past the farthest focus, or, when it falls, on to where gravity
-    alone lies below the escape level.  Returns the barrier, whether the
-    ray escaped, and the ray's lowest sample value inside the domain.
+    alone lies below the escape level.  Returns the barrier and whether the
+    ray escaped.
     """
     rec = f.records
-    center, half = domain
     d = direction / np.linalg.norm(direction)
     escape_level = u0 - 1e-2 * abs(u0)
     mg = f.constants.atom_mass * f.constants.gravity
@@ -448,28 +452,25 @@ def _ray_barrier_reference(f, x0, u0, direction, domain, step):
         ts.append(ts[-1] * FAR_FIELD_RATIO)
     ts[-1] = min(ts[-1], end)
     pts = x0[None, :] + np.array(ts)[:, None] * d[None, :]
-    vals = f(pts)
-    inside = np.all(np.abs(pts - center) <= half, axis=1)
-    lowest = float(vals[inside].min()) if inside.any() else np.inf
     barrier = u0
-    for v in vals:
+    for v in f(pts):
         barrier = max(barrier, float(v))
         if v < escape_level:
-            return barrier, True, lowest
+            return barrier, True
     # U far out along a ray that never escaped: m g z0 when level, +inf when rising
     asymptote = {1.0: np.inf, 0.0: mg * x0[2], -1.0: -np.inf}[float(np.sign(mg * d[2]))]
-    return max(barrier, asymptote), False, lowest
+    return max(barrier, asymptote), False
 
 
 def _scan(pot, x0, u0, directions, domain, step):
     """The escape scan of one potential, as the batch of one of ``_ray_barrier``."""
     center, half = domain
-    barriers, deeper, failures = _ray_barrier(
+    barriers, failures = _ray_barrier(
         DipolePotential(pot.constants, pot.records[None]), np.asarray(x0, dtype=float)[None], np.array([u0]),
         [np.asarray(directions, dtype=float)], (np.asarray(center)[None], half), np.array([step]),
     )
     assert failures == {}
-    return barriers[0], deeper[0]
+    return barriers[0]
 
 
 class TestRayBarrier:
@@ -477,16 +478,10 @@ class TestRayBarrier:
         directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
         directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
         u0 = pot.at(x0)
-        got, deeper = _scan(pot, x0, u0, directions, domain, step)
-        ref = [_ray_barrier_reference(pot, x0, u0, d, domain, step) for d in directions]
-        np.testing.assert_allclose(got, [b for b, _, _ in ref], rtol=1e-12, atol=0)
-        # the deeper basin is the lowest sample of all rays, reported only below the escape level
-        lowest = min(low for _, _, low in ref)
-        if lowest < u0 - 1e-2 * abs(u0):
-            assert pot.at(deeper) == pytest.approx(lowest, rel=1e-12, abs=0)
-        else:
-            assert deeper is None
-        return [escaped for _, escaped, _ in ref]
+        got = _scan(pot, x0, u0, directions, domain, step)
+        ref = [_ray_barrier_reference(pot, x0, u0, d, step) for d in directions]
+        np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)
+        return [escaped for _, escaped in ref]
 
     def test_painted_trap_matches_scalar_scan(self, layout, input_pair):
         from codtsim.painting import line_paint
@@ -517,8 +512,8 @@ class TestRayBarrier:
         for half in (np.array(trapchar.SEARCH_HALF_EXTENTS), np.full(3, 50e-6)):
             escaped = self._check(pot, layout, x0, (np.zeros(3), half), 2e-6)
             assert not any(escaped)
-            barriers, deeper = _scan(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
-            assert deeper is None and np.all(barriers == 0.0)
+            barriers = _scan(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
+            assert np.all(barriers == 0.0)
 
     def test_falling_ray_runs_on_until_gravity_alone_escapes(self, layout, input_pair):
         # in the 10 mK trap gravity alone needs ~10 cm to fall below the escape
@@ -532,7 +527,7 @@ class TestRayBarrier:
         u0 = pot.at(x0)
         domain = (np.zeros(3), np.array(trapchar.SEARCH_HALF_EXTENTS))
         directions = [layout.beam_direction(1) - [0.0, 0.0, 1e-5], -np.eye(3)[2]]
-        got, deeper = _scan(pot, x0, u0, directions, domain, 2e-6)
-        ref = [_ray_barrier_reference(pot, x0, u0, d, domain, 2e-6) for d in directions]
-        assert all(escaped for _, escaped, _ in ref) and deeper is None
-        np.testing.assert_allclose(got, [b for b, _, _ in ref], rtol=1e-12, atol=0)
+        got = _scan(pot, x0, u0, directions, domain, 2e-6)
+        ref = [_ray_barrier_reference(pot, x0, u0, d, 2e-6) for d in directions]
+        assert all(escaped for _, escaped in ref)
+        np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)
