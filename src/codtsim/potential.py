@@ -176,7 +176,7 @@ def beam_records(
     wavelengths = np.array([b.wavelength for b in inputs])
     records[..., 0:3] = origins
     records[..., 12:14] *= scales[..., None]
-    # a Rayleigh range past the float range is inf, a uniform cylinder; its escape scan ends at the search box
+    # a Rayleigh range past the float range is inf: a beam that never decays, whose escape scan is refused
     with np.errstate(over="ignore"):
         records[..., 16:18] = math.pi * records[..., 12:14] ** 2 / (m2 * wavelengths)[..., None]
     records[..., 18] *= weights

@@ -26,8 +26,7 @@ from .errors import DomainError, ModelValidityError
 from .optics import InputBeam, OpticalLayout, max_displacement
 from .potential import DipolePotential, beam_records
 
-# the search box, m: Newton stays within seed +/- these, and so does an
-# escape ray when a record never decays (an infinite Rayleigh range)
+# the search box, m: Newton stays within seed +/- these
 SEARCH_HALF_EXTENTS = (4e-3, 2e-3, 2e-3)
 # Newton minimum search: step cap, eigenvalue floor as a share of the largest
 # |eigenvalue|, and convergence once a step is below NEWTON_XTOL x ``step``
@@ -224,26 +223,34 @@ def _newton(potential: DipolePotential, centers, steps):
     return x, u, grad, hess, iterations, converged, failed
 
 
-def _ray_barrier(f, x0, u0, directions, domain, steps):
+def _sample_distances(j, step, n_near, t_last):
+    """Distance along a ray of its sample j: ``step`` apart while j < ``n_near``, then growing from ``t_last``."""
+    t = step + j * step
+    far = j >= n_near
+    t[far] = t_last[far] * FAR_FIELD_RATIO ** (j[far] - n_near[far] + 1)
+    return t
+
+
+def _ray_barrier(f, x0, u0, rays, owner, steps):
     """Max potential along each ray until it escapes below the minimum or meets its asymptote.
 
-    Item i of the batched potential ``f`` scans the rays ``directions[i]``
-    from ``x0[i]``, where U is ``u0[i]``, with sample spacing ``steps[i]``.
-    Every ray is sampled at multiples of ``step`` out to
-    ``NEAR_FIELD_WAISTS`` of the widest waist past the farthest record
-    origin, then at steps growing by ``FAR_FIELD_RATIO`` out to
+    Ray k of the table ``rays`` (m, 3) belongs to item ``owner[k]`` of the
+    batched potential ``f``; ``owner`` is sorted, and every item owns at
+    least one ray.  Item i's rays start at ``x0[i]``, where U is ``u0[i]``,
+    and share one set of sample distances: n_near samples ``steps[i]`` apart
+    out to ``NEAR_FIELD_WAISTS`` of the widest waist past the farthest
+    record origin, then n_far samples growing by ``FAR_FIELD_RATIO`` out to
     ``FAR_FIELD_RAYLEIGH_RANGES`` of the longest Rayleigh range past the
-    farthest focus, where no record can move U any more; a falling ray goes
-    on until gravity alone takes it below the escape level.  A ray's
-    barrier is the running maximum (from ``u0``) up to and including its
-    first value below the escape level.  A ray that never escapes is
+    farthest focus, where no record can move U any more.  A falling ray goes
+    on until gravity alone takes it below the escape level.  Each ray takes
+    its item's samples up to its own end, the last one cut to that end.  A
+    ray's barrier is the running maximum (from ``u0``) up to and including
+    its first value below the escape level.  A ray that never escapes is
     bounded by its asymptote as well: m g z0 on a level ray, +inf on a
-    rising one.  When a record never decays (an infinite Rayleigh range),
-    rays end at the edge of the search ``domain`` (centres (n, 3), half
-    extents) with no asymptote.  The escape test carries a small tolerance
-    so that the flat bottom of a painted trap (where the located minimum may
-    sit a fraction of a percent above the deepest plateau point) does not
-    read as an escape channel.
+    rising one.  The escape test carries a small tolerance so that the flat
+    bottom of a painted trap (where the located minimum may sit a fraction
+    of a percent above the deepest plateau point) does not read as an
+    escape channel.
 
     Consecutive items are evaluated together, padded to the longest scan
     among them, in one kernel call whose points x records stay within one
@@ -251,16 +258,15 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
     kernel in one piece as in a call of its own; a longer scan is a call of
     its own.
 
-    Returns per item the barriers (None when it failed) and a message per
-    failed item: a scan longer than ``MAX_RAY_SAMPLES`` per ray.
+    Returns one barrier per ray (nan on the rays of a failed item) and a
+    message per failed item: more than ``MAX_RAY_SAMPLES`` samples per ray,
+    which a record that never decays (an infinite Rayleigh range) always
+    takes.
     """
     records, constants = f.records, f.constants
-    centers, half = domain
     n, n_records = records.shape[0], records.shape[1]
-    rays_per_item = [len(d) for d in directions]
-    owner = np.repeat(np.arange(n), rays_per_item)
-    d = np.concatenate([np.asarray(v, dtype=float) for v in directions])
-    d = d / np.linalg.norm(d, axis=1, keepdims=True)
+    first_ray = np.searchsorted(owner, np.arange(n + 1))  # item i owns rays first_ray[i]:first_ray[i + 1]
+    d = rays / np.linalg.norm(rays, axis=1, keepdims=True)
     escape_level = u0 - 1e-2 * np.abs(u0)
     mg = constants.atom_mass * constants.gravity
     slope = mg * d[:, 2]
@@ -274,42 +280,33 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
         fall = 2 * (escape_level[owner] - level[owner]) / slope  # gravity alone is below escape_level
     t_end = np.where(slope < 0, np.fmax(reach[owner], fall), reach[owner])
     limit = np.where(slope > 0, np.inf, np.where(slope < 0, -np.inf, level[owner]))
-    cylinder = ~np.isfinite(reach[owner])
-    if cylinder.any():
-        c, dc = owner[cylinder], d[cylinder]
-        with np.errstate(divide="ignore"):
-            t_exit = np.min(
-                np.where(dc != 0, (half - (x0[c] - centers[c]) * np.sign(dc)) / np.abs(dc), np.inf), axis=1
-            )
-        t_end[cylinder], limit[cylinder] = np.maximum(t_exit, steps[c]), -np.inf
 
-    def grid(i):
-        """Item i's sample distances: steps of ``steps[i]`` through the near field, then growing."""
-        step = float(steps[i])
-        t_near = np.arange(step, max(near[i], step) + step, step)
-        n_far = max(0, math.ceil(math.log(t_end[rays[i]].max() / t_near[-1], FAR_FIELD_RATIO)))
-        return np.concatenate([t_near, t_near[-1] * FAR_FIELD_RATIO ** np.arange(1, n_far + 1)])
-
-    # how far along its item's grid each ray runs, checked before any grid is built
-    first_ray = np.cumsum([0] + rays_per_item)
-    rays = [slice(first_ray[i], first_ray[i + 1]) for i in range(n)]
-    failures = {}
-    counts = np.zeros(len(d), dtype=np.intp)
-    for i in range(n):
-        step = float(steps[i])
-        far = math.log(t_end[rays[i]].max() / max(near[i], step), FAR_FIELD_RATIO)
-        if not max(near[i], step) / step + far <= MAX_RAY_SAMPLES:
-            waists = records[i, :, 12:14]
-            failures[i] = (
-                f"escape scan would take over {MAX_RAY_SAMPLES} samples per ray between the "
-                f"narrowest waist {waists.min():.6g} m and the widest {waists.max():.6g} m"
-            )
-            continue
-        samples = grid(i)
-        counts[rays[i]] = np.minimum(np.searchsorted(samples, t_end[rays[i]]) + 1, samples.size)
+    # each item's sample counts, as floats: an infinite reach must fail the cap, not overflow
+    n_near = np.ceil((np.maximum(near, steps) + steps - steps) / steps)
+    t_last = steps + (n_near - 1) * steps
+    n_far = np.ceil(np.log(np.maximum.reduceat(t_end, first_ray[:-1]) / t_last) / math.log(FAR_FIELD_RATIO))
+    n_far = np.maximum(n_far, 0.0)
+    failed = ~(n_near + n_far <= MAX_RAY_SAMPLES)
+    waists, ranges = records[..., 12:14], records[..., 16:18]
+    failures = {
+        int(i): f"escape scan would take over {MAX_RAY_SAMPLES} samples per ray between the narrowest waist "
+        f"{waists[i].min():.6g} m and the widest {waists[i].max():.6g} m, out to the longest Rayleigh range "
+        f"{ranges[i].max():.6g} m"
+        for i in np.flatnonzero(failed)
+    }
+    total = np.where(failed, 0, n_near + n_far).astype(np.intp)
+    n_near, t_last = np.where(failed, 0, n_near).astype(np.intp), np.where(failed, 0.0, t_last)
+    # how many of its item's samples each ray takes: those short of its end, then one cut to its end
+    sample = (steps[owner], n_near[owner], t_last[owner])
+    lo, hi = np.zeros(len(d), dtype=np.intp), total[owner]
+    while (lo < hi).any():
+        active, mid = lo < hi, (lo + hi) // 2
+        short = _sample_distances(mid, *sample) < t_end
+        lo, hi = np.where(active & short, mid + 1, lo), np.where(active & ~short, mid, hi)
+    counts = np.minimum(lo + 1, total[owner])
     totals = np.add.reduceat(counts, first_ray[:-1])
 
-    barriers = [None] * n
+    barriers = np.full(len(d), np.nan)
     start = 0
     while start < n:
         # the next items whose padded scans fit one kernel block together
@@ -317,39 +314,34 @@ def _ray_barrier(f, x0, u0, directions, domain, steps):
         while stop < n and (stop + 1 - start) * max(longest, totals[stop]) * n_records <= kernels._CHUNK:
             longest = max(longest, totals[stop])
             stop += 1
-        group = [i for i in range(start, stop) if i not in failures]
+        items = np.arange(start, stop)[~failed[start:stop]]
+        ids = np.arange(first_ray[start], first_ray[stop])
+        ids = ids[~failed[owner[ids]]]
         start = stop
-        if not group:
+        if not items.size:
             continue
-        # sample j of a ray is sample j of its item's grid, cut at the ray's end
-        grids = [grid(i) for i in group]
-        ray_ids = np.concatenate([np.arange(first_ray[i], first_ray[i + 1]) for i in group])
-        cnt, ray_owner = counts[ray_ids], owner[ray_ids]
+        cnt, ray_owner = counts[ids], owner[ids]
         begins = np.cumsum(cnt) - cnt
-        grid_starts = np.cumsum([0] + [g.size for g in grids[:-1]])
-        grid_starts = np.repeat(grid_starts, [rays_per_item[i] for i in group])
-        index = np.arange(cnt.sum()) + np.repeat(grid_starts - begins, cnt)
-        ts = np.minimum(np.concatenate(grids)[index], np.repeat(t_end[ray_ids], cnt))
-        pts = np.repeat(d[ray_ids], cnt, axis=0)
+        j = np.arange(cnt.sum()) - np.repeat(begins, cnt)
+        ts = _sample_distances(j, *(np.repeat(a[ids], cnt) for a in sample))
+        ts = np.minimum(ts, np.repeat(t_end[ids], cnt))
+        pts = np.repeat(d[ids], cnt, axis=0)
         pts *= ts[:, None]
         pts += np.repeat(x0[ray_owner], cnt, axis=0)
         # one (items, points, 3) block, each item padded with its origin
-        size = totals[group]
-        ends = np.cumsum(size)
-        block = np.repeat(x0[group][:, None], size.max(), axis=1)
-        for row, k, end in zip(block, size, ends):
-            row[:k] = pts[end - k : end]
-        vals = _items(f, group)(block)
-        vals = np.concatenate([v[:k] for v, k in zip(vals, size)])
+        size = totals[items]
+        row = np.repeat(np.arange(items.size), size)
+        col = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        block = np.repeat(x0[items][:, None], size.max(), axis=1)
+        block[row, col] = pts
+        vals = _items(f, items)(block)[row, col]
         # fell below the trap bottom: escaped over the barrier
         escapes = vals < np.repeat(escape_level[ray_owner], cnt)
         before = np.cumsum(escapes) - escapes  # escapes at earlier samples, all rays so far
         vals[before != np.repeat(before[begins], cnt)] = -np.inf  # after an escape on the same ray
         ray_max = np.fmax(u0[ray_owner], np.fmax.reduceat(vals, begins))
         escaped = np.logical_or.reduceat(escapes, begins)
-        ray_barriers = np.where(escaped, ray_max, np.fmax(ray_max, limit[ray_ids]))
-        for i, b in zip(group, np.split(ray_barriers, np.cumsum([rays_per_item[i] for i in group])[:-1])):
-            barriers[i] = b
+        barriers[ids] = np.where(escaped, ray_max, np.fmax(ray_max, limit[ids]))
     return barriers, failures
 
 
@@ -379,35 +371,35 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     if not n:
         return []
     centers = np.array(seeds, dtype=float).reshape(n, 3)
-    half = np.array(SEARCH_HALF_EXTENTS)
     steps = records[:, :, 12:14].min(axis=(1, 2)) / 50
-    scan_steps = np.maximum(10 * steps, 2e-6)
-    # escape arms: each item's distinct record directions, in order of first appearance
-    directions = records[:, :, 3:6].reshape(-1, 3)
-    by_item = np.column_stack([np.repeat(np.arange(n), records.shape[1]), directions])
-    first = np.sort(np.unique(by_item, axis=0, return_index=True)[1])
-    arms = np.split(directions[first], np.searchsorted(first, np.arange(1, n) * records.shape[1]))
 
     x, u_min, grad, hess, iterations, ok, failed = _newton(potential, centers, steps)
     errors = {int(i): f"potential derivatives are not finite at {x[i].tolist()} m" for i in np.flatnonzero(failed)}
     # a descent that ends on the search-box boundary means the potential
     # is open in that direction (e.g. gravity tilting the trap open)
-    ok &= ~np.any(np.abs(x - centers) > half - 2 * steps[:, None], axis=1)
+    ok &= ~np.any(np.abs(x - centers) > np.array(SEARCH_HALF_EXTENTS) - 2 * steps[:, None], axis=1)
     eigvals, eigvecs = np.zeros((n, 3)), np.zeros((n, 3, 3))
     eigvals[~failed], eigvecs[~failed] = np.linalg.eigh(hess[~failed])
     valid = np.flatnonzero(ok & (eigvals[:, -1] > 0) & ~(eigvals[:, 0] < -1e-4 * np.abs(eigvals).max(axis=1)))
     # items after the first failing one would not be reached one at a time
     scanned = valid[valid < min(errors, default=n)]
-    barriers = [None] * n
+    barriers = np.zeros(n)  # each item's lowest escape barrier
     if scanned.size:
-        rays = [np.concatenate([eigvecs[i].T, arms[i]]) for i in scanned]
-        scan, failures = _ray_barrier(
-            _items(potential, scanned), x[scanned], u_min[scanned], [np.concatenate([r, -r]) for r in rays],
-            (centers[scanned], half), scan_steps[scanned],
+        # escape rays, item by item: the principal axes, then the distinct
+        # record directions in order of first appearance, then all reversed
+        k = scanned.size
+        directions = records[scanned, :, 3:6].reshape(-1, 3)
+        by_item = np.column_stack([np.repeat(np.arange(k), records.shape[1]), directions])
+        first = np.sort(np.unique(by_item, axis=0, return_index=True)[1])
+        rays = np.concatenate([eigvecs[scanned].transpose(0, 2, 1).reshape(-1, 3), directions[first]])
+        owner = np.tile(np.concatenate([np.repeat(np.arange(k), 3), first // records.shape[1]]), 2)
+        order = np.argsort(owner, kind="stable")
+        rays, owner = np.concatenate([rays, -rays])[order], owner[order]
+        ray_barriers, failures = _ray_barrier(
+            _items(potential, scanned), x[scanned], u_min[scanned], rays, owner, np.maximum(10 * steps[scanned], 2e-6)
         )
         errors.update((int(scanned[j]), message) for j, message in failures.items())
-        for i, b in zip(scanned, scan):
-            barriers[i] = b
+        barriers[scanned] = np.minimum.reduceat(ray_barriers, np.searchsorted(owner, np.arange(k)))
     if errors:
         raise ModelValidityError(errors[min(errors)])
 
@@ -435,13 +427,13 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     return reports
 
 
-def _valid_report(constants, x, u_min, eigvals, axes, depth_peak, barriers, diagnostics) -> TrapReport:
-    """Report of a minimum with positive curvature: frequencies from ``eigvals``, depths from the scan."""
+def _valid_report(constants, x, u_min, eigvals, axes, depth_peak, barrier, diagnostics) -> TrapReport:
+    """Report of a minimum with positive curvature: frequencies from ``eigvals``, depths from the lowest ``barrier``."""
     freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
     depth_peak = max(0.0, float(depth_peak))
     # when the lowest barrier is the asymptote m g z of a level ray that never
     # escapes, it lies exactly the optical depth above the minimum
-    barrier = float(barriers.min())
+    barrier = float(barrier)
     level = constants.atom_mass * constants.gravity * x[2]
     depth_escape = depth_peak if barrier == level else max(0.0, barrier - u_min)
     return TrapReport(

@@ -463,21 +463,23 @@ class TestCli:
         )
         assert code == 4
 
-    def test_rayleigh_range_past_the_float_range_is_a_cylinder(self, tmp_path):
+    def test_rayleigh_range_past_the_float_range_exit_code_4(self, tmp_path, capsys):
         # a subnormal wavelength keeps the 1 mm waists above lambda/2 while
-        # pi w^2 / lambda overflows: two crossed uniform cylinders, whose
-        # escape scan ends at the search box on the single-beam trough
+        # pi w^2 / lambda overflows: a beam that never decays has no far
+        # field to scan, so its escape scan exceeds the sample cap
         out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
         settings = (
             "beams.wavelength_um=1e-309",
             "beams.collimated_radius_mm=1e-307",
             "layout.focal_length_mm=314159.2653589793",
             "layout.beam_separation_mm=162620.80214064088",
         )
-        assert main(["trap", "report", "--out", str(out), *(a for s in settings for a in ("--set", s))]) == 0
-        report = json.loads((out / "trap_report.json").read_text())
-        assert report["valid"]
-        assert 0.499 < report["depth_escape_saddle_uK"] / report["depth_peak_to_min_uK"] < 0.5
+        assert main(["trap", "report", "--out", str(out), *(a for s in settings for a in ("--set", s))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "longest Rayleigh range inf m" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_escape_scan_too_long_exit_code_4(self, tmp_path, capsys):
         # the off-axis slope drives beam 1's waist to 2e13 m against beam 2's
@@ -550,6 +552,22 @@ class TestCli:
         assert summary["frequency_spread_after"] <= 0.02
         assert (out / "sites_before.csv").exists()
         assert (out / "sites_after.csv").exists()
+
+    def test_paint_compensate_equal_mean_frequency(self, tmp_path):
+        # the other objective balances each site's geometric-mean frequency:
+        # on the bundled 1x3x3 grid every site ends at the same 16,558.2839 Hz,
+        # and the power weights stay at or below 1
+        out = tmp_path / "comp"
+        argv = ["paint", "compensate", "--out", str(out), "--set", "paint.objective=equal-mean-frequency"]
+        assert main(argv) == 0
+        summary = json.loads((out / "compensate.json").read_text())
+        assert summary["converged"] and summary["objective"] == "equal-mean-frequency"
+        with open(out / "sites_after.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 9 and all(row["valid"] == "1" for row in rows)
+        assert {row["mean_frequency_hz"] for row in rows} == {"16558.2839"}
+        assert np.mean(summary["weights"]) == pytest.approx(0.977, abs=5e-4)
+        assert max(summary["weights"]) <= 1.0
 
     def test_flight_round_trip_constant_positions(self, tmp_path):
         out = tmp_path / "flight"
