@@ -281,7 +281,9 @@ def _ray_barrier(f, x0, u0, rays, owner, steps):
     t_end = np.where(slope < 0, np.fmax(reach[owner], fall), reach[owner])
     limit = np.where(slope > 0, np.inf, np.where(slope < 0, -np.inf, level[owner]))
 
-    # each item's sample counts, as floats: an infinite reach must fail the cap, not overflow
+    # each item's sample counts, as floats: an infinite reach must fail the cap, not overflow.
+    # n_near is (stop - start) / step as np.arange counts it, stop = max(near, step) + step,
+    # so the near-field grid stays bit-identical to np.arange(step, stop, step)
     n_near = np.ceil((np.maximum(near, steps) + steps - steps) / steps)
     t_last = steps + (n_near - 1) * steps
     n_far = np.ceil(np.log(np.maximum.reduceat(t_end, first_ray[:-1]) / t_last) / math.log(FAR_FIELD_RATIO))

@@ -462,12 +462,8 @@ def _ray_barrier_reference(f, x0, u0, direction, step):
     return max(barrier, asymptote), False
 
 
-def _scan(pot, x0, u0, directions, domain, step):
-    """The escape scan of one potential, as the batch of one of ``_ray_barrier``.
-
-    ``domain`` is a search box, which the scan does not read: the tests pass
-    different boxes to show that the barriers do not depend on it.
-    """
+def _scan(pot, x0, u0, directions, step):
+    """The escape scan of one potential, as the batch of one of ``_ray_barrier``."""
     directions = np.asarray(directions, dtype=float)
     barriers, failures = _ray_barrier(
         DipolePotential(pot.constants, pot.records[None]), np.asarray(x0, dtype=float)[None], np.array([u0]),
@@ -478,11 +474,11 @@ def _scan(pot, x0, u0, directions, domain, step):
 
 
 class TestRayBarrier:
-    def _check(self, pot, layout, x0, domain, step):
+    def _check(self, pot, layout, x0, step):
         directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
         directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
         u0 = pot.at(x0)
-        got = _scan(pot, x0, u0, directions, domain, step)
+        got = _scan(pot, x0, u0, directions, step)
         ref = [_ray_barrier_reference(pot, x0, u0, d, step) for d in directions]
         np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)
         return [escaped for _, escaped in ref]
@@ -493,8 +489,7 @@ class TestRayBarrier:
 
         wf = line_paint(layout, 230.0 * 1e-6)
         pot = DipolePotential(RB, _merge_records(_phase_records(layout, input_pair, wf, 64)))
-        domain = (np.zeros(3), np.array([4e-3, 690e-6, 1e-3]))
-        self._check(pot, layout, np.zeros(3), domain, 2e-6)
+        self._check(pot, layout, np.zeros(3), 2e-6)
 
     def test_escape_under_gravity_matches_scalar_scan(self, layout):
         from codtsim.optics import InputBeam, build_beamlines
@@ -502,22 +497,20 @@ class TestRayBarrier:
         lab = PhysicalConstants(gravity=9.81)
         pot = static_potential(lab, build_beamlines(layout, (InputBeam(power=0.05),) * 2))
         # 3 um below the minimum: +z escapes at its first sample, -z over the tilted barrier
-        domain = (np.zeros(3), np.array(trapchar.SEARCH_HALF_EXTENTS))
-        escaped = self._check(pot, layout, np.array([0.0, 0.0, -3e-6]), domain, 2e-6)
+        escaped = self._check(pot, layout, np.array([0.0, 0.0, -3e-6]), 2e-6)
         assert any(escaped) and not all(escaped)
 
     def test_level_rays_end_at_their_asymptote(self, layout, input_pair):
         # at zero gravity U < 0 everywhere and tends to 0 far from the beams:
-        # no ray escapes, and every barrier is the asymptote 0 for any box
+        # no ray escapes, and every barrier is the asymptote 0
         from codtsim.potential import beam_records
 
         pot = DipolePotential(RB, beam_records(layout, input_pair, np.zeros(4))[0])
         x0 = np.array([1e-6, 0.0, 0.0])
-        for half in (np.array(trapchar.SEARCH_HALF_EXTENTS), np.full(3, 50e-6)):
-            escaped = self._check(pot, layout, x0, (np.zeros(3), half), 2e-6)
-            assert not any(escaped)
-            barriers = _scan(pot, x0, pot.at(x0), np.eye(3), (np.zeros(3), half), 2e-6)
-            assert np.all(barriers == 0.0)
+        escaped = self._check(pot, layout, x0, 2e-6)
+        assert not any(escaped)
+        barriers = _scan(pot, x0, pot.at(x0), np.eye(3), 2e-6)
+        assert np.all(barriers == 0.0)
 
     def test_ray_table_skips_a_failed_item_inside_a_kernel_group(self, layout, input_pair, monkeypatch):
         # items with 3, 4 and 2 rays; the middle one (a 1 km waist next to a
@@ -557,9 +550,8 @@ class TestRayBarrier:
         pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
         x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
         u0 = pot.at(x0)
-        domain = (np.zeros(3), np.array(trapchar.SEARCH_HALF_EXTENTS))
         directions = [layout.beam_direction(1) - [0.0, 0.0, 1e-5], -np.eye(3)[2]]
-        got = _scan(pot, x0, u0, directions, domain, 2e-6)
+        got = _scan(pot, x0, u0, directions, 2e-6)
         ref = [_ray_barrier_reference(pot, x0, u0, d, 2e-6) for d in directions]
         assert all(escaped for _, escaped in ref)
         np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)

@@ -1,6 +1,6 @@
 """Check that the working tree writes the same artifacts as a git revision, byte for byte.
 
-    python3 tools/compare_artifacts.py REV [--jobs N]
+    python3 tools/compare_artifacts.py REV
 
 Exports ``src/`` of ``REV`` with ``git archive``, runs the artifact matrix
 below with each tree's ``src/`` on ``PYTHONPATH`` (the revision's and the
@@ -12,7 +12,7 @@ cannot export ``REV``.
 The matrix: all twelve subcommands at ``--seed 13`` (``flight analyze`` on
 the ``flight synth`` output), a 3x3x3 ``paint compensate`` at 480 um, a 41-step
 ``trap misalign-sweep`` out to 20 um and a 740 um ``evap timeline`` at three
-samples, each at 0 g and at 9.81 m/s^2.
+samples, each at 0 g and at 9.81 m/s^2. Each tree runs ``JOBS`` runs at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ EXTRA = [
     ("evap-timeline-740um", ("evap", "timeline"), ["evap.amplitude_start_um=740", "evap.timeline_samples=3"]),
 ]
 GRAVITIES = {"0g": [], "1g": ["constants.gravity_m_s2=9.81"]}
+JOBS = 2  # runs at a time; each is a fresh interpreter of ~40 MB
 
 
 def runs() -> list[tuple[str, list[str], str | None]]:
@@ -64,7 +65,7 @@ def runs() -> list[tuple[str, list[str], str | None]]:
     return matrix
 
 
-def run_tree(src: Path, out: Path, jobs: int) -> dict[str, int]:
+def run_tree(src: Path, out: Path) -> dict[str, int]:
     """Run the matrix with ``src`` on PYTHONPATH into ``out``; the exit code of each run."""
     env = dict(os.environ, PYTHONPATH=str(src))
 
@@ -76,7 +77,7 @@ def run_tree(src: Path, out: Path, jobs: int) -> dict[str, int]:
 
     matrix = runs()
     first = [c for c in matrix if c[2] is None]
-    with ThreadPoolExecutor(jobs) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         codes = dict(pool.map(one, first))
         codes.update(pool.map(one, [c for c in matrix if c[2] is not None]))
     return codes
@@ -95,7 +96,6 @@ def differences(a: Path, b: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
-    parser.add_argument("--jobs", type=int, default=2, help="runs at a time (default 2)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
         tmp = Path(tmp)
@@ -106,8 +106,8 @@ def main(argv=None) -> int:
         (tmp / "rev").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive.stdout, check=True)
         codes = {
-            "rev": run_tree(tmp / "rev" / "src", tmp / "out-rev", args.jobs),
-            "tree": run_tree(REPO / "src", tmp / "out-tree", args.jobs),
+            "rev": run_tree(tmp / "rev" / "src", tmp / "out-rev"),
+            "tree": run_tree(REPO / "src", tmp / "out-tree"),
         }
         changed_codes = sorted(n for n in codes["rev"] if codes["rev"][n] != codes["tree"][n])
         for name in changed_codes:
