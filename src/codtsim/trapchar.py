@@ -39,9 +39,13 @@ NEWTON_XTOL = 1e-9
 NEAR_FIELD_WAISTS = 4.0
 FAR_FIELD_RATIO = 1.05
 FAR_FIELD_RAYLEIGH_RANGES = 100.0
-# a ray longer than this many samples is refused (ModelValidityError): its
-# points alone would take 1.5 MB, 16 MB for the ten rays of a crossed pair
+# a ray of more than this many samples before its cut is refused
+# (ModelValidityError); a falling ray keeps them all, 1.5 MB of points
 MAX_RAY_SAMPLES = 1 << 16
+# a level or rising ray is cut at the first of these sample indices past
+# which U provably stays above its escape level; each is ~1.25 x the last
+# (built without np.unique, which here would load numpy.ma on import: 1.6 MB)
+_CUT_CANDIDATES = np.array(sorted({int(1.25**k) for k in range(-1, 52)}))
 
 DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 
@@ -231,6 +235,74 @@ def _sample_distances(j, step, n_near, t_last):
     return t
 
 
+def _intensity_ceiling(records, x0, d, t):
+    """An upper bound on the summed intensity at every distance past ``t`` along each ray.
+
+    Ray k starts at ``x0[k]`` in direction ``d[k]`` (unit) through the
+    records ``records[k]`` (m, r, 19); ``t`` (m, c) holds c distances per
+    ray, and the result (m, c) one bound per distance.  Per record, zeta, xi
+    and nu are linear in the distance.  Past t each width is at least the
+    waist if that axis's focus lies ahead on the ray, else its width at t;
+    W is the smaller and W' the larger of these two bounds.  The distance
+    to the beam axis is at least R, the minimum of the quadratic
+    xi^2 + nu^2 over [t, inf).  So I <= (2P/pi) g(max(W', 2R)) / W, where
+    g(w) = exp(-2R^2/w^2)/w peaks at w = 2R: the larger width is at least
+    W' and the Gaussian factor at most exp(-2R^2/w^2) for that width w.
+    """
+    # every (record, ray, distance) array is laid out (r, m, c), each record a contiguous slab
+    axes = records[..., 3:12].reshape(*records.shape[:-1], 3, 3)  # rows: direction, h, v
+    zeta0, xi0, nu0 = np.einsum("krj,kraj->ark", x0[:, None, :] - records[..., 0:3], axes)[..., None]
+    rate, xi1, nu1 = np.einsum("kj,kraj->ark", d, axes)[..., None]
+    waist_h, waist_v, focus_h, focus_v, range_h, range_v, power = records[..., 12:19].transpose(2, 1, 0)[..., None]
+    zeta = zeta0 + t * rate
+    # the width bounds, computed in place: few live arrays
+    w_h, w_v = (zeta - focus_h) / range_h, (zeta - focus_v) / range_v
+    for w, waist in ((w_h, waist_h), (w_v, waist_v)):
+        w[w * rate < 0] = 0.0  # the focus lies ahead
+        w *= w
+        w += 1.0
+        np.sqrt(w, out=w)
+        w *= waist
+    w_min, w_max = np.minimum(w_h, w_v, out=zeta), np.maximum(w_h, w_v, out=w_h)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a ray parallel to the beam axis: nan, then t
+        nearest = -(xi0 * xi1 + nu0 * nu1) / (xi1 * xi1 + nu1 * nu1)
+    tt = np.fmax(t, nearest)
+    r2 = (xi0 + tt * xi1) ** 2 + (nu0 + tt * nu1) ** 2
+    w2 = np.maximum(w_max * w_max, 4.0 * r2, out=w_max)
+    return (2.0 / np.pi) * np.sum(power * np.exp(-2.0 * r2 / w2) / (np.sqrt(w2) * w_min), axis=0)
+
+
+def _cut(f, x0, d, owner, escape_level, counts, sample, t_end):
+    """How many of its ``counts`` samples each ray of ``_ray_barrier`` keeps.
+
+    A falling ray keeps them all.  A level or rising ray keeps those before
+    the first of the ``_CUT_CANDIDATES`` sample indices past which a lower
+    bound on U, gravity at that sample minus the ``_intensity_ceiling`` of
+    every record, stays at or above its item's escape level.
+    """
+    records, constants = f.records, f.constants
+    mg = constants.atom_mass * constants.gravity
+    level, slope = mg * x0[owner, 2], mg * d[:, 2]
+    counts = counts.copy()
+    cut = np.flatnonzero((slope >= 0) & (counts > 0))
+    candidates = _CUT_CANDIDATES[_CUT_CANDIDATES < counts.max()]
+    # rays per pass: each (records, rays, candidates) array stays cache-sized, as the kernel's blocks
+    chunk = max(1, kernels._CHUNK // (max(1, candidates.size) * records.shape[1]))
+    for c in range(0, cut.size, chunk):
+        k = cut[c : c + chunk]
+        j = candidates[candidates < counts[k].max()]
+        jj = np.broadcast_to(j, (k.size, j.size)).ravel()
+        t = _sample_distances(jj, *(np.repeat(a[k], j.size) for a in sample)).reshape(k.size, j.size)
+        t = np.minimum(t, t_end[k, None])
+        ceiling = constants.dipole_coefficient * _intensity_ceiling(records[owner[k]], x0[owner[k]], d[k], t)
+        gravity = level[k, None] + slope[k, None] * t
+        # rounding in the kernel and in the bound stays far below this margin
+        margin = 1e-9 * (np.abs(escape_level[owner[k], None]) + np.abs(gravity) + ceiling)
+        holds = (gravity - ceiling - margin >= escape_level[owner[k], None]) & (j < counts[k, None])
+        counts[k] = np.where(holds.any(axis=1), j[holds.argmax(axis=1)], counts[k])
+    return counts
+
+
 def _ray_barrier(f, x0, u0, rays, owner, steps):
     """Max potential along each ray until it escapes below the minimum or meets its asymptote.
 
@@ -252,16 +324,26 @@ def _ray_barrier(f, x0, u0, rays, owner, steps):
     of a percent above the deepest plateau point) does not read as an
     escape channel.
 
-    Consecutive items are evaluated together, padded to the longest scan
-    among them, in one kernel call whose points x records stay within one
-    kernel block (``kernels._CHUNK``), so an item's samples go through the
-    kernel in one piece as in a call of its own; a longer scan is a call of
-    its own.
+    The optical part of U is never positive, so on a level or rising ray
+    every sample lies at or below the asymptote, and only the samples of an
+    escaping ray up to its first escape count.  So each ray is evaluated
+    only up to its cut (``_cut``), past which U provably stays at or above
+    the escape level, and a ray cut at its first sample gets its asymptote.
+    A falling ray keeps every sample, since its running maximum needs them.
+
+    The kernel evaluates whole items, longest scan first: each call takes
+    as many items as fit one kernel block (``kernels._CHUNK``) padded to the
+    longest among them, so an item's samples go through the kernel in one
+    piece as in a call of its own, and every call but the last is at least
+    half full.  A scan longer than a block is a call of its own.  No kernel
+    block may hold a single point, which numpy hands to a different BLAS
+    routine: an item of one sample is padded to two, and a long scan whose
+    last block would hold one point gets one more.
 
     Returns one barrier per ray (nan on the rays of a failed item) and a
-    message per failed item: more than ``MAX_RAY_SAMPLES`` samples per ray,
-    which a record that never decays (an infinite Rayleigh range) always
-    takes.
+    message per failed item: more than ``MAX_RAY_SAMPLES`` uncut samples per
+    ray, which a record that never decays (an infinite Rayleigh range)
+    always takes.
     """
     records, constants = f.records, f.constants
     n, n_records = records.shape[0], records.shape[1]
@@ -306,22 +388,31 @@ def _ray_barrier(f, x0, u0, rays, owner, steps):
         short = _sample_distances(mid, *sample) < t_end
         lo, hi = np.where(active & short, mid + 1, lo), np.where(active & ~short, mid, hi)
     counts = np.minimum(lo + 1, total[owner])
-    totals = np.add.reduceat(counts, first_ray[:-1])
 
-    barriers = np.full(len(d), np.nan)
+    counts = _cut(f, x0, d, owner, escape_level, counts, sample, t_end)
+    totals = np.add.reduceat(counts, first_ray[:-1])
+    # a ray left without samples never escapes: its asymptote
+    barriers = np.where(failed[owner], np.nan, np.fmax(u0[owner], limit))
+
+    # items by falling scan length, and the rays with samples item by item in that order
+    order = np.argsort(-totals, kind="stable")
+    order = order[totals[order] > 0]
+    rank = np.zeros(n, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    scanned = np.flatnonzero(counts)
+    scanned = scanned[np.argsort(rank[owner[scanned]], kind="stable")]
+    first = np.searchsorted(rank[owner[scanned]], np.arange(order.size + 1))
     start = 0
-    while start < n:
-        # the next items whose padded scans fit one kernel block together
-        stop, longest = start + 1, totals[start]
-        while stop < n and (stop + 1 - start) * max(longest, totals[stop]) * n_records <= kernels._CHUNK:
-            longest = max(longest, totals[stop])
-            stop += 1
-        items = np.arange(start, stop)[~failed[start:stop]]
-        ids = np.arange(first_ray[start], first_ray[stop])
-        ids = ids[~failed[owner[ids]]]
+    while start < order.size:
+        # the longest scan left, padded to two points, and the next ones that fit its block
+        width = max(2, totals[order[start]])
+        fit = kernels._CHUNK // (width * n_records)
+        if not fit:  # a call of its own: no kernel block of one point
+            fit, width = 1, width + (width % max(1, kernels._CHUNK // n_records) == 1)
+        stop = min(start + fit, order.size)
+        group, ids = order[start:stop], scanned[first[start] : first[stop]]
+        items = np.sort(group)
         start = stop
-        if not items.size:
-            continue
         cnt, ray_owner = counts[ids], owner[ids]
         begins = np.cumsum(cnt) - cnt
         j = np.arange(cnt.sum()) - np.repeat(begins, cnt)
@@ -330,11 +421,11 @@ def _ray_barrier(f, x0, u0, rays, owner, steps):
         pts = np.repeat(d[ids], cnt, axis=0)
         pts *= ts[:, None]
         pts += np.repeat(x0[ray_owner], cnt, axis=0)
-        # one (items, points, 3) block, each item padded with its origin
-        size = totals[items]
-        row = np.repeat(np.arange(items.size), size)
+        # one (items, width, 3) block, each item padded with its origin
+        size = totals[group]
+        row = np.repeat(np.searchsorted(items, group), size)
         col = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        block = np.repeat(x0[items][:, None], size.max(), axis=1)
+        block = np.repeat(x0[items][:, None], width, axis=1)
         block[row, col] = pts
         vals = _items(f, items)(block)[row, col]
         # fell below the trap bottom: escaped over the barrier

@@ -300,31 +300,49 @@ class TestSites:
     def test_compensation_kernel_calls_do_not_grow_per_site(self, layout, input_pair, monkeypatch):
         # Newton steps every candidate of a stage in one batch, so its
         # derivative calls do not grow with the grid; the escape scans go
-        # through the kernel in shared blocks of up to kernels._CHUNK
-        # point-records, where one call per scan held ~3,100
-        from codtsim import kernels
+        # through the kernel in shared calls of up to kernels._CHUNK
+        # point-records, longest scan first, so every call of a scan but its
+        # last is at least half full (one call per scan held ~3,100)
+        import math
+
+        from codtsim import kernels, trapchar
 
         calls = {"intensity_sum": [], "intensity_derivatives": []}
+        scan_calls, scans = [], []  # point-records per kernel call inside one _ray_barrier call, per call
         for name, seen in calls.items():
             real = getattr(kernels, name)
 
-            def counted(p, r, _f=real, _seen=seen):
+            def counted(p, r, _f=real, _seen=seen, _name=name):
                 _seen.append(np.asarray(p).size // 3 * np.shape(r)[-2])  # point-records
+                if _name == "intensity_sum" and scan_calls:
+                    scan_calls[-1].append(_seen[-1])
                 return _f(p, r)
 
             monkeypatch.setattr(kernels, name, counted)
+        real_scan = trapchar._ray_barrier
+
+        def scan(*args):
+            scan_calls.append([])
+            try:
+                return real_scan(*args)
+            finally:
+                scans.append(scan_calls.pop())
+
+        monkeypatch.setattr(trapchar, "_ray_barrier", scan)
         counts = {}
         for grid in ((1, 3, 3), (1, 5, 5)):
             spec = GridSpec(counts=grid, spacing=(0.0, 480e-6, 480e-6))
             table = characterize_sites(RB, layout, input_pair, spec)
-            for seen in calls.values():
+            for seen in (*calls.values(), scans):
                 seen.clear()
             compensate_powers(RB, layout, input_pair, spec, table=table)
             counts[grid] = {name: list(seen) for name, seen in calls.items()}
+            sums = calls["intensity_sum"]
+            assert len(sums) <= math.ceil(sum(sums) / (kernels._CHUNK / 2)) + len(scans), (grid, sums)
+            for scan_sums in scans:
+                assert all(n >= kernels._CHUNK / 2 for n in scan_sums[:-1]), (grid, scan_sums)
         small, large = counts[(1, 3, 3)], counts[(1, 5, 5)]
         assert len(large["intensity_derivatives"]) <= 1.5 * len(small["intensity_derivatives"])
-        for scans in (small["intensity_sum"], large["intensity_sum"]):
-            assert sum(scans) / len(scans) >= kernels._CHUNK / 2
 
     def test_compensation_reduces_frequency_spread(self, layout, input_pair, grid_table):
         spec, table = grid_table

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError, ModelValidityError
@@ -13,6 +14,7 @@ from codtsim.trapchar import (
     FAR_FIELD_RATIO,
     FAR_FIELD_RAYLEIGH_RANGES,
     NEAR_FIELD_WAISTS,
+    _intensity_ceiling,
     _ray_barrier,
     characterize,
     characterize_batch,
@@ -473,6 +475,59 @@ def _scan(pot, x0, u0, directions, step):
     return barriers
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(1, 4),
+    cut=st.floats(0.0, 2e-3),
+    gravity=st.sampled_from([0.0, 9.81]),
+    aim=st.sampled_from(["random", "along the first beam", "through the last focus"]),
+)
+def test_potential_floor_holds_past_the_cut(seed, n_records, cut, gravity, aim):
+    # the lower bound on U at a cut distance is never above U past it: at
+    # random distances, and where the ray comes closest to each beam axis or
+    # crosses each focus, where a record's own bound is tightest.  Each ray
+    # starts next to the first beam's axis
+    from codtsim import kernels
+
+    rng = np.random.default_rng(seed)
+    frames = np.linalg.qr(rng.normal(size=(n_records, 3, 3)))[0].transpose(0, 2, 1)  # rows: direction, h, v
+    records = np.zeros((n_records, 19))
+    records[:, 0:3] = rng.uniform(-1e-3, 1e-3, (n_records, 3))
+    records[:, 3:12] = frames.reshape(n_records, 9)
+    records[:, 12:14] = rng.uniform(5e-6, 50e-6, (n_records, 2))
+    records[:, 14:16] = rng.uniform(-1e-3, 1e-3, (n_records, 2))
+    records[:, 16:18] = math.pi * records[:, 12:14] ** 2 / rng.uniform(0.5e-6, 2e-6, (n_records, 1))
+    records[:, 18] = rng.uniform(0.0, 5.0, n_records)
+    x0 = records[0, 0:3] + rng.uniform(-2e-3, 2e-3) * frames[0, 0] + rng.uniform(-20e-6, 20e-6, 2) @ frames[0, 1:]
+    if aim == "random":
+        d = rng.normal(size=3)
+    elif aim == "along the first beam":
+        d = frames[0, 0] * rng.choice([-1.0, 1.0])
+    else:
+        d = records[-1, 0:3] + records[-1, rng.integers(14, 16)] * frames[-1, 0] - x0
+    d = d / np.linalg.norm(d)
+    if gravity and d[2] < 0:  # the cut leaves falling rays alone
+        d = -d
+    lab = PhysicalConstants(gravity=gravity)
+    mg, c = lab.atom_mass * gravity, lab.dipole_coefficient
+
+    start = np.einsum("rj,raj->ra", x0 - records[:, 0:3], frames)  # (zeta, xi, nu) at x0
+    rate = frames @ d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closest = -(start[:, 1:] * rate[:, 1:]).sum(axis=1) / (rate[:, 1:] ** 2).sum(axis=1)
+        foci = (records[:, 14:16] - start[:, :1]) / rate[:, :1]
+    t = np.concatenate([closest, foci.ravel(), cut + rng.exponential(1e-3, 16)])
+    t = np.maximum(cut, t[np.isfinite(t)])
+    pts = x0 + t[:, None] * d
+    u = -c * kernels.intensity_sum(pts, records) + mg * pts[:, 2]
+
+    ceiling = c * _intensity_ceiling(records[None], x0[None], d[None], np.array([[cut]]))[0, 0]
+    gravity_at_cut = mg * (x0[2] + cut * d[2])
+    floor = gravity_at_cut - ceiling
+    assert np.all(floor - 1e-9 * (abs(gravity_at_cut) + ceiling) <= u), (floor, u.min())
+
+
 class TestRayBarrier:
     def _check(self, pot, layout, x0, step):
         directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
@@ -539,6 +594,109 @@ class TestRayBarrier:
         for i in (0, 2):
             ref = [_ray_barrier_reference(pots[i], x0[i], u0[i], d, 2e-6)[0] for d in rays[owner == i]]
             np.testing.assert_allclose(barriers[owner == i], ref, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _kept(monkeypatch, x0):
+        """Scan points per kernel call from here on, the padding (copies of ``x0``) left out."""
+        from codtsim import kernels
+
+        kept = []
+        real = kernels.intensity_sum
+        monkeypatch.setattr(
+            kernels, "intensity_sum", lambda p, r: kept.append(int((np.reshape(p, (-1, 3)) != x0).any(axis=1).sum())) or real(p, r)
+        )
+        return kept
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_rays_cut_at_their_first_sample_get_their_asymptote(self, layout, input_pair, gravity, monkeypatch):
+        # from the crossed trap's minimum the bound already holds at the first
+        # sample of these rays: no kernel call, and each barrier is the
+        # asymptote, 0 at 0 g; m g z0 on the level -x ray and +inf on the
+        # rising +z ray at 1 g
+        lab = PhysicalConstants(gravity=gravity)
+        pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
+        x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
+        u0 = pot.at(x0)
+        directions = [-np.eye(3)[0], np.eye(3)[2], -layout.beam_direction(1)]
+        ref = [_ray_barrier_reference(pot, x0, u0, d, 2e-6) for d in directions]
+        kept = self._kept(monkeypatch, x0)
+        got = _scan(pot, x0, u0, directions, 2e-6)
+        assert kept == []
+        assert not any(escaped for _, escaped in ref)
+        np.testing.assert_allclose(got, [b for b, _ in ref], rtol=1e-12, atol=0)
+        mgz = lab.atom_mass * gravity * x0[2]
+        assert list(got) == [mgz, np.inf if gravity else 0.0, mgz]
+
+    def test_ray_escapes_before_its_cut(self, layout, input_pair, monkeypatch):
+        # 3 um below the crossing at 0 g the +z ray escapes over the barrier
+        # at its first sample; the cut keeps a few samples, not its ~160
+        from codtsim.trapchar import _sample_distances
+
+        pot = DipolePotential(RB, beam_records(layout, input_pair, np.zeros(4))[0])
+        x0 = characterize_crossed_trap(RB, layout, input_pair).minimum_position - [0.0, 0.0, 3e-6]
+        u0 = pot.at(x0)
+        barrier, escaped = _ray_barrier_reference(pot, x0, u0, np.eye(3)[2], 2e-6)
+        kept = self._kept(monkeypatch, x0)
+        got = _scan(pot, x0, u0, [np.eye(3)[2]], 2e-6)
+        assert escaped and barrier == u0
+        assert len(kept) == 1 and 1 <= kept[0] <= 8, kept
+        np.testing.assert_allclose(got, [barrier], rtol=1e-12, atol=0)
+
+    def test_items_of_at_most_one_sample_share_a_padded_call(self, layout, input_pair, monkeypatch):
+        # items with rays keeping 1 + 0, 1 and 0 samples: one kernel call of
+        # the first two, each padded to two points so that no block holds one
+        from codtsim import kernels
+
+        crossed = beam_records(layout, input_pair, np.zeros(4))[0]
+        pot = DipolePotential(RB, crossed)
+        x = characterize_crossed_trap(RB, layout, input_pair).minimum_position
+        x0, u0 = np.repeat(x[None], 3, axis=0), np.full(3, pot.at(x))
+        rays = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        owner = np.array([0, 0, 1, 2])
+        shapes = []
+        real = kernels.intensity_sum
+        monkeypatch.setattr(kernels, "intensity_sum", lambda p, r: shapes.append(np.shape(p)) or real(p, r))
+        barriers, failures = _ray_barrier(
+            DipolePotential(RB, np.repeat(crossed[None], 3, axis=0)), x0, u0, rays, owner, np.full(3, 2e-6)
+        )
+        assert failures == {} and shapes == [(2, 2, 3)]
+        ref = [_ray_barrier_reference(pot, x, u0[0], d, 2e-6)[0] for d in rays]
+        np.testing.assert_allclose(barriers, ref, rtol=1e-12, atol=0)
+
+    def test_no_kernel_block_holds_one_point(self, layout, input_pair, monkeypatch):
+        # a scan longer than one kernel block is a call of its own; where its
+        # last block would hold one point, which numpy hands to gemv rather
+        # than gemm, it is padded by one, so the barriers do not move
+        from codtsim import kernels
+
+        lab = PhysicalConstants(gravity=9.81)
+        pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
+        x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
+        directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
+        directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
+        blocks = []
+        real = kernels._intensity_chunk
+        monkeypatch.setattr(kernels, "_intensity_chunk", lambda p, *a: blocks.append(p.shape[-2]) or real(p, *a))
+        whole = _scan(pot, x0, pot.at(x0), directions, 2e-6)
+        [points] = blocks[1:]  # after the call for U at x0
+        blocks.clear()
+        monkeypatch.setattr(kernels, "_CHUNK", (points - 1) * 2)
+        split = _scan(pot, x0, pot.at(x0), directions, 2e-6)
+        assert blocks[1:] == [points - 1, 2]
+        assert np.array_equal(split, whole)
+
+    @pytest.mark.parametrize("gravity, most", [(0.0, 250), (9.81, 2040)])
+    def test_crossed_trap_scan_size(self, layout, input_pair, gravity, most, monkeypatch):
+        # before the cut the scan took 1,571 points at 0 g and 2,040 at 1 g,
+        # where the ray falling along -z keeps every sample
+        from codtsim import kernels
+
+        points = []
+        real = kernels.intensity_sum
+        monkeypatch.setattr(kernels, "intensity_sum", lambda p, r: points.append(np.size(p) // 3) or real(p, r))
+        report = characterize_crossed_trap(PhysicalConstants(gravity=gravity), layout, input_pair)
+        assert report.valid and len(points) == 2  # the scan, then the peak depth
+        assert points[0] <= most, points
 
     def test_falling_ray_runs_on_until_gravity_alone_escapes(self, layout, input_pair):
         # in the 10 mK trap gravity alone needs ~10 cm to fall below the escape

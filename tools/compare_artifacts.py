@@ -10,7 +10,8 @@ Exits 0 when everything is identical, 1 on any difference, and 2 when git
 cannot export ``REV``.
 
 The matrix: all twelve subcommands at ``--seed 13`` (``flight analyze`` on
-the ``flight synth`` output), a 3x3x3 ``paint compensate`` at 480 um, a 41-step
+the ``flight synth`` output), a 3x3x3 and a 5x5x5 ``paint compensate`` at 480 um
+(the latter groups the most escape scans into kernel calls), a 41-step
 ``trap misalign-sweep`` out to 20 um and a 740 um ``evap timeline`` at three
 samples, each at 0 g and at 9.81 m/s^2. Each tree runs ``JOBS`` runs at a time.
 """
@@ -45,6 +46,8 @@ COMMANDS = [
 EXTRA = [
     ("paint-compensate-3x3x3", ("paint", "compensate"),
      ["paint.grid_counts=[3,3,3]", "paint.grid_spacing_um=[480,480,480]"]),
+    ("paint-compensate-5x5x5", ("paint", "compensate"),
+     ["paint.grid_counts=[5,5,5]", "paint.grid_spacing_um=[480,480,480]"]),
     ("trap-misalign-sweep-20um", ("trap", "misalign-sweep"), ["misalign.max_offset_um=20", "misalign.n_steps=41"]),
     ("evap-timeline-740um", ("evap", "timeline"), ["evap.amplitude_start_um=740", "evap.timeline_samples=3"]),
 ]
