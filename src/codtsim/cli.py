@@ -130,9 +130,10 @@ def _context(cfg):
 def cmd_trap_report(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     report = characterize_crossed_trap(constants, layout, inputs)
-    payload = report.to_dict()
-    payload["deflection_scales_um_per_mhz"] = {
-        ch: deflection_to_displacement(layout, ch, 1.0) / 1e-6 for ch in CHANNELS
+    payload = {
+        **report.row(),
+        "principal_axes": report.principal_axes.tolist(),
+        "deflection_scales_um_per_mhz": {ch: deflection_to_displacement(layout, ch, 1.0) / 1e-6 for ch in CHANNELS},
     }
     write_json(out / "trap_report.json", payload)
     if cfg["trap"]["save_field"]:

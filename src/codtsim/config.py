@@ -83,8 +83,8 @@ SPEC: dict = {
         "timeline_samples": (25, "integer", "positive"),
     },
     "tof": {
-        "frequencies_hz": ([120.0, 35.0, 350.0], "numarray", 3),
-        "tf_radii_um": ([4.0, 14.0, 1.4], "numarray", 3),
+        "frequencies_hz": ([120.0, 35.0, 350.0], "numarray", 3, "positive"),
+        "tf_radii_um": ([4.0, 14.0, 1.4], "numarray", 3, "positive"),
         "temperature_uK": (0.05, "number", "nonnegative"),
         "times_ms": ([0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0], "numarray"),
         "profile_csv": (None, "string", "nullable"),
@@ -171,6 +171,8 @@ def check_value(value, leaf: tuple, path: str) -> None:
             raise ConfigError(f"{path}: entries must be finite")
         if flags and len(value) != flags[0]:
             raise ConfigError(f"{path}: expected {flags[0]} numbers, got {len(value)}")
+        if "positive" in flags and not all(v > 0 for v in value):
+            raise ConfigError(f"{path}: entries must be > 0")
     elif kind == "counts":
         if not isinstance(value, list) or len(value) != flags[0] or not all(
             isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value

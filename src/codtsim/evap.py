@@ -152,7 +152,7 @@ def timeline(
     schedule: RampSchedule,
     n_samples: int = 25,
 ) -> list[dict]:
-    """Trap depth and frequencies along the schedule (one row per sampled time).
+    """The schedule and the trap row (``TrapReport.row``) at each sampled time, one row per time.
 
     Each painted trap is the time average of its line paint at the phase
     count ``time_averaged_potential`` derives from it.  Samples with the
@@ -187,7 +187,7 @@ def _painted_trap(
     amp_h: float,
     amp_v: float,
 ) -> dict:
-    """Timeline columns of the line-painted trap at one power and amplitude pair."""
+    """The trap row of the line-painted trap at one power and amplitude pair."""
     inputs_t = tuple(
         InputBeam(power=power, wavelength=b.wavelength, collimated_radius=b.collimated_radius)
         for b in inputs
@@ -199,14 +199,7 @@ def _painted_trap(
         # the centre of a wide paint is a ridge the scan falls off at once:
         # its wells lie toward the sweep ends, so seed at the sweep start
         report = characterize(pot, crossing_from_offsets(layout, -amp_h, -amp_h, -amp_v))
-    return {
-        "valid": int(report.valid),
-        "depth_uK": report.depth_uk(),
-        "f1_hz": report.frequencies[0],
-        "f2_hz": report.frequencies[1],
-        "f3_hz": report.frequencies[2],
-        "mean_frequency_hz": report.mean_frequency,
-    }
+    return report.row()
 
 
 def evaporation_efficiency(initial: ThermoMetrics, final: ThermoMetrics) -> dict:

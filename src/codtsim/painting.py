@@ -125,6 +125,10 @@ class SiteTable:
 
 def _channel_amp_mhz(layout: OpticalLayout, channel: str, displacement: float) -> float:
     scale = displacement_scale(layout, channel)
+    if not scale:  # e.g. a geometric AOD of zero full deflection
+        if displacement:
+            raise DomainError(f"displacement {displacement * 1e6:.0f} um on {channel}, whose AOD does not deflect")
+        return 0.0
     amp = displacement / scale
     if abs(amp) > layout.aod_freq_range_mhz * (1 + 1e-12):
         raise DomainError(
@@ -448,26 +452,19 @@ def compensate_powers(
 
 
 def site_table_csv_rows(table: SiteTable) -> list[dict]:
-    rows = []
-    for r in table.rows:
-        f = r.report.frequencies
-        rows.append(
-            {
-                "i": r.index[0],
-                "j": r.index[1],
-                "k": r.index[2],
-                "x_um": r.position[0] * 1e6,
-                "y_um": r.position[1] * 1e6,
-                "z_um": r.position[2] * 1e6,
-                "radius_beam1_um": r.radius_beam1 * 1e6,
-                "radius_beam2_um": r.radius_beam2 * 1e6,
-                "depth_uK": r.report.depth_uk(),
-                "f1_hz": f[0],
-                "f2_hz": f[1],
-                "f3_hz": f[2],
-                "mean_frequency_hz": r.report.mean_frequency,
-                "power_weight": r.power_weight,
-                "valid": int(r.report.valid),
-            }
-        )
-    return rows
+    """One row per site: its grid index, position, local beam radii and power weight, then its trap's row."""
+    return [
+        {
+            "i": r.index[0],
+            "j": r.index[1],
+            "k": r.index[2],
+            "x_um": r.position[0] * 1e6,
+            "y_um": r.position[1] * 1e6,
+            "z_um": r.position[2] * 1e6,
+            "radius_beam1_um": r.radius_beam1 * 1e6,
+            "radius_beam2_um": r.radius_beam2 * 1e6,
+            "power_weight": r.power_weight,
+            **r.report.row(),
+        }
+        for r in table.rows
+    ]

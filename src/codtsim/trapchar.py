@@ -54,8 +54,7 @@ DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
 class TrapReport:
     """Result of characterizing one potential minimum.
 
-    Both depths are always computed; :attr:`depth` and the ``depth_uK`` of
-    :meth:`to_dict` are the escape-saddle one.
+    Both depths are always computed; :attr:`depth` is the escape-saddle one.
     """
 
     minimum_position: np.ndarray  # m
@@ -65,6 +64,7 @@ class TrapReport:
     principal_axes: np.ndarray  # row i is the axis of frequencies[i]
     mean_frequency: float  # Hz, geometric mean
     valid: bool
+    seed: np.ndarray  # m, where Newton started
     constants: PhysicalConstants = field(repr=False)
     reason: str = ""
     # how the minimum was found: Newton steps from the seed and |grad U|, J/m
@@ -98,20 +98,29 @@ class TrapReport:
         d = self.depth_escape if convention == "escape-saddle" else self.depth_peak
         return d / self.constants.boltzmann * 1e6
 
-    def to_dict(self) -> dict:
+    def row(self) -> dict:
+        """The trap's artifact columns, in µm, µK and Hz; its ``depth_uK`` is the escape-saddle depth.
+
+        Every site table, timeline row and trap report carries these columns.
+        """
+        (x, y, z), (sx, sy, sz), (f1, f2, f3) = self.minimum_position * 1e6, self.seed * 1e6, self.frequencies
         return {
-            "valid": bool(self.valid),
+            "valid": int(self.valid),
             "reason": self.reason,
-            "minimum_position_um": (self.minimum_position * 1e6).tolist(),
+            "min_x_um": float(x),
+            "min_y_um": float(y),
+            "min_z_um": float(z),
             "depth_uK": self.depth_uk("escape-saddle"),
-            "depth_escape_saddle_uK": self.depth_uk("escape-saddle"),
             "depth_peak_to_min_uK": self.depth_uk("peak-to-min"),
-            "depth_convention": "escape-saddle",
-            "frequencies_hz": self.frequencies.tolist(),
-            "principal_axes": self.principal_axes.tolist(),
+            "f1_hz": float(f1),
+            "f2_hz": float(f2),
+            "f3_hz": float(f3),
             "mean_frequency_hz": self.mean_frequency,
             "newton_iterations": self.newton_iterations,
             "gradient_norm_uK_per_um": self.gradient_norm / self.constants.boltzmann,
+            "seed_x_um": float(sx),
+            "seed_y_um": float(sy),
+            "seed_z_um": float(sz),
         }
 
 
@@ -121,14 +130,6 @@ class ThermoMetrics:
     temperature: float  # K
     psd: float
     truncation_parameter: float
-
-    def to_dict(self) -> dict:
-        return {
-            "atom_number": self.atom_number,
-            "temperature_uK": self.temperature * 1e6,
-            "psd": self.psd,
-            "truncation_parameter": self.truncation_parameter,
-        }
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -501,6 +502,7 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     reports = []
     for i in range(n):
         diagnostics = {
+            "seed": centers[i].copy(),
             "newton_iterations": int(iterations[i]),
             "gradient_norm": float(np.linalg.norm(grad[i])),
         }

@@ -160,6 +160,8 @@ def _check_run(inputs, run):
 @example(run=("paint transport", ["paint.transport_start_um=[]", "paint.transport_end_um=[]"], None))
 @example(run=("trap report", ["layout.window_index=0.2"], None))
 @example(run=("trap report", ["trap.save_field=true", "trap.field_dims=[2097152,2097152,2097152]"], None))
+# a paint on AODs that do not deflect once divided 0 um by 0 um/MHz
+@example(run=("paint transport", ['layout.deflection_mode="geometric"', "layout.aod_full_deflection_deg=0"], None))
 # found by this test: a beam so narrow that no escape-scan sample fits before the first step
 @example(run=("trap report", ["beams.wavelength_um=1e-30"], None))
 def test_main_exits_cleanly_and_out_is_complete_or_untouched(inputs, run):

@@ -17,6 +17,7 @@ from codtsim.config import (
 )
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import ConfigError, DomainError
+from codtsim.trapchar import characterize_crossed_trap
 
 
 class TestConfig:
@@ -64,6 +65,10 @@ class TestConfig:
         for bad, field in (
             ({"layout": {"focal_length_mm": -1}}, "layout.focal_length_mm"),
             ({"paint": {"grid_counts": [1, 0, 3]}}, "paint.grid_counts"),
+            # tof expand once hit a numpy warning, wrote negative radii or NaN aspect ratios
+            ({"tof": {"frequencies_hz": [0, 35, 350]}}, "tof.frequencies_hz"),
+            ({"tof": {"tf_radii_um": [-4, -14, -1.4]}}, "tof.tf_radii_um"),
+            ({"tof": {"tf_radii_um": [0, 0, 0]}}, "tof.tf_radii_um"),
         ):
             path.write_text(json.dumps(bad))
             with pytest.raises(ConfigError, match=field):
@@ -116,12 +121,15 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["trap", "report", "--out", str(out)]) == 0
         report = json.loads((out / "trap_report.json").read_text())
-        assert report["valid"]
+        assert report["valid"] == 1
         # depth lands at the 11.9 mK scale, both conventions present
         assert 5e3 < report["depth_peak_to_min_uK"] < 2e4
-        assert report["depth_escape_saddle_uK"] <= report["depth_peak_to_min_uK"]
-        assert report["depth_convention"] == "escape-saddle"
-        assert report["depth_uK"] == report["depth_escape_saddle_uK"]
+        assert report["depth_uK"] <= report["depth_peak_to_min_uK"]
+        # depth_uK is the escape-saddle depth, and the report names no other
+        cfg = load_config()
+        crossed = characterize_crossed_trap(constants_from_config(cfg), layout_from_config(cfg), beams_from_config(cfg))
+        assert report["depth_uK"] == crossed.depth_uk("escape-saddle")
+        assert not {"depth_escape_saddle_uK", "depth_convention", "minimum_position_um", "frequencies_hz"} & set(report)
         # how the minimum was found
         assert report["newton_iterations"] >= 1 and "seeds_tried" not in report
         assert 0 <= report["gradient_norm_uK_per_um"] < 1e-6
@@ -133,9 +141,9 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["trap", "report", "--out", str(out), "--set", "beams.power_w=0"]) == 0
         report = json.loads((out / "trap_report.json").read_text())
-        assert report["valid"] is False
+        assert report["valid"] == 0
         assert "curvature" in report["reason"]
-        assert report["frequencies_hz"] == [0.0, 0.0, 0.0]
+        assert [report["f1_hz"], report["f2_hz"], report["f3_hz"]] == [0.0, 0.0, 0.0]
 
     def test_trap_volume_artifact(self, tmp_path):
         out = tmp_path / "vol"
@@ -297,17 +305,20 @@ class TestCli:
         assert str(meta_path) in err and message in err
 
     def test_domain_error_exit_code_3(self, tmp_path, capsys):
-        for command, override, message in (
+        no_deflection = ['layout.deflection_mode="geometric"', "layout.aod_full_deflection_deg=0"]
+        for command, overrides, message in (
             # a waypoint beyond the reachable range surfaces as a domain error
-            ("paint transport", "paint.transport_end_um=[[0.0, 0.0, 5000.0]]", "unreachable"),
-            ("paint grid", "beams.power_w=0", "central site"),
+            ("paint transport", ["paint.transport_end_um=[[0.0, 0.0, 5000.0]]"], "unreachable"),
+            ("paint grid", ["beams.power_w=0"], "central site"),
+            # a paint on AODs that do not deflect once divided by zero
+            ("evap timeline", no_deflection, "h1, whose AOD does not deflect"),
         ):
             out = tmp_path / command.replace(" ", "-")
-            argv = command.split() + ["--out", str(out), "--set", override]
-            assert main(argv) == 3, override
+            argv = command.split() + ["--out", str(out)] + [a for o in overrides for a in ("--set", o)]
+            assert main(argv) == 3, overrides
             assert message in capsys.readouterr().err
             # the failure leaves no partial artifact (paint grid once left sites.csv)
-            assert list(out.iterdir()) == [], override
+            assert list(out.iterdir()) == [], overrides
 
     def test_failed_run_leaves_out_empty(self, tmp_path, capsys):
         # each of these once exited 1 with a traceback, trap.field_dims after writing trap_report.json
@@ -654,8 +665,8 @@ class TestCli:
         assert report["phases"]["microgravity"]["dc_interspot_um"]["max_abs"] == 0.0
 
     def test_evap_timeline_open_row_keeps_every_column(self, tmp_path):
-        # gravity opens the 1 mW reopened trap: that row is reported invalid
-        # with the same columns as the valid rows
+        # gravity opens the 1 mW reopened trap: that row is reported invalid,
+        # with its reason, in the same columns as the valid rows
         out = tmp_path / "timeline"
         argv = ["evap", "timeline", "--out", str(out)]
         for override in ("constants.gravity_m_s2=9.81", "evap.timeline_samples=3", "evap.reopen_power_w=0.001"):
@@ -664,9 +675,10 @@ class TestCli:
         with (out / "timeline.csv").open(newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
-        assert "depth_uK" in header and "reason" not in header
+        assert "depth_uK" in header and "reason" in header
         reopened = dict(zip(header, rows[-1]))
         assert reopened["valid"] == "0" and reopened["depth_uK"] == "0"
+        assert reopened["reason"] != ""
 
     def test_evap_timeline_wide_paint_is_converged(self, tmp_path):
         # a 740 um paint derives 512 phases; at the paint's 128 knots it was a
@@ -694,6 +706,17 @@ class TestCli:
         assert len(rows) == 3 and all(row["valid"] == "1" for row in rows)
         assert rows[0]["amplitude_h_um"] == "1000"
         assert float(rows[0]["depth_uK"]) == pytest.approx(88.92, rel=1e-3)
+
+    def test_paint_grid_sites_sag_at_1g(self, tmp_path):
+        # each site is seeded at its crossing, and gravity pulls its minimum below it
+        out = tmp_path / "grid"
+        assert main(["paint", "grid", "--out", str(out), "--set", "constants.gravity_m_s2=9.81"]) == 0
+        with (out / "sites.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9 and all(row["valid"] == "1" for row in rows)
+        for row in rows:
+            assert [row[f"seed_{a}_um"] for a in "xyz"] == [row[f"{a}_um"] for a in "xyz"]
+            assert float(row["min_z_um"]) < float(row["z_um"])
 
     def test_paint_grid_waveform_artifact(self, tmp_path):
         out = tmp_path / "grid"
@@ -740,7 +763,8 @@ class TestCli:
         assert np.all(half >= 4 * 10.4e-6)
         values = np.fromfile(out / header["data_file"], dtype=header["dtype"]).reshape(header["dims"])
         deepest = np.array(header["origin_m"]) + np.array(np.unravel_index(np.argmin(values), values.shape)) @ axes
-        minimum = np.array(json.loads((out / "trap_report.json").read_text())["minimum_position_um"]) * 1e-6
+        report = json.loads((out / "trap_report.json").read_text())
+        minimum = np.array([report["min_x_um"], report["min_y_um"], report["min_z_um"]]) * 1e-6
         assert np.linalg.norm(deepest - minimum) <= np.max(np.diag(axes))
 
 

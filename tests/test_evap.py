@@ -18,6 +18,7 @@ from codtsim.evap import (
     thermal_sigma0,
     timeline,
 )
+from codtsim.optics import crossing_from_offsets
 from codtsim.trapchar import ThermoMetrics
 
 RB = PhysicalConstants(gravity=0.0)
@@ -142,6 +143,9 @@ class TestTimeline:
         assert abs(sweep_end.minimum_position[1]) == pytest.approx(1008e-6, abs=5e-6)
         assert row["valid"] == 1
         assert row["depth_uK"] == pytest.approx(depth_uk, rel=1e-4 if gravity == 0 else 1e-3)
+        # the row says where it was seeded: the crossing of the sweep start
+        start = crossing_from_offsets(layout, -1000e-6, -1000e-6, 0.0) * 1e6
+        assert [row["seed_x_um"], row["seed_y_um"], row["seed_z_um"]] == start.tolist()
 
 
 class TestEvaporationEfficiency:

@@ -6,6 +6,8 @@ Exports ``src/`` of ``REV`` with ``git archive``, runs the artifact matrix
 below with each tree's ``src/`` on ``PYTHONPATH`` (the revision's and the
 working tree's), and lists every file that differs or exists on one side
 only, ``manifest.json`` included, and every run whose exit code differs.
+Where a CSV or JSON file differs, it also names the columns (CSV) or
+top-level keys (JSON) that were added, removed or changed.
 Exits 0 when everything is identical, 1 on any difference, and 2 when git
 cannot export ``REV``.
 
@@ -19,7 +21,9 @@ samples, each at 0 g and at 9.81 m/s^2. Each tree runs ``JOBS`` runs at a time.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +100,34 @@ def differences(a: Path, b: Path) -> list[str]:
     return sorted(set(mismatch) | set(errors) | (files[a] ^ files[b]))
 
 
+def _fields(path: Path) -> dict | None:
+    """A CSV's columns or a JSON object's top-level keys, each name with its values as text; None for other files.
+
+    JSON values are compared as their JSON text, so that ``true`` differs from ``1``.
+    """
+    if path.suffix == ".csv":
+        with path.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [[]]
+        return {name: [row[i : i + 1] for row in rows] for i, name in enumerate(header)}
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+        return {k: json.dumps(v, sort_keys=True) for k, v in data.items()} if isinstance(data, dict) else None
+    return None
+
+
+def field_changes(a: Path, b: Path) -> str:
+    """The columns or keys added, removed or changed from the file ``a`` to the file ``b``, for CSV and JSON."""
+    old, new = _fields(a), _fields(b)
+    if old is None or new is None:
+        return ""
+    groups = {
+        "added": [k for k in new if k not in old],
+        "removed": [k for k in old if k not in new],
+        "changed": [k for k in old if k in new and old[k] != new[k]],
+    }
+    return "; ".join(f"{label} {', '.join(names)}" for label, names in groups.items() if names) or "same fields"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
@@ -117,7 +149,9 @@ def main(argv=None) -> int:
             print(f"exit code {name}: {codes['rev'][name]} at {args.rev}, {codes['tree'][name]} in the tree")
         diff = differences(tmp / "out-rev", tmp / "out-tree")
         for path in diff:
-            print(f"differs: {path}")
+            a, b = tmp / "out-rev" / path, tmp / "out-tree" / path
+            changes = field_changes(a, b) if a.is_file() and b.is_file() else ""
+            print(f"differs: {path}" + (f" ({changes})" if changes else ""))
         total = sum(1 for p in (tmp / "out-tree").rglob("*") if p.is_file())
         print(f"{len(codes['tree'])} runs, {total} files, {len(diff)} differ")
     return int(bool(changed_codes or diff))
