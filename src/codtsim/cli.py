@@ -30,7 +30,7 @@ import scipy
 from . import __version__, config as cfgmod
 from .errors import CodtsimError, ConfigError, DomainError
 from .evap import ExpansionState, build_schedule, expand, fit_bimodal, thermal_sigma0, timeline
-from .optics import CHANNELS, deflection_to_displacement, focus_input_beam
+from .optics import CHANNELS, displacement_scale, focus_input_beam
 from .painting import (
     GridSpec,
     characterize_sites,
@@ -133,7 +133,7 @@ def cmd_trap_report(cfg, out: Path) -> None:
     payload = {
         **report.row(),
         "principal_axes": report.principal_axes.tolist(),
-        "deflection_scales_um_per_mhz": {ch: deflection_to_displacement(layout, ch, 1.0) / 1e-6 for ch in CHANNELS},
+        "deflection_scales_um_per_mhz": {ch: displacement_scale(layout, ch) / 1e-6 for ch in CHANNELS},
     }
     write_json(out / "trap_report.json", payload)
     if cfg["trap"]["save_field"]:

@@ -28,7 +28,7 @@ SPEC: dict = {
         "window_thickness_mm": (10.0, "number", "nonnegative"),
         "window_index": (1.45, "number", "positive"),
         "window_tilt_deg": (None, "number", "nullable", "nonnegative"),  # null -> half the crossing angle
-        "aod_freq_range_mhz": (15.0, "number", "nonnegative"),
+        "aod_freq_range_mhz": (15.0, "number", "positive"),
         "aod_full_deflection_deg": (1.4, "number", "nonnegative"),
         "aod_aperture_mm": ([7.5, 7.5], "numarray", 2),
         "power_throughput": (0.75, "number", "unit"),

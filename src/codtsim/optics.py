@@ -78,6 +78,8 @@ class OpticalLayout:
     deflection_mode: str = "calibrated"  # one of DEFLECTION_MODES
 
     def __post_init__(self) -> None:
+        if not self.aod_freq_range_mhz > 0:
+            raise DomainError("aod_freq_range_mhz must be positive")
         if not 0.0 <= self.power_throughput <= 1.0:
             raise DomainError("power_throughput must lie in [0, 1]")
         if self.deflection_mode not in DEFLECTION_MODES:
@@ -248,6 +250,26 @@ def beam_intensity(beam: AstigmaticBeam, point) -> np.ndarray | float:
     return inten
 
 
+def _geometric_factors(layout: OpticalLayout, channel: str) -> tuple[float, ...]:
+    """The corrections of the geometric map (see :func:`deflection_to_displacement`) as factors on f tan(theta), in order."""
+    _, sagittal, tangential = plate_shifts(layout.effective_window_tilt, layout.window_index, layout.window_thickness)
+    if channel.startswith("h"):
+        return math.cos(layout.half_angle), 1.0 - tangential / layout.focal_length
+    return (1.0 - sagittal / layout.focal_length,)
+
+
+def _deflect(layout: OpticalLayout, channel: str, df):
+    """The deflection map without its range check: displacement (m) for offsets ``df`` (MHz)."""
+    if channel not in CHANNELS:
+        raise DomainError(f"unknown AOD channel {channel!r}")
+    if layout.deflection_mode == "calibrated":
+        return df * layout.calibration_um_per_mhz[channel] * 1e-6
+    disp = layout.focal_length * np.tan(df * layout.aod_full_deflection / layout.aod_freq_range_mhz)
+    for factor in _geometric_factors(layout, channel):
+        disp = disp * factor
+    return disp
+
+
 def deflection_to_displacement(layout: OpticalLayout, channel: str, delta_freq_mhz) -> np.ndarray | float:
     """Focal-region displacement (m) of one beam for an AOD frequency offset.
 
@@ -259,35 +281,51 @@ def deflection_to_displacement(layout: OpticalLayout, channel: str, delta_freq_m
     onto the tilted beam axis (h channels) and the tilted-window focus
     pullback (tangential for h, sagittal for v).  In calibrated mode the
     model scale is replaced by the per-channel measured constant and the map
-    is exactly linear.
+    is exactly linear.  :func:`frequency_offset` is its inverse.
     """
-    if channel not in CHANNELS:
-        raise DomainError(f"unknown AOD channel {channel!r}")
     df = np.asarray(delta_freq_mhz, dtype=float)
     if np.any(np.abs(df) > layout.aod_freq_range_mhz * (1 + 1e-12)):
         raise DomainError(
             f"frequency offset outside AOD range +/-{layout.aod_freq_range_mhz} MHz"
         )
-    if layout.deflection_mode == "calibrated":
-        disp = df * layout.calibration_um_per_mhz[channel] * 1e-6
-    else:
-        theta = df * layout.aod_full_deflection / layout.aod_freq_range_mhz
-        disp = layout.focal_length * np.tan(theta)
-        _, sagittal, tangential = plate_shifts(
-            layout.effective_window_tilt, layout.window_index, layout.window_thickness
-        )
-        if channel.startswith("h"):
-            disp = disp * math.cos(layout.half_angle) * (1.0 - tangential / layout.focal_length)
-        else:
-            disp = disp * (1.0 - sagittal / layout.focal_length)
+    disp = _deflect(layout, channel, df)
     if np.ndim(delta_freq_mhz) == 0:
         return float(disp)
     return disp
 
 
+def frequency_offset(layout: OpticalLayout, channel: str, displacement: float) -> float:
+    """AOD frequency offset (MHz) that displaces one beam by ``displacement`` (m): the inverse of the deflection map.
+
+    Calibrated mode divides by the per-channel scale; geometric mode undoes
+    the corrections of :func:`deflection_to_displacement` and the lens by an
+    arctan.  A nonzero displacement on an AOD that does not deflect, or one
+    that needs more than the AOD range, raises ``DomainError``.
+    """
+    scale = displacement_scale(layout, channel)
+    if not scale:  # e.g. a geometric AOD of zero full deflection
+        if displacement:
+            raise DomainError(f"displacement {displacement * 1e6:.0f} um on {channel}, whose AOD does not deflect")
+        return 0.0
+    if layout.deflection_mode == "calibrated":
+        amp = float(displacement / scale)
+    else:
+        lens = displacement
+        for factor in reversed(_geometric_factors(layout, channel)):
+            lens = lens / factor
+        theta = math.atan(lens / layout.focal_length)
+        amp = theta * layout.aod_freq_range_mhz / layout.aod_full_deflection
+    if abs(amp) > layout.aod_freq_range_mhz * (1 + 1e-12):
+        raise DomainError(
+            f"displacement {displacement * 1e6:.1f} um on {channel} needs {abs(amp):.2f} MHz, "
+            f"unreachable within the +/-{layout.aod_freq_range_mhz} MHz AOD range"
+        )
+    return amp
+
+
 def displacement_scale(layout: OpticalLayout, channel: str) -> float:
-    """Displacement per MHz (m/MHz) for a channel under the current model."""
-    return deflection_to_displacement(layout, channel, 1.0)
+    """Displacement per MHz (m/MHz) for a channel: the deflection map at 1 MHz, inside the AOD range or not."""
+    return float(_deflect(layout, channel, 1.0))
 
 
 def max_displacement(layout: OpticalLayout, channel: str) -> float:

@@ -22,8 +22,7 @@ from .optics import (
     InputBeam,
     OpticalLayout,
     build_beamlines,
-    displacement_scale,
-    max_displacement,
+    frequency_offset,
     offsets_from_crossing,
 )
 from .potential import WAVEFORM_PERIOD, DipolePotential, ModulationWaveform, beam_records
@@ -123,21 +122,6 @@ class SiteTable:
         return float(np.max(np.abs(dev))) if dev else 0.0
 
 
-def _channel_amp_mhz(layout: OpticalLayout, channel: str, displacement: float) -> float:
-    scale = displacement_scale(layout, channel)
-    if not scale:  # e.g. a geometric AOD of zero full deflection
-        if displacement:
-            raise DomainError(f"displacement {displacement * 1e6:.0f} um on {channel}, whose AOD does not deflect")
-        return 0.0
-    amp = displacement / scale
-    if abs(amp) > layout.aod_freq_range_mhz * (1 + 1e-12):
-        raise DomainError(
-            f"displacement {displacement * 1e6:.0f} um needs {abs(amp):.2f} MHz on "
-            f"{channel}, outside the +/-{layout.aod_freq_range_mhz} MHz AOD range"
-        )
-    return amp
-
-
 def _site_offsets(layout: OpticalLayout, position) -> tuple[float, float, float, float]:
     """AOD displacements (h1, v1, h2, v2) that cross the beams at ``position``."""
     h1, h2, v = offsets_from_crossing(layout, position)
@@ -159,7 +143,7 @@ def _dwell_waveform(
     if per_segment_weights is None:
         per_segment_weights = [(1.0, 1.0, 1.0, 1.0)] * n
     freq_segments = [
-        [_channel_amp_mhz(layout, ch, off[i]) for i, ch in enumerate(CHANNELS)]
+        [frequency_offset(layout, ch, off[i]) for i, ch in enumerate(CHANNELS)]
         for off in per_segment_offsets
     ]
     if n == 1:
@@ -209,7 +193,7 @@ def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: floa
     tri = 1.0 - 4.0 * np.abs(phase - 0.5)
     t = np.arange(LINE_PAINT_KNOTS) * (WAVEFORM_PERIOD / LINE_PAINT_KNOTS)
     amps = [
-        _channel_amp_mhz(layout, ch, amplitude if ch.startswith("h") else vertical_amplitude)
+        frequency_offset(layout, ch, amplitude if ch.startswith("h") else vertical_amplitude)
         for ch in CHANNELS
     ]
     return ModulationWaveform(t, np.outer(tri, amps), np.ones((LINE_PAINT_KNOTS, 4)))
@@ -269,7 +253,10 @@ def transport_ramp(
     steps: int = 21,
     profile: str = "minimum-jerk",
 ) -> list[ModulationWaveform]:
-    """Waveform sequence transporting every site along a Cartesian path."""
+    """Waveform sequence transporting every site along a Cartesian path.
+
+    A waypoint that needs more than the AOD range raises ``DomainError``.
+    """
     start = np.atleast_2d(np.asarray(start_positions, dtype=float))
     end = np.atleast_2d(np.asarray(end_positions, dtype=float))
     if start.shape != end.shape:
@@ -280,20 +267,10 @@ def transport_ramp(
         fractions = minimum_jerk(np.linspace(0.0, 1.0, steps))
     else:
         raise DomainError(f"unknown transport profile {profile!r}")
-    out = []
-    for s in fractions:
-        positions = start + s * (end - start)
-        segments = []
-        for pos in positions:
-            offsets = _site_offsets(layout, pos)
-            for ch, off in zip(CHANNELS, offsets):
-                if abs(off) > max_displacement(layout, ch) * (1 + 1e-9):
-                    raise DomainError(
-                        f"transport waypoint {pos * 1e6} um unreachable on channel {ch}"
-                    )
-            segments.append(offsets)
-        out.append(_dwell_waveform(layout, segments))
-    return out
+    return [
+        _dwell_waveform(layout, [_site_offsets(layout, pos) for pos in start + s * (end - start)])
+        for s in fractions
+    ]
 
 
 def _local_radius(record, position) -> float:

@@ -55,6 +55,8 @@ class TrapReport:
     """Result of characterizing one potential minimum.
 
     Both depths are always computed; :attr:`depth` is the escape-saddle one.
+    An invalid report gives its ``reason`` and has zero depths and
+    frequencies and the identity as its axes.
     """
 
     minimum_position: np.ndarray  # m
@@ -70,22 +72,6 @@ class TrapReport:
     # how the minimum was found: Newton steps from the seed and |grad U|, J/m
     newton_iterations: int = 0
     gradient_norm: float = 0.0
-
-    @classmethod
-    def invalid(cls, position, reason: str, constants, **diagnostics) -> "TrapReport":
-        """Report for a trap that could not be characterized."""
-        return cls(
-            **diagnostics,
-            minimum_position=position,
-            depth_escape=0.0,
-            depth_peak=0.0,
-            frequencies=np.zeros(3),
-            principal_axes=np.eye(3),
-            mean_frequency=0.0,
-            valid=False,
-            reason=reason,
-            constants=constants,
-        )
 
     @property
     def depth(self) -> float:
@@ -474,7 +460,17 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     ok &= ~np.any(np.abs(x - centers) > np.array(SEARCH_HALF_EXTENTS) - 2 * steps[:, None], axis=1)
     eigvals, eigvecs = np.zeros((n, 3)), np.zeros((n, 3, 3))
     eigvals[~failed], eigvecs[~failed] = np.linalg.eigh(hess[~failed])
-    valid = np.flatnonzero(ok & (eigvals[:, -1] > 0) & ~(eigvals[:, 0] < -1e-4 * np.abs(eigvals).max(axis=1)))
+    reasons = np.select(
+        [~ok, eigvals[:, -1] <= 0, eigvals[:, 0] < -1e-4 * np.abs(eigvals).max(axis=1)],
+        [
+            "no minimum found in domain",
+            "flat potential: no positive curvature at the minimum",
+            "negative Hessian eigenvalue at converged point (saddle)",
+        ],
+        "",
+    )
+    is_valid = reasons == ""
+    valid = np.flatnonzero(is_valid)
     # items after the first failing one would not be reached one at a time
     scanned = valid[valid < min(errors, default=n)]
     barriers = np.zeros(n)  # each item's lowest escape barrier
@@ -499,49 +495,32 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
 
     depth_peak = np.zeros(n)
     depth_peak[valid] = -_items(potential, valid).optical(x[valid, None, :])[:, 0]
-    reports = []
-    for i in range(n):
-        diagnostics = {
-            "seed": centers[i].copy(),
-            "newton_iterations": int(iterations[i]),
-            "gradient_norm": float(np.linalg.norm(grad[i])),
-        }
-        lam = eigvals[i]
-        if not ok[i]:
-            reason = "no minimum found in domain"
-        elif lam[-1] <= 0:
-            reason = "flat potential: no positive curvature at the minimum"
-        elif lam[0] < -1e-4 * np.max(np.abs(lam)):
-            reason = "negative Hessian eigenvalue at converged point (saddle)"
-        else:
-            reports.append(
-                _valid_report(constants, x[i], u_min[i], lam, eigvecs[i].T, depth_peak[i], barriers[i], diagnostics)
-            )
-            continue
-        reports.append(TrapReport.invalid(x[i].copy(), reason, constants, **diagnostics))
-    return reports
-
-
-def _valid_report(constants, x, u_min, eigvals, axes, depth_peak, barrier, diagnostics) -> TrapReport:
-    """Report of a minimum with positive curvature: frequencies from ``eigvals``, depths from the lowest ``barrier``."""
-    freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
-    depth_peak = max(0.0, float(depth_peak))
+    depth_peak = np.where(depth_peak > 0, depth_peak, 0.0)
     # when the lowest barrier is the asymptote m g z of a level ray that never
     # escapes, it lies exactly the optical depth above the minimum
-    barrier = float(barrier)
-    level = constants.atom_mass * constants.gravity * x[2]
-    depth_escape = depth_peak if barrier == level else max(0.0, barrier - u_min)
-    return TrapReport(
-        minimum_position=x.copy(),
-        depth_escape=depth_escape,
-        depth_peak=depth_peak,
-        frequencies=freqs,
-        principal_axes=axes,
-        mean_frequency=float(np.prod(freqs)) ** (1.0 / 3.0) if np.all(freqs > 0) else 0.0,
-        valid=True,
-        constants=constants,
-        **diagnostics,
-    )
+    above = barriers - u_min
+    level = constants.atom_mass * constants.gravity * x[:, 2]
+    depth_escape = np.where(barriers == level, depth_peak, np.where(above > 0, above, 0.0))
+    freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
+    axes = eigvecs.transpose(0, 2, 1).copy()
+    depth_escape[~is_valid], freqs[~is_valid], axes[~is_valid] = 0.0, 0.0, np.eye(3)
+    return [
+        TrapReport(
+            minimum_position=x[i].copy(),
+            depth_escape=float(depth_escape[i]),
+            depth_peak=float(depth_peak[i]),
+            frequencies=freqs[i],
+            principal_axes=axes[i],
+            mean_frequency=float(np.prod(freqs[i])) ** (1.0 / 3.0) if np.all(freqs[i] > 0) else 0.0,
+            valid=bool(is_valid[i]),
+            seed=centers[i].copy(),
+            constants=constants,
+            reason=str(reasons[i]),
+            newton_iterations=int(iterations[i]),
+            gradient_norm=float(np.linalg.norm(grad[i])),
+        )
+        for i in range(n)
+    ]
 
 
 def characterize(potential: DipolePotential, seed_point) -> TrapReport:

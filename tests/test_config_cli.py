@@ -331,6 +331,9 @@ class TestCli:
             (["trap", "report", "--set", "trap.save_field=true", "--set", "trap.field_dims=[2097152,2097152,2097152]"],
              3, "trap.field_dims"),
             (["tof", "fit", "--set", "seed=-3"], 2, "seed"),
+            # the geometric map divides by the AOD range
+            (["trap", "report", "--set", "layout.deflection_mode=geometric", "--set", "layout.aod_freq_range_mhz=0"],
+             2, "layout.aod_freq_range_mhz"),
             (["flight", "synth", "--seed", "-3"], 2, "--seed"),
             (["evap", "timeline", "--set", "evap.timeline_samples=1" + "0" * 400], 2, "evap.timeline_samples"),
             # values whose SI form underflows or overflows the float range
@@ -432,10 +435,12 @@ class TestCli:
         assert [p.name for p in rerun.iterdir() if p.name.startswith(".")] == []
 
     def test_calibrated_deflection_scales_are_the_config_constants(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["trap", "report", "--out", str(out)]) == 0
-        report = json.loads((out / "trap_report.json").read_text())
-        assert report["deflection_scales_um_per_mhz"] == DEFAULT_CONFIG["layout"]["calibration_um_per_mhz"]
+        # the scales are the map at 1 MHz, also where 1 MHz lies outside the AOD range
+        for name, settings in (("run", []), ("range-0.5", ["--set", "layout.aod_freq_range_mhz=0.5"])):
+            out = tmp_path / name
+            assert main(["trap", "report", "--out", str(out), *settings]) == 0
+            report = json.loads((out / "trap_report.json").read_text())
+            assert report["deflection_scales_um_per_mhz"] == DEFAULT_CONFIG["layout"]["calibration_um_per_mhz"]
 
     def test_partial_overrides_and_single_site_exit_code_0(self, tmp_path):
         argv = ["evap", "schedule", "--out", str(tmp_path / "sched"), "--set", 'evap={"hold_s":0.1}']
@@ -446,6 +451,14 @@ class TestCli:
         assert main(["paint", "grid", "--out", str(out), "--set", "paint.grid_counts=[1,1,1]"]) == 0
         summary = json.loads((out / "grid_summary.json").read_text())
         assert summary["frequency_spread"] == 0.0 and summary["depth_spread"] == 0.0
+        # drives inside a 0.5 MHz range, and a geometric waypoint whose 1336.65 um
+        # h1 displacement lies inside the 1336.75 um geometric range
+        for command, settings in (
+            ("paint grid", ["layout.aod_freq_range_mhz=0.5", "paint.grid_counts=[1,3,1]", "paint.grid_spacing_um=[0,30,0]"]),
+            ("paint transport", ["layout.deflection_mode=geometric", "paint.transport_end_um=[[0,1383.8,0]]"]),
+        ):
+            argv = command.split() + ["--out", str(tmp_path / command.replace(" ", "-"))]
+            assert main(argv + [a for o in settings for a in ("--set", o)]) == 0, settings
 
     def test_misalign_sweep_past_the_crossing_reads_zero(self, tmp_path):
         # from ~1.15 waists of offset the beams no longer cross: no trap, ratio 0

@@ -6,6 +6,7 @@ import pytest
 
 from codtsim.errors import DomainError, ModelValidityError
 from codtsim.optics import (
+    CHANNELS,
     AstigmaticBeam,
     InputBeam,
     OpticalLayout,
@@ -14,6 +15,8 @@ from codtsim.optics import (
     crossing_from_offsets,
     deflection_to_displacement,
     focus_input_beam,
+    frequency_offset,
+    max_displacement,
     offsets_from_crossing,
     plate_shifts,
 )
@@ -156,6 +159,26 @@ class TestDeflection:
     def test_out_of_range_rejected(self, layout):
         with pytest.raises(DomainError):
             deflection_to_displacement(layout, "h1", 15.5)
+
+    @pytest.mark.parametrize("mode", ["calibrated", "geometric"])
+    def test_frequency_offset_inverts_the_map(self, layout, mode):
+        layout = replace(layout, deflection_mode=mode)
+        for ch in CHANNELS:
+            for d in np.linspace(-1.0, 1.0, 41) * max_displacement(layout, ch):
+                back = deflection_to_displacement(layout, ch, frequency_offset(layout, ch, d))
+                assert back == pytest.approx(d, rel=1e-12, abs=0.0), (ch, d)
+
+    @pytest.mark.parametrize("mode", ["calibrated", "geometric"])
+    def test_frequency_offset_past_the_range_rejected(self, layout, mode):
+        layout = replace(layout, deflection_mode=mode)
+        d = 1.001 * max_displacement(layout, "h1")
+        with pytest.raises(DomainError, match="unreachable"):
+            frequency_offset(layout, "h1", d)
+
+    def test_range_must_be_positive(self, layout):
+        for mhz in (0.0, -1.0):
+            with pytest.raises(DomainError, match="aod_freq_range_mhz"):
+                replace(layout, aod_freq_range_mhz=mhz)
 
 
 def closest_approach(beam_a: AstigmaticBeam, beam_b: AstigmaticBeam) -> tuple[float, np.ndarray]:

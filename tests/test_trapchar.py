@@ -321,6 +321,24 @@ class TestBatch:
         single = self._assert_batch_equals_single(constants, pairs, seeds[[0, 1, 3, 0, 0, 0, 0]])
         assert sum(r.valid for r in single) >= 5
 
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_report_fields_of_valid_and_invalid_items(self, mixed, gravity):
+        records, seeds, _ = mixed
+        reports = characterize_batch(DipolePotential(PhysicalConstants(gravity=gravity), records), seeds)
+        assert {r.valid for r in reports} == {True, False}
+        for report, seed in zip(reports, seeds):
+            assert np.array_equal(report.seed, seed)
+            assert type(report.newton_iterations) is int and 0 <= report.newton_iterations <= trapchar.MAX_NEWTON_ITER
+            assert type(report.gradient_norm) is float and np.isfinite(report.gradient_norm)
+            if report.valid:
+                assert report.reason == ""
+                assert report.mean_frequency == float(np.prod(report.frequencies)) ** (1.0 / 3.0)
+            else:
+                assert report.reason
+                assert report.depth_escape == report.depth_peak == 0.0
+                assert np.array_equal(report.frequencies, np.zeros(3)) and report.mean_frequency == 0.0
+                assert np.array_equal(report.principal_axes, np.eye(3))
+
     def test_one_newton_pass_and_one_escape_scan(self, mixed, monkeypatch):
         records, seeds, _ = mixed
         calls = []

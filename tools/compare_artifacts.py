@@ -14,8 +14,10 @@ cannot export ``REV``.
 The matrix: all twelve subcommands at ``--seed 13`` (``flight analyze`` on
 the ``flight synth`` output), a 3x3x3 and a 5x5x5 ``paint compensate`` at 480 um
 (the latter groups the most escape scans into kernel calls), a 41-step
-``trap misalign-sweep`` out to 20 um and a 740 um ``evap timeline`` at three
-samples, each at 0 g and at 9.81 m/s^2. Each tree runs ``JOBS`` runs at a time.
+``trap misalign-sweep`` out to 20 um, a 740 um ``evap timeline`` at three
+samples, and ``trap report``, ``paint grid`` and ``paint transport`` with the
+geometric deflection map, each at 0 g and at 9.81 m/s^2: 38 runs. Each tree
+runs ``JOBS`` runs at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ EXTRA = [
      ["paint.grid_counts=[5,5,5]", "paint.grid_spacing_um=[480,480,480]"]),
     ("trap-misalign-sweep-20um", ("trap", "misalign-sweep"), ["misalign.max_offset_um=20", "misalign.n_steps=41"]),
     ("evap-timeline-740um", ("evap", "timeline"), ["evap.amplitude_start_um=740", "evap.timeline_samples=3"]),
+    ("trap-report-geometric", ("trap", "report"), ["layout.deflection_mode=geometric"]),
+    ("paint-grid-geometric", ("paint", "grid"), ["layout.deflection_mode=geometric"]),
+    ("paint-transport-geometric", ("paint", "transport"), ["layout.deflection_mode=geometric"]),
 ]
 GRAVITIES = {"0g": [], "1g": ["constants.gravity_m_s2=9.81"]}
 JOBS = 2  # runs at a time; each is a fresh interpreter of ~40 MB
