@@ -30,7 +30,7 @@ from .optics import (
     deflection_to_displacement,
     focus_input_beam,
 )
-from .potential import ModulationWaveform, ScalarField3D, time_averaged_potential
+from .potential import ModulationWaveform, time_averaged_potential, write_field
 from .trapchar import (
     ThermoMetrics,
     TrapReport,
@@ -50,8 +50,8 @@ __all__ = [
     "deflection_to_displacement",
     "build_beamlines",
     "ModulationWaveform",
-    "ScalarField3D",
     "time_averaged_potential",
+    "write_field",
     "TrapReport",
     "ThermoMetrics",
     "characterize",

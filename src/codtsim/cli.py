@@ -29,7 +29,16 @@ import scipy
 
 from . import __version__, config as cfgmod
 from .errors import CodtsimError, ConfigError, DomainError
-from .evap import ExpansionState, build_schedule, expand, fit_bimodal, thermal_sigma0, timeline
+from .evap import (
+    AmplitudeSegment,
+    ExpansionState,
+    PowerSegment,
+    RampSchedule,
+    expand,
+    fit_bimodal,
+    thermal_sigma0,
+    timeline,
+)
 from .optics import CHANNELS, displacement_scale, focus_input_beam
 from .painting import (
     GridSpec,
@@ -47,7 +56,7 @@ from .pointing import (
     track_stats,
     write_pgm_frames,
 )
-from .potential import WAVEFORM_PERIOD, DipolePotential, ScalarField3D, beam_records
+from .potential import WAVEFORM_PERIOD, DipolePotential, beam_records, write_field
 from .trapchar import characterize_crossed_trap, misalignment_sweep, reachable_volume
 
 
@@ -144,10 +153,9 @@ def cmd_trap_report(cfg, out: Path) -> None:
         half = FIELD_WAIST_MARGIN * max(beam.width_h(0.0), beam.width_h(split), beam.width_v(split))
         potential = DipolePotential(constants, beam_records(layout, inputs, np.zeros(4))[0])
         try:
-            field = ScalarField3D.sample(potential, np.zeros(3), half, cfg["trap"]["field_dims"])
+            write_field(out / "trap_field", potential, np.zeros(3), half, cfg["trap"]["field_dims"])
         except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
             raise DomainError(f"trap.field_dims: the field grid cannot be allocated: {exc}") from exc
-        field.save(out / "trap_field")
 
 
 def cmd_trap_volume(cfg, out: Path) -> None:
@@ -236,16 +244,16 @@ def cmd_paint_transport(cfg, out: Path) -> None:
     )
 
 
-def _schedule_from_config(cfg):
+def _schedule_from_config(cfg) -> RampSchedule:
     e = cfg["evap"]
-    return build_schedule(
-        p_start=e["power_start_w"],
-        p_end=e["power_end_w"],
-        power_duration=e["power_duration_s"],
-        a_start=e["amplitude_start_um"] * 1e-6,
-        a_end=e["amplitude_end_um"] * 1e-6,
-        amplitude_duration=e["amplitude_duration_s"],
-        amplitude_tau=e["amplitude_tau_s"],
+    return RampSchedule(
+        power=PowerSegment(e["power_start_w"], e["power_end_w"], e["power_duration_s"]),
+        amplitude=AmplitudeSegment(
+            e["amplitude_start_um"] * 1e-6,
+            e["amplitude_end_um"] * 1e-6,
+            e["amplitude_duration_s"],
+            e["amplitude_tau_s"],
+        ),
         hold=e["hold_s"],
         reopen_amplitude=e["reopen_amplitude_um"] * 1e-6,
         reopen_power=e["reopen_power_w"],
@@ -445,9 +453,6 @@ def cmd_flight_synth(cfg, out: Path) -> None:
     meta = {
         "pixel_pitch_um": f["pixel_pitch_um"],
         "fps": f["fps"],
-        "threshold_fraction": f["threshold_fraction"],
-        "gate_pitch_factor": f["gate_pitch_factor"],
-        "inner_fraction": f["inner_fraction"],
         "phase_boundaries_s": {k: list(v) for k, v in truth["boundaries"].items()},
         "n_frames": int(len(truth["times"])),
         "truth": {
@@ -472,8 +477,7 @@ def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
 def _read_flight_meta(path: Path, keys) -> dict:
     """Checked ``keys`` of ``flight_meta.json``; ConfigError naming the file and key if one is bad.
 
-    A ``flight`` config key of the same name gives the check; ``gate_pitch_factor``
-    and ``inner_fraction`` fall back to its default.
+    A ``flight`` config key of the same name gives the check.
     """
     if not path.exists():
         raise ConfigError(f"flight metadata not found at {path}")
@@ -483,8 +487,6 @@ def _read_flight_meta(path: Path, keys) -> dict:
         raise ConfigError(f"{path}: cannot read flight metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: flight metadata must be an object")
-    defaults = cfgmod.DEFAULT_CONFIG["flight"]
-    meta = {"gate_pitch_factor": defaults["gate_pitch_factor"], "inner_fraction": defaults["inner_fraction"], **meta}
     missing = [k for k in keys if k not in meta]
     if missing:
         raise ConfigError(f"{path}: flight metadata lacks {', '.join(missing)}")
@@ -500,9 +502,11 @@ def _read_flight_meta(path: Path, keys) -> dict:
 
 
 def cmd_flight_analyze(cfg, out: Path, frames_dir: Path, centroids: Path | None = None) -> None:
-    keys = ["phase_boundaries_s", "inner_fraction"]
+    """Analyze the recording that ``frames_dir/flight_meta.json`` describes, with this run's ``flight`` settings."""
+    f = cfg["flight"]
+    keys = ["phase_boundaries_s"]
     if centroids is None:
-        keys += ["n_frames", "pixel_pitch_um", "fps", "threshold_fraction", "gate_pitch_factor"]
+        keys += ["n_frames", "pixel_pitch_um", "fps"]
     meta = _read_flight_meta(frames_dir / "flight_meta.json", keys)
     boundaries = {k: tuple(v) for k, v in meta["phase_boundaries_s"].items()}
     if centroids is not None:
@@ -515,11 +519,11 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path, centroids: Path | None 
         )
         series = track_spots(
             frames,
-            threshold_fraction=meta["threshold_fraction"],
+            threshold_fraction=f["threshold_fraction"],
+            gate_factor=f["gate_pitch_factor"],
             phase_boundaries=boundaries,
-            gate_factor=meta["gate_pitch_factor"],
         )
-    report = track_stats(series, inner_fraction=meta["inner_fraction"])
+    report = track_stats(series, inner_fraction=f["inner_fraction"])
     series_rows = report.pop("series")
     write_json(out / "flight_report.json", report)
     rows = [

@@ -99,7 +99,7 @@ SPEC: dict = {
         "spot_amplitude": (3000.0, "number", "positive"),
         "background": (40.0, "number", "nonnegative"),
         "noise": (6.0, "number", "nonnegative"),
-        "threshold_fraction": (0.2, "number", "unit"),
+        "threshold_fraction": (0.2, "number", "open-unit"),
         "launch_displacement_um": (75.0, "number", "nonnegative"),
         "microgravity_offset_um": (12.0, "number", "nonnegative"),
         "interspot_jitter_um": (1.2, "number", "nonnegative"),
@@ -156,6 +156,8 @@ def check_value(value, leaf: tuple, path: str) -> None:
             raise ConfigError(f"{path}: must be >= 0")
         if "unit" in flags and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{path}: must lie in [0, 1]")
+        if "open-unit" in flags and not 0.0 < value < 1.0:
+            raise ConfigError(f"{path}: must lie in (0, 1)")
     elif kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")

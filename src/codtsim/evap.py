@@ -115,42 +115,12 @@ class RampSchedule:
         return a, 0.0
 
 
-def build_schedule(
-    p_start: float = 10.0,
-    p_end: float = 0.04,
-    power_duration: float = 1.0,
-    a_start: float = 230e-6,
-    a_end: float = 0.0,
-    amplitude_duration: float = 1.0,
-    amplitude_tau: float = 0.2,
-    hold: float = 0.3,
-    reopen_amplitude: float = 70e-6,
-    reopen_power: float = 5.0,
-    reopen_duration: float = 0.2,
-) -> RampSchedule:
-    """Evaporation schedule: exponential power ramp, amplitude ramp, reopen step.
-
-    Defaults model the demonstrated sequence: per-beam power 10 W -> 40 mW in
-    1 s; painting amplitude ramped from 230 um toward zero with a 200 ms time
-    constant; after a hold, the modulation reopens in two dimensions with an
-    intensity step that raises the depth while lowering the frequencies.
-    """
-    return RampSchedule(
-        power=PowerSegment(p_start, p_end, power_duration),
-        amplitude=AmplitudeSegment(a_start, a_end, amplitude_duration, amplitude_tau),
-        hold=hold,
-        reopen_amplitude=reopen_amplitude,
-        reopen_power=reopen_power,
-        reopen_duration=reopen_duration,
-    )
-
-
 def timeline(
     constants: PhysicalConstants,
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     schedule: RampSchedule,
-    n_samples: int = 25,
+    n_samples: int,
 ) -> list[dict]:
     """The schedule and the trap row (``TrapReport.row``) at each sampled time, one row per time.
 

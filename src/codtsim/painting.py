@@ -199,11 +199,6 @@ def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: floa
     return ModulationWaveform(t, np.outer(tri, amps), np.ones((LINE_PAINT_KNOTS, 4)))
 
 
-def vertical_tones(layout: OpticalLayout, positions) -> ModulationWaveform:
-    """Equal-dwell interleaved tones crossing the beams at each height in ``positions`` (m)."""
-    return _dwell_waveform(layout, [(0.0, z, 0.0, z) for z in positions])
-
-
 def grid_waveform(
     layout: OpticalLayout, spec: GridSpec, inputs: tuple[InputBeam, InputBeam], weights=None
 ) -> ModulationWaveform:
@@ -220,25 +215,6 @@ def grid_waveform(
         w = 1.0 if weights is None else float(weights[n_idx])
         seg_weights.append((w, 1.0, w, 1.0))
     return _dwell_waveform(layout, segments, seg_weights)
-
-
-def split_ramp(initial: ModulationWaveform, final: ModulationWaveform, steps: int) -> list[ModulationWaveform]:
-    """Linearly interpolated waveform sequence from ``initial`` to ``final``."""
-    if steps < 2:
-        raise DomainError("a ramp needs at least two steps")
-    if not np.array_equal(initial.times, final.times):
-        raise DomainError("initial and final waveforms have different knot times")
-    out = []
-    for j in range(steps):
-        s = j / (steps - 1)
-        out.append(
-            ModulationWaveform(
-                initial.times,
-                (1 - s) * initial.freq_offsets_mhz + s * final.freq_offsets_mhz,
-                (1 - s) * initial.weights + s * final.weights,
-            )
-        )
-    return out
 
 
 def minimum_jerk(s: np.ndarray) -> np.ndarray:

@@ -23,8 +23,6 @@ from .errors import ConfigError, DomainError
 
 PHASES = ("pre", "launch", "microgravity", "landing", "post")
 
-DEFAULT_THRESHOLD = 0.2
-GATE_PITCH_FACTOR = 10.0
 BLOCK_FRAMES = 32  # frames labeled per numpy pass
 WRITE_BATCH_FRAMES = 8  # rendered frames handed to the frame writer at a time
 WRITE_QUEUE_BATCHES = 4  # batches that may wait for the frame writer
@@ -188,9 +186,7 @@ def detect_block(
     return results
 
 
-def detect_spots(
-    frame: Frame, threshold_fraction: float = DEFAULT_THRESHOLD, max_spots: int = 2
-) -> tuple[list[Detection], bool]:
+def detect_spots(frame: Frame, threshold_fraction: float, max_spots: int = 2) -> tuple[list[Detection], bool]:
     """Thresholded connected-component centroids, brightest first.
 
     Returns (detections, truncated) where ``truncated`` flags that more than
@@ -233,15 +229,14 @@ def _detections(frames, threshold_fraction: float):
 
 
 def track_spots(
-    frames,
-    threshold_fraction: float = DEFAULT_THRESHOLD,
-    phase_boundaries: dict | None = None,
-    gate_factor: float = GATE_PITCH_FACTOR,
+    frames, threshold_fraction: float, gate_factor: float, phase_boundaries: dict | None = None
 ) -> SpotTrackSeries:
     """Detect two spots per frame and maintain identity by nearest-neighbor gating.
 
-    ``frames`` is any iterable of frames; it is consumed in blocks of
-    ``BLOCK_FRAMES`` frames of one shape, so a generator is never held whole.
+    A spot takes the nearest detection within ``gate_factor`` pixel pitches of
+    its last centroid.  ``frames`` is any iterable of frames; it is consumed in
+    blocks of ``BLOCK_FRAMES`` frames of one shape, so a generator is never
+    held whole.
     """
     times, positions, flags = [], [], []
     previous = [None, None]  # last centroid of each spot; a spot never found stays None
@@ -292,7 +287,7 @@ def _stats(arr: np.ndarray) -> dict:
     }
 
 
-def track_stats(series: SpotTrackSeries, inner_fraction: float = 0.75) -> dict:
+def track_stats(series: SpotTrackSeries, inner_fraction: float) -> dict:
     """Flight report: displacements, AC jitter and DC inter-spot distance.
 
     Displacements are measured from the pre-launch mean position per spot and

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -266,63 +266,29 @@ def _merge_records(records: np.ndarray) -> np.ndarray:
     return merged
 
 
-@dataclass
-class ScalarField3D:
-    """Potential samples on a regular (possibly sheared) 3D grid.
+def write_field(path, potential: DipolePotential, center, half_extents, dims) -> None:
+    """Write ``potential`` on a ``dims`` grid spanning center +/- half_extents on each axis.
 
-    ``axes`` rows are the three step vectors between neighboring nodes; node
-    (i, j, k) sits at origin + i axes[0] + j axes[1] + k axes[2].  Values are
-    energies in J stored in C order with shape ``dims``.
+    An axis with a single node holds it at the center.  Node (i, j, k) sits
+    at origin + (i, j, k) * steps.  <path>.json is the header (origin, the
+    diagonal matrix of steps as ``axes_m``, dims, units) and <path>.bin the
+    energies in J, float64 little-endian in C order.
     """
-
-    origin: np.ndarray
-    axes: np.ndarray
-    dims: tuple[int, int, int]
-    values: np.ndarray
-    units: dict = field(default_factory=lambda: {"length": "m", "energy": "J"})
-
-    def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.axes = np.asarray(self.axes, dtype=float).reshape(3, 3)
-        self.values = np.asarray(self.values, dtype=float).reshape(self.dims)
-        if any(d < 1 for d in self.dims):
-            raise DomainError("field dims must be positive")
-        if abs(np.linalg.det(self.axes)) < 1e-30:
-            raise DomainError("field axes must be linearly independent")
-
-    @classmethod
-    def sample(cls, potential: DipolePotential, center, half_extents, dims) -> "ScalarField3D":
-        """``potential`` on a ``dims`` grid spanning center +/- half_extents on each axis.
-
-        An axis with a single node holds it at the center.
-        """
-        center = np.asarray(center, dtype=float)
-        half = np.broadcast_to(np.asarray(half_extents, dtype=float), (3,))
-        dims = tuple(int(d) for d in dims)
-        steps = np.array([2 * half[i] / (dims[i] - 1) if dims[i] > 1 else 1.0 for i in range(3)])
-        origin = center - np.where(np.array(dims) > 1, half, 0.0)
-        fld = cls(origin=origin, axes=np.diag(steps), dims=dims, values=np.zeros(dims))
-        fld.values = potential(fld.node_coordinates()).reshape(dims)
-        return fld
-
-    def node_coordinates(self) -> np.ndarray:
-        """All node positions, shape (N, 3) in C order."""
-        idx = np.stack(
-            np.meshgrid(*[np.arange(d) for d in self.dims], indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        return self.origin + idx @ self.axes
-
-    def save(self, path) -> None:
-        """Write <path>.json header plus <path>.bin float64 little-endian payload."""
-        path = Path(path)
-        header = {
-            "origin_m": self.origin.tolist(),
-            "axes_m": self.axes.tolist(),
-            "dims": list(self.dims),
-            "units": self.units,
-            "dtype": "<f8",
-            "order": "C",
-            "data_file": path.with_suffix(".bin").name,
-        }
-        path.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True))
-        self.values.astype("<f8").tofile(path.with_suffix(".bin"))
+    path = Path(path)
+    half = np.broadcast_to(np.asarray(half_extents, dtype=float), (3,))
+    dims = tuple(int(d) for d in dims)
+    axes = np.diag([2 * half[i] / (dims[i] - 1) if dims[i] > 1 else 1.0 for i in range(3)])
+    origin = np.asarray(center, dtype=float) - np.where(np.array(dims) > 1, half, 0.0)
+    nodes = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"), axis=-1).reshape(-1, 3)
+    values = potential(origin + nodes @ axes)
+    header = {
+        "origin_m": origin.tolist(),
+        "axes_m": axes.tolist(),
+        "dims": list(dims),
+        "units": {"length": "m", "energy": "J"},
+        "dtype": "<f8",
+        "order": "C",
+        "data_file": path.with_suffix(".bin").name,
+    }
+    path.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True))
+    values.astype("<f8").tofile(path.with_suffix(".bin"))

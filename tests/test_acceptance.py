@@ -12,11 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from codtsim.cli import _schedule_from_config
 from codtsim.cli import main as cli_main
+from codtsim.config import load_config
 from codtsim.constants import PhysicalConstants
 from codtsim.evap import (
     bimodal_profile,
-    build_schedule,
     castin_dum_lambdas,
     evaporation_efficiency,
     fit_bimodal,
@@ -170,7 +171,7 @@ def test_criterion_05_grid_homogeneity(grid_480):
 
 def test_criterion_06_timeline_shape():
     with criterion(6, "evaporation timeline shape"):
-        schedule = build_schedule()
+        schedule = _schedule_from_config(load_config())
         rows = timeline(RB, LAYOUT, INPUTS, schedule, n_samples=14)
         evap_rows = [r for r in rows if r["valid"] and r["t_s"] <= 1.0]
         assert len(evap_rows) >= 6
@@ -285,8 +286,9 @@ def test_criterion_10_pointing_pipeline(tmp_path):
         from codtsim.pointing import Frame
 
         shifted = Frame(values=np.roll(frame.values, (2, 5), axis=(0, 1)), pixel_pitch=5e-6)
-        d0, _ = detect_spots(frame)
-        d1, _ = detect_spots(shifted)
+        threshold = load_config()["flight"]["threshold_fraction"]
+        d0, _ = detect_spots(frame, threshold)
+        d1, _ = detect_spots(shifted, threshold)
         for a, b in zip(d0, d1):
             assert b.centroid_um[0] - a.centroid_um[0] == pytest.approx(25.0, abs=1e-9)
             assert b.centroid_um[1] - a.centroid_um[1] == pytest.approx(10.0, abs=1e-9)

@@ -69,6 +69,9 @@ class TestConfig:
             ({"tof": {"frequencies_hz": [0, 35, 350]}}, "tof.frequencies_hz"),
             ({"tof": {"tf_radii_um": [-4, -14, -1.4]}}, "tof.tf_radii_um"),
             ({"tof": {"tf_radii_um": [0, 0, 0]}}, "tof.tf_radii_um"),
+            # the detector thresholds at a fraction strictly inside (0, 1)
+            ({"flight": {"threshold_fraction": 0}}, "flight.threshold_fraction"),
+            ({"flight": {"threshold_fraction": 1}}, "flight.threshold_fraction"),
         ):
             path.write_text(json.dumps(bad))
             with pytest.raises(ConfigError, match=field):
@@ -110,7 +113,6 @@ class TestConfig:
 _FLIGHT_META = {
     "pixel_pitch_um": 5.0,
     "fps": 24.0,
-    "threshold_fraction": 0.2,
     "phase_boundaries_s": {"pre": [0.0, 1.0]},
     "n_frames": 1,
 }
@@ -231,14 +233,7 @@ class TestCli:
     def test_truncated_frame_exit_code_3(self, tmp_path, capsys):
         out = tmp_path / "flight"
         (out / "frames").mkdir(parents=True)
-        meta = {
-            "pixel_pitch_um": 5.0,
-            "fps": 24.0,
-            "threshold_fraction": 0.2,
-            "phase_boundaries_s": {"pre": [0.0, 1.0]},
-            "n_frames": 1,
-        }
-        (out / "flight_meta.json").write_text(json.dumps(meta))
+        (out / "flight_meta.json").write_text(json.dumps(_FLIGHT_META))
         (out / "frames" / "frame_00000.pgm").write_bytes(b"P5\n96 96\n65535\n" + bytes(100))
         assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
         assert "truncated" in capsys.readouterr().err
@@ -267,19 +262,20 @@ class TestCli:
         assert drawn == []
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, setting, message",
         [
-            ('{"pixel_pitch_um": 5.0, "fps"', "cannot read"),  # cut short
-            (json.dumps({"pixel_pitch_um": 5.0, "fps": 24.0, "n_frames": 1}), "phase_boundaries_s"),
-            (json.dumps([1, 2]), "must be an object"),
-            (json.dumps(_FLIGHT_META | {"fps": 0}), "fps"),
-            (json.dumps(_FLIGHT_META | {"n_frames": "3"}), "n_frames"),
-            (json.dumps(_FLIGHT_META | {"pixel_pitch_um": "5"}), "pixel_pitch_um"),
-            (json.dumps(_FLIGHT_META | {"threshold_fraction": 1.5}), "threshold_fraction"),
-            (json.dumps(_FLIGHT_META | {"gate_pitch_factor": -1.0}), "gate_pitch_factor"),
-            (json.dumps(_FLIGHT_META | {"inner_fraction": None}), "inner_fraction"),
-            (json.dumps(_FLIGHT_META | {"phase_boundaries_s": [[0.0, 1.0]]}), "phase_boundaries_s"),
-            (json.dumps(_FLIGHT_META | {"phase_boundaries_s": {"pre": [0.0]}}), "phase_boundaries_s.pre"),
+            ('{"pixel_pitch_um": 5.0, "fps"', None, "cannot read"),  # cut short
+            (json.dumps({"pixel_pitch_um": 5.0, "fps": 24.0, "n_frames": 1}), None, "phase_boundaries_s"),
+            (json.dumps([1, 2]), None, "must be an object"),
+            (json.dumps(_FLIGHT_META | {"fps": 0}), None, "fps"),
+            (json.dumps(_FLIGHT_META | {"n_frames": "3"}), None, "n_frames"),
+            (json.dumps(_FLIGHT_META | {"pixel_pitch_um": "5"}), None, "pixel_pitch_um"),
+            # the analysis settings are the run's own, named by their field path
+            (json.dumps(_FLIGHT_META), "flight.threshold_fraction=1.5", "flight.threshold_fraction"),
+            (json.dumps(_FLIGHT_META), "flight.gate_pitch_factor=-1.0", "flight.gate_pitch_factor"),
+            (json.dumps(_FLIGHT_META), "flight.inner_fraction=null", "flight.inner_fraction"),
+            (json.dumps(_FLIGHT_META | {"phase_boundaries_s": [[0.0, 1.0]]}), None, "phase_boundaries_s"),
+            (json.dumps(_FLIGHT_META | {"phase_boundaries_s": {"pre": [0.0]}}), None, "phase_boundaries_s.pre"),
         ],
         ids=[
             "truncated",
@@ -295,14 +291,42 @@ class TestCli:
             "boundary-one-number",
         ],
     )
-    def test_broken_flight_meta_exit_code_2(self, tmp_path, capsys, content, message):
+    def test_broken_flight_meta_exit_code_2(self, tmp_path, capsys, content, setting, message):
         out = tmp_path / "flight"
         out.mkdir()
         meta_path = out / "flight_meta.json"
         meta_path.write_text(content)
-        assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 2
+        argv = ["flight", "analyze", "--out", str(out), "--frames", str(out)]
+        assert main(argv + (["--set", setting] if setting else [])) == 2
         err = capsys.readouterr().err
-        assert str(meta_path) in err and message in err
+        assert message in err
+        # a bad setting is the config's fault, a bad recording the file's
+        assert (str(meta_path) in err) == (setting is None)
+
+    def test_flight_analyze_reads_its_own_inner_fraction(self, tmp_path):
+        out = tmp_path / "flight"
+        assert main(["flight", "synth", "--out", str(out)]) == 0
+        argv = ["flight", "analyze", "--out", str(out), "--frames", str(out), "--set", "flight.inner_fraction=0.1"]
+        assert main(argv) == 0
+        report = json.loads((out / "flight_report.json").read_text())
+        # microgravity spans 3-7 s, so a tenth of it centred is 4.8-5.2 s
+        assert report["microgravity_inner"]["window_s"] == pytest.approx([4.8, 5.2])
+
+    def test_flight_meta_settings_are_not_read(self, tmp_path):
+        out = tmp_path / "flight"
+        assert main(["flight", "synth", "--out", str(out)]) == 0
+        meta_path = out / "flight_meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert not {"threshold_fraction", "gate_pitch_factor", "inner_fraction"} & set(meta)
+        argv = ["flight", "analyze", "--frames", str(out)]
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        # a recording written when the metadata carried the settings, even bad ones
+        legacy = meta | {"threshold_fraction": 1.5, "gate_pitch_factor": -1.0, "inner_fraction": 0.1}
+        meta_path.write_text(json.dumps(legacy))
+        assert main([*argv, "--out", str(tmp_path / "old")]) == 0
+        fresh, old = ((tmp_path / run / "flight_report.json").read_bytes() for run in ("fresh", "old"))
+        assert fresh == old
+        assert json.loads(old)["microgravity_inner"]["window_s"] == pytest.approx([3.5, 6.5])
 
     def test_domain_error_exit_code_3(self, tmp_path, capsys):
         no_deflection = ['layout.deflection_mode="geometric"', "layout.aod_full_deflection_deg=0"]
@@ -649,8 +673,6 @@ class TestCli:
         meta = {
             "pixel_pitch_um": 5.0,
             "fps": 24.0,
-            "threshold_fraction": 0.2,
-            "inner_fraction": 0.75,
             "phase_boundaries_s": {"pre": [0.0, 0.5], "microgravity": [0.5, 1.5]},
             "n_frames": 36,
         }

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from codtsim.cli import _schedule_from_config
+from codtsim.config import load_config
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError
 from codtsim.evap import (
@@ -10,7 +12,6 @@ from codtsim.evap import (
     ExpansionState,
     PowerSegment,
     bimodal_profile,
-    build_schedule,
     castin_dum_lambdas,
     evaporation_efficiency,
     expand,
@@ -22,6 +23,11 @@ from codtsim.optics import crossing_from_offsets
 from codtsim.trapchar import ThermoMetrics
 
 RB = PhysicalConstants(gravity=0.0)
+
+
+def bundled_schedule(*overrides):
+    """The schedule ``evap`` commands run, from the bundled config with ``--set`` overrides."""
+    return _schedule_from_config(load_config(None, list(overrides)))
 
 
 class TestSchedule:
@@ -55,7 +61,7 @@ class TestSchedule:
         assert seg.value(t_tail - eps) == pytest.approx(seg.value(t_tail + eps), rel=1e-6)
 
     def test_reopen_amplitudes_on_two_dimensions(self):
-        schedule = build_schedule()
+        schedule = bundled_schedule()
         t_reopen = schedule.ramp_duration + schedule.hold + 0.01
         amp_h, amp_v = schedule.amplitude_at(t_reopen)
         assert amp_h == pytest.approx(70e-6)
@@ -63,17 +69,17 @@ class TestSchedule:
         assert schedule.power_at(t_reopen) == pytest.approx(5.0)
 
     def test_segment_end_held_exactly_until_reopen(self):
-        schedule = build_schedule(power_duration=1.0, a_end=10e-6, amplitude_duration=0.5)
+        schedule = bundled_schedule("evap.amplitude_end_um=10", "evap.amplitude_duration_s=0.5")
         # t == duration is still inside a segment; after it the exact endpoint holds
         assert schedule.power_at(1.0) == schedule.power.value(1.0)
         assert schedule.power_at(1.0 + 1e-9) == 0.04
-        assert schedule.amplitude_at(0.5 + 1e-9) == (10e-6, 0.0)
-        assert schedule.amplitude_at(1.2) == (10e-6, 0.0)
+        assert schedule.amplitude_at(0.5 + 1e-9) == (10 * 1e-6, 0.0)
+        assert schedule.amplitude_at(1.2) == (10 * 1e-6, 0.0)
         assert schedule.total_duration == pytest.approx(1.0 + 0.3 + 0.2)
         assert schedule.amplitude_at(schedule.total_duration) == (70e-6, 70e-6)
 
     def test_schedule_continuity(self):
-        schedule = build_schedule()
+        schedule = bundled_schedule()
         ts = np.linspace(0, schedule.ramp_duration, 500)
         p = np.array([schedule.power_at(t) for t in ts])
         a = np.array([schedule.amplitude_at(t)[0] for t in ts])
@@ -83,7 +89,7 @@ class TestSchedule:
 
 @pytest.fixture(scope="module")
 def rows(layout, input_pair):
-    schedule = build_schedule()
+    schedule = bundled_schedule()
     return schedule, timeline(RB, layout, input_pair, schedule, n_samples=14)
 
 
@@ -113,7 +119,7 @@ class TestTimeline:
         calls = []
         real = evap.characterize
         monkeypatch.setattr(evap, "characterize", lambda *a, **k: calls.append(1) or real(*a, **k))
-        schedule = build_schedule()
+        schedule = bundled_schedule()
         rows = timeline(RB, layout, input_pair, schedule, n_samples=9)
         keys = [(r["power_w"], r["amplitude_h_um"], r["amplitude_v_um"]) for r in rows]
         assert len(calls) == len(set(keys)) == len(rows) - 1  # t = 1.3125 and 1.5 s repeat

@@ -11,17 +11,9 @@ from codtsim.painting import (
     grid_waveform,
     line_paint,
     minimum_jerk,
-    split_ramp,
     transport_ramp,
-    vertical_tones,
 )
-from codtsim.potential import (
-    DipolePotential,
-    ModulationWaveform,
-    _merge_records,
-    _phase_records,
-    time_averaged_potential,
-)
+from codtsim.potential import ModulationWaveform, time_averaged_potential
 
 RB = PhysicalConstants(gravity=0.0)
 
@@ -32,11 +24,11 @@ def assert_waveforms_equal(a: ModulationWaveform, b: ModulationWaveform) -> None
 
 
 class TestSynthesizeWaveform:
-    """The waveform constructors: line paint, vertical tones, grid dwell, constant."""
+    """The waveform constructors: line paint, grid dwell (a vertical column is interleaved tones), constant."""
 
-    def test_vertical_tone_separation_at_calibration(self, layout):
+    def test_vertical_tone_separation_at_calibration(self, layout, input_pair):
         # 190 um two-site spacing at 86 um/MHz -> tones separated by ~2.21 MHz
-        wf = vertical_tones(layout, [-95.0 * 1e-6, 95.0 * 1e-6])
+        wf = grid_waveform(layout, GridSpec(counts=(1, 1, 2), spacing=(0.0, 0.0, 190.0 * 1e-6)), input_pair)
         v1 = wf.freq_offsets_mhz[:, 1]
         sep = v1.max() - v1.min()
         assert sep == pytest.approx(190.0 / 86.0, rel=1e-6)
@@ -126,58 +118,6 @@ def dwell_knots_loop(layout, spec, site_weights):
         f_knots += f_row
         w_knots += w_row
     return np.array(times), np.array(f_knots), np.array(w_knots)
-
-
-class TestSplitRamp:
-    def _tones(self, layout, positions_um):
-        return vertical_tones(layout, [p * 1e-6 for p in positions_um])
-
-    def test_two_steps_are_exactly_endpoints(self, layout):
-        initial = self._tones(layout, [0.0, 0.0])
-        final = self._tones(layout, [-95.0, 95.0])
-        seq = split_ramp(initial, final, steps=2)
-        assert len(seq) == 2
-        assert_waveforms_equal(seq[0], initial)
-        assert_waveforms_equal(seq[-1], final)
-
-    def test_midpoint_is_arithmetic_mean(self, layout):
-        initial = self._tones(layout, [0.0, 0.0])
-        final = self._tones(layout, [-95.0, 95.0])
-        seq = split_ramp(initial, final, steps=3)
-        np.testing.assert_allclose(
-            seq[1].freq_offsets_mhz,
-            0.5 * (initial.freq_offsets_mhz + final.freq_offsets_mhz),
-            atol=1e-15,
-        )
-
-    def test_power_budget_conserved(self, layout):
-        initial = self._tones(layout, [0.0, 0.0])
-        final = self._tones(layout, [-95.0, 95.0])
-        for wf in split_ramp(initial, final, steps=5):
-            for ch in range(4):
-                assert np.mean(wf.weights[:, ch]) <= 1.0 + 1e-12
-                assert np.mean(wf.weights[:, ch]) == pytest.approx(
-                    np.mean(initial.weights[:, ch]), rel=1e-12
-                )
-
-    def test_minima_census_during_split(self, layout, input_pair):
-        # at any ramp stage the field sampled at the dwell knots has one or two
-        # minima, never more (finer phases also resolve the transitions)
-        initial = self._tones(layout, [0.0, 0.0])
-        final = self._tones(layout, [-95.0, 95.0])
-        z = np.linspace(-160e-6, 160e-6, 321)
-        pts = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-        for wf in split_ramp(initial, final, steps=5):
-            u = DipolePotential(RB, _merge_records(_phase_records(layout, input_pair, wf, 8)))(pts)
-            interior = (u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])
-            n_minima = int(np.sum(interior))
-            assert n_minima in (1, 2)
-
-    def test_mismatched_structure_rejected(self, layout):
-        initial = self._tones(layout, [0.0, 0.0])
-        final = self._tones(layout, [-95.0, 0.0, 95.0])
-        with pytest.raises(DomainError):
-            split_ramp(initial, final, steps=3)
 
 
 class TestTransportRamp:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from codtsim import pointing
+from codtsim.config import load_config
 from codtsim.errors import ConfigError, DomainError
 from codtsim.pointing import (
     BLOCK_FRAMES,
@@ -22,6 +23,9 @@ from codtsim.pointing import (
 )
 
 PITCH = 5e-6
+# the analysis settings of the bundled config
+FLIGHT = load_config()["flight"]
+THRESHOLD, GATE, INNER = (FLIGHT[k] for k in ("threshold_fraction", "gate_pitch_factor", "inner_fraction"))
 
 
 def two_spot_frame(x1=200.0, x2=260.0, y=240.0, noise=0.0, seed=0, amp=3000.0):
@@ -44,7 +48,7 @@ class TestSynthFrame:
 
     def test_rendered_separation_in_pixels(self):
         frame = two_spot_frame()
-        dets, _ = detect_spots(frame)
+        dets, _ = detect_spots(frame, THRESHOLD)
         sep = abs(dets[0].centroid_um[0] - dets[1].centroid_um[0])
         assert sep == pytest.approx(60.0, abs=1.0)
 
@@ -102,14 +106,14 @@ class TestDetectSpots:
             noise=3000.0 / 50,
             seed=11,
         )
-        dets, _ = detect_spots(frame, max_spots=1)
+        dets, _ = detect_spots(frame, THRESHOLD, max_spots=1)
         cx, cy = dets[0].centroid_um
         assert abs(cx - 201.7) < 0.1 * PITCH * 1e6
         assert abs(cy - 148.2) < 0.1 * PITCH * 1e6
 
     def test_two_spot_separation_within_micron(self):
         frame = two_spot_frame(noise=6.0, seed=3)
-        dets, _ = detect_spots(frame)
+        dets, _ = detect_spots(frame, THRESHOLD)
         xs = sorted(d.centroid_um[0] for d in dets)
         assert xs[1] - xs[0] == pytest.approx(60.0, abs=1.0)
 
@@ -132,8 +136,8 @@ class TestDetectSpots:
         shifted = Frame(
             values=np.roll(frame.values, (3, 7), axis=(0, 1)), pixel_pitch=PITCH
         )
-        d0, _ = detect_spots(frame)
-        d1, _ = detect_spots(shifted)
+        d0, _ = detect_spots(frame, THRESHOLD)
+        d1, _ = detect_spots(shifted, THRESHOLD)
         for a, b in zip(d0, d1):
             assert b.centroid_um[0] - a.centroid_um[0] == pytest.approx(7 * PITCH * 1e6, abs=1e-9)
             assert b.centroid_um[1] - a.centroid_um[1] == pytest.approx(3 * PITCH * 1e6, abs=1e-9)
@@ -141,8 +145,8 @@ class TestDetectSpots:
     def test_intensity_scale_invariance(self):
         frame = two_spot_frame(noise=0.0, amp=800.0)
         scaled = Frame(values=(frame.values.astype(np.uint32) * 3).astype(np.uint16) if frame.values.max() * 3 < 65536 else frame.values, pixel_pitch=PITCH)
-        d0, _ = detect_spots(frame)
-        d1, _ = detect_spots(scaled)
+        d0, _ = detect_spots(frame, THRESHOLD)
+        d1, _ = detect_spots(scaled, THRESHOLD)
         for a, b in zip(d0, d1):
             assert a.centroid_um == pytest.approx(b.centroid_um, abs=1e-9)
 
@@ -235,7 +239,7 @@ def constant_series(n=40, dt=1.0 / 24):
 
 class TestTrackStats:
     def test_constant_series_all_zero(self):
-        report = track_stats(constant_series())
+        report = track_stats(constant_series(), INNER)
         for phase in report["phases"].values():
             for stats in phase["displacement_um"].values():
                 assert stats["max_abs"] == pytest.approx(0.0, abs=1e-12)
@@ -253,7 +257,7 @@ class TestTrackStats:
         disp[launch] = 75.0
         disp[micro] = 12.0
         series.spots_um[:, :, 0] += disp[:, None]
-        report = track_stats(series)
+        report = track_stats(series, INNER)
         assert report["phases"]["launch"]["displacement_um"]["spot1_x"]["max_abs"] == pytest.approx(75.0)
         assert report["phases"]["microgravity"]["displacement_um"]["spot1_x"]["max_abs"] == pytest.approx(12.0)
         assert report["phases"]["microgravity"]["dc_interspot_um"]["max_abs"] == pytest.approx(0.0, abs=1e-12)
@@ -263,10 +267,10 @@ class TestTrackStats:
         rng = np.random.default_rng(2)
         jitter = rng.normal(0, 1.0, size=series_a.spots_um.shape)
         series_a.spots_um += jitter
-        report_a = track_stats(series_a)
+        report_a = track_stats(series_a, INNER)
         series_b = constant_series(n=48)
         series_b.spots_um += jitter + 50.0  # constant offset of every position
-        report_b = track_stats(series_b)
+        report_b = track_stats(series_b, INNER)
         for phase in report_a["phases"]:
             for spot in ("spot1", "spot2"):
                 assert report_a["phases"][phase]["ac_um"][spot]["mean"] == pytest.approx(
@@ -274,8 +278,8 @@ class TestTrackStats:
                 )
 
     def test_report_determinism(self):
-        a = track_stats(constant_series())
-        b = track_stats(constant_series())
+        a = track_stats(constant_series(), INNER)
+        b = track_stats(constant_series(), INNER)
         import json
 
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -289,7 +293,7 @@ class TestTrackStats:
         rng = np.random.default_rng(30)
         micro = (series.timestamps >= 2.0) & (series.timestamps < 8.0)
         series.spots_um[micro, 1, 0] += rng.normal(0, 1.2, int(micro.sum()))
-        report = track_stats(series)
+        report = track_stats(series, INNER)
         assert report["phases"]["microgravity"]["dc_interspot_um"]["std"] == pytest.approx(
             1.2, rel=0.10
         )
@@ -297,7 +301,7 @@ class TestTrackStats:
     def test_missing_detections_skipped(self):
         series = constant_series(n=40)
         series.detected[10:12, 0] = False
-        report = track_stats(series)
+        report = track_stats(series, INNER)
         assert report["skipped_frames"] == 2
 
     def test_two_valid_frames_required(self):
@@ -305,7 +309,7 @@ class TestTrackStats:
         series.detected[:, :] = False
         series.detected[0] = True
         with pytest.raises(DomainError):
-            track_stats(series)
+            track_stats(series, INNER)
 
 
 class TestTracking:
@@ -316,7 +320,7 @@ class TestTracking:
         ]
         for i, f in enumerate(frames):
             f.timestamp = i / 24
-        series = track_spots(frames)
+        series = track_spots(frames, THRESHOLD, GATE)
         assert np.all(series.detected)
         x1 = series.spots_um[:, 0, 0]
         assert np.all(np.diff(x1) > 0)  # spot 1 moves right monotonically
@@ -330,14 +334,14 @@ class TestTracking:
                 frame.timestamp = i / 24
                 yield frame
 
-        from_list = track_spots(list(frames()))
-        from_generator = track_spots(frames())
+        from_list = track_spots(list(frames()), THRESHOLD, GATE)
+        from_generator = track_spots(frames(), THRESHOLD, GATE)
         assert from_list.spots_um.shape == (n, 2, 2) and np.all(from_list.detected)
         for name in ("timestamps", "spots_um", "detected"):
             assert getattr(from_list, name).tobytes() == getattr(from_generator, name).tobytes()
         # each frame is detected as it would be alone
         for i, frame in enumerate(frames()):
-            dets, _ = detect_spots(frame)
+            dets, _ = detect_spots(frame, THRESHOLD)
             assert sorted(d.centroid_um for d in dets) == sorted(map(tuple, from_list.spots_um[i]))
 
     def test_frame_shape_may_change_mid_stream(self):
@@ -350,10 +354,10 @@ class TestTracking:
         frames = [two_spot_frame(), small, two_spot_frame()]
         for i, f in enumerate(frames):
             f.timestamp = float(i)
-        series = track_spots(frames, gate_factor=1000.0)
+        series = track_spots(frames, THRESHOLD, gate_factor=1000.0)
         assert np.all(series.detected)
         for i, frame in enumerate(frames):
-            dets, _ = detect_spots(frame)
+            dets, _ = detect_spots(frame, THRESHOLD)
             assert sorted(d.centroid_um for d in dets) == sorted(map(tuple, series.spots_um[i]))
 
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from codtsim.constants import PhysicalConstants
-from codtsim.errors import DomainError, ModelValidityError
+from codtsim.config import load_config
+from codtsim.errors import ConfigError, DomainError, ModelValidityError
 from codtsim.optics import CHANNELS, OpticalLayout, build_beamlines, deflection_to_displacement
 from codtsim.potential import (
     DipolePotential,
     ModulationWaveform,
-    ScalarField3D,
     RIPPLE_TOL,
     _derived_phase_records,
     _merge_records,
@@ -19,8 +19,9 @@ from codtsim.potential import (
     beams_to_records,
     static_potential,
     time_averaged_potential,
+    write_field,
 )
-from codtsim.painting import GridSpec, grid_waveform, line_paint, vertical_tones
+from codtsim.painting import GridSpec, grid_waveform, line_paint
 from codtsim.trapchar import characterize
 
 
@@ -54,18 +55,13 @@ def potential_at(constants, beams, point):
     return static_potential(constants, beams).at(point)
 
 
-def load_field(path) -> ScalarField3D:
-    """Read back a field written by ``ScalarField3D.save``."""
+def load_field(path) -> tuple[np.ndarray, np.ndarray]:
+    """Node positions (N, 3) and values (N,) of a field written by ``write_field``, read off its header."""
     path = Path(path)
     header = json.loads(path.with_suffix(".json").read_text())
-    data = np.fromfile(path.parent / header["data_file"], dtype=header["dtype"])
-    return ScalarField3D(
-        origin=np.array(header["origin_m"]),
-        axes=np.array(header["axes_m"]),
-        dims=tuple(header["dims"]),
-        values=data,
-        units=header["units"],
-    )
+    values = np.fromfile(path.parent / header["data_file"], dtype=header["dtype"])
+    index = np.stack(np.meshgrid(*[np.arange(d) for d in header["dims"]], indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.array(header["origin_m"]) + index @ np.array(header["axes_m"]), values
 
 
 class TestDipolePotential:
@@ -247,7 +243,7 @@ class TestTimeAveragedPotential:
             (line_paint(layout, 230.0 * 1e-6), 128),  # steps of 7.19 um against a bound of 7.34 um
             (line_paint(layout, 370.0 * 1e-6), 256),
             (line_paint(layout, 740.0 * 1e-6), 512),
-            (vertical_tones(layout, [-95e-6, 95e-6]), 2048),
+            (grid_waveform(layout, GridSpec(counts=(1, 1, 2), spacing=(0.0, 0.0, 190e-6)), input_pair), 2048),
         )
 
         def ripple(offsets, w_min):
@@ -366,25 +362,25 @@ class TestTimeAveragedPotential:
 
 class TestScalarField:
     def test_round_trip_serialization(self, tmp_path, no_gravity, layout, input_pair):
+        # the header locates every stored value where the potential was sampled
         pot = static_potential(no_gravity, build_beamlines(layout, input_pair))
-        field = ScalarField3D.sample(pot, np.zeros(3), np.array([50e-6, 30e-6, 30e-6]), (9, 7, 7))
-        field.save(tmp_path / "field")
-        loaded = load_field(tmp_path / "field")
-        np.testing.assert_array_equal(loaded.values, field.values)
-        np.testing.assert_allclose(loaded.origin, field.origin)
-        np.testing.assert_allclose(loaded.axes, field.axes)
+        half = np.array([50e-6, 30e-6, 30e-6])
+        write_field(tmp_path / "field", pot, np.zeros(3), half, (9, 7, 7))
+        nodes, values = load_field(tmp_path / "field")
+        np.testing.assert_array_equal(values, pot(nodes))
+        np.testing.assert_allclose(nodes.min(axis=0), -half, rtol=1e-12)
+        np.testing.assert_allclose(nodes.max(axis=0), half, rtol=1e-12)
 
-    def test_node_coordinates_shape_and_minimum(self, no_gravity, layout, input_pair):
+    def test_node_coordinates_shape_and_minimum(self, tmp_path, no_gravity, layout, input_pair):
         pot = static_potential(no_gravity, build_beamlines(layout, input_pair))
-        field = ScalarField3D.sample(pot, np.zeros(3), 40e-6, (11, 11, 11))
-        nodes = field.node_coordinates()
+        write_field(tmp_path / "field", pot, np.zeros(3), 40e-6, (11, 11, 11))
+        nodes, values = load_field(tmp_path / "field")
         assert nodes.shape == (11**3, 3)
         # the deepest node sits near the crossing
-        deepest = nodes[np.argmin(field.values.ravel())]
+        deepest = nodes[np.argmin(values)]
         assert np.linalg.norm(deepest) < 12e-6
 
     def test_invalid_dims_rejected(self):
-        with pytest.raises(DomainError):
-            ScalarField3D(
-                origin=np.zeros(3), axes=np.zeros((3, 3)), dims=(2, 2, 2), values=np.zeros((2, 2, 2))
-            )
+        # the field grid's dims are checked once, where they are set
+        with pytest.raises(ConfigError, match="trap.field_dims"):
+            load_config(overrides=["trap.field_dims=[2,0,2]"])

@@ -12,11 +12,13 @@ Exits 0 when everything is identical, 1 on any difference, and 2 when git
 cannot export ``REV``.
 
 The matrix: all twelve subcommands at ``--seed 13`` (``flight analyze`` on
-the ``flight synth`` output), a 3x3x3 and a 5x5x5 ``paint compensate`` at 480 um
+the ``flight synth`` output, once more with an inner window of half the
+microgravity phase), a 3x3x3 and a 5x5x5 ``paint compensate`` at 480 um
 (the latter groups the most escape scans into kernel calls), a 41-step
 ``trap misalign-sweep`` out to 20 um, a 740 um ``evap timeline`` at three
-samples, and ``trap report``, ``paint grid`` and ``paint transport`` with the
-geometric deflection map, each at 0 g and at 9.81 m/s^2: 38 runs. Each tree
+samples, ``trap report`` writing an 8x8x8 trap field, and ``trap report``,
+``paint grid`` and ``paint transport`` with the geometric deflection map,
+each at 0 g and at 9.81 m/s^2: 42 runs. Each tree
 runs ``JOBS`` runs at a time.
 """
 
@@ -56,6 +58,7 @@ EXTRA = [
      ["paint.grid_counts=[5,5,5]", "paint.grid_spacing_um=[480,480,480]"]),
     ("trap-misalign-sweep-20um", ("trap", "misalign-sweep"), ["misalign.max_offset_um=20", "misalign.n_steps=41"]),
     ("evap-timeline-740um", ("evap", "timeline"), ["evap.amplitude_start_um=740", "evap.timeline_samples=3"]),
+    ("trap-report-field", ("trap", "report"), ["trap.save_field=true", "trap.field_dims=[8,8,8]"]),
     ("trap-report-geometric", ("trap", "report"), ["layout.deflection_mode=geometric"]),
     ("paint-grid-geometric", ("paint", "grid"), ["layout.deflection_mode=geometric"]),
     ("paint-transport-geometric", ("paint", "transport"), ["layout.deflection_mode=geometric"]),
@@ -72,8 +75,9 @@ def runs() -> list[tuple[str, list[str], str | None]]:
         for name, command, settings in cases:
             sets = [a for s in gravity + settings for a in ("--set", s)]
             matrix.append((f"{g}/{name}", [*command, "--seed", SEED, *sets], None))
-        sets = [a for s in gravity for a in ("--set", s)]
-        matrix.append((f"{g}/flight-analyze", ["flight", "analyze", "--seed", SEED, *sets], f"{g}/flight-synth"))
+        for name, settings in (("flight-analyze", []), ("flight-analyze-inner-0.5", ["flight.inner_fraction=0.5"])):
+            sets = [a for s in gravity + settings for a in ("--set", s)]
+            matrix.append((f"{g}/{name}", ["flight", "analyze", "--seed", SEED, *sets], f"{g}/flight-synth"))
     return matrix
 
 
