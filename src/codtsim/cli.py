@@ -193,8 +193,8 @@ def cmd_paint_grid(cfg, out: Path) -> None:
     summary = {
         "frequency_spread": table.frequency_spread(),
         "depth_spread": table.depth_spread(),
-        "max_radius_deviation_beam1": max(abs(v) for v in dev["radius_beam1"]),
-        "max_radius_deviation_beam2": max(abs(v) for v in dev["radius_beam2"]),
+        "max_radius_deviation_beam1": float(np.max(np.abs(dev["radius_beam1"]))),
+        "max_radius_deviation_beam2": float(np.max(np.abs(dev["radius_beam2"]))),
     }
     write_csv(out / "sites.csv", site_table_csv_rows(table))
     write_json(out / "grid_waveform.json", waveform_export(wf))
@@ -219,7 +219,7 @@ def cmd_paint_compensate(cfg, out: Path) -> None:
             "frequency_spread_after": after.frequency_spread(),
             "depth_spread_before": before.depth_spread(),
             "depth_spread_after": after.depth_spread(),
-            "weights": [r.power_weight for r in after.rows],
+            "weights": after.weights.mean(axis=1).tolist(),
         },
     )
 
@@ -580,6 +580,10 @@ def main(argv=None) -> int:
                 f"unknown command {args.group} {args.command}; available: "
                 + ", ".join(f"{g} {c}" for g, c in sorted(COMMANDS))
             )
+        if key != ("flight", "analyze"):
+            for flag, value in (("--frames", args.frames), ("--centroids", args.centroids)):
+                if value is not None:
+                    raise ConfigError(f"{flag}: only flight analyze reads it, not {args.group} {args.command}")
         cfg = cfgmod.load_config(args.config, args.overrides)
         if args.seed is not None:
             cfgmod.check_value(args.seed, cfgmod.SPEC["seed"], "--seed")

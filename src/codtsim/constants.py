@@ -23,36 +23,25 @@ RB87_MASS_KG = 86.909180527 * ATOMIC_MASS_KG
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Atom and field constants entering the dipole potential.
+    """The atom and gravity entering the dipole potential, the settings the config owns.
 
     ``polarizability`` is the real part of the ground-state scalar
     polarizability in SI units (C m^2/V); the dipole potential is
-    U = -polarizability/(2 eps0 c) * I + m g z.
+    U = -polarizability/(2 eps0 c) * I + m g z.  The fundamental constants
+    are the module's.
     """
 
     atom_mass: float = RB87_MASS_KG
     polarizability: float = RB87_POLARIZABILITY_AU * ATOMIC_POLARIZABILITY_SI
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
-    speed_of_light: float = SPEED_OF_LIGHT
-    boltzmann: float = BOLTZMANN
-    reduced_planck: float = REDUCED_PLANCK
     gravity: float = 0.0  # microgravity; 9.81 for lab conditions
 
     def __post_init__(self) -> None:
-        positives = (
-            self.atom_mass,
-            self.polarizability,
-            self.vacuum_permittivity,
-            self.speed_of_light,
-            self.boltzmann,
-            self.reduced_planck,
-        )
-        if any(v <= 0 for v in positives):
-            raise DomainError("all constants except gravity must be strictly positive")
+        if self.atom_mass <= 0 or self.polarizability <= 0:
+            raise DomainError("atom mass and polarizability must be strictly positive")
         if self.gravity < 0:
             raise DomainError("gravity must be >= 0")
 
     @property
     def dipole_coefficient(self) -> float:
         """Intensity-to-energy conversion alpha/(2 eps0 c), in J per (W/m^2)."""
-        return self.polarizability / (2 * self.vacuum_permittivity * self.speed_of_light)
+        return self.polarizability / (2 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import PhysicalConstants
+from .constants import BOLTZMANN, PhysicalConstants
 from .errors import DomainError
 from .optics import InputBeam, OpticalLayout, crossing_from_offsets
 from .painting import line_paint
@@ -257,7 +257,7 @@ def expand(
     omegas = 2 * math.pi * np.asarray(release.frequencies_hz)
     lambdas = castin_dum_lambdas(omegas, times)
     tf = np.asarray(release.tf_radii) * lambdas
-    vt2 = constants.boltzmann * release.temperature / constants.atom_mass
+    vt2 = BOLTZMANN * release.temperature / constants.atom_mass
     sigma0 = np.asarray(release.thermal_sigma0)
     thermal = np.sqrt(sigma0**2 + vt2 * times[:, None] ** 2)
     return {
@@ -273,7 +273,7 @@ def expand(
 def thermal_sigma0(frequencies_hz, temperature: float, constants: PhysicalConstants):
     """In-trap rms radii of a thermal cloud: sigma_i = sqrt(kB T/m)/omega_i."""
     omegas = 2 * math.pi * np.asarray(frequencies_hz, dtype=float)
-    return np.sqrt(constants.boltzmann * temperature / constants.atom_mass) / omegas
+    return np.sqrt(BOLTZMANN * temperature / constants.atom_mass) / omegas
 
 
 # --- bimodal time-of-flight profile fitting -------------------------------

@@ -1,17 +1,18 @@
 """AOD waveform synthesis for painted traps, multi-site grids and transport.
 
-Vertical multi-site traps use interleaved tones (the AODs are
-single-frequency devices, so tones are time-multiplexed with equal dwell);
-horizontal multi-site traps use dwell-based multi-well painting with
-raised-cosine transitions.  Grids combine both by visiting every site once
-per period with equal dwell.
+The AODs are single-frequency devices, so every multi-site trap is a dwell
+waveform: the drive visits each site once per period with equal dwell and
+raised-cosine transitions between sites.  A vertical column, a horizontal
+row and a 3-D grid are all such a dwell waveform (``grid_waveform``).  A
+grid's sites are characterized into a ``SiteTable`` of per-site columns,
+and ``compensate_powers`` balances each site's two beam powers.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,61 +66,41 @@ class GridSpec:
 
 
 @dataclass
-class SiteRow:
-    index: tuple[int, int, int]
-    position: np.ndarray  # m
-    report: TrapReport
-    radius_beam1: float  # local geometric-mean 1/e^2 radius, m
-    radius_beam2: float
-    weight_beam1: float = 1.0
-    weight_beam2: float = 1.0
-
-    @property
-    def power_weight(self) -> float:
-        return 0.5 * (self.weight_beam1 + self.weight_beam2)
-
-
-@dataclass
 class SiteTable:
-    rows: list[SiteRow]
+    """Per-site columns of a grid, in ``GridSpec.site_indices`` order."""
+
+    indices: list[tuple[int, int, int]]
+    positions: np.ndarray  # (n, 3), m
+    radii: np.ndarray  # (n, 2): each beam's local geometric-mean 1/e^2 radius, m
+    weights: np.ndarray  # (n, 2): each beam's power weight
+    reports: list[TrapReport]
     converged: bool = True
 
     def central_index(self) -> int:
-        positions = np.array([r.position for r in self.rows])
-        center = positions.mean(axis=0)
-        return int(np.argmin(np.linalg.norm(positions - center, axis=1)))
-
-    def central_row(self) -> SiteRow:
-        return self.rows[self.central_index()]
-
-    def valid_rows(self) -> list[SiteRow]:
-        return [r for r in self.rows if r.report.valid]
+        center = self.positions.mean(axis=0)
+        return int(np.argmin(np.linalg.norm(self.positions - center, axis=1)))
 
     def deviations(self) -> dict:
-        """Fractional deviations of sizes, depth and frequencies vs. the central site."""
-        c = self.central_row()
-        if c.report.depth <= 0 or np.any(c.report.frequencies <= 0):
+        """Fractional deviations of sizes, depth and frequencies of the valid sites vs. the central site."""
+        c = self.central_index()
+        if self.reports[c].depth_escape <= 0 or np.any(self.reports[c].frequencies <= 0):
             raise DomainError("central site has no positive depth to compare the grid against")
-        rows = self.valid_rows()
-        rel = lambda v, ref: (v - ref) / ref  # noqa: E731
+        valid = np.array([r.valid for r in self.reports])
+        rel = lambda v: (v[valid] - v[c]) / v[c]  # noqa: E731
         return {
-            "radius_beam1": [rel(r.radius_beam1, c.radius_beam1) for r in rows],
-            "radius_beam2": [rel(r.radius_beam2, c.radius_beam2) for r in rows],
-            "depth": [rel(r.report.depth, c.report.depth) for r in rows],
-            "mean_frequency": [rel(r.report.mean_frequency, c.report.mean_frequency) for r in rows],
-            "frequencies": [
-                (rel(r.report.frequencies, c.report.frequencies)).tolist() for r in rows
-            ],
+            "radius_beam1": rel(self.radii[:, 0]),
+            "radius_beam2": rel(self.radii[:, 1]),
+            "depth": rel(np.array([r.depth_escape for r in self.reports])),
+            "mean_frequency": rel(np.array([r.mean_frequency for r in self.reports])),
+            "frequencies": rel(np.array([r.frequencies for r in self.reports])),
         }
 
     def frequency_spread(self) -> float:
         """Largest fractional deviation of any individual frequency from the central site."""
-        dev = self.deviations()["frequencies"]
-        return float(np.max(np.abs(dev))) if dev else 0.0
+        return float(np.max(np.abs(self.deviations()["frequencies"])))
 
     def depth_spread(self) -> float:
-        dev = self.deviations()["depth"]
-        return float(np.max(np.abs(dev))) if dev else 0.0
+        return float(np.max(np.abs(self.deviations()["depth"])))
 
 
 def _site_offsets(layout: OpticalLayout, position) -> tuple[float, float, float, float]:
@@ -165,10 +146,11 @@ def _dwell_waveform(
     return ModulationWaveform(times.reshape(-1), knots(freq_segments), knots(per_segment_weights))
 
 
-def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> bool:
+def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> None:
+    """Warn when the grid spacing is below two local waists, so that sites merge."""
     spacings = [s for c, s in zip(spec.counts, spec.spacing) if c > 1]
     if not spacings:  # a single site has nothing to merge with
-        return False
+        return
     b1, _ = build_beamlines(layout, inputs)
     local_waist = max(b1.width_h(0.0), b1.width_v(0.0))
     min_spacing = min(spacings)
@@ -178,8 +160,6 @@ def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> boo
             f"({2 * local_waist * 1e6:.1f} um); sites will merge",
             stacklevel=3,
         )
-        return True
-    return False
 
 
 def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: float = 0.0) -> ModulationWaveform:
@@ -249,17 +229,10 @@ def transport_ramp(
     ]
 
 
-def _local_radius(record, position) -> float:
-    """Geometric-mean 1/e^2 radius of one beam record at the axial position of ``position``."""
-    zeta = (position - record[0:3]) @ record[3:6]
-    w_h, w_v = record[12:14] * np.sqrt(1.0 + ((zeta - record[14:16]) / record[16:18]) ** 2)
-    return math.sqrt(w_h * w_v)
-
-
 def _as_weight_pairs(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.ones((n, 2))
-    arr = np.asarray(weights, dtype=float)
+    arr = np.array(weights, dtype=float)
     if arr.shape != (n, 2):
         raise DomainError("weights must have one (beam1, beam2) pair per site")
     if np.any(arr <= 0):
@@ -283,23 +256,14 @@ def characterize_sites(
     """
     indices = spec.site_indices()
     pairs = _as_weight_pairs(weights, len(indices))
-    positions = [spec.site_position(idx) for idx in indices]
+    positions = np.array([spec.site_position(idx) for idx in indices])
     records = beam_records(layout, inputs, [_site_offsets(layout, p) for p in positions], pairs)
     reports = characterize_batch(DipolePotential(constants, records), positions)
-    return SiteTable(
-        rows=[
-            SiteRow(
-                index=idx,
-                position=pos,
-                report=report,
-                radius_beam1=_local_radius(recs[0], pos),
-                radius_beam2=_local_radius(recs[1], pos),
-                weight_beam1=float(w1),
-                weight_beam2=float(w2),
-            )
-            for idx, pos, report, recs, (w1, w2) in zip(indices, positions, reports, records, pairs)
-        ]
-    )
+    # each beam's (h, v) radii at the axial position of its site, and their geometric mean
+    zeta = np.matmul((positions[:, None, :] - records[..., 0:3])[..., None, :], records[..., 3:6, None])[..., 0]
+    widths = records[..., 12:14] * np.sqrt(1.0 + ((zeta - records[..., 14:16]) / records[..., 16:18]) ** 2)
+    radii = np.sqrt(widths[..., 0] * widths[..., 1])
+    return SiteTable(indices, positions, radii, pairs, reports)
 
 
 def compensate_powers(
@@ -316,90 +280,68 @@ def compensate_powers(
     of the site's mean weight between its two beams, each followed by the
     common rescale of both beams that pins the objective to the central
     site (depth scales linearly with power, frequency with its square
-    root).  The split with the smallest residual (frequency deviation at
-    equal depth, depth deviation at equal mean frequency) is kept.  The
-    rescale only picks the candidate weights: it is exact without gravity,
-    where a second scan would test the same ratios again, and close at
-    1 g, where the sag barely moves with power.  ``table`` is the
-    uncompensated grid.  The chosen weights are scaled to a mean of at
-    most 1 (the power budget) and the grid is characterized once with them;
-    when that does not lower the objective spread, ``table``'s rows come
-    back.  ``table`` itself is left unchanged.
-    ``converged`` tells whether the spread is below ``COMPENSATION_TOL``.
+    root).  Each site keeps the first split with the smallest residual
+    (frequency deviation at equal depth, depth deviation at equal mean
+    frequency); an invalid or depthless candidate never wins, and a site
+    with none other keeps its weights.  The rescale only picks the
+    candidate weights: it is exact without gravity, where a second scan
+    would test the same ratios again, and close at 1 g, where the sag
+    barely moves with power.  ``table`` is the uncompensated grid.  The
+    chosen weights are scaled to a mean of at most 1 (the power budget) and
+    the grid is characterized once with them; when that does not lower the
+    objective spread, ``table``'s columns come back.  ``table`` itself is
+    left unchanged.  ``converged`` tells whether the spread is below
+    ``COMPENSATION_TOL``.
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown compensation objective {objective!r}")
-    indices = spec.site_indices()
-    pairs = np.array([[r.weight_beam1, r.weight_beam2] for r in table.rows])
-    central = table.central_row()
-    ref_depth = central.report.depth
-    ref_freqs = central.report.frequencies
-    ref_mean = central.report.mean_frequency
-    if ref_depth <= 0 or np.any(ref_freqs <= 0):
+    central_n = table.central_index()
+    ref = table.reports[central_n]
+    if ref.depth_escape <= 0 or np.any(ref.frequencies <= 0):
         raise DomainError("central site must be a valid trap to compensate against")
-
-    def rescaled(report: TrapReport, scale: float) -> tuple[float, np.ndarray, float]:
-        """Depth and frequencies after multiplying both beam powers by ``scale``.
-
-        Exact for gravity-free site traps, whose potential scales linearly;
-        with gravity an estimate, which the final characterization checks.
-        """
-        return (
-            report.depth * scale,
-            report.frequencies * math.sqrt(scale),
-            report.mean_frequency * math.sqrt(scale),
-        )
-
-    def pin_scale(report: TrapReport) -> float:
-        if objective == "equal-depth":
-            return ref_depth / report.depth
-        return (ref_mean / report.mean_frequency) ** 2
-
-    def residual(report: TrapReport, scale: float) -> float:
-        depth, freqs, mean = rescaled(report, scale)
-        if objective == "equal-depth":
-            return float(np.max(np.abs(freqs - ref_freqs) / ref_freqs))
-        return abs(depth - ref_depth) / ref_depth
 
     def objective_spread(t: SiteTable) -> float:
         if objective == "equal-depth":
-            vals = np.array([r.report.depth for r in t.rows])
+            vals = np.array([r.depth_escape for r in t.reports])
         else:
-            vals = np.array([r.report.mean_frequency for r in t.rows])
+            vals = np.array([r.mean_frequency for r in t.reports])
         return float((vals.max() - vals.min()) / vals.mean())
 
     spread = objective_spread(table)
     if spread < COMPENSATION_TOL:
-        return SiteTable(table.rows, converged=True)
-    central_n = table.central_index()
+        return replace(table, converged=True)
     deltas = np.linspace(-0.35, 0.35, BALANCE_STEPS)
-    new_pairs = pairs.copy()
     # every candidate of every non-central site in one batch, site by site
-    sites = [n for n in range(len(indices)) if n != central_n]
-    positions = [spec.site_position(indices[n]) for n in sites]
-    bases = 0.5 * (pairs[sites, 0] + pairs[sites, 1])
+    sites = np.delete(np.arange(len(table.indices)), central_n)
+    positions = table.positions[sites]
+    bases = table.weights[sites].mean(axis=1)
     candidates = (bases[:, None, None] * np.column_stack([1 + deltas, 1 - deltas])).reshape(-1, 2)
-    offsets = [_site_offsets(layout, pos) for pos in positions for _ in deltas]
+    offsets = np.repeat([_site_offsets(layout, pos) for pos in positions], BALANCE_STEPS, axis=0)
     records = beam_records(layout, inputs, offsets, candidates)
     seeds = np.repeat(positions, BALANCE_STEPS, axis=0)
     reports = characterize_batch(DipolePotential(constants, records), seeds)
-    for s, n in enumerate(sites):
-        best = None
-        scan = slice(s * BALANCE_STEPS, (s + 1) * BALANCE_STEPS)
-        for (w1, w2), rep in zip(candidates[scan], reports[scan]):
-            if not rep.valid or rep.depth <= 0:
-                continue
-            scale = pin_scale(rep)
-            res = residual(rep, scale)
-            if best is None or res < best[0]:
-                best = (res, w1 * scale, w2 * scale)
-        if best is not None:
-            new_pairs[n] = best[1:]
+    depth, mean = np.array([(r.depth_escape, r.mean_frequency) for r in reports]).T
+    freqs = np.array([r.frequencies for r in reports])
+    usable = np.array([r.valid for r in reports]) & (depth > 0)
+    # the common rescale of both beams that pins the objective to the central site;
+    # exact for gravity-free sites, whose potential scales linearly with power
+    with np.errstate(all="ignore"):  # unusable candidates, whose residual is set below
+        if objective == "equal-depth":
+            scale = ref.depth_escape / depth
+            residual = np.max(np.abs(freqs * np.sqrt(scale)[:, None] - ref.frequencies) / ref.frequencies, axis=1)
+        else:
+            scale = (ref.mean_frequency / mean) ** 2
+            residual = np.abs(depth * scale - ref.depth_escape) / ref.depth_escape
+    residual = np.where(usable, residual, np.inf).reshape(-1, BALANCE_STEPS)
+    best = np.arange(len(sites)) * BALANCE_STEPS + residual.argmin(axis=1)  # the first minimum wins
+    found = np.isfinite(residual.min(axis=1))
+    new_pairs = table.weights.copy()
+    new_pairs[sites[found]] = candidates[best[found]] * scale[best[found], None]
     new_pairs /= max(1.0, new_pairs.mean())  # power budget: mean weight <= 1
     trial = characterize_sites(constants, layout, inputs, spec, weights=new_pairs)
     trial_spread = objective_spread(trial)
     if trial_spread >= spread:  # the scan must lower the objective spread
-        return SiteTable(table.rows, converged=False)
+        return replace(table, converged=False)
     trial.converged = trial_spread < COMPENSATION_TOL
     return trial
 
@@ -408,16 +350,18 @@ def site_table_csv_rows(table: SiteTable) -> list[dict]:
     """One row per site: its grid index, position, local beam radii and power weight, then its trap's row."""
     return [
         {
-            "i": r.index[0],
-            "j": r.index[1],
-            "k": r.index[2],
-            "x_um": r.position[0] * 1e6,
-            "y_um": r.position[1] * 1e6,
-            "z_um": r.position[2] * 1e6,
-            "radius_beam1_um": r.radius_beam1 * 1e6,
-            "radius_beam2_um": r.radius_beam2 * 1e6,
-            "power_weight": r.power_weight,
-            **r.report.row(),
+            "i": i,
+            "j": j,
+            "k": k,
+            "x_um": x,
+            "y_um": y,
+            "z_um": z,
+            "radius_beam1_um": r1,
+            "radius_beam2_um": r2,
+            "power_weight": w,
+            **report.row(),
         }
-        for r in table.rows
+        for (i, j, k), (x, y, z), (r1, r2), w, report in zip(
+            table.indices, table.positions * 1e6, table.radii * 1e6, table.weights.mean(axis=1), table.reports
+        )
     ]

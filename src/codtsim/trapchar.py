@@ -16,12 +16,12 @@ once, one trap being the batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .constants import PhysicalConstants
+from .constants import BOLTZMANN, REDUCED_PLANCK, PhysicalConstants
 from .errors import DomainError, ModelValidityError
 from .optics import InputBeam, OpticalLayout, max_displacement
 from .potential import DipolePotential, beam_records
@@ -47,14 +47,12 @@ MAX_RAY_SAMPLES = 1 << 16
 # (built without np.unique, which here would load numpy.ma on import: 1.6 MB)
 _CUT_CANDIDATES = np.array(sorted({int(1.25**k) for k in range(-1, 52)}))
 
-DEPTH_CONVENTIONS = ("escape-saddle", "peak-to-min")
-
 
 @dataclass
 class TrapReport:
     """Result of characterizing one potential minimum.
 
-    Both depths are always computed; :attr:`depth` is the escape-saddle one.
+    Both depths are always computed; ``depth_escape`` is the trap's depth.
     An invalid report gives its ``reason`` and has zero depths and
     frequencies and the identity as its axes.
     """
@@ -67,22 +65,10 @@ class TrapReport:
     mean_frequency: float  # Hz, geometric mean
     valid: bool
     seed: np.ndarray  # m, where Newton started
-    constants: PhysicalConstants = field(repr=False)
     reason: str = ""
     # how the minimum was found: Newton steps from the seed and |grad U|, J/m
     newton_iterations: int = 0
     gradient_norm: float = 0.0
-
-    @property
-    def depth(self) -> float:
-        """Escape-saddle depth, J."""
-        return self.depth_escape
-
-    def depth_uk(self, convention: str = "escape-saddle") -> float:
-        if convention not in DEPTH_CONVENTIONS:
-            raise DomainError(f"unknown depth convention {convention!r}")
-        d = self.depth_escape if convention == "escape-saddle" else self.depth_peak
-        return d / self.constants.boltzmann * 1e6
 
     def row(self) -> dict:
         """The trap's artifact columns, in µm, µK and Hz; its ``depth_uK`` is the escape-saddle depth.
@@ -96,14 +82,14 @@ class TrapReport:
             "min_x_um": float(x),
             "min_y_um": float(y),
             "min_z_um": float(z),
-            "depth_uK": self.depth_uk("escape-saddle"),
-            "depth_peak_to_min_uK": self.depth_uk("peak-to-min"),
+            "depth_uK": self.depth_escape / BOLTZMANN * 1e6,
+            "depth_peak_to_min_uK": self.depth_peak / BOLTZMANN * 1e6,
             "f1_hz": float(f1),
             "f2_hz": float(f2),
             "f3_hz": float(f3),
             "mean_frequency_hz": self.mean_frequency,
             "newton_iterations": self.newton_iterations,
-            "gradient_norm_uK_per_um": self.gradient_norm / self.constants.boltzmann,
+            "gradient_norm_uK_per_um": self.gradient_norm / BOLTZMANN,
             "seed_x_um": float(sx),
             "seed_y_um": float(sy),
             "seed_z_um": float(sz),
@@ -514,7 +500,6 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
             mean_frequency=float(np.prod(freqs[i])) ** (1.0 / 3.0) if np.all(freqs[i] > 0) else 0.0,
             valid=bool(is_valid[i]),
             seed=centers[i].copy(),
-            constants=constants,
             reason=str(reasons[i]),
             newton_iterations=int(iterations[i]),
             gradient_norm=float(np.linalg.norm(grad[i])),
@@ -553,8 +538,8 @@ def reachable_volume(
     (:func:`~codtsim.optics.crossing_from_offsets`), so the square
     |h1|, |h2| <= a maps onto the parallelogram with corners (-/+a/sin, 0)
     and (0, -/+a/cos) and area 2 a^2 / (sin cos).  Vertical steering
-    decouples from the in-plane map, so the hull volume is the prism volume
-    (area x vertical span).
+    decouples from the in-plane map, so the reachable volume is the prism
+    volume (area x vertical span).
     """
     if h_half_range is None:
         h_half_range = 0.5 * (max_displacement(layout, "h1") + max_displacement(layout, "h2"))
@@ -571,7 +556,6 @@ def reachable_volume(
         "planar_area_mm2": area_m2 * 1e6,
         "vertical_span_mm": span * 1e3,
         "prism_volume_mm3": volume_mm3,
-        "hull_volume_mm3": volume_mm3,
         "hull_points_mm": (np.array(corners) * 1e3).tolist(),
     }
 
@@ -584,15 +568,14 @@ def thermo_metrics(
     """Phase-space density and truncation parameter for a characterized trap.
 
     psd = N (hbar omega_bar / kB T)^3 with omega_bar the geometric-mean
-    angular frequency; eta = depth / (kB T), with the report's constants.
+    angular frequency; eta = depth / (kB T), with the escape-saddle depth.
     """
     if not report.valid:
         raise DomainError("cannot compute thermodynamic metrics for an invalid trap report")
     if temperature <= 0:
         raise DomainError("temperature must be positive")
-    constants = report.constants
-    psd = phase_space_density(atom_number, temperature, report.mean_frequency, constants)
-    eta = report.depth / (constants.boltzmann * temperature)
+    psd = phase_space_density(atom_number, temperature, report.mean_frequency)
+    eta = report.depth_escape / (BOLTZMANN * temperature)
     return ThermoMetrics(
         atom_number=atom_number, temperature=temperature, psd=psd, truncation_parameter=eta
     )
@@ -602,13 +585,10 @@ def phase_space_density(
     atom_number: float,
     temperature: float,
     mean_frequency_hz: float,
-    constants: PhysicalConstants,
 ) -> float:
     """psd = N (hbar omega_bar / kB T)^3 for a harmonic trap."""
     omega_bar = 2 * math.pi * mean_frequency_hz
-    return atom_number * (
-        constants.reduced_planck * omega_bar / (constants.boltzmann * temperature)
-    ) ** 3
+    return atom_number * (REDUCED_PLANCK * omega_bar / (BOLTZMANN * temperature)) ** 3
 
 
 def misalignment_sweep(
@@ -623,7 +603,7 @@ def misalignment_sweep(
     """
     aligned = beam_records(layout, inputs, np.zeros(4))[0]
     ref = characterize_crossed_trap(constants, layout, inputs)
-    if not ref.valid or ref.depth <= 0:
+    if not ref.valid or ref.depth_escape <= 0:
         raise DomainError("reference trap is not valid")
     offsets = np.asarray(offsets, dtype=float)
     records = np.repeat(aligned[None], len(offsets), axis=0)
@@ -632,6 +612,6 @@ def misalignment_sweep(
     seeds = 0.5 * (records[:, 0, 0:3] + records[:, 1, 0:3])
     reports = characterize_batch(DipolePotential(constants, records), seeds)
     return [
-        {"offset_um": off * 1e6, "depth_ratio": report.depth / ref.depth if report.valid else 0.0}
+        {"offset_um": off * 1e6, "depth_ratio": report.depth_escape / ref.depth_escape if report.valid else 0.0}
         for off, report in zip(offsets, reports)
     ]

@@ -130,7 +130,7 @@ class TestCli:
         # depth_uK is the escape-saddle depth, and the report names no other
         cfg = load_config()
         crossed = characterize_crossed_trap(constants_from_config(cfg), layout_from_config(cfg), beams_from_config(cfg))
-        assert report["depth_uK"] == crossed.depth_uk("escape-saddle")
+        assert report["depth_uK"] == crossed.row()["depth_uK"]
         assert not {"depth_escape_saddle_uK", "depth_convention", "minimum_position_um", "frequencies_hz"} & set(report)
         # how the minimum was found
         assert report["newton_iterations"] >= 1 and "seeds_tried" not in report
@@ -851,3 +851,12 @@ def test_every_subcommand_runs_at_1g(command, tmp_path):
     # ground/flight parity: the bundled config at lab gravity, fewer frames only
     out = _run_subcommand(command, ["constants.gravity_m_s2=9.81", "flight.n_frames=24"], tmp_path)
     assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+
+@pytest.mark.parametrize("command", sorted(set(SMALL_RUNS) - {"flight analyze"}))
+def test_frames_and_centroids_refused_outside_flight_analyze(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    for flag in ("--frames", "--centroids"):
+        assert main([*command.split(), "--out", str(out), flag, str(tmp_path / "nope")]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: only flight analyze reads it, not {command}\n"
+    assert not out.exists()

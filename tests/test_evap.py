@@ -5,7 +5,7 @@ import pytest
 
 from codtsim.cli import _schedule_from_config
 from codtsim.config import load_config
-from codtsim.constants import PhysicalConstants
+from codtsim.constants import BOLTZMANN, PhysicalConstants
 from codtsim.errors import DomainError
 from codtsim.evap import (
     AmplitudeSegment,
@@ -238,7 +238,7 @@ class TestExpansion:
         state = ExpansionState(freqs, (1e-6, 1e-6, 1e-6), 1e-6, tuple(sigma0))
         ts = np.array([0.0, 5e-3, 10e-3])
         res = expand(state, ts, RB)
-        vt2 = RB.boltzmann * 1e-6 / RB.atom_mass
+        vt2 = BOLTZMANN * 1e-6 / RB.atom_mass
         expected = np.sqrt(sigma0[0] ** 2 + vt2 * ts**2)
         np.testing.assert_allclose(res["thermal_sigma_m"][:, 0], expected, rtol=1e-12)
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError
 from codtsim.optics import OpticalLayout, deflection_to_displacement
 from codtsim.painting import (
+    BALANCE_STEPS,
     GridSpec,
+    _site_offsets,
     characterize_sites,
     compensate_powers,
     grid_waveform,
@@ -13,9 +18,16 @@ from codtsim.painting import (
     minimum_jerk,
     transport_ramp,
 )
-from codtsim.potential import ModulationWaveform, time_averaged_potential
+from codtsim.potential import ModulationWaveform, beam_records, time_averaged_potential
 
 RB = PhysicalConstants(gravity=0.0)
+
+
+def _local_radius(record, position) -> float:
+    """Geometric-mean 1/e^2 radius of one beam record at the axial position of ``position``."""
+    zeta = (position - record[0:3]) @ record[3:6]
+    w_h, w_v = record[12:14] * np.sqrt(1.0 + ((zeta - record[14:16]) / record[16:18]) ** 2)
+    return math.sqrt(w_h * w_v)
 
 
 def assert_waveforms_equal(a: ModulationWaveform, b: ModulationWaveform) -> None:
@@ -24,7 +36,7 @@ def assert_waveforms_equal(a: ModulationWaveform, b: ModulationWaveform) -> None
 
 
 class TestSynthesizeWaveform:
-    """The waveform constructors: line paint, grid dwell (a vertical column is interleaved tones), constant."""
+    """The waveform constructors: line paint, grid dwell (a vertical column is one), constant."""
 
     def test_vertical_tone_separation_at_calibration(self, layout, input_pair):
         # 190 um two-site spacing at 86 um/MHz -> tones separated by ~2.21 MHz
@@ -162,25 +174,28 @@ def grid_table(layout, input_pair):
 class TestSites:
     def test_all_sites_valid(self, grid_table):
         _, table = grid_table
-        assert all(r.report.valid for r in table.rows)
-        assert len(table.rows) == 9
+        assert all(r.valid for r in table.reports)
+        assert len(table.reports) == len(table.indices) == 9
 
     def test_radius_deviations_opposite_sign(self, grid_table):
         _, table = grid_table
-        c = table.central_row()
-        for row in table.rows:
-            d1 = row.radius_beam1 / c.radius_beam1 - 1
-            d2 = row.radius_beam2 / c.radius_beam2 - 1
-            if abs(d1) > 1e-6:
-                assert d1 * d2 < 0
+        d1, d2 = (table.radii / table.radii[table.central_index()] - 1).T
+        resolved = np.abs(d1) > 1e-6
+        assert resolved.any() and np.all(d1[resolved] * d2[resolved] < 0)
+
+    def test_radii_equal_a_loop_over_records(self, layout, input_pair, grid_table):
+        _, table = grid_table
+        records = beam_records(layout, input_pair, [_site_offsets(layout, p) for p in table.positions], table.weights)
+        expected = [[_local_radius(r, p) for r in recs] for recs, p in zip(records, table.positions)]
+        np.testing.assert_array_equal(table.radii, expected)
 
     def test_grid_mirror_symmetry(self, grid_table):
         _, table = grid_table
-        by_index = {r.index: r for r in table.rows}
-        for (i, j, k), row in by_index.items():
-            mirror = by_index[(i, 2 - j, k)]
-            assert row.report.depth == pytest.approx(mirror.report.depth, rel=0.01, abs=0)
-            assert row.radius_beam1 == pytest.approx(mirror.radius_beam2, rel=0.01)
+        row_of = {idx: n for n, idx in enumerate(table.indices)}
+        for (i, j, k), n in row_of.items():
+            mirror = row_of[(i, 2 - j, k)]
+            assert table.reports[n].depth_escape == pytest.approx(table.reports[mirror].depth_escape, rel=0.01, abs=0)
+            assert table.radii[n, 0] == pytest.approx(table.radii[mirror, 1], rel=0.01)
 
     @pytest.mark.parametrize("gravity", [0.0, 9.81])
     def test_3d_array_sites_report_their_own_well(self, layout, input_pair, gravity, monkeypatch):
@@ -196,17 +211,15 @@ class TestSites:
         spec = GridSpec(counts=(3, 3, 3), spacing=(480e-6, 480e-6, 480e-6))
         table = characterize_sites(PhysicalConstants(gravity=gravity), layout, input_pair, spec)
         assert calls == ["_newton", "_ray_barrier"]
-        for row in table.rows:
-            shift = np.linalg.norm(row.report.minimum_position - row.position)
-            assert row.report.valid and shift < min(row.radius_beam1, row.radius_beam2), row.index
+        for idx, position, radii, report in zip(table.indices, table.positions, table.radii, table.reports):
+            shift = np.linalg.norm(report.minimum_position - position)
+            assert report.valid and shift < radii.min(), idx
 
     def test_compensation_fixed_point_on_uniform_grid(self, layout, input_pair):
         spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
         table = characterize_sites(RB, layout, input_pair, spec)
         after = compensate_powers(RB, layout, input_pair, spec, table=table)
-        for row in after.rows:
-            assert row.weight_beam1 == pytest.approx(1.0, abs=1e-6)
-            assert row.weight_beam2 == pytest.approx(1.0, abs=1e-6)
+        np.testing.assert_allclose(after.weights, 1.0, rtol=0, atol=1e-6)
 
     def test_compensation_converges_at_1g(self, layout, input_pair):
         # the power rescale only picks candidate weights; the chosen ones are
@@ -218,9 +231,8 @@ class TestSites:
         assert after.converged
         assert after.depth_spread() < 1e-4 < table.depth_spread()
         assert after.frequency_spread() < 0.1 * table.frequency_spread()
-        assert all(r.report.minimum_position[2] < r.position[2] for r in after.rows)  # every site sags
-        weights = [w for r in after.rows for w in (r.weight_beam1, r.weight_beam2)]
-        assert np.mean(weights) <= 1.0 + 1e-9
+        assert all(r.minimum_position[2] < z for r, z in zip(after.reports, after.positions[:, 2]))  # every site sags
+        assert after.weights.mean() <= 1.0 + 1e-9
 
     def test_compensation_is_one_balance_scan(self, layout, input_pair, grid_table, monkeypatch):
         # BALANCE_STEPS candidates per non-central site in one batch, then the grid once
@@ -233,9 +245,57 @@ class TestSites:
             codtsim.painting, "characterize_batch", lambda pot, seeds: batches.append(len(seeds)) or real(pot, seeds)
         )
         compensate_powers(RB, layout, input_pair, spec, table=table)
-        n_sites = len(table.rows)
+        n_sites = len(table.indices)
         assert batches == [(n_sites - 1) * codtsim.painting.BALANCE_STEPS, n_sites]
         assert sum(batches) == 113
+
+    @pytest.mark.parametrize("objective", ["equal-depth", "equal-mean-frequency"])
+    def test_compensation_pick_equals_a_loop_over_candidates(self, layout, input_pair, grid_table, objective, monkeypatch):
+        # the first non-central site has no usable candidate and keeps its weights;
+        # the second loses its first six candidates
+        import codtsim.painting
+
+        spec, table = grid_table
+        batches, trials = [], []
+        real = codtsim.painting.characterize_batch
+        real_sites = codtsim.painting.characterize_sites
+
+        def spy(pot, seeds):
+            reports = real(pot, seeds)
+            if not batches:
+                reports = [replace(r, valid=False) if n < BALANCE_STEPS + 6 else r for n, r in enumerate(reports)]
+            batches.append(reports)
+            return reports
+
+        monkeypatch.setattr(codtsim.painting, "characterize_batch", spy)
+        monkeypatch.setattr(
+            codtsim.painting, "characterize_sites", lambda *a, weights: trials.append(weights) or real_sites(*a, weights=weights)
+        )
+        compensate_powers(RB, layout, input_pair, spec, table=table, objective=objective)
+        ref = table.reports[table.central_index()]
+        deltas = np.linspace(-0.35, 0.35, BALANCE_STEPS)
+        pairs = table.weights.copy()
+        sites = [n for n in range(len(table.indices)) if n != table.central_index()]
+        for s, n in enumerate(sites):
+            base = 0.5 * (pairs[n, 0] + pairs[n, 1])
+            best = None
+            for delta, rep in zip(deltas, batches[0][s * BALANCE_STEPS : (s + 1) * BALANCE_STEPS]):
+                if not rep.valid or rep.depth_escape <= 0:
+                    continue
+                if objective == "equal-depth":
+                    scale = ref.depth_escape / rep.depth_escape
+                    res = np.max(np.abs(rep.frequencies * math.sqrt(scale) - ref.frequencies) / ref.frequencies)
+                else:
+                    scale = (ref.mean_frequency / rep.mean_frequency) ** 2
+                    res = abs(rep.depth_escape * scale - ref.depth_escape) / ref.depth_escape
+                if best is None or res < best[0]:
+                    best = (res, base * (1 + delta) * scale, base * (1 - delta) * scale)
+            if best is not None:
+                pairs[n] = best[1:]
+        assert np.all(pairs[sites[0]] == 1.0) and not np.array_equal(pairs, table.weights)
+        pairs /= max(1.0, pairs.mean())
+        [trial] = trials
+        np.testing.assert_array_equal(trial, pairs)
 
     def test_compensation_kernel_calls_do_not_grow_per_site(self, layout, input_pair, monkeypatch):
         # Newton steps every candidate of a stage in one batch, so its
@@ -290,5 +350,4 @@ class TestSites:
         assert after.converged
         assert after.frequency_spread() < table.frequency_spread()
         assert after.depth_spread() < 1e-3
-        weights = [w for r in after.rows for w in (r.weight_beam1, r.weight_beam2)]
-        assert np.mean(weights) <= 1.0 + 1e-9
+        assert after.weights.mean() <= 1.0 + 1e-9

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codtsim.constants import PhysicalConstants
+from codtsim.constants import BOLTZMANN, PhysicalConstants
 from codtsim.config import load_config
 from codtsim.errors import ConfigError, DomainError, ModelValidityError
 from codtsim.optics import CHANNELS, OpticalLayout, build_beamlines, deflection_to_displacement
@@ -108,7 +108,7 @@ class TestDipolePotential:
             direction=np.array([1.0, 0.0, 0.0]),
         )
         u = potential_at(no_gravity, [beam], np.zeros(3))
-        depth_mk = -u / no_gravity.boltzmann * 1e3
+        depth_mk = -u / BOLTZMANN * 1e3
         assert 8.0 <= depth_mk <= 9.0
 
     def test_crossed_center_is_sum_of_singles(self, no_gravity, layout, input_pair):

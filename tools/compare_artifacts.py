@@ -14,11 +14,13 @@ cannot export ``REV``.
 The matrix: all twelve subcommands at ``--seed 13`` (``flight analyze`` on
 the ``flight synth`` output, once more with an inner window of half the
 microgravity phase), a 3x3x3 and a 5x5x5 ``paint compensate`` at 480 um
-(the latter groups the most escape scans into kernel calls), a 41-step
+(the latter groups the most escape scans into kernel calls), ``paint
+compensate`` with the equal-mean-frequency objective on the bundled grid
+and on the 3x3x3 grid, a 41-step
 ``trap misalign-sweep`` out to 20 um, a 740 um ``evap timeline`` at three
 samples, ``trap report`` writing an 8x8x8 trap field, and ``trap report``,
 ``paint grid`` and ``paint transport`` with the geometric deflection map,
-each at 0 g and at 9.81 m/s^2: 42 runs. Each tree
+each at 0 g and at 9.81 m/s^2: 46 runs. Each tree
 runs ``JOBS`` runs at a time.
 """
 
@@ -56,6 +58,9 @@ EXTRA = [
      ["paint.grid_counts=[3,3,3]", "paint.grid_spacing_um=[480,480,480]"]),
     ("paint-compensate-5x5x5", ("paint", "compensate"),
      ["paint.grid_counts=[5,5,5]", "paint.grid_spacing_um=[480,480,480]"]),
+    ("paint-compensate-mean-frequency", ("paint", "compensate"), ["paint.objective=equal-mean-frequency"]),
+    ("paint-compensate-3x3x3-mean-frequency", ("paint", "compensate"),
+     ["paint.grid_counts=[3,3,3]", "paint.grid_spacing_um=[480,480,480]", "paint.objective=equal-mean-frequency"]),
     ("trap-misalign-sweep-20um", ("trap", "misalign-sweep"), ["misalign.max_offset_um=20", "misalign.n_steps=41"]),
     ("evap-timeline-740um", ("evap", "timeline"), ["evap.amplitude_start_um=740", "evap.timeline_samples=3"]),
     ("trap-report-field", ("trap", "report"), ["trap.save_field=true", "trap.field_dims=[8,8,8]"]),
