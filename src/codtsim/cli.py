@@ -142,7 +142,7 @@ def cmd_trap_report(cfg, out: Path) -> None:
     payload = {
         **report.row(),
         "principal_axes": report.principal_axes.tolist(),
-        "deflection_scales_um_per_mhz": {ch: displacement_scale(layout, ch) / 1e-6 for ch in CHANNELS},
+        "deflection_scales_um_per_mhz": dict(zip(CHANNELS, (displacement_scale(layout) / 1e-6).tolist())),
     }
     write_json(out / "trap_report.json", payload)
     if cfg["trap"]["save_field"]:

@@ -32,21 +32,14 @@ _CHUNK = 1 << 13
 
 
 def _as_arrays(points, records):
-    """Float64 points (..., k, 3) and records (..., r, 19), and whether a batch came in.
-
-    The kernels run on arrays with or without the batch axis; numpy
-    iterates 2-D arrays faster, so a batch of one drops its batch axis.
-    """
+    """Float64 points (..., k, 3) and records (..., r, 19); unbatched input is made at least 2-D."""
     points = np.asarray(points, dtype=np.float64)
     records = np.asarray(records, dtype=np.float64)
-    batched = records.ndim == 3
-    if batched and len(records) == 1:
-        points, records = points[0], records[0]
-    elif not batched:
+    if records.ndim < 3:
         points, records = np.atleast_2d(points), np.atleast_2d(records)
     if records.shape[-1] != BEAM_RECORD_SIZE:
         raise ValueError(f"beam records must have {BEAM_RECORD_SIZE} columns")
-    return points, records, batched
+    return points, records
 
 
 def intensity_sum(points: np.ndarray, records: np.ndarray) -> np.ndarray:
@@ -59,7 +52,7 @@ def intensity_sum(points: np.ndarray, records: np.ndarray) -> np.ndarray:
     that call bit for bit as long as neither splits one point off into a
     block of its own, which numpy hands to a different BLAS routine.
     """
-    points, records, batched = _as_arrays(points, records)
+    points, records = _as_arrays(points, records)
     points, records = np.ascontiguousarray(points), np.ascontiguousarray(records)
     lead, k, m = records.shape[:-2], points.shape[-2], records.shape[-2]
     block = max(1, _CHUNK // max(math.prod(lead) * m, 1))
@@ -72,7 +65,7 @@ def intensity_sum(points: np.ndarray, records: np.ndarray) -> np.ndarray:
     for start in range(0, k, block):
         sl = slice(start, min(start + block, k))
         _intensity_chunk(points[..., sl, :], records, out[..., sl], work)
-    return out[None] if batched and not lead else out
+    return out
 
 
 def _intensity_chunk(pts: np.ndarray, rec: np.ndarray, out: np.ndarray, work) -> None:
@@ -125,7 +118,7 @@ def intensity_derivatives(points: np.ndarray, records: np.ndarray):
     rows rotate both to lab coordinates.  Meant for a few points per item:
     it holds (n, k, records, 3, 3) temporaries.
     """
-    points, records, batched = _as_arrays(points, records)
+    points, records = _as_arrays(points, records)
     lead, m = records.shape[:-2], records.shape[-2]
     axes = records[..., 3:12].reshape(*lead, m, 3, 3)  # rows: direction, h, v
     if lead:  # each record column broadcasts against (n, k, m)
@@ -154,5 +147,4 @@ def intensity_derivatives(points: np.ndarray, records: np.ndarray):
     hess_l *= intensity[..., None, None]
     grad = np.einsum("...km,...kma,...maj->...kj", intensity, grad_l, axes)
     hess = np.einsum("...mai,...kmaj->...kij", axes, hess_l @ (axes[:, None] if lead else axes))
-    result = intensity.sum(axis=-1), grad, hess
-    return tuple(a[None] for a in result) if batched and not lead else result
+    return intensity.sum(axis=-1), grad, hess

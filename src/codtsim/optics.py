@@ -250,86 +250,95 @@ def beam_intensity(beam: AstigmaticBeam, point) -> np.ndarray | float:
     return inten
 
 
-def _geometric_factors(layout: OpticalLayout, channel: str) -> tuple[float, ...]:
-    """The corrections of the geometric map (see :func:`deflection_to_displacement`) as factors on f tan(theta), in order."""
+def _geometric_factors(layout: OpticalLayout) -> np.ndarray:
+    """The corrections of the geometric map (see :func:`deflection_to_displacement`) as factors on f tan(theta).
+
+    One row per correction, in order, and one column per channel in
+    ``CHANNELS`` order; a v channel has one correction and an exact 1.
+    """
     _, sagittal, tangential = plate_shifts(layout.effective_window_tilt, layout.window_index, layout.window_thickness)
-    if channel.startswith("h"):
-        return math.cos(layout.half_angle), 1.0 - tangential / layout.focal_length
-    return (1.0 - sagittal / layout.focal_length,)
+    h = (math.cos(layout.half_angle), 1.0 - tangential / layout.focal_length)
+    v = (1.0 - sagittal / layout.focal_length, 1.0)
+    return np.array([h, v, h, v]).T
 
 
-def _deflect(layout: OpticalLayout, channel: str, df):
-    """The deflection map without its range check: displacement (m) for offsets ``df`` (MHz)."""
-    if channel not in CHANNELS:
-        raise DomainError(f"unknown AOD channel {channel!r}")
+def _deflect(layout: OpticalLayout, df):
+    """The deflection map without its range check: displacement rows (m) for offset rows ``df`` (MHz)."""
     if layout.deflection_mode == "calibrated":
-        return df * layout.calibration_um_per_mhz[channel] * 1e-6
+        return df * np.array([layout.calibration_um_per_mhz[ch] for ch in CHANNELS], dtype=float) * 1e-6
     disp = layout.focal_length * np.tan(df * layout.aod_full_deflection / layout.aod_freq_range_mhz)
-    for factor in _geometric_factors(layout, channel):
+    for factor in _geometric_factors(layout):
         disp = disp * factor
     return disp
 
 
-def deflection_to_displacement(layout: OpticalLayout, channel: str, delta_freq_mhz) -> np.ndarray | float:
-    """Focal-region displacement (m) of one beam for an AOD frequency offset.
+def deflection_to_displacement(layout: OpticalLayout, delta_freq_mhz) -> np.ndarray:
+    """Focal-region displacements (m) of both beams for rows (..., 4) of AOD frequency offsets.
 
-    Displacements are measured perpendicular to the beam axis: along the
-    in-plane transverse direction for h channels, along vertical for v
-    channels.  The layout's ``deflection_mode`` picks the map.  The geometric
-    model maps the deflection angle through the lens (f tan theta) and
-    applies two corrections: the projection of the focal-plane displacement
-    onto the tilted beam axis (h channels) and the tilted-window focus
-    pullback (tangential for h, sagittal for v).  In calibrated mode the
-    model scale is replaced by the per-channel measured constant and the map
-    is exactly linear.  :func:`frequency_offset` is its inverse.
+    Rows and results hold the channels in ``CHANNELS`` order (h1, v1, h2,
+    v2).  Displacements are measured perpendicular to the beam axis: along
+    the in-plane transverse direction for h channels, along vertical for v
+    channels.  The layout's ``deflection_mode`` picks the map.  The
+    geometric model maps the deflection angle through the lens (f tan theta)
+    and applies two corrections: the projection of the focal-plane
+    displacement onto the tilted beam axis (h channels) and the
+    tilted-window focus pullback (tangential for h, sagittal for v).  In
+    calibrated mode the model scale is replaced by the per-channel measured
+    constant and the map is exactly linear.  :func:`frequency_offset` is its
+    inverse.
     """
     df = np.asarray(delta_freq_mhz, dtype=float)
     if np.any(np.abs(df) > layout.aod_freq_range_mhz * (1 + 1e-12)):
         raise DomainError(
             f"frequency offset outside AOD range +/-{layout.aod_freq_range_mhz} MHz"
         )
-    disp = _deflect(layout, channel, df)
-    if np.ndim(delta_freq_mhz) == 0:
-        return float(disp)
-    return disp
+    return _deflect(layout, df)
 
 
-def frequency_offset(layout: OpticalLayout, channel: str, displacement: float) -> float:
-    """AOD frequency offset (MHz) that displaces one beam by ``displacement`` (m): the inverse of the deflection map.
+def frequency_offset(layout: OpticalLayout, displacement) -> np.ndarray:
+    """AOD frequency offset rows (MHz) that displace the beams by ``displacement`` rows (..., 4) (m).
 
+    The inverse of the deflection map, channels in ``CHANNELS`` order.
     Calibrated mode divides by the per-channel scale; geometric mode undoes
     the corrections of :func:`deflection_to_displacement` and the lens by an
     arctan.  A nonzero displacement on an AOD that does not deflect, or one
-    that needs more than the AOD range, raises ``DomainError``.
+    that needs more than the AOD range, raises ``DomainError`` naming the
+    first such entry in row-major order.
     """
-    scale = displacement_scale(layout, channel)
-    if not scale:  # e.g. a geometric AOD of zero full deflection
-        if displacement:
-            raise DomainError(f"displacement {displacement * 1e6:.0f} um on {channel}, whose AOD does not deflect")
-        return 0.0
-    if layout.deflection_mode == "calibrated":
-        amp = float(displacement / scale)
-    else:
-        lens = displacement
-        for factor in reversed(_geometric_factors(layout, channel)):
-            lens = lens / factor
-        theta = math.atan(lens / layout.focal_length)
-        amp = theta * layout.aod_freq_range_mhz / layout.aod_full_deflection
-    if abs(amp) > layout.aod_freq_range_mhz * (1 + 1e-12):
+    disp = np.asarray(displacement, dtype=float)
+    scale = displacement_scale(layout)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an AOD that does not deflect, handled below
+        if layout.deflection_mode == "calibrated":
+            amp = disp / scale
+        else:
+            lens = disp
+            for factor in _geometric_factors(layout)[::-1]:
+                lens = lens / factor
+            theta = np.arctan(lens / layout.focal_length)
+            amp = theta * layout.aod_freq_range_mhz / layout.aod_full_deflection
+    amp = np.where(scale != 0, amp, 0.0)  # e.g. a geometric AOD of zero full deflection
+    stuck = (scale == 0) & (disp != 0)
+    bad = np.argwhere(stuck | (np.abs(amp) > layout.aod_freq_range_mhz * (1 + 1e-12)))
+    if bad.size:
+        first = tuple(bad[0])
+        d, channel = disp[first], CHANNELS[first[-1]]
+        if stuck[first]:
+            raise DomainError(f"displacement {d * 1e6:.0f} um on {channel}, whose AOD does not deflect")
         raise DomainError(
-            f"displacement {displacement * 1e6:.1f} um on {channel} needs {abs(amp):.2f} MHz, "
+            f"displacement {d * 1e6:.1f} um on {channel} needs {abs(amp[first]):.2f} MHz, "
             f"unreachable within the +/-{layout.aod_freq_range_mhz} MHz AOD range"
         )
     return amp
 
 
-def displacement_scale(layout: OpticalLayout, channel: str) -> float:
-    """Displacement per MHz (m/MHz) for a channel: the deflection map at 1 MHz, inside the AOD range or not."""
-    return float(_deflect(layout, channel, 1.0))
+def displacement_scale(layout: OpticalLayout) -> np.ndarray:
+    """Displacement per MHz (m/MHz) of each channel: the deflection map at 1 MHz, inside the AOD range or not."""
+    return _deflect(layout, 1.0)
 
 
-def max_displacement(layout: OpticalLayout, channel: str) -> float:
-    return abs(deflection_to_displacement(layout, channel, layout.aod_freq_range_mhz))
+def max_displacement(layout: OpticalLayout) -> np.ndarray:
+    """Largest reachable displacement (m) of each channel."""
+    return np.abs(deflection_to_displacement(layout, np.full(4, layout.aod_freq_range_mhz)))
 
 
 def crossing_from_offsets(layout: OpticalLayout, h1, h2, v) -> np.ndarray:
@@ -342,12 +351,16 @@ def crossing_from_offsets(layout: OpticalLayout, h1, h2, v) -> np.ndarray:
     return np.stack([(h2 - h1) / (2 * s), (h1 + h2) / (2 * c), v], axis=-1)
 
 
-def offsets_from_crossing(layout: OpticalLayout, position) -> tuple[float, float, float]:
-    """Inverse of :func:`crossing_from_offsets`: (h1, h2, v) for a target point."""
-    x, y, z = np.asarray(position, dtype=float)
+def offsets_from_crossing(layout: OpticalLayout, positions) -> np.ndarray:
+    """Inverse of :func:`crossing_from_offsets`: AOD displacement rows (..., 4) (m) for ``positions`` (..., 3).
+
+    Each row crosses the beams at its position, with one vertical offset on v1 and v2.
+    """
+    p = np.asarray(positions, dtype=float)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
     s = math.sin(layout.half_angle)
     c = math.cos(layout.half_angle)
-    return (y * c - x * s, y * c + x * s, z)
+    return np.stack([y * c - x * s, z, y * c + x * s, z], axis=-1)
 
 
 def place_beams(layout: OpticalLayout, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,7 +382,7 @@ def place_beams(layout: OpticalLayout, offsets) -> tuple[np.ndarray, np.ndarray,
     (ModelValidityError).
     """
     offs = np.atleast_2d(np.asarray(offsets, dtype=float))
-    limits = np.array([max_displacement(layout, ch) for ch in CHANNELS])
+    limits = max_displacement(layout)
     over = np.argwhere(np.abs(offs) > limits * (1 + 1e-9))
     if over.size:
         row, i = over[0]

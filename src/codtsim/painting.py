@@ -19,7 +19,6 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .optics import (
-    CHANNELS,
     InputBeam,
     OpticalLayout,
     build_beamlines,
@@ -54,22 +53,21 @@ class GridSpec:
             if c > 1 and s <= 0:
                 raise DomainError("spacing must be positive on axes with more than one site")
 
-    def site_indices(self) -> list[tuple[int, int, int]]:
-        nx, ny, nz = self.counts
-        return [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)]
+    def site_indices(self) -> np.ndarray:
+        """Grid index (i, j, k) of every site, (n, 3), the last index varying fastest."""
+        return np.indices(self.counts).reshape(3, -1).T
 
-    def site_position(self, index) -> np.ndarray:
-        pos = np.asarray(self.center, dtype=float).copy()
-        for ax in range(3):
-            pos[ax] += (index[ax] - 0.5 * (self.counts[ax] - 1)) * self.spacing[ax]
-        return pos
+    def site_positions(self) -> np.ndarray:
+        """Position (m) of every site, (n, 3), in ``site_indices`` order."""
+        offsets = self.site_indices() - 0.5 * (np.array(self.counts) - 1)
+        return np.asarray(self.center, dtype=float) + offsets * np.asarray(self.spacing, dtype=float)
 
 
 @dataclass
 class SiteTable:
     """Per-site columns of a grid, in ``GridSpec.site_indices`` order."""
 
-    indices: list[tuple[int, int, int]]
+    indices: np.ndarray  # (n, 3) grid indices
     positions: np.ndarray  # (n, 3), m
     radii: np.ndarray  # (n, 2): each beam's local geometric-mean 1/e^2 radius, m
     weights: np.ndarray  # (n, 2): each beam's power weight
@@ -103,32 +101,20 @@ class SiteTable:
         return float(np.max(np.abs(self.deviations()["depth"])))
 
 
-def _site_offsets(layout: OpticalLayout, position) -> tuple[float, float, float, float]:
-    """AOD displacements (h1, v1, h2, v2) that cross the beams at ``position``."""
-    h1, h2, v = offsets_from_crossing(layout, position)
-    return (h1, v, h2, v)
-
-
-def _dwell_waveform(
-    layout: OpticalLayout,
-    per_segment_offsets: list[tuple[float, float, float, float]],
-    per_segment_weights: list[tuple[float, float, float, float]] | None = None,
-) -> ModulationWaveform:
-    """Hop through displacement segments with raised-cosine transitions.
+def _dwell_waveform(layout: OpticalLayout, offsets: np.ndarray, weights=None) -> ModulationWaveform:
+    """Hop through rows (n, 4) of displacement segments with raised-cosine transitions.
 
     Each segment holds for all but ``TRANSITION_FRACTION`` of its share of
     the period, then ramps to the next segment over ``TRANSITION_KNOTS``
-    steps.
+    steps.  ``weights`` (n, 4) are the segments' amplitude weights, 1 by
+    default.
     """
-    n = len(per_segment_offsets)
-    if per_segment_weights is None:
-        per_segment_weights = [(1.0, 1.0, 1.0, 1.0)] * n
-    freq_segments = [
-        [frequency_offset(layout, ch, off[i]) for i, ch in enumerate(CHANNELS)]
-        for off in per_segment_offsets
-    ]
+    n = len(offsets)
+    if weights is None:
+        weights = np.ones((n, 4))
+    freqs = frequency_offset(layout, offsets)
     if n == 1:
-        return ModulationWaveform.constant(freq_segments[0], per_segment_weights[0])
+        return ModulationWaveform.constant(freqs[0], weights[0])
     seg_dt = WAVEFORM_PERIOD / n
     trans_dt = TRANSITION_FRACTION * seg_dt
     steps = range(1, TRANSITION_KNOTS)
@@ -143,7 +129,7 @@ def _dwell_waveform(
         ramp = here[:, None] + (np.roll(here, -1, axis=0) - here)[:, None] * fracs[None, :, None]
         return np.concatenate([here[:, None], here[:, None], ramp], axis=1).reshape(-1, 4)
 
-    return ModulationWaveform(times.reshape(-1), knots(freq_segments), knots(per_segment_weights))
+    return ModulationWaveform(times.reshape(-1), knots(freqs), knots(weights))
 
 
 def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> None:
@@ -172,10 +158,7 @@ def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: floa
     phase = np.arange(LINE_PAINT_KNOTS) / LINE_PAINT_KNOTS
     tri = 1.0 - 4.0 * np.abs(phase - 0.5)
     t = np.arange(LINE_PAINT_KNOTS) * (WAVEFORM_PERIOD / LINE_PAINT_KNOTS)
-    amps = [
-        frequency_offset(layout, ch, amplitude if ch.startswith("h") else vertical_amplitude)
-        for ch in CHANNELS
-    ]
+    amps = frequency_offset(layout, np.tile([amplitude, vertical_amplitude], 2))
     return ModulationWaveform(t, np.outer(tri, amps), np.ones((LINE_PAINT_KNOTS, 4)))
 
 
@@ -188,13 +171,11 @@ def grid_waveform(
     spacing below two local waists warns that sites will merge.
     """
     _check_site_collisions(layout, inputs, spec)
-    segments = []
-    seg_weights = []
-    for n_idx, idx in enumerate(spec.site_indices()):
-        segments.append(_site_offsets(layout, spec.site_position(idx)))
-        w = 1.0 if weights is None else float(weights[n_idx])
-        seg_weights.append((w, 1.0, w, 1.0))
-    return _dwell_waveform(layout, segments, seg_weights)
+    offsets = offsets_from_crossing(layout, spec.site_positions())
+    seg_weights = np.ones_like(offsets)
+    if weights is not None:
+        seg_weights[:, 0::2] = np.asarray(weights, dtype=float)[:, None]
+    return _dwell_waveform(layout, offsets, seg_weights)
 
 
 def minimum_jerk(s: np.ndarray) -> np.ndarray:
@@ -206,8 +187,8 @@ def transport_ramp(
     layout: OpticalLayout,
     start_positions,
     end_positions,
-    steps: int = 21,
-    profile: str = "minimum-jerk",
+    steps: int,
+    profile: str,
 ) -> list[ModulationWaveform]:
     """Waveform sequence transporting every site along a Cartesian path.
 
@@ -223,10 +204,7 @@ def transport_ramp(
         fractions = minimum_jerk(np.linspace(0.0, 1.0, steps))
     else:
         raise DomainError(f"unknown transport profile {profile!r}")
-    return [
-        _dwell_waveform(layout, [_site_offsets(layout, pos) for pos in start + s * (end - start)])
-        for s in fractions
-    ]
+    return [_dwell_waveform(layout, offsets_from_crossing(layout, start + s * (end - start))) for s in fractions]
 
 
 def _as_weight_pairs(weights, n: int) -> np.ndarray:
@@ -254,10 +232,9 @@ def characterize_sites(
     are negligible for spacings well above the local waists).  ``weights``
     gives one (beam1, beam2) power weight pair per site.
     """
-    indices = spec.site_indices()
+    indices, positions = spec.site_indices(), spec.site_positions()
     pairs = _as_weight_pairs(weights, len(indices))
-    positions = np.array([spec.site_position(idx) for idx in indices])
-    records = beam_records(layout, inputs, [_site_offsets(layout, p) for p in positions], pairs)
+    records = beam_records(layout, inputs, offsets_from_crossing(layout, positions), pairs)
     reports = characterize_batch(DipolePotential(constants, records), positions)
     # each beam's (h, v) radii at the axial position of its site, and their geometric mean
     zeta = np.matmul((positions[:, None, :] - records[..., 0:3])[..., None, :], records[..., 3:6, None])[..., 0]
@@ -272,7 +249,7 @@ def compensate_powers(
     inputs: tuple[InputBeam, InputBeam],
     spec: GridSpec,
     table: SiteTable,
-    objective: str = "equal-depth",
+    objective: str,
 ) -> SiteTable:
     """Optimize per-site, per-beam power weights to homogenize the grid.
 
@@ -316,7 +293,7 @@ def compensate_powers(
     positions = table.positions[sites]
     bases = table.weights[sites].mean(axis=1)
     candidates = (bases[:, None, None] * np.column_stack([1 + deltas, 1 - deltas])).reshape(-1, 2)
-    offsets = np.repeat([_site_offsets(layout, pos) for pos in positions], BALANCE_STEPS, axis=0)
+    offsets = np.repeat(offsets_from_crossing(layout, positions), BALANCE_STEPS, axis=0)
     records = beam_records(layout, inputs, offsets, candidates)
     seeds = np.repeat(positions, BALANCE_STEPS, axis=0)
     reports = characterize_batch(DipolePotential(constants, records), seeds)
@@ -362,6 +339,6 @@ def site_table_csv_rows(table: SiteTable) -> list[dict]:
             **report.row(),
         }
         for (i, j, k), (x, y, z), (r1, r2), w, report in zip(
-            table.indices, table.positions * 1e6, table.radii * 1e6, table.weights.mean(axis=1), table.reports
+            table.indices.tolist(), table.positions * 1e6, table.radii * 1e6, table.weights.mean(axis=1), table.reports
         )
     ]

@@ -58,10 +58,10 @@ class Frame:
 
 def synth_frame(
     spots,
-    shape=(128, 128),
-    pixel_pitch: float = 5e-6,
-    background: float = 40.0,
-    noise: float = 0.0,
+    shape,
+    pixel_pitch: float,
+    background: float,
+    noise: float,
     seed: int = 0,
     bit_depth: int = 16,
     timestamp: float = 0.0,

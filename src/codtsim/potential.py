@@ -245,9 +245,7 @@ def _phase_records(
 ) -> np.ndarray:
     """Unmerged records of ``n_phases`` equidistant phases, beam 1 then beam 2 per phase."""
     freqs, wts = waveform.sample(n_phases)
-    offsets = np.column_stack(
-        [deflection_to_displacement(layout, ch, freqs[:, i]) for i, ch in enumerate(CHANNELS)]
-    )
+    offsets = deflection_to_displacement(layout, freqs)
     # (h1 v1, h2 v2) channel weights, spread over the phases of one period
     records = beam_records(layout, inputs, offsets, wts[:, 0::2] * wts[:, 1::2] / n_phases)
     return records.reshape(-1, BEAM_RECORD_SIZE)

@@ -541,15 +541,13 @@ def reachable_volume(
     decouples from the in-plane map, so the reachable volume is the prism
     volume (area x vertical span).
     """
-    if h_half_range is None:
-        h_half_range = 0.5 * (max_displacement(layout, "h1") + max_displacement(layout, "h2"))
-    if v_half_range is None:
-        v_half_range = 0.5 * (max_displacement(layout, "v1") + max_displacement(layout, "v2"))
-    a = h_half_range
+    reach = max_displacement(layout)
+    h_reach, v_reach = (0.5 * (reach[0:2] + reach[2:4])).tolist()  # the mean reach of (h1, h2) and of (v1, v2)
+    a = h_reach if h_half_range is None else h_half_range
     s = math.sin(layout.half_angle)
     c = math.cos(layout.half_angle)
     area_m2 = 2 * a * a / (s * c)
-    span = 2 * v_half_range
+    span = 2 * (v_reach if v_half_range is None else v_half_range)
     volume_mm3 = area_m2 * span * 1e9
     corners = [[-a / s, 0.0], [0.0, -a / c], [a / s, 0.0], [0.0, a / c]] if a else []
     return {
@@ -600,17 +598,18 @@ def misalignment_sweep(
     """Depth ratio vs. the aligned trap for each vertical offset of beam 2 (0 if no trap).
 
     The offset moves beam 2's axis without an AOD, so no range check applies.
+    The aligned trap, as :func:`characterize_crossed_trap` reports it, is
+    item 0 of the sweep's batch.
     """
     aligned = beam_records(layout, inputs, np.zeros(4))[0]
-    ref = characterize_crossed_trap(constants, layout, inputs)
-    if not ref.valid or ref.depth_escape <= 0:
-        raise DomainError("reference trap is not valid")
     offsets = np.asarray(offsets, dtype=float)
-    records = np.repeat(aligned[None], len(offsets), axis=0)
-    records[:, 1, 2] += offsets
+    records = np.repeat(aligned[None], len(offsets) + 1, axis=0)
+    records[1:, 1, 2] += offsets
     # past the crossing the midpoint seed sits on a saddle: an invalid report, ratio 0
     seeds = 0.5 * (records[:, 0, 0:3] + records[:, 1, 0:3])
-    reports = characterize_batch(DipolePotential(constants, records), seeds)
+    ref, *reports = characterize_batch(DipolePotential(constants, records), seeds)
+    if not ref.valid or ref.depth_escape <= 0:
+        raise DomainError("reference trap is not valid")
     return [
         {"offset_um": off * 1e6, "depth_ratio": report.depth_escape / ref.depth_escape if report.valid else 0.0}
         for off, report in zip(offsets, reports)

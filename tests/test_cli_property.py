@@ -13,8 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from codtsim.cli import main
 from codtsim.config import SPEC
 
-# the leaves each command reads, as dotted-path prefixes; flight analyze reads
-# flight_meta.json instead, so its overrides only exercise validation
+# the leaves each command reads, as dotted-path prefixes; of its flight keys,
+# flight analyze reads threshold_fraction, gate_pitch_factor and
+# inner_fraction, which change its output, and takes the recording's pixel
+# pitch, frame rate and frame count from flight_meta.json, so overrides of
+# the other flight keys only exercise validation
 READS = {
     "evap schedule": ("seed", "evap."),
     "trap volume": ("layout.", "volume."),

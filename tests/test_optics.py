@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestDeflection:
         # without the window the geometric map is f tan(theta) projected
         # onto the beam axis tilted by half the crossing angle
         bare = replace(layout, deflection_mode="geometric", window_thickness=0.0)
-        disp = deflection_to_displacement(bare, "h1", 1.0)
+        disp = deflection_to_displacement(bare, np.ones(4))[0]  # h1
         theta = layout.aod_full_deflection / layout.aod_freq_range_mhz
         expected = layout.focal_length * math.tan(theta) * math.cos(math.radians(15.0))
         assert disp == pytest.approx(expected, rel=1e-12)
@@ -140,40 +141,53 @@ class TestDeflection:
 
     def test_geometric_scales_within_simulated_bands(self, layout):
         geometric = replace(layout, deflection_mode="geometric")
-        h = deflection_to_displacement(geometric, "h1", 1.0) * 1e6
-        v = deflection_to_displacement(geometric, "v1", 1.0) * 1e6
+        h, v = deflection_to_displacement(geometric, np.ones(4))[0:2] * 1e6  # h1, v1
         assert 80 <= h <= 100 and 80 <= v <= 100
         assert 83 <= v <= 93  # vertical band 88 +/- 5 um/MHz
         assert 88 <= h <= 96  # horizontal band 92 +/- 4 um/MHz
 
     def test_calibrated_values_exact(self, layout):
-        assert deflection_to_displacement(layout, "v1", 1.0) * 1e6 == pytest.approx(86.0)
-        assert deflection_to_displacement(layout, "h2", 1.0) * 1e6 == pytest.approx(92.0)
+        _, v1, h2, _ = deflection_to_displacement(layout, np.ones(4)) * 1e6
+        assert v1 == pytest.approx(86.0)
+        assert h2 == pytest.approx(92.0)
 
     def test_zero_maps_to_zero_and_linear(self, layout):
-        assert deflection_to_displacement(layout, "h1", 0.0) == 0.0
+        assert deflection_to_displacement(layout, np.zeros(4))[0] == 0.0  # h1
         df = np.linspace(-15, 15, 7)
-        disp = deflection_to_displacement(layout, "v2", df)
+        disp = deflection_to_displacement(layout, np.repeat(df[:, None], 4, axis=1))[:, 3]  # v2
         np.testing.assert_allclose(disp, df * 86e-6, rtol=1e-12)
 
     def test_out_of_range_rejected(self, layout):
         with pytest.raises(DomainError):
-            deflection_to_displacement(layout, "h1", 15.5)
+            deflection_to_displacement(layout, [15.5, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("mode", ["calibrated", "geometric"])
     def test_frequency_offset_inverts_the_map(self, layout, mode):
         layout = replace(layout, deflection_mode=mode)
-        for ch in CHANNELS:
-            for d in np.linspace(-1.0, 1.0, 41) * max_displacement(layout, ch):
-                back = deflection_to_displacement(layout, ch, frequency_offset(layout, ch, d))
-                assert back == pytest.approx(d, rel=1e-12, abs=0.0), (ch, d)
+        d = np.linspace(-1.0, 1.0, 41)[:, None] * max_displacement(layout)
+        back = deflection_to_displacement(layout, frequency_offset(layout, d))
+        for ch, col, back_col in zip(CHANNELS, d.T, back.T):
+            for target, got in zip(col, back_col):
+                assert got == pytest.approx(target, rel=1e-12, abs=0.0), (ch, target)
 
     @pytest.mark.parametrize("mode", ["calibrated", "geometric"])
     def test_frequency_offset_past_the_range_rejected(self, layout, mode):
         layout = replace(layout, deflection_mode=mode)
-        d = 1.001 * max_displacement(layout, "h1")
+        d = 1.001 * max_displacement(layout)[0]  # h1
         with pytest.raises(DomainError, match="unreachable"):
-            frequency_offset(layout, "h1", d)
+            frequency_offset(layout, [d, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("mode", ["calibrated", "geometric"])
+    def test_first_unreachable_entry_in_row_major_order_named(self, layout, mode):
+        # row 1 is past the range on v2 and row 2 on h1 and v2: the error names
+        # row 1's v2, the entry a loop over rows, then channels, meets first
+        layout = replace(layout, deflection_mode=mode)
+        reach = max_displacement(layout)
+        drive = np.zeros((3, 4))
+        drive[1, 3] = -1.5 * reach[3]
+        drive[2, [0, 3]] = 2.0 * reach[[0, 3]]
+        with pytest.raises(DomainError, match=re.escape(f"displacement {drive[1, 3] * 1e6:.1f} um on v2 needs")):
+            frequency_offset(layout, drive)
 
     def test_range_must_be_positive(self, layout):
         for mhz in (0.0, -1.0):
@@ -229,10 +243,11 @@ class TestBeamlines:
             build_beamlines(layout, input_pair, (2e-3, 0.0, 0.0, 0.0))
 
     def test_offsets_from_crossing_round_trip(self, layout):
-        target = np.array([120e-6, -340e-6, 210e-6])
-        h1, h2, v = offsets_from_crossing(layout, target)
+        targets = np.array([[120e-6, -340e-6, 210e-6], [-80e-6, 0.0, 35e-6]])
+        h1, v1, h2, v2 = offsets_from_crossing(layout, targets).T
+        np.testing.assert_array_equal(v1, v2)
         np.testing.assert_allclose(
-            crossing_from_offsets(layout, h1, h2, v), target, atol=1e-15
+            crossing_from_offsets(layout, h1, h2, v1), targets, atol=1e-15
         )
 
     def test_opposite_spot_scaling(self, layout, input_pair):

@@ -6,11 +6,10 @@ import pytest
 
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import DomainError
-from codtsim.optics import OpticalLayout, deflection_to_displacement
+from codtsim.optics import OpticalLayout, deflection_to_displacement, offsets_from_crossing
 from codtsim.painting import (
     BALANCE_STEPS,
     GridSpec,
-    _site_offsets,
     characterize_sites,
     compensate_powers,
     grid_waveform,
@@ -102,17 +101,11 @@ class TestSynthesizeWaveform:
 
 
 def dwell_knots_loop(layout, spec, site_weights):
-    """Per-channel loop over segments and transition steps: the reference for the dwell grid."""
+    """Loop over segments and transition steps: the reference for the dwell grid."""
     import math
 
-    from codtsim.optics import CHANNELS, offsets_from_crossing
-
-    freqs, wts = [], []
-    for n_idx, idx in enumerate(spec.site_indices()):
-        h1, h2, v = offsets_from_crossing(layout, spec.site_position(idx))
-        freqs.append([off / deflection_to_displacement(layout, ch, 1.0) for ch, off in zip(CHANNELS, (h1, v, h2, v))])
-        w = float(site_weights[n_idx])
-        wts.append((w, 1.0, w, 1.0))
+    freqs = offsets_from_crossing(layout, spec.site_positions()) / deflection_to_displacement(layout, np.ones(4))
+    wts = [(w, 1.0, w, 1.0) for w in site_weights.tolist()]
     n = len(freqs)
     seg_dt = 1e-3 / n
     trans_dt = 0.05 * seg_dt
@@ -134,13 +127,13 @@ def dwell_knots_loop(layout, spec, site_weights):
 
 class TestTransportRamp:
     def test_zero_displacement_constant(self, layout):
-        seq = transport_ramp(layout, [[0, 0, 0]], [[0, 0, 0]], steps=5)
+        seq = transport_ramp(layout, [[0, 0, 0]], [[0, 0, 0]], steps=5, profile="minimum-jerk")
         for wf in seq[1:]:
             assert_waveforms_equal(wf, seq[0])
 
     def test_out_of_plane_and_back_endpoints_identical(self, layout):
-        fwd = transport_ramp(layout, [[0, 0, 0]], [[330e-6, 0, 0]], steps=9)
-        back = transport_ramp(layout, [[330e-6, 0, 0]], [[0, 0, 0]], steps=9)
+        fwd = transport_ramp(layout, [[0, 0, 0]], [[330e-6, 0, 0]], steps=9, profile="minimum-jerk")
+        back = transport_ramp(layout, [[330e-6, 0, 0]], [[0, 0, 0]], steps=9, profile="minimum-jerk")
         assert_waveforms_equal(fwd[-1], back[0])
         assert_waveforms_equal(back[-1], fwd[0])
 
@@ -148,7 +141,7 @@ class TestTransportRamp:
         # 190 -> 480 um vertical move: channel change = 290 um / calibration
         start = [[0, 0, 95e-6]]
         end = [[0, 0, 240e-6]]
-        seq = transport_ramp(layout, start, end, steps=3)
+        seq = transport_ramp(layout, start, end, steps=3, profile="minimum-jerk")
         v_start = seq[0].freq_offsets_mhz[:, 1].max()
         v_end = seq[-1].freq_offsets_mhz[:, 1].max()
         assert (v_end - v_start) == pytest.approx((240 - 95) / 86.0, rel=1e-9)
@@ -162,7 +155,7 @@ class TestTransportRamp:
 
     def test_unreachable_waypoint_rejected(self, layout):
         with pytest.raises(DomainError):
-            transport_ramp(layout, [[0, 0, 0]], [[0, 0, 2e-3]], steps=3)
+            transport_ramp(layout, [[0, 0, 0]], [[0, 0, 2e-3]], steps=3, profile="minimum-jerk")
 
 
 @pytest.fixture(scope="module")
@@ -185,13 +178,13 @@ class TestSites:
 
     def test_radii_equal_a_loop_over_records(self, layout, input_pair, grid_table):
         _, table = grid_table
-        records = beam_records(layout, input_pair, [_site_offsets(layout, p) for p in table.positions], table.weights)
+        records = beam_records(layout, input_pair, offsets_from_crossing(layout, table.positions), table.weights)
         expected = [[_local_radius(r, p) for r in recs] for recs, p in zip(records, table.positions)]
         np.testing.assert_array_equal(table.radii, expected)
 
     def test_grid_mirror_symmetry(self, grid_table):
         _, table = grid_table
-        row_of = {idx: n for n, idx in enumerate(table.indices)}
+        row_of = {tuple(idx): n for n, idx in enumerate(table.indices.tolist())}
         for (i, j, k), n in row_of.items():
             mirror = row_of[(i, 2 - j, k)]
             assert table.reports[n].depth_escape == pytest.approx(table.reports[mirror].depth_escape, rel=0.01, abs=0)
@@ -218,7 +211,7 @@ class TestSites:
     def test_compensation_fixed_point_on_uniform_grid(self, layout, input_pair):
         spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
         table = characterize_sites(RB, layout, input_pair, spec)
-        after = compensate_powers(RB, layout, input_pair, spec, table=table)
+        after = compensate_powers(RB, layout, input_pair, spec, table=table, objective="equal-depth")
         np.testing.assert_allclose(after.weights, 1.0, rtol=0, atol=1e-6)
 
     def test_compensation_converges_at_1g(self, layout, input_pair):
@@ -227,7 +220,7 @@ class TestSites:
         ground = PhysicalConstants(gravity=9.81)
         spec = GridSpec(counts=(1, 3, 3), spacing=(0.0, 480e-6, 480e-6))
         table = characterize_sites(ground, layout, input_pair, spec)
-        after = compensate_powers(ground, layout, input_pair, spec, table=table)
+        after = compensate_powers(ground, layout, input_pair, spec, table=table, objective="equal-depth")
         assert after.converged
         assert after.depth_spread() < 1e-4 < table.depth_spread()
         assert after.frequency_spread() < 0.1 * table.frequency_spread()
@@ -244,7 +237,7 @@ class TestSites:
         monkeypatch.setattr(
             codtsim.painting, "characterize_batch", lambda pot, seeds: batches.append(len(seeds)) or real(pot, seeds)
         )
-        compensate_powers(RB, layout, input_pair, spec, table=table)
+        compensate_powers(RB, layout, input_pair, spec, table=table, objective="equal-depth")
         n_sites = len(table.indices)
         assert batches == [(n_sites - 1) * codtsim.painting.BALANCE_STEPS, n_sites]
         assert sum(batches) == 113
@@ -335,7 +328,7 @@ class TestSites:
             table = characterize_sites(RB, layout, input_pair, spec)
             for seen in (*calls.values(), scans):
                 seen.clear()
-            compensate_powers(RB, layout, input_pair, spec, table=table)
+            compensate_powers(RB, layout, input_pair, spec, table=table, objective="equal-depth")
             counts[grid] = {name: list(seen) for name, seen in calls.items()}
             sums = calls["intensity_sum"]
             assert len(sums) <= math.ceil(sum(sums) / (kernels._CHUNK / 2)) + len(scans), (grid, sums)
@@ -346,7 +339,7 @@ class TestSites:
 
     def test_compensation_reduces_frequency_spread(self, layout, input_pair, grid_table):
         spec, table = grid_table
-        after = compensate_powers(RB, layout, input_pair, spec, table=table)
+        after = compensate_powers(RB, layout, input_pair, spec, table=table, objective="equal-depth")
         assert after.converged
         assert after.frequency_spread() < table.frequency_spread()
         assert after.depth_spread() < 1e-3

@@ -33,7 +33,7 @@ def two_spot_frame(x1=200.0, x2=260.0, y=240.0, noise=0.0, seed=0, amp=3000.0):
         {"x_um": x1, "y_um": y, "sigma_um": 12.0, "amplitude": amp},
         {"x_um": x2, "y_um": y, "sigma_um": 12.0, "amplitude": amp},
     ]
-    return synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, noise=noise, seed=seed)
+    return synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=noise, seed=seed)
 
 
 class TestSynthFrame:
@@ -42,6 +42,8 @@ class TestSynthFrame:
             [{"x_um": 200.0, "y_um": 150.0, "sigma_um": 10.0, "amplitude": 1000.0}],
             shape=(80, 80),
             pixel_pitch=PITCH,
+            background=40.0,
+            noise=0.0,
         )
         iy, ix = np.unravel_index(np.argmax(frame.values), frame.values.shape)
         assert ix == 40 and iy == 30
@@ -75,7 +77,7 @@ class TestSynthFrame:
                 img += spot["amplitude"] * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig**2))
             img = img + np.random.default_rng(seed).normal(0.0, 6.0, size=img.shape)
             reference = np.clip(np.rint(img), 0, 65535).astype(np.uint16)
-            frame = synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, noise=6.0, seed=seed)
+            frame = synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=6.0, seed=seed)
             assert frame.values.tobytes() == reference.tobytes()
 
     def test_spot_outside_frame_rejected(self):
@@ -84,6 +86,8 @@ class TestSynthFrame:
                 [{"x_um": 9000.0, "y_um": 0.0, "sigma_um": 5.0, "amplitude": 10.0}],
                 shape=(64, 64),
                 pixel_pitch=PITCH,
+                background=40.0,
+                noise=0.0,
             )
 
 
@@ -103,6 +107,7 @@ class TestDetectSpots:
             [{"x_um": 201.7, "y_um": 148.2, "sigma_um": 12.0, "amplitude": 3000.0}],
             shape=(96, 96),
             pixel_pitch=PITCH,
+            background=40.0,
             noise=3000.0 / 50,
             seed=11,
         )
@@ -350,6 +355,8 @@ class TestTracking:
              {"x_um": 150.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 3000.0}],
             shape=(48, 48),
             pixel_pitch=PITCH,
+            background=40.0,
+            noise=0.0,
         )
         frames = [two_spot_frame(), small, two_spot_frame()]
         for i, f in enumerate(frames):
@@ -375,6 +382,8 @@ class TestPgmIO:
             [{"x_um": 100.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 180.0}],
             shape=(48, 48),
             pixel_pitch=PITCH,
+            background=40.0,
+            noise=0.0,
             bit_depth=8,
         )
         path = tmp_path / "frame8.pgm"

@@ -7,7 +7,7 @@ import pytest
 from codtsim.constants import BOLTZMANN, PhysicalConstants
 from codtsim.config import load_config
 from codtsim.errors import ConfigError, DomainError, ModelValidityError
-from codtsim.optics import CHANNELS, OpticalLayout, build_beamlines, deflection_to_displacement
+from codtsim.optics import OpticalLayout, build_beamlines, deflection_to_displacement
 from codtsim.potential import (
     DipolePotential,
     ModulationWaveform,
@@ -257,9 +257,7 @@ class TestTimeAveragedPotential:
             assert n == expected
             # the bound holds on the phases built, and fails at half their count
             freqs, _ = wf.sample(n)
-            offsets = np.column_stack(
-                [deflection_to_displacement(layout, ch, freqs[:, i]) for i, ch in enumerate(CHANNELS)]
-            )
+            offsets = deflection_to_displacement(layout, freqs)
             assert ripple(offsets, records[:, 12:14].min()) <= RIPPLE_TOL
             if n > wf.times.size:
                 assert ripple(offsets[::2], records.reshape(n, 2, 19)[::2, :, 12:14].min()) > RIPPLE_TOL
@@ -269,10 +267,7 @@ class TestTimeAveragedPotential:
             freqs, wts = wf.sample(n_phases)
             rows = []
             for f, w in zip(freqs, wts):
-                offs = [
-                    deflection_to_displacement(layout, ch, float(f[i]))
-                    for i, ch in enumerate(CHANNELS)
-                ]
+                offs = deflection_to_displacement(layout, f)
                 rec = beams_to_records(build_beamlines(layout, input_pair, offs))
                 rec[:, 18] *= [float(w[0] * w[1]) / n_phases, float(w[2] * w[3]) / n_phases]
                 rows.append(rec)
@@ -315,10 +310,7 @@ class TestTimeAveragedPotential:
 
     def test_merged_records_equal_unmerged_sum(self, no_gravity, layout, input_pair):
         grid = GridSpec((1, 3, 3), (0.0, 480e-6, 480e-6))
-        static_mhz = [
-            d * 1e-6 / deflection_to_displacement(layout, ch, 1.0)
-            for ch, d in zip(CHANNELS, (40.0, -20.0, 10.0, 30.0))
-        ]
+        static_mhz = np.array([40.0, -20.0, 10.0, 30.0]) * 1e-6 / deflection_to_displacement(layout, np.ones(4))
         waveforms = (
             line_paint(layout, 230.0 * 1e-6, 40.0 * 1e-6),
             grid_waveform(layout, grid, input_pair, np.linspace(0.6, 1.2, 9)),

@@ -18,10 +18,11 @@ microgravity phase), a 3x3x3 and a 5x5x5 ``paint compensate`` at 480 um
 compensate`` with the equal-mean-frequency objective on the bundled grid
 and on the 3x3x3 grid, a 41-step
 ``trap misalign-sweep`` out to 20 um, a 740 um ``evap timeline`` at three
-samples, ``trap report`` writing an 8x8x8 trap field, and ``trap report``,
+samples, ``trap report`` writing an 8x8x8 trap field, ``trap report``,
 ``paint grid`` and ``paint transport`` with the geometric deflection map,
-each at 0 g and at 9.81 m/s^2: 46 runs. Each tree
-runs ``JOBS`` runs at a time.
+and a ``paint transport`` of three sites at once with each deflection map,
+each at 0 g and at 9.81 m/s^2: 50 runs. Each tree runs ``JOBS`` runs at a
+time.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ COMMANDS = [
     ("tof", "fit"),
     ("flight", "synth"),
 ]
+# three sites moving at once, so that each waveform maps rows of several sites
+TRANSPORT_3_SITES = [
+    "paint.transport_start_um=[[0,0,0],[0,480,0],[0,-480,-480]]",
+    "paint.transport_end_um=[[330,0,0],[330,480,480],[-330,-480,0]]",
+]
 # name, subcommand, --set overrides
 EXTRA = [
     ("paint-compensate-3x3x3", ("paint", "compensate"),
@@ -67,6 +73,9 @@ EXTRA = [
     ("trap-report-geometric", ("trap", "report"), ["layout.deflection_mode=geometric"]),
     ("paint-grid-geometric", ("paint", "grid"), ["layout.deflection_mode=geometric"]),
     ("paint-transport-geometric", ("paint", "transport"), ["layout.deflection_mode=geometric"]),
+    ("paint-transport-3-sites", ("paint", "transport"), TRANSPORT_3_SITES),
+    ("paint-transport-3-sites-geometric", ("paint", "transport"),
+     [*TRANSPORT_3_SITES, "layout.deflection_mode=geometric"]),
 ]
 GRAVITIES = {"0g": [], "1g": ["constants.gravity_m_s2=9.81"]}
 JOBS = 2  # runs at a time; each is a fresh interpreter of ~40 MB
