@@ -49,6 +49,7 @@ from .painting import (
     transport_ramp,
 )
 from .pointing import (
+    PHASES,
     SpotTrackSeries,
     read_pgm,
     synth_frame,
@@ -366,52 +367,41 @@ def flight_truth_trajectory(cfg) -> dict:
     """Deterministic spot trajectories for the synthetic flight."""
     f = cfg["flight"]
     durations = f["phase_durations_s"]
-    boundaries = {}
-    t0 = 0.0
-    for phase in ("pre", "launch", "microgravity", "landing", "post"):
-        boundaries[phase] = (t0, t0 + durations[phase])
-        t0 += durations[phase]
-    n = f["n_frames"]
-    times = np.arange(n) / f["fps"]
-    rng = np.random.default_rng(cfg["seed"])
+    edges = np.cumsum([0.0, *(durations[phase] for phase in PHASES)]).tolist()
+    boundaries = {phase: (t0, t1) for phase, t0, t1 in zip(PHASES, edges, edges[1:])}
+    times = np.arange(f["n_frames"]) / f["fps"]
     shape = tuple(int(v) for v in f["frame_shape"])
     pitch = f["pixel_pitch_um"]
     cx = 0.5 * shape[1] * pitch
     cy = 0.5 * shape[0] * pitch
     sep = f["spot_separation_um"]
-    base = np.array(
-        [[cx - 0.5 * sep, cy], [cx + 0.5 * sep, cy]]
-    )  # two spots along x
+    base = np.array([[cx - 0.5 * sep, cy], [cx + 0.5 * sep, cy]])  # two spots along x
 
     launch_t0, launch_t1 = boundaries["launch"]
     micro_t0, micro_t1 = boundaries["microgravity"]
     d_launch = f["launch_displacement_um"]
     d_micro = f["microgravity_offset_um"]
-
-    def common_displacement(t: float) -> float:
-        if t < launch_t0:
-            return 0.0
-        if t < launch_t1:
-            # plateau at the full excursion in the middle of the launch,
-            # settling to the microgravity offset by the end of the phase
-            frac = (t - launch_t0) / (launch_t1 - launch_t0)
-            if frac < 1 / 3:
-                return d_launch * 0.5 * (1 - math.cos(3 * math.pi * frac))
-            if frac < 2 / 3:
-                return d_launch
-            sub = (frac - 2 / 3) * 3
-            return d_micro + (d_launch - d_micro) * 0.5 * (1 + math.cos(math.pi * sub))
-        if t < micro_t1:
-            return d_micro
-        return 0.0
-
-    positions = np.empty((n, 2, 2))
-    for i, t in enumerate(times):
-        disp = common_displacement(float(t))
-        pos = base + np.array([[disp, 0.0], [disp, 0.0]])
-        if micro_t0 <= t < micro_t1 and f["interspot_jitter_um"] > 0:
-            pos[1, 0] += rng.normal(0.0, f["interspot_jitter_um"])
-        positions[i] = pos
+    # a common displacement along x: a plateau at the full excursion in the
+    # middle of the launch, settling to the microgravity offset by its end
+    frac = (times - launch_t0) / (launch_t1 - launch_t0)
+    sub = (frac - 2 / 3) * 3
+    displacement = np.select(
+        [times < launch_t0, frac < 1 / 3, frac < 2 / 3, times < launch_t1, times < micro_t1],
+        [
+            0.0,
+            d_launch * 0.5 * (1 - np.cos(3 * math.pi * frac)),
+            d_launch,
+            d_micro + (d_launch - d_micro) * 0.5 * (1 + np.cos(math.pi * sub)),
+            d_micro,
+        ],
+        0.0,
+    )
+    positions = np.repeat(base[None], times.size, axis=0)
+    positions[:, :, 0] += displacement[:, None]
+    micro = (micro_t0 <= times) & (times < micro_t1)
+    if f["interspot_jitter_um"] > 0:
+        rng = np.random.default_rng(cfg["seed"])
+        positions[micro, 1, 0] += rng.normal(0.0, f["interspot_jitter_um"], int(micro.sum()))
     return {"times": times, "positions": positions, "boundaries": boundaries}
 
 
@@ -426,30 +416,22 @@ def cmd_flight_synth(cfg, out: Path) -> None:
     if outside.any():
         x_um, y_um = truth["positions"][outside][0]
         raise DomainError(f"spot at ({x_um}, {y_um}) um lies outside the frame")
-
-    def frames():
-        for i in range(len(truth["times"])):
-            spots = [
-                {
-                    "x_um": truth["positions"][i, s, 0],
-                    "y_um": truth["positions"][i, s, 1],
-                    "sigma_um": f["spot_sigma_um"],
-                    "amplitude": f["spot_amplitude"],
-                }
-                for s in range(2)
-            ]
-            yield synth_frame(
-                spots,
-                shape=shape,
-                pixel_pitch=pitch,
-                background=f["background"],
-                noise=f["noise"],
-                seed=cfg["seed"] + i,
-            )
-
+    frames = (
+        synth_frame(
+            spots_um,
+            f["spot_sigma_um"],
+            f["spot_amplitude"],
+            shape=shape,
+            pixel_pitch=pitch,
+            background=f["background"],
+            noise=f["noise"],
+            seed=cfg["seed"] + i,
+        )
+        for i, spots_um in enumerate(truth["positions"])
+    )
     (out / "frames").mkdir()
     # frames are rendered here while one writer thread creates the files of earlier ones
-    write_pgm_frames(frames(), (out / f"frames/frame_{i:05d}.pgm" for i in range(len(truth["times"]))))
+    write_pgm_frames(frames, (out / f"frames/frame_{i:05d}.pgm" for i in range(len(truth["times"]))))
     meta = {
         "pixel_pitch_um": f["pixel_pitch_um"],
         "fps": f["fps"],
@@ -512,13 +494,12 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path, centroids: Path | None 
     if centroids is not None:
         series = _series_from_centroid_csv(centroids, boundaries)
     else:
-        frames_path = frames_dir / "frames"
-        frames = (  # read as track_spots consumes them, never held whole
-            read_pgm(frames_path / f"frame_{i:05d}.pgm", meta["pixel_pitch_um"] * 1e-6, timestamp=i / meta["fps"])
-            for i in range(meta["n_frames"])
-        )
+        n = meta["n_frames"]
+        frames = (read_pgm(frames_dir / f"frames/frame_{i:05d}.pgm") for i in range(n))  # read as they are tracked
         series = track_spots(
             frames,
+            np.arange(n) / meta["fps"],
+            meta["pixel_pitch_um"] * 1e-6,
             threshold_fraction=f["threshold_fraction"],
             gate_factor=f["gate_pitch_factor"],
             phase_boundaries=boundaries,

@@ -1,7 +1,9 @@
 """Beam-pointing flight analysis: spot detection, tracking, AC/DC statistics.
 
-Frames carry raw camera counts; detection applies a threshold mask at a
-fraction of the per-frame maximum, labels 8-connected components and takes
+A frame is a 2-D uint8 or uint16 array of raw camera counts; the pixel
+pitch and the timestamps belong to the recording and are passed once for
+all its frames.  Detection applies a threshold mask at a fraction of the
+per-frame maximum, labels 8-connected components and takes
 intensity-weighted sub-pixel centroids.  Detection works on blocks of
 ``BLOCK_FRAMES`` frames at a time, so a flight is streamed rather than held
 in memory.  Spot identity across frames uses nearest-neighbor matching with a
@@ -29,74 +31,42 @@ WRITE_QUEUE_BATCHES = 4  # batches that may wait for the frame writer
 _NO_SPOT = (math.nan, math.nan)  # centroid of a spot not found in a frame
 
 
-@dataclass
-class Frame:
-    """One camera frame; ``values`` has shape (height, width) in counts."""
-
-    values: np.ndarray
-    pixel_pitch: float  # m per pixel
-    bit_depth: int = 16
-    timestamp: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.bit_depth not in (8, 16):
-            raise DomainError("bit depth must be 8 or 16")
-        if self.values.ndim != 2:
-            raise DomainError("frame values must be 2D")
-        if self.values.max(initial=0) >= 2**self.bit_depth:
-            raise DomainError("counts exceed the frame bit depth")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-
 def synth_frame(
-    spots,
+    spots_um,
+    sigma_um: float,
+    amplitude: float,
     shape,
     pixel_pitch: float,
     background: float,
     noise: float,
     seed: int = 0,
-    bit_depth: int = 16,
-    timestamp: float = 0.0,
-) -> Frame:
-    """Render Gaussian spots plus uniform background and seeded Gaussian noise.
+) -> np.ndarray:
+    """Render Gaussian spots plus uniform background and seeded Gaussian noise, as uint16 counts.
 
-    ``spots`` is an iterable of dicts with x_um, y_um (camera plane),
-    sigma_um and amplitude (counts).  Deterministic for a fixed seed.  Each
-    spot is the outer product of its 1-D profiles along y and x.  A spot
-    centred outside the frame raises DomainError.
+    ``spots_um`` is an (s, 2) array of spot centres (x, y) in the camera
+    plane; every spot has width ``sigma_um`` and peak ``amplitude`` counts.
+    Deterministic for a fixed seed.  Each spot is the outer product of its
+    1-D profiles along y and x.  A spot centred outside the frame raises
+    DomainError.
     """
     h, w = shape
+    spots_um = np.asarray(spots_um, dtype=float)
+    centres = spots_um * 1e-6 / pixel_pitch  # (spots, x y) in pixels
+    outside = ~((0 <= centres) & (centres < (w, h))).all(axis=1)
+    if outside.any():
+        x_um, y_um = spots_um[outside][0]
+        raise DomainError(f"spot at ({x_um}, {y_um}) um lies outside the frame")
+    two_sig2 = 2 * (sigma_um * 1e-6 / pixel_pitch) ** 2
     img = np.full((h, w), float(background))
-    for spot in spots:
-        cx = spot["x_um"] * 1e-6 / pixel_pitch
-        cy = spot["y_um"] * 1e-6 / pixel_pitch
-        if not (0 <= cx < w and 0 <= cy < h):
-            raise DomainError(f"spot at ({spot['x_um']}, {spot['y_um']}) um lies outside the frame")
-        two_sig2 = 2 * (spot["sigma_um"] * 1e-6 / pixel_pitch) ** 2
+    for cx, cy in centres:
         gx = np.exp(-((np.arange(w) - cx) ** 2) / two_sig2)
-        gy = spot["amplitude"] * np.exp(-((np.arange(h) - cy) ** 2) / two_sig2)
+        gy = amplitude * np.exp(-((np.arange(h) - cy) ** 2) / two_sig2)
         img += gy[:, None] * gx
     if noise > 0:
         # Generator.normal(0, noise) returns 0 + noise * z for these same draws z
         img += noise * np.random.default_rng(seed).standard_normal(img.shape)
-    np.clip(np.rint(img, out=img), 0, 2**bit_depth - 1, out=img)
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
-    return Frame(values=img.astype(dtype), pixel_pitch=pixel_pitch, bit_depth=bit_depth, timestamp=timestamp)
-
-
-@dataclass
-class Detection:
-    centroid_um: tuple[float, float]
-    area_px: int
-    total_intensity: float
+    np.clip(np.rint(img, out=img), 0, 65535, out=img)
+    return img.astype(np.uint16)
 
 
 def label_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,10 +117,16 @@ def label_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, counts
 
 
-def detect_block(
-    values: np.ndarray, pixel_pitches, threshold_fraction: float, max_spots: int
-) -> list[tuple[list[Detection], bool]]:
-    """``detect_spots`` for each frame of a (frames, height, width) block of counts, one pitch per frame."""
+def detect_block(values: np.ndarray, pixel_pitch: float, threshold_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spot centroids of each frame of a (frames, height, width) block of counts.
+
+    A spot is an 8-connected component of the pixels at or above
+    ``threshold_fraction`` of the frame's maximum; its centroid is the
+    intensity-weighted pixel mean.  Returns (centroids, counts):
+    ``centroids`` is (frames, 2, 2) in um, the two brightest spots of each
+    frame with their (x, y), nan where a frame has fewer; ``counts`` holds
+    the number of components of each frame.
+    """
     if not 0.0 < threshold_fraction < 1.0:
         raise DomainError("threshold fraction must lie in (0, 1)")
     values = np.asarray(values)
@@ -169,30 +145,15 @@ def detect_block(
     total = np.bincount(component, weights=weights, minlength=n)
     sum_x = np.bincount(component, weights=xs * weights, minlength=n)
     sum_y = np.bincount(component, weights=ys * weights, minlength=n)
-    area = np.bincount(component, minlength=n)
+    xy_um = np.stack([sum_x / total, sum_y / total], axis=1) * pixel_pitch * 1e6  # per component
     # brightest first within each frame; ties keep raster order
-    order = np.lexsort((-total, np.repeat(np.arange(n_frames), counts)))
-    results = []
-    for k, pitch in enumerate(pixel_pitches):
-        detections = [
-            Detection(
-                centroid_um=(float(sum_x[c] / total[c]) * pitch * 1e6, float(sum_y[c] / total[c]) * pitch * 1e6),
-                area_px=int(area[c]),
-                total_intensity=float(total[c]),
-            )
-            for c in order[first[k] : first[k] + min(int(counts[k]), max_spots)]
-        ]
-        results.append((detections, int(counts[k]) > max_spots))
-    return results
-
-
-def detect_spots(frame: Frame, threshold_fraction: float, max_spots: int = 2) -> tuple[list[Detection], bool]:
-    """Thresholded connected-component centroids, brightest first.
-
-    Returns (detections, truncated) where ``truncated`` flags that more than
-    ``max_spots`` components were found and only the brightest were kept.
-    """
-    return detect_block(frame.values[None], [frame.pixel_pitch], threshold_fraction, max_spots)[0]
+    frame_of = np.repeat(np.arange(n_frames), counts)
+    order = np.lexsort((-total, frame_of))
+    rank = np.arange(n) - first[frame_of]
+    kept = rank < 2
+    centroids = np.full((n_frames, 2, 2), np.nan)
+    centroids[frame_of[kept], rank[kept]] = xy_um[order[kept]]
+    return centroids, counts
 
 
 @dataclass
@@ -214,41 +175,43 @@ class SpotTrackSeries:
             raise DomainError("spots array must have shape (n_frames, 2, 2)")
 
 
-def _detections(frames, threshold_fraction: float):
-    """(frame, up to two brightest detections) for each frame, detected a block at a time."""
-    block: list[Frame] = []
-    for frame in itertools.chain(frames, [None]):  # None flushes the last block
-        if block and (frame is None or len(block) == BLOCK_FRAMES or frame.values.shape != block[0].values.shape):
-            found = detect_block(
-                np.stack([f.values for f in block]), [f.pixel_pitch for f in block], threshold_fraction, max_spots=2
-            )
-            yield from ((f, dets) for f, (dets, _) in zip(block, found))
+def _centroid_blocks(frames, pixel_pitch: float, threshold_fraction: float):
+    """``detect_block`` of ``frames``, taken ``BLOCK_FRAMES`` frames of one shape at a time."""
+    block: list[np.ndarray] = []
+    for values in itertools.chain(frames, [None]):  # None flushes the last block
+        if block and (values is None or len(block) == BLOCK_FRAMES or values.shape != block[0].shape):
+            yield detect_block(np.stack(block), pixel_pitch, threshold_fraction)
             block = []
-        if frame is not None:
-            block.append(frame)
+        if values is not None:
+            block.append(values)
 
 
 def track_spots(
-    frames, threshold_fraction: float, gate_factor: float, phase_boundaries: dict | None = None
+    frames,
+    timestamps,
+    pixel_pitch: float,
+    threshold_fraction: float,
+    gate_factor: float,
+    phase_boundaries: dict | None = None,
 ) -> SpotTrackSeries:
     """Detect two spots per frame and maintain identity by nearest-neighbor gating.
 
-    A spot takes the nearest detection within ``gate_factor`` pixel pitches of
-    its last centroid.  ``frames`` is any iterable of frames; it is consumed in
-    blocks of ``BLOCK_FRAMES`` frames of one shape, so a generator is never
-    held whole.
+    ``frames`` is any iterable of 2-D count arrays taken at ``timestamps``
+    with one ``pixel_pitch`` (m); it is consumed in blocks of
+    ``BLOCK_FRAMES`` frames of one shape, so a generator is never held whole
+    and the shape may change between frames.  A spot takes the nearest
+    detection within ``gate_factor`` pixel pitches of its last centroid.  A
+    spot not yet found takes the detections left over by the tracked spots,
+    in x order, so both spots of the first frame with detections are ordered
+    by x.
     """
-    times, positions, flags = [], [], []
-    previous = [None, None]  # last centroid of each spot; a spot never found stays None
-    for frame, dets in _detections(frames, threshold_fraction):
-        gate_um = gate_factor * frame.pixel_pitch * 1e6
-        found = [None, None]
-        if previous == [None, None]:
-            # first frame with spots: order them by x for a reproducible identity
-            for i, d in enumerate(sorted(dets, key=lambda d: d.centroid_um[0])[:2]):
-                found[i] = d.centroid_um
-        else:
-            remaining = [d.centroid_um for d in dets]
+    gate_um = gate_factor * pixel_pitch * 1e6
+    positions = []
+    previous = [None, None]  # last centroid of each spot; None until the spot is found
+    for centroids, counts in _centroid_blocks(frames, pixel_pitch, threshold_fraction):
+        for xy, count in zip(centroids.tolist(), counts.tolist()):
+            remaining = xy[:count]  # brightest first
+            found = [None, None]
             for i, last in enumerate(previous):
                 if last is None or not remaining:
                     continue
@@ -256,14 +219,15 @@ def track_spots(
                 j = min(range(len(dists)), key=dists.__getitem__)  # the first nearest
                 if dists[j] <= gate_um:
                     found[i] = remaining.pop(j)
-        previous = [p if f is None else f for f, p in zip(found, previous)]
-        times.append(frame.timestamp)
-        positions.append([_NO_SPOT if f is None else f for f in found])
-        flags.append([f is not None for f in found])
+            leftover = iter(sorted(remaining, key=lambda xy: xy[0]))
+            found = [next(leftover, None) if p is None else f for f, p in zip(found, previous)]
+            previous = [p if f is None else f for f, p in zip(found, previous)]
+            positions.append([_NO_SPOT if f is None else f for f in found])
+    spots_um = np.reshape(positions, (-1, 2, 2))
     return SpotTrackSeries(
-        timestamps=np.array(times),
-        spots_um=np.array(positions),
-        detected=np.array(flags),
+        timestamps=timestamps,
+        spots_um=spots_um,
+        detected=~np.isnan(spots_um[:, :, 0]),
         phase_boundaries=phase_boundaries or {},
     )
 
@@ -356,22 +320,17 @@ def track_stats(series: SpotTrackSeries, inner_fraction: float) -> dict:
 # --- PGM frame I/O ---------------------------------------------------------
 
 
-def write_pgm(frame: Frame, path) -> None:
-    """Binary P5 PGM; 16-bit frames use big-endian sample order per the format."""
-    _write_pgm_file(frame, path)
-
-
-def _write_pgm_file(frame: Frame, path) -> None:
-    """``write_pgm`` as one write of header plus samples; the frame writer thread calls it by this name."""
-    maxval = 2**frame.bit_depth - 1
-    header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode()
-    data = np.ascontiguousarray(frame.values, dtype=">u2" if frame.bit_depth == 16 else "u1")
+def _write_pgm(values: np.ndarray, path) -> None:
+    """A uint8 or uint16 frame as a binary P5 PGM in one write; 16-bit samples are big-endian per the format."""
+    height, width = values.shape
+    header = f"P5\n{width} {height}\n{np.iinfo(values.dtype).max}\n".encode()
+    data = np.ascontiguousarray(values, dtype=values.dtype.newbyteorder(">"))
     with open(path, "wb") as fh:
         fh.write(header + data.tobytes())
 
 
 def write_pgm_frames(frames, paths) -> None:
-    """Write each of ``frames`` (Frame objects) to the matching one of ``paths``, on one writer thread.
+    """Write each of ``frames`` (uint8 or uint16 arrays) to the matching one of ``paths``, on one writer thread.
 
     The frames are drawn from ``frames`` on the calling thread (so a lazy
     renderer renders the next frame there) and handed to the writer thread
@@ -387,11 +346,11 @@ def write_pgm_frames(frames, paths) -> None:
 
     def writer() -> None:
         while (batch := pending.get()) is not None:
-            for frame, path in batch:
+            for values, path in batch:
                 if failure:
                     break  # keep draining, so the calling thread never waits on a full queue
                 try:
-                    _write_pgm_file(frame, path)
+                    _write_pgm(values, path)
                 except BaseException as exc:  # re-raised on the calling thread
                     failure.append((path, exc))
 
@@ -411,8 +370,8 @@ def write_pgm_frames(frames, paths) -> None:
         raise exc
 
 
-def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:
-    """Read a binary PGM frame; a missing, malformed or truncated file is a DomainError."""
+def read_pgm(path) -> np.ndarray:
+    """A binary PGM frame as a uint8 or uint16 array; a missing, malformed or truncated file is a DomainError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -438,14 +397,8 @@ def read_pgm(path, pixel_pitch: float, timestamp: float = 0.0) -> Frame:
     width, height, maxval = fields
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise DomainError(f"{path}: PGM header {width}x{height}, maxval {maxval} is out of range")
-    bit_depth = 16 if maxval > 255 else 8
-    dtype = ">u2" if bit_depth == 16 else "u1"
-    if len(raw) - pos < width * height * bit_depth // 8:
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    if len(raw) - pos < width * height * dtype.itemsize:
         raise DomainError(f"{path}: truncated PGM frame")
     values = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos).reshape(height, width)
-    return Frame(
-        values=values.astype(np.uint16 if bit_depth == 16 else np.uint8),
-        pixel_pitch=pixel_pitch,
-        bit_depth=bit_depth,
-        timestamp=timestamp,
-    )
+    return values.astype(dtype.newbyteorder("="))

@@ -33,7 +33,7 @@ from codtsim.optics import (
     focus_input_beam,
 )
 from codtsim.painting import GridSpec, characterize_sites, compensate_powers, line_paint
-from codtsim.pointing import detect_spots, synth_frame
+from codtsim.pointing import detect_block, synth_frame
 from codtsim.potential import time_averaged_potential
 from codtsim.trapchar import (
     ThermoMetrics,
@@ -265,23 +265,13 @@ def test_criterion_10_pointing_pipeline(tmp_path):
         assert dc_std == pytest.approx(1.2, rel=0.10)
         # detection equivariance under an integer pixel shift
         frame = synth_frame(
-            [{"x_um": 200.0, "y_um": 240.0, "sigma_um": 12.0, "amplitude": 3000.0},
-             {"x_um": 260.0, "y_um": 240.0, "sigma_um": 12.0, "amplitude": 3000.0}],
-            shape=(96, 96),
-            pixel_pitch=5e-6,
-            background=40.0,
-            noise=6.0,
-            seed=4,
+            [[200.0, 240.0], [260.0, 240.0]], 12.0, 3000.0, shape=(96, 96), pixel_pitch=5e-6, background=40.0, noise=6.0, seed=4
         )
-        from codtsim.pointing import Frame
-
-        shifted = Frame(values=np.roll(frame.values, (2, 5), axis=(0, 1)), pixel_pitch=5e-6)
+        shifted = np.roll(frame, (2, 5), axis=(0, 1))
         threshold = load_config()["flight"]["threshold_fraction"]
-        d0, _ = detect_spots(frame, threshold)
-        d1, _ = detect_spots(shifted, threshold)
-        for a, b in zip(d0, d1):
-            assert b.centroid_um[0] - a.centroid_um[0] == pytest.approx(25.0, abs=1e-9)
-            assert b.centroid_um[1] - a.centroid_um[1] == pytest.approx(10.0, abs=1e-9)
+        (d0, d1), counts = detect_block(np.stack([frame, shifted]), 5e-6, threshold)
+        assert list(counts) == [2, 2]
+        np.testing.assert_allclose(d1 - d0, [[25.0, 10.0], [25.0, 10.0]], rtol=0, atol=1e-9)
         # determinism: re-synthesis produces byte-identical artifacts
         out2 = tmp_path / "flight2"
         assert cli_main(["flight", "synth", "--out", str(out2)]) == 0

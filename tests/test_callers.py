@@ -1,12 +1,11 @@
 """Every public module-level function and class of ``codtsim`` has a reference under ``src/``.
 
-A reference is a use of the name in code (a name or an attribute) or a
-``name`` cross-reference in a string, outside the name's own definition.
-Imports and ``__all__`` re-export a name; they do not use it.
+A reference is a use of the name in code (a name or an attribute), outside
+the name's own definition.  Imports and ``__all__`` re-export a name, and a
+docstring or comment only mentions it; none of them uses it.
 """
 
 import ast
-import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "codtsim"
@@ -27,8 +26,6 @@ def _referenced_names(node: ast.AST) -> set[str]:
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names.update(re.findall(r"``(\w+)``", sub.value))
     return names
 
 

@@ -399,14 +399,14 @@ class TestCli:
         out = tmp_path / "flight"
         assert main(["flight", "synth", "--out", str(out), "--set", "flight.n_frames=24"]) == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-        real = pointing._write_pgm_file
+        real = pointing._write_pgm
 
-        def write(frame, path):
+        def write(values, path):
             if path.name == f"frame_{failing:05d}.pgm":
                 raise OSError(28, "No space left on device")
-            real(frame, path)
+            real(values, path)
 
-        monkeypatch.setattr(pointing, "_write_pgm_file", write)
+        monkeypatch.setattr(pointing, "_write_pgm", write)
         threads = threading.active_count()
         codes = []
         argv = ["flight", "synth", "--out", str(out), "--seed", "3", "--set", "flight.n_frames=37"]
@@ -643,16 +643,33 @@ class TestCli:
             for stats in phase["displacement_um"].values():
                 assert stats["max_abs"] < 1e-6
 
+    def test_spot_missing_from_the_first_frame_is_tracked_from_the_next(self, tmp_path):
+        # spot 2 once stayed untracked for the whole flight, and the run exited 3
+        from codtsim import pointing
+
+        out = tmp_path / "flight"
+        assert main(["flight", "synth", "--out", str(out)]) == 0
+        first = out / "frames/frame_00000.pgm"
+        values = pointing.read_pgm(first)
+        values[:, values.shape[1] // 2 :] = 0  # blank the right half, where spot 2 lies
+        pointing._write_pgm(values, first)
+        assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 0
+        report = json.loads((out / "flight_report.json").read_text())
+        assert report["skipped_frames"] == 1
+        phases = report["phases"]
+        assert phases["launch"]["displacement_um"]["spot1_x"]["max_abs"] == pytest.approx(75.0, rel=0.10)
+        assert phases["microgravity"]["displacement_um"]["spot1_x"]["mean"] == pytest.approx(12.0, rel=0.10)
+        assert phases["microgravity"]["dc_interspot_um"]["std"] == pytest.approx(1.2, rel=0.10)
+
     def test_bad_flight_inputs_print_no_numpy_warning(self, tmp_path, capsys):
         import warnings
 
-        from codtsim.pointing import Frame, write_pgm
+        from codtsim import pointing
 
         frames = tmp_path / "frames"
         assert main(["flight", "synth", "--out", str(frames), "--set", "flight.n_frames=24"]) == 0
-        blank = Frame(values=np.zeros((96, 96), dtype=np.uint16), pixel_pitch=5e-6)
         for i in (0, 10):  # a blank first frame once lost spot 1 to a NaN centroid
-            write_pgm(blank, frames / f"frames/frame_{i:05d}.pgm")
+            pointing._write_pgm(np.zeros((96, 96), dtype=np.uint16), frames / f"frames/frame_{i:05d}.pgm")
         centroids = tmp_path / "centroids.csv"
         centroids.write_text("t_s,x1_um,y1_um,x2_um,y2_um\n")
         with warnings.catch_warnings():

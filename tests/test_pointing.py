@@ -10,15 +10,13 @@ from codtsim.config import load_config
 from codtsim.errors import ConfigError, DomainError
 from codtsim.pointing import (
     BLOCK_FRAMES,
-    Frame,
     SpotTrackSeries,
-    detect_spots,
+    detect_block,
     label_components,
     read_pgm,
     synth_frame,
     track_spots,
     track_stats,
-    write_pgm,
     write_pgm_frames,
 )
 
@@ -29,136 +27,123 @@ THRESHOLD, GATE, INNER = (FLIGHT[k] for k in ("threshold_fraction", "gate_pitch_
 
 
 def two_spot_frame(x1=200.0, x2=260.0, y=240.0, noise=0.0, seed=0, amp=3000.0):
-    spots = [
-        {"x_um": x1, "y_um": y, "sigma_um": 12.0, "amplitude": amp},
-        {"x_um": x2, "y_um": y, "sigma_um": 12.0, "amplitude": amp},
-    ]
-    return synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=noise, seed=seed)
+    return synth_frame([[x1, y], [x2, y]], 12.0, amp, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=noise, seed=seed)
+
+
+def detect(values, threshold_fraction=THRESHOLD):
+    """(centroids, count) of one frame: its two brightest spots, nan-padded, and its number of components."""
+    centroids, counts = detect_block(values[None], PITCH, threshold_fraction)
+    return centroids[0], counts[0]
+
+
+def found(values):
+    """The detected centroids of one frame as (x, y) tuples, sorted."""
+    centroids, count = detect(values)
+    return sorted(map(tuple, centroids[:count].tolist()))
 
 
 class TestSynthFrame:
     def test_peak_pixel_at_spot_center(self):
-        frame = synth_frame(
-            [{"x_um": 200.0, "y_um": 150.0, "sigma_um": 10.0, "amplitude": 1000.0}],
-            shape=(80, 80),
-            pixel_pitch=PITCH,
-            background=40.0,
-            noise=0.0,
-        )
-        iy, ix = np.unravel_index(np.argmax(frame.values), frame.values.shape)
+        frame = synth_frame([[200.0, 150.0]], 10.0, 1000.0, shape=(80, 80), pixel_pitch=PITCH, background=40.0, noise=0.0)
+        assert frame.dtype == np.uint16
+        iy, ix = np.unravel_index(np.argmax(frame), frame.shape)
         assert ix == 40 and iy == 30
 
     def test_rendered_separation_in_pixels(self):
-        frame = two_spot_frame()
-        dets, _ = detect_spots(frame, THRESHOLD)
-        sep = abs(dets[0].centroid_um[0] - dets[1].centroid_um[0])
+        centroids, _ = detect(two_spot_frame())
+        sep = abs(centroids[0, 0] - centroids[1, 0])
         assert sep == pytest.approx(60.0, abs=1.0)
 
     def test_seeded_determinism_byte_for_byte(self):
         a = two_spot_frame(noise=5.0, seed=42)
         b = two_spot_frame(noise=5.0, seed=42)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
         c = two_spot_frame(noise=5.0, seed=43)
-        assert a.values.tobytes() != c.values.tobytes()
+        assert a.tobytes() != c.tobytes()
 
     def test_matches_two_dimensional_exponential_byte_for_byte(self):
         # the reference renders each spot as one 2-D exponential over the pixel grid
         rng = np.random.default_rng(7)
         yy, xx = np.mgrid[0:96, 0:96]
         for seed in range(40):
-            spots = [
-                {"x_um": rng.uniform(20, 460), "y_um": rng.uniform(20, 460), "sigma_um": rng.uniform(5, 20), "amplitude": 3000.0}
-                for _ in range(2)
-            ]
+            spots = rng.uniform(20, 460, size=(2, 2))
+            sigma = rng.uniform(5, 20)
             img = np.full((96, 96), 40.0)
-            for spot in spots:
-                cx, cy = spot["x_um"] * 1e-6 / PITCH, spot["y_um"] * 1e-6 / PITCH
-                sig = spot["sigma_um"] * 1e-6 / PITCH
-                img += spot["amplitude"] * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig**2))
+            for x_um, y_um in spots:
+                cx, cy = x_um * 1e-6 / PITCH, y_um * 1e-6 / PITCH
+                sig = sigma * 1e-6 / PITCH
+                img += 3000.0 * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig**2))
             img = img + np.random.default_rng(seed).normal(0.0, 6.0, size=img.shape)
             reference = np.clip(np.rint(img), 0, 65535).astype(np.uint16)
-            frame = synth_frame(spots, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=6.0, seed=seed)
-            assert frame.values.tobytes() == reference.tobytes()
+            frame = synth_frame(spots, sigma, 3000.0, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=6.0, seed=seed)
+            assert frame.tobytes() == reference.tobytes()
 
     def test_spot_outside_frame_rejected(self):
         with pytest.raises(DomainError):
-            synth_frame(
-                [{"x_um": 9000.0, "y_um": 0.0, "sigma_um": 5.0, "amplitude": 10.0}],
-                shape=(64, 64),
-                pixel_pitch=PITCH,
-                background=40.0,
-                noise=0.0,
-            )
+            synth_frame([[9000.0, 0.0]], 5.0, 10.0, shape=(64, 64), pixel_pitch=PITCH, background=40.0, noise=0.0)
 
 
 class TestDetectSpots:
     def test_uniform_square_centroid_exact(self):
         values = np.zeros((40, 40), dtype=np.uint16)
         values[10:20, 14:24] = 1000  # rows 10..19, cols 14..23
-        frame = Frame(values=values, pixel_pitch=PITCH)
-        dets, truncated = detect_spots(frame, 0.5, max_spots=1)
-        assert not truncated
-        cx, cy = dets[0].centroid_um
+        centroids, count = detect(values, 0.5)
+        assert count == 1
+        cx, cy = centroids[0]
         assert cx == pytest.approx(18.5 * PITCH * 1e6, abs=1e-9)
         assert cy == pytest.approx(14.5 * PITCH * 1e9 * 1e-3, abs=1e-9)
+        assert np.isnan(centroids[1]).all()
 
     def test_subpixel_accuracy_at_high_snr(self):
         frame = synth_frame(
-            [{"x_um": 201.7, "y_um": 148.2, "sigma_um": 12.0, "amplitude": 3000.0}],
-            shape=(96, 96),
-            pixel_pitch=PITCH,
-            background=40.0,
-            noise=3000.0 / 50,
-            seed=11,
+            [[201.7, 148.2]], 12.0, 3000.0, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=3000.0 / 50, seed=11
         )
-        dets, _ = detect_spots(frame, THRESHOLD, max_spots=1)
-        cx, cy = dets[0].centroid_um
+        centroids, _ = detect(frame)
+        cx, cy = centroids[0]
         assert abs(cx - 201.7) < 0.1 * PITCH * 1e6
         assert abs(cy - 148.2) < 0.1 * PITCH * 1e6
 
     def test_two_spot_separation_within_micron(self):
-        frame = two_spot_frame(noise=6.0, seed=3)
-        dets, _ = detect_spots(frame, THRESHOLD)
-        xs = sorted(d.centroid_um[0] for d in dets)
+        centroids, _ = detect(two_spot_frame(noise=6.0, seed=3))
+        xs = sorted(centroids[:, 0])
         assert xs[1] - xs[0] == pytest.approx(60.0, abs=1.0)
 
     def test_empty_result_below_threshold(self):
         values = np.zeros((32, 32), dtype=np.uint16)
         values[5, 5] = 10
-        frame = Frame(values=values, pixel_pitch=PITCH)
-        dets, truncated = detect_spots(frame, 0.9)
-        assert len(dets) == 1  # the single bright pixel is its own component
+        _, count = detect(values, 0.9)
+        assert count == 1  # the single bright pixel is its own component
         values2 = np.full((32, 32), 7, dtype=np.uint16)
-        dets2, _ = detect_spots(Frame(values=values2, pixel_pitch=PITCH), 0.5)
         # flat frame: everything is one component, centroid at the center
-        assert len(dets2) == 1
+        assert detect(values2, 0.5)[1] == 1
         # a blank frame has none (not one of total 0, whose centroid is 0/0)
-        blank = Frame(values=np.zeros((32, 32), dtype=np.uint16), pixel_pitch=PITCH)
-        assert detect_spots(blank, 0.5) == ([], False)
+        centroids, count = detect(np.zeros((32, 32), dtype=np.uint16), 0.5)
+        assert count == 0 and np.isnan(centroids).all()
+
+    def test_more_than_two_spots_keep_the_two_brightest(self):
+        values = np.zeros((32, 32), dtype=np.uint16)
+        values[4, 4], values[4, 20], values[20, 12] = 300, 900, 600  # raster order: dim, bright, middle
+        centroids, count = detect(values, 0.1)
+        assert count == 3
+        np.testing.assert_array_equal(centroids, [[20 * PITCH * 1e6, 4 * PITCH * 1e6], [12 * PITCH * 1e6, 20 * PITCH * 1e6]])
 
     def test_integer_shift_equivariance(self):
         frame = two_spot_frame(noise=6.0, seed=5)
-        shifted = Frame(
-            values=np.roll(frame.values, (3, 7), axis=(0, 1)), pixel_pitch=PITCH
-        )
-        d0, _ = detect_spots(frame, THRESHOLD)
-        d1, _ = detect_spots(shifted, THRESHOLD)
-        for a, b in zip(d0, d1):
-            assert b.centroid_um[0] - a.centroid_um[0] == pytest.approx(7 * PITCH * 1e6, abs=1e-9)
-            assert b.centroid_um[1] - a.centroid_um[1] == pytest.approx(3 * PITCH * 1e6, abs=1e-9)
+        shifted = np.roll(frame, (3, 7), axis=(0, 1))
+        d0, _ = detect(frame)
+        d1, _ = detect(shifted)
+        np.testing.assert_allclose(d1 - d0, [[7 * PITCH * 1e6, 3 * PITCH * 1e6]] * 2, rtol=0, atol=1e-9)
 
     def test_intensity_scale_invariance(self):
         frame = two_spot_frame(noise=0.0, amp=800.0)
-        scaled = Frame(values=(frame.values.astype(np.uint32) * 3).astype(np.uint16) if frame.values.max() * 3 < 65536 else frame.values, pixel_pitch=PITCH)
-        d0, _ = detect_spots(frame, THRESHOLD)
-        d1, _ = detect_spots(scaled, THRESHOLD)
-        for a, b in zip(d0, d1):
-            assert a.centroid_um == pytest.approx(b.centroid_um, abs=1e-9)
+        scaled = (frame.astype(np.uint32) * 3).astype(np.uint16) if frame.max() * 3 < 65536 else frame
+        d0, _ = detect(frame)
+        d1, _ = detect(scaled)
+        np.testing.assert_allclose(d0, d1, rtol=0, atol=1e-9)
 
     def test_threshold_fraction_validated(self):
-        frame = two_spot_frame()
         with pytest.raises(DomainError):
-            detect_spots(frame, 1.5)
+            detect(two_spot_frame(), 1.5)
 
 
 def ndimage_labels(mask):
@@ -323,9 +308,7 @@ class TestTracking:
             two_spot_frame(x1=200.0 + i, x2=262.0 + i, noise=4.0, seed=i)
             for i in range(8)
         ]
-        for i, f in enumerate(frames):
-            f.timestamp = i / 24
-        series = track_spots(frames, THRESHOLD, GATE)
+        series = track_spots(frames, np.arange(8) / 24, PITCH, THRESHOLD, GATE)
         assert np.all(series.detected)
         x1 = series.spots_um[:, 0, 0]
         assert np.all(np.diff(x1) > 0)  # spot 1 moves right monotonically
@@ -335,71 +318,68 @@ class TestTracking:
 
         def frames():
             for i in range(n):
-                frame = two_spot_frame(x1=200.0 + 0.1 * i, x2=262.0 + 0.2 * i, noise=4.0, seed=i)
-                frame.timestamp = i / 24
-                yield frame
+                yield two_spot_frame(x1=200.0 + 0.1 * i, x2=262.0 + 0.2 * i, noise=4.0, seed=i)
 
-        from_list = track_spots(list(frames()), THRESHOLD, GATE)
-        from_generator = track_spots(frames(), THRESHOLD, GATE)
+        from_list = track_spots(list(frames()), np.arange(n) / 24, PITCH, THRESHOLD, GATE)
+        from_generator = track_spots(frames(), np.arange(n) / 24, PITCH, THRESHOLD, GATE)
         assert from_list.spots_um.shape == (n, 2, 2) and np.all(from_list.detected)
         for name in ("timestamps", "spots_um", "detected"):
             assert getattr(from_list, name).tobytes() == getattr(from_generator, name).tobytes()
         # each frame is detected as it would be alone
         for i, frame in enumerate(frames()):
-            dets, _ = detect_spots(frame, THRESHOLD)
-            assert sorted(d.centroid_um for d in dets) == sorted(map(tuple, from_list.spots_um[i]))
+            assert found(frame) == sorted(map(tuple, from_list.spots_um[i]))
 
     def test_frame_shape_may_change_mid_stream(self):
         small = synth_frame(
-            [{"x_um": 100.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 3000.0},
-             {"x_um": 150.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 3000.0}],
-            shape=(48, 48),
-            pixel_pitch=PITCH,
-            background=40.0,
-            noise=0.0,
+            [[100.0, 100.0], [150.0, 100.0]], 10.0, 3000.0, shape=(48, 48), pixel_pitch=PITCH, background=40.0, noise=0.0
         )
         frames = [two_spot_frame(), small, two_spot_frame()]
-        for i, f in enumerate(frames):
-            f.timestamp = float(i)
-        series = track_spots(frames, THRESHOLD, gate_factor=1000.0)
+        series = track_spots(frames, np.arange(3.0), PITCH, THRESHOLD, gate_factor=1000.0)
         assert np.all(series.detected)
         for i, frame in enumerate(frames):
-            dets, _ = detect_spots(frame, THRESHOLD)
-            assert sorted(d.centroid_um for d in dets) == sorted(map(tuple, series.spots_um[i]))
+            assert found(frame) == sorted(map(tuple, series.spots_um[i]))
+
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_spot_missing_from_the_first_frame_is_tracked_once_it_appears(self, missing):
+        # the first frame lacks spot ``missing`` of the pair at x = 200 and 260 um; it joins from frame 1 on
+        old, new = (200.0, 260.0) if missing == 1 else (260.0, 200.0)
+        first = synth_frame([[old, 240.0]], 12.0, 3000.0, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=0.0)
+        frames = [first] + [two_spot_frame(x1=200.0 + i, x2=260.0 + i, noise=4.0, seed=i) for i in range(1, 6)]
+        series = track_spots(frames, np.arange(6) / 24, PITCH, THRESHOLD, GATE)
+        # the spot of the first frame is spot 1 and keeps its identity; the newcomer is spot 2
+        np.testing.assert_array_equal(series.detected, [[True, False]] + [[True, True]] * 5)
+        np.testing.assert_allclose(series.spots_um[:, 0, 0] - np.arange(6), old, atol=1.0)
+        np.testing.assert_allclose(series.spots_um[1:, 1, 0] - np.arange(1, 6), new, atol=1.0)
 
 
 class TestPgmIO:
     def test_round_trip_16_bit(self, tmp_path):
         frame = two_spot_frame(noise=5.0, seed=9)
         path = tmp_path / "frame.pgm"
-        write_pgm(frame, path)
-        loaded = read_pgm(path, PITCH)
-        assert loaded.bit_depth == 16
-        np.testing.assert_array_equal(loaded.values, frame.values)
+        pointing._write_pgm(frame, path)
+        loaded = read_pgm(path)
+        assert loaded.dtype == np.uint16
+        np.testing.assert_array_equal(loaded, frame)
 
     def test_round_trip_8_bit(self, tmp_path):
-        frame = synth_frame(
-            [{"x_um": 100.0, "y_um": 100.0, "sigma_um": 10.0, "amplitude": 180.0}],
-            shape=(48, 48),
-            pixel_pitch=PITCH,
-            background=40.0,
-            noise=0.0,
-            bit_depth=8,
-        )
+        counts = synth_frame([[100.0, 100.0]], 10.0, 180.0, shape=(48, 48), pixel_pitch=PITCH, background=40.0, noise=0.0)
+        frame = counts.astype(np.uint8)
+        np.testing.assert_array_equal(frame, counts)  # 40 + 180 counts fit in 8 bits
         path = tmp_path / "frame8.pgm"
-        write_pgm(frame, path)
-        loaded = read_pgm(path, PITCH)
-        assert loaded.bit_depth == 8
-        np.testing.assert_array_equal(loaded.values, frame.values)
+        pointing._write_pgm(frame, path)
+        assert path.read_bytes().startswith(b"P5\n48 48\n255\n")
+        loaded = read_pgm(path)
+        assert loaded.dtype == np.uint8
+        np.testing.assert_array_equal(loaded, frame)
 
     def test_writer_thread_writes_the_bytes_of_write_pgm(self, tmp_path):
         frames = [two_spot_frame(x1=150.0 + i, noise=6.0, seed=3 + i) for i in range(37)]
-        frames[5] = Frame(values=np.minimum(frames[5].values, 255).astype(np.uint8), pixel_pitch=PITCH, bit_depth=8)
+        frames[5] = np.minimum(frames[5], 255).astype(np.uint8)
         before = threading.active_count()
         write_pgm_frames(frames, (tmp_path / f"t{i}.pgm" for i in range(37)))
         assert threading.active_count() == before
         for i, frame in enumerate(frames):
-            write_pgm(frame, tmp_path / f"f{i}.pgm")
+            pointing._write_pgm(frame, tmp_path / f"f{i}.pgm")
             assert (tmp_path / f"t{i}.pgm").read_bytes() == (tmp_path / f"f{i}.pgm").read_bytes(), i
         assert (tmp_path / "t5.pgm").read_bytes().startswith(b"P5\n96 96\n255\n")
 
@@ -407,15 +387,15 @@ class TestPgmIO:
     def test_failed_write_stops_the_writer_and_names_the_file(self, tmp_path, monkeypatch, failing):
         # one-frame batches and a one-batch queue: after the writer fails the
         # renderer must not wait on a full queue, and no thread may outlive the call
-        real = pointing._write_pgm_file
+        real = pointing._write_pgm
 
-        def write(frame, path):
+        def write(values, path):
             if path.name == f"f{failing}.pgm":
                 time.sleep(0.2)  # the renderer fills the queue and waits on it meanwhile
                 raise OSError(28, "No space left on device")
-            real(frame, path)
+            real(values, path)
 
-        monkeypatch.setattr(pointing, "_write_pgm_file", write)
+        monkeypatch.setattr(pointing, "_write_pgm", write)
         monkeypatch.setattr(pointing, "WRITE_BATCH_FRAMES", 1)
         monkeypatch.setattr(pointing, "WRITE_QUEUE_BATCHES", 1)
         rendered = []
@@ -423,7 +403,7 @@ class TestPgmIO:
         def frames():
             for i in range(40):
                 rendered.append(i)
-                yield Frame(values=np.full((8, 8), i, dtype=np.uint16), pixel_pitch=PITCH)
+                yield np.full((8, 8), i, dtype=np.uint16)
 
         before = threading.active_count()
         errors = []
@@ -453,7 +433,7 @@ class TestPgmIO:
     def test_malformed_or_truncated_frame_is_domain_error(self, tmp_path):
         frame = two_spot_frame(noise=5.0, seed=9)
         path = tmp_path / "frame.pgm"
-        write_pgm(frame, path)
+        pointing._write_pgm(frame, path)
         good = path.read_bytes()
         for raw in (
             good[:-1],  # one byte short of the payload
@@ -465,6 +445,6 @@ class TestPgmIO:
         ):
             path.write_bytes(raw)
             with pytest.raises(DomainError):
-                read_pgm(path, PITCH)
+                read_pgm(path)
         with pytest.raises(DomainError):
-            read_pgm(tmp_path / "missing.pgm", PITCH)
+            read_pgm(tmp_path / "missing.pgm")

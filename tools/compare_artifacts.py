@@ -20,8 +20,10 @@ and on the 3x3x3 grid, a 41-step
 ``trap misalign-sweep`` out to 20 um, a 740 um ``evap timeline`` at three
 samples, ``trap report`` writing an 8x8x8 trap field, ``trap report``,
 ``paint grid`` and ``paint transport`` with the geometric deflection map,
-and a ``paint transport`` of three sites at once with each deflection map,
-each at 0 g and at 9.81 m/s^2: 50 runs. Each tree runs ``JOBS`` runs at a
+a ``paint transport`` of three sites at once with each deflection map,
+and a ``flight synth`` plus ``flight analyze`` of 64x128-pixel frames at
+3.5 um (height and width differ, so a swap of the two shows), each at 0 g
+and at 9.81 m/s^2: 54 runs. Each tree runs ``JOBS`` runs at a
 time.
 """
 
@@ -76,6 +78,13 @@ EXTRA = [
     ("paint-transport-3-sites", ("paint", "transport"), TRANSPORT_3_SITES),
     ("paint-transport-3-sites-geometric", ("paint", "transport"),
      [*TRANSPORT_3_SITES, "layout.deflection_mode=geometric"]),
+    ("flight-synth-64x128", ("flight", "synth"), ["flight.frame_shape=[64,128]", "flight.pixel_pitch_um=3.5"]),
+]
+# name, --set overrides, the flight synth run whose output is --frames
+ANALYZE = [
+    ("flight-analyze", [], "flight-synth"),
+    ("flight-analyze-inner-0.5", ["flight.inner_fraction=0.5"], "flight-synth"),
+    ("flight-analyze-64x128", [], "flight-synth-64x128"),
 ]
 GRAVITIES = {"0g": [], "1g": ["constants.gravity_m_s2=9.81"]}
 JOBS = 2  # runs at a time; each is a fresh interpreter of ~40 MB
@@ -89,9 +98,9 @@ def runs() -> list[tuple[str, list[str], str | None]]:
         for name, command, settings in cases:
             sets = [a for s in gravity + settings for a in ("--set", s)]
             matrix.append((f"{g}/{name}", [*command, "--seed", SEED, *sets], None))
-        for name, settings in (("flight-analyze", []), ("flight-analyze-inner-0.5", ["flight.inner_fraction=0.5"])):
+        for name, settings, synth in ANALYZE:
             sets = [a for s in gravity + settings for a in ("--set", s)]
-            matrix.append((f"{g}/{name}", ["flight", "analyze", "--seed", SEED, *sets], f"{g}/flight-synth"))
+            matrix.append((f"{g}/{name}", ["flight", "analyze", "--seed", SEED, *sets], f"{g}/{synth}"))
     return matrix
 
 
