@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -25,7 +24,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, config as cfgmod
 from .errors import CodtsimError, ConfigError, DomainError
@@ -51,6 +49,7 @@ from .painting import (
 from .pointing import (
     PHASES,
     SpotTrackSeries,
+    _spot_centres,
     read_pgm,
     synth_frame,
     track_spots,
@@ -59,6 +58,16 @@ from .pointing import (
 )
 from .potential import WAVEFORM_PERIOD, DipolePotential, beam_records, write_field
 from .trapchar import characterize_crossed_trap, misalignment_sweep, reachable_volume
+
+# hashlib loads OpenSSL's libcrypto (~3.5 MB resident) into every process; the
+# interpreter's builtin sha256 gives the same digest, as in CPython's random.py
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 FIELD_WAIST_MARGIN = 4.0  # trap field half-extent, in waists
@@ -111,17 +120,18 @@ def _publish(stage: Path, out: Path) -> None:
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
+    versions = {"codtsim": __version__, "numpy": np.__version__}
+    if command.startswith("tof "):  # the only commands that run scipy code
+        import scipy
+
+        versions["scipy"] = scipy.__version__
     write_json(
         out / "manifest.json",
         {
             "command": command,
-            "config_sha256": hashlib.sha256(blob).hexdigest(),
+            "config_sha256": sha256(blob).hexdigest(),
             "seed": cfg["seed"],
-            "versions": {
-                "codtsim": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
+            "versions": versions,
             "artifacts": artifacts,
         },
     )
@@ -410,12 +420,7 @@ def cmd_flight_synth(cfg, out: Path) -> None:
     truth = flight_truth_trajectory(cfg)
     shape = tuple(int(v) for v in f["frame_shape"])
     pitch = f["pixel_pitch_um"] * 1e-6
-    # every spot of the flight is checked, as synth_frame checks it, before any frame is drawn
-    centres = truth["positions"] * 1e-6 / pitch  # (frames, spots, x y) in pixels
-    outside = ~((0 <= centres) & (centres < shape[::-1])).all(axis=-1)
-    if outside.any():
-        x_um, y_um = truth["positions"][outside][0]
-        raise DomainError(f"spot at ({x_um}, {y_um}) um lies outside the frame")
+    _spot_centres(truth["positions"], shape, pitch)  # every spot of the flight, before any frame is drawn
     frames = (
         synth_frame(
             spots_um,
@@ -448,10 +453,11 @@ def cmd_flight_synth(cfg, out: Path) -> None:
 
 def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
     data = _read_table(path, "--centroids", 5)
+    spots_um = data[:, 1:5].reshape(-1, 2, 2)
     return SpotTrackSeries(
         timestamps=data[:, 0],
-        spots_um=data[:, 1:5].reshape(-1, 2, 2),
-        detected=np.ones((data.shape[0], 2), dtype=bool),
+        spots_um=spots_um,
+        detected=~np.isnan(spots_um).any(axis=-1),  # a spot with a nan coordinate was not found
         phase_boundaries=boundaries,
     )
 

@@ -31,6 +31,17 @@ WRITE_QUEUE_BATCHES = 4  # batches that may wait for the frame writer
 _NO_SPOT = (math.nan, math.nan)  # centroid of a spot not found in a frame
 
 
+def _spot_centres(spots_um, shape, pixel_pitch: float) -> np.ndarray:
+    """Spot centres (..., x y) in pixels; DomainError if one lies outside a ``shape`` (h, w) frame."""
+    spots_um = np.asarray(spots_um, dtype=float)
+    centres = spots_um * 1e-6 / pixel_pitch
+    outside = ~((0 <= centres) & (centres < tuple(shape)[::-1])).all(axis=-1)
+    if outside.any():
+        x_um, y_um = spots_um[outside][0]
+        raise DomainError(f"spot at ({x_um}, {y_um}) um lies outside the frame")
+    return centres
+
+
 def synth_frame(
     spots_um,
     sigma_um: float,
@@ -50,12 +61,7 @@ def synth_frame(
     DomainError.
     """
     h, w = shape
-    spots_um = np.asarray(spots_um, dtype=float)
-    centres = spots_um * 1e-6 / pixel_pitch  # (spots, x y) in pixels
-    outside = ~((0 <= centres) & (centres < (w, h))).all(axis=1)
-    if outside.any():
-        x_um, y_um = spots_um[outside][0]
-        raise DomainError(f"spot at ({x_um}, {y_um}) um lies outside the frame")
+    centres = _spot_centres(spots_um, shape, pixel_pitch)
     two_sig2 = 2 * (sigma_um * 1e-6 / pixel_pitch) ** 2
     img = np.full((h, w), float(background))
     for cx, cy in centres:

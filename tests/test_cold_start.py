@@ -1,11 +1,15 @@
-"""Import contract of the CLI: no scipy subpackage on the import path, one BLAS thread.
+"""Import contract of the CLI: no scipy, no OpenSSL, one BLAS thread.
 
 Every subcommand runs as a fresh process, so whatever ``codtsim.cli`` imports
-at module level is paid on every call. The subpackages below are imported
-inside the functions that use them, and BLAS runs on one thread.
+at module level is paid on every call. scipy is imported inside the ``tof``
+functions that run it, the manifest digest comes from the interpreter's
+builtin sha256 rather than hashlib (whose ``_hashlib`` maps OpenSSL's
+libcrypto), and BLAS runs on one thread.
 """
 
 import filecmp
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -14,47 +18,75 @@ from pathlib import Path
 import pytest
 
 import codtsim.constants as cc
+from codtsim import config as cfgmod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-LAZY_SUBPACKAGES = (
-    "scipy.constants",
-    "scipy.integrate",
-    "scipy.optimize",
-    "scipy.ndimage",
-    "scipy.spatial",
-    "scipy.special",
-    "scipy.linalg",
-)
+HEAVY_MODULES = ("scipy", "_hashlib")  # any scipy subpackage loads scipy first
 
 
-def test_cli_import_loads_no_scipy_subpackage():
-    code = (
-        "import codtsim.cli, sys; "
-        f"print(' '.join(m for m in {LAZY_SUBPACKAGES!r} if m in sys.modules))"
-    )
+def _fresh(code: str) -> list[str]:
+    """The words ``code`` prints in a fresh interpreter that imports codtsim from ``src/``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
 
 
-def test_flight_analyze_loads_no_scipy_subpackage(tmp_path):
+def _run_and_list_heavy_modules(argv: list[str]) -> list[str]:
+    """The exit code of ``main(argv)`` in a fresh process, then the heavy modules it ended with."""
+    return _fresh(
+        "import sys; from codtsim.cli import main; "
+        f"rc = main({argv!r}); "
+        f"print(rc, *(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+
+
+def test_cli_import_loads_no_scipy_and_no_openssl():
+    code = f"import codtsim.cli, sys; print(*(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    assert _fresh(code) == []
+
+
+def test_paint_grid_loads_no_scipy_and_no_openssl(tmp_path):
+    assert _run_and_list_heavy_modules(["paint", "grid", "--out", str(tmp_path / "grid")]) == ["0"]
+
+
+def test_flight_analyze_loads_no_scipy_and_no_openssl(tmp_path):
     from codtsim.cli import main
 
     out = tmp_path / "flight"
     assert main(["flight", "synth", "--out", str(out), "--set", "flight.n_frames=48"]) == 0
     argv = ["flight", "analyze", "--out", str(out), "--frames", str(out), "--set", "flight.n_frames=48"]
-    code = (
-        "import sys; from codtsim.cli import main; "
-        f"rc = main({argv!r}); "
-        f"print(rc, *(m for m in {LAZY_SUBPACKAGES!r} if m in sys.modules))"
+    assert _run_and_list_heavy_modules(argv) == ["0"]
+
+
+def test_only_tof_manifests_record_scipy(tmp_path):
+    import scipy
+
+    from codtsim.cli import main
+
+    for argv in (["tof", "fit"], ["paint", "grid"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions.get("scipy") == (scipy.__version__ if argv[0] == "tof" else None)
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha256", "_sha2")], ids=["builtin", "hashlib-fallback"])
+def test_config_digest_is_sha256_of_the_sorted_config(blocked, tmp_path):
+    cfg = cfgmod.load_config(None, [])
+    expected = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    out = tmp_path / "manifest"
+    out.mkdir()
+    words = _fresh(
+        "import sys; "
+        + "".join(f"sys.modules[{name!r}] = None; " for name in blocked)
+        + "from pathlib import Path; from codtsim import cli, config; "
+        f"cli._write_manifest(Path({str(out)!r}), 'evap schedule', config.load_config(None, []), []); "
+        "print('hashlib' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.split() == ["0"]
+    assert words == [str(bool(blocked))]  # the fallback, and only it, went through hashlib
+    assert json.loads((out / "manifest.json").read_text())["config_sha256"] == expected
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc (Linux)")

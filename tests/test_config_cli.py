@@ -716,6 +716,23 @@ class TestCli:
         report = json.loads((out / "flight_report.json").read_text())
         assert report["phases"]["microgravity"]["dc_interspot_um"]["max_abs"] == 0.0
 
+    def test_centroid_row_with_a_nan_coordinate_is_a_skipped_frame(self, tmp_path):
+        # every CSV row once counted as a frame with both spots found
+        out = tmp_path / "bypass"
+        out.mkdir()
+        meta = {"phase_boundaries_s": {"pre": [0.0, 0.5], "microgravity": [0.5, 1.5]}}
+        (out / "flight_meta.json").write_text(json.dumps(meta))
+        rows = ["t_s,x1_um,y1_um,x2_um,y2_um"]
+        for i in range(36):
+            rows.append(f"{i / 24.0},100.0,120.0,{'nan' if i == 20 else 160.0},120.0")
+        centroids = out / "centroids.csv"
+        centroids.write_text("\n".join(rows))
+        argv = ["flight", "analyze", "--out", str(out), "--frames", str(out), "--centroids", str(centroids)]
+        assert main(argv) == 0
+        report = json.loads((out / "flight_report.json").read_text())
+        assert report["skipped_frames"] == 1
+        assert report["phases"]["microgravity"]["dc_interspot_um"]["n"] == 23
+
     def test_evap_timeline_open_row_keeps_every_column(self, tmp_path):
         # gravity opens the 1 mW reopened trap: that row is reported invalid,
         # with its reason, in the same columns as the valid rows
