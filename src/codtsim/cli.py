@@ -150,9 +150,10 @@ def _context(cfg):
 def cmd_trap_report(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     report = characterize_crossed_trap(constants, layout, inputs)
+    [row], [axes] = report.rows(), report.principal_axes.tolist()
     payload = {
-        **report.row(),
-        "principal_axes": report.principal_axes.tolist(),
+        **row,
+        "principal_axes": axes,
         "deflection_scales_um_per_mhz": dict(zip(CHANNELS, (displacement_scale(layout) / 1e-6).tolist())),
     }
     write_json(out / "trap_report.json", payload)
@@ -453,13 +454,7 @@ def cmd_flight_synth(cfg, out: Path) -> None:
 
 def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
     data = _read_table(path, "--centroids", 5)
-    spots_um = data[:, 1:5].reshape(-1, 2, 2)
-    return SpotTrackSeries(
-        timestamps=data[:, 0],
-        spots_um=spots_um,
-        detected=~np.isnan(spots_um).any(axis=-1),  # a spot with a nan coordinate was not found
-        phase_boundaries=boundaries,
-    )
+    return SpotTrackSeries(timestamps=data[:, 0], spots_um=data[:, 1:5].reshape(-1, 2, 2), phase_boundaries=boundaries)
 
 
 def _read_flight_meta(path: Path, keys) -> dict:

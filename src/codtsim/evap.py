@@ -122,7 +122,7 @@ def timeline(
     schedule: RampSchedule,
     n_samples: int,
 ) -> list[dict]:
-    """The schedule and the trap row (``TrapReport.row``) at each sampled time, one row per time.
+    """The schedule and the trap row (``TrapReport.rows``) at each sampled time, one row per time.
 
     Each painted trap is the time average of its line paint at the phase
     count ``time_averaged_potential`` derives from it.  Samples with the
@@ -165,11 +165,12 @@ def _painted_trap(
     wf = line_paint(layout, amp_h, amp_v) if (amp_h or amp_v) else ModulationWaveform.constant()
     pot = time_averaged_potential(constants, layout, inputs_t, wf)
     report = characterize(pot, np.zeros(3))
-    if report.valid and report.depth_escape == 0 and (amp_h or amp_v):
+    if report.valid[0] and report.depth_escape[0] == 0 and (amp_h or amp_v):
         # the centre of a wide paint is a ridge the scan falls off at once:
         # its wells lie toward the sweep ends, so seed at the sweep start
         report = characterize(pot, crossing_from_offsets(layout, -amp_h, -amp_h, -amp_v))
-    return report.row()
+    [row] = report.rows()
+    return row
 
 
 def evaporation_efficiency(initial: ThermoMetrics, final: ThermoMetrics) -> dict:

@@ -71,7 +71,7 @@ class SiteTable:
     positions: np.ndarray  # (n, 3), m
     radii: np.ndarray  # (n, 2): each beam's local geometric-mean 1/e^2 radius, m
     weights: np.ndarray  # (n, 2): each beam's power weight
-    reports: list[TrapReport]
+    reports: TrapReport  # one item per site
     converged: bool = True
 
     def central_index(self) -> int:
@@ -80,17 +80,16 @@ class SiteTable:
 
     def deviations(self) -> dict:
         """Fractional deviations of sizes, depth and frequencies of the valid sites vs. the central site."""
-        c = self.central_index()
-        if self.reports[c].depth_escape <= 0 or np.any(self.reports[c].frequencies <= 0):
+        c, r = self.central_index(), self.reports
+        if r.depth_escape[c] <= 0 or np.any(r.frequencies[c] <= 0):
             raise DomainError("central site has no positive depth to compare the grid against")
-        valid = np.array([r.valid for r in self.reports])
-        rel = lambda v: (v[valid] - v[c]) / v[c]  # noqa: E731
+        rel = lambda v: (v[r.valid] - v[c]) / v[c]  # noqa: E731
         return {
             "radius_beam1": rel(self.radii[:, 0]),
             "radius_beam2": rel(self.radii[:, 1]),
-            "depth": rel(np.array([r.depth_escape for r in self.reports])),
-            "mean_frequency": rel(np.array([r.mean_frequency for r in self.reports])),
-            "frequencies": rel(np.array([r.frequencies for r in self.reports])),
+            "depth": rel(r.depth_escape),
+            "mean_frequency": rel(r.mean_frequency),
+            "frequencies": rel(r.frequencies),
         }
 
     def frequency_spread(self) -> float:
@@ -272,16 +271,13 @@ def compensate_powers(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown compensation objective {objective!r}")
-    central_n = table.central_index()
-    ref = table.reports[central_n]
-    if ref.depth_escape <= 0 or np.any(ref.frequencies <= 0):
+    c, ref = table.central_index(), table.reports
+    ref_depth, ref_mean, ref_freqs = ref.depth_escape[c], ref.mean_frequency[c], ref.frequencies[c]
+    if ref_depth <= 0 or np.any(ref_freqs <= 0):
         raise DomainError("central site must be a valid trap to compensate against")
 
     def objective_spread(t: SiteTable) -> float:
-        if objective == "equal-depth":
-            vals = np.array([r.depth_escape for r in t.reports])
-        else:
-            vals = np.array([r.mean_frequency for r in t.reports])
+        vals = t.reports.depth_escape if objective == "equal-depth" else t.reports.mean_frequency
         return float((vals.max() - vals.min()) / vals.mean())
 
     spread = objective_spread(table)
@@ -289,7 +285,7 @@ def compensate_powers(
         return replace(table, converged=True)
     deltas = np.linspace(-0.35, 0.35, BALANCE_STEPS)
     # every candidate of every non-central site in one batch, site by site
-    sites = np.delete(np.arange(len(table.indices)), central_n)
+    sites = np.delete(np.arange(len(table.indices)), c)
     positions = table.positions[sites]
     bases = table.weights[sites].mean(axis=1)
     candidates = (bases[:, None, None] * np.column_stack([1 + deltas, 1 - deltas])).reshape(-1, 2)
@@ -297,19 +293,17 @@ def compensate_powers(
     records = beam_records(layout, inputs, offsets, candidates)
     seeds = np.repeat(positions, BALANCE_STEPS, axis=0)
     reports = characterize_batch(DipolePotential(constants, records), seeds)
-    depth, mean = np.array([(r.depth_escape, r.mean_frequency) for r in reports]).T
-    freqs = np.array([r.frequencies for r in reports])
-    usable = np.array([r.valid for r in reports]) & (depth > 0)
+    depth = reports.depth_escape
     # the common rescale of both beams that pins the objective to the central site;
     # exact for gravity-free sites, whose potential scales linearly with power
     with np.errstate(all="ignore"):  # unusable candidates, whose residual is set below
         if objective == "equal-depth":
-            scale = ref.depth_escape / depth
-            residual = np.max(np.abs(freqs * np.sqrt(scale)[:, None] - ref.frequencies) / ref.frequencies, axis=1)
+            scale = ref_depth / depth
+            residual = np.max(np.abs(reports.frequencies * np.sqrt(scale)[:, None] - ref_freqs) / ref_freqs, axis=1)
         else:
-            scale = (ref.mean_frequency / mean) ** 2
-            residual = np.abs(depth * scale - ref.depth_escape) / ref.depth_escape
-    residual = np.where(usable, residual, np.inf).reshape(-1, BALANCE_STEPS)
+            scale = (ref_mean / reports.mean_frequency) ** 2
+            residual = np.abs(depth * scale - ref_depth) / ref_depth
+    residual = np.where(reports.valid & (depth > 0), residual, np.inf).reshape(-1, BALANCE_STEPS)
     best = np.arange(len(sites)) * BALANCE_STEPS + residual.argmin(axis=1)  # the first minimum wins
     found = np.isfinite(residual.min(axis=1))
     new_pairs = table.weights.copy()
@@ -336,9 +330,13 @@ def site_table_csv_rows(table: SiteTable) -> list[dict]:
             "radius_beam1_um": r1,
             "radius_beam2_um": r2,
             "power_weight": w,
-            **report.row(),
+            **row,
         }
-        for (i, j, k), (x, y, z), (r1, r2), w, report in zip(
-            table.indices.tolist(), table.positions * 1e6, table.radii * 1e6, table.weights.mean(axis=1), table.reports
+        for (i, j, k), (x, y, z), (r1, r2), w, row in zip(
+            table.indices.tolist(),
+            table.positions * 1e6,
+            table.radii * 1e6,
+            table.weights.mean(axis=1),
+            table.reports.rows(),
         )
     ]

@@ -167,14 +167,12 @@ class SpotTrackSeries:
     """Per-frame centroids of two tracked spots with phase labels."""
 
     timestamps: np.ndarray  # s
-    spots_um: np.ndarray  # (n_frames, 2 spots, 2 xy), nan where missing
-    detected: np.ndarray  # (n_frames, 2) bool
+    spots_um: np.ndarray  # (n_frames, 2 spots, 2 xy), nan where a spot was not found
     phase_boundaries: dict = field(default_factory=dict)  # phase -> (t0, t1)
 
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         self.spots_um = np.asarray(self.spots_um, dtype=float)
-        self.detected = np.asarray(self.detected, dtype=bool)
         if np.any(np.diff(self.timestamps) <= 0):
             raise DomainError("timestamps must be strictly increasing")
         if self.spots_um.shape != (self.timestamps.size, 2, 2):
@@ -230,12 +228,7 @@ def track_spots(
             previous = [p if f is None else f for f, p in zip(found, previous)]
             positions.append([_NO_SPOT if f is None else f for f in found])
     spots_um = np.reshape(positions, (-1, 2, 2))
-    return SpotTrackSeries(
-        timestamps=timestamps,
-        spots_um=spots_um,
-        detected=~np.isnan(spots_um[:, :, 0]),
-        phase_boundaries=phase_boundaries or {},
-    )
+    return SpotTrackSeries(timestamps=timestamps, spots_um=spots_um, phase_boundaries=phase_boundaries or {})
 
 
 def _phase_mask(series: SpotTrackSeries, phase: str) -> np.ndarray:
@@ -266,7 +259,7 @@ def track_stats(series: SpotTrackSeries, inner_fraction: float) -> dict:
     distance relative to its pre-launch mean.  ``inner_fraction`` selects a
     centered sub-interval of the microgravity phase reported separately.
     """
-    valid_frames = np.all(series.detected, axis=1)
+    valid_frames = ~np.isnan(series.spots_um).any(axis=(1, 2))  # both spots found: no nan coordinate
     if int(valid_frames.sum()) < 2:
         raise DomainError("need at least two frames with both spots detected")
     skipped = int((~valid_frames).sum())

@@ -7,10 +7,11 @@ and every step is line-searched inside the search box.  The trap
 frequencies omega_i = sqrt(lambda_i / m) come from the Hessian at the
 minimum.  Two depth conventions are computed: "escape-saddle" (lowest
 barrier along the principal axes and the beam arms) and "peak-to-min"
-(optical depth of the minimum, gravity excluded).  A report describes the
+(optical depth of the minimum, gravity excluded).  Each trap describes the
 well at its seed: when that well spills into a deeper one, its escape depth
 is the barrier it spills over.  Every step runs over a batch of traps at
-once, one trap being the batch of one.
+once, one trap being the batch of one, and a ``TrapReport`` holds the batch
+as per-item columns.
 """
 
 from __future__ import annotations
@@ -50,50 +51,44 @@ _CUT_CANDIDATES = np.array(sorted({int(1.25**k) for k in range(-1, 52)}))
 
 @dataclass
 class TrapReport:
-    """Result of characterizing one potential minimum.
+    """Characterized traps as per-item columns, item i being the trap of batch item i.
 
     Both depths are always computed; ``depth_escape`` is the trap's depth.
-    An invalid report gives its ``reason`` and has zero depths and
+    An invalid item gives its ``reason`` and has zero depths and
     frequencies and the identity as its axes.
     """
 
-    minimum_position: np.ndarray  # m
-    depth_escape: float  # J
-    depth_peak: float  # J
-    frequencies: np.ndarray  # Hz, ascending with principal_axes rows
-    principal_axes: np.ndarray  # row i is the axis of frequencies[i]
-    mean_frequency: float  # Hz, geometric mean
-    valid: bool
-    seed: np.ndarray  # m, where Newton started
-    reason: str = ""
+    minimum_position: np.ndarray  # (n, 3), m
+    depth_escape: np.ndarray  # (n,), J
+    depth_peak: np.ndarray  # (n,), J
+    frequencies: np.ndarray  # (n, 3), Hz, ascending with the rows of principal_axes
+    principal_axes: np.ndarray  # (n, 3, 3): row j of item i is the axis of frequencies[i, j]
+    mean_frequency: np.ndarray  # (n,), Hz, geometric mean
+    valid: np.ndarray  # (n,) bool
+    reason: np.ndarray  # (n,) str, "" where valid
+    seed: np.ndarray  # (n, 3), m, where Newton started
     # how the minimum was found: Newton steps from the seed and |grad U|, J/m
-    newton_iterations: int = 0
-    gradient_norm: float = 0.0
+    newton_iterations: np.ndarray  # (n,) int
+    gradient_norm: np.ndarray  # (n,)
 
-    def row(self) -> dict:
-        """The trap's artifact columns, in µm, µK and Hz; its ``depth_uK`` is the escape-saddle depth.
+    def rows(self) -> list[dict]:
+        """Each trap's artifact columns, in µm, µK and Hz; its ``depth_uK`` is the escape-saddle depth.
 
         Every site table, timeline row and trap report carries these columns.
         """
-        (x, y, z), (sx, sy, sz), (f1, f2, f3) = self.minimum_position * 1e6, self.seed * 1e6, self.frequencies
-        return {
-            "valid": int(self.valid),
+        columns = {
+            "valid": self.valid.astype(int),
             "reason": self.reason,
-            "min_x_um": float(x),
-            "min_y_um": float(y),
-            "min_z_um": float(z),
+            **dict(zip(("min_x_um", "min_y_um", "min_z_um"), (self.minimum_position * 1e6).T)),
             "depth_uK": self.depth_escape / BOLTZMANN * 1e6,
             "depth_peak_to_min_uK": self.depth_peak / BOLTZMANN * 1e6,
-            "f1_hz": float(f1),
-            "f2_hz": float(f2),
-            "f3_hz": float(f3),
+            **dict(zip(("f1_hz", "f2_hz", "f3_hz"), self.frequencies.T)),
             "mean_frequency_hz": self.mean_frequency,
             "newton_iterations": self.newton_iterations,
             "gradient_norm_uK_per_um": self.gradient_norm / BOLTZMANN,
-            "seed_x_um": float(sx),
-            "seed_y_um": float(sy),
-            "seed_z_um": float(sz),
+            **dict(zip(("seed_x_um", "seed_y_um", "seed_z_um"), (self.seed * 1e6).T)),
         }
+        return [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
 
 
 @dataclass(frozen=True)
@@ -411,7 +406,7 @@ def _ray_barrier(f, x0, u0, rays, owner, steps):
     return barriers, failures
 
 
-def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
+def characterize_batch(potential: DipolePotential, seeds) -> TrapReport:
     """Characterize the trap minimum of every item of a batched ``potential`` from its seed.
 
     ``potential`` holds records (n, r, 19), one trap per item, and
@@ -421,21 +416,19 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     smallest record waist / 50, which spaces the escape scan and sets the
     margin by which a minimum must clear the box) and its escape arms (the
     record directions, searched next to the principal axes).  The report
-    describes the well Newton reaches from the seed; when that well spills
-    into a deeper one, its escape depth is the barrier it spills over.  No
-    minimum from the seed, a flat potential and a saddle give an invalid
-    report.
+    holds one column entry per item, describing the well Newton reaches
+    from the seed; when that well spills into a deeper one, its escape
+    depth is the barrier it spills over.  No minimum from the seed, a flat
+    potential and a saddle make an item invalid.
 
     One Newton pass, one batched ``eigh`` and one escape scan run over the
-    whole batch; each report equals the one the item gets in a batch of its
+    whole batch; each item's entries equal those it gets in a batch of its
     own.  When items hit a model limit (derivatives that are not finite, an
     escape scan too long), the ``ModelValidityError`` is the one of the
     first such item, as a loop over the items would raise.
     """
     constants, records = potential.constants, potential.records
     n = len(records)
-    if not n:
-        return []
     centers = np.array(seeds, dtype=float).reshape(n, 3)
     steps = records[:, :, 12:14].min(axis=(1, 2)) / 50
 
@@ -490,22 +483,21 @@ def characterize_batch(potential: DipolePotential, seeds) -> list[TrapReport]:
     freqs = np.sqrt(np.clip(eigvals, 0.0, None) / constants.atom_mass) / (2 * math.pi)
     axes = eigvecs.transpose(0, 2, 1).copy()
     depth_escape[~is_valid], freqs[~is_valid], axes[~is_valid] = 0.0, 0.0, np.eye(3)
-    return [
-        TrapReport(
-            minimum_position=x[i].copy(),
-            depth_escape=float(depth_escape[i]),
-            depth_peak=float(depth_peak[i]),
-            frequencies=freqs[i],
-            principal_axes=axes[i],
-            mean_frequency=float(np.prod(freqs[i])) ** (1.0 / 3.0) if np.all(freqs[i] > 0) else 0.0,
-            valid=bool(is_valid[i]),
-            seed=centers[i].copy(),
-            reason=str(reasons[i]),
-            newton_iterations=int(iterations[i]),
-            gradient_norm=float(np.linalg.norm(grad[i])),
-        )
-        for i in range(n)
-    ]
+    # each item's mean with Python's power, as numpy's vector power may round differently
+    mean = [p ** (1.0 / 3.0) if p > 0 else 0.0 for p in np.prod(freqs, axis=1).tolist()]
+    return TrapReport(
+        minimum_position=x,
+        depth_escape=depth_escape,
+        depth_peak=depth_peak,
+        frequencies=freqs,
+        principal_axes=axes,
+        mean_frequency=np.array(mean),
+        valid=is_valid,
+        reason=reasons,
+        seed=centers,
+        newton_iterations=iterations,
+        gradient_norm=np.sqrt(_dot(grad, grad)),
+    )
 
 
 def characterize(potential: DipolePotential, seed_point) -> TrapReport:
@@ -513,8 +505,7 @@ def characterize(potential: DipolePotential, seed_point) -> TrapReport:
 
     The batch of one of :func:`characterize_batch`, which describes the search.
     """
-    [report] = characterize_batch(DipolePotential(potential.constants, potential.records[None]), [seed_point])
-    return report
+    return characterize_batch(DipolePotential(potential.constants, potential.records[None]), [seed_point])
 
 
 def characterize_crossed_trap(
@@ -563,17 +554,18 @@ def thermo_metrics(
     atom_number: float,
     temperature: float,
 ) -> ThermoMetrics:
-    """Phase-space density and truncation parameter for a characterized trap.
+    """Phase-space density and truncation parameter for a characterized trap, a report of one item.
 
     psd = N (hbar omega_bar / kB T)^3 with omega_bar the geometric-mean
     angular frequency; eta = depth / (kB T), with the escape-saddle depth.
     """
-    if not report.valid:
+    [valid], [depth], [mean_frequency] = report.valid, report.depth_escape.tolist(), report.mean_frequency.tolist()
+    if not valid:
         raise DomainError("cannot compute thermodynamic metrics for an invalid trap report")
     if temperature <= 0:
         raise DomainError("temperature must be positive")
-    psd = phase_space_density(atom_number, temperature, report.mean_frequency)
-    eta = report.depth_escape / (BOLTZMANN * temperature)
+    psd = phase_space_density(atom_number, temperature, mean_frequency)
+    eta = depth / (BOLTZMANN * temperature)
     return ThermoMetrics(
         atom_number=atom_number, temperature=temperature, psd=psd, truncation_parameter=eta
     )
@@ -607,10 +599,9 @@ def misalignment_sweep(
     records[1:, 1, 2] += offsets
     # past the crossing the midpoint seed sits on a saddle: an invalid report, ratio 0
     seeds = 0.5 * (records[:, 0, 0:3] + records[:, 1, 0:3])
-    ref, *reports = characterize_batch(DipolePotential(constants, records), seeds)
-    if not ref.valid or ref.depth_escape <= 0:
+    report = characterize_batch(DipolePotential(constants, records), seeds)
+    valid, depth = report.valid, report.depth_escape
+    if not valid[0] or depth[0] <= 0:
         raise DomainError("reference trap is not valid")
-    return [
-        {"offset_um": off * 1e6, "depth_ratio": report.depth_escape / ref.depth_escape if report.valid else 0.0}
-        for off, report in zip(offsets, reports)
-    ]
+    ratios = np.where(valid[1:], depth[1:] / depth[0], 0.0)
+    return [{"offset_um": off, "depth_ratio": r} for off, r in zip((offsets * 1e6).tolist(), ratios.tolist())]

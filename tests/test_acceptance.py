@@ -94,10 +94,9 @@ def test_criterion_02_deflection_mapping():
 
 def test_criterion_03_static_trap_depth():
     with criterion(3, "static trap depth"):
-        report = characterize_crossed_trap(RB, LAYOUT, INPUTS)
-        assert report.valid
+        [row] = characterize_crossed_trap(RB, LAYOUT, INPUTS).rows()
+        assert row["valid"]
         target_uk = 11.9e3
-        row = report.row()
         depths = {"escape-saddle": row["depth_uK"], "peak-to-min": row["depth_peak_to_min_uK"]}
         matches = {conv: abs(depth / target_uk - 1) <= 0.30 for conv, depth in depths.items()}
         assert any(matches.values())
@@ -115,9 +114,9 @@ def test_criterion_04_painted_trap_depth():
         # so the triangle sweep amplitude is 370 um
         wf = line_paint(LAYOUT, 370.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf)
-        report = characterize(pot, np.zeros(3))
-        assert report.valid
-        depth = report.row()["depth_peak_to_min_uK"]
+        [row] = characterize(pot, np.zeros(3)).rows()
+        assert row["valid"]
+        depth = row["depth_peak_to_min_uK"]
         print(f"    painted depth {depth:.1f} uK (target 240 +/- 25%)")
         assert depth == pytest.approx(240.0, rel=0.25)
 
@@ -185,14 +184,15 @@ def test_criterion_07_thermodynamic_endpoints():
         wf = line_paint(LAYOUT, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf)
         report = characterize(pot, np.zeros(3))
-        eta = report.depth_escape / (BOLTZMANN * 20e-6)
-        freqs = ", ".join(f"{f:.0f}" for f in report.frequencies)
+        [row] = report.rows()
+        eta = report.depth_escape[0] / (BOLTZMANN * 20e-6)
+        freqs = ", ".join(f"{f:.0f}" for f in report.frequencies[0])
         print(
             f"    psd(2e6, 20 uK, {implied_fbar} Hz) = {psd:.3e}; characterized initial "
             f"painted trap: frequencies ({freqs}) Hz (flat-bottomed along the painted line), "
-            f"depth {report.row()['depth_uK']:.0f} uK, eta = {eta:.1f}"
+            f"depth {row['depth_uK']:.0f} uK, eta = {eta:.1f}"
         )
-        assert report.valid and report.depth_escape > 0
+        assert row["valid"] and report.depth_escape[0] > 0
         # gamma: definition cases; the published 2.7 is documented as not
         # reproduced by the naive endpoint formula (it gives 1.46)
         m = lambda n, p: ThermoMetrics(n, 1e-6, p, 1.0)  # noqa: E731

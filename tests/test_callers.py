@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "codtsim"
 ALLOWED = {
     "static_potential": "perfbench's kernel micro run calls it",
     "beam_intensity": "the kernel tests compare against this per-beam reference",
-    "thermo_metrics": "criterion 07 uses it",
+    "thermo_metrics": "TestThermoMetrics in test_trapchar.py checks it",
     "evaporation_efficiency": "criterion 07 uses it",
 }
 

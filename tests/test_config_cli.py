@@ -130,7 +130,7 @@ class TestCli:
         # depth_uK is the escape-saddle depth, and the report names no other
         cfg = load_config()
         crossed = characterize_crossed_trap(constants_from_config(cfg), layout_from_config(cfg), beams_from_config(cfg))
-        assert report["depth_uK"] == crossed.row()["depth_uK"]
+        assert report["depth_uK"] == crossed.rows()[0]["depth_uK"]
         assert not {"depth_escape_saddle_uK", "depth_convention", "minimum_position_um", "frequencies_hz"} & set(report)
         # how the minimum was found
         assert report["newton_iterations"] >= 1 and "seeds_tried" not in report

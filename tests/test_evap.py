@@ -144,9 +144,9 @@ class TestTimeline:
         monkeypatch.setattr(evap, "characterize", lambda *a: reports.append(real(*a)) or reports[-1])
         row = evap._painted_trap(PhysicalConstants(gravity=gravity), layout, input_pair, 10.0, 1000e-6, 0.0)
         centre, sweep_end = reports
-        assert centre.valid and centre.depth_escape == 0.0
-        assert np.linalg.norm(centre.minimum_position) < 10e-6
-        assert abs(sweep_end.minimum_position[1]) == pytest.approx(1008e-6, abs=5e-6)
+        assert centre.valid[0] and centre.depth_escape[0] == 0.0
+        assert np.linalg.norm(centre.minimum_position[0]) < 10e-6
+        assert abs(sweep_end.minimum_position[0, 1]) == pytest.approx(1008e-6, abs=5e-6)
         assert row["valid"] == 1
         assert row["depth_uK"] == pytest.approx(depth_uk, rel=1e-4 if gravity == 0 else 1e-3)
         # the row says where it was seeded: the crossing of the sweep start

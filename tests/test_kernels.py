@@ -61,7 +61,7 @@ def test_blocks_bounded_by_points_times_records(monkeypatch):
     real_chunk = kernels._intensity_chunk
 
     def spy(p, r, *buffers):
-        blocks.append(p.shape[0] * p.shape[1] * r.shape[1])  # (items, points, 3) against (items, records, 19)
+        blocks.append(p.shape[-2] * r.shape[-2])  # points (k, 3) against records (m, 19)
         return real_chunk(p, r, *buffers)
 
     monkeypatch.setattr(kernels, "_intensity_chunk", spy)

@@ -167,8 +167,8 @@ def grid_table(layout, input_pair):
 class TestSites:
     def test_all_sites_valid(self, grid_table):
         _, table = grid_table
-        assert all(r.valid for r in table.reports)
-        assert len(table.reports) == len(table.indices) == 9
+        assert table.reports.valid.all()
+        assert len(table.reports.valid) == len(table.indices) == 9
 
     def test_radius_deviations_opposite_sign(self, grid_table):
         _, table = grid_table
@@ -185,9 +185,10 @@ class TestSites:
     def test_grid_mirror_symmetry(self, grid_table):
         _, table = grid_table
         row_of = {tuple(idx): n for n, idx in enumerate(table.indices.tolist())}
+        depth = table.reports.depth_escape
         for (i, j, k), n in row_of.items():
             mirror = row_of[(i, 2 - j, k)]
-            assert table.reports[n].depth_escape == pytest.approx(table.reports[mirror].depth_escape, rel=0.01, abs=0)
+            assert depth[n] == pytest.approx(depth[mirror], rel=0.01, abs=0)
             assert table.radii[n, 0] == pytest.approx(table.radii[mirror, 1], rel=0.01)
 
     @pytest.mark.parametrize("gravity", [0.0, 9.81])
@@ -204,9 +205,12 @@ class TestSites:
         spec = GridSpec(counts=(3, 3, 3), spacing=(480e-6, 480e-6, 480e-6))
         table = characterize_sites(PhysicalConstants(gravity=gravity), layout, input_pair, spec)
         assert calls == ["_newton", "_ray_barrier"]
-        for idx, position, radii, report in zip(table.indices, table.positions, table.radii, table.reports):
-            shift = np.linalg.norm(report.minimum_position - position)
-            assert report.valid and shift < radii.min(), idx
+        reports = table.reports
+        for idx, position, radii, minimum, valid in zip(
+            table.indices, table.positions, table.radii, reports.minimum_position, reports.valid
+        ):
+            shift = np.linalg.norm(minimum - position)
+            assert valid and shift < radii.min(), idx
 
     def test_compensation_fixed_point_on_uniform_grid(self, layout, input_pair):
         spec = GridSpec(counts=(1, 1, 3), spacing=(0.0, 0.0, 300e-6))
@@ -224,7 +228,7 @@ class TestSites:
         assert after.converged
         assert after.depth_spread() < 1e-4 < table.depth_spread()
         assert after.frequency_spread() < 0.1 * table.frequency_spread()
-        assert all(r.minimum_position[2] < z for r, z in zip(after.reports, after.positions[:, 2]))  # every site sags
+        assert np.all(after.reports.minimum_position[:, 2] < after.positions[:, 2])  # every site sags
         assert after.weights.mean() <= 1.0 + 1e-9
 
     def test_compensation_is_one_balance_scan(self, layout, input_pair, grid_table, monkeypatch):
@@ -256,7 +260,9 @@ class TestSites:
         def spy(pot, seeds):
             reports = real(pot, seeds)
             if not batches:
-                reports = [replace(r, valid=False) if n < BALANCE_STEPS + 6 else r for n, r in enumerate(reports)]
+                valid = reports.valid.copy()
+                valid[: BALANCE_STEPS + 6] = False
+                reports = replace(reports, valid=valid)
             batches.append(reports)
             return reports
 
@@ -265,22 +271,25 @@ class TestSites:
             codtsim.painting, "characterize_sites", lambda *a, weights: trials.append(weights) or real_sites(*a, weights=weights)
         )
         compensate_powers(RB, layout, input_pair, spec, table=table, objective=objective)
-        ref = table.reports[table.central_index()]
+        c, reports = table.central_index(), table.reports
+        ref_depth, ref_freqs, ref_mean = reports.depth_escape[c], reports.frequencies[c], reports.mean_frequency[c]
+        candidates = batches[0]
         deltas = np.linspace(-0.35, 0.35, BALANCE_STEPS)
         pairs = table.weights.copy()
-        sites = [n for n in range(len(table.indices)) if n != table.central_index()]
+        sites = [n for n in range(len(table.indices)) if n != c]
         for s, n in enumerate(sites):
             base = 0.5 * (pairs[n, 0] + pairs[n, 1])
             best = None
-            for delta, rep in zip(deltas, batches[0][s * BALANCE_STEPS : (s + 1) * BALANCE_STEPS]):
-                if not rep.valid or rep.depth_escape <= 0:
+            for delta, i in zip(deltas, range(s * BALANCE_STEPS, (s + 1) * BALANCE_STEPS)):
+                depth = candidates.depth_escape[i]
+                if not candidates.valid[i] or depth <= 0:
                     continue
                 if objective == "equal-depth":
-                    scale = ref.depth_escape / rep.depth_escape
-                    res = np.max(np.abs(rep.frequencies * math.sqrt(scale) - ref.frequencies) / ref.frequencies)
+                    scale = ref_depth / depth
+                    res = np.max(np.abs(candidates.frequencies[i] * math.sqrt(scale) - ref_freqs) / ref_freqs)
                 else:
-                    scale = (ref.mean_frequency / rep.mean_frequency) ** 2
-                    res = abs(rep.depth_escape * scale - ref.depth_escape) / ref.depth_escape
+                    scale = (ref_mean / candidates.mean_frequency[i]) ** 2
+                    res = abs(depth * scale - ref_depth) / ref_depth
                 if best is None or res < best[0]:
                     best = (res, base * (1 + delta) * scale, base * (1 - delta) * scale)
             if best is not None:

@@ -222,7 +222,6 @@ def constant_series(n=40, dt=1.0 / 24):
     return SpotTrackSeries(
         timestamps=ts,
         spots_um=spots,
-        detected=np.ones((n, 2), dtype=bool),
         phase_boundaries=phases,
     )
 
@@ -290,14 +289,13 @@ class TestTrackStats:
 
     def test_missing_detections_skipped(self):
         series = constant_series(n=40)
-        series.detected[10:12, 0] = False
+        series.spots_um[10:12, 0] = np.nan  # spot 1 not found
         report = track_stats(series, INNER)
         assert report["skipped_frames"] == 2
 
     def test_two_valid_frames_required(self):
         series = constant_series(n=5)
-        series.detected[:, :] = False
-        series.detected[0] = True
+        series.spots_um[1:] = np.nan  # both spots found in the first frame only
         with pytest.raises(DomainError):
             track_stats(series, INNER)
 
@@ -309,7 +307,7 @@ class TestTracking:
             for i in range(8)
         ]
         series = track_spots(frames, np.arange(8) / 24, PITCH, THRESHOLD, GATE)
-        assert np.all(series.detected)
+        assert not np.isnan(series.spots_um).any()
         x1 = series.spots_um[:, 0, 0]
         assert np.all(np.diff(x1) > 0)  # spot 1 moves right monotonically
 
@@ -322,8 +320,8 @@ class TestTracking:
 
         from_list = track_spots(list(frames()), np.arange(n) / 24, PITCH, THRESHOLD, GATE)
         from_generator = track_spots(frames(), np.arange(n) / 24, PITCH, THRESHOLD, GATE)
-        assert from_list.spots_um.shape == (n, 2, 2) and np.all(from_list.detected)
-        for name in ("timestamps", "spots_um", "detected"):
+        assert from_list.spots_um.shape == (n, 2, 2) and not np.isnan(from_list.spots_um).any()
+        for name in ("timestamps", "spots_um"):
             assert getattr(from_list, name).tobytes() == getattr(from_generator, name).tobytes()
         # each frame is detected as it would be alone
         for i, frame in enumerate(frames()):
@@ -335,7 +333,7 @@ class TestTracking:
         )
         frames = [two_spot_frame(), small, two_spot_frame()]
         series = track_spots(frames, np.arange(3.0), PITCH, THRESHOLD, gate_factor=1000.0)
-        assert np.all(series.detected)
+        assert not np.isnan(series.spots_um).any()
         for i, frame in enumerate(frames):
             assert found(frame) == sorted(map(tuple, series.spots_um[i]))
 
@@ -347,7 +345,8 @@ class TestTracking:
         frames = [first] + [two_spot_frame(x1=200.0 + i, x2=260.0 + i, noise=4.0, seed=i) for i in range(1, 6)]
         series = track_spots(frames, np.arange(6) / 24, PITCH, THRESHOLD, GATE)
         # the spot of the first frame is spot 1 and keeps its identity; the newcomer is spot 2
-        np.testing.assert_array_equal(series.detected, [[True, False]] + [[True, True]] * 5)
+        found_spots = ~np.isnan(series.spots_um).any(axis=-1)
+        np.testing.assert_array_equal(found_spots, [[True, False]] + [[True, True]] * 5)
         np.testing.assert_allclose(series.spots_um[:, 0, 0] - np.arange(6), old, atol=1.0)
         np.testing.assert_allclose(series.spots_um[1:, 1, 0] - np.arange(1, 6), new, atol=1.0)
 

@@ -232,8 +232,9 @@ class TestTimeAveragedPotential:
             assert derived.valid and doubled.valid, amplitude
             assert derived.depth_escape == pytest.approx(doubled.depth_escape, rel=1e-4), amplitude
             assert derived.depth_peak == pytest.approx(doubled.depth_peak, rel=1e-4), amplitude
-            assert derived.frequencies[2] == pytest.approx(doubled.frequencies[2], rel=1e-4), amplitude
-            assert derived.frequencies[1] == pytest.approx(doubled.frequencies[1], rel=5e-3), amplitude
+            [(_, f2, f3)], [(_, f2_doubled, f3_doubled)] = derived.frequencies, doubled.frequencies
+            assert f3 == pytest.approx(f3_doubled, rel=1e-4), amplitude
+            assert f2 == pytest.approx(f2_doubled, rel=5e-3), amplitude
 
     def test_derived_phase_counts(self, layout, input_pair):
         # the smallest power of two, not below the knot count, whose largest

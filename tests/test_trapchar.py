@@ -14,6 +14,7 @@ from codtsim.trapchar import (
     FAR_FIELD_RATIO,
     FAR_FIELD_RAYLEIGH_RANGES,
     NEAR_FIELD_WAISTS,
+    TrapReport,
     _intensity_ceiling,
     _ray_barrier,
     characterize,
@@ -65,7 +66,7 @@ class TestCharacterize:
         f_bowl = math.sqrt(curvature / RB.atom_mass) / (2 * math.pi)
         report = characterize(static_potential(RB, beams), np.array([30e-6, -20e-6, 10e-6]))
         assert report.valid
-        assert report.frequencies == pytest.approx([f_bowl] * 3, rel=1e-9, abs=0)
+        assert report.frequencies[0] == pytest.approx([f_bowl] * 3, rel=1e-9, abs=0)
         assert np.linalg.norm(report.minimum_position) < 1e-12
         assert report.depth_peak == pytest.approx(3 * u0, rel=1e-9, abs=0)
         # U rises monotonically along every axis to its asymptote 0 far past
@@ -83,9 +84,10 @@ class TestCharacterize:
         report = characterize(pot, np.array([2e-6, 1e-6, -1e-6]))
         f_radial = math.sqrt(4 * u0 / (m * w**2)) / (2 * math.pi)
         f_axial = math.sqrt(2 * u0 / (m * zr**2)) / (2 * math.pi)
-        assert report.frequencies[0] == pytest.approx(f_axial, rel=0.01)
-        assert report.frequencies[1] == pytest.approx(f_radial, rel=0.01)
-        assert report.frequencies[2] == pytest.approx(f_radial, rel=0.01)
+        [(f1, f2, f3)] = report.frequencies
+        assert f1 == pytest.approx(f_axial, rel=0.01)
+        assert f2 == pytest.approx(f_radial, rel=0.01)
+        assert f3 == pytest.approx(f_radial, rel=0.01)
 
     def test_crossed_gaussian_closed_form_oracle(self):
         # two stigmatic beams crossing at 90 deg at their common focus, no window
@@ -106,10 +108,10 @@ class TestCharacterize:
         report = characterize(static_potential(RB, [b1, b2]), np.array([1e-6, -2e-6, 0.5e-6]))
         assert report.valid
         assert np.linalg.norm(report.minimum_position) < 1e-12
-        assert report.frequencies == pytest.approx(expected, rel=1e-9, abs=0)
+        assert report.frequencies[0] == pytest.approx(expected, rel=1e-9, abs=0)
         assert report.depth_peak == pytest.approx(u1 + u2, rel=1e-9, abs=0)
         axes = np.eye(3)[np.argsort(curvature)]
-        np.testing.assert_allclose(np.abs(report.principal_axes), axes, atol=1e-12)
+        np.testing.assert_allclose(np.abs(report.principal_axes[0]), axes, atol=1e-12)
         # U rises monotonically along every axis to its asymptote 0 far past
         # the box edge: no ray escapes, so the escape depth is U1 + U2 too
         assert report.depth_escape == pytest.approx(u1 + u2, rel=1e-9, abs=0)
@@ -126,16 +128,16 @@ class TestCharacterize:
         report = characterize(pot, np.zeros(3))
         assert report.valid
         assert np.linalg.norm(report.minimum_position) < 1e-6
-        x0 = report.minimum_position
+        [x0] = report.minimum_position
         u0 = pot.at(x0)
         step = max(10 * pot.records[:, 12:14].min() / 50, 2e-6)
-        rays = np.concatenate([report.principal_axes, np.unique(pot.records[:, 3:6], axis=0)])
+        rays = np.concatenate([report.principal_axes[0], np.unique(pot.records[:, 3:6], axis=0)])
         ref = [_ray_barrier_reference(pot, x0, u0, d, step) for d in np.concatenate([rays, -rays])]
         assert any(escaped for _, escaped in ref)
         barrier = min(b for b, _ in ref)
         assert report.depth_escape == pytest.approx(barrier - u0, rel=1e-12, abs=0)
         # 14.27 of the 397.3 uK peak-to-min depth, the minimum at x = 0.51 um
-        assert report.row()["depth_uK"] == pytest.approx(14.27, abs=0.01)
+        assert report.rows()[0]["depth_uK"] == pytest.approx(14.27, abs=0.01)
 
     def test_static_characterization_kernel_call_budget(self, layout, input_pair, monkeypatch):
         # Newton on closed-form derivatives: a few derivative calls, then one
@@ -233,7 +235,7 @@ class TestCharacterize:
 
     def test_flat_potential_invalid_trough_valid(self):
         flat = characterize(static_potential(RB, [stigmatic_beam(power=0.0)]), np.zeros(3))
-        assert not flat.valid and "curvature" in flat.reason
+        assert not flat.valid[0] and "curvature" in flat.reason[0]
 
         # one nearly flat direction, like the long axis of a line-painted trap,
         # stays a trap: a beam with a 1 m Rayleigh range is a long cylinder
@@ -245,16 +247,17 @@ class TestCharacterize:
         assert report.valid
         u0 = -pot.at(np.zeros(3))
         f_radial = math.sqrt(4 * u0 / (RB.atom_mass * beam.waist_h**2)) / (2 * math.pi)
-        np.testing.assert_allclose(report.frequencies[1:], f_radial, rtol=1e-6)
-        assert report.frequencies[0] < 1e-3 * f_radial
+        [(f1, *radial)] = report.frequencies
+        np.testing.assert_allclose(radial, f_radial, rtol=1e-6)
+        assert f1 < 1e-3 * f_radial
 
     def test_saddle_point_detected(self):
         # two parallel beams 16 um apart: across them the origin is a maximum
         # a saddle is reported invalid, like the other failed searches
         beams = [replace(stigmatic_beam(), origin=np.array([0.0, y, 0.0])) for y in (8e-6, -8e-6)]
         report = characterize(static_potential(RB, beams), np.zeros(3))
-        assert report.valid is False
-        assert "saddle" in report.reason
+        assert report.valid.tolist() == [False]
+        assert "saddle" in report.reason[0]
 
 
 def _padded(records, n_records):
@@ -294,13 +297,15 @@ class TestBatch:
 
     @staticmethod
     def _assert_batch_equals_single(constants, records, seeds):
-        single = [characterize(DipolePotential(constants, r), seed) for r, seed in zip(records, seeds)]
+        """The items characterized one at a time, joined into one report; every batch order gives its columns."""
+        alone = [characterize(DipolePotential(constants, r), seed) for r, seed in zip(records, seeds)]
+        single = TrapReport(**{f.name: np.concatenate([getattr(r, f.name) for r in alone]) for f in fields(TrapReport)})
         order = np.random.default_rng(7).permutation(len(records))
-        for perm in (np.arange(len(records)), order):  # a permuted batch permutes the reports
+        for perm in (np.arange(len(records)), order):  # a permuted batch permutes the items
             batch = characterize_batch(DipolePotential(constants, records[perm]), seeds[perm])
-            for got, want in zip(batch, (single[i] for i in perm)):
-                for f in fields(want):
-                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+            for f in fields(batch):
+                got, want = getattr(batch, f.name), getattr(single, f.name)[perm]
+                assert got.dtype.kind == want.dtype.kind and np.array_equal(got, want), f.name
         return single
 
     @pytest.mark.parametrize("gravity", [0.0, 9.81])
@@ -308,32 +313,52 @@ class TestBatch:
         records, seeds, reasons = mixed
         constants = PhysicalConstants(gravity=gravity)
         single = self._assert_batch_equals_single(constants, records, seeds)
-        for report, expected in zip(single, reasons):
-            reason = expected[gravity != 0.0]
-            assert report.valid == (reason == "") and reason in report.reason
+        for valid, reason, expected in zip(single.valid, single.reason, reasons):
+            expected = expected[gravity != 0.0]
+            assert valid == (expected == "") and expected in reason
         # unpadded pairs: consecutive escape scans share kernel calls
         pairs = np.concatenate([records[[0, 1, 3], :2], np.repeat(records[:1, :2], 4, axis=0)])
         pairs[3:, 1, 2] += np.array([2e-6, 4e-6, 6e-6, 8e-6])
         single = self._assert_batch_equals_single(constants, pairs, seeds[[0, 1, 3, 0, 0, 0, 0]])
-        assert sum(r.valid for r in single) >= 5
+        assert single.valid.sum() >= 5
 
     @pytest.mark.parametrize("gravity", [0.0, 9.81])
     def test_report_fields_of_valid_and_invalid_items(self, mixed, gravity):
         records, seeds, _ = mixed
-        reports = characterize_batch(DipolePotential(PhysicalConstants(gravity=gravity), records), seeds)
-        assert {r.valid for r in reports} == {True, False}
-        for report, seed in zip(reports, seeds):
-            assert np.array_equal(report.seed, seed)
-            assert type(report.newton_iterations) is int and 0 <= report.newton_iterations <= trapchar.MAX_NEWTON_ITER
-            assert type(report.gradient_norm) is float and np.isfinite(report.gradient_norm)
-            if report.valid:
-                assert report.reason == ""
-                assert report.mean_frequency == float(np.prod(report.frequencies)) ** (1.0 / 3.0)
-            else:
-                assert report.reason
-                assert report.depth_escape == report.depth_peak == 0.0
-                assert np.array_equal(report.frequencies, np.zeros(3)) and report.mean_frequency == 0.0
-                assert np.array_equal(report.principal_axes, np.eye(3))
+        report = characterize_batch(DipolePotential(PhysicalConstants(gravity=gravity), records), seeds)
+        n, valid = len(seeds), report.valid
+        assert set(valid.tolist()) == {True, False}
+        assert np.array_equal(report.seed, seeds)
+        assert report.newton_iterations.shape == (n,) and report.newton_iterations.dtype.kind == "i"
+        assert np.all((0 <= report.newton_iterations) & (report.newton_iterations <= trapchar.MAX_NEWTON_ITER))
+        assert report.gradient_norm.shape == (n,) and np.all(np.isfinite(report.gradient_norm))
+        assert np.all((report.reason == "") == valid)
+        assert np.all(report.depth_escape[~valid] == 0.0) and np.all(report.depth_peak[~valid] == 0.0)
+        assert np.array_equal(report.frequencies[~valid], np.zeros((n - valid.sum(), 3)))
+        assert np.array_equal(report.principal_axes[~valid], np.broadcast_to(np.eye(3), (n - valid.sum(), 3, 3)))
+        # one artifact row per item, of plain Python values
+        rows = report.rows()
+        assert len(rows) == n and [row["valid"] for row in rows] == valid.astype(int).tolist()
+        for row in rows:
+            assert [type(v) for v in row.values()] == [int, str] + [float] * 9 + [int] + [float] * 4
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_columns_keep_the_per_item_arithmetic(self, mixed, layout, input_pair, gravity):
+        # each item's mean frequency is Python's cube root of its product, and its
+        # |grad U| numpy's norm of its own gradient: numpy's vector power and
+        # norm(axis=1) round a few percent of items differently, which the
+        # mixed batch alone may not show, so a 48-trap misalignment sweep joins it
+        crossed = beam_records(layout, input_pair, np.zeros(4))[0]
+        sweep = np.repeat(crossed[None], 48, axis=0)
+        sweep[:, 1, 2] += np.linspace(-16e-6, 16e-6, 48)
+        for records, seeds in (mixed[:2], (sweep, 0.5 * (sweep[:, 0, 0:3] + sweep[:, 1, 0:3]))):
+            pot = DipolePotential(PhysicalConstants(gravity=gravity), records)
+            report = characterize_batch(pot, seeds)
+            _, grad, _ = (a[:, 0] for a in pot.derivatives(report.minimum_position[:, None, :]))
+            for i, valid in enumerate(report.valid):
+                mean = float(np.prod(report.frequencies[i])) ** (1 / 3) if valid else 0.0
+                assert report.mean_frequency[i] == mean, i
+                assert report.gradient_norm[i] == np.linalg.norm(grad[i]), i
 
     def test_one_newton_pass_and_one_escape_scan(self, mixed, monkeypatch):
         records, seeds, _ = mixed
@@ -424,7 +449,7 @@ class TestThermoMetrics:
 
     def test_invalid_report_rejected(self, layout, input_pair):
         report = characterize_crossed_trap(RB, layout, input_pair)
-        object.__setattr__ if False else setattr(report, "valid", False)
+        report.valid[0] = False
         with pytest.raises(DomainError):
             thermo_metrics(report, 1e6, 20e-6)
 
@@ -628,7 +653,7 @@ class TestRayBarrier:
         # rising +z ray at 1 g
         lab = PhysicalConstants(gravity=gravity)
         pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
-        x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
+        [x0] = characterize_crossed_trap(lab, layout, input_pair).minimum_position
         u0 = pot.at(x0)
         directions = [-np.eye(3)[0], np.eye(3)[2], -layout.beam_direction(1)]
         ref = [_ray_barrier_reference(pot, x0, u0, d, 2e-6) for d in directions]
@@ -646,7 +671,7 @@ class TestRayBarrier:
         from codtsim.trapchar import _sample_distances
 
         pot = DipolePotential(RB, beam_records(layout, input_pair, np.zeros(4))[0])
-        x0 = characterize_crossed_trap(RB, layout, input_pair).minimum_position - [0.0, 0.0, 3e-6]
+        x0 = characterize_crossed_trap(RB, layout, input_pair).minimum_position[0] - [0.0, 0.0, 3e-6]
         u0 = pot.at(x0)
         barrier, escaped = _ray_barrier_reference(pot, x0, u0, np.eye(3)[2], 2e-6)
         kept = self._kept(monkeypatch, x0)
@@ -662,7 +687,7 @@ class TestRayBarrier:
 
         crossed = beam_records(layout, input_pair, np.zeros(4))[0]
         pot = DipolePotential(RB, crossed)
-        x = characterize_crossed_trap(RB, layout, input_pair).minimum_position
+        [x] = characterize_crossed_trap(RB, layout, input_pair).minimum_position
         x0, u0 = np.repeat(x[None], 3, axis=0), np.full(3, pot.at(x))
         rays = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
         owner = np.array([0, 0, 1, 2])
@@ -684,7 +709,7 @@ class TestRayBarrier:
 
         lab = PhysicalConstants(gravity=9.81)
         pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
-        x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
+        [x0] = characterize_crossed_trap(lab, layout, input_pair).minimum_position
         directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
         directions += [s * layout.beam_direction(i) for i in (1, 2) for s in (1.0, -1.0)]
         blocks = []
@@ -719,7 +744,7 @@ class TestRayBarrier:
 
         lab = PhysicalConstants(gravity=9.81)
         pot = DipolePotential(lab, beam_records(layout, input_pair, np.zeros(4))[0])
-        x0 = characterize_crossed_trap(lab, layout, input_pair).minimum_position
+        [x0] = characterize_crossed_trap(lab, layout, input_pair).minimum_position
         u0 = pot.at(x0)
         directions = [layout.beam_direction(1) - [0.0, 0.0, 1e-5], -np.eye(3)[2]]
         got = _scan(pot, x0, u0, directions, 2e-6)

@@ -21,10 +21,11 @@ and on the 3x3x3 grid, a 41-step
 samples, ``trap report`` writing an 8x8x8 trap field, ``trap report``,
 ``paint grid`` and ``paint transport`` with the geometric deflection map,
 a ``paint transport`` of three sites at once with each deflection map,
-and a ``flight synth`` plus ``flight analyze`` of 64x128-pixel frames at
-3.5 um (height and width differ, so a swap of the two shows), each at 0 g
-and at 9.81 m/s^2: 54 runs. Each tree runs ``JOBS`` runs at a
-time.
+a ``flight synth`` plus ``flight analyze`` of 64x128-pixel frames at
+3.5 um (height and width differ, so a swap of the two shows), and a
+``flight analyze --centroids`` of the first ``flight analyze`` run's
+``flight_series.csv``, each at 0 g and at 9.81 m/s^2: 56 runs. Each tree
+runs ``JOBS`` runs at a time.
 """
 
 from __future__ import annotations
@@ -90,17 +91,22 @@ GRAVITIES = {"0g": [], "1g": ["constants.gravity_m_s2=9.81"]}
 JOBS = 2  # runs at a time; each is a fresh interpreter of ~40 MB
 
 
-def runs() -> list[tuple[str, list[str], str | None]]:
-    """(name, CLI arguments without --out, the run whose output is --frames) of the matrix."""
+def runs() -> list[tuple[str, list[str], list[tuple[str, str]]]]:
+    """(name, CLI arguments without --out, input flags with paths below the output root) of the matrix."""
     cases = [("-".join(c), c, []) for c in COMMANDS] + EXTRA
     matrix = []
     for g, gravity in GRAVITIES.items():
+        analyze = ["flight", "analyze", "--seed", SEED]
         for name, command, settings in cases:
             sets = [a for s in gravity + settings for a in ("--set", s)]
-            matrix.append((f"{g}/{name}", [*command, "--seed", SEED, *sets], None))
+            matrix.append((f"{g}/{name}", [*command, "--seed", SEED, *sets], []))
         for name, settings, synth in ANALYZE:
             sets = [a for s in gravity + settings for a in ("--set", s)]
-            matrix.append((f"{g}/{name}", ["flight", "analyze", "--seed", SEED, *sets], f"{g}/{synth}"))
+            matrix.append((f"{g}/{name}", [*analyze, *sets], [("--frames", f"{g}/{synth}")]))
+        # the flight-analyze series read back as --centroids
+        sets = [a for s in gravity for a in ("--set", s)]
+        inputs = [("--frames", f"{g}/flight-synth"), ("--centroids", f"{g}/flight-analyze/flight_series.csv")]
+        matrix.append((f"{g}/flight-analyze-centroids", [*analyze, *sets], inputs))
     return matrix
 
 
@@ -109,16 +115,17 @@ def run_tree(src: Path, out: Path) -> dict[str, int]:
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def one(case):
-        name, args, frames = case
-        extra = ["--frames", str(out / frames)] if frames else []
+        name, args, inputs = case
+        extra = [a for flag, path in inputs for a in (flag, str(out / path))]
         cmd = [sys.executable, "-m", "codtsim.cli", *args, "--out", str(out / name), *extra]
         return name, subprocess.run(cmd, env=env, capture_output=True).returncode
 
     matrix = runs()
-    first = [c for c in matrix if c[2] is None]
+    codes = {}
     with ThreadPoolExecutor(JOBS) as pool:
-        codes = dict(pool.map(one, first))
-        codes.update(pool.map(one, [c for c in matrix if c[2] is not None]))
+        # a run reads the output of runs with fewer inputs: those go first
+        for stage in sorted({len(c[2]) for c in matrix}):
+            codes.update(pool.map(one, [c for c in matrix if len(c[2]) == stage]))
     return codes
 
 
