@@ -43,7 +43,7 @@ from .painting import (
     characterize_sites,
     compensate_powers,
     grid_waveform,
-    site_table_csv_rows,
+    site_table_columns,
     transport_ramp,
 )
 from .pointing import (
@@ -79,16 +79,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, rows: list[dict]) -> None:
+def write_csv(path: Path, columns: dict) -> None:
+    """A table of equal-length ``columns`` (arrays or lists): a header of their names, then one line per entry.
+
+    A table without rows is a 0-byte file; columns of unequal length raise ValueError.
+    """
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()), strict=True))
     if not rows:
         path.write_text("")
         return
-    fields = list(rows[0].keys())
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fields])
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_json(path: Path, payload) -> None:
@@ -150,10 +153,9 @@ def _context(cfg):
 def cmd_trap_report(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     report = characterize_crossed_trap(constants, layout, inputs)
-    [row], [axes] = report.rows(), report.principal_axes.tolist()
     payload = {
-        **row,
-        "principal_axes": axes,
+        **{name: column[0].item() for name, column in report.columns().items()},
+        "principal_axes": report.principal_axes[0].tolist(),
         "deflection_scales_um_per_mhz": dict(zip(CHANNELS, (displacement_scale(layout) / 1e-6).tolist())),
     }
     write_json(out / "trap_report.json", payload)
@@ -183,8 +185,7 @@ def cmd_trap_misalign(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     mis = cfg["misalign"]
     offsets = np.linspace(-mis["max_offset_um"], mis["max_offset_um"], mis["n_steps"]) * 1e-6
-    rows = misalignment_sweep(constants, layout, inputs, offsets)
-    write_csv(out / "misalign_sweep.csv", rows)
+    write_csv(out / "misalign_sweep.csv", misalignment_sweep(constants, layout, inputs, offsets))
 
 
 def _grid_from_config(cfg) -> GridSpec:
@@ -208,7 +209,7 @@ def cmd_paint_grid(cfg, out: Path) -> None:
         "max_radius_deviation_beam1": float(np.max(np.abs(dev["radius_beam1"]))),
         "max_radius_deviation_beam2": float(np.max(np.abs(dev["radius_beam2"]))),
     }
-    write_csv(out / "sites.csv", site_table_csv_rows(table))
+    write_csv(out / "sites.csv", site_table_columns(table))
     write_json(out / "grid_waveform.json", waveform_export(wf))
     write_json(out / "grid_summary.json", summary)
 
@@ -220,8 +221,8 @@ def cmd_paint_compensate(cfg, out: Path) -> None:
     after = compensate_powers(
         constants, layout, inputs, spec, table=before, objective=cfg["paint"]["objective"]
     )
-    write_csv(out / "sites_before.csv", site_table_csv_rows(before))
-    write_csv(out / "sites_after.csv", site_table_csv_rows(after))
+    write_csv(out / "sites_before.csv", site_table_columns(before))
+    write_csv(out / "sites_after.csv", site_table_columns(after))
     write_json(
         out / "compensate.json",
         {
@@ -284,26 +285,15 @@ def cmd_evap_schedule(cfg, out: Path) -> None:
             "evap": cfg["evap"],
         },
     )
-    ts = np.linspace(0, schedule.total_duration, 201)
-    rows = []
-    for t in ts:
-        ah, av = schedule.amplitude_at(float(t))
-        rows.append(
-            {
-                "t_s": float(t),
-                "power_w": schedule.power_at(float(t)),
-                "amplitude_h_um": ah * 1e6,
-                "amplitude_v_um": av * 1e6,
-            }
-        )
-    write_csv(out / "schedule.csv", rows)
+    ts = np.linspace(0, schedule.total_duration, 201).tolist()
+    drive = np.array([(schedule.power_at(t), *schedule.amplitude_at(t)) for t in ts]) * (1.0, 1e6, 1e6)
+    write_csv(out / "schedule.csv", {"t_s": ts, **dict(zip(("power_w", "amplitude_h_um", "amplitude_v_um"), drive.T))})
 
 
 def cmd_evap_timeline(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     schedule = _schedule_from_config(cfg)
-    rows = timeline(constants, layout, inputs, schedule, n_samples=cfg["evap"]["timeline_samples"])
-    write_csv(out / "timeline.csv", rows)
+    write_csv(out / "timeline.csv", timeline(constants, layout, inputs, schedule, cfg["evap"]["timeline_samples"]))
 
 
 def cmd_tof_expand(cfg, out: Path) -> None:
@@ -315,26 +305,18 @@ def cmd_tof_expand(cfg, out: Path) -> None:
         frequencies_hz=freqs,
         tf_radii=tuple(r * 1e-6 for r in t["tf_radii_um"]),
         temperature=temp,
-        thermal_sigma0=tuple(thermal_sigma0(freqs, max(temp, 1e-9), constants)),
+        thermal_sigma0=tuple(thermal_sigma0(freqs, temp, constants)),
     )
     times = np.asarray(t["times_ms"]) * 1e-3
     res = expand(state, times, constants)
-    rows = []
-    for i, ts in enumerate(res["times_s"]):
-        rows.append(
-            {
-                "t_ms": ts * 1e3,
-                "tf_rx_um": res["tf_radii_m"][i, 0] * 1e6,
-                "tf_ry_um": res["tf_radii_m"][i, 1] * 1e6,
-                "tf_rz_um": res["tf_radii_m"][i, 2] * 1e6,
-                "thermal_sx_um": res["thermal_sigma_m"][i, 0] * 1e6,
-                "thermal_sy_um": res["thermal_sigma_m"][i, 1] * 1e6,
-                "thermal_sz_um": res["thermal_sigma_m"][i, 2] * 1e6,
-                "tf_aspect_zy": res["tf_aspect_zy"][i],
-                "thermal_aspect_zy": res["thermal_aspect_zy"][i],
-            }
-        )
-    write_csv(out / "expansion.csv", rows)
+    columns = {
+        "t_ms": res["times_s"] * 1e3,
+        **dict(zip(("tf_rx_um", "tf_ry_um", "tf_rz_um"), (res["tf_radii_m"] * 1e6).T)),
+        **dict(zip(("thermal_sx_um", "thermal_sy_um", "thermal_sz_um"), (res["thermal_sigma_m"] * 1e6).T)),
+        "tf_aspect_zy": res["tf_aspect_zy"],
+        "thermal_aspect_zy": res["thermal_aspect_zy"],
+    }
+    write_csv(out / "expansion.csv", columns)
 
 
 def _read_table(path, name: str, columns: int) -> np.ndarray:
@@ -506,13 +488,8 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path, centroids: Path | None 
             phase_boundaries=boundaries,
         )
     report = track_stats(series, inner_fraction=f["inner_fraction"])
-    series_rows = report.pop("series")
+    write_csv(out / "flight_series.csv", report.pop("series"))
     write_json(out / "flight_report.json", report)
-    rows = [
-        {key: series_rows[key][i] for key in ("t_s", "x1_um", "y1_um", "x2_um", "y2_um", "ac1_um", "ac2_um", "dc_um")}
-        for i in range(len(series_rows["t_s"]))
-    ]
-    write_csv(out / "flight_series.csv", rows)
 
 
 COMMANDS = {

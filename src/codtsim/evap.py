@@ -121,32 +121,22 @@ def timeline(
     inputs: tuple[InputBeam, InputBeam],
     schedule: RampSchedule,
     n_samples: int,
-) -> list[dict]:
-    """The schedule and the trap row (``TrapReport.rows``) at each sampled time, one row per time.
+) -> dict:
+    """Columns of the schedule, then of the trap (``TrapReport.columns``), one entry per sampled time.
 
     Each painted trap is the time average of its line paint at the phase
     count ``time_averaged_potential`` derives from it.  Samples with the
     same power and amplitudes (a hold, a settled ramp) are characterized once.
     """
-    rows = []
-    traps: dict[tuple[float, float, float], dict] = {}
-    times = np.linspace(0.0, schedule.total_duration, n_samples)
-    for t in times:
-        power = schedule.power_at(float(t))
-        amp_h, amp_v = schedule.amplitude_at(float(t))
-        key = (power, amp_h, amp_v)
-        if key not in traps:
-            traps[key] = _painted_trap(constants, layout, inputs, power, amp_h, amp_v)
-        rows.append(
-            {
-                "t_s": float(t),
-                "power_w": power,
-                "amplitude_h_um": amp_h * 1e6,
-                "amplitude_v_um": amp_v * 1e6,
-                **traps[key],
-            }
-        )
-    return rows
+    times = np.linspace(0.0, schedule.total_duration, n_samples).tolist()
+    keys = [(schedule.power_at(t), *schedule.amplitude_at(t)) for t in times]  # (power, amp_h, amp_v)
+    traps = {key: _painted_trap(constants, layout, inputs, *key) for key in dict.fromkeys(keys)}
+    drive = np.array(keys) * (1.0, 1e6, 1e6)
+    return {
+        "t_s": times,
+        **dict(zip(("power_w", "amplitude_h_um", "amplitude_v_um"), drive.T)),
+        **{name: [traps[key][name] for key in keys] for name in traps[keys[0]]},
+    }
 
 
 def _painted_trap(
@@ -157,7 +147,7 @@ def _painted_trap(
     amp_h: float,
     amp_v: float,
 ) -> dict:
-    """The trap row of the line-painted trap at one power and amplitude pair."""
+    """Entry 0 of each trap column of the line-painted trap at one power and amplitude pair."""
     inputs_t = tuple(
         InputBeam(power=power, wavelength=b.wavelength, collimated_radius=b.collimated_radius)
         for b in inputs
@@ -169,8 +159,7 @@ def _painted_trap(
         # the centre of a wide paint is a ridge the scan falls off at once:
         # its wells lie toward the sweep ends, so seed at the sweep start
         report = characterize(pot, crossing_from_offsets(layout, -amp_h, -amp_h, -amp_v))
-    [row] = report.rows()
-    return row
+    return {name: column[0].item() for name, column in report.columns().items()}
 
 
 def evaporation_efficiency(initial: ThermoMetrics, final: ThermoMetrics) -> dict:
@@ -261,13 +250,15 @@ def expand(
     vt2 = BOLTZMANN * release.temperature / constants.atom_mass
     sigma0 = np.asarray(release.thermal_sigma0)
     thermal = np.sqrt(sigma0**2 + vt2 * times[:, None] ** 2)
+    with np.errstate(invalid="ignore"):  # no thermal cloud at T = 0: a nan aspect (0/0)
+        thermal_aspect = thermal[:, 2] / thermal[:, 1]
     return {
         "times_s": times,
         "lambdas": lambdas,
         "tf_radii_m": tf,
         "thermal_sigma_m": thermal,
         "tf_aspect_zy": tf[:, 2] / tf[:, 1],
-        "thermal_aspect_zy": thermal[:, 2] / thermal[:, 1],
+        "thermal_aspect_zy": thermal_aspect,
     }
 
 
@@ -326,13 +317,15 @@ def fit_bimodal(positions, counts, sigma=None) -> BimodalFit:
     y = np.asarray(counts, dtype=float)
     if x.size < 20:
         raise DomainError("bimodal fit needs at least 20 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("positions and counts must be finite")
     if np.any(y < 0):
         raise DomainError("atom counts must be non-negative")
     if np.ptp(y) <= 0:
         raise DomainError("degenerate (constant) profile; cannot fit")
     w = np.sqrt(np.maximum(y, 1.0)) if sigma is None else np.asarray(sigma, dtype=float)
-    if np.any(w <= 0):
-        raise DomainError("supplied uncertainties must be positive")
+    if not np.isfinite(w).all() or np.any(w <= 0):
+        raise DomainError("supplied uncertainties must be positive and finite")
 
     offset0 = float(np.percentile(y, 5))
     amp0 = float(y.max() - offset0)

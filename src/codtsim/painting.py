@@ -317,26 +317,12 @@ def compensate_powers(
     return trial
 
 
-def site_table_csv_rows(table: SiteTable) -> list[dict]:
-    """One row per site: its grid index, position, local beam radii and power weight, then its trap's row."""
-    return [
-        {
-            "i": i,
-            "j": j,
-            "k": k,
-            "x_um": x,
-            "y_um": y,
-            "z_um": z,
-            "radius_beam1_um": r1,
-            "radius_beam2_um": r2,
-            "power_weight": w,
-            **row,
-        }
-        for (i, j, k), (x, y, z), (r1, r2), w, row in zip(
-            table.indices.tolist(),
-            table.positions * 1e6,
-            table.radii * 1e6,
-            table.weights.mean(axis=1),
-            table.reports.rows(),
-        )
-    ]
+def site_table_columns(table: SiteTable) -> dict:
+    """Per-site columns: grid index, position, local beam radii and power weight, then the trap columns."""
+    return {
+        **dict(zip("ijk", table.indices.T)),
+        **dict(zip(("x_um", "y_um", "z_um"), (table.positions * 1e6).T)),
+        **dict(zip(("radius_beam1_um", "radius_beam2_um"), (table.radii * 1e6).T)),
+        "power_weight": table.weights.mean(axis=1),
+        **table.reports.columns(),
+    }

@@ -173,8 +173,8 @@ class SpotTrackSeries:
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         self.spots_um = np.asarray(self.spots_um, dtype=float)
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise DomainError("timestamps must be strictly increasing")
+        if not np.isfinite(self.timestamps).all() or np.any(np.diff(self.timestamps) <= 0):
+            raise DomainError("timestamps must be finite and strictly increasing")
         if self.spots_um.shape != (self.timestamps.size, 2, 2):
             raise DomainError("spots array must have shape (n_frames, 2, 2)")
 

@@ -71,12 +71,12 @@ class TrapReport:
     newton_iterations: np.ndarray  # (n,) int
     gradient_norm: np.ndarray  # (n,)
 
-    def rows(self) -> list[dict]:
-        """Each trap's artifact columns, in µm, µK and Hz; its ``depth_uK`` is the escape-saddle depth.
+    def columns(self) -> dict:
+        """The artifact columns, one entry per trap, in µm, µK and Hz; ``depth_uK`` is the escape-saddle depth.
 
-        Every site table, timeline row and trap report carries these columns.
+        Every site table, timeline and trap report carries these columns.
         """
-        columns = {
+        return {
             "valid": self.valid.astype(int),
             "reason": self.reason,
             **dict(zip(("min_x_um", "min_y_um", "min_z_um"), (self.minimum_position * 1e6).T)),
@@ -88,7 +88,6 @@ class TrapReport:
             "gradient_norm_uK_per_um": self.gradient_norm / BOLTZMANN,
             **dict(zip(("seed_x_um", "seed_y_um", "seed_z_um"), (self.seed * 1e6).T)),
         }
-        return [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
 
 
 @dataclass(frozen=True)
@@ -586,10 +585,11 @@ def misalignment_sweep(
     layout: OpticalLayout,
     inputs: tuple[InputBeam, InputBeam],
     offsets,
-) -> list[dict]:
-    """Depth ratio vs. the aligned trap for each vertical offset of beam 2 (0 if no trap).
+) -> dict:
+    """Columns ``offset_um``, each vertical offset of beam 2, and ``depth_ratio``, the depth there vs. the aligned trap.
 
-    The offset moves beam 2's axis without an AOD, so no range check applies.
+    The ratio is 0 where there is no trap.  The offset moves beam 2's axis
+    without an AOD, so no range check applies.
     The aligned trap, as :func:`characterize_crossed_trap` reports it, is
     item 0 of the sweep's batch.
     """
@@ -603,5 +603,4 @@ def misalignment_sweep(
     valid, depth = report.valid, report.depth_escape
     if not valid[0] or depth[0] <= 0:
         raise DomainError("reference trap is not valid")
-    ratios = np.where(valid[1:], depth[1:] / depth[0], 0.0)
-    return [{"offset_um": off, "depth_ratio": r} for off, r in zip((offsets * 1e6).tolist(), ratios.tolist())]
+    return {"offset_um": offsets * 1e6, "depth_ratio": np.where(valid[1:], depth[1:] / depth[0], 0.0)}

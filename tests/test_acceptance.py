@@ -94,10 +94,10 @@ def test_criterion_02_deflection_mapping():
 
 def test_criterion_03_static_trap_depth():
     with criterion(3, "static trap depth"):
-        [row] = characterize_crossed_trap(RB, LAYOUT, INPUTS).rows()
-        assert row["valid"]
+        columns = characterize_crossed_trap(RB, LAYOUT, INPUTS).columns()
+        assert columns["valid"].tolist() == [1]
         target_uk = 11.9e3
-        depths = {"escape-saddle": row["depth_uK"], "peak-to-min": row["depth_peak_to_min_uK"]}
+        depths = {"escape-saddle": columns["depth_uK"][0], "peak-to-min": columns["depth_peak_to_min_uK"][0]}
         matches = {conv: abs(depth / target_uk - 1) <= 0.30 for conv, depth in depths.items()}
         assert any(matches.values())
         matching = [conv for conv, ok in matches.items() if ok]
@@ -114,9 +114,9 @@ def test_criterion_04_painted_trap_depth():
         # so the triangle sweep amplitude is 370 um
         wf = line_paint(LAYOUT, 370.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf)
-        [row] = characterize(pot, np.zeros(3)).rows()
-        assert row["valid"]
-        depth = row["depth_peak_to_min_uK"]
+        columns = characterize(pot, np.zeros(3)).columns()
+        assert columns["valid"].tolist() == [1]
+        [depth] = columns["depth_peak_to_min_uK"]
         print(f"    painted depth {depth:.1f} uK (target 240 +/- 25%)")
         assert depth == pytest.approx(240.0, rel=0.25)
 
@@ -160,16 +160,16 @@ def test_criterion_05_grid_homogeneity(grid_480):
 def test_criterion_06_timeline_shape():
     with criterion(6, "evaporation timeline shape"):
         schedule = _schedule_from_config(load_config())
-        rows = timeline(RB, LAYOUT, INPUTS, schedule, n_samples=14)
-        evap_rows = [r for r in rows if r["valid"] and r["t_s"] <= 1.0]
-        assert len(evap_rows) >= 6
-        depths = [r["depth_uK"] for r in evap_rows]
-        assert all(b < a for a, b in zip(depths, depths[1:]))  # monotone decrease
+        columns = {k: np.asarray(v) for k, v in timeline(RB, LAYOUT, INPUTS, schedule, n_samples=14).items()}
+        t, valid = columns["t_s"], columns["valid"] == 1
+        depths = columns["depth_uK"][valid & (t <= 1.0)]
+        assert len(depths) >= 6
+        assert np.all(np.diff(depths) < 0)  # monotone decrease
         t_reopen = schedule.ramp_duration + schedule.hold
-        pre = [r for r in rows if r["valid"] and r["t_s"] <= t_reopen][-1]
-        post = [r for r in rows if r["valid"] and r["t_s"] > t_reopen][-1]
-        assert post["depth_uK"] > pre["depth_uK"]
-        assert post["mean_frequency_hz"] < pre["mean_frequency_hz"]
+        pre = np.flatnonzero(valid & (t <= t_reopen))[-1]
+        post = np.flatnonzero(valid & (t > t_reopen))[-1]
+        assert columns["depth_uK"][post] > columns["depth_uK"][pre]
+        assert columns["mean_frequency_hz"][post] < columns["mean_frequency_hz"][pre]
 
 
 def test_criterion_07_thermodynamic_endpoints():
@@ -184,15 +184,15 @@ def test_criterion_07_thermodynamic_endpoints():
         wf = line_paint(LAYOUT, 230.0 * 1e-6)
         pot = time_averaged_potential(RB, LAYOUT, INPUTS, wf)
         report = characterize(pot, np.zeros(3))
-        [row] = report.rows()
+        columns = report.columns()
         eta = report.depth_escape[0] / (BOLTZMANN * 20e-6)
         freqs = ", ".join(f"{f:.0f}" for f in report.frequencies[0])
         print(
             f"    psd(2e6, 20 uK, {implied_fbar} Hz) = {psd:.3e}; characterized initial "
             f"painted trap: frequencies ({freqs}) Hz (flat-bottomed along the painted line), "
-            f"depth {row['depth_uK']:.0f} uK, eta = {eta:.1f}"
+            f"depth {columns['depth_uK'][0]:.0f} uK, eta = {eta:.1f}"
         )
-        assert row["valid"] and report.depth_escape[0] > 0
+        assert columns["valid"].tolist() == [1] and report.depth_escape[0] > 0
         # gamma: definition cases; the published 2.7 is documented as not
         # reproduced by the naive endpoint formula (it gives 1.46)
         m = lambda n, p: ThermoMetrics(n, 1e-6, p, 1.0)  # noqa: E731
@@ -283,8 +283,9 @@ def test_criterion_10_pointing_pipeline(tmp_path):
 def test_criterion_11_misalignment_sweep(tmp_path):
     with criterion(11, "misalignment sweep"):
         offsets = np.linspace(-10e-6, 10e-6, 11)
-        rows = misalignment_sweep(RB, LAYOUT, INPUTS, offsets)
-        ratios = np.array([r["depth_ratio"] for r in rows])
+        columns = misalignment_sweep(RB, LAYOUT, INPUTS, offsets)
+        ratios = columns["depth_ratio"]
+        np.testing.assert_array_equal(columns["offset_um"], offsets * 1e6)
         mid = 5
         assert ratios[mid] == pytest.approx(1.0, abs=1e-6)
         np.testing.assert_allclose(ratios, ratios[::-1], rtol=1e-4)  # even in offset
@@ -292,7 +293,7 @@ def test_criterion_11_misalignment_sweep(tmp_path):
         table = tmp_path / "misalign_sweep.csv"
         table.write_text(
             "offset_um,depth_ratio\n"
-            + "\n".join(f"{r['offset_um']:.3f},{r['depth_ratio']:.6f}" for r in rows)
+            + "\n".join(f"{o:.3f},{r:.6f}" for o, r in zip(columns["offset_um"], ratios))
         )
         assert table.exists()
         ratio_8um = ratios[mid + 4]

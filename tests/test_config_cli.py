@@ -118,6 +118,28 @@ _FLIGHT_META = {
 }
 
 
+class TestWriteCsv:
+    def test_header_follows_the_column_order(self, tmp_path):
+        from codtsim.cli import write_csv
+
+        path = tmp_path / "table.csv"
+        write_csv(path, {"z": np.array([1.5, 2.0]), "a": [3, 4], "m": np.array(["x", ""])})
+        assert path.read_bytes() == b"z,a,m\r\n1.5,3,x\r\n2,4,\r\n"
+
+    def test_table_without_rows_is_an_empty_file(self, tmp_path):
+        from codtsim.cli import write_csv
+
+        path = tmp_path / "table.csv"
+        write_csv(path, {"t_ms": np.zeros(0), "tf_rx_um": []})
+        assert path.read_bytes() == b""
+
+    def test_columns_of_unequal_length_raise(self, tmp_path):
+        from codtsim.cli import write_csv
+
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "table.csv", {"a": [1, 2, 3], "b": np.array([1.0, 2.0])})
+
+
 class TestCli:
     def test_trap_report_artifact(self, tmp_path):
         out = tmp_path / "run"
@@ -130,7 +152,7 @@ class TestCli:
         # depth_uK is the escape-saddle depth, and the report names no other
         cfg = load_config()
         crossed = characterize_crossed_trap(constants_from_config(cfg), layout_from_config(cfg), beams_from_config(cfg))
-        assert report["depth_uK"] == crossed.rows()[0]["depth_uK"]
+        assert report["depth_uK"] == crossed.columns()["depth_uK"][0]
         assert not {"depth_escape_saddle_uK", "depth_convention", "minimum_position_um", "frequencies_hz"} & set(report)
         # how the minimum was found
         assert report["newton_iterations"] >= 1 and "seeds_tried" not in report
@@ -567,6 +589,23 @@ class TestCli:
         assert rows[0].startswith("t_ms,")
         assert len(rows) == 1 + len(DEFAULT_CONFIG["tof"]["times_ms"])
 
+    def test_tof_expand_at_zero_temperature(self, tmp_path, capsys):
+        # no thermal cloud: widths 0 at every time and a nan (0/0) aspect, with nothing printed
+        out = tmp_path / "tof"
+        assert main(["tof", "expand", "--out", str(out), "--set", "tof.temperature_uK=0"]) == 0
+        with (out / "expansion.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(DEFAULT_CONFIG["tof"]["times_ms"])
+        for row in rows:
+            assert [row[f"thermal_s{a}_um"] for a in "xyz"] == ["0", "0", "0"]
+            assert row["thermal_aspect_zy"] == "nan" and float(row["tf_rx_um"]) > 0
+        assert capsys.readouterr().err == ""
+
+    def test_tof_expand_without_times_writes_an_empty_table(self, tmp_path):
+        out = tmp_path / "tof"
+        assert main(["tof", "expand", "--out", str(out), "--set", "tof.times_ms=[]"]) == 0
+        assert (out / "expansion.csv").read_bytes() == b""
+
     def test_evap_schedule_artifact(self, tmp_path):
         out = tmp_path / "sched"
         assert main(["evap", "schedule", "--out", str(out)]) == 0
@@ -683,6 +722,36 @@ class TestCli:
             argv = ["tof", "fit", "--out", str(tmp_path / "c"), "--set", f'tof.profile_csv="{centroids}"']
             assert main(argv) == 2
         assert capsys.readouterr().err == f"error: tof.profile_csv: {centroids} has no data rows\n"
+
+    @pytest.mark.parametrize("where, value", [("counts", "nan"), ("counts", "inf"), ("position", "nan")])
+    def test_tof_fit_non_finite_profile_is_a_domain_error(self, tmp_path, capsys, where, value):
+        from codtsim.evap import bimodal_profile
+
+        x = np.linspace(-200, 200, 41)  # um
+        counts = bimodal_profile(x * 1e-6, 500.0, 70e-6, 900.0, 40e-6, 0.0, 20.0)
+        rows = [[f"{a}", f"{b}"] for a, b in zip(x, counts)]
+        rows[20][0 if where == "position" else 1] = value
+        profile = tmp_path / "profile.csv"
+        profile.write_text("position_um,counts\n" + "\n".join(",".join(row) for row in rows))
+        argv = ["tof", "fit", "--out", str(tmp_path / "fit"), "--set", f"tof.profile_csv={profile}"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: positions and counts must be finite\n"
+        assert not (tmp_path / "fit" / "tof_fit.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_centroid_row_with_a_non_finite_time_is_a_domain_error(self, tmp_path, capsys, value):
+        out = tmp_path / "bypass"
+        out.mkdir()
+        meta = {"phase_boundaries_s": {"pre": [0.0, 0.5], "microgravity": [0.5, 1.5]}}
+        (out / "flight_meta.json").write_text(json.dumps(meta))
+        rows = ["t_s,x1_um,y1_um,x2_um,y2_um"]
+        rows += [f"{value if i == 35 else i / 24.0},100.0,120.0,160.0,120.0" for i in range(36)]
+        centroids = out / "centroids.csv"
+        centroids.write_text("\n".join(rows))
+        argv = ["flight", "analyze", "--out", str(out), "--frames", str(out), "--centroids", str(centroids)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: timestamps must be finite and strictly increasing\n"
+        assert not (out / "flight_report.json").exists()
 
     def test_flight_analyze_centroid_bypass(self, tmp_path):
         out = tmp_path / "bypass"

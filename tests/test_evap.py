@@ -88,30 +88,32 @@ class TestSchedule:
 
 
 @pytest.fixture(scope="module")
-def rows(layout, input_pair):
+def columns(layout, input_pair):
     schedule = bundled_schedule()
-    return schedule, timeline(RB, layout, input_pair, schedule, n_samples=14)
+    return schedule, {k: np.asarray(v) for k, v in timeline(RB, layout, input_pair, schedule, n_samples=14).items()}
 
 
 class TestTimeline:
-    def test_monotone_depth_during_evaporation(self, rows):
-        schedule, rows = rows
-        depths = [r["depth_uK"] for r in rows if r["valid"] and r["t_s"] <= 1.0]
+    def test_monotone_depth_during_evaporation(self, columns):
+        schedule, columns = columns
+        depths = columns["depth_uK"][(columns["valid"] == 1) & (columns["t_s"] <= 1.0)]
         assert len(depths) >= 5
-        assert all(b < a for a, b in zip(depths, depths[1:]))
+        assert np.all(np.diff(depths) < 0)
 
-    def test_reopen_raises_depth_and_lowers_frequency(self, rows):
-        schedule, rows = rows
+    def test_reopen_raises_depth_and_lowers_frequency(self, columns):
+        schedule, columns = columns
         t_reopen = schedule.ramp_duration + schedule.hold
-        pre = [r for r in rows if r["valid"] and r["t_s"] <= t_reopen][-1]
-        post = [r for r in rows if r["valid"] and r["t_s"] > t_reopen][-1]
-        assert post["depth_uK"] > pre["depth_uK"]
-        assert post["mean_frequency_hz"] < pre["mean_frequency_hz"]
+        t, valid = columns["t_s"], columns["valid"] == 1
+        pre = np.flatnonzero(valid & (t <= t_reopen))[-1]
+        post = np.flatnonzero(valid & (t > t_reopen))[-1]
+        assert columns["depth_uK"][post] > columns["depth_uK"][pre]
+        assert columns["mean_frequency_hz"][post] < columns["mean_frequency_hz"][pre]
 
-    def test_power_column_follows_schedule(self, rows):
-        schedule, rows = rows
-        for r in rows:
-            assert r["power_w"] == pytest.approx(schedule.power_at(r["t_s"]), rel=1e-12)
+    def test_power_column_follows_schedule(self, columns):
+        schedule, columns = columns
+        assert len(columns["power_w"]) == len(columns["t_s"]) == 14
+        for t, power in zip(columns["t_s"].tolist(), columns["power_w"].tolist()):
+            assert power == pytest.approx(schedule.power_at(t), rel=1e-12)
 
     def test_repeated_samples_characterized_once(self, layout, input_pair, monkeypatch):
         import codtsim.evap as evap
@@ -120,15 +122,17 @@ class TestTimeline:
         real = evap.characterize
         monkeypatch.setattr(evap, "characterize", lambda *a, **k: calls.append(1) or real(*a, **k))
         schedule = bundled_schedule()
-        rows = timeline(RB, layout, input_pair, schedule, n_samples=9)
-        keys = [(r["power_w"], r["amplitude_h_um"], r["amplitude_v_um"]) for r in rows]
-        assert len(calls) == len(set(keys)) == len(rows) - 1  # t = 1.3125 and 1.5 s repeat
-        # the repeated row carries exactly what a fresh characterization gives
-        t = rows[-1]["t_s"]
+        columns = timeline(RB, layout, input_pair, schedule, n_samples=9)
+        assert {len(c) for c in columns.values()} == {9}
+        keys = list(zip(columns["power_w"], columns["amplitude_h_um"], columns["amplitude_v_um"]))
+        assert len(calls) == len(set(keys)) == 9 - 1  # t = 1.3125 and 1.5 s repeat
+        # the repeated sample carries exactly what a fresh characterization gives
+        t = columns["t_s"][-1]
         fresh = evap._painted_trap(RB, layout, input_pair, schedule.power_at(t), *schedule.amplitude_at(t))
         schedule_columns = ("t_s", "power_w", "amplitude_h_um", "amplitude_v_um")
-        assert {k: v for k, v in rows[-1].items() if k not in schedule_columns} == fresh
-        assert rows[-2] | {"t_s": t} == rows[-1]
+        assert list(columns) == [*schedule_columns, *fresh]
+        assert {k: columns[k][-1] for k in fresh} == fresh
+        assert all(columns[k][-2] == columns[k][-1] for k in columns if k != "t_s")
 
     @pytest.mark.parametrize("gravity, depth_uk", [(0.0, 91.135), (9.81, 88.92)])
     def test_wide_paint_seeds_past_its_central_ridge(self, layout, input_pair, monkeypatch, gravity, depth_uk):
@@ -193,6 +197,15 @@ class TestExpansion:
         np.testing.assert_allclose(lam[:, 0], exact, rtol=1e-6)
         np.testing.assert_allclose(lam[:, 1], exact, rtol=1e-6)
         np.testing.assert_array_equal(lam[:, 2], 1.0)
+
+    def test_zero_temperature_has_no_thermal_cloud(self):
+        # T = 0: zero thermal widths at every time, and a 0/0 aspect that is nan without a warning
+        freqs = (20.0, 180.0, 180.0)
+        state = ExpansionState(freqs, (10e-6, 5e-6, 5e-6), 0.0, tuple(thermal_sigma0(freqs, 0.0, RB)))
+        res = expand(state, np.array([0.0, 5e-3, 20e-3]), RB)
+        assert np.all(res["thermal_sigma_m"] == 0.0)
+        assert np.all(np.isnan(res["thermal_aspect_zy"]))
+        assert np.all(res["tf_radii_m"] > 0)
 
     def test_long_expansion_matches_analytic_solution_quickly(self):
         # a 10 s microgravity expansion: the step size grows with the cloud,
@@ -285,3 +298,19 @@ class TestBimodalFit:
     def test_constant_profile_rejected(self):
         with pytest.raises(DomainError):
             fit_bimodal(np.linspace(0, 1, 50), np.full(50, 3.0))
+
+    @pytest.mark.parametrize("column, value", [(0, math.nan), (1, math.nan), (1, math.inf), (1, -math.inf)])
+    def test_non_finite_profile_rejected(self, column, value):
+        # scipy's least_squares raised "Initial guess is outside of provided bounds" on these
+        x, y, _, _ = self._profile()
+        [x, y][column][100] = value
+        with pytest.raises(DomainError, match="positions and counts must be finite"):
+            fit_bimodal(x, y)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_uncertainty_rejected(self, value):
+        x, y, _, _ = self._profile()
+        sigma = np.ones(x.size)
+        sigma[3] = value
+        with pytest.raises(DomainError, match="uncertainties must be positive and finite"):
+            fit_bimodal(x, y, sigma)

@@ -209,6 +209,15 @@ class TestLabelComponents:
         np.testing.assert_array_equal(label_components(masks)[1], [1, 2, 1])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_timestamp_rejected(value):
+    # a nan timestamp lies in no phase, so its frame once dropped out unnoticed
+    ts = np.arange(10) / 24.0
+    ts[4] = value
+    with pytest.raises(DomainError, match="timestamps must be finite and strictly increasing"):
+        SpotTrackSeries(timestamps=ts, spots_um=np.zeros((10, 2, 2)))
+
+
 def constant_series(n=40, dt=1.0 / 24):
     ts = np.arange(n) * dt
     spots = np.tile(np.array([[100.0, 120.0], [160.0, 120.0]]), (n, 1, 1))

@@ -137,7 +137,7 @@ class TestCharacterize:
         barrier = min(b for b, _ in ref)
         assert report.depth_escape == pytest.approx(barrier - u0, rel=1e-12, abs=0)
         # 14.27 of the 397.3 uK peak-to-min depth, the minimum at x = 0.51 um
-        assert report.rows()[0]["depth_uK"] == pytest.approx(14.27, abs=0.01)
+        assert report.columns()["depth_uK"][0] == pytest.approx(14.27, abs=0.01)
 
     def test_static_characterization_kernel_call_budget(self, layout, input_pair, monkeypatch):
         # Newton on closed-form derivatives: a few derivative calls, then one
@@ -336,11 +336,12 @@ class TestBatch:
         assert np.all(report.depth_escape[~valid] == 0.0) and np.all(report.depth_peak[~valid] == 0.0)
         assert np.array_equal(report.frequencies[~valid], np.zeros((n - valid.sum(), 3)))
         assert np.array_equal(report.principal_axes[~valid], np.broadcast_to(np.eye(3), (n - valid.sum(), 3, 3)))
-        # one artifact row per item, of plain Python values
-        rows = report.rows()
-        assert len(rows) == n and [row["valid"] for row in rows] == valid.astype(int).tolist()
-        for row in rows:
-            assert [type(v) for v in row.values()] == [int, str] + [float] * 9 + [int] + [float] * 4
+        # one entry per item in every artifact column, each a plain Python value as a CSV line takes it
+        columns = {name: column.tolist() for name, column in report.columns().items()}
+        assert all(len(column) == n for column in columns.values())
+        assert columns["valid"] == valid.astype(int).tolist()
+        for i in range(n):
+            assert [type(c[i]) for c in columns.values()] == [int, str] + [float] * 9 + [int] + [float] * 4
 
     @pytest.mark.parametrize("gravity", [0.0, 9.81])
     def test_columns_keep_the_per_item_arithmetic(self, mixed, layout, input_pair, gravity):
@@ -456,13 +457,14 @@ class TestThermoMetrics:
 
 class TestMisalignment:
     def test_zero_offset_ratio_is_one(self, layout, input_pair):
-        [row] = misalignment_sweep(RB, layout, input_pair, [0.0])
-        assert row["depth_ratio"] == pytest.approx(1.0, abs=1e-9)
+        columns = misalignment_sweep(RB, layout, input_pair, [0.0])
+        assert list(columns) == ["offset_um", "depth_ratio"] and columns["offset_um"].tolist() == [0.0]
+        [ratio] = columns["depth_ratio"]
+        assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_even_and_non_increasing(self, layout, input_pair):
         offsets = np.array([-8e-6, -4e-6, 0.0, 4e-6, 8e-6])
-        rows = misalignment_sweep(RB, layout, input_pair, offsets)
-        ratios = np.array([r["depth_ratio"] for r in rows])
+        ratios = misalignment_sweep(RB, layout, input_pair, offsets)["depth_ratio"]
         np.testing.assert_allclose(ratios, ratios[::-1], rtol=1e-6)
         upper = ratios[2:]
         assert np.all(np.diff(upper) < 0)

@@ -22,10 +22,11 @@ samples, ``trap report`` writing an 8x8x8 trap field, ``trap report``,
 ``paint grid`` and ``paint transport`` with the geometric deflection map,
 a ``paint transport`` of three sites at once with each deflection map,
 a ``flight synth`` plus ``flight analyze`` of 64x128-pixel frames at
-3.5 um (height and width differ, so a swap of the two shows), and a
-``flight analyze --centroids`` of the first ``flight analyze`` run's
-``flight_series.csv``, each at 0 g and at 9.81 m/s^2: 56 runs. Each tree
-runs ``JOBS`` runs at a time.
+3.5 um (height and width differ, so a swap of the two shows), ``tof
+expand`` with no times (a table without rows) and at 0 K (no thermal
+cloud), and a ``flight analyze --centroids`` of the first ``flight
+analyze`` run's ``flight_series.csv``, each at 0 g and at 9.81 m/s^2: 60
+runs. Each tree runs ``JOBS`` runs at a time.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ EXTRA = [
     ("paint-transport-3-sites-geometric", ("paint", "transport"),
      [*TRANSPORT_3_SITES, "layout.deflection_mode=geometric"]),
     ("flight-synth-64x128", ("flight", "synth"), ["flight.frame_shape=[64,128]", "flight.pixel_pitch_um=3.5"]),
+    ("tof-expand-no-times", ("tof", "expand"), ["tof.times_ms=[]"]),
+    ("tof-expand-0K", ("tof", "expand"), ["tof.temperature_uK=0"]),
 ]
 # name, --set overrides, the flight synth run whose output is --frames
 ANALYZE = [
