@@ -19,44 +19,3 @@ if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
-
-from .constants import PhysicalConstants
-from .optics import (
-    AstigmaticBeam,
-    InputBeam,
-    OpticalLayout,
-    beam_intensity,
-    build_beamlines,
-    deflection_to_displacement,
-    focus_input_beam,
-)
-from .potential import ModulationWaveform, time_averaged_potential, write_field
-from .trapchar import (
-    ThermoMetrics,
-    TrapReport,
-    characterize,
-    characterize_batch,
-    reachable_volume,
-    thermo_metrics,
-)
-
-__all__ = [
-    "PhysicalConstants",
-    "OpticalLayout",
-    "InputBeam",
-    "AstigmaticBeam",
-    "focus_input_beam",
-    "beam_intensity",
-    "deflection_to_displacement",
-    "build_beamlines",
-    "ModulationWaveform",
-    "time_averaged_potential",
-    "write_field",
-    "TrapReport",
-    "ThermoMetrics",
-    "characterize",
-    "characterize_batch",
-    "reachable_volume",
-    "thermo_metrics",
-    "__version__",
-]

@@ -46,16 +46,7 @@ from .painting import (
     site_table_columns,
     transport_ramp,
 )
-from .pointing import (
-    PHASES,
-    SpotTrackSeries,
-    _spot_centres,
-    read_pgm,
-    synth_frame,
-    track_spots,
-    track_stats,
-    write_pgm_frames,
-)
+from .pointing import PHASES, _spot_centres, read_frames, synth_frame, track_spots, track_stats, write_frames
 from .potential import WAVEFORM_PERIOD, DipolePotential, beam_records, write_field
 from .trapchar import characterize_crossed_trap, misalignment_sweep, reachable_volume
 
@@ -417,9 +408,7 @@ def cmd_flight_synth(cfg, out: Path) -> None:
         )
         for i, spots_um in enumerate(truth["positions"])
     )
-    (out / "frames").mkdir()
-    # frames are rendered here while one writer thread creates the files of earlier ones
-    write_pgm_frames(frames, (out / f"frames/frame_{i:05d}.pgm" for i in range(len(truth["times"]))))
+    write_frames(out, frames)  # frames are rendered here while one writer thread creates the files of earlier ones
     meta = {
         "pixel_pitch_um": f["pixel_pitch_um"],
         "fps": f["fps"],
@@ -432,11 +421,6 @@ def cmd_flight_synth(cfg, out: Path) -> None:
         },
     }
     write_json(out / "flight_meta.json", meta)
-
-
-def _series_from_centroid_csv(path: Path, boundaries: dict) -> SpotTrackSeries:
-    data = _read_table(path, "--centroids", 5)
-    return SpotTrackSeries(timestamps=data[:, 0], spots_um=data[:, 1:5].reshape(-1, 2, 2), phase_boundaries=boundaries)
 
 
 def _read_flight_meta(path: Path, keys) -> dict:
@@ -475,19 +459,18 @@ def cmd_flight_analyze(cfg, out: Path, frames_dir: Path, centroids: Path | None 
     meta = _read_flight_meta(frames_dir / "flight_meta.json", keys)
     boundaries = {k: tuple(v) for k, v in meta["phase_boundaries_s"].items()}
     if centroids is not None:
-        series = _series_from_centroid_csv(centroids, boundaries)
+        data = _read_table(centroids, "--centroids", 5)
+        timestamps, spots_um = data[:, 0], data[:, 1:5].reshape(-1, 2, 2)
     else:
         n = meta["n_frames"]
-        frames = (read_pgm(frames_dir / f"frames/frame_{i:05d}.pgm") for i in range(n))  # read as they are tracked
-        series = track_spots(
-            frames,
-            np.arange(n) / meta["fps"],
+        timestamps = np.arange(n) / meta["fps"]
+        spots_um = track_spots(
+            read_frames(frames_dir, n),  # read as they are tracked
             meta["pixel_pitch_um"] * 1e-6,
             threshold_fraction=f["threshold_fraction"],
             gate_factor=f["gate_pitch_factor"],
-            phase_boundaries=boundaries,
         )
-    report = track_stats(series, inner_fraction=f["inner_fraction"])
+    report = track_stats(timestamps, spots_um, boundaries, inner_fraction=f["inner_fraction"])
     write_csv(out / "flight_series.csv", report.pop("series"))
     write_json(out / "flight_report.json", report)
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -162,23 +162,6 @@ def detect_block(values: np.ndarray, pixel_pitch: float, threshold_fraction: flo
     return centroids, counts
 
 
-@dataclass
-class SpotTrackSeries:
-    """Per-frame centroids of two tracked spots with phase labels."""
-
-    timestamps: np.ndarray  # s
-    spots_um: np.ndarray  # (n_frames, 2 spots, 2 xy), nan where a spot was not found
-    phase_boundaries: dict = field(default_factory=dict)  # phase -> (t0, t1)
-
-    def __post_init__(self) -> None:
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.spots_um = np.asarray(self.spots_um, dtype=float)
-        if not np.isfinite(self.timestamps).all() or np.any(np.diff(self.timestamps) <= 0):
-            raise DomainError("timestamps must be finite and strictly increasing")
-        if self.spots_um.shape != (self.timestamps.size, 2, 2):
-            raise DomainError("spots array must have shape (n_frames, 2, 2)")
-
-
 def _centroid_blocks(frames, pixel_pitch: float, threshold_fraction: float):
     """``detect_block`` of ``frames``, taken ``BLOCK_FRAMES`` frames of one shape at a time."""
     block: list[np.ndarray] = []
@@ -190,24 +173,17 @@ def _centroid_blocks(frames, pixel_pitch: float, threshold_fraction: float):
             block.append(values)
 
 
-def track_spots(
-    frames,
-    timestamps,
-    pixel_pitch: float,
-    threshold_fraction: float,
-    gate_factor: float,
-    phase_boundaries: dict | None = None,
-) -> SpotTrackSeries:
-    """Detect two spots per frame and maintain identity by nearest-neighbor gating.
+def track_spots(frames, pixel_pitch: float, threshold_fraction: float, gate_factor: float) -> np.ndarray:
+    """Centroids (n_frames, 2 spots, 2 xy) in um of two spots tracked by nearest-neighbor gating.
 
-    ``frames`` is any iterable of 2-D count arrays taken at ``timestamps``
-    with one ``pixel_pitch`` (m); it is consumed in blocks of
-    ``BLOCK_FRAMES`` frames of one shape, so a generator is never held whole
-    and the shape may change between frames.  A spot takes the nearest
-    detection within ``gate_factor`` pixel pitches of its last centroid.  A
-    spot not yet found takes the detections left over by the tracked spots,
-    in x order, so both spots of the first frame with detections are ordered
-    by x.
+    A spot not found in a frame has nan coordinates there.  ``frames`` is
+    any iterable of 2-D count arrays with one ``pixel_pitch`` (m); it is
+    consumed in blocks of ``BLOCK_FRAMES`` frames of one shape, so a
+    generator is never held whole and the shape may change between frames.
+    A spot takes the nearest detection within ``gate_factor`` pixel
+    pitches of its last centroid.  A spot not yet found takes the
+    detections left over by the tracked spots, in x order, so both spots of
+    the first frame with detections are ordered by x.
     """
     gate_um = gate_factor * pixel_pitch * 1e6
     positions = []
@@ -227,15 +203,14 @@ def track_spots(
             found = [next(leftover, None) if p is None else f for f, p in zip(found, previous)]
             previous = [p if f is None else f for f, p in zip(found, previous)]
             positions.append([_NO_SPOT if f is None else f for f in found])
-    spots_um = np.reshape(positions, (-1, 2, 2))
-    return SpotTrackSeries(timestamps=timestamps, spots_um=spots_um, phase_boundaries=phase_boundaries or {})
+    return np.reshape(positions, (-1, 2, 2))
 
 
-def _phase_mask(series: SpotTrackSeries, phase: str) -> np.ndarray:
-    if phase not in series.phase_boundaries:
-        return np.zeros(series.timestamps.size, dtype=bool)
-    t0, t1 = series.phase_boundaries[phase]
-    return (series.timestamps >= t0) & (series.timestamps < t1)
+def _phase_mask(timestamps: np.ndarray, phase_boundaries: dict, phase: str) -> np.ndarray:
+    if phase not in phase_boundaries:
+        return np.zeros(timestamps.size, dtype=bool)
+    t0, t1 = phase_boundaries[phase]
+    return (timestamps >= t0) & (timestamps < t1)
 
 
 def _stats(arr: np.ndarray) -> dict:
@@ -250,36 +225,46 @@ def _stats(arr: np.ndarray) -> dict:
     }
 
 
-def track_stats(series: SpotTrackSeries, inner_fraction: float) -> dict:
+def track_stats(timestamps, spots_um, phase_boundaries: dict, inner_fraction: float) -> dict:
     """Flight report: displacements, AC jitter and DC inter-spot distance.
 
-    Displacements are measured from the pre-launch mean position per spot and
-    axis.  The AC metric is the Euclidean distance between consecutive-frame
-    positions of the same spot; the DC metric is the per-frame two-spot
-    distance relative to its pre-launch mean.  ``inner_fraction`` selects a
-    centered sub-interval of the microgravity phase reported separately.
+    ``spots_um`` holds the (n_frames, 2 spots, 2 xy) centroids taken at
+    ``timestamps``, nan where a spot was not found; ``phase_boundaries``
+    maps a phase to its (t0, t1).  Displacements are measured from the
+    pre-launch mean position per spot and axis.  The AC metric is the
+    Euclidean distance between consecutive-frame positions of the same
+    spot; the DC metric is the per-frame two-spot distance relative to its
+    pre-launch mean.  ``inner_fraction`` selects a centered sub-interval of
+    the microgravity phase reported separately.  The ``series`` entry holds
+    the per-frame columns as arrays.
     """
-    valid_frames = ~np.isnan(series.spots_um).any(axis=(1, 2))  # both spots found: no nan coordinate
+    timestamps = np.asarray(timestamps, dtype=float)
+    spots_um = np.asarray(spots_um, dtype=float)
+    if not np.isfinite(timestamps).all() or np.any(np.diff(timestamps) <= 0):
+        raise DomainError("timestamps must be finite and strictly increasing")
+    if spots_um.shape != (timestamps.size, 2, 2):
+        raise DomainError("spots array must have shape (n_frames, 2, 2)")
+    valid_frames = ~np.isnan(spots_um).any(axis=(1, 2))  # both spots found: no nan coordinate
     if int(valid_frames.sum()) < 2:
         raise DomainError("need at least two frames with both spots detected")
     skipped = int((~valid_frames).sum())
 
-    pre = _phase_mask(series, "pre") & valid_frames
+    pre = _phase_mask(timestamps, phase_boundaries, "pre") & valid_frames
     if not pre.any():
         raise DomainError("no valid pre-launch frames to define the reference position")
-    ref = np.nanmean(series.spots_um[pre], axis=0)  # (2 spots, 2 xy)
+    ref = np.nanmean(spots_um[pre], axis=0)  # (2 spots, 2 xy)
 
-    disp = series.spots_um - ref  # (n, 2, 2)
-    interspot = np.linalg.norm(series.spots_um[:, 0] - series.spots_um[:, 1], axis=1)
+    disp = spots_um - ref  # (n, 2, 2)
+    interspot = np.linalg.norm(spots_um[:, 0] - spots_um[:, 1], axis=1)
     dc = interspot - float(np.nanmean(interspot[pre]))
-    ac = np.full((series.timestamps.size, 2), np.nan)
+    ac = np.full((timestamps.size, 2), np.nan)
     valid_idx = np.flatnonzero(valid_frames)
-    steps = series.spots_um[valid_idx[1:]] - series.spots_um[valid_idx[:-1]]
+    steps = spots_um[valid_idx[1:]] - spots_um[valid_idx[:-1]]
     ac[valid_idx[1:]] = np.linalg.norm(steps, axis=2)
 
     report: dict = {"skipped_frames": skipped, "phases": {}}
     for phase in PHASES:
-        mask = _phase_mask(series, phase) & valid_frames
+        mask = _phase_mask(timestamps, phase_boundaries, phase) & valid_frames
         if not mask.any():
             continue
         entry = {
@@ -292,11 +277,11 @@ def track_stats(series: SpotTrackSeries, inner_fraction: float) -> dict:
             "dc_interspot_um": _stats(dc[mask]),
         }
         report["phases"][phase] = entry
-    if "microgravity" in series.phase_boundaries:
-        t0, t1 = series.phase_boundaries["microgravity"]
+    if "microgravity" in phase_boundaries:
+        t0, t1 = phase_boundaries["microgravity"]
         mid = 0.5 * (t0 + t1)
         half = 0.5 * inner_fraction * (t1 - t0)
-        inner = (series.timestamps >= mid - half) & (series.timestamps < mid + half) & valid_frames
+        inner = (timestamps >= mid - half) & (timestamps < mid + half) & valid_frames
         if inner.any():
             report["microgravity_inner"] = {
                 "window_s": [mid - half, mid + half],
@@ -304,19 +289,29 @@ def track_stats(series: SpotTrackSeries, inner_fraction: float) -> dict:
                 "ac_um": {f"spot{i + 1}": _stats(ac[inner, i]) for i in range(2)},
             }
     report["series"] = {
-        "t_s": series.timestamps.tolist(),
-        "x1_um": series.spots_um[:, 0, 0].tolist(),
-        "y1_um": series.spots_um[:, 0, 1].tolist(),
-        "x2_um": series.spots_um[:, 1, 0].tolist(),
-        "y2_um": series.spots_um[:, 1, 1].tolist(),
-        "ac1_um": ac[:, 0].tolist(),
-        "ac2_um": ac[:, 1].tolist(),
-        "dc_um": dc.tolist(),
+        "t_s": timestamps,
+        "x1_um": spots_um[:, 0, 0],
+        "y1_um": spots_um[:, 0, 1],
+        "x2_um": spots_um[:, 1, 0],
+        "y2_um": spots_um[:, 1, 1],
+        "ac1_um": ac[:, 0],
+        "ac2_um": ac[:, 1],
+        "dc_um": dc,
     }
     return report
 
 
 # --- PGM frame I/O ---------------------------------------------------------
+
+# "P5", then width, height and maxval, each a run of digits ending at
+# whitespace or at the end of the data; whitespace and "#" comments (to the
+# end of their line) come before each of them
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?![^\n]))*(\d+)(?!\S)" * 3)
+
+
+def frame_path(recording: Path, i: int) -> Path:
+    """The PGM file of frame ``i`` of the recording in the directory ``recording``."""
+    return recording / f"frames/frame_{i:05d}.pgm"
 
 
 def _write_pgm(values: np.ndarray, path) -> None:
@@ -328,18 +323,20 @@ def _write_pgm(values: np.ndarray, path) -> None:
         fh.write(header + data.tobytes())
 
 
-def write_pgm_frames(frames, paths) -> None:
-    """Write each of ``frames`` (uint8 or uint16 arrays) to the matching one of ``paths``, on one writer thread.
+def write_frames(recording: Path, frames) -> None:
+    """Write ``frames`` (uint8 or uint16 arrays) as frames 0, 1, ... of ``recording``, on one writer thread.
 
-    The frames are drawn from ``frames`` on the calling thread (so a lazy
-    renderer renders the next frame there) and handed to the writer thread
-    ``WRITE_BATCH_FRAMES`` at a time, at most ``WRITE_QUEUE_BATCHES`` batches
-    ahead of it; batching wakes the writer once per batch, not per frame.  A
-    frame that cannot be written raises ConfigError naming its file, after
-    the writer has stopped; no thread outlives the call.
+    The frames are drawn from ``frames`` and their files named on the
+    calling thread (so a lazy renderer renders the next frame there) and
+    handed to the writer thread ``WRITE_BATCH_FRAMES`` at a time, at most
+    ``WRITE_QUEUE_BATCHES`` batches ahead of it; batching wakes the writer
+    once per batch, not per frame.  A frame that cannot be written raises
+    ConfigError naming its file, after the writer has stopped; no thread
+    outlives the call.
     """
     import queue  # only flight synth writes frames; kept off the import of the CLI
 
+    frame_path(recording, 0).parent.mkdir(exist_ok=True)
     pending: queue.Queue = queue.Queue(WRITE_QUEUE_BATCHES)
     failure: list[tuple] = []  # (path, exception) of the frame that could not be written
 
@@ -356,7 +353,7 @@ def write_pgm_frames(frames, paths) -> None:
     thread = threading.Thread(target=writer, name="pgm-writer")
     thread.start()
     try:
-        items = zip(frames, paths)
+        items = ((values, frame_path(recording, i)) for i, values in enumerate(frames))
         while not failure and (batch := list(itertools.islice(items, WRITE_BATCH_FRAMES))):
             pending.put(batch)
     finally:
@@ -377,27 +374,20 @@ def read_pgm(path) -> np.ndarray:
         raise DomainError(f"{path}: cannot read frame ({exc.strerror})") from exc
     if not raw.startswith(b"P5"):
         raise DomainError(f"{path}: only binary (P5) PGM frames are supported")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if not raw[start:pos].isdigit():
-            raise DomainError(f"{path}: malformed PGM header")
-        fields.append(int(raw[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise DomainError(f"{path}: malformed PGM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise DomainError(f"{path}: PGM header {width}x{height}, maxval {maxval} is out of range")
+    pos = header.end() + 1  # single whitespace after maxval
     dtype = np.dtype(">u2" if maxval > 255 else "u1")
     if len(raw) - pos < width * height * dtype.itemsize:
         raise DomainError(f"{path}: truncated PGM frame")
     values = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos).reshape(height, width)
     return values.astype(dtype.newbyteorder("="))
+
+
+def read_frames(recording: Path, count: int):
+    """Frames 0 .. ``count`` - 1 of the recording in ``recording``, each read by ``read_pgm`` as it is drawn."""
+    return (read_pgm(frame_path(recording, i)) for i in range(count))

@@ -33,7 +33,7 @@ from codtsim.optics import (
     focus_input_beam,
 )
 from codtsim.painting import GridSpec, characterize_sites, compensate_powers, line_paint
-from codtsim.pointing import detect_block, synth_frame
+from codtsim.pointing import detect_block, frame_path, synth_frame
 from codtsim.potential import time_averaged_potential
 from codtsim.trapchar import (
     ThermoMetrics,
@@ -275,8 +275,8 @@ def test_criterion_10_pointing_pipeline(tmp_path):
         # determinism: re-synthesis produces byte-identical artifacts
         out2 = tmp_path / "flight2"
         assert cli_main(["flight", "synth", "--out", str(out2)]) == 0
-        a = (out / "frames" / "frame_00000.pgm").read_bytes()
-        b = (out2 / "frames" / "frame_00000.pgm").read_bytes()
+        a = frame_path(out, 0).read_bytes()
+        b = frame_path(out2, 0).read_bytes()
         assert a == b
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from codtsim.cli import main
 from codtsim.config import SPEC
+from codtsim.pointing import frame_path
 
 # the leaves each command reads, as dotted-path prefixes; of its flight keys,
 # flight analyze reads threshold_fraction, gate_pitch_factor and
@@ -108,7 +109,7 @@ def inputs(tmp_path_factory):
 def _corrupt(frames: Path, corruption) -> list[str]:
     """Spoil one input file of a copied flight run; the extra argv it needs."""
     kind, index, blob, value = corruption
-    frame = frames / "frames" / f"frame_{index:05d}.pgm"
+    frame = frame_path(frames, index)
     if kind == "truncated-frame":
         data = frame.read_bytes()
         frame.write_bytes(data[: len(data) * index // N_FRAMES])

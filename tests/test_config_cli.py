@@ -17,6 +17,7 @@ from codtsim.config import (
 )
 from codtsim.constants import PhysicalConstants
 from codtsim.errors import ConfigError, DomainError
+from codtsim.pointing import frame_path
 from codtsim.trapchar import characterize_crossed_trap
 
 
@@ -254,19 +255,19 @@ class TestCli:
 
     def test_truncated_frame_exit_code_3(self, tmp_path, capsys):
         out = tmp_path / "flight"
-        (out / "frames").mkdir(parents=True)
+        frame_path(out, 0).parent.mkdir(parents=True)
         (out / "flight_meta.json").write_text(json.dumps(_FLIGHT_META))
-        (out / "frames" / "frame_00000.pgm").write_bytes(b"P5\n96 96\n65535\n" + bytes(100))
+        frame_path(out, 0).write_bytes(b"P5\n96 96\n65535\n" + bytes(100))
         assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
         assert "truncated" in capsys.readouterr().err
 
     def test_late_truncated_frame_writes_no_report(self, tmp_path, capsys):
         out = tmp_path / "flight"
         assert main(["flight", "synth", "--out", str(out)]) == 0
-        frame = out / "frames" / "frame_00150.pgm"
+        frame = frame_path(out, 150)
         frame.write_bytes(frame.read_bytes()[:-1])
         assert main(["flight", "analyze", "--out", str(out), "--frames", str(out)]) == 3
-        assert "frame_00150.pgm: truncated" in capsys.readouterr().err
+        assert f"{frame}: truncated" in capsys.readouterr().err
         assert not (out / "flight_report.json").exists()
         assert not (out / "flight_series.csv").exists()
 
@@ -422,9 +423,10 @@ class TestCli:
         assert main(["flight", "synth", "--out", str(out), "--set", "flight.n_frames=24"]) == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         real = pointing._write_pgm
+        name = frame_path(out, failing).name  # the run writes into a stage inside out
 
         def write(values, path):
-            if path.name == f"frame_{failing:05d}.pgm":
+            if path.name == name:
                 raise OSError(28, "No space left on device")
             real(values, path)
 
@@ -439,7 +441,7 @@ class TestCli:
         assert threading.active_count() == threads
         assert codes == [2]
         err = capsys.readouterr().err
-        assert f"frame_{failing:05d}.pgm: cannot write frame (No space left on device)" in err
+        assert f"{name}: cannot write frame (No space left on device)" in err
         assert "Traceback" not in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
@@ -688,7 +690,7 @@ class TestCli:
 
         out = tmp_path / "flight"
         assert main(["flight", "synth", "--out", str(out)]) == 0
-        first = out / "frames/frame_00000.pgm"
+        first = frame_path(out, 0)
         values = pointing.read_pgm(first)
         values[:, values.shape[1] // 2 :] = 0  # blank the right half, where spot 2 lies
         pointing._write_pgm(values, first)
@@ -708,7 +710,7 @@ class TestCli:
         frames = tmp_path / "frames"
         assert main(["flight", "synth", "--out", str(frames), "--set", "flight.n_frames=24"]) == 0
         for i in (0, 10):  # a blank first frame once lost spot 1 to a NaN centroid
-            pointing._write_pgm(np.zeros((96, 96), dtype=np.uint16), frames / f"frames/frame_{i:05d}.pgm")
+            pointing._write_pgm(np.zeros((96, 96), dtype=np.uint16), frame_path(frames, i))
         centroids = tmp_path / "centroids.csv"
         centroids.write_text("t_s,x1_um,y1_um,x2_um,y2_um\n")
         with warnings.catch_warnings():

@@ -10,14 +10,15 @@ from codtsim.config import load_config
 from codtsim.errors import ConfigError, DomainError
 from codtsim.pointing import (
     BLOCK_FRAMES,
-    SpotTrackSeries,
     detect_block,
+    frame_path,
     label_components,
+    read_frames,
     read_pgm,
     synth_frame,
     track_spots,
     track_stats,
-    write_pgm_frames,
+    write_frames,
 )
 
 PITCH = 5e-6
@@ -215,10 +216,18 @@ def test_non_finite_timestamp_rejected(value):
     ts = np.arange(10) / 24.0
     ts[4] = value
     with pytest.raises(DomainError, match="timestamps must be finite and strictly increasing"):
-        SpotTrackSeries(timestamps=ts, spots_um=np.zeros((10, 2, 2)))
+        track_stats(ts, np.zeros((10, 2, 2)), {}, INNER)
+
+
+def test_spots_not_matching_the_timestamps_rejected():
+    ts = np.arange(10) / 24.0
+    for spots in (np.zeros((9, 2, 2)), np.zeros((10, 2))):
+        with pytest.raises(DomainError, match=r"spots array must have shape \(n_frames, 2, 2\)"):
+            track_stats(ts, spots, {}, INNER)
 
 
 def constant_series(n=40, dt=1.0 / 24):
+    """(timestamps, spots_um, phase_boundaries) of two spots at rest."""
     ts = np.arange(n) * dt
     spots = np.tile(np.array([[100.0, 120.0], [160.0, 120.0]]), (n, 1, 1))
     phases = {
@@ -228,16 +237,12 @@ def constant_series(n=40, dt=1.0 / 24):
         "landing": (1.4, 1.6),
         "post": (1.6, 2.0),
     }
-    return SpotTrackSeries(
-        timestamps=ts,
-        spots_um=spots,
-        phase_boundaries=phases,
-    )
+    return ts, spots, phases
 
 
 class TestTrackStats:
     def test_constant_series_all_zero(self):
-        report = track_stats(constant_series(), INNER)
+        report = track_stats(*constant_series(), INNER)
         for phase in report["phases"].values():
             for stats in phase["displacement_um"].values():
                 assert stats["max_abs"] == pytest.approx(0.0, abs=1e-12)
@@ -247,28 +252,24 @@ class TestTrackStats:
 
     def test_constructed_step_series_reports_exact_maxima(self):
         # 75 um excursion during launch, settled 12 um offset in microgravity
-        series = constant_series(n=48)
-        t = series.timestamps
+        t, spots, phases = constant_series(n=48)
         disp = np.zeros_like(t)
         launch = (t >= 0.5) & (t < 0.8)
         micro = (t >= 0.8) & (t < 1.4)
         disp[launch] = 75.0
         disp[micro] = 12.0
-        series.spots_um[:, :, 0] += disp[:, None]
-        report = track_stats(series, INNER)
+        spots[:, :, 0] += disp[:, None]
+        report = track_stats(t, spots, phases, INNER)
         assert report["phases"]["launch"]["displacement_um"]["spot1_x"]["max_abs"] == pytest.approx(75.0)
         assert report["phases"]["microgravity"]["displacement_um"]["spot1_x"]["max_abs"] == pytest.approx(12.0)
         assert report["phases"]["microgravity"]["dc_interspot_um"]["max_abs"] == pytest.approx(0.0, abs=1e-12)
 
     def test_ac_invariant_under_global_offset(self):
-        series_a = constant_series(n=48)
+        ts, spots_a, phases = constant_series(n=48)
         rng = np.random.default_rng(2)
-        jitter = rng.normal(0, 1.0, size=series_a.spots_um.shape)
-        series_a.spots_um += jitter
-        report_a = track_stats(series_a, INNER)
-        series_b = constant_series(n=48)
-        series_b.spots_um += jitter + 50.0  # constant offset of every position
-        report_b = track_stats(series_b, INNER)
+        jitter = rng.normal(0, 1.0, size=spots_a.shape)
+        report_a = track_stats(ts, spots_a + jitter, phases, INNER)
+        report_b = track_stats(ts, spots_a + jitter + 50.0, phases, INNER)  # constant offset of every position
         for phase in report_a["phases"]:
             for spot in ("spot1", "spot2"):
                 assert report_a["phases"][phase]["ac_um"][spot]["mean"] == pytest.approx(
@@ -276,37 +277,39 @@ class TestTrackStats:
                 )
 
     def test_report_determinism(self):
-        a = track_stats(constant_series(), INNER)
-        b = track_stats(constant_series(), INNER)
+        a = track_stats(*constant_series(), INNER)
+        b = track_stats(*constant_series(), INNER)
         import json
 
+        for report in (a, b):
+            report["series"] = {name: column.tolist() for name, column in report["series"].items()}
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_jitter_std_recovered(self):
-        series = constant_series(n=200)
-        series.phase_boundaries = {
+        ts, spots, _ = constant_series(n=200)
+        phases = {
             "pre": (0.0, 2.0),
             "microgravity": (2.0, 8.0),
         }
         rng = np.random.default_rng(30)
-        micro = (series.timestamps >= 2.0) & (series.timestamps < 8.0)
-        series.spots_um[micro, 1, 0] += rng.normal(0, 1.2, int(micro.sum()))
-        report = track_stats(series, INNER)
+        micro = (ts >= 2.0) & (ts < 8.0)
+        spots[micro, 1, 0] += rng.normal(0, 1.2, int(micro.sum()))
+        report = track_stats(ts, spots, phases, INNER)
         assert report["phases"]["microgravity"]["dc_interspot_um"]["std"] == pytest.approx(
             1.2, rel=0.10
         )
 
     def test_missing_detections_skipped(self):
-        series = constant_series(n=40)
-        series.spots_um[10:12, 0] = np.nan  # spot 1 not found
-        report = track_stats(series, INNER)
+        ts, spots, phases = constant_series(n=40)
+        spots[10:12, 0] = np.nan  # spot 1 not found
+        report = track_stats(ts, spots, phases, INNER)
         assert report["skipped_frames"] == 2
 
     def test_two_valid_frames_required(self):
-        series = constant_series(n=5)
-        series.spots_um[1:] = np.nan  # both spots found in the first frame only
+        ts, spots, phases = constant_series(n=5)
+        spots[1:] = np.nan  # both spots found in the first frame only
         with pytest.raises(DomainError):
-            track_stats(series, INNER)
+            track_stats(ts, spots, phases, INNER)
 
 
 class TestTracking:
@@ -315,9 +318,9 @@ class TestTracking:
             two_spot_frame(x1=200.0 + i, x2=262.0 + i, noise=4.0, seed=i)
             for i in range(8)
         ]
-        series = track_spots(frames, np.arange(8) / 24, PITCH, THRESHOLD, GATE)
-        assert not np.isnan(series.spots_um).any()
-        x1 = series.spots_um[:, 0, 0]
+        spots = track_spots(frames, PITCH, THRESHOLD, GATE)
+        assert not np.isnan(spots).any()
+        x1 = spots[:, 0, 0]
         assert np.all(np.diff(x1) > 0)  # spot 1 moves right monotonically
 
     def test_generator_and_list_give_identical_series(self):
@@ -327,24 +330,23 @@ class TestTracking:
             for i in range(n):
                 yield two_spot_frame(x1=200.0 + 0.1 * i, x2=262.0 + 0.2 * i, noise=4.0, seed=i)
 
-        from_list = track_spots(list(frames()), np.arange(n) / 24, PITCH, THRESHOLD, GATE)
-        from_generator = track_spots(frames(), np.arange(n) / 24, PITCH, THRESHOLD, GATE)
-        assert from_list.spots_um.shape == (n, 2, 2) and not np.isnan(from_list.spots_um).any()
-        for name in ("timestamps", "spots_um"):
-            assert getattr(from_list, name).tobytes() == getattr(from_generator, name).tobytes()
+        from_list = track_spots(list(frames()), PITCH, THRESHOLD, GATE)
+        from_generator = track_spots(frames(), PITCH, THRESHOLD, GATE)
+        assert from_list.shape == (n, 2, 2) and not np.isnan(from_list).any()
+        assert from_list.tobytes() == from_generator.tobytes()
         # each frame is detected as it would be alone
         for i, frame in enumerate(frames()):
-            assert found(frame) == sorted(map(tuple, from_list.spots_um[i]))
+            assert found(frame) == sorted(map(tuple, from_list[i]))
 
     def test_frame_shape_may_change_mid_stream(self):
         small = synth_frame(
             [[100.0, 100.0], [150.0, 100.0]], 10.0, 3000.0, shape=(48, 48), pixel_pitch=PITCH, background=40.0, noise=0.0
         )
         frames = [two_spot_frame(), small, two_spot_frame()]
-        series = track_spots(frames, np.arange(3.0), PITCH, THRESHOLD, gate_factor=1000.0)
-        assert not np.isnan(series.spots_um).any()
+        spots = track_spots(frames, PITCH, THRESHOLD, gate_factor=1000.0)
+        assert not np.isnan(spots).any()
         for i, frame in enumerate(frames):
-            assert found(frame) == sorted(map(tuple, series.spots_um[i]))
+            assert found(frame) == sorted(map(tuple, spots[i]))
 
     @pytest.mark.parametrize("missing", [0, 1])
     def test_spot_missing_from_the_first_frame_is_tracked_once_it_appears(self, missing):
@@ -352,12 +354,12 @@ class TestTracking:
         old, new = (200.0, 260.0) if missing == 1 else (260.0, 200.0)
         first = synth_frame([[old, 240.0]], 12.0, 3000.0, shape=(96, 96), pixel_pitch=PITCH, background=40.0, noise=0.0)
         frames = [first] + [two_spot_frame(x1=200.0 + i, x2=260.0 + i, noise=4.0, seed=i) for i in range(1, 6)]
-        series = track_spots(frames, np.arange(6) / 24, PITCH, THRESHOLD, GATE)
+        spots = track_spots(frames, PITCH, THRESHOLD, GATE)
         # the spot of the first frame is spot 1 and keeps its identity; the newcomer is spot 2
-        found_spots = ~np.isnan(series.spots_um).any(axis=-1)
+        found_spots = ~np.isnan(spots).any(axis=-1)
         np.testing.assert_array_equal(found_spots, [[True, False]] + [[True, True]] * 5)
-        np.testing.assert_allclose(series.spots_um[:, 0, 0] - np.arange(6), old, atol=1.0)
-        np.testing.assert_allclose(series.spots_um[1:, 1, 0] - np.arange(1, 6), new, atol=1.0)
+        np.testing.assert_allclose(spots[:, 0, 0] - np.arange(6), old, atol=1.0)
+        np.testing.assert_allclose(spots[1:, 1, 0] - np.arange(1, 6), new, atol=1.0)
 
 
 class TestPgmIO:
@@ -384,12 +386,16 @@ class TestPgmIO:
         frames = [two_spot_frame(x1=150.0 + i, noise=6.0, seed=3 + i) for i in range(37)]
         frames[5] = np.minimum(frames[5], 255).astype(np.uint8)
         before = threading.active_count()
-        write_pgm_frames(frames, (tmp_path / f"t{i}.pgm" for i in range(37)))
+        write_frames(tmp_path, frames)
         assert threading.active_count() == before
+        assert sorted(frame_path(tmp_path, 0).parent.iterdir()) == [frame_path(tmp_path, i) for i in range(37)]
         for i, frame in enumerate(frames):
             pointing._write_pgm(frame, tmp_path / f"f{i}.pgm")
-            assert (tmp_path / f"t{i}.pgm").read_bytes() == (tmp_path / f"f{i}.pgm").read_bytes(), i
-        assert (tmp_path / "t5.pgm").read_bytes().startswith(b"P5\n96 96\n255\n")
+            assert frame_path(tmp_path, i).read_bytes() == (tmp_path / f"f{i}.pgm").read_bytes(), i
+        assert frame_path(tmp_path, 5).read_bytes().startswith(b"P5\n96 96\n255\n")
+        for i, loaded in enumerate(read_frames(tmp_path, 37)):
+            assert loaded.dtype == frames[i].dtype
+            np.testing.assert_array_equal(loaded, frames[i])
 
     @pytest.mark.parametrize("failing", [0, 5, 39])
     def test_failed_write_stops_the_writer_and_names_the_file(self, tmp_path, monkeypatch, failing):
@@ -398,7 +404,7 @@ class TestPgmIO:
         real = pointing._write_pgm
 
         def write(values, path):
-            if path.name == f"f{failing}.pgm":
+            if path == frame_path(tmp_path, failing):
                 time.sleep(0.2)  # the renderer fills the queue and waits on it meanwhile
                 raise OSError(28, "No space left on device")
             real(values, path)
@@ -418,7 +424,7 @@ class TestPgmIO:
 
         def run():
             try:
-                write_pgm_frames(frames(), (tmp_path / f"f{i}.pgm" for i in range(40)))
+                write_frames(tmp_path, frames())
             except ConfigError as exc:
                 errors.append(exc)
 
@@ -433,10 +439,23 @@ class TestPgmIO:
         assert not caller.is_alive(), "the frame writer hung after a failed write"
         assert threading.active_count() == before
         assert len(errors) == 1
-        assert f"f{failing}.pgm: cannot write frame (No space left on device)" in str(errors[0])
-        written = sorted(int(p.stem[1:]) for p in tmp_path.iterdir())
-        assert written == list(range(failing))
+        assert f"{frame_path(tmp_path, failing)}: cannot write frame (No space left on device)" in str(errors[0])
+        written = sorted(frame_path(tmp_path, 0).parent.iterdir())
+        assert written == [frame_path(tmp_path, i) for i in range(failing)]
         assert len(rendered) <= min(40, failing + 4)  # rendering stops soon after the failure
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_header_comments_are_skipped(self, tmp_path, dtype):
+        # a camera tool names itself after the magic number; the digits of a comment are not header fields
+        frame = two_spot_frame(noise=5.0, seed=9, amp=180.0 if dtype == np.uint8 else 3000.0).astype(dtype)
+        samples = np.ascontiguousarray(frame, dtype=frame.dtype.newbyteorder(">")).tobytes()
+        maxval = np.iinfo(dtype).max
+        path = frame_path(tmp_path, 0)
+        path.parent.mkdir()
+        path.write_bytes(b"P5\n# CREATOR: camera dump 2.1\n96 96\n# exposure 120 us, gain 4\n%d\n" % maxval + samples)
+        for loaded in (read_pgm(path), *read_frames(tmp_path, 1)):
+            assert loaded.dtype == dtype
+            np.testing.assert_array_equal(loaded, frame)
 
     def test_malformed_or_truncated_frame_is_domain_error(self, tmp_path):
         frame = two_spot_frame(noise=5.0, seed=9)

@@ -22,10 +22,12 @@ samples, ``trap report`` writing an 8x8x8 trap field, ``trap report``,
 ``paint grid`` and ``paint transport`` with the geometric deflection map,
 a ``paint transport`` of three sites at once with each deflection map,
 a ``flight synth`` plus ``flight analyze`` of 64x128-pixel frames at
-3.5 um (height and width differ, so a swap of the two shows), ``tof
+3.5 um (height and width differ, so a swap of the two shows), a ``flight
+synth`` whose 400 um launch excursion carries a spot out of the 480 um
+frame (exit 3 before any frame is drawn, ``--out`` left empty), ``tof
 expand`` with no times (a table without rows) and at 0 K (no thermal
 cloud), and a ``flight analyze --centroids`` of the first ``flight
-analyze`` run's ``flight_series.csv``, each at 0 g and at 9.81 m/s^2: 60
+analyze`` run's ``flight_series.csv``, each at 0 g and at 9.81 m/s^2: 62
 runs. Each tree runs ``JOBS`` runs at a time.
 """
 
@@ -81,6 +83,7 @@ EXTRA = [
     ("paint-transport-3-sites-geometric", ("paint", "transport"),
      [*TRANSPORT_3_SITES, "layout.deflection_mode=geometric"]),
     ("flight-synth-64x128", ("flight", "synth"), ["flight.frame_shape=[64,128]", "flight.pixel_pitch_um=3.5"]),
+    ("flight-synth-launch-400um", ("flight", "synth"), ["flight.launch_displacement_um=400"]),
     ("tof-expand-no-times", ("tof", "expand"), ["tof.times_ms=[]"]),
     ("tof-expand-0K", ("tof", "expand"), ["tof.temperature_uK=0"]),
 ]
