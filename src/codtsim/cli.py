@@ -27,16 +27,7 @@ import numpy as np
 
 from . import __version__, config as cfgmod
 from .errors import CodtsimError, ConfigError, DomainError
-from .evap import (
-    AmplitudeSegment,
-    ExpansionState,
-    PowerSegment,
-    RampSchedule,
-    expand,
-    fit_bimodal,
-    thermal_sigma0,
-    timeline,
-)
+from .evap import RampSchedule, bimodal_profile, expand, fit_bimodal, timeline
 from .optics import CHANNELS, displacement_scale, focus_input_beam
 from .painting import (
     GridSpec,
@@ -248,66 +239,32 @@ def cmd_paint_transport(cfg, out: Path) -> None:
     )
 
 
-def _schedule_from_config(cfg) -> RampSchedule:
-    e = cfg["evap"]
-    return RampSchedule(
-        power=PowerSegment(e["power_start_w"], e["power_end_w"], e["power_duration_s"]),
-        amplitude=AmplitudeSegment(
-            e["amplitude_start_um"] * 1e-6,
-            e["amplitude_end_um"] * 1e-6,
-            e["amplitude_duration_s"],
-            e["amplitude_tau_s"],
-        ),
-        hold=e["hold_s"],
-        reopen_amplitude=e["reopen_amplitude_um"] * 1e-6,
-        reopen_power=e["reopen_power_w"],
-        reopen_duration=e["reopen_duration_s"],
-    )
-
-
 def cmd_evap_schedule(cfg, out: Path) -> None:
-    schedule = _schedule_from_config(cfg)
+    schedule = RampSchedule.from_config(cfg["evap"])
     write_json(
         out / "schedule.json",
         {
-            "power_tau_s": schedule.power.tau,
+            "power_tau_s": schedule.power_tau,
             "total_duration_s": schedule.total_duration,
             "ramp_duration_s": schedule.ramp_duration,
             "evap": cfg["evap"],
         },
     )
-    ts = np.linspace(0, schedule.total_duration, 201).tolist()
-    drive = np.array([(schedule.power_at(t), *schedule.amplitude_at(t)) for t in ts]) * (1.0, 1e6, 1e6)
-    write_csv(out / "schedule.csv", {"t_s": ts, **dict(zip(("power_w", "amplitude_h_um", "amplitude_v_um"), drive.T))})
+    write_csv(out / "schedule.csv", schedule.drive(201))
 
 
 def cmd_evap_timeline(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
-    schedule = _schedule_from_config(cfg)
+    schedule = RampSchedule.from_config(cfg["evap"])
     write_csv(out / "timeline.csv", timeline(constants, layout, inputs, schedule, cfg["evap"]["timeline_samples"]))
 
 
 def cmd_tof_expand(cfg, out: Path) -> None:
     constants, _, _ = _context(cfg)
     t = cfg["tof"]
-    freqs = tuple(t["frequencies_hz"])
-    temp = t["temperature_uK"] * 1e-6
-    state = ExpansionState(
-        frequencies_hz=freqs,
-        tf_radii=tuple(r * 1e-6 for r in t["tf_radii_um"]),
-        temperature=temp,
-        thermal_sigma0=tuple(thermal_sigma0(freqs, temp, constants)),
-    )
+    tf_radii = np.asarray(t["tf_radii_um"]) * 1e-6
     times = np.asarray(t["times_ms"]) * 1e-3
-    res = expand(state, times, constants)
-    columns = {
-        "t_ms": res["times_s"] * 1e3,
-        **dict(zip(("tf_rx_um", "tf_ry_um", "tf_rz_um"), (res["tf_radii_m"] * 1e6).T)),
-        **dict(zip(("thermal_sx_um", "thermal_sy_um", "thermal_sz_um"), (res["thermal_sigma_m"] * 1e6).T)),
-        "tf_aspect_zy": res["tf_aspect_zy"],
-        "thermal_aspect_zy": res["thermal_aspect_zy"],
-    }
-    write_csv(out / "expansion.csv", columns)
+    write_csv(out / "expansion.csv", expand(t["frequencies_hz"], tf_radii, t["temperature_uK"] * 1e-6, times, constants))
 
 
 def _read_table(path, name: str, columns: int) -> np.ndarray:
@@ -336,15 +293,12 @@ def cmd_tof_fit(cfg, out: Path) -> None:
         # self-test profile: known bimodal shape plus seeded 2% noise
         rng = np.random.default_rng(cfg["seed"])
         positions = np.linspace(-300, 300, 201) * 1e-6
-        from .evap import bimodal_profile
-
         truth = dict(a_th=600.0, sigma=80e-6, a_tf=1200.0, radius=45e-6, center=5e-6, offset=150.0)
         clean = bimodal_profile(positions, *truth.values())
         noise_sigma = 0.02 * clean.max()
         counts = np.clip(clean + rng.normal(0, noise_sigma, positions.size), 0, None)
         sigma = np.full(positions.size, noise_sigma)
-    fit = fit_bimodal(positions, counts, sigma)
-    write_json(out / "tof_fit.json", fit.to_dict())
+    write_json(out / "tof_fit.json", fit_bimodal(positions, counts, sigma))
 
 
 def flight_truth_trajectory(cfg) -> dict:

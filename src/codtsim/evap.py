@@ -10,7 +10,7 @@ carries trap parameters only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,92 +27,102 @@ CASTIN_DUM_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class PowerSegment:
-    """Exponential power decrease P0 -> P1 over ``duration`` seconds."""
+class RampSchedule:
+    """Power and amplitude ramps from t = 0, a hold, then the reopen step on both dimensions.
 
-    p_start: float
-    p_end: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.p_start <= 0 or self.p_end <= 0 or self.duration <= 0:
-            raise DomainError("powers and durations must be positive")
-        if self.p_end >= self.p_start:
-            raise DomainError("exponential power segment must decrease (P1 < P0)")
-        if not self.tau > 0:  # duration / ln(P0/P1) underflowed
-            raise DomainError("power ramp time constant is 0 at float precision")
-
-    @property
-    def tau(self) -> float:
-        return self.duration / math.log(self.p_start / self.p_end)
-
-    def value(self, t: float) -> float:
-        t = min(max(t, 0.0), self.duration)
-        return self.p_start * math.exp(-t / self.tau)
-
-
-@dataclass(frozen=True)
-class AmplitudeSegment:
-    """Exponential amplitude ramp with time constant ``tau`` toward ``a_end``.
-
-    A linear tail over the last TAIL_FRACTION of the segment reaches
-    ``a_end`` exactly.
+    Powers are in W, amplitudes in m and times in s.  The power falls
+    exponentially from ``power_start`` to ``power_end`` over
+    ``power_duration``.  The horizontal amplitude follows an exponential with
+    time constant ``amplitude_tau`` toward ``amplitude_end``, with a linear
+    tail over the last TAIL_FRACTION of ``amplitude_duration`` that reaches
+    it exactly.  Each ramp holds its endpoint once it ends.
     """
 
-    a_start: float
-    a_end: float
-    duration: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise DomainError("segment duration must be positive")
-        if self.a_start < 0 or self.a_end < 0:
-            raise DomainError("amplitudes must be >= 0")
-
-    def value(self, t: float) -> float:
-        t = min(max(t, 0.0), self.duration)
-        if self.a_start == self.a_end:
-            return self.a_start
-        t_tail = (1 - TAIL_FRACTION) * self.duration
-        gap = self.a_start - self.a_end
-        if t <= t_tail:
-            return self.a_end + gap * math.exp(-t / self.tau)
-        a_tail = self.a_end + gap * math.exp(-t_tail / self.tau)
-        frac = (t - t_tail) / (self.duration - t_tail)
-        return a_tail + (self.a_end - a_tail) * frac
-
-
-@dataclass(frozen=True)
-class RampSchedule:
-    """Power and amplitude ramps, a hold, then the reopen step on both dimensions."""
-
-    power: PowerSegment
-    amplitude: AmplitudeSegment
+    power_start: float
+    power_end: float
+    power_duration: float
+    amplitude_start: float
+    amplitude_end: float
+    amplitude_duration: float
+    amplitude_tau: float
     hold: float
     reopen_amplitude: float
     reopen_power: float
     reopen_duration: float
 
+    def __post_init__(self) -> None:
+        if self.power_start <= 0 or self.power_end <= 0 or self.power_duration <= 0:
+            raise DomainError("powers and durations must be positive")
+        if self.power_end >= self.power_start:
+            raise DomainError("exponential power segment must decrease (P1 < P0)")
+        if not self.power_tau > 0:  # duration / ln(P0/P1) underflowed
+            raise DomainError("power ramp time constant is 0 at float precision")
+        if self.amplitude_duration <= 0:
+            raise DomainError("segment duration must be positive")
+        if self.amplitude_start < 0 or self.amplitude_end < 0:
+            raise DomainError("amplitudes must be >= 0")
+        if not math.isfinite(self.total_duration):
+            raise DomainError("the total schedule duration overflows the float range")
+
+    @classmethod
+    def from_config(cls, evap: dict) -> RampSchedule:
+        """The schedule of an ``evap`` config section."""
+        return cls(
+            evap["power_start_w"],
+            evap["power_end_w"],
+            evap["power_duration_s"],
+            evap["amplitude_start_um"] * 1e-6,
+            evap["amplitude_end_um"] * 1e-6,
+            evap["amplitude_duration_s"],
+            evap["amplitude_tau_s"],
+            evap["hold_s"],
+            evap["reopen_amplitude_um"] * 1e-6,
+            evap["reopen_power_w"],
+            evap["reopen_duration_s"],
+        )
+
+    @property
+    def power_tau(self) -> float:
+        return self.power_duration / math.log(self.power_start / self.power_end)
+
     @property
     def ramp_duration(self) -> float:
-        return max(self.power.duration, self.amplitude.duration)
+        return max(self.power_duration, self.amplitude_duration)
 
     @property
     def total_duration(self) -> float:
         return self.ramp_duration + self.hold + self.reopen_duration
 
-    def power_at(self, t: float) -> float:
+    def at(self, t: float) -> tuple[float, float, float]:
+        """(power, horizontal amplitude, vertical amplitude) at time t."""
         if t > self.ramp_duration + self.hold:
-            return self.reopen_power
-        return self.power.value(t) if t <= self.power.duration else self.power.p_end
+            return self.reopen_power, self.reopen_amplitude, self.reopen_amplitude
+        t = max(t, 0.0)
+        power = self.power_start * math.exp(-t / self.power_tau) if t <= self.power_duration else self.power_end
+        return power, self._amplitude(t), 0.0
 
-    def amplitude_at(self, t: float) -> tuple[float, float]:
-        """(horizontal, vertical) painting amplitude at time t."""
-        if t > self.ramp_duration + self.hold:
-            return self.reopen_amplitude, self.reopen_amplitude
-        a = self.amplitude.value(t) if t <= self.amplitude.duration else self.amplitude.a_end
-        return a, 0.0
+    def _amplitude(self, t: float) -> float:
+        if t > self.amplitude_duration:
+            return self.amplitude_end
+        if self.amplitude_start == self.amplitude_end:
+            return self.amplitude_start
+        t_tail = (1 - TAIL_FRACTION) * self.amplitude_duration
+        gap = self.amplitude_start - self.amplitude_end
+        if t <= t_tail:
+            return self.amplitude_end + gap * math.exp(-t / self.amplitude_tau)
+        a_tail = self.amplitude_end + gap * math.exp(-t_tail / self.amplitude_tau)
+        frac = (t - t_tail) / (self.amplitude_duration - t_tail)
+        return a_tail + (self.amplitude_end - a_tail) * frac
+
+    def drive(self, n_samples: int) -> dict:
+        """The drive's columns at ``n_samples`` times evenly spaced over the schedule, both ends included.
+
+        Each exponential is libm's scalar ``math.exp``, whose results do not
+        depend on the CPU that numpy would pick an exp kernel for.
+        """
+        times = np.linspace(0.0, self.total_duration, n_samples).tolist()
+        drive = np.array([self.at(t) for t in times]) * (1.0, 1e6, 1e6)
+        return {"t_s": times, **dict(zip(("power_w", "amplitude_h_um", "amplitude_v_um"), drive.T))}
 
 
 def timeline(
@@ -128,15 +138,10 @@ def timeline(
     count ``time_averaged_potential`` derives from it.  Samples with the
     same power and amplitudes (a hold, a settled ramp) are characterized once.
     """
-    times = np.linspace(0.0, schedule.total_duration, n_samples).tolist()
-    keys = [(schedule.power_at(t), *schedule.amplitude_at(t)) for t in times]  # (power, amp_h, amp_v)
+    drive = schedule.drive(n_samples)
+    keys = [schedule.at(t) for t in drive["t_s"]]  # (power, amp_h, amp_v)
     traps = {key: _painted_trap(constants, layout, inputs, *key) for key in dict.fromkeys(keys)}
-    drive = np.array(keys) * (1.0, 1e6, 1e6)
-    return {
-        "t_s": times,
-        **dict(zip(("power_w", "amplitude_h_um", "amplitude_v_um"), drive.T)),
-        **{name: [traps[key][name] for key in keys] for name in traps[keys[0]]},
-    }
+    return {**drive, **{name: [traps[key][name] for key in keys] for name in traps[keys[0]]}}
 
 
 def _painted_trap(
@@ -184,20 +189,6 @@ def evaporation_efficiency(initial: ThermoMetrics, final: ThermoMetrics) -> dict
     }
 
 
-@dataclass(frozen=True)
-class ExpansionState:
-    """Condensate/thermal state at trap release."""
-
-    frequencies_hz: tuple[float, float, float]
-    tf_radii: tuple[float, float, float]  # m
-    temperature: float  # K
-    thermal_sigma0: tuple[float, float, float]  # m
-
-    def __post_init__(self) -> None:
-        if any(f <= 0 for f in self.frequencies_hz):
-            raise DomainError("release frequencies must be positive")
-
-
 def castin_dum_lambdas(omegas, times) -> np.ndarray:
     """Thomas-Fermi scaling factors lambda_i(t) for free expansion.
 
@@ -213,8 +204,8 @@ def castin_dum_lambdas(omegas, times) -> np.ndarray:
 
     def rhs(t, y):
         lam = y[:3]
-        prod = lam[0] * lam[1] * lam[2]
-        return np.concatenate([y[3:], omegas**2 / (lam * prod)])
+        with np.errstate(over="ignore"):  # a product past the float range: the acceleration is 0 at float precision
+            return np.concatenate([y[3:], omegas**2 / (lam * (lam[0] * lam[1] * lam[2]))])
 
     t_max = float(times.max()) if times.size else 0.0
     if t_max == 0.0:
@@ -233,68 +224,34 @@ def castin_dum_lambdas(omegas, times) -> np.ndarray:
     return sol.y[:3].T
 
 
-def expand(
-    release: ExpansionState,
-    times,
-    constants: PhysicalConstants,
-) -> dict:
-    """Thomas-Fermi and thermal radii during free expansion.
+def expand(frequencies_hz, tf_radii, temperature: float, times, constants: PhysicalConstants) -> dict:
+    """The ``expansion.csv`` columns of a release at ``times`` (s) from a trap of ``frequencies_hz``.
 
-    TF radii follow the scaling solution; thermal widths follow
-    sigma_i(t) = sqrt(sigma_i(0)^2 + (kB T/m) t^2).
+    TF radii (``tf_radii`` in m at release) follow the scaling solution.  A
+    thermal cloud at ``temperature`` (K) starts at the in-trap rms radii
+    sigma_i(0) = v/omega_i, v = sqrt(kB T/m), and widens as
+    sigma_i(t) = hypot(sigma_i(0), v t), which stays finite wherever the
+    width itself is.
     """
+    if any(f <= 0 for f in frequencies_hz):
+        raise DomainError("release frequencies must be positive")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    omegas = 2 * math.pi * np.asarray(release.frequencies_hz)
-    lambdas = castin_dum_lambdas(omegas, times)
-    tf = np.asarray(release.tf_radii) * lambdas
-    vt2 = BOLTZMANN * release.temperature / constants.atom_mass
-    sigma0 = np.asarray(release.thermal_sigma0)
-    thermal = np.sqrt(sigma0**2 + vt2 * times[:, None] ** 2)
+    omegas = 2 * math.pi * np.asarray(frequencies_hz, dtype=float)
+    tf = np.asarray(tf_radii) * castin_dum_lambdas(omegas, times)
+    v = np.sqrt(BOLTZMANN * temperature / constants.atom_mass)
+    thermal = np.hypot(v / omegas, v * times[:, None])
     with np.errstate(invalid="ignore"):  # no thermal cloud at T = 0: a nan aspect (0/0)
         thermal_aspect = thermal[:, 2] / thermal[:, 1]
     return {
-        "times_s": times,
-        "lambdas": lambdas,
-        "tf_radii_m": tf,
-        "thermal_sigma_m": thermal,
+        "t_ms": times * 1e3,
+        **dict(zip(("tf_rx_um", "tf_ry_um", "tf_rz_um"), (tf * 1e6).T)),
+        **dict(zip(("thermal_sx_um", "thermal_sy_um", "thermal_sz_um"), (thermal * 1e6).T)),
         "tf_aspect_zy": tf[:, 2] / tf[:, 1],
         "thermal_aspect_zy": thermal_aspect,
     }
 
 
-def thermal_sigma0(frequencies_hz, temperature: float, constants: PhysicalConstants):
-    """In-trap rms radii of a thermal cloud: sigma_i = sqrt(kB T/m)/omega_i."""
-    omegas = 2 * math.pi * np.asarray(frequencies_hz, dtype=float)
-    return np.sqrt(BOLTZMANN * temperature / constants.atom_mass) / omegas
-
-
 # --- bimodal time-of-flight profile fitting -------------------------------
-
-
-@dataclass
-class BimodalFit:
-    thermal_amplitude: float
-    thermal_sigma: float
-    tf_amplitude: float
-    tf_radius: float
-    center: float
-    offset: float
-    chi2_red: float
-    thermal_fraction: float
-    thermal_only: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "thermal_amplitude": self.thermal_amplitude,
-            "thermal_sigma_um": self.thermal_sigma * 1e6,
-            "tf_amplitude": self.tf_amplitude,
-            "tf_radius_um": self.tf_radius * 1e6,
-            "center_um": self.center * 1e6,
-            "offset": self.offset,
-            "chi2_red": self.chi2_red,
-            "thermal_fraction": self.thermal_fraction,
-            "thermal_only": self.thermal_only,
-        }
 
 
 def bimodal_profile(x, a_th, sigma, a_tf, radius, center, offset):
@@ -304,8 +261,8 @@ def bimodal_profile(x, a_th, sigma, a_tf, radius, center, offset):
     return a_th * np.exp(-(xr**2) / (2 * sigma**2)) + a_tf * tf + offset
 
 
-def fit_bimodal(positions, counts, sigma=None) -> BimodalFit:
-    """Least-squares bimodal fit of a 1D atom-count profile.
+def fit_bimodal(positions, counts, sigma=None) -> dict:
+    """The ``tof_fit.json`` fields of a least-squares bimodal fit of a 1D atom-count profile.
 
     ``sigma`` gives per-sample uncertainties; Poisson uncertainties
     sqrt(max(counts, 1)) are used when omitted.  A pure-thermal sub-fit is
@@ -330,9 +287,10 @@ def fit_bimodal(positions, counts, sigma=None) -> BimodalFit:
     offset0 = float(np.percentile(y, 5))
     amp0 = float(y.max() - offset0)
     yc = np.clip(y - offset0, 0.0, None)
-    x0 = float(np.sum(x * yc) / np.sum(yc))
-    sigma0 = float(np.sqrt(np.sum(yc * (x - x0) ** 2) / np.sum(yc)))
-    if sigma0 <= 0:
+    with np.errstate(invalid="ignore"):  # no count above the 5th percentile: a 0/0 start
+        x0 = float(np.sum(x * yc) / np.sum(yc))
+        sigma0 = float(np.sqrt(np.sum(yc * (x - x0) ** 2) / np.sum(yc)))
+    if not sigma0 > 0:  # nan included
         raise DomainError("degenerate profile width")
     span = float(x.max() - x.min())
 
@@ -362,20 +320,20 @@ def fit_bimodal(positions, counts, sigma=None) -> BimodalFit:
     integral_th = a_th * sig * math.sqrt(2 * math.pi)
     integral_tf = a_tf * radius * 16.0 / 15.0
     total = integral_th + integral_tf
-    return BimodalFit(
-        thermal_amplitude=float(a_th),
-        thermal_sigma=float(sig),
-        tf_amplitude=float(a_tf),
-        tf_radius=float(radius),
-        center=float(center),
-        offset=float(offset),
-        chi2_red=chi2,
-        thermal_fraction=float(integral_th / total) if total > 0 else 1.0,
-        thermal_only={
+    return {
+        "thermal_amplitude": float(a_th),
+        "thermal_sigma_um": float(sig) * 1e6,
+        "tf_amplitude": float(a_tf),
+        "tf_radius_um": float(radius) * 1e6,
+        "center_um": float(center) * 1e6,
+        "offset": float(offset),
+        "chi2_red": chi2,
+        "thermal_fraction": float(integral_th / total) if total > 0 else 1.0,
+        "thermal_only": {
             "amplitude": float(res_th.x[0]),
             "sigma_um": float(res_th.x[1]) * 1e6,
             "center_um": float(res_th.x[2]) * 1e6,
             "offset": float(res_th.x[3]),
             "chi2_red": chi2_th,
         },
-    )
+    }

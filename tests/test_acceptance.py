@@ -12,19 +12,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from codtsim.cli import _schedule_from_config
 from codtsim.cli import main as cli_main
 from codtsim.config import load_config
 from codtsim.constants import BOLTZMANN, PhysicalConstants
 from codtsim.evap import (
+    RampSchedule,
     bimodal_profile,
     castin_dum_lambdas,
     evaporation_efficiency,
+    expand,
     fit_bimodal,
-    thermal_sigma0,
     timeline,
 )
-from codtsim.evap import ExpansionState, expand
 from codtsim.optics import (
     CHANNELS,
     InputBeam,
@@ -159,7 +158,7 @@ def test_criterion_05_grid_homogeneity(grid_480):
 
 def test_criterion_06_timeline_shape():
     with criterion(6, "evaporation timeline shape"):
-        schedule = _schedule_from_config(load_config())
+        schedule = RampSchedule.from_config(load_config()["evap"])
         columns = {k: np.asarray(v) for k, v in timeline(RB, LAYOUT, INPUTS, schedule, n_samples=14).items()}
         t, valid = columns["t_s"], columns["valid"] == 1
         depths = columns["depth_uK"][valid & (t <= 1.0)]
@@ -214,14 +213,7 @@ def test_criterion_08_expansion_inversion():
         lam3 = castin_dum_lambdas(2 * math.pi * np.array([150.0, 150.0, 150.0]), ts)
         np.testing.assert_allclose(lam3[:, 2] / lam3[:, 0], 1.0, atol=1e-6)
         # elongated release inverts while the thermal cloud tends to isotropy
-        freqs = (120.0, 35.0, 350.0)
-        state = ExpansionState(
-            frequencies_hz=freqs,
-            tf_radii=(4e-6, 14e-6, 1.4e-6),
-            temperature=50e-9,
-            thermal_sigma0=tuple(thermal_sigma0(freqs, 50e-9, RB)),
-        )
-        res = expand(state, np.linspace(0, 0.03, 61), RB)
+        res = expand((120.0, 35.0, 350.0), (4e-6, 14e-6, 1.4e-6), 50e-9, np.linspace(0, 0.03, 61), RB)
         tf = res["tf_aspect_zy"]
         assert tf[0] < 1.0 < tf[-1]
         crossing = np.flatnonzero(np.diff(np.sign(tf - 1.0)))
@@ -239,12 +231,12 @@ def test_criterion_09_bimodal_fitting():
         noise = 0.02 * clean.max()
         y = np.clip(clean + rng.normal(0, noise, x.size), 0, None)
         fit = fit_bimodal(x, y, np.full(x.size, noise))
-        assert fit.thermal_sigma == pytest.approx(truth["sigma"], rel=0.05)
-        assert fit.tf_radius == pytest.approx(truth["radius"], rel=0.05)
-        assert fit.thermal_amplitude == pytest.approx(truth["a_th"], rel=0.05)
-        assert fit.tf_amplitude == pytest.approx(truth["a_tf"], rel=0.05)
-        assert 0.7 <= fit.chi2_red <= 1.4
-        assert fit.thermal_only["chi2_red"] > fit.chi2_red
+        assert fit["thermal_sigma_um"] == pytest.approx(truth["sigma"] * 1e6, rel=0.05)
+        assert fit["tf_radius_um"] == pytest.approx(truth["radius"] * 1e6, rel=0.05)
+        assert fit["thermal_amplitude"] == pytest.approx(truth["a_th"], rel=0.05)
+        assert fit["tf_amplitude"] == pytest.approx(truth["a_tf"], rel=0.05)
+        assert 0.7 <= fit["chi2_red"] <= 1.4
+        assert fit["thermal_only"]["chi2_red"] > fit["chi2_red"]
 
 
 def test_criterion_10_pointing_pipeline(tmp_path):

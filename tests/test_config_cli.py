@@ -385,6 +385,11 @@ class TestCli:
             (["evap", "timeline", "--set", "evap.timeline_samples=1" + "0" * 400], 2, "evap.timeline_samples"),
             # values whose SI form underflows or overflows the float range
             (["evap", "schedule", "--set", "evap.power_end_w=5e-324"], 3, "time constant"),
+            # finite parts whose sum overflows: the sample times once read nan, then inf
+            (["evap", "schedule", "--set", "evap.hold_s=1e308", "--set", "evap.reopen_duration_s=1e308"],
+             3, "total schedule duration"),
+            (["evap", "timeline", "--set", "evap.hold_s=1e308", "--set", "evap.reopen_duration_s=1e308"],
+             3, "total schedule duration"),
             (["paint", "transport", "--set", "layout.focal_length_mm=5e-324", "--set", "layout.beam_separation_mm=5e-324"],
              3, "beam_separation"),
             (["trap", "report", "--set", "beams.collimated_radius_mm=1e-300"], 4, "paraxial"),
@@ -739,6 +744,33 @@ class TestCli:
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: positions and counts must be finite\n"
         assert not (tmp_path / "fit" / "tof_fit.json").exists()
+
+    def test_tof_fit_of_a_flat_profile_with_one_low_sample_is_a_domain_error(self, tmp_path, capsys):
+        # the 5th percentile is the maximum, so the start centre and width are 0/0:
+        # scipy once raised "Initial guess is outside of provided bounds"
+        profile = tmp_path / "profile.csv"
+        rows = [f"{x},{0 if x == 12 else 1000}" for x in range(25)]
+        profile.write_text("position_um,counts\n" + "\n".join(rows))
+        out = tmp_path / "fit"
+        out.mkdir()
+        assert main(["tof", "fit", "--out", str(out), "--set", f"tof.profile_csv={profile}"]) == 3
+        assert capsys.readouterr().err == "error: degenerate profile width\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("setting", ["tof.times_ms=[1e300]", "tof.frequencies_hz=[1e-300,1,1]"])
+    def test_tof_expand_widths_past_the_range_of_their_squares(self, tmp_path, capsys, setting):
+        # sigma(0)^2 + (kB T/m) t^2 and the Castin-Dum product once overflowed with numpy
+        # warnings and wrote inf thermal widths
+        import warnings
+
+        out = tmp_path / "tof"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tof", "expand", "--out", str(out), "--set", setting]) == 0
+        with (out / "expansion.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_centroid_row_with_a_non_finite_time_is_a_domain_error(self, tmp_path, capsys, value):

@@ -1,22 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from codtsim.cli import _schedule_from_config
 from codtsim.config import load_config
 from codtsim.constants import BOLTZMANN, PhysicalConstants
 from codtsim.errors import DomainError
 from codtsim.evap import (
-    AmplitudeSegment,
-    ExpansionState,
-    PowerSegment,
+    RampSchedule,
     bimodal_profile,
     castin_dum_lambdas,
     evaporation_efficiency,
     expand,
     fit_bimodal,
-    thermal_sigma0,
     timeline,
 )
 from codtsim.optics import crossing_from_offsets
@@ -27,62 +24,62 @@ RB = PhysicalConstants(gravity=0.0)
 
 def bundled_schedule(*overrides):
     """The schedule ``evap`` commands run, from the bundled config with ``--set`` overrides."""
-    return _schedule_from_config(load_config(None, list(overrides)))
+    return RampSchedule.from_config(load_config(None, list(overrides))["evap"])
 
 
 class TestSchedule:
+    # the bundled ramps: 10 W -> 40 mW in 1 s, and 230 um -> 0 in 1 s at tau = 0.2 s
     def test_power_time_constant_from_endpoints(self):
         # 10 W -> 40 mW in 1 s: tau = 1/ln(250)
-        seg = PowerSegment(10.0, 0.04, 1.0)
-        assert seg.tau == pytest.approx(1.0 / math.log(250.0), rel=1e-12)
-        assert seg.tau == pytest.approx(0.181, abs=1e-3)
-        assert seg.value(0.0) == pytest.approx(10.0)
-        assert seg.value(1.0) == pytest.approx(0.04)
+        schedule = bundled_schedule()
+        assert schedule.power_tau == pytest.approx(1.0 / math.log(250.0), rel=1e-12)
+        assert schedule.power_tau == pytest.approx(0.181, abs=1e-3)
+        assert schedule.at(0.0)[0] == pytest.approx(10.0)
+        assert schedule.at(1.0)[0] == pytest.approx(0.04)
 
     def test_increasing_power_segment_rejected(self):
         with pytest.raises(DomainError):
-            PowerSegment(0.04, 10.0, 1.0)
+            replace(bundled_schedule(), power_start=0.04, power_end=10.0)
 
     def test_constant_amplitude_segment(self):
-        seg = AmplitudeSegment(100e-6, 100e-6, 0.5, tau=0.2)
+        schedule = replace(bundled_schedule(), amplitude_start=100e-6, amplitude_end=100e-6, amplitude_duration=0.5)
         for t in (0.0, 0.2, 0.5):
-            assert seg.value(t) == 100e-6
+            assert schedule.at(t)[1] == 100e-6
 
     def test_amplitude_reaches_endpoint_exactly(self):
-        seg = AmplitudeSegment(230e-6, 0.0, 1.0, tau=0.2)
-        assert seg.value(0.0) == pytest.approx(230e-6)
-        assert seg.value(1.0) == 0.0
+        schedule = bundled_schedule()
+        assert schedule.at(0.0)[1] == pytest.approx(230e-6)
+        assert schedule.at(1.0)[1] == 0.0
         ts = np.linspace(0, 1, 400)
-        vals = np.array([seg.value(t) for t in ts])
+        vals = np.array([schedule.at(t)[1] for t in ts])
         assert np.all(np.diff(vals) <= 1e-15)  # monotone decay
         # continuity at the linear-tail junction
         t_tail = 0.95
         eps = 1e-9
-        assert seg.value(t_tail - eps) == pytest.approx(seg.value(t_tail + eps), rel=1e-6)
+        assert schedule.at(t_tail - eps)[1] == pytest.approx(schedule.at(t_tail + eps)[1], rel=1e-6)
 
     def test_reopen_amplitudes_on_two_dimensions(self):
         schedule = bundled_schedule()
         t_reopen = schedule.ramp_duration + schedule.hold + 0.01
-        amp_h, amp_v = schedule.amplitude_at(t_reopen)
+        power, amp_h, amp_v = schedule.at(t_reopen)
         assert amp_h == pytest.approx(70e-6)
         assert amp_v == pytest.approx(70e-6)
-        assert schedule.power_at(t_reopen) == pytest.approx(5.0)
+        assert power == pytest.approx(5.0)
 
     def test_segment_end_held_exactly_until_reopen(self):
         schedule = bundled_schedule("evap.amplitude_end_um=10", "evap.amplitude_duration_s=0.5")
         # t == duration is still inside a segment; after it the exact endpoint holds
-        assert schedule.power_at(1.0) == schedule.power.value(1.0)
-        assert schedule.power_at(1.0 + 1e-9) == 0.04
-        assert schedule.amplitude_at(0.5 + 1e-9) == (10 * 1e-6, 0.0)
-        assert schedule.amplitude_at(1.2) == (10 * 1e-6, 0.0)
+        assert schedule.at(1.0)[0] == schedule.power_start * math.exp(-1.0 / schedule.power_tau)
+        assert schedule.at(1.0 + 1e-9)[0] == 0.04
+        assert schedule.at(0.5 + 1e-9)[1:] == (10 * 1e-6, 0.0)
+        assert schedule.at(1.2)[1:] == (10 * 1e-6, 0.0)
         assert schedule.total_duration == pytest.approx(1.0 + 0.3 + 0.2)
-        assert schedule.amplitude_at(schedule.total_duration) == (70e-6, 70e-6)
+        assert schedule.at(schedule.total_duration)[1:] == (70e-6, 70e-6)
 
     def test_schedule_continuity(self):
         schedule = bundled_schedule()
         ts = np.linspace(0, schedule.ramp_duration, 500)
-        p = np.array([schedule.power_at(t) for t in ts])
-        a = np.array([schedule.amplitude_at(t)[0] for t in ts])
+        p, a, _ = np.array([schedule.at(t) for t in ts]).T
         assert np.max(np.abs(np.diff(p) / p[:-1])) < 0.05
         assert np.max(np.abs(np.diff(a))) < 5e-6
 
@@ -113,7 +110,7 @@ class TestTimeline:
         schedule, columns = columns
         assert len(columns["power_w"]) == len(columns["t_s"]) == 14
         for t, power in zip(columns["t_s"].tolist(), columns["power_w"].tolist()):
-            assert power == pytest.approx(schedule.power_at(t), rel=1e-12)
+            assert power == pytest.approx(schedule.at(t)[0], rel=1e-12)
 
     def test_repeated_samples_characterized_once(self, layout, input_pair, monkeypatch):
         import codtsim.evap as evap
@@ -128,7 +125,7 @@ class TestTimeline:
         assert len(calls) == len(set(keys)) == 9 - 1  # t = 1.3125 and 1.5 s repeat
         # the repeated sample carries exactly what a fresh characterization gives
         t = columns["t_s"][-1]
-        fresh = evap._painted_trap(RB, layout, input_pair, schedule.power_at(t), *schedule.amplitude_at(t))
+        fresh = evap._painted_trap(RB, layout, input_pair, *schedule.at(t))
         schedule_columns = ("t_s", "power_w", "amplitude_h_um", "amplitude_v_um")
         assert list(columns) == [*schedule_columns, *fresh]
         assert {k: columns[k][-1] for k in fresh} == fresh
@@ -200,12 +197,10 @@ class TestExpansion:
 
     def test_zero_temperature_has_no_thermal_cloud(self):
         # T = 0: zero thermal widths at every time, and a 0/0 aspect that is nan without a warning
-        freqs = (20.0, 180.0, 180.0)
-        state = ExpansionState(freqs, (10e-6, 5e-6, 5e-6), 0.0, tuple(thermal_sigma0(freqs, 0.0, RB)))
-        res = expand(state, np.array([0.0, 5e-3, 20e-3]), RB)
-        assert np.all(res["thermal_sigma_m"] == 0.0)
+        res = expand((20.0, 180.0, 180.0), (10e-6, 5e-6, 5e-6), 0.0, np.array([0.0, 5e-3, 20e-3]), RB)
+        assert all(np.all(res[f"thermal_s{a}_um"] == 0.0) for a in "xyz")
         assert np.all(np.isnan(res["thermal_aspect_zy"]))
-        assert np.all(res["tf_radii_m"] > 0)
+        assert all(np.all(res[f"tf_r{a}_um"] > 0) for a in "xyz")
 
     def test_long_expansion_matches_analytic_solution_quickly(self):
         # a 10 s microgravity expansion: the step size grows with the cloud,
@@ -231,14 +226,7 @@ class TestExpansion:
         assert np.all(np.diff(lam, axis=0) >= 0)
 
     def test_aspect_ratio_inversion_for_elongated_release(self):
-        freqs = (120.0, 35.0, 350.0)
-        state = ExpansionState(
-            frequencies_hz=freqs,
-            tf_radii=(4e-6, 14e-6, 1.4e-6),
-            temperature=50e-9,
-            thermal_sigma0=tuple(thermal_sigma0(freqs, 50e-9, RB)),
-        )
-        res = expand(state, np.linspace(0, 0.03, 61), RB)
+        res = expand((120.0, 35.0, 350.0), (4e-6, 14e-6, 1.4e-6), 50e-9, np.linspace(0, 0.03, 61), RB)
         tf = res["tf_aspect_zy"]
         assert tf[0] < 1.0 < tf[-1]  # inversion at finite time
         thermal = res["thermal_aspect_zy"]
@@ -246,14 +234,12 @@ class TestExpansion:
         assert np.all(np.diff(gaps) <= 1e-12)  # monotone toward isotropy
 
     def test_thermal_widths_closed_form(self):
-        freqs = (100.0, 100.0, 100.0)
-        sigma0 = thermal_sigma0(freqs, 1e-6, RB)
-        state = ExpansionState(freqs, (1e-6, 1e-6, 1e-6), 1e-6, tuple(sigma0))
         ts = np.array([0.0, 5e-3, 10e-3])
-        res = expand(state, ts, RB)
+        res = expand((100.0, 100.0, 100.0), (1e-6, 1e-6, 1e-6), 1e-6, ts, RB)
         vt2 = BOLTZMANN * 1e-6 / RB.atom_mass
-        expected = np.sqrt(sigma0[0] ** 2 + vt2 * ts**2)
-        np.testing.assert_allclose(res["thermal_sigma_m"][:, 0], expected, rtol=1e-12)
+        sigma0 = math.sqrt(vt2) / (2 * math.pi * 100.0)  # the in-trap rms radius
+        expected = np.sqrt(sigma0**2 + vt2 * ts**2)
+        np.testing.assert_allclose(res["thermal_sx_um"] * 1e-6, expected, rtol=1e-12)
 
 
 class TestBimodalFit:
@@ -269,27 +255,27 @@ class TestBimodalFit:
     def test_zero_noise_self_consistency(self):
         x, y, truth, _ = self._profile(noise=0.0)
         fit = fit_bimodal(x, y, np.full(x.size, 1.0))
-        assert fit.thermal_sigma == pytest.approx(truth["sigma"], rel=1e-8)
-        assert fit.tf_radius == pytest.approx(truth["radius"], rel=1e-8)
-        assert fit.center == pytest.approx(truth["center"], rel=1e-6)
+        assert fit["thermal_sigma_um"] == pytest.approx(truth["sigma"] * 1e6, rel=1e-8)
+        assert fit["tf_radius_um"] == pytest.approx(truth["radius"] * 1e6, rel=1e-8)
+        assert fit["center_um"] == pytest.approx(truth["center"] * 1e6, rel=1e-6)
 
     def test_noisy_recovery_within_5_percent(self):
         x, y, truth, sigma = self._profile(noise=0.02, seed=5)
         fit = fit_bimodal(x, y, np.full(x.size, sigma))
-        assert fit.thermal_sigma == pytest.approx(truth["sigma"], rel=0.05)
-        assert fit.tf_radius == pytest.approx(truth["radius"], rel=0.05)
-        assert 0.7 <= fit.chi2_red <= 1.4
+        assert fit["thermal_sigma_um"] == pytest.approx(truth["sigma"] * 1e6, rel=0.05)
+        assert fit["tf_radius_um"] == pytest.approx(truth["radius"] * 1e6, rel=0.05)
+        assert 0.7 <= fit["chi2_red"] <= 1.4
 
     def test_pure_gaussian_drives_tf_amplitude_to_zero(self):
         x, y, truth, sigma = self._profile(noise=0.02, seed=7, a_tf=0.0)
         fit = fit_bimodal(x, y, np.full(x.size, sigma))
-        assert fit.tf_amplitude < 0.05 * fit.thermal_amplitude
-        assert 0.6 <= fit.chi2_red <= 1.4
+        assert fit["tf_amplitude"] < 0.05 * fit["thermal_amplitude"]
+        assert 0.6 <= fit["chi2_red"] <= 1.4
 
     def test_bimodal_beats_pure_thermal_on_bimodal_data(self):
         x, y, _, sigma = self._profile(noise=0.02, seed=9)
         fit = fit_bimodal(x, y, np.full(x.size, sigma))
-        assert fit.thermal_only["chi2_red"] > 2.0 * fit.chi2_red
+        assert fit["thermal_only"]["chi2_red"] > 2.0 * fit["chi2_red"]
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):

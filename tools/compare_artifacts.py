@@ -25,10 +25,13 @@ a ``flight synth`` plus ``flight analyze`` of 64x128-pixel frames at
 3.5 um (height and width differ, so a swap of the two shows), a ``flight
 synth`` whose 400 um launch excursion carries a spot out of the 480 um
 frame (exit 3 before any frame is drawn, ``--out`` left empty), ``tof
-expand`` with no times (a table without rows) and at 0 K (no thermal
-cloud), and a ``flight analyze --centroids`` of the first ``flight
-analyze`` run's ``flight_series.csv``, each at 0 g and at 9.81 m/s^2: 62
-runs. Each tree runs ``JOBS`` runs at a time.
+expand`` with no times (a table without rows), at 0 K (no thermal
+cloud) and at 1e300 ms (widths whose squares overflow), ``evap
+schedule`` with an amplitude ramp that ends first and holds its endpoint,
+a constant amplitude, no reopen step, and a total duration that
+overflows (exit 3), and a ``flight analyze --centroids`` of the first
+``flight analyze`` run's ``flight_series.csv``, each at 0 g and at 9.81
+m/s^2: 72 runs. Each tree runs ``JOBS`` runs at a time.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ EXTRA = [
     ("flight-synth-launch-400um", ("flight", "synth"), ["flight.launch_displacement_um=400"]),
     ("tof-expand-no-times", ("tof", "expand"), ["tof.times_ms=[]"]),
     ("tof-expand-0K", ("tof", "expand"), ["tof.temperature_uK=0"]),
+    ("tof-expand-1e300ms", ("tof", "expand"), ["tof.times_ms=[1e300]"]),
+    ("evap-schedule-amplitude-first", ("evap", "schedule"),
+     ["evap.amplitude_end_um=10", "evap.amplitude_duration_s=0.5"]),
+    ("evap-schedule-constant-amplitude", ("evap", "schedule"), ["evap.amplitude_end_um=230"]),
+    ("evap-schedule-no-reopen", ("evap", "schedule"), ["evap.reopen_duration_s=0"]),
+    ("evap-schedule-overflow", ("evap", "schedule"), ["evap.hold_s=1e308", "evap.reopen_duration_s=1e308"]),
 ]
 # name, --set overrides, the flight synth run whose output is --frames
 ANALYZE = [
