@@ -182,7 +182,7 @@ def _grid_from_config(cfg) -> GridSpec:
 def cmd_paint_grid(cfg, out: Path) -> None:
     constants, layout, inputs = _context(cfg)
     spec = _grid_from_config(cfg)
-    wf = grid_waveform(layout, spec, inputs)
+    wf = grid_waveform(layout, spec)
     table = characterize_sites(constants, layout, inputs, spec)
     dev = table.deviations()
     summary = {

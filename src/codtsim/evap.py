@@ -231,15 +231,29 @@ def expand(frequencies_hz, tf_radii, temperature: float, times, constants: Physi
     thermal cloud at ``temperature`` (K) starts at the in-trap rms radii
     sigma_i(0) = v/omega_i, v = sqrt(kB T/m), and widens as
     sigma_i(t) = hypot(sigma_i(0), v t), which stays finite wherever the
-    width itself is.
+    width itself is.  Before integrating, a release whose omega_i^2 or
+    sigma_i(0) overflows is refused, and so is one whose widths in um could
+    pass the float range by the last time: every scaling factor obeys
+    lambda_i(t) <= 1 + sqrt(2) omega_i t, since the sum of
+    lambda_i'^2 / (2 omega_i^2) is 1 - 1 / (lambda_1 lambda_2 lambda_3).
     """
     if any(f <= 0 for f in frequencies_hz):
         raise DomainError("release frequencies must be positive")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     omegas = 2 * math.pi * np.asarray(frequencies_hz, dtype=float)
-    tf = np.asarray(tf_radii) * castin_dum_lambdas(omegas, times)
     v = np.sqrt(BOLTZMANN * temperature / constants.atom_mass)
-    thermal = np.hypot(v / omegas, v * times[:, None])
+    t_max = float(times.max()) if times.size else 0.0
+    with np.errstate(over="ignore"):  # refused below
+        sigma0 = v / omegas
+        squares = omegas**2
+        tf_bound = np.asarray(tf_radii) * (1 + math.sqrt(2) * omegas * t_max)
+        widest_um = 1e6 * np.append(tf_bound, np.hypot(sigma0, v * t_max))
+    if not np.isfinite([*squares, *sigma0]).all():
+        raise DomainError("tof.frequencies_hz: omega^2 or the in-trap thermal width v/omega overflows the float range")
+    if not np.isfinite(widest_um).all():
+        raise DomainError(f"tof.times_ms: the cloud may outgrow the float range by {t_max * 1e3:g} ms")
+    tf = np.asarray(tf_radii) * castin_dum_lambdas(omegas, times)
+    thermal = np.hypot(sigma0, v * times[:, None])
     with np.errstate(invalid="ignore"):  # no thermal cloud at T = 0: a nan aspect (0/0)
         thermal_aspect = thermal[:, 2] / thermal[:, 1]
     return {

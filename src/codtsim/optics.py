@@ -209,8 +209,6 @@ def focus_input_beam(layout: OpticalLayout, input_beam: InputBeam) -> Astigmatic
     the layout throughput.  The returned beam runs along +x through the origin
     with its sagittal (vertical) focus at the origin.
     """
-    if input_beam.collimated_radius <= 0:
-        raise DomainError("input beam radius must be positive")
     if input_beam.collimated_radius > 0.5 * min(layout.aod_aperture):
         raise DomainError(
             "collimated beam radius exceeds half the AOD aperture "
@@ -272,6 +270,11 @@ def _deflect(layout: OpticalLayout, df):
     return disp
 
 
+def _beyond_range(layout: OpticalLayout, mhz) -> np.ndarray:
+    """Where frequency offsets ``mhz`` lie past the AOD range by more than float rounding."""
+    return np.abs(mhz) > layout.aod_freq_range_mhz * (1 + 1e-12)
+
+
 def deflection_to_displacement(layout: OpticalLayout, delta_freq_mhz) -> np.ndarray:
     """Focal-region displacements (m) of both beams for rows (..., 4) of AOD frequency offsets.
 
@@ -288,7 +291,7 @@ def deflection_to_displacement(layout: OpticalLayout, delta_freq_mhz) -> np.ndar
     inverse.
     """
     df = np.asarray(delta_freq_mhz, dtype=float)
-    if np.any(np.abs(df) > layout.aod_freq_range_mhz * (1 + 1e-12)):
+    if np.any(_beyond_range(layout, df)):
         raise DomainError(
             f"frequency offset outside AOD range +/-{layout.aod_freq_range_mhz} MHz"
         )
@@ -318,14 +321,14 @@ def frequency_offset(layout: OpticalLayout, displacement) -> np.ndarray:
             amp = theta * layout.aod_freq_range_mhz / layout.aod_full_deflection
     amp = np.where(scale != 0, amp, 0.0)  # e.g. a geometric AOD of zero full deflection
     stuck = (scale == 0) & (disp != 0)
-    bad = np.argwhere(stuck | (np.abs(amp) > layout.aod_freq_range_mhz * (1 + 1e-12)))
+    bad = np.argwhere(stuck | _beyond_range(layout, amp))
     if bad.size:
         first = tuple(bad[0])
         d, channel = disp[first], CHANNELS[first[-1]]
         if stuck[first]:
             raise DomainError(f"displacement {d * 1e6:.0f} um on {channel}, whose AOD does not deflect")
         raise DomainError(
-            f"displacement {d * 1e6:.1f} um on {channel} needs {abs(amp[first]):.2f} MHz, "
+            f"displacement {d * 1e6:.1f} um on {channel} needs {abs(amp[first]):.15g} MHz, "
             f"unreachable within the +/-{layout.aod_freq_range_mhz} MHz AOD range"
         )
     return amp
@@ -377,19 +380,12 @@ def place_beams(layout: OpticalLayout, offsets) -> tuple[np.ndarray, np.ndarray,
     linearly and symmetrically to in-plane displacement.
 
     Returns origins (n, 2, 3), waist scales (n, 2) and quality factors
-    M^2 = scale^2 (n, 2).  Every row is checked against the reachable range of
-    each channel (DomainError) and for a non-positive scale
-    (ModelValidityError).
+    M^2 = scale^2 (n, 2).  A row that needs more than the AOD range is refused
+    by :func:`frequency_offset` (DomainError), and a non-positive scale raises
+    ModelValidityError.
     """
     offs = np.atleast_2d(np.asarray(offsets, dtype=float))
-    limits = max_displacement(layout)
-    over = np.argwhere(np.abs(offs) > limits * (1 + 1e-9))
-    if over.size:
-        row, i = over[0]
-        raise DomainError(
-            f"offset {offs[row, i] * 1e6:.1f} um on channel {CHANNELS[i]} exceeds "
-            f"reachable range +/-{limits[i] * 1e6:.1f} um"
-        )
+    frequency_offset(layout, offs)
     h = offs[:, 0::2]
     origins = np.zeros(h.shape + (3,))
     origins[..., 1] = h / math.cos(layout.half_angle)

@@ -18,13 +18,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .optics import (
-    InputBeam,
-    OpticalLayout,
-    build_beamlines,
-    frequency_offset,
-    offsets_from_crossing,
-)
+from .optics import InputBeam, OpticalLayout, frequency_offset, offsets_from_crossing
 from .potential import WAVEFORM_PERIOD, DipolePotential, ModulationWaveform, beam_records
 from .trapchar import TrapReport, characterize_batch
 
@@ -75,14 +69,16 @@ class SiteTable:
     converged: bool = True
 
     def central_index(self) -> int:
+        """The site nearest the grid centre, which the grid is compared against; DomainError when it is no trap."""
         center = self.positions.mean(axis=0)
-        return int(np.argmin(np.linalg.norm(self.positions - center, axis=1)))
+        c = int(np.argmin(np.linalg.norm(self.positions - center, axis=1)))
+        if self.reports.depth_escape[c] <= 0 or np.any(self.reports.frequencies[c] <= 0):
+            raise DomainError("central site has no positive depth to compare the grid against")
+        return c
 
     def deviations(self) -> dict:
         """Fractional deviations of sizes, depth and frequencies of the valid sites vs. the central site."""
         c, r = self.central_index(), self.reports
-        if r.depth_escape[c] <= 0 or np.any(r.frequencies[c] <= 0):
-            raise DomainError("central site has no positive depth to compare the grid against")
         rel = lambda v: (v[r.valid] - v[c]) / v[c]  # noqa: E731
         return {
             "radius_beam1": rel(self.radii[:, 0]),
@@ -131,22 +127,6 @@ def _dwell_waveform(layout: OpticalLayout, offsets: np.ndarray, weights=None) ->
     return ModulationWaveform(times.reshape(-1), knots(freqs), knots(weights))
 
 
-def _check_site_collisions(layout: OpticalLayout, inputs, spec: GridSpec) -> None:
-    """Warn when the grid spacing is below two local waists, so that sites merge."""
-    spacings = [s for c, s in zip(spec.counts, spec.spacing) if c > 1]
-    if not spacings:  # a single site has nothing to merge with
-        return
-    b1, _ = build_beamlines(layout, inputs)
-    local_waist = max(b1.width_h(0.0), b1.width_v(0.0))
-    min_spacing = min(spacings)
-    if min_spacing < 2 * local_waist:
-        warnings.warn(
-            f"grid spacing {min_spacing * 1e6:.1f} um below two local waists "
-            f"({2 * local_waist * 1e6:.1f} um); sites will merge",
-            stacklevel=3,
-        )
-
-
 def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: float = 0.0) -> ModulationWaveform:
     """Symmetric triangle sweep of ``amplitude`` (m) on the horizontal channels.
 
@@ -161,15 +141,11 @@ def line_paint(layout: OpticalLayout, amplitude: float, vertical_amplitude: floa
     return ModulationWaveform(t, np.outer(tri, amps), np.ones((LINE_PAINT_KNOTS, 4)))
 
 
-def grid_waveform(
-    layout: OpticalLayout, spec: GridSpec, inputs: tuple[InputBeam, InputBeam], weights=None
-) -> ModulationWaveform:
+def grid_waveform(layout: OpticalLayout, spec: GridSpec, weights=None) -> ModulationWaveform:
     """Dwell waveform visiting every site of ``spec`` once per period.
 
-    ``weights`` gives one horizontal-channel amplitude weight per site.  A
-    spacing below two local waists warns that sites will merge.
+    ``weights`` gives one horizontal-channel amplitude weight per site.
     """
-    _check_site_collisions(layout, inputs, spec)
     offsets = offsets_from_crossing(layout, spec.site_positions())
     seg_weights = np.ones_like(offsets)
     if weights is not None:
@@ -228,8 +204,10 @@ def characterize_sites(
 
     Each site is characterized in its own basin from the instantaneous trap
     formed while the multiplexed drive dwells there (neighbor contributions
-    are negligible for spacings well above the local waists).  ``weights``
-    gives one (beam1, beam2) power weight pair per site.
+    are negligible for spacings well above the local beam widths).
+    ``weights`` gives one (beam1, beam2) power weight pair per site.  A
+    spacing below twice the widest local 1/e^2 radius of either beam warns
+    that sites will merge.
     """
     indices, positions = spec.site_indices(), spec.site_positions()
     pairs = _as_weight_pairs(weights, len(indices))
@@ -239,6 +217,13 @@ def characterize_sites(
     zeta = np.matmul((positions[:, None, :] - records[..., 0:3])[..., None, :], records[..., 3:6, None])[..., 0]
     widths = records[..., 12:14] * np.sqrt(1.0 + ((zeta - records[..., 14:16]) / records[..., 16:18]) ** 2)
     radii = np.sqrt(widths[..., 0] * widths[..., 1])
+    spacings = [s for n, s in zip(spec.counts, spec.spacing) if n > 1]  # a single site merges with none
+    if spacings and min(spacings) < 2 * widths.max():
+        warnings.warn(
+            f"grid spacing {min(spacings) * 1e6:.1f} um below two local beam widths "
+            f"({2 * widths.max() * 1e6:.1f} um); sites will merge",
+            stacklevel=2,
+        )
     return SiteTable(indices, positions, radii, pairs, reports)
 
 
@@ -273,8 +258,6 @@ def compensate_powers(
         raise DomainError(f"unknown compensation objective {objective!r}")
     c, ref = table.central_index(), table.reports
     ref_depth, ref_mean, ref_freqs = ref.depth_escape[c], ref.mean_frequency[c], ref.frequencies[c]
-    if ref_depth <= 0 or np.any(ref_freqs <= 0):
-        raise DomainError("central site must be a valid trap to compensate against")
 
     def objective_spread(t: SiteTable) -> float:
         vals = t.reports.depth_escape if objective == "equal-depth" else t.reports.mean_frequency

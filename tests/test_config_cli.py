@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,6 +358,7 @@ class TestCli:
             # a waypoint beyond the reachable range surfaces as a domain error
             ("paint transport", ["paint.transport_end_um=[[0.0, 0.0, 5000.0]]"], "unreachable"),
             ("paint grid", ["beams.power_w=0"], "central site"),
+            ("paint compensate", ["beams.power_w=0"], "central site"),
             # a paint on AODs that do not deflect once divided by zero
             ("evap timeline", no_deflection, "h1, whose AOD does not deflect"),
         ):
@@ -366,6 +368,27 @@ class TestCli:
             assert message in capsys.readouterr().err
             # the failure leaves no partial artifact (paint grid once left sites.csv)
             assert list(out.iterdir()) == [], overrides
+
+    def test_edge_site_refused_alike_by_grid_and_compensate(self, tmp_path, capsys):
+        # 1e-6 um past the h1 reach: paint compensate once characterized it under a
+        # looser placement check, and paint grid said it needed "15.00 MHz"
+        edge = ["--set", "paint.grid_counts=[1,1,1]", "--set", "paint.grid_center_um=[0,1428.681130001191,0]"]
+        errors = []
+        for command in ("grid", "compensate"):
+            out = tmp_path / command
+            out.mkdir()
+            assert main(["paint", command, "--out", str(out), *edge]) == 3
+            errors.append(capsys.readouterr().err)
+            assert list(out.iterdir()) == [], command
+        assert errors[0] == errors[1]
+        needs = re.fullmatch(r"error: displacement 1380.0 um on h1 needs (\S+) MHz, unreachable .*\n", errors[0])
+        assert needs and float(needs[1]) > 15.0 and needs[1] != "15.00"
+
+    def test_merging_sites_warn_in_grid_and_compensate(self, tmp_path):
+        close = ["--set", "paint.grid_counts=[1,2,1]", "--set", "paint.grid_spacing_um=[0,15,0]"]
+        for command in ("grid", "compensate"):
+            with pytest.warns(UserWarning, match="sites will merge"):
+                assert main(["paint", command, "--out", str(tmp_path / command), *close]) == 0
 
     def test_failed_run_leaves_out_empty(self, tmp_path, capsys):
         # each of these once exited 1 with a traceback, trap.field_dims after writing trap_report.json
@@ -771,6 +794,27 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ("tof.frequencies_hz=[1e-320,1,1]", "tof.frequencies_hz"),  # v / omega overflows
+            ("tof.frequencies_hz=[1e300,1,1]", "tof.frequencies_hz"),  # omega^2 overflows
+            ("tof.times_ms=[1e308]", "tof.times_ms"),  # TF radii and widths in um overflow
+        ],
+    )
+    def test_tof_expand_past_the_float_range_is_a_domain_error(self, tmp_path, capsys, setting, key):
+        # each once printed numpy or scipy RuntimeWarnings; 1e-320 Hz and 1e308 ms then exited 0 with inf widths
+        import warnings
+
+        out = tmp_path / "tof"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tof", "expand", "--out", str(out), "--set", setting]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_centroid_row_with_a_non_finite_time_is_a_domain_error(self, tmp_path, capsys, value):

@@ -37,9 +37,9 @@ def assert_waveforms_equal(a: ModulationWaveform, b: ModulationWaveform) -> None
 class TestSynthesizeWaveform:
     """The waveform constructors: line paint, grid dwell (a vertical column is one), constant."""
 
-    def test_vertical_tone_separation_at_calibration(self, layout, input_pair):
+    def test_vertical_tone_separation_at_calibration(self, layout):
         # 190 um two-site spacing at 86 um/MHz -> tones separated by ~2.21 MHz
-        wf = grid_waveform(layout, GridSpec(counts=(1, 1, 2), spacing=(0.0, 0.0, 190.0 * 1e-6)), input_pair)
+        wf = grid_waveform(layout, GridSpec(counts=(1, 1, 2), spacing=(0.0, 0.0, 190.0 * 1e-6)))
         v1 = wf.freq_offsets_mhz[:, 1]
         sep = v1.max() - v1.min()
         assert sep == pytest.approx(190.0 / 86.0, rel=1e-6)
@@ -85,19 +85,20 @@ class TestSynthesizeWaveform:
         with pytest.raises(DomainError):
             line_paint(layout, 1500.0 * 1e-6)
 
-    def test_grid_dwell_knots_equal_loop_reference(self, layout, input_pair):
+    def test_grid_dwell_knots_equal_loop_reference(self, layout):
         spec = GridSpec(counts=(1, 3, 3), spacing=(0.0, 480e-6, 480e-6), center=(30e-6, 0.0, 0.0))
         site_weights = np.linspace(0.6, 1.2, 9)
-        wf = grid_waveform(layout, spec, input_pair, site_weights)
+        wf = grid_waveform(layout, spec, site_weights)
         times, freqs, wts = dwell_knots_loop(layout, spec, site_weights)
         np.testing.assert_array_equal(wf.times, times)
         np.testing.assert_array_equal(wf.freq_offsets_mhz, freqs)
         np.testing.assert_array_equal(wf.weights, wts)
 
     def test_site_collision_warns(self, layout, input_pair):
+        # the site table warns, from the local beam widths it computes for its radii
         spec = GridSpec(counts=(1, 2, 1), spacing=(0.0, 15e-6, 0.0))
-        with pytest.warns(UserWarning):
-            grid_waveform(layout, spec, input_pair)
+        with pytest.warns(UserWarning, match="sites will merge"):
+            characterize_sites(RB, layout, input_pair, spec)
 
 
 def dwell_knots_loop(layout, spec, site_weights):

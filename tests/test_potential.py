@@ -244,7 +244,7 @@ class TestTimeAveragedPotential:
             (line_paint(layout, 230.0 * 1e-6), 128),  # steps of 7.19 um against a bound of 7.34 um
             (line_paint(layout, 370.0 * 1e-6), 256),
             (line_paint(layout, 740.0 * 1e-6), 512),
-            (grid_waveform(layout, GridSpec(counts=(1, 1, 2), spacing=(0.0, 0.0, 190e-6)), input_pair), 2048),
+            (grid_waveform(layout, GridSpec(counts=(1, 1, 2), spacing=(0.0, 0.0, 190e-6))), 2048),
         )
 
         def ripple(offsets, w_min):
@@ -279,7 +279,7 @@ class TestTimeAveragedPotential:
             layout = OpticalLayout(deflection_mode=mode)
             waveforms = (
                 line_paint(layout, 370.0 * 1e-6, 40.0 * 1e-6),
-                grid_waveform(layout, grid, input_pair, np.linspace(0.6, 1.2, 9)),
+                grid_waveform(layout, grid, np.linspace(0.6, 1.2, 9)),
             )
             for wf in waveforms:
                 for n_phases in (1, 7, 64):
@@ -314,7 +314,7 @@ class TestTimeAveragedPotential:
         static_mhz = np.array([40.0, -20.0, 10.0, 30.0]) * 1e-6 / deflection_to_displacement(layout, np.ones(4))
         waveforms = (
             line_paint(layout, 230.0 * 1e-6, 40.0 * 1e-6),
-            grid_waveform(layout, grid, input_pair, np.linspace(0.6, 1.2, 9)),
+            grid_waveform(layout, grid, np.linspace(0.6, 1.2, 9)),
             ModulationWaveform.constant(static_mhz),
         )
         rng = np.random.default_rng(5)

@@ -29,9 +29,12 @@ expand`` with no times (a table without rows), at 0 K (no thermal
 cloud) and at 1e300 ms (widths whose squares overflow), ``evap
 schedule`` with an amplitude ramp that ends first and holds its endpoint,
 a constant amplitude, no reopen step, and a total duration that
-overflows (exit 3), and a ``flight analyze --centroids`` of the first
-``flight analyze`` run's ``flight_series.csv``, each at 0 g and at 9.81
-m/s^2: 72 runs. Each tree runs ``JOBS`` runs at a time.
+overflows (exit 3), a single-site ``paint grid`` and ``paint compensate``
+1e-6 um past the h1 reach (exit 3), a ``paint compensate`` of two sites
+15 um apart (the site-merge warning), ``tof expand`` at 1e-320 Hz, at
+1e300 Hz and at 1e308 ms (exit 3), and a ``flight analyze --centroids`` of
+the first ``flight analyze`` run's ``flight_series.csv``, each at 0 g and
+at 9.81 m/s^2: 84 runs. Each tree runs ``JOBS`` runs at a time.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ TRANSPORT_3_SITES = [
     "paint.transport_start_um=[[0,0,0],[0,480,0],[0,-480,-480]]",
     "paint.transport_end_um=[[330,0,0],[330,480,480],[-330,-480,0]]",
 ]
+# a single site 1e-6 um past the h1 reach
+EDGE_SITE = ["paint.grid_counts=[1,1,1]", "paint.grid_center_um=[0,1428.681130001191,0]"]
 # name, subcommand, --set overrides
 EXTRA = [
     ("paint-compensate-3x3x3", ("paint", "compensate"),
@@ -95,6 +100,12 @@ EXTRA = [
     ("evap-schedule-constant-amplitude", ("evap", "schedule"), ["evap.amplitude_end_um=230"]),
     ("evap-schedule-no-reopen", ("evap", "schedule"), ["evap.reopen_duration_s=0"]),
     ("evap-schedule-overflow", ("evap", "schedule"), ["evap.hold_s=1e308", "evap.reopen_duration_s=1e308"]),
+    ("paint-grid-edge-site", ("paint", "grid"), EDGE_SITE),
+    ("paint-compensate-edge-site", ("paint", "compensate"), EDGE_SITE),
+    ("paint-compensate-15um", ("paint", "compensate"), ["paint.grid_counts=[1,2,1]", "paint.grid_spacing_um=[0,15,0]"]),
+    ("tof-expand-1e-320Hz", ("tof", "expand"), ["tof.frequencies_hz=[1e-320,1,1]"]),
+    ("tof-expand-1e300Hz", ("tof", "expand"), ["tof.frequencies_hz=[1e300,1,1]"]),
+    ("tof-expand-1e308ms", ("tof", "expand"), ["tof.times_ms=[1e308]"]),
 ]
 # name, --set overrides, the flight synth run whose output is --frames
 ANALYZE = [
